@@ -57,10 +57,15 @@ def _add_common(p: argparse.ArgumentParser, needs_ltl=True):
 
 
 def _options(args) -> Options:
+    for flag, value in (("--limit-states", args.limit_states),
+                        ("--limit-dnf", args.limit_dnf)):
+        if value is not None and value < 1:
+            raise InputError(f"{flag} must be at least 1, got {value}",
+                             kind="bad-flag")
     opts = Options()
-    if args.limit_states:
+    if args.limit_states is not None:
         opts.limit_states = args.limit_states
-    if getattr(args, "limit_dnf", None):
+    if args.limit_dnf is not None:
         opts.dnf_limit = args.limit_dnf
     if getattr(args, "no_check", False):
         opts.check = False

@@ -51,23 +51,18 @@ class SymbolicState:
     zone: CPDBM
 
 
-@dataclass
-class SearchData:
-    in_outer: bool = False
-    in_inner: bool = False
-    on_stack: bool = False
-    deadlock_done: bool = False
-
-
 class StateStore:
     """Resolves a zone to its semantic representative.
 
-    A structural cache maps already-seen (constraints, matrix) pairs to
-    their representative.  On a miss the zone's signature -- a hash of its
-    closed concrete matrices at every valuation of its extension -- selects
-    a bucket whose members are compared by exact per-valuation semantics.
-    The signature is a complete semantic key, so buckets almost never hold
-    more than one candidate.
+    A structural cache maps already-seen (extension bits, matrix) pairs to
+    their representative: a zone hits it when its constraint set holds the
+    same valuations as a zone seen before and its matrix is equal.  On a
+    miss the zone's signature -- a hash of its closed concrete matrices at
+    every valuation of its extension -- selects a bucket whose members are
+    compared by exact per-valuation semantics.  The signature is a complete
+    semantic key, so buckets almost never hold more than one candidate.
+    The store keeps zones only; per-state search marks live with the
+    search.
     """
 
     def __init__(self, box: ParamBox):
@@ -75,7 +70,6 @@ class StateStore:
         self.zones: list[CPDBM] = []
         self.by_structure: dict = {}
         self.by_signature: dict[bytes, list[int]] = {}
-        self.data: dict[tuple[int, int], SearchData] = {}
         self.m2_hits = 0
         self.m2_misses = 0
         self.semantic_comparisons = 0
@@ -99,7 +93,7 @@ class StateStore:
         return h.digest(), ext, mats
 
     def resolve(self, z: CPDBM) -> int:
-        key = (z.cset, z.mat)
+        key = (z.cset.bits, z.mat)
         rep = self.by_structure.get(key)
         if rep is not None:
             self.m2_hits += 1
@@ -118,14 +112,6 @@ class StateStore:
         bucket.append(rid)
         self.by_structure[key] = rid
         return rid
-
-    def get_data(self, loc: int, rep: int) -> SearchData:
-        key = (loc, rep)
-        got = self.data.get(key)
-        if got is None:
-            got = SearchData()
-            self.data[key] = got
-        return got
 
 
 # --- successor generation ----------------------------------------------------
@@ -216,7 +202,7 @@ def deadlock_valuations(s: SymbolicState, a: Ptba, box: ParamBox,
             break
     bits = 0
     for z in cur:
-        bits |= z.cset.extension(box).bits
+        bits |= z.cset.bits
     return ValuationSet(box, bits)
 
 
@@ -275,17 +261,14 @@ def build_graph(a: Ptba, box: ParamBox, maxima=None,
         g.nodes.append(key)
         g.succ.append([])
         zone = store.zones[rep]
-        g.ext_bits.append(zone.cset.extension(box).bits)
+        g.ext_bits.append(zone.cset.bits)
         g.accepting.append(a.locations[st.loc].accepting)
-        data = store.get_data(st.loc, rep)
-        if not data.deadlock_done:
-            data.deadlock_done = True
-            g.deadlock_bits |= deadlock_valuations(
-                SymbolicState(st.loc, zone), a, box, opts.dnf_limit,
-                base=branches_of(rep)).bits
+        g.deadlock_bits |= deadlock_valuations(
+            SymbolicState(st.loc, zone), a, box, opts.dnf_limit,
+            base=branches_of(rep)).bits
         if opts.trace is not None:
             opts.trace.write(f"state {nid}: {a.locations[st.loc].name}\n")
-            opts.trace.write(pdbm.dump(zone, a.clock_names) + "\n\n")
+            opts.trace.write(pdbm.dump(zone, box, a.clock_names) + "\n\n")
         queue.append(nid)
         return nid
 
@@ -331,7 +314,9 @@ def cumulative_ndfs_graph(g: SymbolicGraph, opts: Options | None = None,
     found = 0
     outer_visits = inner_visits = cycles = 0
     witnesses: list[dict] = []  # one valuation per growth of the accumulator
-    data = [g.store.get_data(*g.nodes[i]) for i in range(g.n_nodes)]
+    in_outer = [False] * g.n_nodes
+    in_inner = [False] * g.n_nodes
+    on_stack = [False] * g.n_nodes
     outer_path: list[int] = []
     path_pos: dict[int, int] = {}
 
@@ -348,7 +333,7 @@ def cumulative_ndfs_graph(g: SymbolicGraph, opts: Options | None = None,
 
     def inner_dfs(root: int):
         nonlocal found, inner_visits, cycles
-        data[root].in_inner = True
+        in_inner[root] = True
         inner_visits += 1
         frames = [(root, iter(g.succ[root]))]
         inner_path = [root]
@@ -359,8 +344,7 @@ def cumulative_ndfs_graph(g: SymbolicGraph, opts: Options | None = None,
                 frames.pop()
                 inner_path.pop()
                 continue
-            nd = data[nxt]
-            if nd.on_stack:
+            if on_stack[nxt]:
                 cycles += 1
                 fresh = g.ext_bits[nxt] & ~found
                 if fresh:
@@ -372,16 +356,16 @@ def cumulative_ndfs_graph(g: SymbolicGraph, opts: Options | None = None,
                 frames.pop()
                 inner_path.pop()
                 continue
-            if not nd.in_inner and not_covered(nxt):
-                nd.in_inner = True
+            if not in_inner[nxt] and not_covered(nxt):
+                in_inner[nxt] = True
                 inner_visits += 1
                 frames.append((nxt, iter(g.succ[nxt])))
                 inner_path.append(nxt)
 
     def outer_dfs(start: int):
         nonlocal outer_visits
-        data[start].in_outer = True
-        data[start].on_stack = True
+        in_outer[start] = True
+        on_stack[start] = True
         outer_visits += 1
         frames = [(start, iter(g.succ[start]))]
         outer_path.append(start)
@@ -390,11 +374,10 @@ def cumulative_ndfs_graph(g: SymbolicGraph, opts: Options | None = None,
             nid, it = frames[-1]
             nxt = next(it, None)
             if nxt is not None:
-                nd = data[nxt]
-                if (not nd.in_outer and not nd.on_stack
+                if (not in_outer[nxt] and not on_stack[nxt]
                         and (not opts.prune or not_covered(nxt))):
-                    nd.in_outer = True
-                    nd.on_stack = True
+                    in_outer[nxt] = True
+                    on_stack[nxt] = True
                     outer_visits += 1
                     frames.append((nxt, iter(g.succ[nxt])))
                     path_pos[nxt] = len(outer_path)
@@ -402,13 +385,13 @@ def cumulative_ndfs_graph(g: SymbolicGraph, opts: Options | None = None,
                 continue
             if g.accepting[nid] and not_covered(nid):
                 inner_dfs(nid)
-            data[nid].on_stack = False
+            on_stack[nid] = False
             frames.pop()
             outer_path.pop()
             del path_pos[nid]
 
     for s0 in g.initials:
-        if not data[s0].in_outer and (not opts.prune or not_covered(s0)):
+        if not in_outer[s0] and (not opts.prune or not_covered(s0)):
             outer_dfs(s0)
 
     if stats is not None:
@@ -468,14 +451,44 @@ def validate_property(net: Network, f: Formula) -> None:
                              kind="unknown-atom")
 
 
+# A bound below this magnitude encodes below zones.INF / 2, so the sum of
+# two encoded bounds stays below zones.INF.
+BOUND_LIMIT = zones.INF >> 2
+
+
+def _check_bound_range(a: Ptba, box: ParamBox, maxima) -> None:
+    """Reject bounds the int64 zone encoding cannot hold: every clock
+    maximum, every atom constant and every atom term at its largest
+    magnitude over the box must stay below BOUND_LIMIT."""
+
+    def check(value: int, what: str) -> None:
+        if value >= BOUND_LIMIT:
+            raise InputError(f"{what} reaches {value}, out of the bound "
+                             f"range (below 2^38)", kind="bound-range")
+
+    for name, m in zip(a.clock_names, maxima):
+        check(m, f"maximum of clock {name}")
+    for loc in a.locations:
+        for atoms in [loc.inv] + [e.atoms for e in loc.edges]:
+            for _, _, b in atoms:
+                if b.is_inf:
+                    continue
+                check(abs(b.expr.const), "bound constant")
+                for p, z in b.expr.coeffs:
+                    check(abs(z) * max(abs(box.lower(p)), abs(box.upper(p))),
+                          f"bound term {z}*{p}")
+
+
 def build_automaton(net: Network, f: Formula, box: ParamBox):
     """Shared front end for both engines: product of the composed network
-    with the automaton of the negated property, made strongly non-Zeno."""
+    with the automaton of the negated property, made strongly non-Zeno.
+    Raises InputError when a bound falls outside the encodable range."""
     validate_property(net, f)
     aut = to_buchi(to_nnf(ltl_mod.neg(f)))
     pta, lab = compose(net)
     tba = make_nonzeno(product(pta, lab, aut))
     maxima = clock_bounds(tba, box)
+    _check_bound_range(tba, box, maxima)
     return tba, maxima
 
 

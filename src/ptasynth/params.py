@@ -2,10 +2,11 @@
 and exact valuation-set arithmetic.
 
 Parameters range over a finite integer box, so every entailment question is
-decided exactly by looking at the integer points of the box.  Extensions of
-constraints are bitsets indexed by the row-major position of a point in the
-box grid; they are memoized aggressively because the zone machinery asks the
-same questions over and over.
+decided exactly by looking at the integer points of the box.  A constraint's
+extension is a bitset indexed by the row-major position of a point in the
+box grid, memoized per box because the zone machinery asks the same
+questions over and over.  A constraint set is kept as nothing but the
+extension of its conjunction: two sets with the same points are equal.
 """
 
 from __future__ import annotations
@@ -187,10 +188,6 @@ class AffineExpr:
 
     __rmul__ = __mul__
 
-    @cached_property
-    def key(self) -> str:
-        return str(self)
-
     def __str__(self):
         parts = []
         for p, z in self.coeffs:
@@ -257,10 +254,6 @@ class Constraint:
         return self.lhs.is_const and (
             self.lhs.const < 0 if self.strict else self.lhs.const <= 0)
 
-    @cached_property
-    def key(self) -> str:
-        return str(self)
-
     def __str__(self):
         return f"{self.lhs} {'<' if self.strict else '<='} 0"
 
@@ -274,62 +267,41 @@ def _expr(x) -> AffineExpr:
 
 
 class ConstraintSet:
-    """Immutable finite set of constraints with a memoized exact extension.
+    """A conjunction of constraints, kept as its extension: the bitset of
+    the box points that satisfy every conjunct.
 
-    The extension is computed once per box by intersecting the per-constraint
-    bitsets; children built through :meth:`extended` reuse the parent's bits.
+    Every parameter ranges over a finite box, so the extension decides
+    every entailment question, and two conjunctions with the same points
+    are the same set.  Equality and hashing use the bits alone.
     """
 
-    __slots__ = ("constraints", "_ext", "_hash")
+    __slots__ = ("bits",)
 
-    def __init__(self, constraints=()):
-        self.constraints = frozenset(constraints)
-        self._ext = None
-        self._hash = None
+    def __init__(self, bits: int):
+        self.bits = bits
+
+    @classmethod
+    def of(cls, box: ParamBox, constraints=()) -> "ConstraintSet":
+        bits = box._full_bits
+        for c in constraints:
+            bits &= box.constraint_bits(c)
+        return cls(bits)
 
     def __eq__(self, other):
-        return isinstance(other, ConstraintSet) and self.constraints == other.constraints
+        return isinstance(other, ConstraintSet) and self.bits == other.bits
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.constraints)
-        return self._hash
-
-    def __len__(self):
-        return len(self.constraints)
-
-    def __iter__(self):
-        return iter(sorted(self.constraints, key=lambda c: (c.key, c.strict)))
+        return hash(self.bits)
 
     def extension(self, box: ParamBox) -> "ValuationSet":
-        ext = self._ext
-        if ext is not None and (ext.box is box or ext.box == box):
-            return ext
-        bits = box._full_bits
-        for c in self.constraints:
-            bits &= box.constraint_bits(c)
-        ext = ValuationSet(box, bits)
-        self._ext = ext
-        return ext
+        return ValuationSet(box, self.bits)
 
-    def extended(self, c: Constraint, box: ParamBox | None = None) -> "ConstraintSet":
-        """Set with ``c`` added; extension derived incrementally when known."""
-        if c in self.constraints:
-            return self
-        child = ConstraintSet.__new__(ConstraintSet)
-        child.constraints = self.constraints | {c}
-        child._hash = None
-        child._ext = None
-        if box is not None and self._ext is not None and \
-                (self._ext.box is box or self._ext.box == box):
-            child._ext = ValuationSet(box, self._ext.bits & box.constraint_bits(c))
-        return child
+    def extended(self, c: Constraint, box: ParamBox) -> "ConstraintSet":
+        """Set with ``c`` added."""
+        return ConstraintSet(self.bits & box.constraint_bits(c))
 
     def __repr__(self):
-        return "{" + ", ".join(str(c) for c in self) + "}"
-
-
-EMPTY_CONSTRAINTS = ConstraintSet()
+        return f"ConstraintSet({self.bits:#x})"
 
 
 @dataclass(frozen=True)
@@ -406,7 +378,7 @@ def covers(cset: ConstraintSet, c: Constraint, box: ParamBox) -> Cover:
     """Decide whether every point of the extension satisfies ``c``, none do,
     or the answer depends on the valuation.  An empty extension counts as
     covered (vacuous truth); callers prune such branches."""
-    ext = cset.extension(box).bits
+    ext = cset.bits
     cb = box.constraint_bits(c)
     if ext & cb == ext:
         return Cover.COVERS

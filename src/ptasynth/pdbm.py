@@ -24,7 +24,6 @@ from .params import (
     AffineExpr,
     ConstraintSet,
     Cover,
-    EMPTY_CONSTRAINTS,
     INF_BOUND,
     ParamBox,
     StrictBound,
@@ -74,15 +73,11 @@ def matrix_of(n: int, entries: Mapping[tuple[int, int], StrictBound]) -> Matrix:
 
 
 def initial_cpdbm(n_clocks: int, box: ParamBox) -> CPDBM:
-    """All clocks equal and non-negative with time already released, under
-    the box constraints on every parameter."""
+    """All clocks equal and non-negative with time already released, at
+    every point of the box."""
     n = n_clocks + 1
     mat = matrix_of(n, {(i, 0): INF_BOUND for i in range(1, n)})
-    cset = EMPTY_CONSTRAINTS
-    for p in box.params:
-        cset = cset.extended(Constraint.le(box.lower(p), AffineExpr.var(p)), box)
-        cset = cset.extended(Constraint.le(AffineExpr.var(p), box.upper(p)), box)
-    return CPDBM(cset, mat, canonical=True)
+    return CPDBM(ConstraintSet.of(box), mat, canonical=True)
 
 
 def apply_atomic_guard(z: CPDBM, atom: Atom, box: ParamBox) -> list[CPDBM]:
@@ -113,7 +108,7 @@ def apply_guard(z: CPDBM, atoms: Sequence[Atom], box: ParamBox) -> list[CPDBM]:
         nxt: list[CPDBM] = []
         for b in branches:
             nxt.extend(apply_atomic_guard(b, atom, box))
-        branches = [b for b in nxt if not b.cset.extension(box).is_empty]
+        branches = [b for b in nxt if b.cset.bits]
     return branches
 
 
@@ -354,8 +349,9 @@ def is_canonical(z: CPDBM, box: ParamBox) -> bool:
     return True
 
 
-def dump(z: CPDBM, names: Sequence[str] | None = None) -> str:
-    """Debug text: one line per finite entry, then the constraints."""
+def dump(z: CPDBM, box: ParamBox, names: Sequence[str] | None = None) -> str:
+    """Debug text: one line per finite entry, then one line per valuation
+    of the extension."""
     n = z.n
     names = names or [f"x{i}" for i in range(n)]
     lines = []
@@ -369,6 +365,6 @@ def dump(z: CPDBM, names: Sequence[str] | None = None) -> str:
             op = "<" if b.strict else "<="
             lines.append(f"{names[i]} - {names[j]} {op} {b.expr}")
     lines.append("where:")
-    for c in z.cset:
-        lines.append(f"  {c}")
+    for v in z.cset.extension(box):
+        lines.append("  " + ", ".join(f"{p}={x}" for p, x in v.items()))
     return "\n".join(lines)

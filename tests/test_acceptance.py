@@ -23,7 +23,7 @@ from ptasynth.model import load_model
 from ptasynth.params import (
     AffineExpr,
     Constraint,
-    EMPTY_CONSTRAINTS,
+    ConstraintSet,
     INF_BOUND,
     ParamBox,
     bound,
@@ -79,15 +79,15 @@ def test_c2_canonical_form_golden():
     with p below q (both bounds tightened to p) and its complement."""
     p, q = AffineExpr.var("p"), AffineExpr.var("q")
     box = ParamBox.of({"p": (0, 7), "q": (0, 7)})
-    z = pdbm.CPDBM(EMPTY_CONSTRAINTS,
+    z = pdbm.CPDBM(ConstraintSet.of(box),
                    pdbm.matrix_of(3, {(1, 0): bound(p), (2, 0): bound(q)}))
     out = pdbm.canonicalize(z, box)
     assert len(out) == 2
     le, gt = out
-    assert le.cset.constraints == {Constraint.le(p, q)}
+    assert le.cset == ConstraintSet.of(box, [Constraint.le(p, q)])
     assert [le.mat[1][0], le.mat[2][0]] == [bound(p), bound(p)]
     assert le.mat[1][2] == le.mat[2][1] == pdbm.ZERO_LE
-    assert gt.cset.constraints == {Constraint.lt(q, p)}
+    assert gt.cset == ConstraintSet.of(box, [Constraint.lt(q, p)])
     assert [gt.mat[1][0], gt.mat[2][0]] == [bound(q), bound(q)]
     for b in out:
         assert pdbm.is_canonical(b, box)
@@ -100,15 +100,15 @@ def test_c3_extrapolation_golden():
     p = AffineExpr.var("p")
     box = ParamBox.of({"p": (0, 7)})
     z = pdbm.CPDBM(
-        EMPTY_CONSTRAINTS,
+        ConstraintSet.of(box),
         pdbm.matrix_of(3, {(1, 0): INF_BOUND, (2, 0): bound(2 * p)}),
         canonical=True)
     out = pdbm.extrapolate(z, [0, 10, 10], box)
     assert len(out) == 2
     kept, widened = out
-    assert kept.cset.constraints == {Constraint.le(2 * p, 10)}
+    assert kept.cset == ConstraintSet.of(box, [Constraint.le(2 * p, 10)])
     assert kept.mat == z.mat
-    assert widened.cset.constraints == {Constraint.lt(10, 2 * p)}
+    assert widened.cset == ConstraintSet.of(box, [Constraint.lt(10, 2 * p)])
     assert widened.mat[2][0] is INF_BOUND
     assert widened.mat[1][2] == widened.mat[2][1] == pdbm.ZERO_LE
     ok(3, "widening split matches the expected two branches exactly")

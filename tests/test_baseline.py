@@ -34,10 +34,11 @@ class TestInstantiate:
     def test_consistent_with_symbolic_evaluation(self):
         # the instantiated guard equals the evaluated parametric bound
         from ptasynth import pdbm
-        from ptasynth.params import EMPTY_CONSTRAINTS
+        from ptasynth.params import ConstraintSet, ParamBox
 
         b = bound(3 * P - 2, strict=True)
-        z = pdbm.CPDBM(EMPTY_CONSTRAINTS, pdbm.matrix_of(2, {(1, 0): b}))
+        z = pdbm.CPDBM(ConstraintSet.of(ParamBox.of({"p": (1, 3)})),
+                       pdbm.matrix_of(2, {(1, 0): b}))
         loc = PLoc("L", ())
         loc.edges.append(PEdge(((1, 0, b),), (), 0, "e"))
         a = Ptba(["0", "x"], [loc], 0)

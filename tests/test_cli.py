@@ -86,6 +86,20 @@ class TestSynth:
                            "--ltl", "G !inB", "--limit-states", "2")
         assert code == 3
 
+    def test_limit_states_below_one(self, capsys):
+        code, _, err = run(capsys, "synth", "--model",
+                           str(fixture_path("gap.pta")),
+                           "--ltl", "G !inB", "--limit-states", "0")
+        assert code == 2
+        assert "error (bad-flag)" in err
+
+    def test_limit_dnf_below_one(self, capsys):
+        code, _, err = run(capsys, "synth", "--model",
+                           str(fixture_path("gap.pta")),
+                           "--ltl", "G !inB", "--limit-dnf", "0")
+        assert code == 2
+        assert "error (bad-flag)" in err
+
     def test_stats_flag(self, capsys):
         code, _, err = run(capsys, "synth", "--model",
                            str(fixture_path("gap.pta")),
@@ -103,6 +117,20 @@ class TestCompare:
         doc = json.loads(out)
         assert doc["equal"] is True
         assert doc["stats"]["state_ratio"] > 0
+
+    def test_bound_range(self, capsys):
+        # q = 2^38 - 1 is the largest encodable bound; 2^38 and beyond
+        # are rejected as input before either engine runs
+        for q, want in ((2 ** 38 - 1, 0), (2 ** 38, 2), (2 ** 62, 2)):
+            code, out, err = run(capsys, "compare", "--model",
+                                 str(fixture_path("window.pta")),
+                                 "--ltl", "G !work", "--param", "p=2..2",
+                                 "--param", f"q={q}..{q}")
+            assert code == want, err
+            if want == 0:
+                assert json.loads(out)["equal"] is True
+            else:
+                assert err.startswith("error (bound-range):")
 
     def test_mismatch_would_exit_one(self, capsys, tmp_path, monkeypatch):
         # force a disagreement by patching the enumeration result

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import load_fixture
 from ptasynth import pdbm
-from ptasynth.errors import CapacityError
+from ptasynth.errors import CapacityError, InputError
 from ptasynth.explore import (
     Options,
     StateStore,
@@ -19,7 +19,6 @@ from ptasynth.params import (
     AffineExpr,
     Constraint,
     ConstraintSet,
-    EMPTY_CONSTRAINTS,
     INF_BOUND,
     ParamBox,
     ValuationSet,
@@ -83,18 +82,27 @@ class TestSuccessors:
 class TestStateStore:
     def test_identical_zone_same_data(self):
         store = StateStore(BOX5)
-        z = pdbm.initial_cpdbm(1, BOX5)
-        r1 = store.resolve(z)
-        d = store.get_data(0, r1)
-        d.in_outer = True
+        r1 = store.resolve(pdbm.initial_cpdbm(1, BOX5))
         r2 = store.resolve(pdbm.initial_cpdbm(1, BOX5))
         assert r1 == r2
-        assert store.get_data(0, r2).in_outer
+
+    def test_equal_extensions_hit_structurally(self):
+        # different constraint lists with the same points are one set
+        store = StateStore(BOX5)
+        mat = pdbm.matrix_of(2, {(1, 0): bound(P)})
+        z1 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(P, 3)]), mat,
+                        True)
+        z2 = pdbm.CPDBM(ConstraintSet.of(
+            BOX5, [Constraint.le(P, 3), Constraint.le(P, 4)]), mat, True)
+        assert store.resolve(z1) == store.resolve(z2)
+        assert store.m2_hits == 1 and store.m2_misses == 1
+        assert store.semantic_comparisons == 0
 
     def test_semantically_equal_structures_share_representative(self):
         # p pinned to 3 with the bound written parametrically vs literally
         store = StateStore(BOX5)
-        pin = ConstraintSet([Constraint.le(P, 3), Constraint.le(3, P)])
+        pin = ConstraintSet.of(BOX5, [Constraint.le(P, 3),
+                                      Constraint.le(3, P)])
         z1 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
         z2 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(3)}), True)
         assert store.resolve(z1) == store.resolve(z2)
@@ -102,16 +110,16 @@ class TestStateStore:
 
     def test_zones_differing_at_one_valuation_split(self):
         store = StateStore(BOX5)
-        z1 = pdbm.CPDBM(EMPTY_CONSTRAINTS,
+        z1 = pdbm.CPDBM(ConstraintSet.of(BOX5),
                         pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
-        z2 = pdbm.CPDBM(EMPTY_CONSTRAINTS,
+        z2 = pdbm.CPDBM(ConstraintSet.of(BOX5),
                         pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
-        z3 = pdbm.CPDBM(EMPTY_CONSTRAINTS,
+        z3 = pdbm.CPDBM(ConstraintSet.of(BOX5),
                         pdbm.matrix_of(2, {(1, 0): bound(4)}), True)
         assert store.resolve(z1) == store.resolve(z2)
         assert store.resolve(z1) != store.resolve(z3)
         # same matrix, extensions differing in exactly one valuation
-        z4 = pdbm.CPDBM(ConstraintSet([Constraint.le(1, P)]),
+        z4 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(1, P)]),
                         pdbm.matrix_of(2, {(1, 0): bound(4)}), True)
         assert store.resolve(z3) != store.resolve(z4)
 
@@ -148,7 +156,7 @@ class TestDeadlockValuations:
         a = Ptba(["0", "x"], [loc], 0)
         s = initial_states(a, BOX5, [0, 0])[0]
         got = deadlock_valuations(s, a, BOX5)
-        assert got.bits == s.zone.cset.extension(BOX5).bits
+        assert got.bits == s.zone.cset.bits
 
     def test_unguarded_edge_never_deadlocks(self):
         a = tiny_ptba()
@@ -244,6 +252,7 @@ component M {
         sink = io.StringIO()
         synthesize(net, "true", opts=Options(trace=sink))
         assert "state 0:" in sink.getvalue()
+        assert "where:\n  p=" in sink.getvalue()
 
 
 class TestStoredBoundScan:
@@ -256,3 +265,52 @@ class TestStoredBoundScan:
         tba, maxima = build_automaton(net, parse_ltl("G !inB"), box)
         g = build_graph(tba, box, maxima)
         assert scan_stored_bounds(g) > 0
+
+
+class TestBoundRange:
+    """Bounds must stay below 2^38, where two encoded bounds start to sum
+    to the infinity sentinel."""
+
+    LIMIT = 1 << 38
+
+    @staticmethod
+    def front_end(params: str, inv: str):
+        from ptasynth.explore import build_automaton
+        from ptasynth.ltl import parse_ltl
+        from ptasynth.model import parse_model
+
+        net = parse_model(f"""{params}
+clock x
+component C {{
+  location A {{ invariant x <= {inv} }}
+  init A
+}}
+""")
+        return build_automaton(net, parse_ltl("true"), net.box())
+
+    def rejected(self, params: str, inv: str, what: str):
+        with pytest.raises(InputError) as exc:
+            self.front_end(params, inv)
+        assert exc.value.kind == "bound-range"
+        assert what in str(exc.value)
+
+    def test_clock_maximum(self):
+        _, maxima = self.front_end("", str(self.LIMIT - 1))
+        assert maxima[1] == self.LIMIT - 1
+        self.rejected("", str(self.LIMIT), "maximum of clock x")
+
+    def test_atom_term(self):
+        # the bound p - c is at most 1, but the term p reaches the limit
+        lo = self.LIMIT - 2
+        _, maxima = self.front_end(f"param p = {lo}..{lo + 1}", f"p - {lo}")
+        assert maxima[1] == 1
+        self.rejected(f"param p = {lo + 1}..{lo + 2}", f"p - {lo + 1}",
+                      "bound term 1*p")
+
+    def test_atom_constant(self):
+        # p + q - c is 0 or 1, each term is 2^37, the constant reaches 2^38
+        half = self.LIMIT // 2
+        params = f"param p = {half}..{half}\nparam q = {half}..{half}"
+        _, maxima = self.front_end(params, f"p + q - {self.LIMIT - 1}")
+        assert maxima[1] == 1
+        self.rejected(params, f"p + q - {self.LIMIT}", "bound constant")

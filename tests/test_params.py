@@ -11,7 +11,6 @@ from ptasynth.params import (
     Constraint,
     ConstraintSet,
     Cover,
-    EMPTY_CONSTRAINTS,
     FALSE_CONSTRAINT,
     INF_BOUND,
     ParamBox,
@@ -30,8 +29,8 @@ P = AffineExpr.var("p")
 Q = AffineExpr.var("q")
 
 
-def cset(*cs):
-    return ConstraintSet(cs)
+def cset(box, *cs):
+    return ConstraintSet.of(box, cs)
 
 
 class TestAffineExpr:
@@ -73,12 +72,12 @@ class TestAffineExpr:
 class TestExtension:
     def test_empty_constraint_set_is_box(self):
         box = ParamBox.of({"p": (0, 2)})
-        ext = EMPTY_CONSTRAINTS.extension(box)
+        ext = ConstraintSet.of(box).extension(box)
         assert sorted(v["p"] for v in ext) == [0, 1, 2]
 
     def test_le_constraint(self):
         box = ParamBox.of({"p": (0, 1), "q": (0, 1)})
-        ext = cset(Constraint.le(P, Q)).extension(box)
+        ext = cset(box, Constraint.le(P, Q)).extension(box)
         assert [(v["p"], v["q"]) for v in ext] == [(0, 0), (0, 1), (1, 1)]
 
     def test_matches_pointwise_recheck(self, rng):
@@ -92,7 +91,7 @@ class TestExtension:
                                   {"p": rng.randrange(-2, 3),
                                    "q": rng.randrange(-2, 3)})
                 cs.append(Constraint(e, rng.random() < 0.5))
-            got = {tuple(v.values()) for v in cset(*cs).extension(box)}
+            got = {tuple(v.values()) for v in cset(box, *cs).extension(box)}
             want = set()
             for p in range(11):
                 for q in range(11):
@@ -110,29 +109,24 @@ class TestExtension:
         with pytest.raises(CapacityError):
             ParamBox.of({"a": (0, 4095), "b": (0, 4095), "c": (0, 1)})
 
-    def test_extension_cached(self):
-        box = ParamBox.of({"p": (0, 3)})
-        cs = cset(Constraint.le(P, 2))
-        assert cs.extension(box) is cs.extension(box)
-
 
 class TestCovers:
     BOX = ParamBox.of({"p": (0, 10), "q": (0, 10)})
 
     def test_covers(self):
-        c = cset(Constraint.le(P, Q))
+        c = cset(self.BOX, Constraint.le(P, Q))
         assert covers(c, Constraint.le(P - Q, 1), self.BOX) is Cover.COVERS
 
     def test_covers_negation(self):
-        c = cset(Constraint.le(5, P))
+        c = cset(self.BOX, Constraint.le(5, P))
         assert covers(c, Constraint.lt(P, 3), self.BOX) is Cover.COVERS_NEGATION
 
     def test_split(self):
-        assert covers(EMPTY_CONSTRAINTS, Constraint.le(P, Q),
+        assert covers(ConstraintSet.of(self.BOX), Constraint.le(P, Q),
                       self.BOX) is Cover.SPLIT
 
     def test_empty_extension_covers_vacuously(self):
-        c = cset(Constraint.lt(P, 0))  # impossible in the box
+        c = cset(self.BOX, Constraint.lt(P, 0))  # impossible in the box
         assert covers(c, FALSE_CONSTRAINT, self.BOX) is Cover.COVERS
 
     def test_covers_iff_extension_unchanged(self, rng):
@@ -140,7 +134,7 @@ class TestCovers:
         # extension; COVERS_NEGATION exactly when it empties a non-empty one
         box = ParamBox.of({"p": (0, 6), "q": (0, 6)})
         for _ in range(40):
-            base = cset(*[
+            base = cset(box, *[
                 Constraint(AffineExpr.of(rng.randrange(-6, 7),
                                          {"p": rng.randrange(-2, 3),
                                           "q": rng.randrange(-2, 3)}),
@@ -296,12 +290,14 @@ class TestConstraintSetAlgebra:
                 rng.random() < 0.5)
             c1 = [mk() for _ in range(rng.randrange(0, 3))]
             c2 = [mk() for _ in range(rng.randrange(0, 3))]
-            both = ConstraintSet(c1 + c2).extension(box)
-            assert both.bits == (ConstraintSet(c1).extension(box)
-                                 .intersect(ConstraintSet(c2).extension(box))
+            both = ConstraintSet.of(box, c1 + c2).extension(box)
+            assert both.bits == (ConstraintSet.of(box, c1).extension(box)
+                                 .intersect(ConstraintSet.of(box, c2)
+                                            .extension(box))
                                  .bits)
 
     def test_extended_dedup(self):
+        box = ParamBox.of({"p": (0, 5)})
         c = Constraint.le(P, 3)
-        s = cset(c)
-        assert s.extended(c) is s
+        s = cset(box, c)
+        assert s.extended(c, box) == s

@@ -15,7 +15,6 @@ from ptasynth.params import (
     AffineExpr,
     Constraint,
     ConstraintSet,
-    EMPTY_CONSTRAINTS,
     INF_BOUND,
     ParamBox,
     ValuationSet,
@@ -27,8 +26,9 @@ P = AffineExpr.var("p")
 Q = AffineExpr.var("q")
 
 
-def mk(entries, n=3, cs=EMPTY_CONSTRAINTS, canonical=False):
-    return pdbm.CPDBM(cs, pdbm.matrix_of(n, entries), canonical)
+def mk(entries, box, n=3, canonical=False):
+    return pdbm.CPDBM(ConstraintSet.of(box), pdbm.matrix_of(n, entries),
+                      canonical)
 
 
 def branches_disjoint(branches, box):
@@ -51,28 +51,28 @@ class TestAtomicGuard:
     BOX = ParamBox.of({"p": (0, 7), "q": (0, 7)})
 
     def test_split_case(self):
-        z = mk({(1, 0): bound(P)}, n=2, canonical=True)
+        z = mk({(1, 0): bound(P)}, self.BOX, n=2, canonical=True)
         out = pdbm.apply_atomic_guard(z, (1, 0, bound(Q)), self.BOX)
         assert len(out) == 2
         keep, repl = out
-        assert keep.cset.constraints == {Constraint.le(P, Q)}
+        assert keep.cset == ConstraintSet.of(self.BOX, [Constraint.le(P, Q)])
         assert keep.mat[1][0] == bound(P)
-        assert repl.cset.constraints == {Constraint.lt(Q, P)}
+        assert repl.cset == ConstraintSet.of(self.BOX, [Constraint.lt(Q, P)])
         assert repl.mat[1][0] == bound(Q)
         # per-valuation: entry-wise minimum with the guard bound
-        for v in EMPTY_CONSTRAINTS.extension(self.BOX):
+        for v in ValuationSet.full(self.BOX):
             m = od.from_valuation(z, v)
             od.constrain(m, 1, 0, (v["q"], False))
             got = branch_at(out, v, self.BOX)
             assert od.from_valuation(got, v) == m
 
     def test_covers_case_unchanged(self):
-        z = mk({(1, 0): bound(3)}, n=2, canonical=True)
+        z = mk({(1, 0): bound(3)}, self.BOX, n=2, canonical=True)
         out = pdbm.apply_atomic_guard(z, (1, 0, bound(5)), self.BOX)
         assert out == [z]
 
     def test_covers_negation_replaces_infinite(self):
-        z = mk({(1, 0): INF_BOUND}, n=2, canonical=True)
+        z = mk({(1, 0): INF_BOUND}, self.BOX, n=2, canonical=True)
         out = pdbm.apply_atomic_guard(z, (1, 0, bound(2, strict=True)),
                                       self.BOX)
         assert len(out) == 1 and out[0].mat[1][0] == bound(2, strict=True)
@@ -87,12 +87,13 @@ class TestGuardConjunction:
         assert pdbm.apply_guard(z, [], self.BOX) == [z]
 
     def test_two_splitting_conjuncts(self):
-        z = mk({(1, 0): bound(P), (2, 0): bound(P)}, canonical=True)
+        z = mk({(1, 0): bound(P), (2, 0): bound(P)}, self.BOX,
+               canonical=True)
         atoms = [(1, 0, bound(Q)), (2, 0, bound(3))]
         out = pdbm.apply_guard(z, atoms, self.BOX)
         assert 1 <= len(out) <= 4
         branches_disjoint(out, self.BOX)
-        for v in EMPTY_CONSTRAINTS.extension(self.BOX):
+        for v in ValuationSet.full(self.BOX):
             m = od.from_valuation(z, v)
             od.constrain(m, 1, 0, (v["q"], False))
             od.constrain(m, 2, 0, (3, False))
@@ -118,13 +119,14 @@ class TestCanonicalForm:
     def test_two_branch_golden(self):
         # zone x <= p, y <= q, x = y: the canonical set splits on which
         # parameter is smaller and tightens both upper bounds to it
-        z = mk({(1, 0): bound(P), (2, 0): bound(Q)})
+        z = mk({(1, 0): bound(P), (2, 0): bound(Q)}, self.BOX)
         out = pdbm.canonicalize(z, self.BOX)
         assert len(out) == 2
         first, second = out
-        assert first.cset.constraints == {Constraint.le(P, Q)}
+        assert first.cset == ConstraintSet.of(self.BOX, [Constraint.le(P, Q)])
         assert first.mat[1][0] == bound(P) and first.mat[2][0] == bound(P)
-        assert second.cset.constraints == {Constraint.lt(Q, P)}
+        assert second.cset == ConstraintSet.of(self.BOX,
+                                               [Constraint.lt(Q, P)])
         assert second.mat[1][0] == bound(Q) and second.mat[2][0] == bound(Q)
         for b in out:
             assert b.canonical and pdbm.is_canonical(b, self.BOX)
@@ -133,7 +135,7 @@ class TestCanonicalForm:
 
     def test_already_canonical_unchanged(self):
         z = mk({(1, 0): bound(4), (2, 0): bound(4), (1, 2): bound(1),
-                (2, 1): bound(2)}, canonical=False)
+                (2, 1): bound(2)}, self.BOX, canonical=False)
         out = pdbm.canonicalize(z, self.BOX)
         assert len(out) == 1
         assert pdbm.is_canonical(out[0], self.BOX)
@@ -179,7 +181,7 @@ def random_cpdbm(rng, box, n=3):
             else:
                 entries[(i, j)] = bound(random_expr(rng, box),
                                         rng.random() < 0.4)
-    return pdbm.CPDBM(EMPTY_CONSTRAINTS, pdbm.matrix_of(n, entries))
+    return pdbm.CPDBM(ConstraintSet.of(box), pdbm.matrix_of(n, entries))
 
 
 def canonical_samples(rng, box, n, count):
@@ -197,7 +199,8 @@ class TestResetUp:
 
     def test_reset_single_clock(self):
         z = pdbm.canonicalize(
-            mk({(1, 0): bound(P), (2, 0): bound(3), (0, 2): bound(-1)}),
+            mk({(1, 0): bound(P), (2, 0): bound(3), (0, 2): bound(-1)},
+               self.BOX),
             self.BOX)[0]
         got = pdbm.reset(z, [1])
         assert got.mat[1][0] == ZERO_LE and got.mat[0][1] == ZERO_LE
@@ -251,21 +254,22 @@ class TestExtrapolation:
         # exceeds the maximum, widening the bound to infinity where it does
         box = ParamBox.of({"p": (0, 7)})
         z = pdbm.CPDBM(
-            EMPTY_CONSTRAINTS,
+            ConstraintSet.of(box),
             pdbm.matrix_of(3, {(1, 0): INF_BOUND, (2, 0): bound(2 * P)}),
             canonical=True)
         out = pdbm.extrapolate(z, [0, 10, 10], box)
         assert len(out) == 2
         kept, widened = out
-        assert kept.cset.constraints == {Constraint.le(2 * P, 10)}
+        assert kept.cset == ConstraintSet.of(box, [Constraint.le(2 * P, 10)])
         assert kept.mat == z.mat
-        assert widened.cset.constraints == {Constraint.lt(10, 2 * P)}
+        assert widened.cset == ConstraintSet.of(box,
+                                                [Constraint.lt(10, 2 * P)])
         assert widened.mat[2][0] is INF_BOUND
         assert branches_disjoint(out, box) == ValuationSet.full(box).bits
 
     def test_small_constants_untouched(self):
         box = ParamBox.of({"p": (0, 3)})
-        z = mk({(1, 0): bound(2), (2, 0): bound(1), (1, 2): bound(1)},
+        z = mk({(1, 0): bound(2), (2, 0): bound(1), (1, 2): bound(1)}, box,
                canonical=True)
         out = pdbm.extrapolate(z, [0, 5, 5], box)
         assert out == [z]
@@ -273,7 +277,7 @@ class TestExtrapolation:
 
     def test_low_constant_floored(self):
         box = ParamBox.of({"p": (0, 3)})
-        z = mk({(0, 1): bound(-6)}, n=2, canonical=True)
+        z = mk({(0, 1): bound(-6)}, box, n=2, canonical=True)
         out = pdbm.extrapolate(z, [0, 5], box)
         assert len(out) == 1
         assert out[0].mat[0][1] == bound(-5, strict=True)
@@ -297,16 +301,16 @@ class TestEvaluate:
     BOX = ParamBox.of({"p": (0, 5)})
 
     def test_entry(self):
-        z = mk({(1, 0): bound(P)}, n=2)
+        z = mk({(1, 0): bound(P)}, self.BOX, n=2)
         m = pdbm.evaluate(z, {"p": 3})
         assert m[1][0] == 3 * 2 + 1  # encoded (3, <=)
 
     def test_inf_preserved(self):
-        z = mk({(1, 0): INF_BOUND}, n=2)
+        z = mk({(1, 0): INF_BOUND}, self.BOX, n=2)
         assert pdbm.evaluate(z, {"p": 0})[1][0] >= 2 ** 40
 
     def test_outside_extension_rejected(self):
-        z = pdbm.CPDBM(ConstraintSet([Constraint.le(P, 2)]),
+        z = pdbm.CPDBM(ConstraintSet.of(self.BOX, [Constraint.le(P, 2)]),
                        pdbm.matrix_of(2, {}))
         with pytest.raises(EvaluationError):
             pdbm.evaluate(z, {"p": 4}, self.BOX)
@@ -337,16 +341,16 @@ class TestInitial:
     def test_box_constraints_present(self):
         box = ParamBox.of({"p": (2, 4)})
         z = pdbm.initial_cpdbm(1, box)
-        assert Constraint.le(2, P) in z.cset.constraints
-        assert Constraint.le(P, 4) in z.cset.constraints
+        assert z.cset == ConstraintSet.of(
+            box, [Constraint.le(2, P), Constraint.le(P, 4)])
 
 
 class TestDump:
     def test_format(self):
         box = ParamBox.of({"p": (0, 5)})
-        z = pdbm.CPDBM(ConstraintSet([Constraint.le(P, 3)]),
+        z = pdbm.CPDBM(ConstraintSet.of(box, [Constraint.le(P, 3)]),
                        pdbm.matrix_of(2, {(1, 0): bound(P, strict=True)}))
-        text = pdbm.dump(z, ["0", "x"])
+        text = pdbm.dump(z, box, ["0", "x"])
         assert "x - 0 < p" in text
-        assert "where:" in text
-        assert "p - 3 <= 0" in text
+        where = text.split("where:\n")[1]
+        assert where.split("\n") == ["  p=0", "  p=1", "  p=2", "  p=3"]
