@@ -78,13 +78,14 @@ def _constrained(zone: np.ndarray, atoms) -> np.ndarray | None:
 
 def _state_deadlock(zone: np.ndarray, neg_choices, dnf_limit: int) -> bool:
     """Mirror of the symbolic deadlock formula at one valuation: fold the
-    negated guards of all outgoing edges over the zone."""
+    negated guards of all outgoing edges over the zone, keeping each
+    distinct zone once after every edge."""
     if any(not choices for choices in neg_choices):
         return False  # an unguarded edge is always enabled
     cur = [zone]
     steps = 0
     for choices in neg_choices:
-        nxt = []
+        nxt: dict[bytes, np.ndarray] = {}
         for atom in choices:
             for z in cur:
                 steps += 1
@@ -93,8 +94,8 @@ def _state_deadlock(zone: np.ndarray, neg_choices, dnf_limit: int) -> bool:
                         f"deadlock-guard expansion exceeded {dnf_limit}")
                 got = _constrained(z, [atom])
                 if got is not None:
-                    nxt.append(got)
-        cur = nxt
+                    nxt.setdefault(zones.zone_key(got), got)
+        cur = list(nxt.values())
         if not cur:
             return False
     return True

@@ -3,7 +3,7 @@
 Subcommands: ``synth`` (one engine), ``compare`` (both engines, non-zero
 exit on any difference), ``dump-ba``, ``dump-product``, ``validate``.
 Exit codes: 0 success, 1 result mismatch in compare, 2 bad input,
-3 capacity limit hit.
+3 capacity limit hit, 4 internal soundness check failed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import sys
 
 from .baseline import enumerate_box
-from .errors import CapacityError, InputError, SynthError
+from .errors import CapacityError, InputError, SoundnessError, SynthError
 from .explore import Options, build_automaton, synthesize
 from .ltl import neg, parse_ltl, to_buchi, to_nnf
 from .model import dump_product, load_model
@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
+EXIT_SOUNDNESS = 4
 
 
 def _param_override(text: str) -> tuple[str, int, int]:
@@ -49,7 +50,7 @@ def _add_common(p: argparse.ArgumentParser, needs_ltl=True):
     p.add_argument("--limit-dnf", type=int, default=None, metavar="N",
                    help="cap on the negated-guard expansion per state")
     p.add_argument("--no-check", action="store_true",
-                   help="disable internal soundness assertions")
+                   help="disable internal soundness checks")
     p.add_argument("--dump-ba", action="store_true",
                    help="also print the property automaton")
     p.add_argument("--dump-product", action="store_true",
@@ -224,6 +225,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"capacity: {exc}\n")
         return EXIT_CAPACITY
+    except SoundnessError as exc:
+        sys.stderr.write(f"soundness: {exc}\n")
+        return EXIT_SOUNDNESS
     except SynthError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

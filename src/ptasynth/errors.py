@@ -23,5 +23,13 @@ class CapacityError(SynthError):
     deadlock-negation expansion)."""
 
 
+class SoundnessError(SynthError):
+    """An internal soundness check failed: a stored zone is empty at a
+    valuation of its extension, a successor has valuations its predecessor
+    lacks, the states of a cycle differ in their valuations, or a stored
+    bound lies outside the widening range.  It means a defect in the
+    tool, not in the input."""
+
+
 class EvaluationError(SynthError):
     """An expression or zone was evaluated outside its domain."""

@@ -1,13 +1,14 @@
 """The symbolic engine.
 
 The reachable symbolic graph is built once (successor generation with
-constraint splitting, a two-level state store resolving semantically equal
-zones to one representative, deadlock valuations collected per state), then
-the accepting-cycle search runs on it: a nested depth-first search that,
-instead of stopping at the first accepting cycle, accumulates the parameter
-valuations of every cycle it finds and prunes states whose valuations are
-already covered.  The satisfying set is the complement of the accumulated
-set inside the box.
+constraint splitting, sibling branches that reach one target with one
+matrix merged into one state whose extension is their union, a two-level
+state store resolving semantically equal zones to one representative,
+deadlock valuations collected per state), then the accepting-cycle search
+runs on it: a nested depth-first search that, instead of stopping at the
+first accepting cycle, accumulates the parameter valuations of every cycle
+it finds and prunes states whose valuations are already covered.  The
+satisfying set is the complement of the accumulated set inside the box.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import ltl as ltl_mod
 from . import pdbm, zones
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, SoundnessError
 from .ltl import Formula, parse_ltl, to_buchi, to_nnf
 from .model import (
     Network,
@@ -40,7 +41,7 @@ DEFAULT_DNF_LIMIT = 4096
 class Options:
     limit_states: int = DEFAULT_STATE_LIMIT
     dnf_limit: int = DEFAULT_DNF_LIMIT
-    check: bool = True      # run the monotonicity / cycle assertions
+    check: bool = True      # run the soundness checks (SoundnessError)
     prune: bool = True      # skip states whose valuations are all found
     trace: object = None    # writable stream for visited-state dumps
 
@@ -80,7 +81,7 @@ class StateStore:
             pdbm.evaluate_all(z, self.box)[ext.indices()])
         ok = zones.close_many(mats)
         if not ok.all():
-            raise AssertionError("stored zone empty at a valuation of its "
+            raise SoundnessError("stored zone empty at a valuation of its "
                                  "extension")
         return ext, mats
 
@@ -136,23 +137,30 @@ def _canonical_branches(z: CPDBM, box: ParamBox) -> list[CPDBM]:
 
 
 def successors(s: SymbolicState, a: Ptba, box: ParamBox, maxima=None,
-               splits=None, base=None):
-    """All successor states of one symbolic state, edge-major order:
-    guard, canonical form, reset, time release, target invariant, canonical
-    form, widening.  Empty branches are dropped at every stage."""
+               counts=None, base=None) -> list[SymbolicState]:
+    """All successor states of one symbolic state: per edge, guard,
+    canonical form, reset, time release, target invariant, canonical form,
+    widening, with empty branches dropped at every stage.  The final
+    branches of all edges that reach one target with one matrix are then
+    merged into one state (``pdbm.merge``); states come grouped by target,
+    both targets and matrices in order of first occurrence.
+
+    ``counts``, when given, tallies per forking operation the branches it
+    added, and under ``merged`` the branches that merging absorbed."""
     if maxima is None:
         maxima = clock_bounds(a, box)
     if base is None:
         base = _canonical_branches(s.zone, box)
     loc = a.locations[s.loc]
-    out = []
+    finals: dict[int, list[CPDBM]] = {}
 
     def count(tag, before, after):
-        if splits is not None and after > before:
-            splits[tag] = splits.get(tag, 0) + (after - before)
+        if counts is not None and after > before:
+            counts[tag] = counts.get(tag, 0) + (after - before)
 
     for e in loc.edges:
         inv = a.locations[e.target].inv
+        into = finals.setdefault(e.target, [])
         for zb in base:
             g1 = pdbm.apply_guard(zb, e.atoms, box)
             count("guard", 1, len(g1))
@@ -169,8 +177,12 @@ def successors(s: SymbolicState, a: Ptba, box: ParamBox, maxima=None,
                         for z5 in c2:
                             ex = pdbm.extrapolate(z5, maxima, box)
                             count("extrapolate", 1, len(ex))
-                            for z6 in ex:
-                                out.append((e, SymbolicState(e.target, z6)))
+                            into.extend(ex)
+    out = []
+    for target, branches in finals.items():
+        merged = pdbm.merge(branches)
+        count("merged", len(merged), len(branches))
+        out.extend(SymbolicState(target, z) for z in merged)
     return out
 
 
@@ -179,7 +191,9 @@ def deadlock_valuations(s: SymbolicState, a: Ptba, box: ParamBox,
                         base=None) -> ValuationSet:
     """Valuations for which some point of the zone enables no outgoing
     edge: the negated guards of all outgoing edges are applied as a product
-    of disjunctions, and the surviving branches' extensions are united."""
+    of disjunctions, and the surviving branches' extensions are united.
+    Branches with equal matrices are merged after each edge, so the
+    expansion grows with the distinct zones, not with the paths to them."""
     loc = a.locations[s.loc]
     if any(not e.atoms for e in loc.edges):
         # an unguarded edge is always enabled: no zone point can deadlock
@@ -197,7 +211,7 @@ def deadlock_valuations(s: SymbolicState, a: Ptba, box: ParamBox,
                         f"deadlock-guard expansion exceeded {dnf_limit}")
                 for z1 in pdbm.apply_guard(z, [atom], box):
                     nxt.extend(pdbm.canonicalize(z1, box))
-        cur = nxt
+        cur = pdbm.merge(nxt)
         if not cur:
             break
     bits = 0
@@ -222,7 +236,7 @@ class SymbolicGraph:
     initials: list[int] = field(default_factory=list)
     deadlock_bits: int = 0
     transitions: int = 0
-    splits: dict = field(default_factory=dict)
+    counts: dict = field(default_factory=dict)  # see successors
 
     @property
     def n_nodes(self) -> int:
@@ -283,12 +297,12 @@ def build_graph(a: Ptba, box: ParamBox, maxima=None,
         head += 1
         loc, rep = g.nodes[nid]
         state = SymbolicState(loc, store.zones[rep])
-        for _edge, st in successors(state, a, box, maxima, splits=g.splits,
-                                    base=branches_of(rep)):
+        for st in successors(state, a, box, maxima, counts=g.counts,
+                             base=branches_of(rep)):
             sid = intern(st)
             g.transitions += 1
             if opts.check and (g.ext_bits[sid] & ~g.ext_bits[nid]):
-                raise AssertionError(
+                raise SoundnessError(
                     "monotonicity violation: successor valuations not a "
                     "subset of the predecessor's")
             g.succ[nid].append(sid)
@@ -328,7 +342,7 @@ def cumulative_ndfs_graph(g: SymbolicGraph, opts: Options | None = None,
         ext = g.ext_bits[entry]
         for nid in cycle:
             if g.ext_bits[nid] != ext:
-                raise AssertionError(
+                raise SoundnessError(
                     "cycle states do not share one valuation set")
 
     def inner_dfs(root: int):
@@ -512,7 +526,8 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
         "m2_hits": g.store.m2_hits,
         "m2_misses": g.store.m2_misses,
         "semantic_comparisons": g.store.semantic_comparisons,
-        "splits": {k: g.splits[k] for k in sorted(g.splits)},
+        "merged": g.counts.get("merged", 0),
+        "splits": {k: g.counts[k] for k in sorted(g.counts) if k != "merged"},
     }
     accepted_bits = cumulative_ndfs_graph(g, opts, stats)
     accepted = ValuationSet(box, accepted_bits)
@@ -545,7 +560,7 @@ def scan_stored_bounds(g: SymbolicGraph) -> int:
                     vals += zc * grid[box.params.index(p)]
                 vals = vals[idx]
                 if (vals > g.maxima[i]).any() or (vals < -g.maxima[j]).any():
-                    raise AssertionError(
+                    raise SoundnessError(
                         f"stored bound out of range at entry ({i},{j}): {b}")
                 checked += 1
     return checked

@@ -284,6 +284,30 @@ def _extrapolate_entry(w: CPDBM, changed: bool, i: int, j: int,
     return out
 
 
+def merge(branches: list[CPDBM]) -> list[CPDBM]:
+    """Unite branches with equal matrices, in order of first occurrence.
+
+    The united constraint set is the union of the extensions, and the
+    result is canonical only when every united branch is.  Every operation
+    here acts on each valuation separately, so a matrix means the same zone
+    at every valuation of either extension and the union denotes exactly
+    the branches it replaces.
+    """
+    if len(branches) < 2:
+        return branches  # hashing a matrix is the cost; skip it when alone
+    out: list[CPDBM] = []
+    at: dict[Matrix, int] = {}
+    for z in branches:
+        k = at.setdefault(z.mat, len(out))
+        if k == len(out):
+            out.append(z)
+        else:
+            w = out[k]
+            out[k] = CPDBM(ConstraintSet(w.cset.bits | z.cset.bits), z.mat,
+                           canonical=w.canonical and z.canonical)
+    return out
+
+
 def negate_atom(atom: Atom) -> Atom:
     """Complement of a finite atomic constraint: not(xi - xj < e) is
     xj - xi <= -e and dually for weak bounds."""

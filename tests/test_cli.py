@@ -100,12 +100,29 @@ class TestSynth:
         assert code == 2
         assert "error (bad-flag)" in err
 
+    def test_soundness_exit_code(self, capsys, monkeypatch):
+        import ptasynth.cli as cli
+        from ptasynth.errors import SoundnessError
+
+        def broken(net, prop, box=None, opts=None):
+            raise SoundnessError("cycle states do not share one valuation "
+                                 "set")
+
+        monkeypatch.setattr(cli, "synthesize", broken)
+        code, out, err = run(capsys, "synth", "--model",
+                             str(fixture_path("gap.pta")), "--ltl", "G !inB")
+        assert code == 4
+        assert out == ""
+        assert err == ("soundness: cycle states do not share one valuation "
+                       "set\n")
+
     def test_stats_flag(self, capsys):
         code, _, err = run(capsys, "synth", "--model",
                            str(fixture_path("gap.pta")),
                            "--ltl", "G !inB", "--stats")
         assert code == 0
         assert "stored_states" in err
+        assert '"merged"' in err
 
 
 class TestCompare:

@@ -2,12 +2,15 @@ import pytest
 
 from conftest import load_fixture
 from ptasynth import pdbm
-from ptasynth.errors import CapacityError, InputError
+from ptasynth.errors import CapacityError, InputError, SoundnessError
 from ptasynth.explore import (
     Options,
     StateStore,
+    SymbolicGraph,
+    SymbolicState,
     build_graph,
     cumulative_ndfs,
+    cumulative_ndfs_graph,
     deadlock_valuations,
     initial_states,
     scan_stored_bounds,
@@ -72,11 +75,28 @@ class TestSuccessors:
         s = initial_states(a, BOX5, [0, 0, 0])[0]
         out = successors(s, a, BOX5, [0, 0, 0])
         assert len(out) == 1
-        z = out[0][1].zone
+        z = out[0].zone
         # all clocks equal and non-negative after reset + time release
         assert z.mat[1][2].expr == AffineExpr(0)
         assert z.mat[2][1].expr == AffineExpr(0)
         assert z.mat[1][0] is INF_BOUND
+
+    def test_equal_matrix_siblings_merge(self):
+        # the guard x <= q forks the zone 0 <= x <= p on p <= q; the reset
+        # of x makes both branches 0 <= x <= p again, so they are one state
+        box = ParamBox.of({"p": (0, 3), "q": (0, 3)})
+        q = AffineExpr.var("q")
+        loc = PLoc("L", ((1, 0, bound(P)),))
+        loc.edges.append(PEdge(((1, 0, bound(q)),), (1,), 0, "loop"))
+        a = Ptba(["0", "x"], [loc], 0)
+        s = initial_states(a, box, [0, 5])[0]
+        counts: dict = {}
+        out = successors(s, a, box, [0, 5], counts=counts)
+        assert counts["guard"] == 1 and counts["merged"] == 1
+        assert len(out) == 1
+        assert out[0].loc == 0
+        assert out[0].zone.cset.bits == ValuationSet.full(box).bits
+        assert out[0].zone.mat == s.zone.mat
 
 
 class TestStateStore:
@@ -149,6 +169,18 @@ class TestCumulativeNdfs:
         with pytest.raises(CapacityError):
             synthesize(net, "G !inB", opts=Options(limit_states=3))
 
+    def test_unequal_cycle_extensions_fail_soundness(self):
+        # 0 -> 1 -> 0 with node 1 accepting and fewer valuations than
+        # node 0; successors never gain valuations, so a real cycle's
+        # states all hold the same set
+        low = ValuationSet.full(BOX5).bits >> 3
+        g = SymbolicGraph(None, BOX5, [0, 5], StateStore(BOX5),
+                          nodes=[(0, 0), (0, 1)], succ=[[1], [0]],
+                          ext_bits=[ValuationSet.full(BOX5).bits, low],
+                          accepting=[False, True], initials=[0])
+        with pytest.raises(SoundnessError):
+            cumulative_ndfs_graph(g)
+
 
 class TestDeadlockValuations:
     def test_no_outgoing_edges_whole_extension(self):
@@ -180,14 +212,36 @@ class TestDeadlockValuations:
         assert sorted(v["p"] for v in got) == [1, 2, 3, 4, 5]
 
     def test_dnf_capacity(self):
-        atoms = [(1, 0, bound(k)) for k in range(3)]
+        # four independent clocks, one edge per clock with three guards:
+        # the negated guards give 3, 9, 27 and 81 distinct zones, so
+        # merging equal matrices saves nothing and the 120 steps exceed 100
+        n = 5
+        free = {(i, j): INF_BOUND for i in range(1, n) for j in range(n)
+                if i != j}
+        z = pdbm.CPDBM(ConstraintSet.of(BOX5), pdbm.matrix_of(n, free), True)
         loc = PLoc("L", ())
-        for _ in range(8):
+        for c in range(1, n):
+            atoms = [(c, 0, bound(k)) for k in range(3)]
             loc.edges.append(PEdge(tuple(atoms), (), 0, "e"))
-        a = Ptba(["0", "x"], [loc], 0)
-        s = initial_states(a, BOX5, [0, 5])[0]
+        a = Ptba(["0", "x1", "x2", "x3", "x4"], [loc], 0)
+        s = SymbolicState(0, z)
         with pytest.raises(CapacityError):
             deadlock_valuations(s, a, BOX5, dnf_limit=100)
+        assert deadlock_valuations(s, a, BOX5, dnf_limit=120).bits \
+            == ValuationSet.full(BOX5).bits
+
+    def test_repeated_zones_fold_under_default_limit(self):
+        # without merging equal zones after each edge the symbolic fold
+        # exceeded the default limit here, while enumeration finished
+        from ptasynth.baseline import enumerate_box
+
+        net = load_fixture("deadfold.pta")
+        sym = synthesize(net, "!al0 U al1")
+        base = enumerate_box(net, "!al0 U al1")
+        assert sym.accepted.bits == base.accepted.bits
+        assert sym.satisfying.bits == base.satisfying.bits
+        assert sym.deadlock.bits == base.deadlock.bits
+        assert not sym.deadlock.is_empty
 
 
 class TestSynthesize:
@@ -213,7 +267,7 @@ class TestSynthesize:
         res = synthesize(net, "G !inB")
         for key in ("stored_states", "transitions", "m1_buckets", "m2_hits",
                     "m2_misses", "semantic_comparisons", "outer_visits",
-                    "inner_visits", "cycles_detected", "splits"):
+                    "inner_visits", "cycles_detected", "splits", "merged"):
             assert key in res.stats
 
     def test_witness_valuations_are_violating(self):
