@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the zone-arithmetic backends: compiled extension vs the pure
-fallback, on the raw closure kernels and on an end-to-end enumeration run.
+fallback, on the raw closure kernels and on an end-to-end enumeration run;
+then the symbolic closure: a guard on canonical constrained parametric
+matrices closed in full vs through the guard's clocks only.
 
 Usage: python benchmarks/bench_zones.py [--quick]
 """
@@ -16,7 +18,14 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ptasynth import _zonecore_py as pure  # noqa: E402
-from ptasynth import zones  # noqa: E402
+from ptasynth import pdbm, zones  # noqa: E402
+from ptasynth.params import (  # noqa: E402
+    INF_BOUND,
+    AffineExpr,
+    ConstraintSet,
+    ParamBox,
+    bound,
+)
 
 try:
     from ptasynth import _zonecore as compiled
@@ -57,6 +66,57 @@ def bench_close_many(backend, ms, repeat):
         backend.close_many(work, ok)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def random_expr(rng, box):
+    return AffineExpr.of(rng.randrange(-2, 9),
+                         {p: rng.randrange(-1, 2) for p in box.params})
+
+
+def canonical_cpdbms(rng, box, n, count):
+    """Canonical branches of random matrices: clocks non-negative, random
+    parametric upper bounds and differences, a few infinite."""
+    out = []
+    while len(out) < count:
+        entries = {}
+        for i in range(n):
+            for j in range(n):
+                if i != j and i != 0:
+                    entries[(i, j)] = (INF_BOUND if rng.random() < 0.2 else
+                                       bound(random_expr(rng, box),
+                                             rng.random() < 0.3))
+        z = pdbm.CPDBM(ConstraintSet.of(box), pdbm.matrix_of(n, entries))
+        out.extend(pdbm.canonicalize(z, box)[:count - len(out)])
+    return out
+
+
+def per_point(branches, box):
+    """Evaluated matrix bytes per box point covered by the branches."""
+    out = {}
+    for w in branches:
+        mats = pdbm.evaluate_all(w, box)
+        for idx in w.cset.extension(box).indices():
+            out[int(idx)] = mats[idx].tobytes()
+    return out
+
+
+def bench_pdbm_closure(box, jobs, repeat):
+    """Best times of closing each guarded matrix in full and through the
+    guard's clocks; both must give the same zone at every box point."""
+    best_full = best_pivot = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        full = [[c for w in pdbm.apply_guard(z, [atom], box)
+                 for c in pdbm.canonicalize(w, box)] for z, atom in jobs]
+        t1 = time.perf_counter()
+        pivot = [pdbm.constrain(z, [atom], box) for z, atom in jobs]
+        t2 = time.perf_counter()
+        best_full = min(best_full, t1 - t0)
+        best_pivot = min(best_pivot, t2 - t1)
+    for a, b in zip(full, pivot):
+        if per_point(a, box) != per_point(b, box):
+            raise SystemExit("full and pivot closure disagree")
+    return best_full, best_pivot
 
 
 def bench_end_to_end():
@@ -100,6 +160,19 @@ def main():
             print(f"  {name:9s} close: {t1 * 1e3:8.1f} ms   "
                   f"close_many: {t2 * 1e3:8.1f} ms   "
                   f"speedup vs pure: {base / t1:5.1f}x")
+
+    box = ParamBox.of({"p": (0, 7), "q": (0, 7)})
+    count = 200 if args.quick else 1000
+    for n in (4, 6, 8):
+        jobs = []
+        for z in canonical_cpdbms(rng, box, n, count):
+            i, j = rng.sample(range(n), 2)
+            jobs.append((z, (i, j, bound(random_expr(rng, box)))))
+        full, pivot = bench_pdbm_closure(box, jobs, repeat)
+        print(f"\nguard + closure of {count} canonical {n}x{n} CPDBMs over "
+              f"{box.size} points (best of {repeat}):")
+        print(f"  full: {full * 1e3:8.1f} ms   through the guard's clocks: "
+              f"{pivot * 1e3:8.1f} ms   speedup: {full / pivot:5.1f}x")
 
     print("\nend-to-end enumeration on the two-train fixture "
           f"(backend: {zones.BACKEND}):")

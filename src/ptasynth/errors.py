@@ -26,9 +26,9 @@ class CapacityError(SynthError):
 class SoundnessError(SynthError):
     """An internal soundness check failed: a stored zone is empty at a
     valuation of its extension, a successor has valuations its predecessor
-    lacks, the states of a cycle differ in their valuations, or a stored
-    bound lies outside the widening range.  It means a defect in the
-    tool, not in the input."""
+    lacks, the states of a cycle differ in their valuations, a stored
+    bound lies outside the widening range, or a matrix that must be
+    canonical is not.  It means a defect in the tool, not in the input."""
 
 
 class EvaluationError(SynthError):

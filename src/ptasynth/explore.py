@@ -64,10 +64,20 @@ class StateStore:
     semantic key, so buckets almost never hold more than one candidate.
     The store keeps zones only; per-state search marks live with the
     search.
+
+    Given the clock maxima, the store also checks every zone it evaluates
+    against the widening range: each finite bound must evaluate inside
+    [-maxima[column], maxima[row]], else SoundnessError.
     """
 
-    def __init__(self, box: ParamBox):
+    def __init__(self, box: ParamBox, maxima=None):
         self.box = box
+        self.bound_range = None
+        if maxima is not None:
+            m = np.asarray(maxima, dtype=np.int64)
+            # encoded (value, weak) bounds: (m_i, <=) is 2*m_i + 1 at most,
+            # (-m_j, <) is -2*m_j at least
+            self.bound_range = (-2 * m[None, :], 2 * m[:, None] + 1)
         self.zones: list[CPDBM] = []
         self.by_structure: dict = {}
         self.by_signature: dict[bytes, list[int]] = {}
@@ -79,6 +89,14 @@ class StateStore:
         ext = z.cset.extension(self.box)
         mats = np.ascontiguousarray(
             pdbm.evaluate_all(z, self.box)[ext.indices()])
+        if self.bound_range is not None:
+            lo, hi = self.bound_range
+            bad = (mats != zones.INF) & ((mats < lo) | (mats > hi))
+            if bad.any():
+                _, i, j = (int(x) for x in np.argwhere(bad)[0])
+                raise SoundnessError(
+                    f"stored bound out of range at entry ({i},{j}): "
+                    f"{z.mat[i][j]}")
         ok = zones.close_many(mats)
         if not ok.all():
             raise SoundnessError("stored zone empty at a valuation of its "
@@ -125,10 +143,9 @@ def initial_states(a: Ptba, box: ParamBox, maxima=None) -> list[SymbolicState]:
         maxima = clock_bounds(a, box)
     z0 = pdbm.initial_cpdbm(a.n_clocks, box)
     out = []
-    for z1 in pdbm.apply_guard(z0, a.locations[a.initial].inv, box):
-        for z2 in pdbm.canonicalize(z1, box):
-            for z3 in pdbm.extrapolate(z2, maxima, box):
-                out.append(SymbolicState(a.initial, z3))
+    for z1 in pdbm.constrain(z0, a.locations[a.initial].inv, box):
+        for z2 in pdbm.extrapolate(z1, maxima, box):
+            out.append(SymbolicState(a.initial, z2))
     return out
 
 
@@ -139,14 +156,18 @@ def _canonical_branches(z: CPDBM, box: ParamBox) -> list[CPDBM]:
 def successors(s: SymbolicState, a: Ptba, box: ParamBox, maxima=None,
                counts=None, base=None) -> list[SymbolicState]:
     """All successor states of one symbolic state: per edge, guard,
-    canonical form, reset, time release, target invariant, canonical form,
-    widening, with empty branches dropped at every stage.  The final
-    branches of all edges that reach one target with one matrix are then
-    merged into one state (``pdbm.merge``); states come grouped by target,
-    both targets and matrices in order of first occurrence.
+    reset, time release, target invariant, widening, with empty branches
+    dropped at every stage.  Guard and invariant go through
+    ``pdbm.constrain``, which closes through the guard's clocks only; the
+    base branches, the canonical forms of the source zone, are closed in
+    full.  The final branches of all edges that reach one target with one
+    matrix are then merged into one state (``pdbm.merge``); states come
+    grouped by target, both targets and matrices in order of first
+    occurrence.
 
     ``counts``, when given, tallies per forking operation the branches it
-    added, and under ``merged`` the branches that merging absorbed."""
+    added (``guard`` counts a guard or invariant and its closure), and
+    under ``merged`` the branches that merging absorbed."""
     if maxima is None:
         maxima = clock_bounds(a, box)
     if base is None:
@@ -162,22 +183,16 @@ def successors(s: SymbolicState, a: Ptba, box: ParamBox, maxima=None,
         inv = a.locations[e.target].inv
         into = finals.setdefault(e.target, [])
         for zb in base:
-            g1 = pdbm.apply_guard(zb, e.atoms, box)
+            g1 = pdbm.constrain(zb, e.atoms, box)
             count("guard", 1, len(g1))
             for z1 in g1:
-                c1 = pdbm.canonicalize(z1, box)
-                count("canonicalize", 1, len(c1))
-                for z2 in c1:
-                    z3 = pdbm.up(pdbm.reset(z2, e.resets))
-                    g2 = pdbm.apply_guard(z3, inv, box)
-                    count("guard", 1, len(g2))
-                    for z4 in g2:
-                        c2 = pdbm.canonicalize(z4, box)
-                        count("canonicalize", 1, len(c2))
-                        for z5 in c2:
-                            ex = pdbm.extrapolate(z5, maxima, box)
-                            count("extrapolate", 1, len(ex))
-                            into.extend(ex)
+                z2 = pdbm.up(pdbm.reset(z1, e.resets))
+                g2 = pdbm.constrain(z2, inv, box)
+                count("guard", 1, len(g2))
+                for z3 in g2:
+                    ex = pdbm.extrapolate(z3, maxima, box)
+                    count("extrapolate", 1, len(ex))
+                    into.extend(ex)
     out = []
     for target, branches in finals.items():
         merged = pdbm.merge(branches)
@@ -209,8 +224,7 @@ def deadlock_valuations(s: SymbolicState, a: Ptba, box: ParamBox,
                 if steps > dnf_limit:
                     raise CapacityError(
                         f"deadlock-guard expansion exceeded {dnf_limit}")
-                for z1 in pdbm.apply_guard(z, [atom], box):
-                    nxt.extend(pdbm.canonicalize(z1, box))
+                nxt.extend(pdbm.constrain(z, [atom], box))
         cur = pdbm.merge(nxt)
         if not cur:
             break
@@ -250,7 +264,7 @@ def build_graph(a: Ptba, box: ParamBox, maxima=None,
     opts = opts or Options()
     if maxima is None:
         maxima = clock_bounds(a, box)
-    store = StateStore(box)
+    store = StateStore(box, maxima if opts.check else None)
     g = SymbolicGraph(a, box, maxima, store)
     index: dict[tuple[int, int], int] = {}
     branch_cache: dict[int, list[CPDBM]] = {}
@@ -543,7 +557,9 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
 def scan_stored_bounds(g: SymbolicGraph) -> int:
     """Verify that every finite stored bound evaluates within
     [-maxima[column], maxima[row]] at every valuation of its extension;
-    returns the number of entries checked."""
+    returns the number of entries checked.  The state store makes the same
+    check on every zone it evaluates under ``Options.check``; this scan
+    re-checks a finished graph entry by entry."""
     checked = 0
     box = g.box
     for rep_used in sorted({rep for _, rep in g.nodes}):

@@ -4,9 +4,14 @@ and exact valuation-set arithmetic.
 Parameters range over a finite integer box, so every entailment question is
 decided exactly by looking at the integer points of the box.  A constraint's
 extension is a bitset indexed by the row-major position of a point in the
-box grid, memoized per box because the zone machinery asks the same
-questions over and over.  A constraint set is kept as nothing but the
-extension of its conjunction: two sets with the same points are equal.
+box grid.  A constraint set is kept as nothing but the extension of its
+conjunction: two sets with the same points are equal.
+
+The zone machinery asks the same questions over and over, so the answers
+are memoized, on the box and nowhere else: ``ParamBox.bounds`` is the
+box's ``BoundTable``, which hash-conses bounds and memoizes their sums and
+their comparisons as extension bits.  A comparison's bits depend on the
+box, so one process-wide memo would answer for the wrong box.
 """
 
 from __future__ import annotations
@@ -82,23 +87,20 @@ class ParamBox:
     def _full_bits(self) -> int:
         return (1 << self.size) - 1
 
-    @cached_property
-    def _cbits(self) -> dict:
-        return {}
-
     def constraint_bits(self, c: "Constraint") -> int:
-        """Bitset of the points satisfying ``c``, memoized per box."""
-        got = self._cbits.get(c)
-        if got is not None:
-            return got
+        """Bitset of the points satisfying ``c``."""
         vals = np.full(self.size, c.lhs.const, dtype=np.int64)
         for p, z in c.lhs.coeffs:
             vals += z * self.grid[self.params.index(p)]
         mask = vals < 0 if c.strict else vals <= 0
-        bits = int.from_bytes(
+        return int.from_bytes(
             np.packbits(mask, bitorder="little").tobytes(), "little")
-        self._cbits[c] = bits
-        return bits
+
+    @cached_property
+    def bounds(self) -> "BoundTable":
+        """The box's table of hash-consed bounds and memoized bound
+        arithmetic."""
+        return BoundTable(self)
 
     def point(self, index: int) -> dict[str, int]:
         """Valuation at a row-major grid index."""
@@ -428,10 +430,6 @@ def bound(e: AffineExpr | int, strict: bool = False) -> StrictBound:
     return StrictBound(_expr(e), strict)
 
 
-_ADD_CACHE: dict = {}
-_LE_CACHE: dict = {}
-
-
 def bound_add(b1: StrictBound, b2: StrictBound) -> StrictBound:
     """Sum of bounds; infinity absorbs, the sum is weak only when both are."""
     if b1.expr is None or b2.expr is None:
@@ -440,13 +438,7 @@ def bound_add(b1: StrictBound, b2: StrictBound) -> StrictBound:
         return b2
     if b2 is ZERO_LE:
         return b1
-    row = _ADD_CACHE.get(b1)
-    if row is None:
-        row = _ADD_CACHE[b1] = {}
-    got = row.get(b2)
-    if got is None:
-        got = row[b2] = StrictBound(b1.expr + b2.expr, b1.strict or b2.strict)
-    return got
+    return StrictBound(b1.expr + b2.expr, b1.strict or b2.strict)
 
 
 def bound_le_constraint(b1: StrictBound, b2: StrictBound) -> Constraint:
@@ -456,15 +448,86 @@ def bound_le_constraint(b1: StrictBound, b2: StrictBound) -> Constraint:
         return TRUE_CONSTRAINT
     if b1.expr is None:
         return FALSE_CONSTRAINT
-    row = _LE_CACHE.get(b1)
-    if row is None:
-        row = _LE_CACHE[b1] = {}
-    got = row.get(b2)
-    if got is None:
-        # weak1 implies weak2 yields a weak comparison, otherwise strict
-        weak_cmp = b1.strict or not b2.strict
-        got = row[b2] = Constraint(b1.expr - b2.expr, strict=not weak_cmp)
-    return got
+    # weak1 implies weak2 yields a weak comparison, otherwise strict
+    weak_cmp = b1.strict or not b2.strict
+    return Constraint(b1.expr - b2.expr, strict=not weak_cmp)
+
+
+class BoundTable:
+    """Hash-consed bounds over one box, with their sums and comparisons
+    memoized.
+
+    ``intern`` maps a bound to the one object the table keeps for all
+    equal bounds, and every bound the table returns is such an object, so
+    a matrix built from them decides equal entries by identity.  The memos
+    are keyed by the identities of interned bounds, a pair of them packed
+    into one int as ``id(a) << 64 | id(b)`` (one int is smaller than a
+    tuple of two); the table holds every bound it keys on, so no key
+    outlives its object, and a bound that is not interned just misses and
+    is interned on the way.  Comparisons are memoized as extension bits
+    over the box, so ``ext & bits == ext`` decides one on a constraint
+    set.
+    """
+
+    def __init__(self, box: ParamBox):
+        self.box = box
+        self._canon: dict[StrictBound, StrictBound] = {
+            INF_BOUND: INF_BOUND, ZERO_LE: ZERO_LE}
+        # the closure and widening loops read these memos directly
+        self.sums: dict[int, dict[int, StrictBound]] = {}
+        self.les: dict[int, int] = {}
+        self.windows: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self._floor: dict[int, StrictBound] = {}
+
+    def intern(self, b: StrictBound) -> StrictBound:
+        """The table's object for bounds equal to ``b``."""
+        got = self._canon.get(b)
+        if got is None:
+            got = self._canon[b] = b
+        return got
+
+    def add(self, b1: StrictBound, b2: StrictBound) -> StrictBound:
+        """Interned ``bound_add(b1, b2)``."""
+        got = self.plus(b1).get(id(b2))
+        if got is None:
+            b1, b2 = self.intern(b1), self.intern(b2)
+            got = self.plus(b1)[id(b2)] = self.intern(bound_add(b1, b2))
+        return got
+
+    def plus(self, b: StrictBound) -> dict[int, StrictBound]:
+        """Memo of the sums ``b + c``, keyed by the identity of ``c``."""
+        got = self.sums.get(id(b))
+        if got is None:
+            b = self.intern(b)
+            got = self.sums.setdefault(id(b), {})
+        return got
+
+    def le_bits(self, b1: StrictBound, b2: StrictBound) -> int:
+        """Extension of "b1 is at most b2": the box points where it holds."""
+        got = self.les.get(id(b1) << 64 | id(b2))
+        if got is None:
+            b1, b2 = self.intern(b1), self.intern(b2)
+            got = self.les[id(b1) << 64 | id(b2)] = self.box.constraint_bits(
+                bound_le_constraint(b1, b2))
+        return got
+
+    def window_bits(self, b: StrictBound, hi: int, lo: int) -> tuple[int, int]:
+        """Points where the finite bound's value is at most ``hi``, and
+        points where it is at least ``lo``."""
+        got = self.windows.get((id(b), hi, lo))
+        if got is None:
+            b = self.intern(b)
+            got = self.windows[(id(b), hi, lo)] = (
+                self.box.constraint_bits(Constraint.le(b.expr, hi)),
+                self.box.constraint_bits(Constraint.le(lo, b.expr)))
+        return got
+
+    def floor(self, m: int) -> StrictBound:
+        """The interned bound ``(-m, <)``."""
+        got = self._floor.get(m)
+        if got is None:
+            got = self._floor[m] = self.intern(StrictBound(AffineExpr(-m), True))
+        return got
 
 
 def bound_eval(b: StrictBound, v: Mapping[str, int]) -> tuple[int, bool] | None:

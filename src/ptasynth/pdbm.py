@@ -19,17 +19,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import zones
-from .errors import EvaluationError
+from .errors import EvaluationError, SoundnessError
 from .params import (
-    AffineExpr,
+    BoundTable,
     ConstraintSet,
     Cover,
     INF_BOUND,
     ParamBox,
     StrictBound,
     ZERO_LE,
-    Constraint,
-    bound,
     bound_add,
     bound_eval,
     bound_le_constraint,
@@ -88,15 +86,16 @@ def apply_atomic_guard(z: CPDBM, atom: Atom, box: ParamBox) -> list[CPDBM]:
     set into both cases.  The unchanged branch is listed first.
     """
     i, j, g = atom
-    cur = z.mat[i][j]
-    c = bound_le_constraint(cur, g)
-    out = covers(z.cset, c, box)
-    if out is Cover.COVERS:
+    table = box.bounds
+    g = table.intern(g)
+    ext = z.cset.bits
+    within = ext & table.le_bits(z.mat[i][j], g)
+    if within == ext:
         return [z]
-    if out is Cover.COVERS_NEGATION:
+    if not within:
         return [z.with_entry(i, j, g)]
-    keep = CPDBM(z.cset.extended(c, box), z.mat, canonical=z.canonical)
-    repl = CPDBM(z.cset.extended(c.negated(), box), z.mat).with_entry(i, j, g)
+    keep = CPDBM(ConstraintSet(within), z.mat, canonical=z.canonical)
+    repl = CPDBM(ConstraintSet(ext & ~within), z.mat).with_entry(i, j, g)
     return [keep, repl]
 
 
@@ -112,73 +111,116 @@ def apply_guard(z: CPDBM, atoms: Sequence[Atom], box: ParamBox) -> list[CPDBM]:
     return branches
 
 
-def _relax(z: CPDBM, i: int, j: int, cand: StrictBound, box: ParamBox) -> list[CPDBM]:
-    """One shortest-path relaxation of entry (i, j) with a candidate bound.
-
-    The entry is only rewritten where the candidate is strictly tighter
-    somewhere; pure ties never fork.  When a fork is needed, tie valuations
-    go with the replacement branch (the two bounds agree there, and this
-    keeps the output branch count minimal) -- except on the diagonal, where
-    ties must stay with the kept entry so that a replaced diagonal is a
-    reliable per-branch emptiness witness.
-    """
-    cur = z.mat[i][j]
-    if cand is cur or cand == cur:
-        return [z]
-    not_tighter = bound_le_constraint(cur, cand)
-    out = covers(z.cset, not_tighter, box)
-    if out is Cover.COVERS:
-        return [z]
-    if i == j:
-        # a tightened diagonal is below (0, <=) on the whole branch: the
-        # zone is empty there, so only the untightened part survives
-        if out is Cover.COVERS_NEGATION:
-            return []
-        return [CPDBM(z.cset.extended(not_tighter, box), z.mat,
-                      canonical=z.canonical)]
-    if out is Cover.COVERS_NEGATION:
-        return [z.with_entry(i, j, cand)]
-    tighter_or_tie = bound_le_constraint(cand, cur)
-    if covers(z.cset, tighter_or_tie, box) is Cover.COVERS:
-        return [z.with_entry(i, j, cand)]
-    repl = CPDBM(z.cset.extended(tighter_or_tie, box), z.mat) \
-        .with_entry(i, j, cand)
-    keep = CPDBM(z.cset.extended(tighter_or_tie.negated(), box), z.mat,
-                 canonical=z.canonical)
-    return [repl, keep]
-
-
-def canonicalize(z: CPDBM, box: ParamBox) -> list[CPDBM]:
+def canonicalize(z: CPDBM, box: ParamBox,
+                 pivots: Sequence[int] | None = None) -> list[CPDBM]:
     """Tighten every entry to the strongest derivable bound, forking the
     constraint set whenever a relaxation's outcome depends on the
     parameters.
 
-    A relaxation that tightens a diagonal entry makes the zone empty for
-    every valuation of that branch (the fork discipline keeps the sign of
-    the diagonal uniform per branch), so such branches are dropped as soon
-    as they appear.  Surviving branches are canonical and satisfiable at
-    every valuation of their extension.
+    This is Floyd-Warshall on every branch: entry (i, j) is relaxed with
+    the candidate (i, k) + (k, j) for each pivot clock k.  The entry is
+    rewritten only where the candidate is strictly tighter somewhere; pure
+    ties never fork.  On a fork the tighter-or-tie valuations take the
+    candidate (the bounds agree on ties, which keeps the branch count
+    minimal) and come first, the rest keep the entry.  A diagonal entry
+    is never rewritten: a tighter candidate there means the zone is empty,
+    so those valuations are dropped and only the rest of the branch goes
+    on.  Surviving branches are canonical and satisfiable at every
+    valuation of their extension, in the order a step-by-step pass over
+    all branches would list them.
+
+    ``pivots`` limits the pivots to the given clocks.  That closes a
+    matrix exactly only when it was canonical before the entries between
+    pivot clocks were tightened; ``constrain`` is the entry point that
+    holds to this.  Without it every clock is a pivot.
     """
     if z.canonical:
         return [z]
-    branches = [z]
-    n = z.n
-    for k in range(n):
+    ks = range(z.n) if pivots is None else pivots
+    out: list[CPDBM] = []
+    # depth first: a fork goes on with its first branch and leaves the
+    # second to restart the current pivot, whose earlier relaxations are
+    # no-ops on it
+    todo = [(0, [list(r) for r in z.mat], z.cset.bits)]
+    while todo:
+        at, rows, ext = todo.pop()
+        ext = _close_branch(rows, ext, ks, at, todo, box.bounds)
+        if ext:
+            out.append(CPDBM(ConstraintSet(ext), tuple(map(tuple, rows)),
+                             canonical=True))
+    return out
+
+
+def _close_branch(rows: list, ext: int, ks: Sequence[int], at: int,
+                  todo: list, table: BoundTable) -> int:
+    """Relax ``rows`` in place through the pivots ``ks[at:]``; returns the
+    branch's extension, 0 when the zone is empty everywhere on it.  Forks
+    push their second branch on ``todo``."""
+    n = len(rows)
+    inf = INF_BOUND
+    sums, les = table.sums, table.les
+    for kpos in range(at, len(ks)):
+        k = ks[kpos]
+        row_k = rows[k]
         for i in range(n):
             if i == k:
                 continue  # relaxing through a clean diagonal cannot tighten
+            a = rows[i][k]
+            if a is inf:
+                continue
+            plus_a = sums.get(id(a))
+            if plus_a is None:
+                plus_a = table.plus(a)
+            row_i = rows[i]
             for j in range(n):
-                if j == k:
+                b = row_k[j]
+                if j == k or b is inf:
                     continue
-                nxt: list[CPDBM] = []
-                for w in branches:
-                    cand = bound_add(w.mat[i][k], w.mat[k][j])
-                    if cand.expr is None:
-                        nxt.append(w)
-                        continue
-                    nxt.extend(_relax(w, i, j, cand, box))
-                branches = nxt
-    return [CPDBM(w.cset, w.mat, canonical=True) for w in branches]
+                cand = plus_a.get(id(b))
+                if cand is None:
+                    cand = table.add(a, b)
+                cur = row_i[j]
+                if cand is cur or cand is inf:
+                    continue
+                le = les.get(id(cur) << 64 | id(cand))
+                if le is None:
+                    le = table.le_bits(cur, cand)
+                kept = ext & le  # where the candidate is not tighter
+                if kept == ext:
+                    continue
+                if i == j:
+                    if not kept:
+                        return 0
+                    ext = kept
+                    continue
+                if kept:
+                    tie = les.get(id(cand) << 64 | id(cur))
+                    if tie is None:
+                        tie = table.le_bits(cand, cur)
+                    if ext & tie != ext:
+                        todo.append((kpos, [r[:] for r in rows], ext & ~tie))
+                        ext &= tie
+                row_i[j] = cand
+    return ext
+
+
+def constrain(z: CPDBM, atoms: Sequence[Atom], box: ParamBox) -> list[CPDBM]:
+    """Apply a guard to a canonical matrix and restore canonical form.
+
+    Only entries between the guard's clocks are tightened, so a shortest
+    path that improves on the old canonical matrix runs through those
+    clocks, and closing through them alone as pivots is exact: the
+    incremental closure of Bengtsson and Yi, O(|clocks| * n^2) per branch
+    instead of O(n^3).  Raises SoundnessError when ``z`` is not marked
+    canonical.
+    """
+    if not z.canonical:
+        raise SoundnessError("constrain needs a canonical matrix")
+    pivots = sorted({c for i, j, _ in atoms for c in (i, j)})
+    out: list[CPDBM] = []
+    for w in apply_guard(z, atoms, box):
+        out.extend(canonicalize(w, box, pivots))
+    return out
 
 
 def reset(z: CPDBM, clocks: Iterable[int]) -> CPDBM:
@@ -210,78 +252,65 @@ def extrapolate(z: CPDBM, maxima: Sequence[int], box: ParamBox) -> list[CPDBM]:
 
     Per entry: bounds above the row clock's maximum become infinite, bounds
     below minus the column clock's maximum are floored to a strict bound
-    there, and valuation-dependent cases fork the constraint set.  The
-    diagonal and infinite entries are untouched.  Results are marked
-    non-canonical when an entry changed.
+    there, and valuation-dependent cases fork the constraint set (kept
+    branch first, floored next, widened last).  The diagonal and infinite
+    entries are untouched.  Results are marked non-canonical when an entry
+    changed.
     """
     n = z.n
-    branches: list[tuple[CPDBM, bool]] = [(z, False)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            nxt: list[tuple[CPDBM, bool]] = []
-            for w, changed in branches:
-                nxt.extend(_extrapolate_entry(w, changed, i, j, maxima, box))
-            branches = nxt
-    return [
-        CPDBM(w.cset, w.mat, canonical=w.canonical and not changed)
-        for w, changed in branches
-    ]
-
-
-_EXTRAP_HI: dict = {}
-_EXTRAP_LO: dict = {}
-
-
-def _hi_constraint(expr: AffineExpr, m: int) -> Constraint:
-    key = (expr, m)
-    got = _EXTRAP_HI.get(key)
-    if got is None:
-        got = _EXTRAP_HI[key] = Constraint.le(expr, m)
-    return got
-
-
-def _lo_constraint(expr: AffineExpr, m: int) -> Constraint:
-    key = (expr, m)
-    got = _EXTRAP_LO.get(key)
-    if got is None:
-        got = _EXTRAP_LO[key] = Constraint.le(-m, expr)
-    return got
-
-
-def _extrapolate_entry(w: CPDBM, changed: bool, i: int, j: int,
-                       maxima: Sequence[int], box: ParamBox):
-    """Widen one finite entry; kept branch first, widened branches after."""
-    e = w.mat[i][j]
-    if e.expr is None:
-        return [(w, changed)]
-    out: list[tuple[CPDBM, bool]] = []
-    hi = _hi_constraint(e.expr, maxima[i])
-    out_hi = covers(w.cset, hi, box)
-    wide = None
-    if out_hi is Cover.COVERS_NEGATION:
-        return [(w.with_entry(i, j, INF_BOUND), True)]
-    if out_hi is Cover.SPLIT:
-        wide = (CPDBM(w.cset.extended(hi.negated(), box), w.mat)
-                .with_entry(i, j, INF_BOUND), True)
-        w = CPDBM(w.cset.extended(hi, box), w.mat, canonical=w.canonical)
-    lo = _lo_constraint(e.expr, maxima[j])
-    out_lo = covers(w.cset, lo, box)
-    floor = bound(-maxima[j], strict=True)
-    if out_lo is Cover.COVERS:
-        out.append((w, changed))
-    elif out_lo is Cover.COVERS_NEGATION:
-        out.append((w.with_entry(i, j, floor), True))
-    else:
-        out.append(
-            (CPDBM(w.cset.extended(lo, box), w.mat, canonical=w.canonical), changed))
-        out.append(
-            (CPDBM(w.cset.extended(lo.negated(), box), w.mat)
-             .with_entry(i, j, floor), True))
-    if wide is not None:
-        out.append(wide)
+    table = box.bounds
+    windows = table.windows
+    floors = [table.floor(m) for m in maxima]
+    out: list[CPDBM] = []
+    # depth first, as in canonicalize: a fork leaves its other branches to
+    # restart the current row, whose earlier cells are no-ops on them
+    todo = [(0, [list(r) for r in z.mat], z.cset.bits, False)]
+    while todo:
+        at, rows, ext, changed = todo.pop()
+        for i in range(at, n):
+            row = rows[i]
+            hi = maxima[i]
+            for j in range(n):
+                e = row[j]
+                if i == j or e.expr is None:
+                    continue
+                lo = -maxima[j]
+                win = windows.get((id(e), hi, lo))
+                if win is None:
+                    win = table.window_bits(e, hi, lo)
+                below = ext & win[0]
+                if below == ext and ext & win[1] == ext:
+                    continue
+                forks = []
+                if below != ext:
+                    if not below:
+                        row[j] = INF_BOUND
+                        changed = True
+                        continue
+                    forks.append(_fork(i, rows, j, INF_BOUND, ext & ~below))
+                    ext = below
+                above = ext & win[1]
+                if above != ext:
+                    if not above:
+                        row[j] = floors[j]
+                        changed = True
+                    else:
+                        forks.append(_fork(i, rows, j, floors[j],
+                                           ext & ~above))
+                        ext = above
+                todo.extend(forks)  # the floored branch pops first
+        mat = tuple(map(tuple, rows)) if changed else z.mat
+        out.append(CPDBM(ConstraintSet(ext), mat,
+                         canonical=z.canonical and not changed))
     return out
+
+
+def _fork(i: int, rows: list, j: int, b: StrictBound, ext: int):
+    """A changed branch of ``extrapolate`` that restarts row ``i``: a copy
+    of ``rows`` with entry (i, j) set to ``b``."""
+    rows = [r[:] for r in rows]
+    rows[i][j] = b
+    return (i, rows, ext, True)
 
 
 def merge(branches: list[CPDBM]) -> list[CPDBM]:

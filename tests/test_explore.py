@@ -320,6 +320,21 @@ class TestStoredBoundScan:
         g = build_graph(tba, box, maxima)
         assert scan_stored_bounds(g) > 0
 
+    def test_unwidened_bounds_fail_soundness(self, monkeypatch):
+        # x is reset on every loop and y never is, so y - x grows by one
+        # per loop; y is compared with nothing, so its maximum is 0 and
+        # without widening the first successor's bounds on y leave the range
+        loc = PLoc("L", ())
+        loc.edges.append(PEdge(((0, 1, bound(-1)),), (1,), 0, "loop"))
+        a = Ptba(["0", "x", "y"], [loc], 0)
+        assert build_graph(a, BOX5).n_nodes > 0
+        monkeypatch.setattr(pdbm, "extrapolate", lambda z, maxima, box: [z])
+        with pytest.raises(SoundnessError, match="out of range"):
+            build_graph(a, BOX5, opts=Options(limit_states=50))
+        # the check is what stops it: unchecked, the search runs on
+        with pytest.raises(CapacityError):
+            build_graph(a, BOX5, opts=Options(check=False, limit_states=50))
+
 
 class TestBoundRange:
     """Bounds must stay below 2^38, where two encoded bounds start to sum

@@ -191,6 +191,30 @@ class TestBoundAlgebra:
             StrictBound(None, False)
 
 
+class TestBoundTable:
+    def test_le_bits_per_box(self):
+        # "p <= 3" holds on all of p = 0..2 and nowhere on p = 4..5: each
+        # box must keep its own answer for the same pair of bounds
+        low = ParamBox.of({"p": (0, 2)})
+        high = ParamBox.of({"p": (4, 5)})
+        cur, cand = bound(P), bound(3)
+        assert low.bounds.le_bits(cur, cand) == ValuationSet.full(low).bits
+        assert high.bounds.le_bits(cur, cand) == 0
+        assert low.bounds.le_bits(cur, cand) == ValuationSet.full(low).bits
+        assert high.bounds.le_bits(cur, cand) == 0
+
+    def test_equal_bounds_are_one_object(self):
+        table = ParamBox.of({"p": (0, 3)}).bounds
+        one = table.intern(bound(P + 1))
+        assert table.intern(bound(P + 1)) is one
+        assert table.intern(bound(P + 1, strict=True)) is not one
+        assert table.add(bound(P), bound(1)) is one
+        assert table.add(bound(1), bound(P)) is one
+        assert table.intern(StrictBound(None, True)) is INF_BOUND
+        assert table.intern(bound(0)) is ZERO_LE
+        assert table.floor(3) is table.intern(bound(-3, strict=True))
+
+
 _bounds = st.one_of(
     st.just(INF_BOUND),
     st.builds(lambda c, cp, cq, s: StrictBound(

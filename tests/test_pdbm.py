@@ -10,7 +10,7 @@ import pytest
 
 import oracle_dbm as od
 from ptasynth import pdbm
-from ptasynth.errors import EvaluationError
+from ptasynth.errors import EvaluationError, SoundnessError
 from ptasynth.params import (
     AffineExpr,
     Constraint,
@@ -192,6 +192,53 @@ def canonical_samples(rng, box, n, count):
             if len(out) == count:
                 break
     return out
+
+
+class TestConstrain:
+    """A guard on a canonical matrix, closed through the guard's clocks
+    only, against the full closure and the oracle."""
+
+    BOX = ParamBox.of({"p": (0, 5), "q": (0, 5)})
+
+    def random_atom(self, rng, z):
+        i, j = rng.sample(range(z.n), 2)
+        back = z.mat[j][i]
+        if rng.random() < 0.3 and back.expr is not None:
+            # x_i - x_j below minus the bound on x_j - x_i: a negative
+            # cycle through the diagonal empties the zone everywhere
+            return (i, j, bound(-back.expr - 1, rng.random() < 0.5))
+        return (i, j, bound(random_expr(rng, self.BOX), rng.random() < 0.5))
+
+    def test_matches_full_closure_and_oracle(self, rng):
+        emptied = kept = 0
+        for n in (2, 3, 4):
+            for z in canonical_samples(rng, self.BOX, n, 30):
+                atoms = [self.random_atom(rng, z)
+                         for _ in range(rng.randrange(1, 3))]
+                got = pdbm.constrain(z, atoms, self.BOX)
+                full = [c for w in pdbm.apply_guard(z, atoms, self.BOX)
+                        for c in pdbm.canonicalize(w, self.BOX)]
+                branches_disjoint(got, self.BOX)
+                assert all(b.canonical for b in got)
+                for v in z.cset.extension(self.BOX):
+                    m = od.from_valuation(z, v)
+                    for i, j, g in atoms:
+                        od.constrain(m, i, j, (g.expr.eval(v), g.strict))
+                    mine = branch_at(got, v, self.BOX)
+                    ref = branch_at(full, v, self.BOX)
+                    if not od.close(m):
+                        emptied += 1
+                        assert mine is None and ref is None
+                    else:
+                        kept += 1
+                        assert od.from_valuation(mine, v) == m
+                        assert od.from_valuation(ref, v) == m
+        assert emptied and kept
+
+    def test_non_canonical_refused(self):
+        z = mk({(1, 0): bound(P)}, self.BOX, n=2, canonical=False)
+        with pytest.raises(SoundnessError):
+            pdbm.constrain(z, [(1, 0, bound(Q))], self.BOX)
 
 
 class TestResetUp:
