@@ -47,17 +47,18 @@ def random_zone(rng, n):
 
 
 def bench_close(backend, mats, repeat):
+    """Best time of closing each matrix; also the closed stack and flags."""
     best = float("inf")
     for _ in range(repeat):
         work = [m.copy() for m in mats]
         t0 = time.perf_counter()
-        for m in work:
-            backend.close(m)
+        flags = [backend.close(m) for m in work]
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, np.stack(work), np.array(flags, dtype=np.uint8)
 
 
 def bench_close_many(backend, ms, repeat):
+    """Best time of closing the batch; also the closed batch and flags."""
     best = float("inf")
     ok = np.empty(ms.shape[0], dtype=np.uint8)
     for _ in range(repeat):
@@ -65,7 +66,15 @@ def bench_close_many(backend, ms, repeat):
         t0 = time.perf_counter()
         backend.close_many(work, ok)
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, work, ok
+
+
+def same_closure(a, b):
+    """Equal emptiness flags, and equal matrices where the zone is non-empty
+    (an empty zone's contents depend on the order of the updates)."""
+    (ms_a, ok_a), (ms_b, ok_b) = a, b
+    return (np.array_equal(ok_a, ok_b)
+            and np.array_equal(ms_a[ok_a == 1], ms_b[ok_b == 1]))
 
 
 def random_expr(rng, box):
@@ -142,7 +151,8 @@ def main():
 
     print(f"active backend: {zones.BACKEND}")
     if compiled is None:
-        print("compiled core not built; showing the pure fallback only")
+        print("compiled kernel not built (python setup.py build_ext "
+              "--inplace); showing the pure fallback only")
 
     for n in (4, 6, 10):
         mats = [random_zone(rng, n) for _ in range(count)]
@@ -151,12 +161,15 @@ def main():
         if compiled is not None:
             rows.append(("compiled", compiled))
         print(f"\nclosure of {count} {n}x{n} zones (best of {repeat}):")
-        base = None
+        base = reference = None
         for name, backend in rows:
-            t1 = bench_close(backend, mats, repeat)
-            t2 = bench_close_many(backend, batch, repeat)
+            t1, *closed = bench_close(backend, mats, repeat)
+            t2, *closed_many = bench_close_many(backend, batch, repeat)
             if base is None:
-                base = t1
+                base, reference = t1, closed
+            if not (same_closure(closed, reference)
+                    and same_closure(closed_many, reference)):
+                raise SystemExit(f"{name} and pure kernels disagree at n={n}")
             print(f"  {name:9s} close: {t1 * 1e3:8.1f} ms   "
                   f"close_many: {t2 * 1e3:8.1f} ms   "
                   f"speedup vs pure: {base / t1:5.1f}x")

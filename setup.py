@@ -1,17 +1,8 @@
-"""Build script: compiles the zone-arithmetic core when Cython and a C
-compiler are available.  The package works without it (pure fallback)."""
+"""Build script: compiles the zone-closure kernel when a C compiler is
+available.  The build is optional; without it the package uses the pure
+numpy fallback."""
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("ptasynth._zonecore", ["src/ptasynth/_zonecore.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("ptasynth._zonecore", ["src/ptasynth/_zonecore.c"],
+                             optional=True)])

@@ -1,9 +1,12 @@
-"""Pure-Python fallback for the zone-arithmetic core.
+"""Pure numpy twin of the compiled zone-closure kernel ``_zonecore.c``.
 
-Same contract as the compiled module; the closure loops are vectorized per
-pivot row/column with numpy, which keeps the fallback usable for the whole
-test suite (just slower on the per-state call pattern of the enumeration
-engine).
+Same contract as the compiled module: ``close(m)`` and ``close_many(ms, ok)``
+close in place and report emptiness.  It is the path that runs without a C
+compiler and under ``PTASYNTH_PURE=1``, and the reference the compiled
+kernel is tested against.  The closure loops are vectorized per pivot
+row/column, so it is fast enough for the test suite but much slower than
+the compiled kernel on the per-state call pattern of the enumeration
+engine.
 """
 
 import numpy as np

@@ -17,7 +17,6 @@ box, so one process-wide memo would answer for the wrong box.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import CapacityError, EvaluationError, InputError, SynthError
 
-MAX_BOX_POINTS = int(os.environ.get("PTASYNTH_MAX_BOX_POINTS", 1 << 24))
+MAX_BOX_POINTS = 1 << 24
 
 
 @dataclass(frozen=True)

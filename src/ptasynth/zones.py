@@ -6,8 +6,10 @@ A zone over ``n`` clock slots (index 0 is the constant-zero clock) is an
 ``<=``; infinity is a large sentinel.  Smaller encoded value = tighter
 bound, and bound addition is ``a + b - ((a | b) & 1)``.
 
-The hot closure loops live in a compiled extension when available; set
-``PTASYNTH_PURE=1`` to force the pure fallback.
+The closure loops live in ``_zonecore``, a hand-written C extension that
+``setup.py`` builds when a C compiler is available; without it they run in
+the numpy twin ``_zonecore_py``.  Set ``PTASYNTH_PURE=1`` to force the pure
+fallback.  Both close in place and report emptiness the same way.
 """
 
 from __future__ import annotations
@@ -54,10 +56,14 @@ def close(m: np.ndarray) -> bool:
 
 
 def close_many(ms: np.ndarray) -> np.ndarray:
-    """Close a (count, n, n) batch in place; returns a boolean non-empty mask."""
+    """Close a (count, n, n) batch in place; returns a boolean non-empty mask.
+    A batch that is not C-contiguous is closed in a copy and copied back."""
     ok = np.empty(ms.shape[0], dtype=np.uint8)
     if ms.shape[0]:
-        _core.close_many(np.ascontiguousarray(ms), ok)
+        work = np.ascontiguousarray(ms)
+        _core.close_many(work, ok)
+        if work is not ms:
+            ms[...] = work
     return ok.astype(bool)
 
 

@@ -177,6 +177,21 @@ class TestValidate:
         assert code == 0
         assert "3 components" in out
 
+    def test_box_cap_ignores_environment(self):
+        """The box cap is a constant: no environment variable can break
+        the import that every command runs."""
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PTASYNTH_MAX_BOX_POINTS="lots")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptasynth.cli", "validate",
+             "--model", str(fixture_path("traingate.pta"))],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "3 components" in proc.stdout
+
     def test_simple_guard_diagnostic(self, capsys, tmp_path):
         bad = tmp_path / "bad.pta"
         bad.write_text("""

@@ -1,6 +1,9 @@
 """The concrete-zone kernels against the naive oracle, and the two
 backends against each other."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,41 @@ import oracle_dbm as od
 from ptasynth import zones
 from ptasynth import _zonecore_py as pure
 
-try:
-    from ptasynth import _zonecore as compiled
-except ImportError:
-    compiled = None
+KERNEL_SOURCE = (Path(__file__).resolve().parent.parent / "src" / "ptasynth"
+                 / "_zonecore.c")
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernel built from the current source into a fresh
+    directory, so that a stale in-place build cannot stand in for it.
+    Skips only when the C compiler fails."""
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+    from setuptools.errors import CCompilerError
+
+    out = tmp_path_factory.mktemp("zonecore")
+    cmd = build_ext(Distribution({"ext_modules": [
+        Extension("ptasynth._zonecore", [str(KERNEL_SOURCE)])]}))
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "tmp")
+    cmd.ensure_finalized()
+    try:
+        cmd.run()
+    except CCompilerError as exc:
+        pytest.skip(f"the C compiler failed: {exc}")
+    spec = importlib.util.spec_from_file_location(
+        "ptasynth._zonecore", cmd.get_ext_fullpath("ptasynth._zonecore"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def kernel(request):
+    if request.param == "pure":
+        return pure
+    return request.getfixturevalue("compiled")
 
 
 def to_oracle(m):
@@ -79,9 +113,9 @@ def test_close_many_matches_single(rng):
             assert np.array_equal(ms[t], singles[t])
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled core not built")
-def test_backends_agree(rng):
-    for n in (2, 4, 6):
+def test_backends_agree(rng, compiled):
+    assert compiled.INF == pure.INF
+    for n in (1, 2, 4, 6):
         for _ in range(60):
             m = random_zone(rng, n)
             m1, m2 = m.copy(), m.copy()
@@ -89,6 +123,47 @@ def test_backends_agree(rng):
             assert ok == pure.close(m2)
             if ok:  # empty zones leave unspecified contents behind
                 assert np.array_equal(m1, m2)
+        ms = np.stack([random_zone(rng, n) for _ in range(30)])
+        ms1, ms2 = ms.copy(), ms.copy()
+        ok1 = np.zeros(30, dtype=np.uint8)
+        ok2 = np.zeros(30, dtype=np.uint8)
+        compiled.close_many(ms1, ok1)
+        pure.close_many(ms2, ok2)
+        assert np.array_equal(ok1, ok2)
+        assert np.array_equal(ms1[ok1 == 1], ms2[ok2 == 1])
+
+
+def test_compiled_rejects_bad_buffers(compiled):
+    square = np.full((3, 3), zones.ZERO_WEAK, dtype=np.int64)
+    read_only = square.copy()
+    read_only.flags.writeable = False
+    for bad in (square.astype(np.int32), square.astype(np.float64),
+                square[:, :2], np.full((4, 4), 1, dtype=np.int64)[::2, ::2],
+                square[None], read_only, [[1]]):
+        with pytest.raises(ValueError):
+            compiled.close(bad)
+    batch = np.stack([square, square])
+    for ms, ok in ((batch, np.zeros(3, dtype=np.uint8)),
+                   (batch[::-1], np.zeros(2, dtype=np.uint8)),
+                   (batch, np.zeros(2, dtype=np.int64)),
+                   (square, np.zeros(3, dtype=np.uint8))):
+        with pytest.raises(ValueError):
+            compiled.close_many(ms, ok)
+
+
+def test_close_many_strided_batch(rng, kernel, monkeypatch):
+    """A batch that is not C-contiguous is closed in place all the same."""
+    monkeypatch.setattr(zones, "_core", kernel)
+    base = np.stack([random_zone(rng, 4) for _ in range(40)])
+    untouched = base[1::2].copy()
+    batch = base[::2]
+    singles = batch.copy()
+    flags = zones.close_many(batch)
+    for t in range(len(singles)):
+        assert flags[t] == pure.close(singles[t])
+        if flags[t]:
+            assert np.array_equal(base[2 * t], singles[t])
+    assert np.array_equal(base[1::2], untouched)
 
 
 def test_reset_matches_oracle(rng):
