@@ -1,20 +1,25 @@
 """The symbolic engine.
 
-The reachable symbolic graph is built once (successor generation with
-constraint splitting, sibling branches that reach one target with one
-matrix merged into one state whose extension is their union, a two-level
-state store resolving semantically equal zones to one representative,
-deadlock valuations collected per state), then the accepting-cycle search
-runs on it: a nested depth-first search that, instead of stopping at the
-first accepting cycle, accumulates the parameter valuations of every cycle
-it finds and prunes states whose valuations are already covered.  The
-satisfying set is the complement of the accumulated set inside the box.
+A colour worklist builds the reachable symbolic graph once.  A node is a
+location with a widened matrix (``StateStore`` gives the key), and its
+colour is the bitset of the valuations under which it is reachable; a
+colour only grows.  When a node's colour grows by some valuations, the
+worklist expands the node's matrix on those valuations alone: successor
+generation with constraint splitting, and the deadlock valuations.  Each
+successor branch adds its valuations to its target node and to the colour
+of the edge.  At a valuation v, the nodes and edges whose colours hold v
+form the widened zone graph at v, up to nodes that repeat a zone, which
+changes neither reachability nor accepting cycles.
+
+Accepting cycles are then found for all valuations at once by a fixpoint
+on colours (``cumulative_ndfs_graph``).  The violating set is the union of
+what survives it, and the satisfying set its complement inside the box.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from hashlib import blake2b
 
 import numpy as np
 
@@ -30,8 +35,8 @@ from .model import (
     make_nonzeno,
     product,
 )
-from .params import ParamBox, ValuationSet
-from .pdbm import CPDBM, negate_atom
+from .params import ConstraintSet, ParamBox, ValuationSet
+from .pdbm import CPDBM, Matrix, negate_atom
 
 DEFAULT_STATE_LIMIT = 1 << 22
 DEFAULT_DNF_LIMIT = 4096
@@ -42,8 +47,7 @@ class Options:
     limit_states: int = DEFAULT_STATE_LIMIT
     dnf_limit: int = DEFAULT_DNF_LIMIT
     check: bool = True      # run the soundness checks (SoundnessError)
-    prune: bool = True      # skip states whose valuations are all found
-    trace: object = None    # writable stream for visited-state dumps
+    trace: object = None    # writable stream for expanded-state dumps
 
 
 @dataclass
@@ -53,84 +57,99 @@ class SymbolicState:
 
 
 class StateStore:
-    """Resolves a zone to its semantic representative.
+    """The node table: one node per location and widened matrix.
 
-    A structural cache maps already-seen (extension bits, matrix) pairs to
-    their representative: a zone hits it when its constraint set holds the
-    same valuations as a zone seen before and its matrix is equal.  On a
-    miss the zone's signature -- a hash of its closed concrete matrices at
-    every valuation of its extension -- selects a bucket whose members are
-    compared by exact per-valuation semantics.  The signature is a complete
-    semantic key, so buckets almost never hold more than one candidate.
-    The store keeps zones only; per-state search marks live with the
-    search.
+    A node's key is its location and, for every entry (i, j) of its
+    matrix, the entry's encoded value (``2v + weak``) at every box point,
+    clamped to [-2*maxima[j] - 1, 2*maxima[i] + 2], one step outside the
+    widening window; an infinite entry is keyed as infinity.  A node keeps
+    the first matrix that arrives, its colour is the union of the
+    arrivals' valuations, and it is canonical only if every arrival was.
 
-    Given the clock maxima, the store also checks every zone it evaluates
-    against the widening range: each finite bound must evaluate inside
-    [-maxima[column], maxima[row]], else SoundnessError.
+    This is exact: on an arrival's valuations, widening keeps its finite
+    entries inside the window, where the clamp changes nothing, so equal
+    keys mean equal matrices there, and the node's matrix read on its
+    colour denotes exactly the zones that arrived.  The clamp makes the
+    keys finite, so the table is finite and each node grows at most
+    |box| times.  The clamped values are memoized per entry and bound for
+    the life of the table.
+
+    ``resolve`` adds an arrival and queues its node when the arrival
+    brings new valuations, which ``pending`` holds until the node is
+    expanded.  Under ``check`` every arrival's finite entries must lie
+    inside the window on its valuations, else SoundnessError.
     """
 
-    def __init__(self, box: ParamBox, maxima=None):
+    def __init__(self, box: ParamBox, maxima, limit: int = DEFAULT_STATE_LIMIT,
+                 check: bool = True):
         self.box = box
-        self.bound_range = None
-        if maxima is not None:
-            m = np.asarray(maxima, dtype=np.int64)
-            # encoded (value, weak) bounds: (m_i, <=) is 2*m_i + 1 at most,
-            # (-m_j, <) is -2*m_j at least
-            self.bound_range = (-2 * m[None, :], 2 * m[:, None] + 1)
-        self.zones: list[CPDBM] = []
-        self.by_structure: dict = {}
-        self.by_signature: dict[bytes, list[int]] = {}
-        self.m2_hits = 0
-        self.m2_misses = 0
-        self.semantic_comparisons = 0
+        self.maxima = list(maxima)
+        self.limit = limit
+        self.check = check
+        self.locs: list[int] = []
+        self.mats: list[Matrix] = []
+        self.canonical: list[bool] = []
+        self.colour: list[int] = []
+        self.pending: list[int] = []
+        self.succ: list[dict[int, int]] = []  # target node -> edge colour
+        self.queue: deque[int] = deque()
+        self._index: dict[tuple, int] = {}
+        n = len(self.maxima)
+        # per entry (i, j): bound -> (id of its clamped values, the
+        # valuations where it lies inside the window)
+        self._entries = [[{} for _ in range(n)] for _ in range(n)]
+        self._value_ids: dict[bytes, int] = {}
 
-    def _closed_evals(self, z: CPDBM):
-        ext = z.cset.extension(self.box)
-        mats = np.ascontiguousarray(
-            pdbm.evaluate_all(z, self.box)[ext.indices()])
-        if self.bound_range is not None:
-            lo, hi = self.bound_range
-            bad = (mats != zones.INF) & ((mats < lo) | (mats > hi))
-            if bad.any():
-                _, i, j = (int(x) for x in np.argwhere(bad)[0])
-                raise SoundnessError(
-                    f"stored bound out of range at entry ({i},{j}): "
-                    f"{z.mat[i][j]}")
-        ok = zones.close_many(mats)
-        if not ok.all():
-            raise SoundnessError("stored zone empty at a valuation of its "
-                                 "extension")
-        return ext, mats
+    def _entry(self, i: int, j: int, b) -> tuple[int, int]:
+        hi, lo = self.maxima[i], -self.maxima[j]
+        vals = 2 * self.box.values(b.expr) + (0 if b.strict else 1)
+        np.clip(vals, 2 * lo - 1, 2 * hi + 2, out=vals)
+        below, above = self.box.bounds.window_bits(b, hi, lo)
+        vid = self._value_ids.setdefault(vals.tobytes(), len(self._value_ids))
+        return vid, below & above
 
-    def _signature(self, z: CPDBM):
-        ext, mats = self._closed_evals(z)
-        h = blake2b(digest_size=16)
-        h.update(z.n.to_bytes(2, "little"))
-        h.update(ext.bits.to_bytes((self.box.size + 7) // 8, "little"))
-        h.update(mats.tobytes())
-        return h.digest(), ext, mats
+    def _key(self, loc: int, z: CPDBM) -> tuple:
+        key = [loc]
+        bits = z.cset.bits
+        for i, row in enumerate(z.mat):
+            entries = self._entries[i]
+            for j, b in enumerate(row):
+                if b.expr is None:
+                    key.append(-1)
+                    continue
+                got = entries[j].get(b)
+                if got is None:
+                    got = entries[j][b] = self._entry(i, j, b)
+                key.append(got[0])
+                if self.check and bits & ~got[1]:
+                    raise SoundnessError(
+                        f"stored bound out of range at entry ({i},{j}): {b}")
+        return tuple(key)
 
-    def resolve(self, z: CPDBM) -> int:
-        key = (z.cset.bits, z.mat)
-        rep = self.by_structure.get(key)
-        if rep is not None:
-            self.m2_hits += 1
-            return rep
-        self.m2_misses += 1
-        sig, ext, mats = self._signature(z)
-        bucket = self.by_signature.setdefault(sig, [])
-        for rid in bucket:
-            self.semantic_comparisons += 1
-            other_ext, other_mats = self._closed_evals(self.zones[rid])
-            if other_ext.bits == ext.bits and np.array_equal(other_mats, mats):
-                self.by_structure[key] = rid
-                return rid
-        rid = len(self.zones)
-        self.zones.append(z)
-        bucket.append(rid)
-        self.by_structure[key] = rid
-        return rid
+    def resolve(self, loc: int, z: CPDBM) -> int:
+        """Add an arrival of ``z`` at ``loc``; returns its node."""
+        key = self._key(loc, z)
+        nid = self._index.get(key)
+        if nid is None:
+            nid = len(self.locs)
+            if nid >= self.limit:
+                raise CapacityError(f"stored states exceeded {self.limit}")
+            self._index[key] = nid
+            self.locs.append(loc)
+            self.mats.append(z.mat)
+            self.canonical.append(z.canonical)
+            self.colour.append(0)
+            self.pending.append(0)
+            self.succ.append({})
+        elif not z.canonical:
+            self.canonical[nid] = False
+        fresh = z.cset.bits & ~self.colour[nid]
+        if fresh:
+            if not self.pending[nid]:
+                self.queue.append(nid)
+            self.colour[nid] |= fresh
+            self.pending[nid] |= fresh
+        return nid
 
 
 # --- successor generation ----------------------------------------------------
@@ -160,44 +179,34 @@ def successors(s: SymbolicState, a: Ptba, box: ParamBox, maxima=None,
     dropped at every stage.  Guard and invariant go through
     ``pdbm.constrain``, which closes through the guard's clocks only; the
     base branches, the canonical forms of the source zone, are closed in
-    full.  The final branches of all edges that reach one target with one
-    matrix are then merged into one state (``pdbm.merge``); states come
-    grouped by target, both targets and matrices in order of first
-    occurrence.
+    full.  States come in edge order; branches that reach one target with
+    one matrix meet at their node in the node table.
 
     ``counts``, when given, tallies per forking operation the branches it
-    added (``guard`` counts a guard or invariant and its closure), and
-    under ``merged`` the branches that merging absorbed."""
+    added (``guard`` counts a guard or invariant and its closure)."""
     if maxima is None:
         maxima = clock_bounds(a, box)
     if base is None:
         base = _canonical_branches(s.zone, box)
-    loc = a.locations[s.loc]
-    finals: dict[int, list[CPDBM]] = {}
+    out: list[SymbolicState] = []
 
-    def count(tag, before, after):
-        if counts is not None and after > before:
-            counts[tag] = counts.get(tag, 0) + (after - before)
+    def count(tag, n):
+        if counts is not None and n > 1:
+            counts[tag] = counts.get(tag, 0) + n - 1
 
-    for e in loc.edges:
+    for e in a.locations[s.loc].edges:
         inv = a.locations[e.target].inv
-        into = finals.setdefault(e.target, [])
         for zb in base:
             g1 = pdbm.constrain(zb, e.atoms, box)
-            count("guard", 1, len(g1))
+            count("guard", len(g1))
             for z1 in g1:
                 z2 = pdbm.up(pdbm.reset(z1, e.resets))
                 g2 = pdbm.constrain(z2, inv, box)
-                count("guard", 1, len(g2))
+                count("guard", len(g2))
                 for z3 in g2:
                     ex = pdbm.extrapolate(z3, maxima, box)
-                    count("extrapolate", 1, len(ex))
-                    into.extend(ex)
-    out = []
-    for target, branches in finals.items():
-        merged = pdbm.merge(branches)
-        count("merged", len(merged), len(branches))
-        out.extend(SymbolicState(target, z) for z in merged)
+                    count("extrapolate", len(ex))
+                    out.extend(SymbolicState(e.target, z) for z in ex)
     return out
 
 
@@ -234,198 +243,144 @@ def deadlock_valuations(s: SymbolicState, a: Ptba, box: ParamBox,
     return ValuationSet(box, bits)
 
 
-# --- reachable symbolic graph -------------------------------------------------
+# --- reachable coloured graph ------------------------------------------------
 
 
 @dataclass
 class SymbolicGraph:
-    a: Ptba
+    """Per node its colour, its accepting flag and its out-edges with
+    their colours (target node -> bits); ``store`` holds the matrices of
+    a built graph."""
+
     box: ParamBox
-    maxima: list[int]
-    store: StateStore
-    nodes: list[tuple[int, int]] = field(default_factory=list)  # (loc, rep)
-    succ: list[list[int]] = field(default_factory=list)
-    ext_bits: list[int] = field(default_factory=list)
-    accepting: list[bool] = field(default_factory=list)
+    colour: list[int]
+    succ: list[dict[int, int]]
+    accepting: list[bool]
+    store: StateStore | None = None
     initials: list[int] = field(default_factory=list)
     deadlock_bits: int = 0
-    transitions: int = 0
+    expansions: int = 0
     counts: dict = field(default_factory=dict)  # see successors
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.colour)
 
 
 def build_graph(a: Ptba, box: ParamBox, maxima=None,
                 opts: Options | None = None) -> SymbolicGraph:
-    """Explore every reachable symbolic state once, recording adjacency,
-    extensions, acceptance and deadlock valuations."""
+    """Run the colour worklist from the initial states until no node has
+    pending valuations: each expansion takes all of a node's pending
+    valuations, folds their deadlock valuations in and adds every
+    successor branch to its target node and edge."""
     opts = opts or Options()
     if maxima is None:
         maxima = clock_bounds(a, box)
-    store = StateStore(box, maxima if opts.check else None)
-    g = SymbolicGraph(a, box, maxima, store)
-    index: dict[tuple[int, int], int] = {}
-    branch_cache: dict[int, list[CPDBM]] = {}
-
-    def branches_of(rep: int) -> list[CPDBM]:
-        got = branch_cache.get(rep)
-        if got is None:
-            got = branch_cache[rep] = _canonical_branches(
-                store.zones[rep], box)
-        return got
-
-    def intern(st: SymbolicState) -> int:
-        rep = store.resolve(st.zone)
-        key = (st.loc, rep)
-        nid = index.get(key)
-        if nid is not None:
-            return nid
-        nid = len(g.nodes)
-        if nid >= opts.limit_states:
-            raise CapacityError(f"stored states exceeded {opts.limit_states}")
-        index[key] = nid
-        g.nodes.append(key)
-        g.succ.append([])
-        zone = store.zones[rep]
-        g.ext_bits.append(zone.cset.bits)
-        g.accepting.append(a.locations[st.loc].accepting)
-        g.deadlock_bits |= deadlock_valuations(
-            SymbolicState(st.loc, zone), a, box, opts.dnf_limit,
-            base=branches_of(rep)).bits
-        if opts.trace is not None:
-            opts.trace.write(f"state {nid}: {a.locations[st.loc].name}\n")
-            opts.trace.write(pdbm.dump(zone, box, a.clock_names) + "\n\n")
-        queue.append(nid)
-        return nid
-
-    queue: list[int] = []
+    store = StateStore(box, maxima, opts.limit_states, opts.check)
+    g = SymbolicGraph(box, store.colour, store.succ, [], store)
     for st in initial_states(a, box, maxima):
-        nid = intern(st)
+        nid = store.resolve(st.loc, st.zone)
         if nid not in g.initials:
             g.initials.append(nid)
-    head = 0
-    while head < len(queue):
-        nid = queue[head]
-        head += 1
-        loc, rep = g.nodes[nid]
-        state = SymbolicState(loc, store.zones[rep])
-        for st in successors(state, a, box, maxima, counts=g.counts,
-                             base=branches_of(rep)):
-            sid = intern(st)
-            g.transitions += 1
-            if opts.check and (g.ext_bits[sid] & ~g.ext_bits[nid]):
+    while store.queue:
+        u = store.queue.popleft()
+        delta, store.pending[u] = store.pending[u], 0
+        s = SymbolicState(store.locs[u], CPDBM(
+            ConstraintSet(delta), store.mats[u], store.canonical[u]))
+        base = _canonical_branches(s.zone, box)
+        if opts.check:
+            covered = 0
+            for zb in base:
+                covered |= zb.cset.bits
+            if covered != delta:
+                raise SoundnessError("stored zone empty at a valuation of "
+                                     "its extension")
+        g.deadlock_bits |= deadlock_valuations(s, a, box, opts.dnf_limit,
+                                               base=base).bits
+        g.expansions += 1
+        if opts.trace is not None:
+            opts.trace.write(f"state {u}: {a.locations[s.loc].name}\n")
+            opts.trace.write(pdbm.dump(s.zone, box, a.clock_names) + "\n\n")
+        edges = store.succ[u]
+        for t in successors(s, a, box, maxima, counts=g.counts, base=base):
+            bits = t.zone.cset.bits
+            if opts.check and bits & ~delta:
                 raise SoundnessError(
                     "monotonicity violation: successor valuations not a "
-                    "subset of the predecessor's")
-            g.succ[nid].append(sid)
+                    "subset of the expanded ones")
+            w = store.resolve(t.loc, t.zone)
+            edges[w] = edges.get(w, 0) | bits
+    g.accepting = [a.locations[loc].accepting for loc in store.locs]
     return g
 
 
-# --- accumulating nested DFS -------------------------------------------------
+# --- colour fixpoint ---------------------------------------------------------
 
 
 def cumulative_ndfs_graph(g: SymbolicGraph, opts: Options | None = None,
                           stats: dict | None = None) -> int:
-    """Nested DFS over the symbolic graph that accumulates the valuation
-    sets of all accepting cycles.
+    """Valuations under which an accepting cycle is reachable, for all
+    valuations at once: OWCTY-style elimination (Cerna and Pelanek,
+    SPIN 2003) in the coloured form of Barnat et al. (IEEE/ACM TCBB
+    2012).
 
-    The outer search skips states that are already visited, on the stack,
-    or (when pruning) whose valuations are all covered; at post-order it
-    starts an inner search from accepting states not yet covered.  The
-    inner search reports a cycle whenever it reaches a state on the outer
-    stack, adds that state's valuations to the accumulator, and gives up on
-    the current branch.  Returns the accumulated bitset.
+    S starts as the colours, and each round (1) keeps in S[w] the
+    valuations under which w is reachable within S from an accepting
+    node, then (2) repeats ``S[w] &= OR_u (S[u] & edge colour u -> w)``
+    until nothing changes, so a node keeps a valuation only with a
+    predecessor under it.  Rounds repeat until one changes nothing.  At a
+    valuation v this is OWCTY on the graph of the nodes and edges whose
+    colours hold v: what survives lies on or after an accepting cycle.
+    Returns the union of S; ``stats`` gets ``fixpoint_rounds`` and one
+    witness valuation per growth of the union, in node order.  The
+    fixpoint has no settings, so ``opts`` is not read.
     """
-    opts = opts or Options()
+    n = g.n_nodes
+    preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, edges in enumerate(g.succ):
+        for w, c in edges.items():
+            preds[w].append((u, c))
+    s = list(g.colour)
+    rounds = 0
+    while True:
+        rounds += 1
+        r = [0] * n
+        stack = [v for v in range(n) if g.accepting[v] and s[v]]
+        for v in stack:
+            r[v] = s[v]
+        while stack:
+            u = stack.pop()
+            for w, c in g.succ[u].items():
+                add = r[u] & c & s[w] & ~r[w]
+                if add:
+                    r[w] |= add
+                    stack.append(w)
+        queued = [bool(x) for x in r]
+        todo = [w for w in range(n) if queued[w]]
+        while todo:
+            w = todo.pop()
+            queued[w] = False
+            live = 0
+            for u, c in preds[w]:
+                live |= r[u] & c
+            if r[w] & ~live:
+                r[w] &= live
+                for x in g.succ[w]:
+                    if r[x] and not queued[x]:
+                        queued[x] = True
+                        todo.append(x)
+        if r == s:
+            break
+        s = r
     found = 0
-    outer_visits = inner_visits = cycles = 0
-    witnesses: list[dict] = []  # one valuation per growth of the accumulator
-    in_outer = [False] * g.n_nodes
-    in_inner = [False] * g.n_nodes
-    on_stack = [False] * g.n_nodes
-    outer_path: list[int] = []
-    path_pos: dict[int, int] = {}
-
-    def not_covered(nid: int) -> bool:
-        return bool(g.ext_bits[nid] & ~found)
-
-    def check_cycle(entry: int, inner_path: list[int]):
-        cycle = outer_path[path_pos[entry]:] + inner_path
-        ext = g.ext_bits[entry]
-        for nid in cycle:
-            if g.ext_bits[nid] != ext:
-                raise SoundnessError(
-                    "cycle states do not share one valuation set")
-
-    def inner_dfs(root: int):
-        nonlocal found, inner_visits, cycles
-        in_inner[root] = True
-        inner_visits += 1
-        frames = [(root, iter(g.succ[root]))]
-        inner_path = [root]
-        while frames:
-            nid, it = frames[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                frames.pop()
-                inner_path.pop()
-                continue
-            if on_stack[nxt]:
-                cycles += 1
-                fresh = g.ext_bits[nxt] & ~found
-                if fresh:
-                    low = (fresh & -fresh).bit_length() - 1
-                    witnesses.append(g.box.point(low))
-                found |= g.ext_bits[nxt]
-                if opts.check:
-                    check_cycle(nxt, inner_path)
-                frames.pop()
-                inner_path.pop()
-                continue
-            if not in_inner[nxt] and not_covered(nxt):
-                in_inner[nxt] = True
-                inner_visits += 1
-                frames.append((nxt, iter(g.succ[nxt])))
-                inner_path.append(nxt)
-
-    def outer_dfs(start: int):
-        nonlocal outer_visits
-        in_outer[start] = True
-        on_stack[start] = True
-        outer_visits += 1
-        frames = [(start, iter(g.succ[start]))]
-        outer_path.append(start)
-        path_pos[start] = 0
-        while frames:
-            nid, it = frames[-1]
-            nxt = next(it, None)
-            if nxt is not None:
-                if (not in_outer[nxt] and not on_stack[nxt]
-                        and (not opts.prune or not_covered(nxt))):
-                    in_outer[nxt] = True
-                    on_stack[nxt] = True
-                    outer_visits += 1
-                    frames.append((nxt, iter(g.succ[nxt])))
-                    path_pos[nxt] = len(outer_path)
-                    outer_path.append(nxt)
-                continue
-            if g.accepting[nid] and not_covered(nid):
-                inner_dfs(nid)
-            on_stack[nid] = False
-            frames.pop()
-            outer_path.pop()
-            del path_pos[nid]
-
-    for s0 in g.initials:
-        if not in_outer[s0] and (not opts.prune or not_covered(s0)):
-            outer_dfs(s0)
-
+    witnesses: list[dict] = []
+    for bits in s:
+        fresh = bits & ~found
+        if fresh:
+            witnesses.append(g.box.point((fresh & -fresh).bit_length() - 1))
+            found |= bits
     if stats is not None:
-        stats["outer_visits"] = outer_visits
-        stats["inner_visits"] = inner_visits
-        stats["cycles_detected"] = cycles
+        stats["fixpoint_rounds"] = rounds
         stats["witnesses"] = witnesses
     return found
 
@@ -533,15 +488,10 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
         "engine": "symbolic",
         "box_points": box.size,
         "stored_states": g.n_nodes,
-        "stored_zones": len(g.store.zones),
-        "transitions": g.transitions,
+        "transitions": sum(len(edges) for edges in g.succ),
         "initial_states": len(g.initials),
-        "m1_buckets": len(g.store.by_signature),
-        "m2_hits": g.store.m2_hits,
-        "m2_misses": g.store.m2_misses,
-        "semantic_comparisons": g.store.semantic_comparisons,
-        "merged": g.counts.get("merged", 0),
-        "splits": {k: g.counts[k] for k in sorted(g.counts) if k != "merged"},
+        "expansions": g.expansions,
+        "splits": {k: g.counts[k] for k in sorted(g.counts)},
     }
     accepted_bits = cumulative_ndfs_graph(g, opts, stats)
     accepted = ValuationSet(box, accepted_bits)
@@ -555,27 +505,21 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
 
 
 def scan_stored_bounds(g: SymbolicGraph) -> int:
-    """Verify that every finite stored bound evaluates within
-    [-maxima[column], maxima[row]] at every valuation of its extension;
-    returns the number of entries checked.  The state store makes the same
-    check on every zone it evaluates under ``Options.check``; this scan
+    """Verify that every finite bound of every node's matrix evaluates
+    within [-maxima[column], maxima[row]] at every valuation of the node's
+    colour; returns the number of entries checked.  The node table makes
+    the same check on every arrival under ``Options.check``; this scan
     re-checks a finished graph entry by entry."""
     checked = 0
-    box = g.box
-    for rep_used in sorted({rep for _, rep in g.nodes}):
-        z = g.store.zones[rep_used]
-        idx = z.cset.extension(box).indices()
-        grid = box.grid
-        for i in range(z.n):
-            for j in range(z.n):
-                b = z.mat[i][j]
+    box, maxima = g.box, g.store.maxima
+    for mat, colour in zip(g.store.mats, g.colour):
+        idx = ValuationSet(box, colour).indices()
+        for i, row in enumerate(mat):
+            for j, b in enumerate(row):
                 if b.is_inf or i == j:
                     continue
-                vals = np.full(grid.shape[1], b.expr.const, dtype=np.int64)
-                for p, zc in b.expr.coeffs:
-                    vals += zc * grid[box.params.index(p)]
-                vals = vals[idx]
-                if (vals > g.maxima[i]).any() or (vals < -g.maxima[j]).any():
+                vals = box.values(b.expr)[idx]
+                if (vals > maxima[i]).any() or (vals < -maxima[j]).any():
                     raise SoundnessError(
                         f"stored bound out of range at entry ({i},{j}): {b}")
                 checked += 1

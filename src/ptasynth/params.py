@@ -86,11 +86,16 @@ class ParamBox:
     def _full_bits(self) -> int:
         return (1 << self.size) - 1
 
+    def values(self, e: "AffineExpr") -> np.ndarray:
+        """Values of ``e`` at every point, in row-major order (int64)."""
+        vals = np.full(self.size, e.const, dtype=np.int64)
+        for p, z in e.coeffs:
+            vals += z * self.grid[self.params.index(p)]
+        return vals
+
     def constraint_bits(self, c: "Constraint") -> int:
         """Bitset of the points satisfying ``c``."""
-        vals = np.full(self.size, c.lhs.const, dtype=np.int64)
-        for p, z in c.lhs.coeffs:
-            vals += z * self.grid[self.params.index(p)]
+        vals = self.values(c.lhs)
         mask = vals < 0 if c.strict else vals <= 0
         return int.from_bytes(
             np.packbits(mask, bitorder="little").tobytes(), "little")

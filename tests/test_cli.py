@@ -122,7 +122,7 @@ class TestSynth:
                            "--ltl", "G !inB", "--stats")
         assert code == 0
         assert "stored_states" in err
-        assert '"merged"' in err
+        assert '"expansions"' in err
 
 
 class TestCompare:

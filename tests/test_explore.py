@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from conftest import load_fixture
+from conftest import SEED, load_fixture
 from ptasynth import pdbm
 from ptasynth.errors import CapacityError, InputError, SoundnessError
 from ptasynth.explore import (
@@ -83,65 +85,98 @@ class TestSuccessors:
 
     def test_equal_matrix_siblings_merge(self):
         # the guard x <= q forks the zone 0 <= x <= p on p <= q; the reset
-        # of x makes both branches 0 <= x <= p again, so they are one state
+        # of x makes both branches 0 <= x <= p again, so they meet at the
+        # initial node, whose colour stays the whole box
         box = ParamBox.of({"p": (0, 3), "q": (0, 3)})
         q = AffineExpr.var("q")
         loc = PLoc("L", ((1, 0, bound(P)),))
         loc.edges.append(PEdge(((1, 0, bound(q)),), (1,), 0, "loop"))
         a = Ptba(["0", "x"], [loc], 0)
         s = initial_states(a, box, [0, 5])[0]
-        counts: dict = {}
-        out = successors(s, a, box, [0, 5], counts=counts)
-        assert counts["guard"] == 1 and counts["merged"] == 1
-        assert len(out) == 1
-        assert out[0].loc == 0
-        assert out[0].zone.cset.bits == ValuationSet.full(box).bits
-        assert out[0].zone.mat == s.zone.mat
+        g = build_graph(a, box, [0, 5])
+        assert g.counts == {"guard": 1}
+        assert g.n_nodes == 1 and g.expansions == 1
+        assert g.colour == [ValuationSet.full(box).bits]
+        assert g.store.mats == [s.zone.mat]
+        assert g.succ == [{0: ValuationSet.full(box).bits}]
 
 
 class TestStateStore:
     def test_identical_zone_same_data(self):
-        store = StateStore(BOX5)
-        r1 = store.resolve(pdbm.initial_cpdbm(1, BOX5))
-        r2 = store.resolve(pdbm.initial_cpdbm(1, BOX5))
+        store = StateStore(BOX5, [0, 5])
+        r1 = store.resolve(0, pdbm.initial_cpdbm(1, BOX5))
+        r2 = store.resolve(0, pdbm.initial_cpdbm(1, BOX5))
         assert r1 == r2
+        assert list(store.queue) == [r1]
 
     def test_equal_extensions_hit_structurally(self):
         # different constraint lists with the same points are one set
-        store = StateStore(BOX5)
+        store = StateStore(BOX5, [0, 5])
         mat = pdbm.matrix_of(2, {(1, 0): bound(P)})
         z1 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(P, 3)]), mat,
                         True)
         z2 = pdbm.CPDBM(ConstraintSet.of(
             BOX5, [Constraint.le(P, 3), Constraint.le(P, 4)]), mat, True)
-        assert store.resolve(z1) == store.resolve(z2)
-        assert store.m2_hits == 1 and store.m2_misses == 1
-        assert store.semantic_comparisons == 0
+        assert store.resolve(0, z1) == store.resolve(0, z2) == 0
+        assert store.colour == store.pending == [z1.cset.bits]
 
-    def test_semantically_equal_structures_share_representative(self):
-        # p pinned to 3 with the bound written parametrically vs literally
-        store = StateStore(BOX5)
+    def test_equal_only_on_colour_are_two_nodes(self):
+        # p pinned to 3 with the bound written parametrically vs literally:
+        # the key reads the values at every box point, and they differ
+        # where p is not 3
+        store = StateStore(BOX5, [0, 5])
         pin = ConstraintSet.of(BOX5, [Constraint.le(P, 3),
                                       Constraint.le(3, P)])
         z1 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
         z2 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(3)}), True)
-        assert store.resolve(z1) == store.resolve(z2)
-        assert store.m2_misses == 2 and store.semantic_comparisons == 1
+        assert store.resolve(0, z1) != store.resolve(0, z2)
 
     def test_zones_differing_at_one_valuation_split(self):
-        store = StateStore(BOX5)
+        store = StateStore(BOX5, [0, 5])
         z1 = pdbm.CPDBM(ConstraintSet.of(BOX5),
                         pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
         z2 = pdbm.CPDBM(ConstraintSet.of(BOX5),
                         pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
-        z3 = pdbm.CPDBM(ConstraintSet.of(BOX5),
+        z3 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(1, P)]),
                         pdbm.matrix_of(2, {(1, 0): bound(4)}), True)
-        assert store.resolve(z1) == store.resolve(z2)
-        assert store.resolve(z1) != store.resolve(z3)
-        # same matrix, extensions differing in exactly one valuation
-        z4 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(1, P)]),
-                        pdbm.matrix_of(2, {(1, 0): bound(4)}), True)
-        assert store.resolve(z3) != store.resolve(z4)
+        assert store.resolve(0, z1) == store.resolve(0, z2)
+        assert store.resolve(0, z1) != store.resolve(0, z3)
+        # once z3's valuations are expanded, the same matrix on other
+        # valuations joins its node with only the new valuation pending
+        n3 = store.resolve(0, z3)
+        store.pending[n3] = 0
+        z4 = pdbm.CPDBM(ConstraintSet.of(BOX5),
+                        pdbm.matrix_of(2, {(1, 0): bound(4)}), False)
+        assert store.resolve(0, z4) == n3
+        assert store.colour[n3] == ValuationSet.full(BOX5).bits
+        assert store.pending[n3] == 1  # p = 0
+        assert not store.canonical[n3]
+        # and a zone at another location is another node
+        assert store.resolve(1, z1) not in (store.resolve(0, z1), n3)
+
+    def test_bounds_equal_in_the_window_are_one_node(self):
+        # y - x <= -2p + 2 and y - x <= -4p + 4 are 0 at p = 1 and leave
+        # the window [-1, 1] at every other point of the box
+        box = ParamBox.of({"p": (0, 3)})
+        one = ConstraintSet.of(box, [Constraint.le(P, 1),
+                                     Constraint.le(1, P)])
+        zs = [pdbm.CPDBM(one, pdbm.matrix_of(3, {
+            (1, 0): INF_BOUND, (2, 0): INF_BOUND,
+            (2, 1): bound(-k * P + k)}), True) for k in (2, 4)]
+        store = StateStore(box, [0, 1, 1])
+        assert [store.resolve(0, z) for z in zs] == [0, 0]
+        assert store.colour == [one.bits]
+        assert store.mats == [zs[0].mat]
+
+    def test_offcolour_bounds_keep_the_graph_finite(self):
+        from ptasynth.baseline import enumerate_box
+
+        net = load_fixture("offcolour.pta")
+        prop = "G (bl1 -> F bl2)"
+        sym = synthesize(net, prop, opts=Options(limit_states=200))
+        base = enumerate_box(net, prop)
+        assert sym.accepted.bits == base.accepted.bits
+        assert sym.deadlock.bits == base.deadlock.bits
 
 
 class TestCumulativeNdfs:
@@ -153,33 +188,53 @@ class TestCumulativeNdfs:
         got = cumulative_ndfs(tiny_ptba(accepting=False), BOX5)
         assert got.is_empty
 
-    def test_pruning_is_an_optimization_only(self):
-        # same accepted set with and without the covered-valuation pruning
-        for fixture, prop in (("gap.pta", "G !inB"),
-                              ("window.pta", "G !work"),
-                              ("strict.pta", "G !inB")):
-            net = load_fixture(fixture)
-            full = synthesize(net, prop, opts=Options(prune=False))
-            pruned = synthesize(net, prop, opts=Options(prune=True))
-            assert full.accepted.bits == pruned.accepted.bits
-            assert full.deadlock.bits == pruned.deadlock.bits
-
     def test_capacity_limit(self):
         net = load_fixture("gap.pta")
         with pytest.raises(CapacityError):
             synthesize(net, "G !inB", opts=Options(limit_states=3))
 
-    def test_unequal_cycle_extensions_fail_soundness(self):
-        # 0 -> 1 -> 0 with node 1 accepting and fewer valuations than
-        # node 0; successors never gain valuations, so a real cycle's
-        # states all hold the same set
-        low = ValuationSet.full(BOX5).bits >> 3
-        g = SymbolicGraph(None, BOX5, [0, 5], StateStore(BOX5),
-                          nodes=[(0, 0), (0, 1)], succ=[[1], [0]],
-                          ext_bits=[ValuationSet.full(BOX5).bits, low],
-                          accepting=[False, True], initials=[0])
-        with pytest.raises(SoundnessError):
-            cumulative_ndfs_graph(g)
+    def test_fixpoint_matches_per_valuation_search(self):
+        # random coloured graphs; at each valuation the nodes and edges
+        # whose colours hold it must have an accepting cycle exactly when
+        # the fixpoint reports the valuation
+        rng = random.Random(SEED ^ 0xC010)
+        for _ in range(3000):
+            box = ParamBox.of({"p": (0, rng.randrange(6))})
+            full = ValuationSet.full(box).bits
+            n = rng.randrange(1, 9)
+            colour = [rng.randrange(full + 1) for _ in range(n)]
+            succ = [{} for _ in range(n)]
+            for u in range(n):
+                for w in range(n):
+                    bits = rng.randrange(full + 1) & colour[u] & colour[w]
+                    if bits and rng.random() < 0.4:
+                        succ[u][w] = bits
+            accepting = [rng.random() < 0.4 for _ in range(n)]
+            g = SymbolicGraph(box, colour, succ, accepting)
+            got = cumulative_ndfs_graph(g)
+            want = 0
+            for k in range(box.size):
+                if self.accepting_cycle(g, k):
+                    want |= 1 << k
+            assert got == want, (colour, succ, accepting)
+
+    @staticmethod
+    def accepting_cycle(g, k):
+        """Some accepting node at valuation k reaches itself in one step
+        or more over the edges whose colours hold k."""
+        for a in range(g.n_nodes):
+            if not (g.accepting[a] and g.colour[a] >> k & 1):
+                continue
+            seen, stack = set(), [a]
+            while stack:
+                u = stack.pop()
+                for w, bits in g.succ[u].items():
+                    if bits >> k & 1 and w not in seen:
+                        if w == a:
+                            return True
+                        seen.add(w)
+                        stack.append(w)
+        return False
 
 
 class TestDeadlockValuations:
@@ -265,9 +320,8 @@ class TestSynthesize:
     def test_stats_shape(self):
         net = load_fixture("gap.pta")
         res = synthesize(net, "G !inB")
-        for key in ("stored_states", "transitions", "m1_buckets", "m2_hits",
-                    "m2_misses", "semantic_comparisons", "outer_visits",
-                    "inner_visits", "cycles_detected", "splits", "merged"):
+        for key in ("stored_states", "transitions", "initial_states",
+                    "expansions", "splits", "fixpoint_rounds", "witnesses"):
             assert key in res.stats
 
     def test_witness_valuations_are_violating(self):
@@ -331,9 +385,9 @@ class TestStoredBoundScan:
         monkeypatch.setattr(pdbm, "extrapolate", lambda z, maxima, box: [z])
         with pytest.raises(SoundnessError, match="out of range"):
             build_graph(a, BOX5, opts=Options(limit_states=50))
-        # the check is what stops it: unchecked, the search runs on
-        with pytest.raises(CapacityError):
-            build_graph(a, BOX5, opts=Options(check=False, limit_states=50))
+        # unchecked, the clamped node keys still end the search
+        g = build_graph(a, BOX5, opts=Options(check=False, limit_states=50))
+        assert 0 < g.n_nodes < 50
 
 
 class TestBoundRange:
