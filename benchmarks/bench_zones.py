@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
 """Benchmark the zone-arithmetic backends: compiled extension vs the pure
-fallback, on the raw closure kernels and on an end-to-end enumeration run;
-then the symbolic closure: a guard on canonical constrained parametric
-matrices closed in full vs through the guard's clocks only.
+fallback, on the raw closure kernels (full closure, and the closure of a
+closed zone with one tightened entry through that entry's two clocks) and
+on an end-to-end enumeration run; then the symbolic closure: a guard on
+canonical constrained parametric matrices closed in full vs through the
+guard's clocks only.  Every row checks that the closures it times agree.
 
-Usage: python benchmarks/bench_zones.py [--quick]
+Usage: python benchmarks/bench_zones.py [--quick] [--section NAME ...]
+
+``--section`` (repeatable: kernels, pdbm, enumeration) runs only the named
+sections; each section draws its inputs from its own seeded generator, so
+its rows do not depend on which other sections run.
 """
 
 import argparse
@@ -46,13 +52,33 @@ def random_zone(rng, n):
     return m
 
 
-def bench_close(backend, mats, repeat):
-    """Best time of closing each matrix; also the closed stack and flags."""
+def tightened_zones(rng, n, count):
+    """Closed zones with one off-diagonal entry tightened, and the sorted
+    clocks of that entry: the pivots that close it again.  The zones have
+    non-negative entries, so they are never empty before the tightening."""
+    mats, pivots = [], []
+    for _ in range(count):
+        m = np.array([[1 if i == j else zones.INF if rng.random() < 0.2
+                       else (rng.randrange(0, 12) << 1) | (rng.random() < 0.5)
+                       for j in range(n)] for i in range(n)], dtype=np.int64)
+        pure.close(m)
+        i, j = rng.sample(range(n), 2)
+        enc = (rng.randrange(-6, 12) << 1) | (rng.random() < 0.5)
+        m[i, j] = min(enc, m[i, j] - 2)
+        mats.append(m)
+        pivots.append(sorted((i, j)))
+    return mats, pivots
+
+
+def bench_close(backend, mats, repeat, pivots=None):
+    """Best time of closing each matrix, through its pivots when a pivot
+    list per matrix is given; also the closed stack and flags."""
+    pivots = pivots or [None] * len(mats)
     best = float("inf")
     for _ in range(repeat):
         work = [m.copy() for m in mats]
         t0 = time.perf_counter()
-        flags = [backend.close(m) for m in work]
+        flags = [backend.close(m, p) for m, p in zip(work, pivots)]
         best = min(best, time.perf_counter() - t0)
     return best, np.stack(work), np.array(flags, dtype=np.uint8)
 
@@ -140,29 +166,17 @@ def bench_end_to_end():
     return time.perf_counter() - t0
 
 
-def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--quick", action="store_true")
-    args = ap.parse_args()
-
+def kernel_rows(count, repeat):
     rng = random.Random(7)
-    count = 2000 if args.quick else 10000
-    repeat = 3
-
-    print(f"active backend: {zones.BACKEND}")
-    if compiled is None:
-        print("compiled kernel not built (python setup.py build_ext "
-              "--inplace); showing the pure fallback only")
-
+    backends = [("pure", pure)]
+    if compiled is not None:
+        backends.append(("compiled", compiled))
     for n in (4, 6, 10):
         mats = [random_zone(rng, n) for _ in range(count)]
         batch = np.stack(mats)
-        rows = [("pure", pure)]
-        if compiled is not None:
-            rows.append(("compiled", compiled))
         print(f"\nclosure of {count} {n}x{n} zones (best of {repeat}):")
         base = reference = None
-        for name, backend in rows:
+        for name, backend in backends:
             t1, *closed = bench_close(backend, mats, repeat)
             t2, *closed_many = bench_close_many(backend, batch, repeat)
             if base is None:
@@ -174,8 +188,26 @@ def main():
                   f"close_many: {t2 * 1e3:8.1f} ms   "
                   f"speedup vs pure: {base / t1:5.1f}x")
 
+        mats, pivots = tightened_zones(rng, n, count)
+        print(f"closure of {count} closed {n}x{n} zones with one tightened "
+              f"entry (best of {repeat}):")
+        reference = None
+        for name, backend in backends:
+            t_full, *full = bench_close(backend, mats, repeat)
+            t_pivot, *through = bench_close(backend, mats, repeat, pivots)
+            reference = reference or full
+            if not (same_closure(through, full)
+                    and same_closure(full, reference)):
+                raise SystemExit(f"{name}: 2-pivot and full closure "
+                                 f"disagree at n={n}")
+            print(f"  {name:9s} full: {t_full * 1e3:8.1f} ms   "
+                  f"2 pivots: {t_pivot * 1e3:8.1f} ms   "
+                  f"speedup: {t_full / t_pivot:5.1f}x")
+
+
+def pdbm_rows(count, repeat):
+    rng = random.Random(7)
     box = ParamBox.of({"p": (0, 7), "q": (0, 7)})
-    count = 200 if args.quick else 1000
     for n in (4, 6, 8):
         jobs = []
         for z in canonical_cpdbms(rng, box, n, count):
@@ -187,11 +219,31 @@ def main():
         print(f"  full: {full * 1e3:8.1f} ms   through the guard's clocks: "
               f"{pivot * 1e3:8.1f} ms   speedup: {full / pivot:5.1f}x")
 
-    print("\nend-to-end enumeration on the two-train fixture "
-          f"(backend: {zones.BACKEND}):")
-    print(f"  {bench_end_to_end():6.2f} s")
-    print("\nrun with PTASYNTH_PURE=1 to time the end-to-end path on the "
-          "pure fallback")
+
+def main():
+    sections = ("kernels", "pdbm", "enumeration")
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--quick", action="store_true")
+    ap.add_argument("--section", action="append", choices=sections,
+                    help="run only this section (repeatable)")
+    args = ap.parse_args()
+    run = args.section or sections
+    repeat = 3
+
+    print(f"active backend: {zones.BACKEND}")
+    if compiled is None:
+        print("compiled kernel not built (python setup.py build_ext "
+              "--inplace); showing the pure fallback only")
+    if "kernels" in run:
+        kernel_rows(2000 if args.quick else 10000, repeat)
+    if "pdbm" in run:
+        pdbm_rows(200 if args.quick else 1000, repeat)
+    if "enumeration" in run:
+        print("\nend-to-end enumeration on the two-train fixture "
+              f"(backend: {zones.BACKEND}):")
+        print(f"  {bench_end_to_end():6.2f} s")
+        print("\nrun with PTASYNTH_PURE=1 to time the end-to-end path on the "
+              "pure fallback")
 
 
 if __name__ == "__main__":

@@ -67,11 +67,16 @@ def instantiate(a: Ptba, v) -> ConcreteTba:
 
 
 def _constrained(zone: np.ndarray, atoms) -> np.ndarray | None:
-    """Copy of the zone tightened by the atoms and closed; None if empty."""
+    """Copy of the canonical zone tightened by the atoms and closed through
+    the clocks of the entries they tightened; None if empty.  A copy that no
+    atom tightens is returned as it is."""
     z = zone.copy()
+    pivots = set()
     for i, j, enc in atoms:
-        zones.tighten(z, i, j, enc)
-    if not zones.close(z):
+        if enc < z[i, j]:
+            z[i, j] = enc
+            pivots.update((i, j))
+    if pivots and not zones.close(z, sorted(pivots)):
         return None
     return z
 
@@ -109,8 +114,8 @@ def _explore(ct: ConcreteTba, maxima: np.ndarray, opts: Options):
     init = _constrained(init, ct.inv[ct.initial])
     if init is None:
         return [], [], False, 0
-    zones.extrapolate(init, maxima)
-    zones.close(init)
+    if zones.extrapolate(init, maxima):
+        zones.close(init)
 
     index = {(ct.initial, zones.zone_key(init)): 0}
     states = [(ct.initial, init)]

@@ -9,7 +9,8 @@ bound, and bound addition is ``a + b - ((a | b) & 1)``.
 The closure loops live in ``_zonecore``, a hand-written C extension that
 ``setup.py`` builds when a C compiler is available; without it they run in
 the numpy twin ``_zonecore_py``.  Set ``PTASYNTH_PURE=1`` to force the pure
-fallback.  Both close in place and report emptiness the same way.
+fallback.  Both close in place and report emptiness the same way, and both
+take the same optional pivot list (see ``close``).
 """
 
 from __future__ import annotations
@@ -51,8 +52,15 @@ def zero_zone(n: int) -> np.ndarray:
     return np.full((n, n), ZERO_WEAK, dtype=np.int64)
 
 
-def close(m: np.ndarray) -> bool:
-    return _core.close(m)
+def close(m: np.ndarray, pivots=None) -> bool:
+    """Close in place by Floyd-Warshall over the clocks in ``pivots``, or
+    over every clock when it is None; False when the zone is empty.
+
+    Closing through the pivots only is exact when the matrix was canonical
+    before the entries between pivot clocks were tightened: a shortest path
+    then needs no inner vertex outside the pivots (Bengtsson and Yi's
+    incremental closure).  Entries of an empty zone are unspecified."""
+    return _core.close(m, pivots)
 
 
 def close_many(ms: np.ndarray) -> np.ndarray:
@@ -78,11 +86,6 @@ def reset(m: np.ndarray, clocks) -> None:
         m[r, :] = m[0, :]
         m[:, r] = m[:, 0]
         m[r, r] = ZERO_WEAK
-
-
-def tighten(m: np.ndarray, i: int, j: int, enc: int) -> None:
-    if enc < m[i, j]:
-        m[i, j] = enc
 
 
 def extrapolate(m: np.ndarray, bounds: np.ndarray) -> bool:

@@ -1,7 +1,14 @@
+import numpy as np
+
 import oracle_region
 from conftest import load_fixture
 from ptasynth import zones
-from ptasynth.baseline import check_valuation, enumerate_box, instantiate
+from ptasynth.baseline import (
+    _constrained,
+    check_valuation,
+    enumerate_box,
+    instantiate,
+)
 from ptasynth.explore import synthesize
 from ptasynth.model import PEdge, PLoc, Ptba
 from ptasynth.params import AffineExpr, bound
@@ -46,6 +53,40 @@ class TestInstantiate:
             ct = instantiate(a, {"p": p})
             enc = ct.edges[0][0][0][0][2]
             assert enc == pdbm.evaluate(z, {"p": p})[1][0]
+
+
+class TestConstrained:
+    def test_untightened_copy_is_equal(self):
+        z = zones.zero_zone(3)
+        zones.up(z)
+        atoms = [(1, 0, zones.INF), (0, 2, zones.ZERO_WEAK),
+                 (2, 1, zones.encode(4, False))]
+        got = _constrained(z, atoms)
+        assert got is not z
+        assert np.array_equal(got, z)
+
+    def test_matches_full_closure(self, rng):
+        # random canonical zones and 1-3 random atoms, diagonals included
+        for _ in range(300):
+            n = rng.randrange(2, 6)
+            z = np.array([[zones.encode(rng.randrange(-4, 9), rng.random() < 0.5)
+                           if i != j and rng.random() < 0.8 else
+                           zones.ZERO_WEAK if i == j else zones.INF
+                           for j in range(n)] for i in range(n)],
+                         dtype=np.int64)
+            if not zones.close(z):
+                continue
+            atoms = [(rng.randrange(n), rng.randrange(n),
+                      zones.encode(rng.randrange(-6, 9), rng.random() < 0.5))
+                     for _ in range(rng.randrange(1, 4))]
+            want = z.copy()
+            for i, j, enc in atoms:
+                want[i, j] = min(want[i, j], enc)
+            got = _constrained(z, atoms)
+            if zones.close(want):
+                assert np.array_equal(got, want)
+            else:
+                assert got is None
 
 
 class TestCheckValuation:
@@ -135,6 +176,14 @@ class TestEnumerate:
         res = enumerate_box(net, "G !inB")
         assert res.stats["engine"] == "enumerate"
         assert res.stats["zone_states_total"] >= res.stats["zone_states_max"]
+
+    def test_zone_state_count_pinned(self):
+        # the benchmark's dense3 box: a closure that is not canonical would
+        # change the zone graph, and with it this count
+        net = load_fixture("traingate.pta")
+        box = net.box({"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)})
+        res = enumerate_box(net, "G !(Train1.Cross && Train2.Cross)", box)
+        assert res.stats["zone_states_total"] == 4044
 
     def test_six_parameter_traingate_point(self):
         # all six bounds parametric, pinned to one valuation each

@@ -80,6 +80,29 @@ def random_zone(rng, n):
     return m
 
 
+def tighten_random(rng, m):
+    """Tighten 1-3 random entries of the matrix in place (a drawn bound that
+    is not tighter is skipped); returns the sorted clocks of the entries
+    that changed, the pivots that close it again."""
+    n = m.shape[0]
+    pivots = set()
+    for _ in range(rng.randrange(1, 4)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        enc = zones.encode(rng.randrange(-6, 9), rng.random() < 0.5)
+        if enc < m[i, j]:
+            m[i, j] = enc
+            pivots.update((i, j))
+    return sorted(pivots)
+
+
+def closed_and_tightened(rng, n):
+    """A random closed non-empty zone, tightened; with its pivots."""
+    while True:
+        m = random_zone(rng, n)
+        if pure.close(m):
+            return m, tighten_random(rng, m)
+
+
 def test_encode_decode_round_trip():
     for val in (-5, 0, 7):
         for strict in (False, True):
@@ -101,6 +124,13 @@ def test_close_matches_oracle(rng, n):
         assert ok == ook
         if ok:
             assert np.array_equal(m, from_oracle(om))
+    for _ in range(120):  # closure through the tightened entries' clocks
+        m, pivots = closed_and_tightened(rng, n)
+        om = to_oracle(m)
+        ok = zones.close(m, pivots)
+        assert ok == od.close(om)
+        if ok:
+            assert np.array_equal(m, from_oracle(om))
 
 
 def test_close_many_matches_single(rng):
@@ -115,7 +145,7 @@ def test_close_many_matches_single(rng):
 
 def test_backends_agree(rng, compiled):
     assert compiled.INF == pure.INF
-    for n in (1, 2, 4, 6):
+    for n in range(1, 7):
         for _ in range(60):
             m = random_zone(rng, n)
             m1, m2 = m.copy(), m.copy()
@@ -123,6 +153,15 @@ def test_backends_agree(rng, compiled):
             assert ok == pure.close(m2)
             if ok:  # empty zones leave unspecified contents behind
                 assert np.array_equal(m1, m2)
+        for _ in range(60):  # pivot closure against the full closure
+            m, pivots = closed_and_tightened(rng, n)
+            full = m.copy()
+            ok = pure.close(full)
+            for backend in (compiled, pure):
+                m1 = m.copy()
+                assert backend.close(m1, pivots) == ok
+                if ok:
+                    assert m1.tobytes() == full.tobytes()
         ms = np.stack([random_zone(rng, n) for _ in range(30)])
         ms1, ms2 = ms.copy(), ms.copy()
         ok1 = np.zeros(30, dtype=np.uint8)
@@ -142,6 +181,13 @@ def test_compiled_rejects_bad_buffers(compiled):
                 square[None], read_only, [[1]]):
         with pytest.raises(ValueError):
             compiled.close(bad)
+    before = square.copy()
+    for bad in ([-1], [0, 3], [1, 2 ** 70], [-(2 ** 70)], [1.0], [np.float64(1)],
+                ["1"], [None], 1, "01", object()):
+        with pytest.raises(ValueError):
+            compiled.close(square, bad)
+        assert np.array_equal(square, before)  # rejected before any write
+    assert compiled.close(square, [np.int64(2), 0])
     batch = np.stack([square, square])
     for ms, ok in ((batch, np.zeros(3, dtype=np.uint8)),
                    (batch[::-1], np.zeros(2, dtype=np.uint8)),
