@@ -13,6 +13,8 @@ but much slower than the compiled kernel on the per-state call pattern of
 the enumeration engine.
 """
 
+import operator
+
 import numpy as np
 
 INF = 1 << 40
@@ -20,8 +22,26 @@ INF = 1 << 40
 _ZERO_WEAK = 1
 
 
+def _clock_indices(pivots, n):
+    """The pivots as clock indices below ``n``; ValueError for anything
+    else, raised before any write, as in the compiled kernel."""
+    try:
+        items = list(pivots)
+    except TypeError:
+        raise ValueError("pivots must be a sequence of clock indices") from None
+    for t, item in enumerate(items):
+        try:
+            k = operator.index(item)
+        except TypeError:
+            k = -1
+        if not 0 <= k < n:
+            raise ValueError(f"pivot {t} is not a clock index below {n}")
+    return items
+
+
 def close(m, pivots=None):
-    for k in range(m.shape[0]) if pivots is None else pivots:
+    n = m.shape[0]
+    for k in range(n) if pivots is None else _clock_indices(pivots, n):
         col = m[:, k, None]
         row = m[None, k, :]
         s = col + row - ((col | row) & 1)

@@ -317,8 +317,7 @@ def build_graph(a: Ptba, box: ParamBox, maxima=None,
 # --- colour fixpoint ---------------------------------------------------------
 
 
-def cumulative_ndfs_graph(g: SymbolicGraph, opts: Options | None = None,
-                          stats: dict | None = None) -> int:
+def cumulative_ndfs_graph(g: SymbolicGraph, stats: dict | None = None) -> int:
     """Valuations under which an accepting cycle is reachable, for all
     valuations at once: OWCTY-style elimination (Cerna and Pelanek,
     SPIN 2003) in the coloured form of Barnat et al. (IEEE/ACM TCBB
@@ -332,8 +331,7 @@ def cumulative_ndfs_graph(g: SymbolicGraph, opts: Options | None = None,
     valuation v this is OWCTY on the graph of the nodes and edges whose
     colours hold v: what survives lies on or after an accepting cycle.
     Returns the union of S; ``stats`` gets ``fixpoint_rounds`` and one
-    witness valuation per growth of the union, in node order.  The
-    fixpoint has no settings, so ``opts`` is not read.
+    witness valuation per growth of the union, in node order.
     """
     n = g.n_nodes
     preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -390,7 +388,7 @@ def cumulative_ndfs(a: Ptba, box: ParamBox,
     """Valuations under which the automaton has an accepting run."""
     opts = opts or Options()
     g = build_graph(a, box, None, opts)
-    return ValuationSet(box, cumulative_ndfs_graph(g, opts))
+    return ValuationSet(box, cumulative_ndfs_graph(g))
 
 
 # --- end-to-end synthesis -----------------------------------------------------
@@ -493,7 +491,7 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
         "expansions": g.expansions,
         "splits": {k: g.counts[k] for k in sorted(g.counts)},
     }
-    accepted_bits = cumulative_ndfs_graph(g, opts, stats)
+    accepted_bits = cumulative_ndfs_graph(g, stats)
     accepted = ValuationSet(box, accepted_bits)
     return SynthesisResult(
         box=box,

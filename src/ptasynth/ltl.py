@@ -10,12 +10,23 @@ minimize the automaton; inputs here are small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
 
-_CMP_OPS = ("<=", ">=", "==", "!=", "<", ">")
+# Comparisons of a data atom (var, op, value), in property atoms and in
+# model guards alike; two-character operators come first so that the
+# tokenizers match them before their one-character prefixes.
+CMP_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
+           "!=": operator.ne, "<": operator.lt, ">": operator.gt}
+
+
+def holds(atom: tuple, vals) -> bool:
+    """Does the data atom (var, op, value) hold under ``vals``?"""
+    var, op, value = atom
+    return CMP_OPS[op](vals[var], value)
 
 
 # --- formulas ---------------------------------------------------------------
@@ -141,7 +152,7 @@ def _tokenize(text: str) -> list[_Tok]:
             toks.append(_Tok("int", text[i:j], i))
             i = j
             continue
-        for op in ("&&", "||", "->", *_CMP_OPS):
+        for op in ("&&", "||", "->", *CMP_OPS):
             if text.startswith(op, i):
                 toks.append(_Tok("op", op, i))
                 i += len(op)
@@ -240,7 +251,7 @@ class _Parser:
             return FALSE
         if t.kind == "id":
             nt = self.peek()
-            if nt.kind == "op" and nt.text in _CMP_OPS:
+            if nt.kind == "op" and nt.text in CMP_OPS:
                 if "." in t.text:
                     raise InputError(
                         f"comparison on dotted name {t.text!r} at column {t.pos}",
@@ -324,7 +335,6 @@ class BuchiAutomaton:
     initial: int
     transitions: list[Transition]
     accepting: frozenset
-    atoms: frozenset = field(default_factory=frozenset)
 
     def outgoing(self, q: int) -> list[Transition]:
         return self._out[q]
@@ -448,8 +458,7 @@ def to_buchi(f: Formula) -> BuchiAutomaton:
     if m == 0:
         trans = [Transition(s, p, ng, d) for s, p, ng, d in raw_edges]
         aut = BuchiAutomaton(len(nodes) + 1, 0, trans,
-                             frozenset(range(len(nodes) + 1)),
-                             frozenset(atoms_of(f)))
+                             frozenset(range(len(nodes) + 1)))
         return _prune(aut)
 
     out_by_src: dict[int, list] = {}
@@ -482,8 +491,7 @@ def to_buchi(f: Formula) -> BuchiAutomaton:
             nc = copy_after(dst, base)
             trans.append(Transition(index[(q, c)], pos, negs, state_id(dst, nc)))
     accepting = frozenset(i for (q, c), i in index.items() if c == m)
-    aut = BuchiAutomaton(len(order), start, trans, accepting,
-                         frozenset(atoms_of(f)))
+    aut = BuchiAutomaton(len(order), start, trans, accepting)
     return _prune(aut)
 
 
@@ -501,7 +509,7 @@ def _prune(aut: BuchiAutomaton) -> BuchiAutomaton:
     trans = [Transition(remap[t.src], t.pos, t.negs, remap[t.dst])
              for t in aut.transitions if t.src in seen and t.dst in seen]
     acc = frozenset(remap[q] for q in aut.accepting if q in seen)
-    return BuchiAutomaton(len(seen), remap[aut.initial], trans, acc, aut.atoms)
+    return BuchiAutomaton(len(seen), remap[aut.initial], trans, acc)
 
 
 def lasso_accepts(aut: BuchiAutomaton, prefix, period) -> bool:

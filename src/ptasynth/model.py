@@ -29,32 +29,12 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InputError
-from .ltl import BuchiAutomaton
+from .ltl import CMP_OPS, BuchiAutomaton, holds
 from .params import AffineExpr, ParamBox, StrictBound, bound
 from .pdbm import Atom
 
-_DATA_OPS = ("<=", ">=", "==", "!=", "<", ">")
-
 
 # --- network description ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DataAtom:
-    var: str
-    op: str
-    value: int
-
-    def holds(self, vals: Mapping[str, int]) -> bool:
-        x = vals[self.var]
-        return {
-            "<": x < self.value, "<=": x <= self.value,
-            ">": x > self.value, ">=": x >= self.value,
-            "==": x == self.value, "!=": x != self.value,
-        }[self.op]
-
-    def __str__(self):
-        return f"{self.var} {self.op} {self.value}"
 
 
 @dataclass
@@ -62,18 +42,16 @@ class CompEdge:
     src: str
     dst: str
     clock_atoms: tuple[Atom, ...]
-    data_atoms: tuple[DataAtom, ...]
+    data_atoms: tuple[tuple[str, str, int], ...]  # (var, op, value)
     sync: tuple[str, str] | None  # (channel, "!" or "?")
     resets: tuple[str, ...]
     updates: tuple[tuple[str, AffineExpr], ...]
-    guard_text: str
 
 
 @dataclass
 class CompLocation:
     name: str
     inv_atoms: tuple[Atom, ...]
-    inv_text: str
     labels: tuple[str, ...]
 
 
@@ -255,12 +233,12 @@ class _ModelParser:
         while self.peek()[1] != "}":
             word = self.take()[1]
             if word == "location":
-                loc = self.location(comp)
+                loc = self.location()
                 comp.locations[loc.name] = loc
             elif word == "init":
                 comp.init = self.ident("location name")
             elif word == "edge":
-                comp.edges.append(self.edge(comp))
+                comp.edges.append(self.edge())
             else:
                 raise self.err(f"unexpected {word!r} in component")
         self.expect("}")
@@ -274,21 +252,19 @@ class _ModelParser:
                                    kind="unknown-location")
         self.net.components.append(comp)
 
-    def location(self, comp) -> CompLocation:
+    def location(self) -> CompLocation:
         name = self.ident("location name")
         inv_atoms: tuple[Atom, ...] = ()
-        inv_text = "true"
         labels: list[str] = []
         if self.peek()[1] == "{":
             self.take()
             while self.peek()[1] != "}":
                 word = self.take()[1]
                 if word == "invariant":
-                    clock_atoms, data_atoms, inv_text = self.guard()
+                    inv_atoms, data_atoms = self.guard()
                     if data_atoms:
                         raise self.err("invariants must be clock constraints",
                                        kind="data-invariant")
-                    inv_atoms = clock_atoms
                 elif word == "label":
                     line = self.toks[self.i - 1][2]
                     while self.peek()[0] == "id" and self.peek()[2] == line:
@@ -298,15 +274,14 @@ class _ModelParser:
                 if self.peek()[1] == ";":
                     self.take()
             self.expect("}")
-        return CompLocation(name, inv_atoms, inv_text, tuple(labels))
+        return CompLocation(name, inv_atoms, tuple(labels))
 
-    def edge(self, comp) -> CompEdge:
+    def edge(self) -> CompEdge:
         src = self.ident("location name")
         self.expect("->")
         dst = self.ident("location name")
         clock_atoms: tuple[Atom, ...] = ()
-        data_atoms: tuple[DataAtom, ...] = ()
-        guard_text = "true"
+        data_atoms: tuple[tuple[str, str, int], ...] = ()
         sync = None
         resets: list[str] = []
         updates: list[tuple[str, AffineExpr]] = []
@@ -314,7 +289,7 @@ class _ModelParser:
         while self.peek()[1] != "}":
             word = self.take()[1]
             if word == "guard":
-                clock_atoms, data_atoms, guard_text = self.guard()
+                clock_atoms, data_atoms = self.guard()
             elif word == "sync":
                 chan = self.ident("channel name")
                 if chan not in self.net.channels:
@@ -339,7 +314,8 @@ class _ModelParser:
                         raise self.err(f"unknown variable {var!r}",
                                        kind="unknown-variable")
                     self.expect(":=")
-                    updates.append((var, self.data_expr()))
+                    updates.append((var, self.expr(
+                        self.net.variables, "unknown-variable", scaled=False)))
                     if self.peek()[1] == ",":
                         self.take()
                     else:
@@ -350,25 +326,23 @@ class _ModelParser:
                 self.take()
         self.expect("}")
         return CompEdge(src, dst, clock_atoms, data_atoms, sync,
-                        tuple(resets), tuple(updates),
-                        guard_text)
+                        tuple(resets), tuple(updates))
 
     # guards and expressions ----------------------------------------------
     def guard(self):
-        """Conjunction of atoms; returns (clock atoms, data atoms, text)."""
+        """Conjunction of atoms; returns (clock atoms, data atoms)."""
         if self.peek()[1] == "true":
             self.take()
-            return (), (), "true"
+            return (), ()
         clock_atoms: list[Atom] = []
-        data_atoms: list[DataAtom] = []
-        texts: list[str] = []
+        data_atoms: list[tuple[str, str, int]] = []
         while True:
-            self.atom(clock_atoms, data_atoms, texts)
+            self.atom(clock_atoms, data_atoms)
             if self.peek()[1] == "&&":
                 self.take()
             else:
                 break
-        return tuple(clock_atoms), tuple(data_atoms), " && ".join(texts)
+        return tuple(clock_atoms), tuple(data_atoms)
 
     def _clock_operand(self) -> int | None:
         """Clock index for an id/0 token, or None if not a clock."""
@@ -381,7 +355,7 @@ class _ModelParser:
             return self.net.clock_index(t[1])
         return None
 
-    def atom(self, clock_atoms, data_atoms, texts):
+    def atom(self, clock_atoms, data_atoms):
         t = self.peek()
         ci = self._clock_operand()
         if ci is not None:
@@ -399,21 +373,16 @@ class _ModelParser:
             op = self.take()[1]
             if op not in ("<", "<=", ">", ">=", "=="):
                 raise self.err(f"bad comparison {op!r} in clock constraint")
-            e = self.param_expr()
-            texts.append(f"{_cname(self, ci)}{' - ' + _cname(self, cj) if cj else ''}"
-                         f" {op} {e}")
-            for a in _clock_atom(ci, cj, op, e):
-                clock_atoms.append(a)
+            e = self.expr(self.net.params, "unknown-param", scaled=True)
+            clock_atoms.extend(_clock_atom(ci, cj, op, e))
             return
         if t[0] == "id":
             name = self.take()[1]
             if name in self.net.variables:
                 op = self.take()[1]
-                if op not in _DATA_OPS:
+                if op not in CMP_OPS:
                     raise self.err(f"bad comparison {op!r} on variable {name}")
-                val = self.integer()
-                data_atoms.append(DataAtom(name, op, val))
-                texts.append(f"{name} {op} {val}")
+                data_atoms.append((name, op, self.integer()))
                 return
             if name in self.net.params:
                 raise self.err(
@@ -422,9 +391,12 @@ class _ModelParser:
             raise self.err(f"unknown clock {name!r}", kind="unknown-clock")
         raise self.err(f"unexpected {t[1]!r} in guard")
 
-    def param_expr(self) -> AffineExpr:
-        """Affine expression over parameters: INT, k*p, p, joined by +/-;
-        a leading minus is allowed."""
+    def expr(self, names, kind: str, scaled: bool) -> AffineExpr:
+        """Affine expression over ``names`` (parameters in guards, data
+        variables in updates): INT and NAME terms, and INT * NAME terms when
+        ``scaled``, joined by +/-; a leading minus is allowed.  A name not
+        in ``names`` raises ``kind``."""
+        noun = "parameter" if kind == "unknown-param" else "variable"
         total = AffineExpr()
         sign = 1
         if self.peek()[1] == "-":
@@ -432,25 +404,22 @@ class _ModelParser:
             sign = -1
         while True:
             t = self.take()
-            if t[0] == "int":
-                k = int(t[1])
-                if self.peek()[1] == "*":
-                    self.take()
-                    p = self.ident("parameter name")
-                    if p not in self.net.params:
-                        raise self.err(f"unknown parameter {p!r}",
-                                       kind="unknown-param")
-                    total = total + AffineExpr.var(p, sign * k)
-                else:
-                    total = total + sign * k
+            if t[0] == "int" and scaled and self.peek()[1] == "*":
+                self.take()
+                k, name = int(t[1]), self.ident(f"{noun} name")
+            elif t[0] == "int":
+                k, name = int(t[1]), None
             elif t[0] == "id":
-                if t[1] not in self.net.params:
-                    raise self.err(f"unknown parameter {t[1]!r}",
-                                   kind="unknown-param")
-                total = total + AffineExpr.var(t[1], sign)
+                k, name = 1, t[1]
             else:
                 raise InputError(f"line {t[2]}: expected expression term",
                                  kind="model-syntax", pos=(t[2], 0))
+            if name is None:
+                total = total + sign * k
+            elif name in names:
+                total = total + AffineExpr.var(name, sign * k)
+            else:
+                raise self.err(f"unknown {noun} {name!r}", kind=kind)
             nxt = self.peek()[1]
             if nxt == "+":
                 self.take()
@@ -460,39 +429,6 @@ class _ModelParser:
                 sign = -1
             else:
                 return total
-
-    def data_expr(self) -> AffineExpr:
-        """Affine expression over data variables (updates)."""
-        total = AffineExpr()
-        sign = 1
-        if self.peek()[1] == "-":
-            self.take()
-            sign = -1
-        while True:
-            t = self.take()
-            if t[0] == "int":
-                total = total + sign * int(t[1])
-            elif t[0] == "id":
-                if t[1] not in self.net.variables:
-                    raise self.err(f"unknown variable {t[1]!r}",
-                                   kind="unknown-variable")
-                total = total + AffineExpr.var(t[1], sign)
-            else:
-                raise InputError(f"line {t[2]}: expected expression term",
-                                 kind="model-syntax", pos=(t[2], 0))
-            nxt = self.peek()[1]
-            if nxt == "+":
-                self.take()
-                sign = 1
-            elif nxt == "-":
-                self.take()
-                sign = -1
-            else:
-                return total
-
-
-def _cname(parser, idx):
-    return "0" if idx == 0 else parser.net.clocks[idx - 1]
 
 
 def _clock_atom(i: int, j: int, op: str, e: AffineExpr) -> list[Atom]:
@@ -515,39 +451,6 @@ def parse_model(text: str) -> Network:
 def load_model(path) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_model(fh.read())
-
-
-def dump_model(net: Network) -> str:
-    """Canonical text form; parse(dump(parse(s))) is stable."""
-    lines = []
-    for p, (lo, hi) in net.params.items():
-        lines.append(f"param {p} = {lo}..{hi}")
-    if net.clocks:
-        lines.append("clock " + " ".join(net.clocks))
-    for v, (lo, hi, init) in net.variables.items():
-        lines.append(f"var {v} : {lo}..{hi} = {init}")
-    if net.channels:
-        lines.append("chan " + " ".join(net.channels))
-    for comp in net.components:
-        lines.append(f"component {comp.name} {{")
-        for loc in comp.locations.values():
-            parts = [f"invariant {loc.inv_text}"]
-            if loc.labels:
-                parts.append("label " + " ".join(loc.labels))
-            lines.append(f"  location {loc.name} {{ " + "; ".join(parts) + " }")
-        lines.append(f"  init {comp.init}")
-        for e in comp.edges:
-            parts = [f"guard {e.guard_text}"]
-            if e.sync:
-                parts.append(f"sync {e.sync[0]}{e.sync[1]}")
-            if e.resets:
-                parts.append("reset " + " ".join(e.resets))
-            if e.updates:
-                ups = ", ".join(f"{v} := {ex}" for v, ex in e.updates)
-                parts.append(f"update {ups}")
-            lines.append(f"  edge {e.src} -> {e.dst} {{ " + "; ".join(parts) + " }")
-        lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # --- composition -----------------------------------------------------------
@@ -595,12 +498,27 @@ class Labelling:
 
     def holds(self, loc: int, atom) -> bool:
         if isinstance(atom, tuple):
-            var, op, value = atom
-            if var not in self.varvals[loc]:
-                raise InputError(f"unknown variable {var!r} in property",
+            if atom[0] not in self.varvals[loc]:
+                raise InputError(f"unknown variable {atom[0]!r} in property",
                                  kind="unknown-variable")
-            return DataAtom(var, op, value).holds(self.varvals[loc])
+            return holds(atom, self.varvals[loc])
         return atom in self.aps[loc]
+
+
+def _numbering(init):
+    """Dense state numbers in discovery order.  Returns the list of states
+    and the function that numbers a state, appending it when new, so that
+    ``for st in order`` visits every state numbered while it runs."""
+    index = {init: 0}
+    order = [init]
+
+    def state_id(st) -> int:
+        if st not in index:
+            index[st] = len(order)
+            order.append(st)
+        return index[st]
+
+    return order, state_id
 
 
 def compose(net: Network) -> tuple[Pta, Labelling]:
@@ -612,48 +530,25 @@ def compose(net: Network) -> tuple[Pta, Labelling]:
         {name: k for k, name in enumerate(c.locations)} for c in net.components
     ]
     locnames = [list(c.locations) for c in net.components]
-
-    init_state = (
+    order, state_id = _numbering((
         tuple(locidx[ci][c.init] for ci, c in enumerate(net.components)),
         tuple(net.variables[v][2] for v in varnames),
-    )
-    index: dict[tuple, int] = {init_state: 0}
-    order = [init_state]
+    ))
     locations: list[PLoc] = []
     aps: list[frozenset] = []
     varvals: list[dict] = []
 
-    def state_id(st) -> int:
-        if st not in index:
-            index[st] = len(order)
-            order.append(st)
-        return index[st]
-
-    def apply_updates(vals: dict, edge: CompEdge, tag: str) -> dict:
-        out = dict(vals)
-        for var, expr in edge.updates:
-            nv = expr.eval(out)
-            lo, hi, _ = net.variables[var]
-            if not lo <= nv <= hi:
-                raise InputError(
-                    f"update {var} := {expr} leaves range {lo}..{hi} on {tag}",
-                    kind="update-out-of-range")
-            out[var] = nv
-        return out
-
-    k = 0
-    while k < len(order):
-        locs, vals = order[k]
+    for locs, vals in order:
         valmap = dict(zip(varnames, vals))
+        srcs = [locnames[ci][k] for ci, k in enumerate(locs)]
         name = "|".join(
-            f"{c.name}.{locnames[ci][locs[ci]]}"
-            for ci, c in enumerate(net.components))
+            f"{c.name}.{src}" for c, src in zip(net.components, srcs))
         if varnames:
             name += "|" + ",".join(f"{v}={valmap[v]}" for v in varnames)
         inv: list[Atom] = []
         ap_set = set()
-        for ci, c in enumerate(net.components):
-            loc = c.locations[locnames[ci][locs[ci]]]
+        for c, src in zip(net.components, srcs):
+            loc = c.locations[src]
             inv.extend(loc.inv_atoms)
             ap_set.add(f"{c.name}.{loc.name}")
             ap_set.update(loc.labels)
@@ -662,55 +557,46 @@ def compose(net: Network) -> tuple[Pta, Labelling]:
         aps.append(frozenset(ap_set))
         varvals.append(valmap)
 
-        # interleaved edges
+        # (tag, [(component index, edge), ...]) for the interleaved edges,
+        # then for the handshake pairs, sender first
+        moves = []
         for ci, c in enumerate(net.components):
-            src_name = locnames[ci][locs[ci]]
             for e in c.edges:
-                if e.src != src_name or e.sync is not None:
-                    continue
-                if not all(d.holds(valmap) for d in e.data_atoms):
-                    continue
-                tag = f"{c.name}:{e.src}->{e.dst}"
-                nv = apply_updates(valmap, e, tag)
-                nlocs = list(locs)
-                nlocs[ci] = locidx[ci][e.dst]
-                tgt = state_id((tuple(nlocs), tuple(nv[v] for v in varnames)))
-                ploc.edges.append(PEdge(
-                    e.clock_atoms,
-                    tuple(sorted(net.clock_index(r) for r in e.resets)),
-                    tgt, tag))
-        # handshake edges
+                if e.src == srcs[ci] and e.sync is None:
+                    moves.append((f"{c.name}:{e.src}->{e.dst}", [(ci, e)]))
         for ci, c in enumerate(net.components):
-            src_i = locnames[ci][locs[ci]]
             for e1 in c.edges:
-                if e1.src != src_i or not e1.sync or e1.sync[1] != "!":
+                if e1.src != srcs[ci] or not e1.sync or e1.sync[1] != "!":
                     continue
                 for cj, d in enumerate(net.components):
-                    if cj == ci:
-                        continue
-                    src_j = locnames[cj][locs[cj]]
                     for e2 in d.edges:
-                        if (e2.src != src_j or not e2.sync
-                                or e2.sync != (e1.sync[0], "?")):
-                            continue
-                        if not all(a.holds(valmap)
-                                   for a in e1.data_atoms + e2.data_atoms):
-                            continue
-                        tag = (f"{c.name}:{e1.src}->{e1.dst} ~{e1.sync[0]}~ "
-                               f"{d.name}:{e2.src}->{e2.dst}")
-                        nv = apply_updates(valmap, e1, tag)
-                        nv = apply_updates(nv, e2, tag)
-                        nlocs = list(locs)
-                        nlocs[ci] = locidx[ci][e1.dst]
-                        nlocs[cj] = locidx[cj][e2.dst]
-                        tgt = state_id(
-                            (tuple(nlocs), tuple(nv[v] for v in varnames)))
-                        resets = {net.clock_index(r)
-                                  for r in e1.resets + e2.resets}
-                        ploc.edges.append(PEdge(
-                            e1.clock_atoms + e2.clock_atoms,
-                            tuple(sorted(resets)), tgt, tag))
-        k += 1
+                        if (cj != ci and e2.src == srcs[cj]
+                                and e2.sync == (e1.sync[0], "?")):
+                            moves.append((
+                                f"{c.name}:{e1.src}->{e1.dst} ~{e1.sync[0]}~ "
+                                f"{d.name}:{e2.src}->{e2.dst}",
+                                [(ci, e1), (cj, e2)]))
+        for tag, move in moves:
+            if not all(holds(a, valmap) for _, e in move for a in e.data_atoms):
+                continue
+            nv = dict(valmap)
+            nlocs = list(locs)
+            for ci, e in move:
+                for var, expr in e.updates:
+                    x = expr.eval(nv)
+                    lo, hi, _ = net.variables[var]
+                    if not lo <= x <= hi:
+                        raise InputError(
+                            f"update {var} := {expr} leaves range {lo}..{hi} "
+                            f"on {tag}", kind="update-out-of-range")
+                    nv[var] = x
+                nlocs[ci] = locidx[ci][e.dst]
+            resets = {net.clock_index(r) for _, e in move for r in e.resets}
+            ploc.edges.append(PEdge(
+                tuple(a for _, e in move for a in e.clock_atoms),
+                tuple(sorted(resets)),
+                state_id((tuple(nlocs), tuple(nv[v] for v in varnames))),
+                tag))
 
     pta = Pta(["0"] + list(net.clocks), locations, 0)
     return pta, Labelling(aps, varvals)
@@ -724,20 +610,9 @@ def product(pta: Pta, lab: Labelling, aut: BuchiAutomaton) -> Ptba:
     source location, so a run's location trace spells the word the
     automaton reads.  Accepting locations are those whose automaton state
     is accepting."""
-    init = (pta.initial, aut.initial)
-    index: dict[tuple[int, int], int] = {init: 0}
-    order = [init]
+    order, state_id = _numbering((pta.initial, aut.initial))
     locations: list[PLoc] = []
-
-    def state_id(st):
-        if st not in index:
-            index[st] = len(order)
-            order.append(st)
-        return index[st]
-
-    k = 0
-    while k < len(order):
-        l, q = order[k]
+    for l, q in order:
         base = pta.locations[l]
         ploc = PLoc(f"{base.name}#q{q}", base.inv,
                     accepting=q in aut.accepting)
@@ -749,10 +624,7 @@ def product(pta: Pta, lab: Labelling, aut: BuchiAutomaton) -> Ptba:
             for t in enabled:
                 tgt = state_id((e.target, t.dst))
                 ploc.edges.append(PEdge(e.atoms, e.resets, tgt, e.tag))
-        k += 1
-
-    out = Ptba(pta.clock_names, locations, 0)
-    return out
+    return Ptba(pta.clock_names, locations, 0)
 
 
 # --- non-Zeno transformation ------------------------------------------------
@@ -771,21 +643,9 @@ def make_nonzeno(a: Ptba) -> Ptba:
     z = len(a.clock_names)
     names = a.clock_names + ["_nz"]
     gate: Atom = (0, z, bound(-1))  # fresh clock >= 1
-
-    init = (a.initial, 0)
-    index: dict[tuple[int, int], int] = {init: 0}
-    order = [init]
+    order, state_id = _numbering((a.initial, 0))
     locations: list[PLoc] = []
-
-    def state_id(st):
-        if st not in index:
-            index[st] = len(order)
-            order.append(st)
-        return index[st]
-
-    k = 0
-    while k < len(order):
-        l, ph = order[k]
+    for l, ph in order:
         base = a.locations[l]
         ploc = PLoc(f"{base.name}~{ph}", base.inv,
                     accepting=base.accepting and ph == 1)
@@ -798,8 +658,6 @@ def make_nonzeno(a: Ptba) -> Ptba:
                 ploc.edges.append(PEdge(
                     e.atoms + (gate,), tuple(sorted(set(e.resets) | {z})),
                     tgt1, e.tag + "+gap"))
-        k += 1
-
     return Ptba(names, locations, 0)
 
 
@@ -833,23 +691,21 @@ def clock_bounds(a: Ptba, box: ParamBox) -> list[int]:
 
 
 def dump_product(a: Ptba) -> str:
+    def atom(i, j, b):
+        op = "<" if b.strict else "<="
+        return f"{a.clock_names[i]} - {a.clock_names[j]} {op} {b.expr}"
+
     lines = [f"clocks: {' '.join(a.clock_names[1:])}",
              f"initial: {a.locations[a.initial].name}"]
     for loc in a.locations:
         mark = " (accepting)" if loc.accepting else ""
         lines.append(f"location {loc.name}{mark}")
-        for i, j, b in loc.inv:
-            op = "<" if b.strict else "<="
-            lines.append(f"  invariant {a.clock_names[i]} - {a.clock_names[j]}"
-                         f" {op} {b.expr}")
+        for at in loc.inv:
+            lines.append(f"  invariant {atom(*at)}")
         for e in loc.edges:
-            gs = []
-            for i, j, b in e.atoms:
-                op = "<" if b.strict else "<="
-                gs.append(f"{a.clock_names[i]} - {a.clock_names[j]} {op} {b.expr}")
+            guard = " && ".join(atom(*at) for at in e.atoms) or "true"
             rs = " reset " + ",".join(a.clock_names[r] for r in e.resets) \
                 if e.resets else ""
             lines.append(f"  -> {a.locations[e.target].name}"
-                         f" [{' && '.join(gs) if gs else 'true'}]{rs}"
-                         f"  ({e.tag})")
+                         f" [{guard}]{rs}  ({e.tag})")
     return "\n".join(lines)

@@ -166,9 +166,6 @@ class AffineExpr:
             total += z * (box.upper(p) if z > 0 else box.lower(p))
         return total
 
-    def min_bound(self, box: ParamBox) -> int:
-        return -(-self).max_bound(box)
-
     @property
     def is_const(self) -> bool:
         return not self.coeffs

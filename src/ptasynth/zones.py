@@ -109,10 +109,6 @@ def zone_key(m: np.ndarray) -> bytes:
     return m.tobytes()
 
 
-def is_nonempty(m: np.ndarray) -> bool:
-    return bool((np.diagonal(m) >= ZERO_WEAK).all())
-
-
 def dump(m: np.ndarray, names) -> str:
     """One line per finite off-diagonal entry, ``xi - xj <op> value``."""
     n = m.shape[0]

@@ -1,12 +1,14 @@
+import hashlib
+
 import pytest
 
-from conftest import load_fixture
+from conftest import CORPUS, load_fixture
 from ptasynth import ltl
 from ptasynth.errors import InputError
+from ptasynth.explore import build_automaton
 from ptasynth.model import (
     clock_bounds,
     compose,
-    dump_model,
     dump_product,
     make_nonzeno,
     parse_model,
@@ -65,13 +67,6 @@ class TestParser:
         net = parse_model(MINIMAL.replace("x >= 1", "x <= -1 + p"))
         (i, j, b), = net.components[0].edges[0].clock_atoms
         assert b.expr == AffineExpr.of(-1, {"p": 1})
-
-    def test_minimal_round_trips(self):
-        net = parse_model(MINIMAL)
-        again = parse_model(dump_model(net))
-        assert dump_model(net) == dump_model(again)
-        assert net.params == {"p": (0, 3)}
-        assert net.clocks == ["x"]
 
     def test_traingate_six_parameters(self):
         net = load_fixture("traingate6.pta")
@@ -379,3 +374,124 @@ def test_dump_product_smoke():
     prod = product(pta, lab, ltl.to_buchi(ltl.to_nnf(ltl.TRUE)))
     text = dump_product(prod)
     assert "location" in text and "initial:" in text
+
+
+# sha256 of dump_product(tba), a newline and repr(clock maxima) for each
+# corpus fixture and property, and of the negated property's automaton
+# dump: location order and naming are part of the front end's output
+PRODUCT_DIGESTS = {
+    ("gap.pta", "G !inB"):
+        "32daf2f577b66278ce19e5196b5de67c7a29726921d0980280516c46cb49d943",
+    ("gap.pta", "G (inA -> F inB)"):
+        "8b825fb1270a31d7d62b4a04cfb4c62516480d959823daf2b5c05103850ca506",
+    ("gap.pta", "true U inB"):
+        "c5d7105a42a2109d4b752ca0446da7c3068682aa19f040f488ec0968e240e02c",
+    ("window.pta", "G !work"):
+        "f399253ac09b641ea6bcacf360264e42c00667381d5d86e4bb7691fdfa312169",
+    ("window.pta", "G (idle -> F work)"):
+        "05e656cec25ed1420886f8350a87d53924a200c20f4a83f53f3de654e6183db7",
+    ("window.pta", "F work"):
+        "11dd44881f7c0683b881ce4961ac7a9cdfceb1cb18e98208eb9a02f8be45d81a",
+    ("zeno.pta", "G !inB"):
+        "4dfe419b9515f240df2a18cc2ddf81792f2de14da217a6c736a5b3214495e8d3",
+    ("zeno.pta", "G (inA -> F inB)"):
+        "3fc7ff9ce2e8e23851256a4e7390d14890f0145f373c37c0c2eae549e191ba4d",
+    ("zeno.pta", "F inB"):
+        "c13f1131e47fc81cf027ebb1729a22fd5dbd87630fd254b66d60e41a33ed18f9",
+    ("counter.pta", "G (inB -> c <= 0)"):
+        "8d8cc0dcf0e9b7082ab82335c6ddc69208d43647cf7992bde1940e474f906f4f",
+    ("counter.pta", "G (inA -> F inB)"):
+        "b30cbac864931783665e56e6dd4aa3199a8226629a72ad03c7ea45163a192e4e",
+    ("counter.pta", "true U c >= 2"):
+        "bb7359d5c408d6541f13b0b76e0f8561f90ac149c22aaf81ca12dcc471e65a9a",
+    ("handshake.pta", "G !busy"):
+        "ea47e96fbf99cf9bab5247b0307d4c2378cc31f82113dd6bd1ca8a6004889008",
+    ("handshake.pta", "G (waiting -> F idle)"):
+        "efd6d3680a9aeaa1ddd4ce26c8bf07eaad09156fc44a99d4df52e4b6063b09b7",
+    ("handshake.pta", "F busy"):
+        "f85fc698fa2b7c6a6985d07ba7a916b624ff1d50d8660f1b1aa92b6eaaa784d1",
+    ("branchy.pta", "G !inB"):
+        "b0da157decb52726365a144ac965ec6215a1188bc28ca7f62fb53e87e588f47a",
+    ("branchy.pta", "G (inA -> F inB)"):
+        "446d9ff9a8adde29a6bfac4ad2e3c4efbc9347f58dfa9d082331a17867262602",
+    ("branchy.pta", "F inB"):
+        "f8109de87707d0ac2d62c0e6839d04777437b5f48f4b3b7df6f5a5719194a1ec",
+    ("strict.pta", "G !inB"):
+        "972ca3aeef9631b39c034f72ba97de1f2bf39bc900a0a25d5361f1ce6bc1e1b4",
+    ("strict.pta", "G (inA -> F inB)"):
+        "d84e2cf9d539cfd2bf5663feef699a1fc76c77af4031f0967a799d4b6c81e30d",
+    ("strict.pta", "true U inB"):
+        "d3231c9cae5a2b39433b04a091fdbbf50516d08e7cd974a1cfe6f151ddd08bc6",
+    ("staggered.pta", "G !inB"):
+        "ed018ca814409e996c5aff0e3890aa7348b89b1fe0c2406761162d3bfcab5956",
+    ("staggered.pta", "G (inA -> F inB)"):
+        "ea671b3a2c2e56a0e6e2d6b9960ea8cb9eb9f4d603274de6d671448d9a479a36",
+    ("staggered.pta", "F inB"):
+        "dce78c6892b006e5dca3b3e4b1384f080fbbefb1e0368730eb8ce158a718ef46",
+    ("urgent.pta", "G !inC"):
+        "f6ccad0bd88a472107f26cb7f696e6f463b1b467616f29dede43af9dbf5621d6",
+    ("urgent.pta", "G (inB -> F inC)"):
+        "6f124e4f45a0499dce8132e5e8d66b6be6ca07518cc8e8cbdc7c566acd2cc0bc",
+    ("urgent.pta", "F inC"):
+        "3027211452f551476e70f12377735e09f161ba64afe2357040ae2d6e30fb9433",
+    ("traingate.pta", "G !(Train1.Cross && Train2.Cross)"):
+        "3e802fdd03f80746ab25b0e81e8b1555911e2687b61714c0a1661cd36c67b7f9",
+    ("traingate.pta", "G (Train1.Appr -> F Train1.Cross)"):
+        "b95683cd65e8092c4fa97f7549279b5a7f30e5d1eb9fc3bcbfd0dbc7517d93c4",
+    ("traingate.pta", "F (Train1.Cross || Train2.Cross)"):
+        "d04daa80bcd50ffa8beea240cb854c18fabf468f7037d926d7787369f8927e18",
+}
+BA_DIGESTS = {
+    "G !inB":
+        "ad2eacf1965d33d662a032265f368dde4468f2e2186355cf99b7a03183085b31",
+    "G (inA -> F inB)":
+        "03503d2714aefca84fa2f046ced999c4c73cb421ba687b1a2909215f7692670c",
+    "true U inB":
+        "c168ea6ad52718755b495be81b62ba5ce6f5c4f57b369427951fc2faff8a8d49",
+    "G !work":
+        "e02e533cdfd5431b722aed9d96080530f0ac666011228a0cad5f87122279640f",
+    "G (idle -> F work)":
+        "50018ca88d77743e0e01ba7619ce5e7403fa1c51c277008b47974696dd59cca4",
+    "F work":
+        "fafb12b3522f587bbae435588a163e29865bb8955f01b299c0cbfd8de83203d0",
+    "F inB":
+        "c168ea6ad52718755b495be81b62ba5ce6f5c4f57b369427951fc2faff8a8d49",
+    "G (inB -> c <= 0)":
+        "ea2cf6eb7b9628631d36163e84119ea9a33c47636b35e78b9edb89a8dacc0a49",
+    "true U c >= 2":
+        "bf73283fad0e0dcd47f19c843c4f6a29ae8822c00f8812b2a72de419e1e2ff08",
+    "G !busy":
+        "7f94aa0d5a066e65e2d3bb94b7c1051cbbdc8fb1ca0fe95272727825261f14d3",
+    "G (waiting -> F idle)":
+        "699fb429586df0567ee404dd1e7c9b242135fc42e08acbb69d2ee6a3c6021c83",
+    "F busy":
+        "f92def33ec758ae2be8007b441fde90e59e24c363edddd839097474ef41e3f7d",
+    "G !inC":
+        "994deac4d59b2c8e93bb44832b94e02244ab735da9dfc775284207537b268018",
+    "G (inB -> F inC)":
+        "9d9f79bfc51644ef3eaab7d91413c759ce616da2e4693f703d6e0743d941a3ed",
+    "F inC":
+        "627a8c8b7f91472768e2d9b20f5d8bb121cef8a8931ba1bd9b8c1e3863ed3dfc",
+    "G !(Train1.Cross && Train2.Cross)":
+        "4b0a42b079d1f06d7e0bbc2094fc6b6074334a5ab875a05245117710f928c30c",
+    "G (Train1.Appr -> F Train1.Cross)":
+        "9a8e971572e617c3c185d607dd788445877fb679037beeeca1a898ae9307d228",
+    "F (Train1.Cross || Train2.Cross)":
+        "ec753c7728c8bfbc29fbee26618075e96a36257ec586ae198de56e351fda335e",
+}
+
+
+@pytest.mark.parametrize("fixture,prop", [
+    (name, prop) for name, props in CORPUS.items() for prop in props])
+def test_front_end_output_pinned(fixture, prop):
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    net = load_fixture(fixture)
+    f = ltl.parse_ltl(prop)
+    tba, maxima = build_automaton(net, f, net.box())
+    assert sha(dump_product(tba) + "\n" + repr(maxima)) == \
+        PRODUCT_DIGESTS[(fixture, prop)]
+    aut = ltl.to_buchi(ltl.to_nnf(ltl.neg(f)))
+    assert sha(aut.dump()) == BA_DIGESTS[prop]
+

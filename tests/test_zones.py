@@ -181,13 +181,6 @@ def test_compiled_rejects_bad_buffers(compiled):
                 square[None], read_only, [[1]]):
         with pytest.raises(ValueError):
             compiled.close(bad)
-    before = square.copy()
-    for bad in ([-1], [0, 3], [1, 2 ** 70], [-(2 ** 70)], [1.0], [np.float64(1)],
-                ["1"], [None], 1, "01", object()):
-        with pytest.raises(ValueError):
-            compiled.close(square, bad)
-        assert np.array_equal(square, before)  # rejected before any write
-    assert compiled.close(square, [np.int64(2), 0])
     batch = np.stack([square, square])
     for ms, ok in ((batch, np.zeros(3, dtype=np.uint8)),
                    (batch[::-1], np.zeros(2, dtype=np.uint8)),
@@ -195,6 +188,17 @@ def test_compiled_rejects_bad_buffers(compiled):
                    (square, np.zeros(3, dtype=np.uint8))):
         with pytest.raises(ValueError):
             compiled.close_many(ms, ok)
+
+
+def test_rejects_bad_pivots(kernel):
+    square = np.full((3, 3), zones.ZERO_WEAK, dtype=np.int64)
+    before = square.copy()
+    for bad in ([-1], [0, 3], [1, 2 ** 70], [-(2 ** 70)], [1.0], [np.float64(1)],
+                ["1"], [None], 1, "01", object()):
+        with pytest.raises(ValueError):
+            kernel.close(square, bad)
+        assert np.array_equal(square, before)  # rejected before any write
+    assert kernel.close(square, [np.int64(2), 0])
 
 
 def test_close_many_strided_batch(rng, kernel, monkeypatch):
