@@ -2,9 +2,11 @@
 """Benchmark the zone-arithmetic backends: compiled extension vs the pure
 fallback, on the raw closure kernels (full closure, and the closure of a
 closed zone with one tightened entry through that entry's two clocks) and
-on an end-to-end enumeration run; then the symbolic closure: a guard on
-canonical constrained parametric matrices closed in full vs through the
-guard's clocks only.  Every row checks that the closures it times agree.
+on an end-to-end enumeration run on each; then the symbolic closure: a
+guard on canonical constrained parametric matrices closed in full vs
+through the guard's clocks only.  Every row checks that the closures it
+times agree, and the enumeration runs that their results, stats included,
+agree; a disagreement exits non-zero.
 
 Usage: python benchmarks/bench_zones.py [--quick] [--section NAME ...]
 
@@ -154,29 +156,49 @@ def bench_pdbm_closure(box, jobs, repeat):
     return best_full, best_pivot
 
 
-def bench_end_to_end():
+def backends():
+    out = [("pure", pure)]
+    if compiled is not None:
+        out.append(("compiled", compiled))
+    return out
+
+
+def enumeration_rows():
+    """The enumeration engine on the two-train fixture, run on each kernel
+    in turn; the result documents must be equal."""
     from ptasynth.baseline import enumerate_box
     from ptasynth.model import load_model
 
     fixture = Path(__file__).resolve().parent.parent / "tests" / "fixtures" \
         / "traingate.pta"
     net = load_model(fixture)
-    t0 = time.perf_counter()
-    enumerate_box(net, "G !(Train1.Cross && Train2.Cross)")
-    return time.perf_counter() - t0
+    print("\nend-to-end enumeration on the two-train fixture:")
+    active = zones._core
+    reference = None
+    try:
+        for name, backend in backends():
+            zones._core = backend
+            t0 = time.perf_counter()
+            doc = enumerate_box(net, "G !(Train1.Cross && Train2.Cross)").to_json()
+            elapsed = time.perf_counter() - t0
+            print(f"  {name:9s} {elapsed:6.2f} s   "
+                  f"{doc['stats']['zone_states_total']} zone states")
+            reference = reference or doc
+            if doc != reference:
+                raise SystemExit(f"{name} and pure kernels disagree on the "
+                                 "enumeration result")
+    finally:
+        zones._core = active
 
 
 def kernel_rows(count, repeat):
     rng = random.Random(7)
-    backends = [("pure", pure)]
-    if compiled is not None:
-        backends.append(("compiled", compiled))
     for n in (4, 6, 10):
         mats = [random_zone(rng, n) for _ in range(count)]
         batch = np.stack(mats)
         print(f"\nclosure of {count} {n}x{n} zones (best of {repeat}):")
         base = reference = None
-        for name, backend in backends:
+        for name, backend in backends():
             t1, *closed = bench_close(backend, mats, repeat)
             t2, *closed_many = bench_close_many(backend, batch, repeat)
             if base is None:
@@ -192,7 +214,7 @@ def kernel_rows(count, repeat):
         print(f"closure of {count} closed {n}x{n} zones with one tightened "
               f"entry (best of {repeat}):")
         reference = None
-        for name, backend in backends:
+        for name, backend in backends():
             t_full, *full = bench_close(backend, mats, repeat)
             t_pivot, *through = bench_close(backend, mats, repeat, pivots)
             reference = reference or full
@@ -239,11 +261,7 @@ def main():
     if "pdbm" in run:
         pdbm_rows(200 if args.quick else 1000, repeat)
     if "enumeration" in run:
-        print("\nend-to-end enumeration on the two-train fixture "
-              f"(backend: {zones.BACKEND}):")
-        print(f"  {bench_end_to_end():6.2f} s")
-        print("\nrun with PTASYNTH_PURE=1 to time the end-to-end path on the "
-              "pure fallback")
+        enumeration_rows()
 
 
 if __name__ == "__main__":

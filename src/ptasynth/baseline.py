@@ -6,6 +6,11 @@ one.  It shares the whole front end (model composition, property
 translation, product, non-Zeno transformation, clock maxima) so that the
 two engines explore the same automaton with the same abstraction
 coarseness, and implements the per-state deadlock formula the same way.
+
+Every valuation gets its own zone graph, but the graphs are explored in
+lockstep: the automaton's atoms are encoded once per box, at every point,
+and each step applies one array operation to a batch of zones drawn from
+many valuations (see ``_explore``).
 """
 
 from __future__ import annotations
@@ -15,12 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import zones
-from .errors import CapacityError
+from .errors import CapacityError, EvaluationError
 from .explore import Options, SynthesisResult, build_automaton
 from .ltl import Formula, parse_ltl
 from .model import Network, Ptba
 from .params import ParamBox, ValuationSet, bound_eval
 from .pdbm import negate_atom
+
+# Edge rows per batch.  It bounds the batch arrays and, through them, how
+# many valuations are open at once, and with them the peak memory.
+ROW_CAP = 128
 
 
 @dataclass
@@ -66,93 +75,364 @@ def instantiate(a: Ptba, v) -> ConcreteTba:
     return ConcreteTba(len(a.clock_names), a.initial, inv, edges, neg, acc)
 
 
-def _constrained(zone: np.ndarray, atoms) -> np.ndarray | None:
-    """Copy of the canonical zone tightened by the atoms and closed through
-    the clocks of the entries they tightened; None if empty.  A copy that no
-    atom tightens is returned as it is."""
-    z = zone.copy()
-    pivots = set()
-    for i, j, enc in atoms:
-        if enc < z[i, j]:
-            z[i, j] = enc
-            pivots.update((i, j))
-    if pivots and not zones.close(z, sorted(pivots)):
-        return None
-    return z
+# --- batched zone steps -----------------------------------------------------
 
 
-def _state_deadlock(zone: np.ndarray, neg_choices, dnf_limit: int) -> bool:
-    """Mirror of the symbolic deadlock formula at one valuation: fold the
-    negated guards of all outgoing edges over the zone, keeping each
-    distinct zone once after every edge."""
-    if any(not choices for choices in neg_choices):
-        return False  # an unguarded edge is always enabled
-    cur = [zone]
-    steps = 0
-    for choices in neg_choices:
-        nxt: dict[bytes, np.ndarray] = {}
-        for atom in choices:
-            for z in cur:
-                steps += 1
-                if steps > dnf_limit:
-                    raise CapacityError(
-                        f"deadlock-guard expansion exceeded {dnf_limit}")
-                got = _constrained(z, [atom])
-                if got is not None:
-                    nxt.setdefault(zones.zone_key(got), got)
-        cur = list(nxt.values())
-        if not cur:
-            return False
-    return True
+def _constrain(ms: np.ndarray, pos: np.ndarray, enc: np.ndarray) -> np.ndarray:
+    """Lower the entries of each zone in ``ms`` (count, n, n) at the flat
+    positions ``pos`` (count, k) to ``enc`` (count, k) where that is
+    tighter, then close every zone in place; returns the non-empty mask.
+    A row may name one position more than once."""
+    nn = ms.shape[1] * ms.shape[2]
+    flat = np.arange(len(ms))[:, None] * nn + pos
+    np.minimum.at(ms.reshape(-1), flat, enc)
+    return zones.close_many(ms)
 
 
-def _explore(ct: ConcreteTba, maxima: np.ndarray, opts: Options):
-    """Reachable concrete zone graph: returns (adjacency, accepting flags,
-    deadlock flag, state count)."""
-    init = zones.zero_zone(ct.n)
-    zones.up(init)
-    init = _constrained(init, ct.inv[ct.initial])
-    if init is None:
-        return [], [], False, 0
-    if zones.extrapolate(init, maxima):
-        zones.close(init)
+def _step(ms, guard, gather, inv, maxima):
+    """Successors of canonical zones through one edge each, in a batch:
+    guard, reset, time elapse, target invariant and extrapolation.
 
-    index = {(ct.initial, zones.zone_key(init)): 0}
-    states = [(ct.initial, init)]
-    succ: list[list[int]] = []
-    acc: list[bool] = []
-    deadlock = False
-    head = 0
-    while head < len(states):
-        loc, zone = states[head]
-        head += 1
-        succ.append([])
-        acc.append(ct.accepting[loc])
-        if not deadlock and _state_deadlock(zone, ct.neg_choices[loc],
-                                            opts.dnf_limit):
-            deadlock = True
-        for atoms, resets, target in ct.edges[loc]:
-            z = _constrained(zone, atoms)
-            if z is None:
+    ``guard`` and ``inv`` are ``(pos, enc)`` pairs for ``_constrain``;
+    ``gather`` (count, n) maps each clock to itself, or to the zero clock
+    when the edge resets it, so that ``m[g][:, g]`` is the reset of a
+    closed non-empty zone.  Returns the indices of the rows that stay
+    non-empty and their canonical zones."""
+    keep = np.flatnonzero(_constrain(ms, *guard))
+    g = gather[keep]
+    ms = ms[keep[:, None, None], g[:, :, None], g[:, None, :]]
+    zones.up(ms)
+    ok = _constrain(ms, inv[0][keep], inv[1][keep])
+    keep, ms = keep[ok], ms[ok]
+    changed = zones.extrapolate(ms, maxima)
+    if changed.any():
+        wide = ms[changed]
+        zones.close_many(wide)
+        ms[changed] = wide
+    return keep, ms
+
+
+class _Tables:
+    """The automaton with its atoms encoded at every point of the box.
+
+    Atom ``a`` bounds flat entry ``pos[a]`` by ``enc[a, point]``; atom 0
+    bounds nothing (infinity on the diagonal of the zero clock) and pads
+    the atom rows of shorter guards and invariants.  Edges are numbered
+    location by location, so location ``l`` owns the ``degree[l]`` edges
+    from ``first[l]`` on."""
+
+    def __init__(self, a: Ptba, box: ParamBox):
+        n = len(a.clock_names)
+        ids: dict = {}
+        pos = [0]
+        enc = [np.full(box.size, zones.INF, dtype=np.int64)]
+
+        def atom_ids(atoms) -> list[int]:
+            out = []
+            for i, j, b in atoms:
+                key = (i * n + j, b)
+                if key not in ids:
+                    for p, _ in b.expr.coeffs:
+                        if p not in box.params:
+                            raise EvaluationError(
+                                f"valuation missing parameter {p}")
+                    ids[key] = len(pos)
+                    pos.append(key[0])
+                    enc.append((box.values(b.expr) << 1)
+                               | (0 if b.strict else 1))
+                out.append(ids[key])
+            return out
+
+        self.n = n
+        self.accepting = [loc.accepting for loc in a.locations]
+        self.degree = [len(loc.edges) for loc in a.locations]
+        self.first = np.cumsum([0] + self.degree)[:-1]
+        inv = [atom_ids(loc.inv) for loc in a.locations]
+        edges = [e for loc in a.locations for e in loc.edges]
+        guards = [atom_ids(e.atoms) for e in edges]
+        # per location: None when some edge is unguarded (never a deadlock),
+        # else the negated atoms of each edge, the choices the fold takes
+        self.negated = [
+            [atom_ids([negate_atom(at) for at in e.atoms]) for e in loc.edges]
+            if all(e.atoms for e in loc.edges) else None
+            for loc in a.locations]
+        self.pos = np.array(pos, dtype=np.int64)
+        self.enc = np.stack(enc)
+        self.inv = _padded(inv)
+        self.guard = _padded(guards)
+        self.gather = np.tile(np.arange(n), (len(edges), 1))
+        for row, e in zip(self.gather, edges):
+            row[list(e.resets)] = 0
+        self.target = np.array([e.target for e in edges], dtype=np.int64)
+
+    def initial(self, loc: int, points: np.ndarray, maxima: np.ndarray):
+        """The initial zone at each point: all clocks zero, then time
+        elapse, the invariant of ``loc`` and extrapolation.  Returns the
+        indices of the points where it is non-empty and its keys there."""
+        count, n = len(points), self.n
+        keep, ms = _step(
+            np.full((count, n, n), zones.ZERO_WEAK, dtype=np.int64),
+            self.atoms(np.zeros((count, 1), dtype=np.int64), points),
+            np.tile(np.arange(n), (count, 1)),
+            self.atoms(np.tile(self.inv[loc], (count, 1)), points), maxima)
+        return keep.tolist(), _pack(loc, ms)
+
+    def successors(self, states, maxima: np.ndarray):
+        """One ``_step`` over every edge of a batch of ``(loc, point, key)``
+        states: the edges' targets and successor keys (None for an empty
+        zone), state by state in edge order."""
+        locs = np.array([st[0] for st in states], dtype=np.int64)
+        deg = np.array([self.degree[st[0]] for st in states], dtype=np.int64)
+        rows = np.repeat(np.arange(len(states)), deg)
+        eids = (np.repeat(self.first[locs] - (np.cumsum(deg) - deg), deg)
+                + np.arange(len(rows)))
+        points = np.array([st[1] for st in states], dtype=np.int64)[rows]
+        targets = self.target[eids]
+        keep, ms = _step(_unpack([st[2] for st in states], self.n)[rows],
+                         self.atoms(self.guard[eids], points),
+                         self.gather[eids],
+                         self.atoms(self.inv[targets], points), maxima)
+        found: list = [None] * len(rows)
+        for row, key in zip(keep.tolist(), _pack(targets[keep], ms)):
+            found[row] = key
+        return targets.tolist(), found
+
+    def atoms(self, ids: np.ndarray, points: np.ndarray):
+        """The ``(pos, enc)`` pair for ``_constrain`` of the atom-id rows
+        ``ids`` (count, k), row r read at box point ``points[r]``."""
+        return self.pos[ids], self.enc[ids, points[:, None]]
+
+
+def _padded(rows: list[list[int]]) -> np.ndarray:
+    """Atom-id rows padded with atom 0 to a common width of at least 1."""
+    out = np.zeros((len(rows), max([1] + [len(r) for r in rows])),
+                   dtype=np.int64)
+    for k, r in enumerate(rows):
+        out[k, :len(r)] = r
+    return out
+
+
+def _pack(locs, ms: np.ndarray) -> list[bytes]:
+    """State keys: per zone of the stack, its location and then its
+    entries, as the bytes of int64 values."""
+    out = np.empty((len(ms), 1 + ms.shape[1] * ms.shape[2]), dtype=np.int64)
+    out[:, 0] = locs
+    out[:, 1:] = ms.reshape(out.shape[0], out.shape[1] - 1)
+    buf, size = out.tobytes(), out.shape[1] * 8
+    return [buf[k:k + size] for k in range(0, len(buf), size)]
+
+
+def _unpack(keys: list[bytes], n: int) -> np.ndarray:
+    """The zones of state keys, as a new (count, n, n) stack."""
+    flat = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys),
+                                                                 1 + n * n)
+    return flat[:, 1:].reshape(-1, n, n).copy()
+
+
+_OVER = "over"  # a deadlock fold that outgrew Options.dnf_limit
+
+
+def _deadlocks(t: _Tables, states, dnf_limit: int) -> list:
+    """Mirror of the symbolic deadlock formula for a batch of
+    ``(loc, point, key)`` states: fold the negated guards of all outgoing
+    edges over each zone, keeping each distinct zone once after every edge
+    (the fold keys its zones with location 0).  Per state: True when some
+    zone survives every edge, ``_OVER`` when the fold takes more than
+    ``dnf_limit`` steps before it ends, None for a state given as None."""
+    out: list = [None] * len(states)
+    folds = []  # [state index, loc, point, current zones, steps so far]
+    for k, st in enumerate(states):
+        if st is None:
+            continue
+        loc, point, key = st
+        if t.negated[loc] is None:
+            out[k] = False
+        elif not t.negated[loc]:
+            out[k] = True
+        else:
+            folds.append([k, loc, point, [key], 0])
+    level = 0
+    while folds:
+        live, blobs, atoms, points, owners = [], [], [], [], []
+        for f in folds:
+            k, loc, point, cur, steps = f
+            choices = t.negated[loc][level]
+            f[4] = steps + len(choices) * len(cur)
+            if f[4] > dnf_limit:
+                out[k] = _OVER
                 continue
-            zones.reset(z, resets)
-            zones.up(z)
-            z = _constrained(z, ct.inv[target])
-            if z is None:
+            for a in choices:
+                blobs.extend(cur)
+                atoms.extend([a] * len(cur))
+                points.extend([point] * len(cur))
+                owners.extend([len(live)] * len(cur))
+            live.append(f)
+        got: list = []
+        for lo in range(0, len(blobs), ROW_CAP):
+            hi = lo + ROW_CAP
+            ms = _unpack(blobs[lo:hi], t.n)
+            ids = np.array(atoms[lo:hi])[:, None]
+            ok = _constrain(ms, *t.atoms(ids, np.array(points[lo:hi])))
+            kept = iter(_pack(0, ms[ok]))
+            got.extend(next(kept) if good else None for good in ok.tolist())
+        seen: list[dict] = [{} for _ in live]
+        for owner, zone in zip(owners, got):
+            if zone is not None:
+                seen[owner].setdefault(zone)
+        level += 1
+        folds = []
+        for f, nxt in zip(live, seen):
+            f[3] = list(nxt)
+            if not f[3]:
+                out[f[0]] = False
+            elif level == len(t.negated[f[1]]):
+                out[f[0]] = True
+            else:
+                folds.append(f)
+    return out
+
+
+class _Graph:
+    """One valuation's zone graph while it is explored: states numbered in
+    discovery order, each with its location and key (see ``_pack``).  The
+    successor ids of state ``s`` start at ``succ[starts[s]]``; the
+    ``head`` states expanded so far have a start."""
+
+    __slots__ = ("point", "locs", "keys", "index", "succ", "starts",
+                 "deadlock")
+
+    def __init__(self, point: int, loc: int, key: bytes):
+        self.point = point
+        self.locs = [loc]
+        self.keys = [key]
+        self.index = {key: 0}
+        self.succ: list[int] = []
+        self.starts: list[int] = []
+        self.deadlock = False
+
+    @property
+    def head(self) -> int:
+        return len(self.starts)
+
+    def settle(self, dead, targets, found, opts: Options) -> str | None:
+        """Expand the state at ``head``: take its deadlock-check result
+        (None when unchecked), then number its successor keys ``found``
+        (None for an empty zone) in edge order.  Returns the capacity
+        error that stops the valuation, if any."""
+        if not self.deadlock and dead is not None:
+            if dead is _OVER:
+                return f"deadlock-guard expansion exceeded {opts.dnf_limit}"
+            self.deadlock = dead
+        self.starts.append(len(self.succ))
+        for target, key in zip(targets, found):
+            if key is None:
                 continue
-            if zones.extrapolate(z, maxima):
-                zones.close(z)
-            key = (target, zones.zone_key(z))
-            sid = index.get(key)
+            sid = self.index.get(key)
             if sid is None:
-                sid = len(states)
+                sid = len(self.locs)
                 if sid >= opts.limit_states:
-                    raise CapacityError(
-                        f"stored states exceeded {opts.limit_states}")
-                index[key] = sid
-                states.append((target, z))
-            succ[head - 1].append(sid)
-    return succ, acc, deadlock, len(states)
+                    return f"stored states exceeded {opts.limit_states}"
+                self.index[key] = sid
+                self.locs.append(target)
+                self.keys.append(key)
+            self.succ.append(sid)
+        return None
+
+    def adjacency(self) -> list:
+        ends = self.starts[1:] + [len(self.succ)]
+        return [self.succ[a:b] for a, b in zip(self.starts, ends)]
+
+
+def _explore(a: Ptba, box: ParamBox, maxima: np.ndarray, opts: Options):
+    """The reachable concrete zone graph of every box point, each checked
+    for an accepting cycle and a deadlock state; returns (accepting bits,
+    deadlock bits, total states, largest state count).
+
+    The graphs are explored in lockstep.  A batch takes pending states in
+    each valuation's own state order, lowest valuation first, up to
+    ``ROW_CAP`` edge rows (a state without edges counts as one row; a
+    state with more edges than that runs alone), and opens new valuations
+    only while it has room.  Each batch runs the deadlock fold and one
+    ``_step`` over all its edge rows, then numbers the new zones valuation
+    by valuation, in the order a valuation explored alone numbers them.  A
+    valuation whose queue is empty is checked for an accepting cycle and
+    freed.
+
+    A valuation stops at its first capacity error in its own order, a
+    state's deadlock check before its successors, and checks no state for
+    deadlock after its first deadlocked one.  The lowest point that stops
+    raises, once every point below it has finished."""
+    t = _Tables(a, box)
+    cost = [max(d, 1) for d in t.degree]
+    pending: list[_Graph] = []  # open valuations, in point order
+    next_point, stop = 0, box.size  # no point from ``stop`` on is opened
+    error = None
+    accepted = deadlocked = total = most = 0
+
+    def open_points(count: int) -> list[_Graph]:
+        """Graphs for the next ``count`` points; a point whose initial
+        zone is empty has no states and is done at once."""
+        nonlocal next_point
+        points = np.arange(next_point, min(stop, next_point + count))
+        next_point += len(points)
+        return [_Graph(int(points[k]), a.initial, key)
+                for k, key in zip(*t.initial(a.initial, points, maxima))]
+
+    while True:
+        batch = []  # (graph, number of its states from head on)
+        room = ROW_CAP
+        for g in pending:
+            s = g.head
+            while s < len(g.locs) and (cost[g.locs[s]] <= room or not batch
+                                       and s == g.head):
+                room -= cost[g.locs[s]]
+                s += 1
+            if s > g.head:
+                batch.append((g, s - g.head))
+            if s < len(g.locs):
+                room = 0
+                break
+        while next_point < stop and (room >= cost[a.initial] or not batch):
+            for g in open_points(max(1, room // cost[a.initial])):
+                pending.append(g)
+                batch.append((g, 1))
+                room -= cost[a.initial]
+        if not batch:
+            break
+
+        owners = [g for g, count in batch for _ in range(count)]
+        states = [(g.locs[s], g.point, g.keys[s])
+                  for g, count in batch for s in range(g.head, g.head + count)]
+        dead = _deadlocks(t, [None if g.deadlock else st
+                              for g, st in zip(owners, states)], opts.dnf_limit)
+        targets, found = t.successors(states, maxima)
+        k = r = 0
+        for g, count in batch:
+            if g.point >= stop:
+                break
+            for _ in range(count):
+                d = t.degree[g.locs[g.head]]
+                msg = g.settle(dead[k], targets[r:r + d], found[r:r + d],
+                               opts)
+                k += 1
+                r += d
+                if msg is not None:
+                    error, stop = msg, g.point
+                    break
+        for g in pending:
+            if g.point < stop and g.head == len(g.locs):
+                total += len(g.locs)
+                most = max(most, len(g.locs))
+                if _has_accepting_cycle(g.adjacency(),
+                                        [t.accepting[l] for l in g.locs]):
+                    accepted |= 1 << g.point
+                if g.deadlock:
+                    deadlocked |= 1 << g.point
+        pending = [g for g in pending
+                   if g.point < stop and g.head < len(g.locs)]
+    if error is not None:
+        raise CapacityError(error)
+    return accepted, deadlocked, total, most
 
 
 def _has_accepting_cycle(succ, acc) -> bool:
@@ -199,17 +479,16 @@ def _has_accepting_cycle(succ, acc) -> bool:
 
 def check_valuation(a: Ptba, v, maxima=None,
                     opts: Options | None = None) -> tuple[bool, bool]:
-    """(accepting run exists, deadlock state reachable) at one valuation."""
-    opts = opts or Options()
+    """(accepting run exists, deadlock state reachable) at one valuation:
+    the lockstep explorer on the one-point box."""
+    box = ParamBox.of({p: (x, x) for p, x in v.items()})
     if maxima is None:
         from .model import clock_bounds
 
-        singleton = ParamBox.of({p: (x, x) for p, x in v.items()})
-        maxima = clock_bounds(a, singleton)
-    maxima = np.asarray(maxima, dtype=np.int64)
-    ct = instantiate(a, v)
-    succ, acc, deadlock, _ = _explore(ct, maxima, opts)
-    return _has_accepting_cycle(succ, acc), deadlock
+        maxima = clock_bounds(a, box)
+    accepted, deadlock, _, _ = _explore(
+        a, box, np.asarray(maxima, dtype=np.int64), opts or Options())
+    return bool(accepted), bool(deadlock)
 
 
 def enumerate_box(net: Network, prop: Formula | str,
@@ -220,21 +499,8 @@ def enumerate_box(net: Network, prop: Formula | str,
     box = box or net.box()
     f = parse_ltl(prop) if isinstance(prop, str) else prop
     tba, maxima = build_automaton(net, f, box)
-    mvec = np.asarray(maxima, dtype=np.int64)
-    accepted_bits = 0
-    deadlock_bits = 0
-    total_states = 0
-    max_states = 0
-    for idx in range(box.size):
-        v = box.point(idx)
-        ct = instantiate(tba, v)
-        succ, acc, deadlock, count = _explore(ct, mvec, opts)
-        total_states += count
-        max_states = max(max_states, count)
-        if _has_accepting_cycle(succ, acc):
-            accepted_bits |= 1 << idx
-        if deadlock:
-            deadlock_bits |= 1 << idx
+    accepted_bits, deadlock_bits, total_states, max_states = _explore(
+        tba, box, np.asarray(maxima, dtype=np.int64), opts)
     accepted = ValuationSet(box, accepted_bits)
     stats = {
         "engine": "enumerate",

@@ -470,29 +470,32 @@ def to_buchi(f: Formula) -> BuchiAutomaton:
 
     # states are (tableau state, counter) pairs; counter m is the accepting
     # flash and immediately restarts at 0
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def state_id(q: int, c: int) -> int:
-        key = (q, c)
-        if key not in index:
-            index[key] = len(order)
-            order.append(key)
-        return index[key]
-
+    order, state_id = _numbering((0, 0))
     trans = []
-    start = state_id(0, 0)
-    k = 0
-    while k < len(order):
-        q, c = order[k]
-        k += 1
+    for src, (q, c) in enumerate(order):
         base = 0 if c == m else c
         for (_, pos, negs, dst) in out_by_src.get(q, []):
-            nc = copy_after(dst, base)
-            trans.append(Transition(index[(q, c)], pos, negs, state_id(dst, nc)))
-    accepting = frozenset(i for (q, c), i in index.items() if c == m)
-    aut = BuchiAutomaton(len(order), start, trans, accepting)
+            trans.append(Transition(src, pos, negs,
+                                    state_id((dst, copy_after(dst, base)))))
+    accepting = frozenset(i for i, (_, c) in enumerate(order) if c == m)
+    aut = BuchiAutomaton(len(order), 0, trans, accepting)
     return _prune(aut)
+
+
+def _numbering(init):
+    """Dense state numbers in discovery order.  Returns the list of states
+    and the function that numbers a state, appending it when new, so that
+    ``for st in order`` visits every state numbered while it runs."""
+    index = {init: 0}
+    order = [init]
+
+    def state_id(st) -> int:
+        if st not in index:
+            index[st] = len(order)
+            order.append(st)
+        return index[st]
+
+    return order, state_id
 
 
 def _prune(aut: BuchiAutomaton) -> BuchiAutomaton:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InputError
-from .ltl import CMP_OPS, BuchiAutomaton, holds
+from .ltl import CMP_OPS, BuchiAutomaton, _numbering, holds
 from .params import AffineExpr, ParamBox, StrictBound, bound
 from .pdbm import Atom
 
@@ -503,22 +503,6 @@ class Labelling:
                                  kind="unknown-variable")
             return holds(atom, self.varvals[loc])
         return atom in self.aps[loc]
-
-
-def _numbering(init):
-    """Dense state numbers in discovery order.  Returns the list of states
-    and the function that numbers a state, appending it when new, so that
-    ``for st in order`` visits every state numbered while it runs."""
-    index = {init: 0}
-    order = [init]
-
-    def state_id(st) -> int:
-        if st not in index:
-            index[st] = len(order)
-            order.append(st)
-        return index[st]
-
-    return order, state_id
 
 
 def compose(net: Network) -> tuple[Pta, Labelling]:

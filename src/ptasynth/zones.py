@@ -76,8 +76,9 @@ def close_many(ms: np.ndarray) -> np.ndarray:
 
 
 def up(m: np.ndarray) -> None:
-    """Remove upper bounds on all clocks (time successor)."""
-    m[1:, 0] = INF
+    """Remove upper bounds on all clocks (time successor), of one matrix or
+    of every matrix in a stack."""
+    m[..., 1:, 0] = INF
 
 
 def reset(m: np.ndarray, clocks) -> None:
@@ -88,25 +89,21 @@ def reset(m: np.ndarray, clocks) -> None:
         m[r, r] = ZERO_WEAK
 
 
-def extrapolate(m: np.ndarray, bounds: np.ndarray) -> bool:
-    """Widen entries past the per-clock maxima: entries above the row
-    clock's maximum become infinite, entries below minus the column clock's
-    maximum are floored to a strict bound there.  Returns True if anything
-    changed (caller re-closes)."""
+def extrapolate(m: np.ndarray, bounds: np.ndarray):
+    """Widen entries past the per-clock maxima, of one matrix or of every
+    matrix in a stack, in place: entries above the row clock's maximum
+    become infinite, entries below minus the column clock's maximum are
+    floored to a strict bound there.  Returns whether each matrix changed
+    (the caller re-closes those)."""
     finite = m < INF
     vals = m >> 1
     hi = finite & (vals > bounds[:, None])
     lo = finite & ~hi & (vals < -bounds[None, :])
-    if not (hi.any() or lo.any()):
-        return False
-    m[hi] = INF
-    floor = np.broadcast_to((-bounds) << 1, m.shape)
-    m[lo] = floor[lo]
-    return True
-
-
-def zone_key(m: np.ndarray) -> bytes:
-    return m.tobytes()
+    changed = (hi | lo).any(axis=(-2, -1))
+    if changed.any():
+        m[hi] = INF
+        m[lo] = np.broadcast_to((-bounds) << 1, m.shape)[lo]
+    return changed
 
 
 def dump(m: np.ndarray, names) -> str:

@@ -1,15 +1,21 @@
-import numpy as np
+import json
 
+import numpy as np
+import pytest
+
+import oracle_dbm as od
 import oracle_region
-from conftest import load_fixture
-from ptasynth import zones
+from conftest import CORPUS, load_fixture
+from ptasynth import baseline, zones
 from ptasynth.baseline import (
-    _constrained,
+    _constrain,
+    _step,
     check_valuation,
     enumerate_box,
     instantiate,
 )
-from ptasynth.explore import synthesize
+from ptasynth.errors import CapacityError
+from ptasynth.explore import Options, synthesize
 from ptasynth.model import PEdge, PLoc, Ptba
 from ptasynth.params import AffineExpr, bound
 
@@ -55,38 +61,121 @@ class TestInstantiate:
             assert enc == pdbm.evaluate(z, {"p": p})[1][0]
 
 
+def flat_atoms(rows, n):
+    """``(pos, enc)`` arrays for ``_constrain`` from per-zone lists of
+    ``(i, j, encoded bound)`` atoms, padded with a no-op atom."""
+    width = max([1] + [len(r) for r in rows])
+    pos = np.zeros((len(rows), width), dtype=np.int64)
+    enc = np.full((len(rows), width), zones.INF, dtype=np.int64)
+    for k, r in enumerate(rows):
+        for t, (i, j, e) in enumerate(r):
+            pos[k, t] = i * n + j
+            enc[k, t] = e
+    return pos, enc
+
+
+def random_canonical(rng, n):
+    """A closed non-empty zone with random finite and infinite entries."""
+    while True:
+        z = np.array([[zones.encode(rng.randrange(-4, 9), rng.random() < 0.5)
+                       if i != j and rng.random() < 0.8 else
+                       zones.ZERO_WEAK if i == j else zones.INF
+                       for j in range(n)] for i in range(n)], dtype=np.int64)
+        if zones.close(z):
+            return z
+
+
+def random_atoms(rng, n, fewest, most):
+    return [(rng.randrange(n), rng.randrange(n),
+             zones.encode(rng.randrange(-6, 9), rng.random() < 0.5))
+            for _ in range(rng.randrange(fewest, most + 1))]
+
+
+def oracle_bound(enc):
+    return od.INF if enc >= zones.INF else (enc >> 1, not enc & 1)
+
+
+def to_oracle(m):
+    return [[oracle_bound(e) for e in row] for row in m.tolist()]
+
+
+def from_oracle(m):
+    return np.array([[zones.INF if e is od.INF else zones.encode(*e)
+                      for e in row] for row in m], dtype=np.int64)
+
+
 class TestConstrained:
+    """The batched guard step: each zone of a batch tightened by its own
+    atoms, then closed."""
+
     def test_untightened_copy_is_equal(self):
         z = zones.zero_zone(3)
         zones.up(z)
         atoms = [(1, 0, zones.INF), (0, 2, zones.ZERO_WEAK),
                  (2, 1, zones.encode(4, False))]
-        got = _constrained(z, atoms)
-        assert got is not z
-        assert np.array_equal(got, z)
+        ms = z[None].copy()
+        assert _constrain(ms, *flat_atoms([atoms], 3)).tolist() == [True]
+        assert np.array_equal(ms[0], z)
 
     def test_matches_full_closure(self, rng):
-        # random canonical zones and 1-3 random atoms, diagonals included
-        for _ in range(300):
-            n = rng.randrange(2, 6)
-            z = np.array([[zones.encode(rng.randrange(-4, 9), rng.random() < 0.5)
-                           if i != j and rng.random() < 0.8 else
-                           zones.ZERO_WEAK if i == j else zones.INF
-                           for j in range(n)] for i in range(n)],
-                         dtype=np.int64)
-            if not zones.close(z):
-                continue
-            atoms = [(rng.randrange(n), rng.randrange(n),
-                      zones.encode(rng.randrange(-6, 9), rng.random() < 0.5))
-                     for _ in range(rng.randrange(1, 4))]
-            want = z.copy()
-            for i, j, enc in atoms:
-                want[i, j] = min(want[i, j], enc)
-            got = _constrained(z, atoms)
-            if zones.close(want):
-                assert np.array_equal(got, want)
-            else:
-                assert got is None
+        # batches of random canonical zones with 1-3 random atoms each,
+        # diagonals and repeated entries included
+        for n in range(2, 6):
+            zs = [random_canonical(rng, n) for _ in range(75)]
+            rows = [random_atoms(rng, n, 1, 3) for _ in zs]
+            ms = np.stack(zs)
+            ok = _constrain(ms, *flat_atoms(rows, n))
+            for z, atoms, got, good in zip(zs, rows, ms, ok):
+                want = z.copy()
+                for i, j, enc in atoms:
+                    want[i, j] = min(want[i, j], enc)
+                assert good == zones.close(want)
+                if good:
+                    assert np.array_equal(got, want)
+
+
+class TestStep:
+    def test_matches_oracle(self, rng):
+        # random batches through guard, reset, up, invariant and
+        # extrapolation: every kept row is the oracle's zone, and exactly
+        # the rows the oracle finds empty are dropped
+        kept = dropped = 0
+        for n in (2, 3, 4):
+            for _ in range(8):
+                zs = [random_canonical(rng, n) for _ in range(30)]
+                guards = [random_atoms(rng, n, 0, 2) for _ in zs]
+                invs = [random_atoms(rng, n, 0, 2) for _ in zs]
+                resets = [[c for c in range(1, n) if rng.random() < 0.4]
+                          for _ in zs]
+                gather = np.tile(np.arange(n), (len(zs), 1))
+                for row, clocks in zip(gather, resets):
+                    row[clocks] = 0
+                maxima = np.array([rng.randrange(0, 7) for _ in range(n)],
+                                  dtype=np.int64)
+                keep, got = _step(np.stack(zs), flat_atoms(guards, n), gather,
+                                  flat_atoms(invs, n), maxima)
+                want = {}
+                for k, z in enumerate(zs):
+                    m = to_oracle(z)
+                    for i, j, enc in guards[k]:
+                        od.constrain(m, i, j, oracle_bound(enc))
+                    if not od.close(m):
+                        continue
+                    od.reset(m, resets[k])
+                    od.up(m)
+                    for i, j, enc in invs[k]:
+                        od.constrain(m, i, j, oracle_bound(enc))
+                    if not od.close(m):
+                        continue
+                    od.extrapolate(m, maxima.tolist())
+                    od.close(m)
+                    want[k] = from_oracle(m)
+                assert keep.tolist() == sorted(want)
+                for k, m in zip(keep.tolist(), got):
+                    assert np.array_equal(m, want[k])
+                kept += len(want)
+                dropped += len(zs) - len(want)
+        assert kept and dropped
 
 
 class TestCheckValuation:
@@ -195,3 +284,39 @@ class TestEnumerate:
         base = enumerate_box(net, prop, box)
         assert sym.accepted.bits == base.accepted.bits == 0
         assert sym.deadlock.bits == base.deadlock.bits
+
+
+class TestLimits:
+    """Capacity errors and the batch size leave the answers as a valuation
+    explored alone gives them."""
+
+    def test_first_error_in_exploration_order_wins(self):
+        # within a valuation the state limit trips before a later state's
+        # deadlock fold outgrows its limit; a batch that ran every fold
+        # before numbering the successors would report the fold instead
+        net = load_fixture("limits.pta")
+        with pytest.raises(CapacityError,
+                           match="^stored states exceeded 5$"):
+            enumerate_box(net, "G !al0",
+                          opts=Options(dnf_limit=6, limit_states=5))
+        with pytest.raises(CapacityError,
+                           match="^deadlock-guard expansion exceeded 6$"):
+            enumerate_box(net, "G !al0", opts=Options(dnf_limit=6))
+
+    def test_state_limit_at_the_largest_graph(self):
+        net = load_fixture("limits.pta")
+        most = enumerate_box(net, "G !al0").stats["zone_states_max"]
+        enumerate_box(net, "G !al0", opts=Options(limit_states=most))
+        with pytest.raises(CapacityError,
+                           match=f"^stored states exceeded {most - 1}$"):
+            enumerate_box(net, "G !al0", opts=Options(limit_states=most - 1))
+
+    @pytest.mark.parametrize("cap", [1, 10**6])
+    def test_row_cap_leaves_results_unchanged(self, monkeypatch, cap):
+        def results():
+            return [json.dumps(enumerate_box(load_fixture(name), prop).to_json())
+                    for name, props in CORPUS.items() for prop in props]
+
+        want = results()
+        monkeypatch.setattr(baseline, "ROW_CAP", cap)
+        assert results() == want
