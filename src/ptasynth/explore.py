@@ -18,6 +18,7 @@ what survives it, and the satisfying set its complement inside the box.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -102,10 +103,17 @@ class StateStore:
 
     def _entry(self, i: int, j: int, b) -> tuple[int, int]:
         hi, lo = self.maxima[i], -self.maxima[j]
-        vals = 2 * self.box.values(b.expr) + (0 if b.strict else 1)
-        np.clip(vals, 2 * lo - 1, 2 * hi + 2, out=vals)
+        weak = 0 if b.strict else 1
+        if b.expr.is_const:
+            # the bytes the array below would hold, without the array
+            v = min(max(2 * b.expr.const + weak, 2 * lo - 1), 2 * hi + 2)
+            raw = v.to_bytes(8, sys.byteorder, signed=True) * self.box.size
+        else:
+            vals = 2 * self.box.values(b.expr) + weak
+            np.clip(vals, 2 * lo - 1, 2 * hi + 2, out=vals)
+            raw = vals.tobytes()
         below, above = self.box.bounds.window_bits(b, hi, lo)
-        vid = self._value_ids.setdefault(vals.tobytes(), len(self._value_ids))
+        vid = self._value_ids.setdefault(raw, len(self._value_ids))
         return vid, below & above
 
     def _key(self, loc: int, z: CPDBM) -> tuple:

@@ -12,6 +12,15 @@ are memoized, on the box and nowhere else: ``ParamBox.bounds`` is the
 box's ``BoundTable``, which hash-conses bounds and memoizes their sums and
 their comparisons as extension bits.  A comparison's bits depend on the
 box, so one process-wide memo would answer for the wrong box.
+
+Most comparisons do not need the points one by one.  A constant
+constraint holds on the whole box or nowhere.  One over a single
+parameter, ``z*p + k < 0`` or ``<= 0``, is a threshold on ``p``, rounded
+exactly on the integers and answered from the bits of "p is at most t",
+which the box builds with integer shifts and memoizes per (parameter, t).
+Two bounds with equal coefficients differ by a constant, so the table
+compares them without building the difference.  Only constraints over
+two or more parameters are evaluated on the numpy grid of the box.
 """
 
 from __future__ import annotations
@@ -94,11 +103,51 @@ class ParamBox:
         return vals
 
     def constraint_bits(self, c: "Constraint") -> int:
-        """Bitset of the points satisfying ``c``."""
-        vals = self.values(c.lhs)
+        """Bitset of the points satisfying ``c``.
+
+        A constant constraint holds everywhere or nowhere, and one over a
+        single parameter is a threshold on it; only constraints over two
+        or more parameters are evaluated on the grid."""
+        lhs = c.lhs
+        if not lhs.coeffs:
+            holds = lhs.const < 0 if c.strict else lhs.const <= 0
+            return self._full_bits if holds else 0
+        if len(lhs.coeffs) == 1:
+            # z*p + k < 0 is z*p + k + 1 <= 0 on integers: z*p <= r
+            (p, z), = lhs.coeffs
+            r = -lhs.const - (1 if c.strict else 0)
+            if z > 0:
+                return self._threshold_bits(p, r // z)
+            # p >= ceil(r / z) = -(r // -z), the complement of p <= that - 1
+            return self._full_bits & ~self._threshold_bits(p, -(r // -z) - 1)
+        vals = self.values(lhs)
         mask = vals < 0 if c.strict else vals <= 0
         return int.from_bytes(
             np.packbits(mask, bitorder="little").tobytes(), "little")
+
+    def _threshold_bits(self, p: str, t: int) -> int:
+        """Bitset of the points where parameter ``p`` is at most ``t``."""
+        a = self.params.index(p)
+        lo, hi = self.lo[a], self.hi[a]
+        if t < lo:
+            return 0
+        if t >= hi:
+            return self._full_bits
+        got = self._thresholds.get((p, t))
+        if got is None:
+            # row-major: p's value is constant over runs of ``inner``
+            # points, and its whole range repeats every ``period`` points
+            inner = 1
+            for b, c in zip(self.lo[a + 1:], self.hi[a + 1:]):
+                inner *= c - b + 1
+            period = (hi - lo + 1) * inner
+            got = self._thresholds[(p, t)] = _repeat(
+                (1 << (t - lo + 1) * inner) - 1, period, self.size // period)
+        return got
+
+    @cached_property
+    def _thresholds(self) -> dict[tuple[str, int], int]:
+        return {}
 
     @cached_property
     def bounds(self) -> "BoundTable":
@@ -119,6 +168,21 @@ class ParamBox:
                 raise EvaluationError(f"{p}={x} outside {a}..{b}")
             idx = idx * (b - a + 1) + (x - a)
         return idx
+
+
+def _repeat(bits: int, period: int, count: int) -> int:
+    """``count`` copies of ``bits`` placed ``period`` bits apart, built by
+    doubling so that each step is a linear shift and or."""
+    out = shift = 0
+    while count:
+        if count & 1:
+            out |= bits << shift
+            shift += period
+        count >>= 1
+        if count:
+            bits |= bits << period
+            period *= 2
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,6 +532,14 @@ class BoundTable:
     is interned on the way.  Comparisons are memoized as extension bits
     over the box, so ``ext & bits == ext`` decides one on a constraint
     set.
+
+    A miss is decided the cheapest way that is exact.  Two finite bounds
+    with equal coefficients compare their encoded values ``2*const +
+    weak``, and a constant bound lies inside a window or not, on the
+    whole box either way; both give the full or the empty bitset.  Any
+    other comparison goes to ``ParamBox.constraint_bits``, which answers
+    one over a single parameter with a threshold mask and evaluates only
+    those over two or more parameters on the grid.
     """
 
     def __init__(self, box: ParamBox):
@@ -508,8 +580,15 @@ class BoundTable:
         got = self.les.get(id(b1) << 64 | id(b2))
         if got is None:
             b1, b2 = self.intern(b1), self.intern(b2)
-            got = self.les[id(b1) << 64 | id(b2)] = self.box.constraint_bits(
-                bound_le_constraint(b1, b2))
+            e1, e2 = b1.expr, b2.expr
+            if e1 is not None and e2 is not None and e1.coeffs == e2.coeffs:
+                # the difference is a constant: compare encoded values
+                holds = (2 * e1.const + (not b1.strict)
+                         <= 2 * e2.const + (not b2.strict))
+                got = self.box._full_bits if holds else 0
+            else:
+                got = self.box.constraint_bits(bound_le_constraint(b1, b2))
+            self.les[id(b1) << 64 | id(b2)] = got
         return got
 
     def window_bits(self, b: StrictBound, hi: int, lo: int) -> tuple[int, int]:
@@ -518,9 +597,14 @@ class BoundTable:
         got = self.windows.get((id(b), hi, lo))
         if got is None:
             b = self.intern(b)
-            got = self.windows[(id(b), hi, lo)] = (
-                self.box.constraint_bits(Constraint.le(b.expr, hi)),
-                self.box.constraint_bits(Constraint.le(lo, b.expr)))
+            e, box = b.expr, self.box
+            if e.is_const:
+                got = (box._full_bits if e.const <= hi else 0,
+                       box._full_bits if e.const >= lo else 0)
+            else:
+                got = (box.constraint_bits(Constraint.le(e, hi)),
+                       box.constraint_bits(Constraint.le(lo, e)))
+            self.windows[(id(b), hi, lo)] = got
         return got
 
     def floor(self, m: int) -> StrictBound:

@@ -44,6 +44,18 @@ def from_valuation(cpdbm, v):
     return out
 
 
+def is_canonical(cpdbm, box):
+    """True when the matrix is closed at every valuation of its
+    extension: closing it there with ``close`` changes no entry."""
+    for v in cpdbm.cset.extension(box):
+        m = from_valuation(cpdbm, v)
+        closed = clone(m)
+        close(closed)
+        if closed != m:
+            return False
+    return True
+
+
 def clone(m):
     return [list(row) for row in m]
 

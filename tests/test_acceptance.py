@@ -89,7 +89,7 @@ def test_c2_canonical_form_golden():
     assert gt.cset == ConstraintSet.of(box, [Constraint.lt(q, p)])
     assert [gt.mat[1][0], gt.mat[2][0]] == [bound(q), bound(q)]
     for b in out:
-        assert pdbm.is_canonical(b, box)
+        assert od.is_canonical(b, box)
     ok(2, "canonical-form split matches the expected two branches exactly")
 
 

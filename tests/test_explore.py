@@ -154,6 +154,19 @@ class TestStateStore:
         # and a zone at another location is another node
         assert store.resolve(1, z1) not in (store.resolve(0, z1), n3)
 
+    def test_constant_and_parametric_keys_agree(self):
+        # x <= 3 is keyed without the grid and x <= p through it: one node
+        # where p is 3 at every point of the box, two where it is not
+        for box, nodes in ((ParamBox.of({"p": (3, 3)}), 1),
+                           (ParamBox.of({"p": (3, 3), "q": (0, 1)}), 1),
+                           (ParamBox.of({"p": (2, 3)}), 2)):
+            store = StateStore(box, [0, 5])
+            for b in (bound(3), bound(P)):
+                store.resolve(0, pdbm.CPDBM(ConstraintSet.of(box),
+                                            pdbm.matrix_of(2, {(1, 0): b}),
+                                            True))
+            assert len(store.locs) == nodes
+
     def test_bounds_equal_in_the_window_are_one_node(self):
         # y - x <= -2p + 2 and y - x <= -4p + 4 are 0 at p = 1 and leave
         # the window [-1, 1] at every other point of the box

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -215,6 +216,97 @@ class TestBoundTable:
         assert table.floor(3) is table.intern(bound(-3, strict=True))
 
 
+def pointwise(box, holds):
+    """Bits of the box points where ``holds(valuation)``, enumerating the
+    points in row-major order without the box's grid."""
+    ranges = [range(a, b + 1) for a, b in zip(box.lo, box.hi)]
+    bits = 0
+    for idx, vals in enumerate(itertools.product(*ranges)):
+        if holds(dict(zip(box.params, vals))):
+            bits |= 1 << idx
+    return bits
+
+
+def bound_at_most(a, b, v):
+    """Whether bound a is at most bound b at v: value first, strict
+    before weak."""
+    ea, eb = bound_eval(a, v), bound_eval(b, v)
+    if eb is None:
+        return True
+    if ea is None:
+        return False
+    return ea[0] < eb[0] or (ea[0] == eb[0] and (ea[1] or not eb[1]))
+
+
+class TestComparisonsAgreePointwise:
+    """Constant and one-parameter comparisons are decided without the
+    grid; every path must give the bits a per-point evaluation gives."""
+
+    BOXES = [
+        ParamBox.of({}),
+        ParamBox.of({"p": (-3, 4)}),
+        ParamBox.of({"p": (-2, 2), "q": (1, 3)}),
+        ParamBox.of({"p": (-1, 2), "q": (-2, 0), "r": (0, 2)}),
+    ]
+
+    def expr(self, rng, box, nparams=None):
+        if nparams is None:
+            nparams = rng.randrange(len(box.params) + 1)
+        names = rng.sample(box.params, nparams)
+        return AffineExpr.of(rng.randrange(-14, 15), {
+            p: rng.choice([-3, -2, -1, 1, 2, 3]) for p in names})
+
+    def bound(self, rng, box):
+        if rng.random() < 0.1:
+            return INF_BOUND
+        return StrictBound(self.expr(rng, box), rng.random() < 0.5)
+
+    def test_constraint_bits(self, rng):
+        seen = set()
+        for box in self.BOXES:
+            full = ValuationSet.full(box).bits
+            for _ in range(300):
+                c = Constraint(self.expr(rng, box), rng.random() < 0.5)
+                got = box.constraint_bits(c)
+                assert got == pointwise(box, c.holds), str(c)
+                if len(c.lhs.coeffs) == 1:
+                    (_, z), = c.lhs.coeffs
+                    where = ("none" if got == 0 else "all" if got == full
+                             else "some")
+                    seen.add((z > 0, c.strict, where))
+        # thresholds below, inside and above the range, either sign of the
+        # coefficient, strict and weak
+        assert len(seen) == 12
+
+    def test_le_bits(self, rng):
+        for box in self.BOXES:
+            table = box.bounds
+            for _ in range(300):
+                a = self.bound(rng, box)
+                if a.expr is not None and rng.random() < 0.5:
+                    # equal coefficients, another constant
+                    b = StrictBound(
+                        AffineExpr(a.expr.const + rng.randrange(-2, 3),
+                                   a.expr.coeffs), rng.random() < 0.5)
+                else:
+                    b = self.bound(rng, box)
+                for x, y in ((a, b), (b, a)):
+                    want = pointwise(box, lambda v: bound_at_most(x, y, v))
+                    assert table.le_bits(x, y) == want, (str(x), str(y))
+
+    def test_window_bits(self, rng):
+        for box in self.BOXES:
+            table = box.bounds
+            for _ in range(300):
+                b = self.bound(rng, box)
+                if b.expr is None:
+                    continue
+                hi, lo = rng.randrange(-4, 10), -rng.randrange(-4, 10)
+                want = (pointwise(box, lambda v: b.expr.eval(v) <= hi),
+                        pointwise(box, lambda v: b.expr.eval(v) >= lo))
+                assert table.window_bits(b, hi, lo) == want, str(b)
+
+
 _bounds = st.one_of(
     st.just(INF_BOUND),
     st.builds(lambda c, cp, cq, s: StrictBound(
@@ -241,18 +333,8 @@ class TestBoundProperties:
     @settings(max_examples=300, deadline=None)
     @given(_bounds, _bounds, _vals)
     def test_le_matches_lexicographic_order(self, a, b, v):
-        # the constraint holds at v exactly when (value, strictness) of a
-        # is at most that of b: value first, weak before strict
-        c = bound_le_constraint(a, b)
-        ea, eb = bound_eval(a, v), bound_eval(b, v)
-        if eb is None:
-            expect = True
-        elif ea is None:
-            expect = False
-        else:
-            expect = ea[0] < eb[0] or (
-                ea[0] == eb[0] and (ea[1] or not eb[1]))
-        assert c.holds(v) == expect
+        # the constraint holds at v exactly when a is at most b there
+        assert bound_le_constraint(a, b).holds(v) == bound_at_most(a, b, v)
 
 
 class TestValuationSets:

@@ -129,7 +129,7 @@ class TestCanonicalForm:
                                                [Constraint.lt(Q, P)])
         assert second.mat[1][0] == bound(Q) and second.mat[2][0] == bound(Q)
         for b in out:
-            assert b.canonical and pdbm.is_canonical(b, self.BOX)
+            assert b.canonical and od.is_canonical(b, self.BOX)
         assert branches_disjoint(out, self.BOX) == \
             ValuationSet.full(self.BOX).bits
 
@@ -138,7 +138,7 @@ class TestCanonicalForm:
                 (2, 1): bound(2)}, self.BOX, canonical=False)
         out = pdbm.canonicalize(z, self.BOX)
         assert len(out) == 1
-        assert pdbm.is_canonical(out[0], self.BOX)
+        assert od.is_canonical(out[0], self.BOX)
 
     def test_matches_concrete_closure(self, rng):
         box = ParamBox.of({"p": (0, 5), "q": (0, 5)})
@@ -283,8 +283,8 @@ class TestResetUp:
         # reset and time release keep the canonical invariant, not just
         # the flag
         for z in canonical_samples(rng, self.BOX, 3, 6):
-            assert pdbm.is_canonical(pdbm.reset(z, [1]), self.BOX)
-            assert pdbm.is_canonical(pdbm.up(z), self.BOX)
+            assert od.is_canonical(pdbm.reset(z, [1]), self.BOX)
+            assert od.is_canonical(pdbm.up(z), self.BOX)
 
     def test_closure_noop_on_canonical_evaluations(self, rng):
         for z in canonical_samples(rng, self.BOX, 3, 10):
