@@ -3,9 +3,12 @@ with a concrete zone-graph search.
 
 This is the comparison engine and the exactness oracle for the symbolic
 one.  It shares the whole front end (model composition, property
-translation, product, non-Zeno transformation, clock maxima) so that the
-two engines explore the same automaton with the same abstraction
-coarseness, and implements the per-state deadlock formula the same way.
+translation, product, non-Zeno transformation, per-location clock bounds)
+so that the two engines explore the same automaton with the same
+abstraction coarseness, and implements the per-state deadlock formula the
+same way.  A zone is widened with the clock bounds of the location it is
+stored at (``model.location_bounds``, static guard analysis after
+Behrmann, Bouyer, Fleury and Larsen, TACAS 2003).
 
 Every valuation gets its own zone graph, but the graphs are explored in
 lockstep: the automaton's atoms are encoded once per box, at every point,
@@ -23,7 +26,7 @@ from . import zones
 from .errors import CapacityError, EvaluationError
 from .explore import Options, SynthesisResult, build_automaton
 from .ltl import Formula, parse_ltl
-from .model import Network, Ptba
+from .model import Network, Ptba, location_bounds
 from .params import ParamBox, ValuationSet, bound_eval
 from .pdbm import negate_atom
 
@@ -89,22 +92,23 @@ def _constrain(ms: np.ndarray, pos: np.ndarray, enc: np.ndarray) -> np.ndarray:
     return zones.close_many(ms)
 
 
-def _step(ms, guard, gather, inv, maxima):
+def _step(ms, guard, gather, inv, bounds):
     """Successors of canonical zones through one edge each, in a batch:
     guard, reset, time elapse, target invariant and extrapolation.
 
     ``guard`` and ``inv`` are ``(pos, enc)`` pairs for ``_constrain``;
     ``gather`` (count, n) maps each clock to itself, or to the zero clock
     when the edge resets it, so that ``m[g][:, g]`` is the reset of a
-    closed non-empty zone.  Returns the indices of the rows that stay
-    non-empty and their canonical zones."""
+    closed non-empty zone; ``bounds`` (count, n) holds each row's target
+    clock bounds.  Returns the indices of the rows that stay non-empty
+    and their canonical zones."""
     keep = np.flatnonzero(_constrain(ms, *guard))
     g = gather[keep]
     ms = ms[keep[:, None, None], g[:, :, None], g[:, None, :]]
     zones.up(ms)
     ok = _constrain(ms, inv[0][keep], inv[1][keep])
     keep, ms = keep[ok], ms[ok]
-    changed = zones.extrapolate(ms, maxima)
+    changed = zones.extrapolate(ms, bounds[keep])
     if changed.any():
         wide = ms[changed]
         zones.close_many(wide)
@@ -119,9 +123,10 @@ class _Tables:
     bounds nothing (infinity on the diagonal of the zero clock) and pads
     the atom rows of shorter guards and invariants.  Edges are numbered
     location by location, so location ``l`` owns the ``degree[l]`` edges
-    from ``first[l]`` on."""
+    from ``first[l]`` on.  ``bounds[l]`` holds the clock bounds zones at
+    location ``l`` are widened with."""
 
-    def __init__(self, a: Ptba, box: ParamBox):
+    def __init__(self, a: Ptba, box: ParamBox, bounds):
         n = len(a.clock_names)
         ids: dict = {}
         pos = [0]
@@ -144,6 +149,7 @@ class _Tables:
             return out
 
         self.n = n
+        self.bounds = np.asarray(bounds, dtype=np.int64)
         self.accepting = [loc.accepting for loc in a.locations]
         self.degree = [len(loc.edges) for loc in a.locations]
         self.first = np.cumsum([0] + self.degree)[:-1]
@@ -165,7 +171,7 @@ class _Tables:
             row[list(e.resets)] = 0
         self.target = np.array([e.target for e in edges], dtype=np.int64)
 
-    def initial(self, loc: int, points: np.ndarray, maxima: np.ndarray):
+    def initial(self, loc: int, points: np.ndarray):
         """The initial zone at each point: all clocks zero, then time
         elapse, the invariant of ``loc`` and extrapolation.  Returns the
         indices of the points where it is non-empty and its keys there."""
@@ -174,10 +180,11 @@ class _Tables:
             np.full((count, n, n), zones.ZERO_WEAK, dtype=np.int64),
             self.atoms(np.zeros((count, 1), dtype=np.int64), points),
             np.tile(np.arange(n), (count, 1)),
-            self.atoms(np.tile(self.inv[loc], (count, 1)), points), maxima)
+            self.atoms(np.tile(self.inv[loc], (count, 1)), points),
+            np.broadcast_to(self.bounds[loc], (count, n)))
         return keep.tolist(), _pack(loc, ms)
 
-    def successors(self, states, maxima: np.ndarray):
+    def successors(self, states):
         """One ``_step`` over every edge of a batch of ``(loc, point, key)``
         states: the edges' targets and successor keys (None for an empty
         zone), state by state in edge order."""
@@ -191,7 +198,8 @@ class _Tables:
         keep, ms = _step(_unpack([st[2] for st in states], self.n)[rows],
                          self.atoms(self.guard[eids], points),
                          self.gather[eids],
-                         self.atoms(self.inv[targets], points), maxima)
+                         self.atoms(self.inv[targets], points),
+                         self.bounds[targets])
         found: list = [None] * len(rows)
         for row, key in zip(keep.tolist(), _pack(targets[keep], ms)):
             found[row] = key
@@ -343,9 +351,10 @@ class _Graph:
         return [self.succ[a:b] for a, b in zip(self.starts, ends)]
 
 
-def _explore(a: Ptba, box: ParamBox, maxima: np.ndarray, opts: Options):
+def _explore(a: Ptba, box: ParamBox, bounds, opts: Options):
     """The reachable concrete zone graph of every box point, each checked
-    for an accepting cycle and a deadlock state; returns (accepting bits,
+    for an accepting cycle and a deadlock state, with zones widened by the
+    ``location_bounds`` table ``bounds``; returns (accepting bits,
     deadlock bits, total states, largest state count).
 
     The graphs are explored in lockstep.  A batch takes pending states in
@@ -362,7 +371,7 @@ def _explore(a: Ptba, box: ParamBox, maxima: np.ndarray, opts: Options):
     state's deadlock check before its successors, and checks no state for
     deadlock after its first deadlocked one.  The lowest point that stops
     raises, once every point below it has finished."""
-    t = _Tables(a, box)
+    t = _Tables(a, box, bounds)
     cost = [max(d, 1) for d in t.degree]
     pending: list[_Graph] = []  # open valuations, in point order
     next_point, stop = 0, box.size  # no point from ``stop`` on is opened
@@ -376,7 +385,7 @@ def _explore(a: Ptba, box: ParamBox, maxima: np.ndarray, opts: Options):
         points = np.arange(next_point, min(stop, next_point + count))
         next_point += len(points)
         return [_Graph(int(points[k]), a.initial, key)
-                for k, key in zip(*t.initial(a.initial, points, maxima))]
+                for k, key in zip(*t.initial(a.initial, points))]
 
     while True:
         batch = []  # (graph, number of its states from head on)
@@ -405,7 +414,7 @@ def _explore(a: Ptba, box: ParamBox, maxima: np.ndarray, opts: Options):
                   for g, count in batch for s in range(g.head, g.head + count)]
         dead = _deadlocks(t, [None if g.deadlock else st
                               for g, st in zip(owners, states)], opts.dnf_limit)
-        targets, found = t.successors(states, maxima)
+        targets, found = t.successors(states)
         k = r = 0
         for g, count in batch:
             if g.point >= stop:
@@ -477,17 +486,15 @@ def _has_accepting_cycle(succ, acc) -> bool:
     return False
 
 
-def check_valuation(a: Ptba, v, maxima=None,
+def check_valuation(a: Ptba, v, bounds=None,
                     opts: Options | None = None) -> tuple[bool, bool]:
     """(accepting run exists, deadlock state reachable) at one valuation:
-    the lockstep explorer on the one-point box."""
+    the lockstep explorer on the one-point box.  ``bounds`` is the
+    ``location_bounds`` table, computed on that box when not given."""
     box = ParamBox.of({p: (x, x) for p, x in v.items()})
-    if maxima is None:
-        from .model import clock_bounds
-
-        maxima = clock_bounds(a, box)
-    accepted, deadlock, _, _ = _explore(
-        a, box, np.asarray(maxima, dtype=np.int64), opts or Options())
+    if bounds is None:
+        bounds = location_bounds(a, box)
+    accepted, deadlock, _, _ = _explore(a, box, bounds, opts or Options())
     return bool(accepted), bool(deadlock)
 
 
@@ -498,9 +505,9 @@ def enumerate_box(net: Network, prop: Formula | str,
     opts = opts or Options()
     box = box or net.box()
     f = parse_ltl(prop) if isinstance(prop, str) else prop
-    tba, maxima = build_automaton(net, f, box)
+    tba, bounds = build_automaton(net, f, box)
     accepted_bits, deadlock_bits, total_states, max_states = _explore(
-        tba, box, np.asarray(maxima, dtype=np.int64), opts)
+        tba, box, bounds, opts)
     accepted = ValuationSet(box, accepted_bits)
     stats = {
         "engine": "enumerate",

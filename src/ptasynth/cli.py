@@ -16,7 +16,7 @@ from .baseline import enumerate_box
 from .errors import CapacityError, InputError, SoundnessError, SynthError
 from .explore import Options, build_automaton, synthesize
 from .ltl import neg, parse_ltl, to_buchi, to_nnf
-from .model import dump_product, load_model
+from .model import clock_bounds, dump_product, load_model
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -159,7 +159,8 @@ def cmd_dump_ba(args) -> int:
 
 def cmd_dump_product(args) -> int:
     net, box = _load(args)
-    tba, maxima = build_automaton(net, parse_ltl(args.ltl), box)
+    tba, bounds = build_automaton(net, parse_ltl(args.ltl), box)
+    maxima = clock_bounds(bounds)
     sys.stdout.write(dump_product(tba) + "\n")
     sys.stdout.write("clock maxima: "
                      + " ".join(f"{n}={m}" for n, m in

@@ -3,13 +3,18 @@
 A colour worklist builds the reachable symbolic graph once.  A node is a
 location with a widened matrix (``StateStore`` gives the key), and its
 colour is the bitset of the valuations under which it is reachable; a
-colour only grows.  When a node's colour grows by some valuations, the
-worklist expands the node's matrix on those valuations alone: successor
-generation with constraint splitting, and the deadlock valuations.  Each
-successor branch adds its valuations to its target node and to the colour
-of the edge.  At a valuation v, the nodes and edges whose colours hold v
-form the widened zone graph at v, up to nodes that repeat a zone, which
-changes neither reachability nor accepting cycles.
+colour only grows.  A matrix is widened with the clock bounds of the
+location it is stored at (``model.location_bounds``, static guard
+analysis after Behrmann, Bouyer, Fleury and Larsen, TACAS 2003), which
+are at most the one vector that covers every location and often far
+below it, so fewer matrices stay apart.  When a node's colour grows by
+some valuations, the worklist expands the node's matrix on those
+valuations alone: successor generation with constraint splitting, and
+the deadlock valuations.  Each successor branch adds its valuations to
+its target node and to the colour of the edge.  At a valuation v, the
+nodes and edges whose colours hold v form the widened zone graph at v,
+up to nodes that repeat a zone, which changes neither reachability nor
+accepting cycles.
 
 Accepting cycles are then found for all valuations at once by a fixpoint
 on colours (``cumulative_ndfs_graph``).  The violating set is the union of
@@ -33,6 +38,7 @@ from .model import (
     Ptba,
     clock_bounds,
     compose,
+    location_bounds,
     make_nonzeno,
     product,
 )
@@ -60,20 +66,24 @@ class SymbolicState:
 class StateStore:
     """The node table: one node per location and widened matrix.
 
-    A node's key is its location and, for every entry (i, j) of its
-    matrix, the entry's encoded value (``2v + weak``) at every box point,
-    clamped to [-2*maxima[j] - 1, 2*maxima[i] + 2], one step outside the
-    widening window; an infinite entry is keyed as infinity.  A node keeps
-    the first matrix that arrives, its colour is the union of the
-    arrivals' valuations, and it is canonical only if every arrival was.
+    ``bounds`` holds each location's clock bounds (``location_bounds``),
+    the vector its matrices are widened with.  A node's key is its
+    location and, for every entry (i, j) of its matrix, the entry's
+    encoded value (``2v + weak``) at every box point, clamped to
+    [-2*maxima[j] - 1, 2*maxima[i] + 2] for the location's vector
+    ``maxima``, one step outside the widening window; an infinite entry is
+    keyed as infinity.  A node keeps the first matrix that arrives, its
+    colour is the union of the arrivals' valuations, and it is canonical
+    only if every arrival was.
 
     This is exact: on an arrival's valuations, widening keeps its finite
     entries inside the window, where the clamp changes nothing, so equal
     keys mean equal matrices there, and the node's matrix read on its
     colour denotes exactly the zones that arrived.  The clamp makes the
     keys finite, so the table is finite and each node grows at most
-    |box| times.  The clamped values are memoized per entry and bound for
-    the life of the table.
+    |box| times.  The clamped values are memoized per window (the pair
+    of bounds an entry is clamped to, shared by the vectors that have it)
+    and bound for the life of the table.
 
     ``resolve`` adds an arrival and queues its node when the arrival
     brings new valuations, which ``pending`` holds until the node is
@@ -81,10 +91,14 @@ class StateStore:
     inside the window on its valuations, else SoundnessError.
     """
 
-    def __init__(self, box: ParamBox, maxima, limit: int = DEFAULT_STATE_LIMIT,
-                 check: bool = True):
+    def __init__(self, box: ParamBox, bounds,
+                 limit: int = DEFAULT_STATE_LIMIT, check: bool = True):
         self.box = box
-        self.maxima = list(maxima)
+        vectors: dict[tuple[int, ...], int] = {}
+        # per location, the index of its vector in ``maxima``
+        self._vector = [vectors.setdefault(tuple(v), len(vectors))
+                        for v in bounds]
+        self.maxima = list(vectors)
         self.limit = limit
         self.check = check
         self.locs: list[int] = []
@@ -95,14 +109,20 @@ class StateStore:
         self.succ: list[dict[int, int]] = []  # target node -> edge colour
         self.queue: deque[int] = deque()
         self._index: dict[tuple, int] = {}
-        n = len(self.maxima)
-        # per entry (i, j): bound -> (id of its clamped values, the
+        # per vector, per entry (i, j): the memo of the window (hi, lo) =
+        # (maxima[i], -maxima[j]), bound -> (id of its clamped values, the
         # valuations where it lies inside the window)
-        self._entries = [[{} for _ in range(n)] for _ in range(n)]
+        windows: dict[tuple[int, int], dict] = {}
+        self._entries = [[[windows.setdefault((hi, -m), {}) for m in v]
+                          for hi in v] for v in self.maxima]
         self._value_ids: dict[bytes, int] = {}
 
-    def _entry(self, i: int, j: int, b) -> tuple[int, int]:
-        hi, lo = self.maxima[i], -self.maxima[j]
+    def bounds_of(self, loc: int) -> tuple[int, ...]:
+        """The clock bounds the matrices stored at ``loc`` are widened
+        with."""
+        return self.maxima[self._vector[loc]]
+
+    def _entry(self, hi: int, lo: int, b) -> tuple[int, int]:
         weak = 0 if b.strict else 1
         if b.expr.is_const:
             # the bytes the array below would hold, without the array
@@ -119,15 +139,18 @@ class StateStore:
     def _key(self, loc: int, z: CPDBM) -> tuple:
         key = [loc]
         bits = z.cset.bits
+        v = self._vector[loc]
+        maxima = self.maxima[v]
         for i, row in enumerate(z.mat):
-            entries = self._entries[i]
+            entries = self._entries[v][i]
             for j, b in enumerate(row):
                 if b.expr is None:
                     key.append(-1)
                     continue
                 got = entries[j].get(b)
                 if got is None:
-                    got = entries[j][b] = self._entry(i, j, b)
+                    got = entries[j][b] = self._entry(maxima[i], -maxima[j],
+                                                      b)
                 key.append(got[0])
                 if self.check and bits & ~got[1]:
                     raise SoundnessError(
@@ -163,15 +186,16 @@ class StateStore:
 # --- successor generation ----------------------------------------------------
 
 
-def initial_states(a: Ptba, box: ParamBox, maxima=None) -> list[SymbolicState]:
+def initial_states(a: Ptba, box: ParamBox, bounds=None) -> list[SymbolicState]:
     """Zero zone with time released, constrained by the initial invariant,
-    canonical, then widened."""
-    if maxima is None:
-        maxima = clock_bounds(a, box)
+    canonical, then widened with the initial location's clock bounds
+    (``bounds`` is the ``location_bounds`` table)."""
+    if bounds is None:
+        bounds = location_bounds(a, box)
     z0 = pdbm.initial_cpdbm(a.n_clocks, box)
     out = []
     for z1 in pdbm.constrain(z0, a.locations[a.initial].inv, box):
-        for z2 in pdbm.extrapolate(z1, maxima, box):
+        for z2 in pdbm.extrapolate(z1, bounds[a.initial], box):
             out.append(SymbolicState(a.initial, z2))
     return out
 
@@ -180,11 +204,12 @@ def _canonical_branches(z: CPDBM, box: ParamBox) -> list[CPDBM]:
     return [z] if z.canonical else pdbm.canonicalize(z, box)
 
 
-def successors(s: SymbolicState, a: Ptba, box: ParamBox, maxima=None,
+def successors(s: SymbolicState, a: Ptba, box: ParamBox, bounds=None,
                counts=None, base=None) -> list[SymbolicState]:
     """All successor states of one symbolic state: per edge, guard,
-    reset, time release, target invariant, widening, with empty branches
-    dropped at every stage.  Guard and invariant go through
+    reset, time release, target invariant, widening with the target's
+    clock bounds (``bounds`` is the ``location_bounds`` table), with empty
+    branches dropped at every stage.  Guard and invariant go through
     ``pdbm.constrain``, which closes through the guard's clocks only; the
     base branches, the canonical forms of the source zone, are closed in
     full.  States come in edge order; branches that reach one target with
@@ -192,8 +217,8 @@ def successors(s: SymbolicState, a: Ptba, box: ParamBox, maxima=None,
 
     ``counts``, when given, tallies per forking operation the branches it
     added (``guard`` counts a guard or invariant and its closure)."""
-    if maxima is None:
-        maxima = clock_bounds(a, box)
+    if bounds is None:
+        bounds = location_bounds(a, box)
     if base is None:
         base = _canonical_branches(s.zone, box)
     out: list[SymbolicState] = []
@@ -204,6 +229,7 @@ def successors(s: SymbolicState, a: Ptba, box: ParamBox, maxima=None,
 
     for e in a.locations[s.loc].edges:
         inv = a.locations[e.target].inv
+        maxima = bounds[e.target]
         for zb in base:
             g1 = pdbm.constrain(zb, e.atoms, box)
             count("guard", len(g1))
@@ -275,18 +301,19 @@ class SymbolicGraph:
         return len(self.colour)
 
 
-def build_graph(a: Ptba, box: ParamBox, maxima=None,
+def build_graph(a: Ptba, box: ParamBox, bounds=None,
                 opts: Options | None = None) -> SymbolicGraph:
     """Run the colour worklist from the initial states until no node has
     pending valuations: each expansion takes all of a node's pending
     valuations, folds their deadlock valuations in and adds every
-    successor branch to its target node and edge."""
+    successor branch to its target node and edge.  ``bounds`` is the
+    ``location_bounds`` table, computed here when not given."""
     opts = opts or Options()
-    if maxima is None:
-        maxima = clock_bounds(a, box)
-    store = StateStore(box, maxima, opts.limit_states, opts.check)
+    if bounds is None:
+        bounds = location_bounds(a, box)
+    store = StateStore(box, bounds, opts.limit_states, opts.check)
     g = SymbolicGraph(box, store.colour, store.succ, [], store)
-    for st in initial_states(a, box, maxima):
+    for st in initial_states(a, box, bounds):
         nid = store.resolve(st.loc, st.zone)
         if nid not in g.initials:
             g.initials.append(nid)
@@ -310,7 +337,7 @@ def build_graph(a: Ptba, box: ParamBox, maxima=None,
             opts.trace.write(f"state {u}: {a.locations[s.loc].name}\n")
             opts.trace.write(pdbm.dump(s.zone, box, a.clock_names) + "\n\n")
         edges = store.succ[u]
-        for t in successors(s, a, box, maxima, counts=g.counts, base=base):
+        for t in successors(s, a, box, bounds, counts=g.counts, base=base):
             bits = t.zone.cset.bits
             if opts.check and bits & ~delta:
                 raise SoundnessError(
@@ -447,7 +474,8 @@ BOUND_LIMIT = zones.INF >> 2
 
 def _check_bound_range(a: Ptba, box: ParamBox, maxima) -> None:
     """Reject bounds the int64 zone encoding cannot hold: every clock
-    maximum, every atom constant and every atom term at its largest
+    maximum (``maxima`` is the ``clock_bounds`` vector, which covers every
+    location's), every atom constant and every atom term at its largest
     magnitude over the box must stay below BOUND_LIMIT."""
 
     def check(value: int, what: str) -> None:
@@ -470,15 +498,16 @@ def _check_bound_range(a: Ptba, box: ParamBox, maxima) -> None:
 
 def build_automaton(net: Network, f: Formula, box: ParamBox):
     """Shared front end for both engines: product of the composed network
-    with the automaton of the negated property, made strongly non-Zeno.
-    Raises InputError when a bound falls outside the encodable range."""
+    with the automaton of the negated property, made strongly non-Zeno,
+    and its ``location_bounds`` table.  Raises InputError when a bound
+    falls outside the encodable range."""
     validate_property(net, f)
     aut = to_buchi(to_nnf(ltl_mod.neg(f)))
     pta, lab = compose(net)
     tba = make_nonzeno(product(pta, lab, aut))
-    maxima = clock_bounds(tba, box)
-    _check_bound_range(tba, box, maxima)
-    return tba, maxima
+    bounds = location_bounds(tba, box)
+    _check_bound_range(tba, box, clock_bounds(bounds))
+    return tba, bounds
 
 
 def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
@@ -488,8 +517,8 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
     opts = opts or Options()
     box = box or net.box()
     f = parse_ltl(prop) if isinstance(prop, str) else prop
-    tba, maxima = build_automaton(net, f, box)
-    g = build_graph(tba, box, maxima, opts)
+    tba, bounds = build_automaton(net, f, box)
+    g = build_graph(tba, box, bounds, opts)
     stats: dict = {
         "engine": "symbolic",
         "box_points": box.size,
@@ -513,12 +542,14 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
 def scan_stored_bounds(g: SymbolicGraph) -> int:
     """Verify that every finite bound of every node's matrix evaluates
     within [-maxima[column], maxima[row]] at every valuation of the node's
-    colour; returns the number of entries checked.  The node table makes
-    the same check on every arrival under ``Options.check``; this scan
-    re-checks a finished graph entry by entry."""
+    colour, for the clock bounds ``maxima`` of the node's location;
+    returns the number of entries checked.  The node table makes the same
+    check on every arrival under ``Options.check``; this scan re-checks a
+    finished graph entry by entry."""
     checked = 0
-    box, maxima = g.box, g.store.maxima
-    for mat, colour in zip(g.store.mats, g.colour):
+    box, store = g.box, g.store
+    for loc, mat, colour in zip(store.locs, store.mats, g.colour):
+        maxima = store.bounds_of(loc)
         idx = ValuationSet(box, colour).indices()
         for i, row in enumerate(mat):
             for j, b in enumerate(row):

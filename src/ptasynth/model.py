@@ -645,33 +645,73 @@ def make_nonzeno(a: Ptba) -> Ptba:
     return Ptba(names, locations, 0)
 
 
-# --- clock maxima for extrapolation ------------------------------------------
+# --- clock bounds for extrapolation ------------------------------------------
 
 
-def clock_bounds(a: Ptba, box: ParamBox) -> list[int]:
-    """Largest constant each clock is effectively compared with, over the
-    whole box.
+def location_bounds(a: Ptba, box: ParamBox) -> list[tuple[int, ...]]:
+    """Per location, the largest constant each clock can still be compared
+    with before it is next reset, over the whole box: static guard
+    analysis (Behrmann, Bouyer, Fleury, Larsen, TACAS 2003).
 
-    Every atom contributes to both of its clocks, and both the expression
-    and its negation are considered: a lower-bound guard stores the negated
-    threshold, so only the pair covers the magnitudes that matter.  The
-    zero clock stays at 0.
-    """
+    A location starts from the atoms of its invariant and of its outgoing
+    guards.  Every atom contributes to both of its clocks, and both the
+    expression and its negation are considered: a lower-bound guard stores
+    the negated threshold, so only the pair covers the magnitudes that
+    matter.  An edge then passes its target's bounds back to its source for
+    every clock it does not reset, until nothing changes.  The zero clock
+    stays at 0.
+
+    Widening a zone stored at a location with that location's vector keeps
+    the answers exact for diagonal-free guards: every guard and invariant
+    the zone's points can meet before a reset lies within the vector."""
     n = len(a.clock_names)
-    maxima = [0] * n
-    atoms: list[Atom] = []
-    for loc in a.locations:
-        atoms.extend(loc.inv)
+    magnitude: dict[AffineExpr, int] = {}  # the product repeats atoms
+    table: list[list[int]] = []
+    preds: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in a.locations]
+    kept_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for l, loc in enumerate(a.locations):
+        row = [0] * n
+        for atoms in [loc.inv] + [e.atoms for e in loc.edges]:
+            for i, j, b in atoms:
+                if b.is_inf:
+                    continue
+                m = magnitude.get(b.expr)
+                if m is None:
+                    m = magnitude[b.expr] = max(b.expr.max_bound(box),
+                                                (-b.expr).max_bound(box))
+                for c in (i, j):
+                    if c and m > row[c]:
+                        row[c] = m
+        table.append(row)
         for e in loc.edges:
-            atoms.extend(e.atoms)
-    for i, j, b in atoms:
-        if b.is_inf:
-            continue
-        cand = max(b.expr.max_bound(box), (-b.expr).max_bound(box))
-        for c in (i, j):
-            if c != 0:
-                maxima[c] = max(maxima[c], cand)
-    return maxima
+            kept = kept_of.get(e.resets)
+            if kept is None:
+                kept = kept_of[e.resets] = tuple(
+                    c for c in range(1, n) if c not in e.resets)
+            preds[e.target].append((l, kept))
+    todo = list(range(len(table)))
+    queued = [True] * len(table)
+    while todo:
+        t = todo.pop()
+        queued[t] = False
+        row_t = table[t]
+        for l, kept in preds[t]:
+            row = table[l]
+            grew = False
+            for c in kept:
+                if row_t[c] > row[c]:
+                    row[c] = row_t[c]
+                    grew = True
+            if grew and not queued[l]:
+                queued[l] = True
+                todo.append(l)
+    return [tuple(row) for row in table]
+
+
+def clock_bounds(table: list[tuple[int, ...]]) -> list[int]:
+    """The largest bound of each clock over all locations of a
+    ``location_bounds`` table: the one vector that covers every location."""
+    return [max(col) for col in zip(*table)]
 
 
 def dump_product(a: Ptba) -> str:

@@ -97,31 +97,39 @@ class ParamBox:
 
     def values(self, e: "AffineExpr") -> np.ndarray:
         """Values of ``e`` at every point, in row-major order (int64)."""
-        vals = np.full(self.size, e.const, dtype=np.int64)
-        for p, z in e.coeffs:
+        return self._values(e.const, e.coeffs)
+
+    def _values(self, const: int, coeffs) -> np.ndarray:
+        vals = np.full(self.size, const, dtype=np.int64)
+        for p, z in coeffs:
             vals += z * self.grid[self.params.index(p)]
         return vals
 
     def constraint_bits(self, c: "Constraint") -> int:
-        """Bitset of the points satisfying ``c``.
+        """Bitset of the points satisfying ``c``."""
+        return self.affine_bits(c.lhs.const, c.lhs.coeffs, c.strict)
+
+    def affine_bits(self, const: int, coeffs, strict: bool) -> int:
+        """Bitset of the points where ``const + sum(z * p)`` over the
+        ``(p, z)`` pairs of ``coeffs`` (nonzero ``z``, each parameter once)
+        is below 0 (``strict``) or at most 0.
 
         A constant constraint holds everywhere or nowhere, and one over a
         single parameter is a threshold on it; only constraints over two
         or more parameters are evaluated on the grid."""
-        lhs = c.lhs
-        if not lhs.coeffs:
-            holds = lhs.const < 0 if c.strict else lhs.const <= 0
+        if not coeffs:
+            holds = const < 0 if strict else const <= 0
             return self._full_bits if holds else 0
-        if len(lhs.coeffs) == 1:
+        if len(coeffs) == 1:
             # z*p + k < 0 is z*p + k + 1 <= 0 on integers: z*p <= r
-            (p, z), = lhs.coeffs
-            r = -lhs.const - (1 if c.strict else 0)
+            (p, z), = coeffs
+            r = -const - (1 if strict else 0)
             if z > 0:
                 return self._threshold_bits(p, r // z)
             # p >= ceil(r / z) = -(r // -z), the complement of p <= that - 1
             return self._full_bits & ~self._threshold_bits(p, -(r // -z) - 1)
-        vals = self.values(lhs)
-        mask = vals < 0 if c.strict else vals <= 0
+        vals = self._values(const, coeffs)
+        mask = vals < 0 if strict else vals <= 0
         return int.from_bytes(
             np.packbits(mask, bitorder="little").tobytes(), "little")
 
@@ -533,13 +541,12 @@ class BoundTable:
     over the box, so ``ext & bits == ext`` decides one on a constraint
     set.
 
-    A miss is decided the cheapest way that is exact.  Two finite bounds
-    with equal coefficients compare their encoded values ``2*const +
-    weak``, and a constant bound lies inside a window or not, on the
-    whole box either way; both give the full or the empty bitset.  Any
-    other comparison goes to ``ParamBox.constraint_bits``, which answers
-    one over a single parameter with a threshold mask and evaluates only
-    those over two or more parameters on the grid.
+    A miss goes to ``ParamBox.affine_bits`` with the constant and the
+    coefficients of the difference it compares, built without an
+    expression object: two bounds with equal coefficients, or a constant
+    bound against a window, leave a constant that holds on the whole box
+    or nowhere; a difference over one parameter is a threshold mask; only
+    one over two or more parameters is evaluated on the grid.
     """
 
     def __init__(self, box: ParamBox):
@@ -581,13 +588,19 @@ class BoundTable:
         if got is None:
             b1, b2 = self.intern(b1), self.intern(b2)
             e1, e2 = b1.expr, b2.expr
-            if e1 is not None and e2 is not None and e1.coeffs == e2.coeffs:
-                # the difference is a constant: compare encoded values
-                holds = (2 * e1.const + (not b1.strict)
-                         <= 2 * e2.const + (not b2.strict))
-                got = self.box._full_bits if holds else 0
+            if e2 is None:
+                got = self.box._full_bits
+            elif e1 is None:
+                got = 0
             else:
-                got = self.box.constraint_bits(bound_le_constraint(b1, b2))
+                # e1 - e2 <= 0, strict when only b2 is: as bound_le_constraint
+                diff = dict(e1.coeffs)
+                for p, z in e2.coeffs:
+                    diff[p] = diff.get(p, 0) - z
+                got = self.box.affine_bits(
+                    e1.const - e2.const,
+                    [(p, z) for p, z in diff.items() if z],
+                    b2.strict and not b1.strict)
             self.les[id(b1) << 64 | id(b2)] = got
         return got
 
@@ -598,12 +611,10 @@ class BoundTable:
         if got is None:
             b = self.intern(b)
             e, box = b.expr, self.box
-            if e.is_const:
-                got = (box._full_bits if e.const <= hi else 0,
-                       box._full_bits if e.const >= lo else 0)
-            else:
-                got = (box.constraint_bits(Constraint.le(e, hi)),
-                       box.constraint_bits(Constraint.le(lo, e)))
+            # e - hi <= 0 and lo - e <= 0
+            got = (box.affine_bits(e.const - hi, e.coeffs, False),
+                   box.affine_bits(lo - e.const,
+                                   [(p, -z) for p, z in e.coeffs], False))
             self.windows[(id(b), hi, lo)] = got
         return got
 

@@ -93,16 +93,18 @@ def extrapolate(m: np.ndarray, bounds: np.ndarray):
     """Widen entries past the per-clock maxima, of one matrix or of every
     matrix in a stack, in place: entries above the row clock's maximum
     become infinite, entries below minus the column clock's maximum are
-    floored to a strict bound there.  Returns whether each matrix changed
-    (the caller re-closes those)."""
+    floored to a strict bound there.  ``bounds`` holds the maxima, one
+    vector (n,) for every matrix or a (count, n) stack with one row per
+    matrix.  Returns whether each matrix changed (the caller re-closes
+    those)."""
     finite = m < INF
     vals = m >> 1
-    hi = finite & (vals > bounds[:, None])
-    lo = finite & ~hi & (vals < -bounds[None, :])
+    hi = finite & (vals > bounds[..., :, None])
+    lo = finite & ~hi & (vals < -bounds[..., None, :])
     changed = (hi | lo).any(axis=(-2, -1))
     if changed.any():
         m[hi] = INF
-        m[lo] = np.broadcast_to((-bounds) << 1, m.shape)[lo]
+        m[lo] = np.broadcast_to(((-bounds) << 1)[..., None, :], m.shape)[lo]
     return changed
 
 

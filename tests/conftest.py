@@ -46,3 +46,33 @@ def load_fixture(name: str):
     from ptasynth.model import load_model
 
     return load_model(fixture_path(name))
+
+
+def one_clock_bounds(a, box):
+    """Every atom's magnitude over the box, both signs, maximized per clock
+    over the whole automaton: the one bound vector all locations were
+    widened with before per-location bounds, computed here without
+    ``model.location_bounds``."""
+    maxima = [0] * len(a.clock_names)
+    for loc in a.locations:
+        for atoms in [loc.inv] + [e.atoms for e in loc.edges]:
+            for i, j, b in atoms:
+                m = max(b.expr.max_bound(box), (-b.expr).max_bound(box))
+                for c in (i, j):
+                    if c:
+                        maxima[c] = max(maxima[c], m)
+    return maxima
+
+
+def one_vector_enumeration(net, prop: str, box):
+    """The enumeration engine with ``one_clock_bounds`` for every location:
+    (violating bits, deadlock bits, zone states), an exactness reference
+    for per-location bounds that does not run their analysis."""
+    from ptasynth import baseline
+    from ptasynth.explore import Options, build_automaton
+    from ptasynth.ltl import parse_ltl
+
+    tba, _ = build_automaton(net, parse_ltl(prop), box)
+    one = [tuple(one_clock_bounds(tba, box))] * len(tba.locations)
+    accepted, deadlock, total, _ = baseline._explore(tba, box, one, Options())
+    return accepted, deadlock, total

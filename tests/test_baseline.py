@@ -5,7 +5,12 @@ import pytest
 
 import oracle_dbm as od
 import oracle_region
-from conftest import CORPUS, load_fixture
+from conftest import (
+    CORPUS,
+    load_fixture,
+    one_clock_bounds,
+    one_vector_enumeration,
+)
 from ptasynth import baseline, zones
 from ptasynth.baseline import (
     _constrain,
@@ -150,10 +155,11 @@ class TestStep:
                 gather = np.tile(np.arange(n), (len(zs), 1))
                 for row, clocks in zip(gather, resets):
                     row[clocks] = 0
-                maxima = np.array([rng.randrange(0, 7) for _ in range(n)],
-                                  dtype=np.int64)
+                # one bound vector per row, as per-location bounds give
+                bounds = np.array([[rng.randrange(0, 7) for _ in range(n)]
+                                   for _ in zs], dtype=np.int64)
                 keep, got = _step(np.stack(zs), flat_atoms(guards, n), gather,
-                                  flat_atoms(invs, n), maxima)
+                                  flat_atoms(invs, n), bounds)
                 want = {}
                 for k, z in enumerate(zs):
                     m = to_oracle(z)
@@ -167,7 +173,7 @@ class TestStep:
                         od.constrain(m, i, j, oracle_bound(enc))
                     if not od.close(m):
                         continue
-                    od.extrapolate(m, maxima.tolist())
+                    od.extrapolate(m, bounds[k].tolist())
                     od.close(m)
                     want[k] = from_oracle(m)
                 assert keep.tolist() == sorted(want)
@@ -181,12 +187,12 @@ class TestStep:
 class TestCheckValuation:
     def test_no_accepting_location(self):
         acc, dead = check_valuation(loop_ptba(accepting=False), {"p": 0},
-                                    maxima=[0, 0])
+                                    bounds=[(0, 0)])
         assert not acc
 
     def test_accepting_self_loop(self):
         for p in range(3):
-            acc, _ = check_valuation(loop_ptba(), {"p": p}, maxima=[0, 0])
+            acc, _ = check_valuation(loop_ptba(), {"p": p}, bounds=[(0, 0)])
             assert acc
 
     def test_deterministic(self):
@@ -195,10 +201,10 @@ class TestCheckValuation:
         from ptasynth.ltl import parse_ltl
 
         box = net.box()
-        tba, maxima = build_automaton(net, parse_ltl("G !work"), box)
+        tba, bounds = build_automaton(net, parse_ltl("G !work"), box)
         v = {"p": 2, "q": 3}
-        first = check_valuation(tba, v, maxima)
-        assert all(check_valuation(tba, v, maxima) == first for _ in range(3))
+        first = check_valuation(tba, v, bounds)
+        assert all(check_valuation(tba, v, bounds) == first for _ in range(3))
 
 
 def random_one_clock_ptba(rng):
@@ -234,7 +240,7 @@ class TestRegionOracle:
             a = random_one_clock_ptba(rng)
             v = {}
             want = oracle_region.accepting_run_exists(a, v, k=3)
-            got, _ = check_valuation(a, v, maxima=[0, 3])
+            got, _ = check_valuation(a, v, bounds=[(0, 3)] * len(a.locations))
             assert got == want
             agree += 1
         assert agree == 200
@@ -268,11 +274,12 @@ class TestEnumerate:
 
     def test_zone_state_count_pinned(self):
         # the benchmark's dense3 box: a closure that is not canonical would
-        # change the zone graph, and with it this count
+        # change the zone graph, and with it this count (4,044 with one
+        # bound vector for every location, 2,700 with per-location bounds)
         net = load_fixture("traingate.pta")
         box = net.box({"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)})
         res = enumerate_box(net, "G !(Train1.Cross && Train2.Cross)", box)
-        assert res.stats["zone_states_total"] == 4044
+        assert res.stats["zone_states_total"] == 2700
 
     def test_six_parameter_traingate_point(self):
         # all six bounds parametric, pinned to one valuation each
@@ -284,6 +291,36 @@ class TestEnumerate:
         base = enumerate_box(net, prop, box)
         assert sym.accepted.bits == base.accepted.bits == 0
         assert sym.deadlock.bits == base.deadlock.bits
+
+
+class TestOneVectorReference:
+    """Per-location bounds widen less than one vector for every location,
+    so the graphs differ but the answers may not."""
+
+    @pytest.mark.parametrize("fixture,prop,overrides,states", [
+        ("traingate.pta", "G !(Train1.Cross && Train2.Cross)",
+         {"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)}, 4044),
+        ("traingate6.pta", "G F Train1.Cross",
+         {"p1": (2, 3), "p2": (1, 2), "p3": (0, 1), "p4": (1, 1),
+          "p6": (1, 1)}, 4830),
+    ])
+    def test_symbolic_matches_one_vector_enumeration(self, fixture, prop,
+                                                     overrides, states):
+        from ptasynth.explore import build_automaton
+        from ptasynth.ltl import parse_ltl
+
+        net = load_fixture(fixture)
+        box = net.box(overrides)
+        sym = synthesize(net, prop, box)
+        accepted, deadlock, total = one_vector_enumeration(net, prop, box)
+        assert (sym.accepted.bits, sym.deadlock.bits) == (accepted, deadlock)
+        assert total == states  # the one-vector zone graph of old
+        # and check_valuation at the box's last point, given the vector
+        tba, _ = build_automaton(net, parse_ltl(prop), box)
+        one = [tuple(one_clock_bounds(tba, box))] * len(tba.locations)
+        last = box.size - 1
+        assert check_valuation(tba, box.point(last), one) == (
+            bool(accepted >> last & 1), bool(deadlock >> last & 1))
 
 
 class TestLimits:

@@ -19,7 +19,7 @@ from ptasynth.explore import (
     successors,
     synthesize,
 )
-from ptasynth.model import PEdge, PLoc, Ptba
+from ptasynth.model import PEdge, PLoc, Ptba, clock_bounds
 from ptasynth.params import (
     AffineExpr,
     Constraint,
@@ -46,7 +46,7 @@ BOX5 = ParamBox.of({"p": (0, 5)})
 class TestInitialStates:
     def test_plain_invariant(self):
         a = tiny_ptba()
-        states = initial_states(a, BOX5, [0, 0])
+        states = initial_states(a, BOX5, [(0, 0)])
         assert len(states) == 1
         z = states[0].zone
         assert z.mat[1][0] is INF_BOUND  # x unbounded above
@@ -54,28 +54,28 @@ class TestInitialStates:
 
     def test_upper_bound_invariant(self):
         a = tiny_ptba(inv=[(1, 0, bound(P))])
-        states = initial_states(a, BOX5, [0, 5])
+        states = initial_states(a, BOX5, [(0, 5)])
         assert len(states) == 1
         assert states[0].zone.mat[1][0] == bound(P)
 
     def test_unsatisfiable_invariant_drops_state(self):
         a = tiny_ptba(inv=[(1, 0, bound(-1))])  # x <= -1: empty
-        assert initial_states(a, BOX5, [0, 5]) == []
+        assert initial_states(a, BOX5, [(0, 5)]) == []
 
 
 class TestSuccessors:
     def test_no_edges(self):
         loc = PLoc("L", ())
         a = Ptba(["0", "x"], [loc], 0)
-        s = initial_states(a, BOX5, [0, 0])[0]
-        assert successors(s, a, BOX5, [0, 0]) == []
+        s = initial_states(a, BOX5, [(0, 0)])[0]
+        assert successors(s, a, BOX5, [(0, 0)]) == []
 
     def test_reset_all_guard_true(self):
         loc = PLoc("L", ())
         loc.edges.append(PEdge((), (1, 2), 0, "loop"))
         a = Ptba(["0", "x", "y"], [loc], 0)
-        s = initial_states(a, BOX5, [0, 0, 0])[0]
-        out = successors(s, a, BOX5, [0, 0, 0])
+        s = initial_states(a, BOX5, [(0, 0, 0)])[0]
+        out = successors(s, a, BOX5, [(0, 0, 0)])
         assert len(out) == 1
         z = out[0].zone
         # all clocks equal and non-negative after reset + time release
@@ -92,8 +92,8 @@ class TestSuccessors:
         loc = PLoc("L", ((1, 0, bound(P)),))
         loc.edges.append(PEdge(((1, 0, bound(q)),), (1,), 0, "loop"))
         a = Ptba(["0", "x"], [loc], 0)
-        s = initial_states(a, box, [0, 5])[0]
-        g = build_graph(a, box, [0, 5])
+        s = initial_states(a, box, [(0, 5)])[0]
+        g = build_graph(a, box, [(0, 5)])
         assert g.counts == {"guard": 1}
         assert g.n_nodes == 1 and g.expansions == 1
         assert g.colour == [ValuationSet.full(box).bits]
@@ -103,7 +103,7 @@ class TestSuccessors:
 
 class TestStateStore:
     def test_identical_zone_same_data(self):
-        store = StateStore(BOX5, [0, 5])
+        store = StateStore(BOX5, [(0, 5)] * 2)
         r1 = store.resolve(0, pdbm.initial_cpdbm(1, BOX5))
         r2 = store.resolve(0, pdbm.initial_cpdbm(1, BOX5))
         assert r1 == r2
@@ -111,7 +111,7 @@ class TestStateStore:
 
     def test_equal_extensions_hit_structurally(self):
         # different constraint lists with the same points are one set
-        store = StateStore(BOX5, [0, 5])
+        store = StateStore(BOX5, [(0, 5)] * 2)
         mat = pdbm.matrix_of(2, {(1, 0): bound(P)})
         z1 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(P, 3)]), mat,
                         True)
@@ -124,7 +124,7 @@ class TestStateStore:
         # p pinned to 3 with the bound written parametrically vs literally:
         # the key reads the values at every box point, and they differ
         # where p is not 3
-        store = StateStore(BOX5, [0, 5])
+        store = StateStore(BOX5, [(0, 5)] * 2)
         pin = ConstraintSet.of(BOX5, [Constraint.le(P, 3),
                                       Constraint.le(3, P)])
         z1 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
@@ -132,7 +132,7 @@ class TestStateStore:
         assert store.resolve(0, z1) != store.resolve(0, z2)
 
     def test_zones_differing_at_one_valuation_split(self):
-        store = StateStore(BOX5, [0, 5])
+        store = StateStore(BOX5, [(0, 5)] * 2)
         z1 = pdbm.CPDBM(ConstraintSet.of(BOX5),
                         pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
         z2 = pdbm.CPDBM(ConstraintSet.of(BOX5),
@@ -160,7 +160,7 @@ class TestStateStore:
         for box, nodes in ((ParamBox.of({"p": (3, 3)}), 1),
                            (ParamBox.of({"p": (3, 3), "q": (0, 1)}), 1),
                            (ParamBox.of({"p": (2, 3)}), 2)):
-            store = StateStore(box, [0, 5])
+            store = StateStore(box, [(0, 5)])
             for b in (bound(3), bound(P)):
                 store.resolve(0, pdbm.CPDBM(ConstraintSet.of(box),
                                             pdbm.matrix_of(2, {(1, 0): b}),
@@ -176,10 +176,24 @@ class TestStateStore:
         zs = [pdbm.CPDBM(one, pdbm.matrix_of(3, {
             (1, 0): INF_BOUND, (2, 0): INF_BOUND,
             (2, 1): bound(-k * P + k)}), True) for k in (2, 4)]
-        store = StateStore(box, [0, 1, 1])
+        store = StateStore(box, [(0, 1, 1)])
         assert [store.resolve(0, z) for z in zs] == [0, 0]
         assert store.colour == [one.bits]
         assert store.mats == [zs[0].mat]
+
+    def test_each_location_clamps_to_its_own_window(self):
+        # x <= 2 and x <= 3 lie inside the window of a location whose
+        # bound on x is 5, and both clamp to one value above the window of
+        # one whose bound is 1, where the check rejects them
+        zs = [pdbm.CPDBM(ConstraintSet.of(BOX5),
+                         pdbm.matrix_of(2, {(1, 0): bound(k)}), True)
+              for k in (2, 3)]
+        store = StateStore(BOX5, [(0, 5), (0, 1)], check=False)
+        assert store.bounds_of(1) == (0, 1)
+        assert len({store.resolve(0, z) for z in zs}) == 2
+        assert len({store.resolve(1, z) for z in zs}) == 1
+        with pytest.raises(SoundnessError, match="out of range"):
+            StateStore(BOX5, [(0, 5), (0, 1)]).resolve(1, zs[0])
 
     def test_offcolour_bounds_keep_the_graph_finite(self):
         from ptasynth.baseline import enumerate_box
@@ -254,20 +268,20 @@ class TestDeadlockValuations:
     def test_no_outgoing_edges_whole_extension(self):
         loc = PLoc("L", ())
         a = Ptba(["0", "x"], [loc], 0)
-        s = initial_states(a, BOX5, [0, 0])[0]
+        s = initial_states(a, BOX5, [(0, 0)])[0]
         got = deadlock_valuations(s, a, BOX5)
         assert got.bits == s.zone.cset.bits
 
     def test_unguarded_edge_never_deadlocks(self):
         a = tiny_ptba()
-        s = initial_states(a, BOX5, [0, 0])[0]
+        s = initial_states(a, BOX5, [(0, 0)])[0]
         assert deadlock_valuations(s, a, BOX5).is_empty
 
     def test_upper_bounded_guard_on_unbounded_zone(self):
         # zone x >= 0 with a single guard x <= p: some point beyond p
         # always exists, so every valuation is flagged
         a = tiny_ptba(guard_atoms=[(1, 0, bound(P))])
-        s = initial_states(a, BOX5, [0, 5])[0]
+        s = initial_states(a, BOX5, [(0, 5)])[0]
         got = deadlock_valuations(s, a, BOX5)
         assert got.bits == ValuationSet.full(BOX5).bits
 
@@ -275,7 +289,7 @@ class TestDeadlockValuations:
         # guard x >= p on an upward-closed zone is always eventually on,
         # and the formula sees the points below p as deadlocked
         a = tiny_ptba(guard_atoms=[(0, 1, bound(-P))])
-        s = initial_states(a, BOX5, [0, 5])[0]
+        s = initial_states(a, BOX5, [(0, 5)])[0]
         got = deadlock_valuations(s, a, BOX5)
         assert sorted(v["p"] for v in got) == [1, 2, 3, 4, 5]
 
@@ -383,8 +397,8 @@ class TestStoredBoundScan:
 
         net = load_fixture("staggered.pta")
         box = net.box()
-        tba, maxima = build_automaton(net, parse_ltl("G !inB"), box)
-        g = build_graph(tba, box, maxima)
+        tba, bounds = build_automaton(net, parse_ltl("G !inB"), box)
+        g = build_graph(tba, box, bounds)
         assert scan_stored_bounds(g) > 0
 
     def test_unwidened_bounds_fail_soundness(self, monkeypatch):
@@ -431,15 +445,15 @@ component C {{
         assert what in str(exc.value)
 
     def test_clock_maximum(self):
-        _, maxima = self.front_end("", str(self.LIMIT - 1))
-        assert maxima[1] == self.LIMIT - 1
+        _, bounds = self.front_end("", str(self.LIMIT - 1))
+        assert clock_bounds(bounds)[1] == self.LIMIT - 1
         self.rejected("", str(self.LIMIT), "maximum of clock x")
 
     def test_atom_term(self):
         # the bound p - c is at most 1, but the term p reaches the limit
         lo = self.LIMIT - 2
-        _, maxima = self.front_end(f"param p = {lo}..{lo + 1}", f"p - {lo}")
-        assert maxima[1] == 1
+        _, bounds = self.front_end(f"param p = {lo}..{lo + 1}", f"p - {lo}")
+        assert clock_bounds(bounds)[1] == 1
         self.rejected(f"param p = {lo + 1}..{lo + 2}", f"p - {lo + 1}",
                       "bound term 1*p")
 
@@ -447,6 +461,6 @@ component C {{
         # p + q - c is 0 or 1, each term is 2^37, the constant reaches 2^38
         half = self.LIMIT // 2
         params = f"param p = {half}..{half}\nparam q = {half}..{half}"
-        _, maxima = self.front_end(params, f"p + q - {self.LIMIT - 1}")
-        assert maxima[1] == 1
+        _, bounds = self.front_end(params, f"p + q - {self.LIMIT - 1}")
+        assert clock_bounds(bounds)[1] == 1
         self.rejected(params, f"p + q - {self.LIMIT}", "bound constant")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import SEED
+from conftest import SEED, load_fixture, one_vector_enumeration
 from model_fuzz import random_model, random_property
 from ptasynth.baseline import enumerate_box
 from ptasynth.errors import CapacityError, InputError
@@ -43,3 +43,36 @@ def test_random_models_agree():
         assert sym.satisfying.bits == base.satisfying.bits, context
         assert sym.deadlock.bits == base.deadlock.bits, context
         checked += 1
+
+
+def sets(res):
+    return res.satisfying.bits, res.accepted.bits, res.deadlock.bits
+
+
+def test_first_thousand_jobs_of_generator_seed_1_agree():
+    # the fixed job list every engine change is checked on: the first
+    # 1,000 (model, property) pairs drawn from Random(1), under default
+    # options (none of them raises).  Both engines share the per-location
+    # bounds, so the violating and deadlock sets are also checked against
+    # enumeration with one bound vector for every location
+    rng = random.Random(1)
+    for k in range(1000):
+        src, labels = random_model(rng)
+        prop = random_property(rng, labels)
+        net = parse_model(src)
+        sym = synthesize(net, prop)
+        context = f"job {k}: property {prop!r} on\n{src}"
+        assert sets(sym) == sets(enumerate_box(net, prop)), context
+        assert (sym.accepted.bits, sym.deadlock.bits) == \
+            one_vector_enumeration(net, prop, sym.box)[:2], context
+
+
+def test_job_837_stays_small():
+    # job 837 of that list, the largest symbolic graph in it: 5,468 nodes
+    # when every location was widened with one bound vector, 2,120 states
+    # in the older per-extension store, 1,173 nodes with per-location
+    # bounds
+    net = load_fixture("fuzz837.pta")
+    sym = synthesize(net, "G !al1")
+    assert sets(sym) == sets(enumerate_box(net, "G !al1"))
+    assert sym.stats["stored_states"] <= 2120

@@ -2,19 +2,23 @@ import hashlib
 
 import pytest
 
-from conftest import CORPUS, load_fixture
+from conftest import CORPUS, load_fixture, one_clock_bounds
 from ptasynth import ltl
 from ptasynth.errors import InputError
 from ptasynth.explore import build_automaton
 from ptasynth.model import (
+    PEdge,
+    PLoc,
+    Ptba,
     clock_bounds,
     compose,
     dump_product,
+    location_bounds,
     make_nonzeno,
     parse_model,
     product,
 )
-from ptasynth.params import AffineExpr
+from ptasynth.params import AffineExpr, ParamBox, bound
 
 MINIMAL = """
 param p = 0..3
@@ -332,7 +336,6 @@ class TestProductAcceptance:
         # side independently (one-clock fixtures, no widening involved)
         import oracle_region
         from ptasynth.explore import synthesize
-        from ptasynth.model import clock_bounds
 
         net = load_fixture(fixture)
         box = net.box()
@@ -342,11 +345,28 @@ class TestProductAcceptance:
         prod = product(pta, lab, aut)
         from ptasynth.params import ValuationSet
 
-        k = max(clock_bounds(prod, box))
+        k = max(clock_bounds(location_bounds(prod, box)))
         accepted = synthesize(net, prop, box).accepted
         for v in ValuationSet.full(box):
             want = oracle_region.accepting_run_exists(prod, v, k)
             assert want == (v in accepted), (fixture, v)
+
+
+def chain(*locs):
+    """A hand-built automaton over the clocks x and y: ``locs`` are (name,
+    invariant atoms, [(guard atoms, resets, target), ...]) triples."""
+    out = []
+    for name, inv, edges in locs:
+        loc = PLoc(name, tuple(inv))
+        for atoms, resets, target in edges:
+            loc.edges.append(PEdge(tuple(atoms), tuple(resets), target, "e"))
+        out.append(loc)
+    return Ptba(["0", "x", "y"], out, 0)
+
+
+BOX03 = ParamBox.of({"p": (0, 3)})
+X_LE_7 = (1, 0, bound(7))
+Y_LE_4 = (2, 0, bound(4))
 
 
 class TestClockBounds:
@@ -358,14 +378,65 @@ class TestClockBounds:
         net = parse_model(src)
         pta, lab = compose(net)
         prod = product(pta, lab, ltl.to_buchi(ltl.to_nnf(ltl.TRUE)))
-        maxima = clock_bounds(prod, net.box())
+        maxima = clock_bounds(location_bounds(prod, net.box()))
         assert maxima[1] >= 100
 
     def test_zero_clock_pinned(self):
         net = parse_model(MINIMAL)
         pta, lab = compose(net)
         prod = product(pta, lab, ltl.to_buchi(ltl.to_nnf(ltl.TRUE)))
-        assert clock_bounds(prod, net.box())[0] == 0
+        assert clock_bounds(location_bounds(prod, net.box()))[0] == 0
+
+    @pytest.mark.parametrize("fixture,prop", [
+        (name, prop) for name, props in CORPUS.items() for prop in props])
+    def test_column_max_is_the_one_vector(self, fixture, prop):
+        net = load_fixture(fixture)
+        box = net.box()
+        tba, bounds = build_automaton(net, ltl.parse_ltl(prop), box)
+        assert clock_bounds(bounds) == one_clock_bounds(tba, box)
+
+
+class TestLocationBounds:
+
+    def test_own_atoms(self):
+        # invariant and outgoing guard, lower bounds by their magnitude,
+        # parametric ones at their largest over the box
+        p = AffineExpr.var("p")
+        a = chain(("A", [(1, 0, bound(p + 1))], [([(0, 2, bound(-2))], (), 1)]),
+                  ("B", [], []))
+        assert location_bounds(a, BOX03) == [(0, 4, 2), (0, 0, 0)]
+
+    def test_reset_clock_does_not_inherit(self):
+        a = chain(("A", [], [([], (1,), 1)]),
+                  ("B", [], [([X_LE_7], (), 1)]))
+        assert location_bounds(a, BOX03) == [(0, 0, 0), (0, 7, 0)]
+
+    def test_kept_clock_inherits(self):
+        a = chain(("A", [], [([], (2,), 1)]),
+                  ("B", [], [([X_LE_7], (), 1)]))
+        assert location_bounds(a, BOX03) == [(0, 7, 0), (0, 7, 0)]
+
+    def test_target_invariant_propagates_back(self):
+        # through two edges, the first resetting x only
+        a = chain(("A", [], [([], (1,), 1)]),
+                  ("B", [], [([], (), 2)]),
+                  ("C", [X_LE_7, Y_LE_4], []))
+        assert location_bounds(a, BOX03) == [(0, 0, 4), (0, 7, 4),
+                                             (0, 7, 4)]
+
+    def test_cycle_reaches_its_fixpoint(self):
+        # A -> B -> C -> A; only C's edge to A compares y, and only A's
+        # edge resets x
+        a = chain(("A", [], [([], (1,), 1)]),
+                  ("B", [], [([X_LE_7], (), 2)]),
+                  ("C", [], [([Y_LE_4], (), 0)]))
+        assert location_bounds(a, BOX03) == [(0, 0, 4), (0, 7, 4),
+                                             (0, 0, 4)]
+
+    def test_zero_clock_stays_zero(self):
+        # x >= 5 and x <= 3 both name the zero clock
+        a = chain(("A", [(0, 1, bound(-5))], [([(1, 0, bound(3))], (), 0)]))
+        assert location_bounds(a, BOX03) == [(0, 5, 0)]
 
 
 def test_dump_product_smoke():
@@ -489,7 +560,8 @@ def test_front_end_output_pinned(fixture, prop):
 
     net = load_fixture(fixture)
     f = ltl.parse_ltl(prop)
-    tba, maxima = build_automaton(net, f, net.box())
+    tba, bounds = build_automaton(net, f, net.box())
+    maxima = clock_bounds(bounds)
     assert sha(dump_product(tba) + "\n" + repr(maxima)) == \
         PRODUCT_DIGESTS[(fixture, prop)]
     aut = ltl.to_buchi(ltl.to_nnf(ltl.neg(f)))

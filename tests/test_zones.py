@@ -244,6 +244,19 @@ def test_up_and_extrapolate_match_oracle(rng):
         assert np.array_equal(m, from_oracle(om))
 
 
+def test_extrapolate_stack_takes_one_bound_row_per_matrix(rng):
+    ms = np.stack([random_zone(rng, 4) for _ in range(40)])
+    # entries lie in -6..8: a row of 8s leaves its matrix unchanged
+    bounds = np.array([[0] + [rng.choice((rng.randrange(0, 6), 8))
+                              for _ in range(3)] for _ in ms], dtype=np.int64)
+    bounds[::4, 1:] = 8
+    want = ms.copy()
+    changed = [bool(zones.extrapolate(m, b)) for m, b in zip(want, bounds)]
+    assert zones.extrapolate(ms, bounds).tolist() == changed
+    assert np.array_equal(ms, want)
+    assert any(changed) and not all(changed)
+
+
 def test_dump_lists_finite_entries():
     m = zones.zero_zone(2)
     zones.up(m)
