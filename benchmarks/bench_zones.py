@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the zone-arithmetic backends: compiled extension vs the pure
-fallback, on the raw closure kernels (full closure, and the closure of a
-closed zone with one tightened entry through that entry's two clocks) and
-on an end-to-end enumeration run on each; then the symbolic closure: a
-guard on canonical constrained parametric matrices closed in full vs
-through the guard's clocks only.  Every row checks that the closures it
-times agree, and the enumeration runs that their results, stats included,
-agree; a disagreement exits non-zero.
+fallback, on the batched closure kernel ``close_many`` and on an
+end-to-end enumeration run on each; then the symbolic closure: a guard on
+canonical constrained parametric matrices closed in full vs through the
+guard's clocks only.  Every row checks that the closures it times agree,
+and the enumeration runs that their results, stats included, agree; a
+disagreement exits non-zero.
 
 Usage: python benchmarks/bench_zones.py [--quick] [--section NAME ...]
 
@@ -52,37 +51,6 @@ def random_zone(rng, n):
             else:
                 m[i, j] = (rng.randrange(-6, 12) << 1) | (rng.random() < 0.5)
     return m
-
-
-def tightened_zones(rng, n, count):
-    """Closed zones with one off-diagonal entry tightened, and the sorted
-    clocks of that entry: the pivots that close it again.  The zones have
-    non-negative entries, so they are never empty before the tightening."""
-    mats, pivots = [], []
-    for _ in range(count):
-        m = np.array([[1 if i == j else zones.INF if rng.random() < 0.2
-                       else (rng.randrange(0, 12) << 1) | (rng.random() < 0.5)
-                       for j in range(n)] for i in range(n)], dtype=np.int64)
-        pure.close(m)
-        i, j = rng.sample(range(n), 2)
-        enc = (rng.randrange(-6, 12) << 1) | (rng.random() < 0.5)
-        m[i, j] = min(enc, m[i, j] - 2)
-        mats.append(m)
-        pivots.append(sorted((i, j)))
-    return mats, pivots
-
-
-def bench_close(backend, mats, repeat, pivots=None):
-    """Best time of closing each matrix, through its pivots when a pivot
-    list per matrix is given; also the closed stack and flags."""
-    pivots = pivots or [None] * len(mats)
-    best = float("inf")
-    for _ in range(repeat):
-        work = [m.copy() for m in mats]
-        t0 = time.perf_counter()
-        flags = [backend.close(m, p) for m, p in zip(work, pivots)]
-        best = min(best, time.perf_counter() - t0)
-    return best, np.stack(work), np.array(flags, dtype=np.uint8)
 
 
 def bench_close_many(backend, ms, repeat):
@@ -194,37 +162,17 @@ def enumeration_rows():
 def kernel_rows(count, repeat):
     rng = random.Random(7)
     for n in (4, 6, 10):
-        mats = [random_zone(rng, n) for _ in range(count)]
-        batch = np.stack(mats)
+        batch = np.stack([random_zone(rng, n) for _ in range(count)])
         print(f"\nclosure of {count} {n}x{n} zones (best of {repeat}):")
         base = reference = None
         for name, backend in backends():
-            t1, *closed = bench_close(backend, mats, repeat)
-            t2, *closed_many = bench_close_many(backend, batch, repeat)
+            t, *closed = bench_close_many(backend, batch, repeat)
             if base is None:
-                base, reference = t1, closed
-            if not (same_closure(closed, reference)
-                    and same_closure(closed_many, reference)):
+                base, reference = t, closed
+            if not same_closure(closed, reference):
                 raise SystemExit(f"{name} and pure kernels disagree at n={n}")
-            print(f"  {name:9s} close: {t1 * 1e3:8.1f} ms   "
-                  f"close_many: {t2 * 1e3:8.1f} ms   "
-                  f"speedup vs pure: {base / t1:5.1f}x")
-
-        mats, pivots = tightened_zones(rng, n, count)
-        print(f"closure of {count} closed {n}x{n} zones with one tightened "
-              f"entry (best of {repeat}):")
-        reference = None
-        for name, backend in backends():
-            t_full, *full = bench_close(backend, mats, repeat)
-            t_pivot, *through = bench_close(backend, mats, repeat, pivots)
-            reference = reference or full
-            if not (same_closure(through, full)
-                    and same_closure(full, reference)):
-                raise SystemExit(f"{name}: 2-pivot and full closure "
-                                 f"disagree at n={n}")
-            print(f"  {name:9s} full: {t_full * 1e3:8.1f} ms   "
-                  f"2 pivots: {t_pivot * 1e3:8.1f} ms   "
-                  f"speedup: {t_full / t_pivot:5.1f}x")
+            print(f"  {name:9s} close_many: {t * 1e3:8.1f} ms   "
+                  f"speedup vs pure: {base / t:5.1f}x")
 
 
 def pdbm_rows(count, repeat):

@@ -3,8 +3,9 @@
  * Bounds are encoded as (value << 1) | weak, so that the integer order is
  * the difference-bound order (strict is tighter than weak at the same
  * value).  Infinity is the sentinel 1 << 40; values stay small enough that
- * the sum of two encoded bounds never reaches it.  Matrices arrive as
- * writable C-contiguous int64 buffers and are closed in place.
+ * the sum of two encoded bounds never reaches it.  A stack of matrices
+ * arrives as a writable C-contiguous int64 buffer and is closed in place by
+ * full Floyd-Warshall, one matrix after another.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -19,18 +20,11 @@
 #define NATIVE_ORDER '>'
 #endif
 
-/* Floyd-Warshall closure of one n x n matrix through the `count` clocks in
-   `pivots`, or through every clock when `pivots` is NULL; 0 when the zone is
-   empty (some diagonal entry drops below (0, <=)).  The pivot closure is
-   exact when the matrix was canonical before the entries between pivot
-   clocks were tightened. */
-static int close_one(int64_t *m, Py_ssize_t n, const Py_ssize_t *pivots,
-                     Py_ssize_t count)
+/* Floyd-Warshall closure of one n x n matrix through every clock; 0 when
+   the zone is empty (some diagonal entry drops below (0, <=)). */
+static int close_one(int64_t *m, Py_ssize_t n)
 {
-    if (pivots == NULL)
-        count = n;
-    for (Py_ssize_t t = 0; t < count; t++) {
-        Py_ssize_t k = pivots == NULL ? t : pivots[t];
+    for (Py_ssize_t k = 0; k < n; k++) {
         const int64_t *row = m + k * n;
         for (Py_ssize_t i = 0; i < n; i++) {
             int64_t a = m[i * n + k];
@@ -80,66 +74,6 @@ static int get_buffer(PyObject *obj, Py_buffer *view, int ndim, Py_ssize_t items
     return 0;
 }
 
-/* Read a sequence of clock indices below n into a new array of *count
-   entries (free it with PyMem_Free).  Raises ValueError for anything else:
-   no pivot outside the matrix is ever used. */
-static Py_ssize_t *get_pivots(PyObject *obj, Py_ssize_t n, Py_ssize_t *count)
-{
-    PyObject *seq = PySequence_Fast(obj, "");
-    if (seq == NULL) {
-        PyErr_Clear();
-        PyErr_SetString(PyExc_ValueError,
-                        "pivots must be a sequence of clock indices");
-        return NULL;
-    }
-    Py_ssize_t len = PySequence_Fast_GET_SIZE(seq);
-    Py_ssize_t *out = PyMem_New(Py_ssize_t, len > 0 ? len : 1);
-    if (out == NULL) {
-        Py_DECREF(seq);
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (Py_ssize_t t = 0; t < len; t++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(seq, t);
-        Py_ssize_t k = -1;
-        if (PyIndex_Check(item)) {
-            k = PyNumber_AsSsize_t(item, NULL);  /* saturates on overflow */
-            PyErr_Clear();
-        }
-        if (k < 0 || k >= n) {
-            PyErr_Format(PyExc_ValueError,
-                         "pivot %zd is not a clock index below %zd", t, n);
-            PyMem_Free(out);
-            Py_DECREF(seq);
-            return NULL;
-        }
-        out[t] = k;
-    }
-    Py_DECREF(seq);
-    *count = len;
-    return out;
-}
-
-static PyObject *zone_close(PyObject *self, PyObject *args)
-{
-    PyObject *m_obj, *pivots_obj = Py_None;
-    Py_buffer m;
-    if (!PyArg_ParseTuple(args, "O|O:close", &m_obj, &pivots_obj)
-        || get_buffer(m_obj, &m, 2, 8) < 0)
-        return NULL;
-    Py_ssize_t n = m.shape[0], count = 0;
-    Py_ssize_t *pivots = NULL;
-    if (pivots_obj != Py_None
-        && (pivots = get_pivots(pivots_obj, n, &count)) == NULL) {
-        PyBuffer_Release(&m);
-        return NULL;
-    }
-    int ok = close_one(m.buf, n, pivots, count);
-    PyMem_Free(pivots);
-    PyBuffer_Release(&m);
-    return PyBool_FromLong(ok);
-}
-
 static PyObject *zone_close_many(PyObject *self, PyObject *args)
 {
     PyObject *ms_obj, *ok_obj;
@@ -160,8 +94,7 @@ static PyObject *zone_close_many(PyObject *self, PyObject *args)
     } else {
         for (Py_ssize_t t = 0; t < count; t++)
             ((unsigned char *)ok.buf)[t] =
-                (unsigned char)close_one((int64_t *)ms.buf + t * n * n, n,
-                                          NULL, 0);
+                (unsigned char)close_one((int64_t *)ms.buf + t * n * n, n);
     }
     PyBuffer_Release(&ok);
     PyBuffer_Release(&ms);
@@ -170,9 +103,6 @@ static PyObject *zone_close_many(PyObject *self, PyObject *args)
 }
 
 static PyMethodDef methods[] = {
-    {"close", zone_close, METH_VARARGS,
-     "close(m, pivots=None): in-place closure of an (n, n) int64 matrix\n"
-     "through the clocks in pivots, or all of them; False when empty."},
     {"close_many", zone_close_many, METH_VARARGS,
      "close_many(ms, ok): close a (count, n, n) int64 stack in place;\n"
      "ok[t] (uint8) is set to 1 when matrix t is non-empty."},

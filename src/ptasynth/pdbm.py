@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import zones
-from .errors import EvaluationError, SoundnessError
+from .errors import SoundnessError
 from .params import (
     BoundTable,
     ConstraintSet,
@@ -27,7 +27,6 @@ from .params import (
     ParamBox,
     StrictBound,
     ZERO_LE,
-    bound_eval,
 )
 # not called here: the benchmark tracer (perfbench/tracer.py) replaces
 # these two names on this module, and tests/test_bench_hooks.py fails
@@ -51,9 +50,6 @@ class CPDBM:
     @property
     def n(self) -> int:
         return len(self.mat)
-
-    def entry(self, i: int, j: int) -> StrictBound:
-        return self.mat[i][j]
 
     def with_entry(self, i: int, j: int, b: StrictBound) -> "CPDBM":
         rows = list(self.mat)
@@ -342,19 +338,6 @@ def negate_atom(atom: Atom) -> Atom:
     xj - xi <= -e and dually for weak bounds."""
     i, j, b = atom
     return (j, i, StrictBound(-b.expr, not b.strict))
-
-
-def evaluate(z: CPDBM, v: Mapping[str, int], box: ParamBox | None = None) -> np.ndarray:
-    """Concrete encoded matrix of the zone at one valuation."""
-    if box is not None and v not in z.cset.extension(box):
-        raise EvaluationError("valuation outside the constraint extension")
-    n = z.n
-    m = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            got = bound_eval(z.mat[i][j], v)
-            m[i, j] = zones.INF if got is None else zones.encode(*got)
-    return m
 
 
 def evaluate_all(z: CPDBM, box: ParamBox) -> np.ndarray:

@@ -9,8 +9,8 @@ bound, and bound addition is ``a + b - ((a | b) & 1)``.
 The closure loops live in ``_zonecore``, a hand-written C extension that
 ``setup.py`` builds when a C compiler is available; without it they run in
 the numpy twin ``_zonecore_py``.  Set ``PTASYNTH_PURE=1`` to force the pure
-fallback.  Both close in place and report emptiness the same way, and both
-take the same optional pivot list (see ``close``).
+fallback.  Both export one closure, ``close_many``: full Floyd-Warshall
+over a stack of matrices, in place, with one emptiness flag per matrix.
 """
 
 from __future__ import annotations
@@ -41,26 +41,9 @@ def encode(value: int, strict: bool) -> int:
     return (value << 1) | (0 if strict else 1)
 
 
-def decode(enc: int) -> tuple[int, bool] | None:
-    if enc >= INF:
-        return None
-    return (enc >> 1, not (enc & 1))
-
-
-def zero_zone(n: int) -> np.ndarray:
-    """All clocks equal to zero."""
-    return np.full((n, n), ZERO_WEAK, dtype=np.int64)
-
-
-def close(m: np.ndarray, pivots=None) -> bool:
-    """Close in place by Floyd-Warshall over the clocks in ``pivots``, or
-    over every clock when it is None; False when the zone is empty.
-
-    Closing through the pivots only is exact when the matrix was canonical
-    before the entries between pivot clocks were tightened: a shortest path
-    then needs no inner vertex outside the pivots (Bengtsson and Yi's
-    incremental closure).  Entries of an empty zone are unspecified."""
-    return _core.close(m, pivots)
+def close(m: np.ndarray) -> bool:
+    """Close one (n, n) matrix in place; False when the zone is empty."""
+    return bool(close_many(m[None])[0])
 
 
 def close_many(ms: np.ndarray) -> np.ndarray:
@@ -81,14 +64,6 @@ def up(m: np.ndarray) -> None:
     m[..., 1:, 0] = INF
 
 
-def reset(m: np.ndarray, clocks) -> None:
-    """Reset ``clocks`` to zero; requires a closed matrix."""
-    for r in sorted(clocks):
-        m[r, :] = m[0, :]
-        m[:, r] = m[:, 0]
-        m[r, r] = ZERO_WEAK
-
-
 def extrapolate(m: np.ndarray, bounds: np.ndarray):
     """Widen entries past the per-clock maxima, of one matrix or of every
     matrix in a stack, in place: entries above the row clock's maximum
@@ -107,18 +82,3 @@ def extrapolate(m: np.ndarray, bounds: np.ndarray):
         m[lo] = np.broadcast_to(((-bounds) << 1)[..., None, :], m.shape)[lo]
     return changed
 
-
-def dump(m: np.ndarray, names) -> str:
-    """One line per finite off-diagonal entry, ``xi - xj <op> value``."""
-    n = m.shape[0]
-    lines = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = decode(int(m[i, j]))
-            if d is None:
-                continue
-            v, strict = d
-            lines.append(f"{names[i]} - {names[j]} {'<' if strict else '<='} {v}")
-    return "\n".join(lines)

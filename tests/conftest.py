@@ -48,6 +48,29 @@ def load_fixture(name: str):
     return load_model(fixture_path(name))
 
 
+def oracle_bound(enc):
+    """An encoded kernel bound as an oracle bound."""
+    import oracle_dbm as od
+    from ptasynth import zones
+
+    return od.INF if enc >= zones.INF else (enc >> 1, not enc & 1)
+
+
+def to_oracle(m):
+    return [[oracle_bound(e) for e in row] for row in m.tolist()]
+
+
+def from_oracle(m):
+    """An oracle matrix in the kernels' int64 encoding."""
+    import numpy as np
+
+    import oracle_dbm as od
+    from ptasynth import zones
+
+    return np.array([[zones.INF if e is od.INF else zones.encode(*e)
+                      for e in row] for row in m], dtype=np.int64)
+
+
 def one_clock_bounds(a, box):
     """Every atom's magnitude over the box, both signs, maximized per clock
     over the whole automaton: the one bound vector all locations were

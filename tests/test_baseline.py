@@ -7,9 +7,12 @@ import oracle_dbm as od
 import oracle_region
 from conftest import (
     CORPUS,
+    from_oracle,
     load_fixture,
     one_clock_bounds,
     one_vector_enumeration,
+    oracle_bound,
+    to_oracle,
 )
 from ptasynth import baseline, zones
 from ptasynth.baseline import (
@@ -47,7 +50,7 @@ class TestInstantiate:
         ct = instantiate(a, {"p": 3})
         (i, j, enc), = ct.edges[0][0][0]
         assert (i, j) == (1, 0)
-        assert zones.decode(enc) == (5, False)
+        assert enc == zones.encode(5, False)
 
     def test_consistent_with_symbolic_evaluation(self):
         # the instantiated guard equals the evaluated parametric bound
@@ -63,7 +66,7 @@ class TestInstantiate:
         for p in range(1, 4):
             ct = instantiate(a, {"p": p})
             enc = ct.edges[0][0][0][0][2]
-            assert enc == pdbm.evaluate(z, {"p": p})[1][0]
+            assert enc == zones.encode(*od.from_valuation(z, {"p": p})[1][0])
 
 
 def flat_atoms(rows, n):
@@ -96,25 +99,12 @@ def random_atoms(rng, n, fewest, most):
             for _ in range(rng.randrange(fewest, most + 1))]
 
 
-def oracle_bound(enc):
-    return od.INF if enc >= zones.INF else (enc >> 1, not enc & 1)
-
-
-def to_oracle(m):
-    return [[oracle_bound(e) for e in row] for row in m.tolist()]
-
-
-def from_oracle(m):
-    return np.array([[zones.INF if e is od.INF else zones.encode(*e)
-                      for e in row] for row in m], dtype=np.int64)
-
-
 class TestConstrained:
     """The batched guard step: each zone of a batch tightened by its own
     atoms, then closed."""
 
     def test_untightened_copy_is_equal(self):
-        z = zones.zero_zone(3)
+        z = np.full((3, 3), zones.ZERO_WEAK, dtype=np.int64)
         zones.up(z)
         atoms = [(1, 0, zones.INF), (0, 2, zones.ZERO_WEAK),
                  (2, 1, zones.encode(4, False))]
