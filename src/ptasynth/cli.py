@@ -2,6 +2,8 @@
 
 Subcommands: ``synth`` (one engine), ``compare`` (both engines, non-zero
 exit on any difference), ``dump-ba``, ``dump-product``, ``validate``.
+Each takes only the flags it reads: the input flags ``--model``, ``--ltl``
+and ``--param``, and for the two engine commands the engine flags.
 Exit codes: 0 success, 1 result mismatch in compare, 2 bad input,
 3 capacity limit hit, 4 internal soundness check failed.
 """
@@ -35,12 +37,16 @@ def _param_override(text: str) -> tuple[str, int, int]:
                          kind="bad-flag")
 
 
-def _add_common(p: argparse.ArgumentParser, needs_ltl=True):
+def _add_inputs(p: argparse.ArgumentParser, ltl_required=True):
     p.add_argument("--model", required=True, help="model file")
-    if needs_ltl:
-        p.add_argument("--ltl", required=True, help="property text")
+    p.add_argument("--ltl", required=ltl_required,
+                   help="property text" if ltl_required
+                   else "optionally check a property's atoms")
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=LO..HI", help="override a parameter range")
+
+
+def _add_engine(p: argparse.ArgumentParser):
     p.add_argument("--out", help="write the result JSON here (default stdout)")
     p.add_argument("--stats", action="store_true",
                    help="emit engine statistics to stderr")
@@ -51,10 +57,6 @@ def _add_common(p: argparse.ArgumentParser, needs_ltl=True):
                    help="cap on the negated-guard expansion per state")
     p.add_argument("--no-check", action="store_true",
                    help="disable internal soundness checks")
-    p.add_argument("--dump-ba", action="store_true",
-                   help="also print the property automaton")
-    p.add_argument("--dump-product", action="store_true",
-                   help="also print the product automaton")
 
 
 def _options(args) -> Options:
@@ -68,9 +70,9 @@ def _options(args) -> Options:
         opts.limit_states = args.limit_states
     if args.limit_dnf is not None:
         opts.dnf_limit = args.limit_dnf
-    if getattr(args, "no_check", False):
+    if args.no_check:
         opts.check = False
-    if getattr(args, "trace", False):
+    if args.trace:
         opts.trace = sys.stderr
     return opts
 
@@ -93,18 +95,8 @@ def _emit(doc: dict, out_path):
         sys.stdout.write(text)
 
 
-def _maybe_dumps(args, net, box):
-    if getattr(args, "dump_ba", False):
-        aut = to_buchi(to_nnf(neg(parse_ltl(args.ltl))))
-        sys.stdout.write(aut.dump() + "\n")
-    if getattr(args, "dump_product", False):
-        tba, _ = build_automaton(net, parse_ltl(args.ltl), box)
-        sys.stdout.write(dump_product(tba) + "\n")
-
-
 def cmd_synth(args) -> int:
     net, box = _load(args)
-    _maybe_dumps(args, net, box)
     opts = _options(args)
     if args.engine == "symbolic":
         res = synthesize(net, args.ltl, box, opts)
@@ -118,7 +110,6 @@ def cmd_synth(args) -> int:
 
 def cmd_compare(args) -> int:
     net, box = _load(args)
-    _maybe_dumps(args, net, box)
     opts = _options(args)
     sym = synthesize(net, args.ltl, box, opts)
     base = enumerate_box(net, args.ltl, box, opts)
@@ -188,29 +179,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="run one engine")
-    _add_common(p)
+    _add_inputs(p)
+    _add_engine(p)
     p.add_argument("--engine", choices=("symbolic", "enumerate"),
                    default="symbolic")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("compare", help="run both engines and diff the sets")
-    _add_common(p)
+    _add_inputs(p)
+    _add_engine(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("dump-ba", help="print the automaton of the negated "
                                        "property")
-    p.add_argument("--ltl", required=True)
+    p.add_argument("--ltl", required=True, help="property text")
     p.set_defaults(func=cmd_dump_ba)
 
     p = sub.add_parser("dump-product", help="print the product automaton")
-    _add_common(p)
+    _add_inputs(p)
     p.set_defaults(func=cmd_dump_product)
 
     p = sub.add_parser("validate", help="parse and check the model only")
-    p.add_argument("--model", required=True)
-    p.add_argument("--ltl", help="optionally check a property's atoms")
-    p.add_argument("--param", action="append", default=[],
-                   metavar="NAME=LO..HI")
+    _add_inputs(p, ltl_required=False)
     p.set_defaults(func=cmd_validate)
     return ap
 

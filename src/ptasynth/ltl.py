@@ -1,6 +1,11 @@
 """Linear temporal logic: parsing, negation normal form, translation of a
 formula to a Büchi automaton, and lasso-word membership.
 
+Properties and models share one lexer, ``TokenCursor``: names, integers,
+operators and ``#`` comments, with positions as (line, column).  Property
+atoms are names, dotted names (``Train.Appr``) and comparisons of a data
+variable with an integer constant, possibly negative (``w >= -1``).
+
 The translation is the classic on-the-fly tableau: nodes carry the set of
 obligations for the current position and for the next one, eventuality
 subformulas induce one acceptance set each, and a counter product turns the
@@ -11,14 +16,14 @@ minimize the automaton; inputs here are small.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
 
 # Comparisons of a data atom (var, op, value), in property atoms and in
-# model guards alike; two-character operators come first so that the
-# tokenizers match them before their one-character prefixes.
+# model guards alike.
 CMP_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
            "!=": operator.ne, "<": operator.lt, ">": operator.gt}
 
@@ -115,91 +120,121 @@ def atoms_of(f: Formula) -> set:
     return out
 
 
-# --- parser -----------------------------------------------------------------
+# --- tokens and parser ------------------------------------------------------
 
-_KEYWORDS = {"U", "R", "G", "F", "X", "and", "or", "true", "false"}
-
-
-class _Tok:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            word = text[i:j]
-            toks.append(_Tok("kw" if word in _KEYWORDS else "id", word, i))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", text[i:j], i))
-            i = j
-            continue
-        for op in ("&&", "||", "->", *CMP_OPS):
-            if text.startswith(op, i):
-                toks.append(_Tok("op", op, i))
-                i += len(op)
-                break
-        else:
-            if ch in "!()":
-                toks.append(_Tok("op", ch, i))
-                i += 1
-            else:
-                raise InputError(f"unexpected character {ch!r} at column {i}",
-                                 kind="ltl-syntax", pos=(1, i))
-    toks.append(_Tok("end", "", n))
-    return toks
+# Applied line by line.  A name starts with a letter or an underscore and
+# goes on with letters, digits, underscores and, in properties only, dots.
+# Longer operators come first so that they match before their prefixes.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<skip>\#.*)
+  | (?P<int>\d+)
+  | (?P<id>[^\W\d][\w.]*)
+  | (?P<op>&&|\|\||->|:=|\.\.|[<>=!]=|[-{}();:=<>!?+*,])
+  | (?P<bad>\S))""", re.VERBOSE)
 
 
-class _Parser:
-    """Precedence (tightest first): !, X, G, F; U, R; &&; ||; -> (right)."""
+class TokenCursor:
+    """Tokens of one input, ``(kind, text, line, column)`` with kind ``id``,
+    ``int``, ``op`` or ``end`` (lines from 1, columns from 0), and a cursor
+    over them with the token rules both languages share.  A subclass names
+    its language: the operators it has (any other is an unexpected
+    character), whether names may contain dots, and its syntax error kind."""
 
-    def __init__(self, text):
-        self.toks = _tokenize(text)
+    ops: frozenset = frozenset()
+    dotted = False
+    syntax = "syntax"
+
+    def __init__(self, text: str):
+        self.toks = []
+        lines = text.split("\n")
+        for line, part in enumerate(lines, 1):
+            self._lex(part, line, 0)
+        self.toks.append(("end", "", len(lines), len(lines[-1])))
         self.i = 0
+
+    def _lex(self, text: str, line: int, offset: int):
+        toks, ops = self.toks, self.ops
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "skip":
+                continue
+            word = m.group(kind)
+            col = m.start(kind) + offset
+            if kind == "id":
+                # \w also admits numerals that are not letters, such as "²"
+                ok = word[0] < "\x80" or word[0].isalpha()
+                if ok and "." in word and not self.dotted:
+                    # the name ends at the dot; what follows is lexed anew
+                    cut = word.index(".")
+                    toks.append((kind, word[:cut], line, col))
+                    self._lex(word[cut:], line, col + cut)
+                    continue
+            else:
+                ok = kind == "int" or word in ops
+            tok = (kind, word, line, col)
+            if not ok:
+                raise self.err(f"unexpected character {word[0]!r}", tok=tok)
+            toks.append(tok)
 
     def peek(self):
         return self.toks[self.i]
 
     def take(self):
+        """The next token; the end token is never passed, so that an
+        error raised after taking it can still point at it."""
         t = self.toks[self.i]
-        self.i += 1
+        if t[0] != "end":
+            self.i += 1
         return t
+
+    def err(self, msg, kind=None, tok=None) -> InputError:
+        """An error at ``tok``, by default the next token."""
+        _, _, line, col = tok or self.toks[self.i]
+        return InputError(f"line {line}, column {col}: {msg}",
+                          kind=kind or self.syntax, pos=(line, col))
 
     def expect(self, text):
         t = self.take()
-        if t.text != text:
-            raise InputError(f"expected {text!r} at column {t.pos}",
-                             kind="ltl-syntax", pos=(1, t.pos))
+        if t[1] != text:
+            raise self.err(f"expected {text!r}, found {t[1]!r}", tok=t)
+
+    def ident(self, what="identifier"):
+        t = self.take()
+        if t[0] != "id":
+            raise self.err(f"expected {what}, found {t[1]!r}", tok=t)
+        return t[1]
+
+    def integer(self):
+        sign = 1
+        if self.peek()[1] == "-":
+            self.take()
+            sign = -1
+        t = self.take()
+        if t[0] != "int":
+            raise self.err(f"expected integer, found {t[1]!r}", tok=t)
+        return sign * int(t[1])
+
+
+_KEYWORDS = {"U", "R", "G", "F", "X", "and", "or", "true", "false"}
+
+
+class _Parser(TokenCursor):
+    """Precedence (tightest first): !, X, G, F; U, R; &&; ||; -> (right)."""
+
+    ops = frozenset({"&&", "||", "->", "!", "(", ")", "-", *CMP_OPS})
+    dotted = True
+    syntax = "ltl-syntax"
 
     def parse(self):
         f = self.implies()
         t = self.peek()
-        if t.kind != "end":
-            raise InputError(f"unexpected {t.text!r} at column {t.pos}",
-                             kind="ltl-syntax", pos=(1, t.pos))
+        if t[0] != "end":
+            raise self.err(f"unexpected {t[1]!r}")
         return f
 
     def implies(self):
         left = self.disj()
-        if self.peek().text == "->":
+        if self.peek()[1] == "->":
             self.take()
             right = self.implies()
             return disj(neg(left), right)
@@ -207,67 +242,58 @@ class _Parser:
 
     def disj(self):
         f = self.conj()
-        while self.peek().text in ("||", "or"):
+        while self.peek()[1] in ("||", "or"):
             self.take()
             f = disj(f, self.conj())
         return f
 
     def conj(self):
         f = self.binary_temporal()
-        while self.peek().text in ("&&", "and"):
+        while self.peek()[1] in ("&&", "and"):
             self.take()
             f = conj(f, self.binary_temporal())
         return f
 
     def binary_temporal(self):
         left = self.unary()
-        t = self.peek()
-        if t.text in ("U", "R"):
+        t = self.peek()[1]
+        if t in ("U", "R"):
             self.take()
             right = self.binary_temporal()
-            return until(left, right) if t.text == "U" else release(left, right)
+            return until(left, right) if t == "U" else release(left, right)
         return left
 
     def unary(self):
-        t = self.peek()
-        if t.text == "!":
+        t = self.peek()[1]
+        if t == "!":
             self.take()
             return neg(self.unary())
-        if t.text in ("X", "G", "F"):
+        if t in ("X", "G", "F"):
             self.take()
             sub = self.unary()
-            return {"X": nxt, "G": always, "F": eventually}[t.text](sub)
+            return {"X": nxt, "G": always, "F": eventually}[t](sub)
         return self.atom()
 
     def atom(self):
         t = self.take()
-        if t.text == "(":
+        kind, text = t[0], t[1]
+        if text == "(":
             f = self.implies()
             self.expect(")")
             return f
-        if t.text == "true":
+        if text == "true":
             return TRUE
-        if t.text == "false":
+        if text == "false":
             return FALSE
-        if t.kind == "id":
-            nt = self.peek()
-            if nt.kind == "op" and nt.text in CMP_OPS:
-                if "." in t.text:
-                    raise InputError(
-                        f"comparison on dotted name {t.text!r} at column {t.pos}",
-                        kind="ltl-syntax", pos=(1, t.pos))
-                op = self.take().text
-                val = self.take()
-                sign = 1
-                if val.text == "-":
-                    sign, val = -1, self.take()
-                if val.kind != "int":
-                    raise InputError(f"expected integer at column {val.pos}",
-                                     kind="ltl-syntax", pos=(1, val.pos))
-                return data_ap(t.text, op, sign * int(val.text))
-            return ap(t.text)
-        raise InputError(f"unexpected {t.text!r} at column {t.pos}",
-                         kind="ltl-syntax", pos=(1, t.pos))
+        if kind == "id" and text not in _KEYWORDS:
+            if self.peek()[1] in CMP_OPS:
+                if "." in text:
+                    raise self.err(f"comparison on dotted name {text!r}",
+                                   tok=t)
+                op = self.take()[1]
+                return data_ap(text, op, self.integer())
+            return ap(text)
+        raise self.err(f"unexpected {text!r}", tok=t)
 
 
 def parse_ltl(text: str) -> Formula:

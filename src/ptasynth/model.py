@@ -14,6 +14,12 @@ components with handshake channels and bounded integer variables:
       edge Safe -> Appr { guard x >= 1; sync go!; reset x; update w := w + 1 }
     }
 
+Names start with a letter or an underscore and go on with letters, digits
+and underscores (letters outside ASCII included); unlike property atoms,
+they never contain dots.  ``#`` starts a comment that runs to the end of
+the line.  The ``clock``, ``chan``, ``label`` and ``reset`` lists end with
+their line.  The lexer is ``ltl.TokenCursor``.
+
 Guards are conjunctions (&&) of clock constraints with at most one real
 clock per atom (the literal ``0`` names the zero clock in differences) and
 of comparisons of a data variable against an integer.  This module turns a
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InputError
-from .ltl import CMP_OPS, BuchiAutomaton, _numbering, holds
+from .ltl import CMP_OPS, BuchiAutomaton, TokenCursor, _numbering, holds
 from .params import AffineExpr, ParamBox, StrictBound, bound
 from .pdbm import Atom
 
@@ -84,107 +90,32 @@ class Network:
         return self.clocks.index(name) + 1
 
 
-# --- tokenizer ------------------------------------------------------------
-
-_PUNCT = ("&&", "->", ":=", "..", "<=", ">=", "==", "!=",
-          "{", "}", ";", ":", "=", "<", ">", "!", "?", "-", "+", "*", ",")
+# --- parser ---------------------------------------------------------------
 
 
-def _tokenize(text: str):
-    toks = []
-    line = 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("id", text[i:j], line))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", text[i:j], line))
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(("punct", p, line))
-                i += len(p)
-                break
-        else:
-            raise InputError(f"line {line}: unexpected character {ch!r}",
-                             kind="model-syntax", pos=(line, i))
-    toks.append(("end", "", line))
-    return toks
+class _ModelParser(TokenCursor):
+    ops = frozenset({"&&", "->", ":=", "..", "<=", ">=", "==", "!=", "{", "}",
+                     ";", ":", "=", "<", ">", "!", "?", "-", "+", "*", ","})
+    syntax = "model-syntax"
 
-
-class _ModelParser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.i = 0
+        super().__init__(text)
         self.net = Network({}, [], [], {}, [])
 
-    # token helpers -------------------------------------------------------
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def err(self, msg, kind="model-syntax"):
-        line = self.peek()[2]
-        return InputError(f"line {line}: {msg}", kind=kind, pos=(line, 0))
-
-    def expect(self, text):
-        t = self.take()
-        if t[1] != text:
-            raise InputError(f"line {t[2]}: expected {text!r}, found {t[1]!r}",
-                             kind="model-syntax", pos=(t[2], 0))
-
-    def ident(self, what="identifier"):
-        t = self.take()
-        if t[0] != "id":
-            raise InputError(f"line {t[2]}: expected {what}, found {t[1]!r}",
-                             kind="model-syntax", pos=(t[2], 0))
-        return t[1]
-
-    def integer(self):
-        sign = 1
-        if self.peek()[1] == "-":
-            self.take()
-            sign = -1
-        t = self.take()
-        if t[0] != "int":
-            raise InputError(f"line {t[2]}: expected integer, found {t[1]!r}",
-                             kind="model-syntax", pos=(t[2], 0))
-        return sign * int(t[1])
+    def names_on_line(self) -> list[str]:
+        """The names that follow the last taken token on its line."""
+        line = self.toks[self.i - 1][2]
+        names = []
+        while self.peek()[0] == "id" and self.peek()[2] == line:
+            names.append(self.take()[1])
+        return names
 
     # grammar -------------------------------------------------------------
     def parse(self) -> Network:
-        while True:
-            t = self.peek()
-            if t[0] == "end":
-                break
+        while self.peek()[0] != "end":
+            t = self.take()
             word = t[1]
             if word == "param":
-                self.take()
                 name = self.ident("parameter name")
                 self.expect("=")
                 lo = self.integer()
@@ -194,15 +125,10 @@ class _ModelParser:
                     raise self.err(f"duplicate parameter {name}")
                 self.net.params[name] = (lo, hi)
             elif word == "clock":
-                line = self.take()[2]
-                while self.peek()[0] == "id" and self.peek()[2] == line:
-                    self.net.clocks.append(self.ident())
+                self.net.clocks += self.names_on_line()
             elif word == "chan":
-                line = self.take()[2]
-                while self.peek()[0] == "id" and self.peek()[2] == line:
-                    self.net.channels.append(self.ident())
+                self.net.channels += self.names_on_line()
             elif word == "var":
-                self.take()
                 name = self.ident("variable name")
                 if self.peek()[1] != ":":
                     raise self.err(
@@ -218,10 +144,9 @@ class _ModelParser:
                     raise self.err(f"initial value of {name} outside range")
                 self.net.variables[name] = (lo, hi, init)
             elif word == "component":
-                self.take()
                 self.component()
             else:
-                raise self.err(f"unexpected {word!r}")
+                raise self.err(f"unexpected {word!r}", tok=t)
         if not self.net.components:
             raise self.err("model has no components")
         return self.net
@@ -266,9 +191,7 @@ class _ModelParser:
                         raise self.err("invariants must be clock constraints",
                                        kind="data-invariant")
                 elif word == "label":
-                    line = self.toks[self.i - 1][2]
-                    while self.peek()[0] == "id" and self.peek()[2] == line:
-                        labels.append(self.ident())
+                    labels += self.names_on_line()
                 else:
                     raise self.err(f"unexpected {word!r} in location")
                 if self.peek()[1] == ";":
@@ -300,9 +223,7 @@ class _ModelParser:
                     raise self.err("sync needs ! or ?")
                 sync = (chan, tag)
             elif word == "reset":
-                line = self.toks[self.i - 1][2]
-                while self.peek()[0] == "id" and self.peek()[2] == line:
-                    clk = self.ident()
+                for clk in self.names_on_line():
                     if clk not in self.net.clocks:
                         raise self.err(f"unknown clock {clk!r}",
                                        kind="unknown-clock")
@@ -412,8 +333,8 @@ class _ModelParser:
             elif t[0] == "id":
                 k, name = 1, t[1]
             else:
-                raise InputError(f"line {t[2]}: expected expression term",
-                                 kind="model-syntax", pos=(t[2], 0))
+                raise self.err(f"expected expression term, found {t[1]!r}",
+                               tok=t)
             if name is None:
                 total = total + sign * k
             elif name in names:

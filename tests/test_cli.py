@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import fixture_path
 from ptasynth.cli import main
 
@@ -169,6 +171,25 @@ class TestCompare:
         doc = json.loads(out)
         assert doc["equal"] is False and "diffs" in doc
 
+    def test_negative_constants_in_properties(self, capsys, tmp_path):
+        model = tmp_path / "neg.pta"
+        model.write_text("""
+param p = 0..2
+clock x
+var w : -2..2 = -1
+component M {
+  location A { invariant x <= p }
+  location B { invariant true }
+  init A
+  edge A -> B { guard x >= 1; update w := w + 1 }
+}
+""")
+        for prop in ("F w == -1", "G w >= -2"):
+            code, out, err = run(capsys, "compare", "--model", str(model),
+                                 "--ltl", prop)
+            assert code == 0, err
+            assert json.loads(out)["equal"] is True
+
 
 class TestValidate:
     def test_ok(self, capsys):
@@ -225,9 +246,14 @@ class TestDumps:
         assert "clock maxima:" in out
         assert "location" in out
 
-    def test_dump_ba_flag_on_synth(self, capsys):
-        code, out, _ = run(capsys, "synth", "--model",
-                           str(fixture_path("gap.pta")),
-                           "--ltl", "G !inB", "--dump-ba")
-        assert code == 0
-        assert out.startswith("states:")
+    def test_flags_a_subcommand_does_not_read(self, capsys):
+        # dump-product takes the input flags only, and the dumps are their
+        # own subcommands, so synth stdout stays one JSON document
+        for argv in (("dump-product", "--stats"),
+                     ("dump-product", "--limit-states", "0"),
+                     ("synth", "--dump-ba")):
+            with pytest.raises(SystemExit) as exc:
+                main([argv[0], "--model", str(fixture_path("gap.pta")),
+                      "--ltl", "G !inB", *argv[1:]])
+            assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 import oracle_ltl as ol
 from ptasynth import ltl
 from ptasynth.errors import InputError
+from ptasynth.model import parse_model
 
 
 class TestParser:
@@ -24,8 +25,10 @@ class TestParser:
         assert ltl.atoms_of(f) == {"Train1.appr", "Train1.cross"}
 
     def test_data_comparison_atom(self):
-        f = ltl.parse_ltl("F (len >= 2)")
-        assert ltl.atoms_of(f) == {("len", ">=", 2)}
+        for text, atom in (("F (len >= 2)", ("len", ">=", 2)),
+                           ("F w == -1", ("w", "==", -1)),
+                           ("G w >= -2", ("w", ">=", -2))):
+            assert ltl.atoms_of(ltl.parse_ltl(text)) == {atom}
 
     def test_until_binds_tighter_than_and(self):
         f = ltl.parse_ltl("a && b U c")
@@ -39,10 +42,17 @@ class TestParser:
                              ltl.disj(ltl.neg(ltl.ap("b")), ltl.ap("c")))
 
     def test_syntax_error_has_position(self):
-        with pytest.raises(InputError) as err:
-            ltl.parse_ltl("G (a &&)")
-        assert err.value.kind == "ltl-syntax"
-        assert err.value.pos is not None
+        # (line, column), lines from 1 and columns from 0; model names
+        # never contain dots; input that ends early points at its end
+        for parse, text, kind, pos in (
+                (ltl.parse_ltl, "G (a &&)", "ltl-syntax", (1, 7)),
+                (parse_model, "param p = 0..1\nclock x\nchan go$\n",
+                 "model-syntax", (3, 7)),
+                (parse_model, "clock x.y\n", "model-syntax", (1, 7)),
+                (parse_model, "component A {", "model-syntax", (1, 13))):
+            with pytest.raises(InputError) as err:
+                parse(text)
+            assert (err.value.kind, err.value.pos) == (kind, pos), text
 
     def test_word_operators(self):
         assert ltl.parse_ltl("a and b or c") == ltl.parse_ltl("a && b || c")
