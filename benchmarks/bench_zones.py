@@ -29,8 +29,8 @@ from ptasynth import pdbm, zones  # noqa: E402
 from ptasynth.params import (  # noqa: E402
     INF_BOUND,
     AffineExpr,
-    ConstraintSet,
     ParamBox,
+    ValuationSet,
     bound,
 )
 
@@ -90,7 +90,8 @@ def canonical_cpdbms(rng, box, n, count):
                     entries[(i, j)] = (INF_BOUND if rng.random() < 0.2 else
                                        bound(random_expr(rng, box),
                                              rng.random() < 0.3))
-        z = pdbm.CPDBM(ConstraintSet.of(box), pdbm.matrix_of(n, entries))
+        z = pdbm.CPDBM(ValuationSet.full(box).bits,
+                       pdbm.matrix_of(n, entries))
         out.extend(pdbm.canonicalize(z, box)[:count - len(out)])
     return out
 
@@ -100,7 +101,7 @@ def per_point(branches, box):
     out = {}
     for w in branches:
         mats = pdbm.evaluate_all(w, box)
-        for idx in w.cset.extension(box).indices():
+        for idx in ValuationSet(box, w.bits).indices():
             out[int(idx)] = mats[idx].tobytes()
     return out
 

@@ -55,8 +55,6 @@ def _add_engine(p: argparse.ArgumentParser):
     p.add_argument("--limit-states", type=int, default=None, metavar="N")
     p.add_argument("--limit-dnf", type=int, default=None, metavar="N",
                    help="cap on the negated-guard expansion per state")
-    p.add_argument("--no-check", action="store_true",
-                   help="disable internal soundness checks")
 
 
 def _options(args) -> Options:
@@ -70,8 +68,6 @@ def _options(args) -> Options:
         opts.limit_states = args.limit_states
     if args.limit_dnf is not None:
         opts.dnf_limit = args.limit_dnf
-    if args.no_check:
-        opts.check = False
     if args.trace:
         opts.trace = sys.stderr
     return opts

@@ -23,11 +23,8 @@ what survives it, and the satisfying set its complement inside the box.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import ltl as ltl_mod
 from . import pdbm, zones
@@ -42,7 +39,7 @@ from .model import (
     make_nonzeno,
     product,
 )
-from .params import ConstraintSet, ParamBox, ValuationSet
+from .params import ParamBox, ValuationSet
 from .pdbm import CPDBM, Matrix, negate_atom
 
 DEFAULT_STATE_LIMIT = 1 << 22
@@ -53,7 +50,6 @@ DEFAULT_DNF_LIMIT = 4096
 class Options:
     limit_states: int = DEFAULT_STATE_LIMIT
     dnf_limit: int = DEFAULT_DNF_LIMIT
-    check: bool = True      # run the soundness checks (SoundnessError)
     trace: object = None    # writable stream for expanded-state dumps
 
 
@@ -81,26 +77,23 @@ class StateStore:
     keys mean equal matrices there, and the node's matrix read on its
     colour denotes exactly the zones that arrived.  The clamp makes the
     keys finite, so the table is finite and each node grows at most
-    |box| times.  The clamped values are memoized per window (the pair
-    of bounds an entry is clamped to, shared by the vectors that have it)
-    and bound for the life of the table.
+    |box| times.  The clamped values are the ids that the box's
+    ``BoundTable.window_bits`` memoizes per bound and window, the memo
+    that widening reads too.
 
     ``resolve`` adds an arrival and queues its node when the arrival
     brings new valuations, which ``pending`` holds until the node is
-    expanded.  Under ``check`` every arrival's finite entries must lie
-    inside the window on its valuations, else SoundnessError.
+    expanded.  Every arrival's finite entries must lie inside the window
+    on its valuations, else SoundnessError.
     """
 
     def __init__(self, box: ParamBox, bounds,
-                 limit: int = DEFAULT_STATE_LIMIT, check: bool = True):
+                 limit: int = DEFAULT_STATE_LIMIT):
         self.box = box
-        vectors: dict[tuple[int, ...], int] = {}
-        # per location, the index of its vector in ``maxima``
-        self._vector = [vectors.setdefault(tuple(v), len(vectors))
-                        for v in bounds]
-        self.maxima = list(vectors)
+        self.bounds = bounds
+        # per location, the window memos of its entries
+        self._windows = [box.bounds.windows(v) for v in bounds]
         self.limit = limit
-        self.check = check
         self.locs: list[int] = []
         self.mats: list[Matrix] = []
         self.canonical: list[bool] = []
@@ -109,50 +102,29 @@ class StateStore:
         self.succ: list[dict[int, int]] = []  # target node -> edge colour
         self.queue: deque[int] = deque()
         self._index: dict[tuple, int] = {}
-        # per vector, per entry (i, j): the memo of the window (hi, lo) =
-        # (maxima[i], -maxima[j]), bound -> (id of its clamped values, the
-        # valuations where it lies inside the window)
-        windows: dict[tuple[int, int], dict] = {}
-        self._entries = [[[windows.setdefault((hi, -m), {}) for m in v]
-                          for hi in v] for v in self.maxima]
-        self._value_ids: dict[bytes, int] = {}
 
     def bounds_of(self, loc: int) -> tuple[int, ...]:
         """The clock bounds the matrices stored at ``loc`` are widened
         with."""
-        return self.maxima[self._vector[loc]]
-
-    def _entry(self, hi: int, lo: int, b) -> tuple[int, int]:
-        weak = 0 if b.strict else 1
-        if b.expr.is_const:
-            # the bytes the array below would hold, without the array
-            v = min(max(2 * b.expr.const + weak, 2 * lo - 1), 2 * hi + 2)
-            raw = v.to_bytes(8, sys.byteorder, signed=True) * self.box.size
-        else:
-            vals = 2 * self.box.values(b.expr) + weak
-            np.clip(vals, 2 * lo - 1, 2 * hi + 2, out=vals)
-            raw = vals.tobytes()
-        below, above = self.box.bounds.window_bits(b, hi, lo)
-        vid = self._value_ids.setdefault(raw, len(self._value_ids))
-        return vid, below & above
+        return self.bounds[loc]
 
     def _key(self, loc: int, z: CPDBM) -> tuple:
         key = [loc]
-        bits = z.cset.bits
-        v = self._vector[loc]
-        maxima = self.maxima[v]
+        bits = z.bits
+        windows = self._windows[loc]
         for i, row in enumerate(z.mat):
-            entries = self._entries[v][i]
+            memos = windows[i]
             for j, b in enumerate(row):
                 if b.expr is None:
                     key.append(-1)
                     continue
-                got = entries[j].get(b)
+                got = memos[j].get(id(b))
                 if got is None:
-                    got = entries[j][b] = self._entry(maxima[i], -maxima[j],
-                                                      b)
-                key.append(got[0])
-                if self.check and bits & ~got[1]:
+                    maxima = self.bounds[loc]
+                    got = self.box.bounds.window_bits(b, maxima[i],
+                                                      -maxima[j])
+                key.append(got[2])
+                if bits & ~(got[0] & got[1]):
                     raise SoundnessError(
                         f"stored bound out of range at entry ({i},{j}): {b}")
         return tuple(key)
@@ -174,7 +146,7 @@ class StateStore:
             self.succ.append({})
         elif not z.canonical:
             self.canonical[nid] = False
-        fresh = z.cset.bits & ~self.colour[nid]
+        fresh = z.bits & ~self.colour[nid]
         if fresh:
             if not self.pending[nid]:
                 self.queue.append(nid)
@@ -273,7 +245,7 @@ def deadlock_valuations(s: SymbolicState, a: Ptba, box: ParamBox,
             break
     bits = 0
     for z in cur:
-        bits |= z.cset.bits
+        bits |= z.bits
     return ValuationSet(box, bits)
 
 
@@ -311,7 +283,7 @@ def build_graph(a: Ptba, box: ParamBox, bounds=None,
     opts = opts or Options()
     if bounds is None:
         bounds = location_bounds(a, box)
-    store = StateStore(box, bounds, opts.limit_states, opts.check)
+    store = StateStore(box, bounds, opts.limit_states)
     g = SymbolicGraph(box, store.colour, store.succ, [], store)
     for st in initial_states(a, box, bounds):
         nid = store.resolve(st.loc, st.zone)
@@ -320,16 +292,15 @@ def build_graph(a: Ptba, box: ParamBox, bounds=None,
     while store.queue:
         u = store.queue.popleft()
         delta, store.pending[u] = store.pending[u], 0
-        s = SymbolicState(store.locs[u], CPDBM(
-            ConstraintSet(delta), store.mats[u], store.canonical[u]))
+        s = SymbolicState(store.locs[u],
+                          CPDBM(delta, store.mats[u], store.canonical[u]))
         base = _canonical_branches(s.zone, box)
-        if opts.check:
-            covered = 0
-            for zb in base:
-                covered |= zb.cset.bits
-            if covered != delta:
-                raise SoundnessError("stored zone empty at a valuation of "
-                                     "its extension")
+        covered = 0
+        for zb in base:
+            covered |= zb.bits
+        if covered != delta:
+            raise SoundnessError("stored zone empty at a valuation of its "
+                                 "extension")
         g.deadlock_bits |= deadlock_valuations(s, a, box, opts.dnf_limit,
                                                base=base).bits
         g.expansions += 1
@@ -338,8 +309,8 @@ def build_graph(a: Ptba, box: ParamBox, bounds=None,
             opts.trace.write(pdbm.dump(s.zone, box, a.clock_names) + "\n\n")
         edges = store.succ[u]
         for t in successors(s, a, box, bounds, counts=g.counts, base=base):
-            bits = t.zone.cset.bits
-            if opts.check and bits & ~delta:
+            bits = t.zone.bits
+            if bits & ~delta:
                 raise SoundnessError(
                     "monotonicity violation: successor valuations not a "
                     "subset of the expanded ones")
@@ -544,8 +515,8 @@ def scan_stored_bounds(g: SymbolicGraph) -> int:
     within [-maxima[column], maxima[row]] at every valuation of the node's
     colour, for the clock bounds ``maxima`` of the node's location;
     returns the number of entries checked.  The node table makes the same
-    check on every arrival under ``Options.check``; this scan re-checks a
-    finished graph entry by entry."""
+    check on every arrival; this scan re-checks a finished graph entry by
+    entry."""
     checked = 0
     box, store = g.box, g.store
     for loc, mat, colour in zip(store.locs, store.mats, g.colour):

@@ -19,6 +19,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import KeysView
 
 from .errors import InputError
 
@@ -111,13 +112,11 @@ def always(f: Formula) -> Formula:
     return Formula("globally", (f,))
 
 
-def atoms_of(f: Formula) -> set:
+def atoms_of(f: Formula) -> KeysView:
+    """The atoms of ``f``, in the order the formula first names them."""
     if f.kind == "ap":
-        return {f.atom}
-    out = set()
-    for c in f.children:
-        out |= atoms_of(c)
-    return out
+        return {f.atom: None}.keys()
+    return dict.fromkeys(a for c in f.children for a in atoms_of(c)).keys()
 
 
 # --- tokens and parser ------------------------------------------------------

@@ -4,14 +4,14 @@ and exact valuation-set arithmetic.
 Parameters range over a finite integer box, so every entailment question is
 decided exactly by looking at the integer points of the box.  A constraint's
 extension is a bitset indexed by the row-major position of a point in the
-box grid.  A constraint set is kept as nothing but the extension of its
-conjunction: two sets with the same points are equal.
+box grid.  A constraint set is nothing but the extension of its
+conjunction, and the engines carry it as a plain int.
 
 The zone machinery asks the same questions over and over, so the answers
 are memoized, on the box and nowhere else: ``ParamBox.bounds`` is the
-box's ``BoundTable``, which hash-conses bounds and memoizes their sums and
-their comparisons as extension bits.  A comparison's bits depend on the
-box, so one process-wide memo would answer for the wrong box.
+box's ``BoundTable``, which hash-conses bounds and memoizes their sums,
+and their comparisons and widening windows as extension bits, which
+would be wrong for any other box.
 
 Most comparisons do not need the points one by one.  A constant
 constraint holds on the whole box or nowhere.  One over a single
@@ -26,9 +26,10 @@ two or more parameters are evaluated on the numpy grid of the box.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -538,8 +539,10 @@ class BoundTable:
     tuple of two); the table holds every bound it keys on, so no key
     outlives its object, and a bound that is not interned just misses and
     is interned on the way.  Comparisons are memoized as extension bits
-    over the box, so ``ext & bits == ext`` decides one on a constraint
-    set.
+    over the box, so ``ext & bits == ext`` decides one on an extension
+    ``ext``.  ``window_bits`` memoizes, per widening window, where a
+    bound lies inside it and an id of its values clamped to it; the
+    widening and the node table of the symbolic engine both read it.
 
     A miss goes to ``ParamBox.affine_bits`` with the constant and the
     coefficients of the difference it compares, built without an
@@ -556,7 +559,10 @@ class BoundTable:
         # the closure and widening loops read these memos directly
         self.sums: dict[int, dict[int, StrictBound]] = {}
         self.les: dict[int, int] = {}
-        self.windows: dict[tuple[int, int, int], tuple[int, int]] = {}
+        # window (hi, lo) -> id of a bound -> its window_bits
+        self._windows: dict[tuple[int, int], dict] = {}
+        self._grids: dict[tuple[int, ...], list] = {}
+        self._value_ids: dict[bytes, int] = {}
         self._floor: dict[int, StrictBound] = {}
 
     def intern(self, b: StrictBound) -> StrictBound:
@@ -604,18 +610,44 @@ class BoundTable:
             self.les[id(b1) << 64 | id(b2)] = got
         return got
 
-    def window_bits(self, b: StrictBound, hi: int, lo: int) -> tuple[int, int]:
-        """Points where the finite bound's value is at most ``hi``, and
-        points where it is at least ``lo``."""
-        got = self.windows.get((id(b), hi, lo))
+    def windows(self, maxima: Sequence[int]) -> list[list[dict]]:
+        """Per entry (i, j), the ``window_bits`` memo of the window
+        (maxima[i], -maxima[j]), keyed by the identity of the bound."""
+        maxima = tuple(maxima)
+        got = self._grids.get(maxima)
         if got is None:
-            b = self.intern(b)
+            got = self._grids[maxima] = [
+                [self._windows.setdefault((hi, -m), {}) for m in maxima]
+                for hi in maxima]
+        return got
+
+    def window_bits(self, b: StrictBound, hi: int,
+                    lo: int) -> tuple[int, int, int]:
+        """Points where the finite bound's value is at most ``hi``, points
+        where it is at least ``lo``, and the id of its encoded values
+        ``2v + weak`` at every point clamped to [2*lo - 1, 2*hi + 2], one
+        step outside the window: equal ids mean equal values wherever
+        either bound lies inside the window."""
+        b = self.intern(b)
+        memo = self._windows.setdefault((hi, lo), {})
+        got = memo.get(id(b))
+        if got is None:
             e, box = b.expr, self.box
+            weak = 0 if b.strict else 1
+            if e.is_const:
+                # the bytes the array below would hold, without the array
+                v = min(max(2 * e.const + weak, 2 * lo - 1), 2 * hi + 2)
+                raw = v.to_bytes(8, sys.byteorder, signed=True) * box.size
+            else:
+                vals = box.values(e) * 2 + weak
+                np.maximum(vals, 2 * lo - 1, out=vals)
+                raw = np.minimum(vals, 2 * hi + 2, out=vals).tobytes()
             # e - hi <= 0 and lo - e <= 0
-            got = (box.affine_bits(e.const - hi, e.coeffs, False),
-                   box.affine_bits(lo - e.const,
-                                   [(p, -z) for p, z in e.coeffs], False))
-            self.windows[(id(b), hi, lo)] = got
+            got = memo[id(b)] = (
+                box.affine_bits(e.const - hi, e.coeffs, False),
+                box.affine_bits(lo - e.const, [(p, -z) for p, z in e.coeffs],
+                                False),
+                self._value_ids.setdefault(raw, len(self._value_ids)))
         return got
 
     def floor(self, m: int) -> StrictBound:

@@ -1,10 +1,11 @@
 """Parametric difference-bound matrices constrained by parameter sets.
 
 A constrained matrix pairs a zone matrix whose entries are affine bounds
-over the parameters with a constraint set restricting the valuations it
-describes.  Operations whose effect depends on the parameters fork the
-constraint set into complementary branches, so most operations here return
-a list of matrices with pairwise-disjoint, non-empty extensions.
+over the parameters with the extension of a constraint set: an int whose
+bits are the box points it describes.  Operations whose effect depends
+on the parameters fork the extension into complementary branches, so
+most operations here return a list of matrices with pairwise-disjoint,
+non-empty extensions.
 
 Strictness bookkeeping follows the difference-bound order throughout: at
 equal values a strict bound is tighter than a weak one, and the sum of two
@@ -22,10 +23,10 @@ from . import zones
 from .errors import SoundnessError
 from .params import (
     BoundTable,
-    ConstraintSet,
     INF_BOUND,
     ParamBox,
     StrictBound,
+    ValuationSet,
     ZERO_LE,
 )
 # not called here: the benchmark tracer (perfbench/tracer.py) replaces
@@ -41,9 +42,10 @@ Matrix = tuple[tuple[StrictBound, ...], ...]
 
 @dataclass(frozen=True)
 class CPDBM:
-    """Zone matrix plus the parameter constraints under which it is read."""
+    """Zone matrix plus the valuations under which it is read: ``bits``
+    is their extension over the box."""
 
-    cset: ConstraintSet
+    bits: int
     mat: Matrix
     canonical: bool = False
 
@@ -56,7 +58,7 @@ class CPDBM:
         row = list(rows[i])
         row[j] = b
         rows[i] = tuple(row)
-        return CPDBM(self.cset, tuple(rows), canonical=False)
+        return CPDBM(self.bits, tuple(rows), canonical=False)
 
 
 def matrix_of(n: int, entries: Mapping[tuple[int, int], StrictBound]) -> Matrix:
@@ -71,47 +73,46 @@ def initial_cpdbm(n_clocks: int, box: ParamBox) -> CPDBM:
     every point of the box."""
     n = n_clocks + 1
     mat = matrix_of(n, {(i, 0): INF_BOUND for i in range(1, n)})
-    return CPDBM(ConstraintSet.of(box), mat, canonical=True)
+    return CPDBM(ValuationSet.full(box).bits, mat, canonical=True)
 
 
 def apply_atomic_guard(z: CPDBM, atom: Atom, box: ParamBox) -> list[CPDBM]:
     """Constrain one entry by a guard atom.
 
     Three-way outcome on whether the current bound already lies within the
-    guard bound: keep the matrix, replace the entry, or fork the constraint
-    set into both cases.  The unchanged branch is listed first.
+    guard bound: keep the matrix, replace the entry, or fork the extension
+    into both cases.  The unchanged branch is listed first.
     """
     i, j, g = atom
     table = box.bounds
     g = table.intern(g)
-    ext = z.cset.bits
+    ext = z.bits
     within = ext & table.le_bits(z.mat[i][j], g)
     if within == ext:
         return [z]
     if not within:
         return [z.with_entry(i, j, g)]
-    keep = CPDBM(ConstraintSet(within), z.mat, canonical=z.canonical)
-    repl = CPDBM(ConstraintSet(ext & ~within), z.mat).with_entry(i, j, g)
+    keep = CPDBM(within, z.mat, canonical=z.canonical)
+    repl = CPDBM(ext & ~within, z.mat).with_entry(i, j, g)
     return [keep, repl]
 
 
 def apply_guard(z: CPDBM, atoms: Sequence[Atom], box: ParamBox) -> list[CPDBM]:
     """Left fold of the atomic application over a conjunction of atoms;
-    branches whose constraint extension is empty are dropped."""
+    branches whose extension is empty are dropped."""
     branches = [z]
     for atom in atoms:
         nxt: list[CPDBM] = []
         for b in branches:
             nxt.extend(apply_atomic_guard(b, atom, box))
-        branches = [b for b in nxt if b.cset.bits]
+        branches = [b for b in nxt if b.bits]
     return branches
 
 
 def canonicalize(z: CPDBM, box: ParamBox,
                  pivots: Sequence[int] | None = None) -> list[CPDBM]:
     """Tighten every entry to the strongest derivable bound, forking the
-    constraint set whenever a relaxation's outcome depends on the
-    parameters.
+    extension whenever a relaxation's outcome depends on the parameters.
 
     This is Floyd-Warshall on every branch: entry (i, j) is relaxed with
     the candidate (i, k) + (k, j) for each pivot clock k.  The entry is
@@ -137,13 +138,12 @@ def canonicalize(z: CPDBM, box: ParamBox,
     # depth first: a fork goes on with its first branch and leaves the
     # second to restart the current pivot, whose earlier relaxations are
     # no-ops on it
-    todo = [(0, [list(r) for r in z.mat], z.cset.bits)]
+    todo = [(0, [list(r) for r in z.mat], z.bits)]
     while todo:
         at, rows, ext = todo.pop()
         ext = _close_branch(rows, ext, ks, at, todo, box.bounds)
         if ext:
-            out.append(CPDBM(ConstraintSet(ext), tuple(map(tuple, rows)),
-                             canonical=True))
+            out.append(CPDBM(ext, tuple(map(tuple, rows)), canonical=True))
     return out
 
 
@@ -230,7 +230,7 @@ def reset(z: CPDBM, clocks: Iterable[int]) -> CPDBM:
         for i in range(n):
             if i != r:
                 rows[i][r] = rows[i][0]
-    return CPDBM(z.cset, tuple(tuple(r) for r in rows), canonical=z.canonical)
+    return CPDBM(z.bits, tuple(tuple(r) for r in rows), canonical=z.canonical)
 
 
 def up(z: CPDBM) -> CPDBM:
@@ -239,7 +239,7 @@ def up(z: CPDBM) -> CPDBM:
     rows = [list(r) for r in z.mat]
     for i in range(1, z.n):
         rows[i][0] = INF_BOUND
-    return CPDBM(z.cset, tuple(tuple(r) for r in rows), canonical=z.canonical)
+    return CPDBM(z.bits, tuple(tuple(r) for r in rows), canonical=z.canonical)
 
 
 def extrapolate(z: CPDBM, maxima: Sequence[int], box: ParamBox) -> list[CPDBM]:
@@ -248,32 +248,31 @@ def extrapolate(z: CPDBM, maxima: Sequence[int], box: ParamBox) -> list[CPDBM]:
 
     Per entry: bounds above the row clock's maximum become infinite, bounds
     below minus the column clock's maximum are floored to a strict bound
-    there, and valuation-dependent cases fork the constraint set (kept
+    there, and valuation-dependent cases fork the extension (kept
     branch first, floored next, widened last).  The diagonal and infinite
     entries are untouched.  Results are marked non-canonical when an entry
     changed.
     """
     n = z.n
     table = box.bounds
-    windows = table.windows
+    windows = table.windows(maxima)
     floors = [table.floor(m) for m in maxima]
     out: list[CPDBM] = []
     # depth first, as in canonicalize: a fork leaves its other branches to
     # restart the current row, whose earlier cells are no-ops on them
-    todo = [(0, [list(r) for r in z.mat], z.cset.bits, False)]
+    todo = [(0, [list(r) for r in z.mat], z.bits, False)]
     while todo:
         at, rows, ext, changed = todo.pop()
         for i in range(at, n):
             row = rows[i]
-            hi = maxima[i]
+            memos = windows[i]
             for j in range(n):
                 e = row[j]
                 if i == j or e.expr is None:
                     continue
-                lo = -maxima[j]
-                win = windows.get((id(e), hi, lo))
+                win = memos[j].get(id(e))
                 if win is None:
-                    win = table.window_bits(e, hi, lo)
+                    win = table.window_bits(e, maxima[i], -maxima[j])
                 below = ext & win[0]
                 if below == ext and ext & win[1] == ext:
                     continue
@@ -296,8 +295,7 @@ def extrapolate(z: CPDBM, maxima: Sequence[int], box: ParamBox) -> list[CPDBM]:
                         ext = above
                 todo.extend(forks)  # the floored branch pops first
         mat = tuple(map(tuple, rows)) if changed else z.mat
-        out.append(CPDBM(ConstraintSet(ext), mat,
-                         canonical=z.canonical and not changed))
+        out.append(CPDBM(ext, mat, canonical=z.canonical and not changed))
     return out
 
 
@@ -312,7 +310,7 @@ def _fork(i: int, rows: list, j: int, b: StrictBound, ext: int):
 def merge(branches: list[CPDBM]) -> list[CPDBM]:
     """Unite branches with equal matrices, in order of first occurrence.
 
-    The united constraint set is the union of the extensions, and the
+    The united branch's extension is the union of the extensions, and the
     result is canonical only when every united branch is.  Every operation
     here acts on each valuation separately, so a matrix means the same zone
     at every valuation of either extension and the union denotes exactly
@@ -328,8 +326,7 @@ def merge(branches: list[CPDBM]) -> list[CPDBM]:
             out.append(z)
         else:
             w = out[k]
-            out[k] = CPDBM(ConstraintSet(w.cset.bits | z.cset.bits), z.mat,
-                           canonical=w.canonical and z.canonical)
+            out[k] = CPDBM(w.bits | z.bits, z.mat, w.canonical and z.canonical)
     return out
 
 
@@ -389,6 +386,6 @@ def dump(z: CPDBM, box: ParamBox, names: Sequence[str] | None = None) -> str:
             op = "<" if b.strict else "<="
             lines.append(f"{names[i]} - {names[j]} {op} {b.expr}")
     lines.append("where:")
-    for v in z.cset.extension(box):
+    for v in ValuationSet(box, z.bits):
         lines.append("  " + ", ".join(f"{p}={x}" for p, x in v.items()))
     return "\n".join(lines)

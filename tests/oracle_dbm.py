@@ -47,8 +47,10 @@ def from_valuation(cpdbm, v):
 def is_canonical(cpdbm, box):
     """True when the matrix is closed at every valuation of its
     extension: closing it there with ``close`` changes no entry."""
-    for v in cpdbm.cset.extension(box):
-        m = from_valuation(cpdbm, v)
+    for idx in range(box.size):
+        if not cpdbm.bits >> idx & 1:
+            continue
+        m = from_valuation(cpdbm, box.point(idx))
         closed = clone(m)
         close(closed)
         if closed != m:

@@ -25,6 +25,7 @@ from ptasynth.params import (
     ConstraintSet,
     INF_BOUND,
     ParamBox,
+    ValuationSet,
     bound,
 )
 
@@ -41,7 +42,7 @@ def corpus_results():
     for name, props in CORPUS.items():
         net = load_fixture(name)
         for prop in props:
-            sym = synthesize(net, prop, opts=Options(check=True))
+            sym = synthesize(net, prop)
             base = enumerate_box(net, prop)
             results[(name, prop)] = (sym, base)
     results["elapsed"] = time.time() - t0
@@ -78,15 +79,15 @@ def test_c2_canonical_form_golden():
     with p below q (both bounds tightened to p) and its complement."""
     p, q = AffineExpr.var("p"), AffineExpr.var("q")
     box = ParamBox.of({"p": (0, 7), "q": (0, 7)})
-    z = pdbm.CPDBM(ConstraintSet.of(box),
+    z = pdbm.CPDBM(ValuationSet.full(box).bits,
                    pdbm.matrix_of(3, {(1, 0): bound(p), (2, 0): bound(q)}))
     out = pdbm.canonicalize(z, box)
     assert len(out) == 2
     le, gt = out
-    assert le.cset == ConstraintSet.of(box, [Constraint.le(p, q)])
+    assert le.bits == ConstraintSet.of(box, [Constraint.le(p, q)]).bits
     assert [le.mat[1][0], le.mat[2][0]] == [bound(p), bound(p)]
     assert le.mat[1][2] == le.mat[2][1] == pdbm.ZERO_LE
-    assert gt.cset == ConstraintSet.of(box, [Constraint.lt(q, p)])
+    assert gt.bits == ConstraintSet.of(box, [Constraint.lt(q, p)]).bits
     assert [gt.mat[1][0], gt.mat[2][0]] == [bound(q), bound(q)]
     for b in out:
         assert od.is_canonical(b, box)
@@ -99,15 +100,16 @@ def test_c3_extrapolation_golden():
     p = AffineExpr.var("p")
     box = ParamBox.of({"p": (0, 7)})
     z = pdbm.CPDBM(
-        ConstraintSet.of(box),
+        ValuationSet.full(box).bits,
         pdbm.matrix_of(3, {(1, 0): INF_BOUND, (2, 0): bound(2 * p)}),
         canonical=True)
     out = pdbm.extrapolate(z, [0, 10, 10], box)
     assert len(out) == 2
     kept, widened = out
-    assert kept.cset == ConstraintSet.of(box, [Constraint.le(2 * p, 10)])
+    assert kept.bits == ConstraintSet.of(box, [Constraint.le(2 * p, 10)]).bits
     assert kept.mat == z.mat
-    assert widened.cset == ConstraintSet.of(box, [Constraint.lt(10, 2 * p)])
+    assert widened.bits == ConstraintSet.of(
+        box, [Constraint.lt(10, 2 * p)]).bits
     assert widened.mat[2][0] is INF_BOUND
     assert widened.mat[1][2] == widened.mat[2][1] == pdbm.ZERO_LE
     ok(3, "widening split matches the expected two branches exactly")
@@ -171,7 +173,7 @@ def _random_expr(rng, box):
 
 
 def _branch_at(branches, v, box):
-    hits = [b for b in branches if v in b.cset.extension(box)]
+    hits = [b for b in branches if v in ValuationSet(box, b.bits)]
     assert len(hits) <= 1, "branch extensions overlap"
     return hits[0] if hits else None
 
@@ -179,7 +181,7 @@ def _branch_at(branches, v, box):
 def _check_disjoint(branches, box):
     seen = 0
     for b in branches:
-        bits = b.cset.extension(box).bits
+        bits = b.bits
         assert bits and seen & bits == 0
         seen |= bits
 
@@ -187,7 +189,7 @@ def _check_disjoint(branches, box):
 def _validate(op_name, z, branches, box, transform):
     """Per-valuation branch soundness of one operation application."""
     _check_disjoint(branches, box)
-    for v in z.cset.extension(box):
+    for v in ValuationSet(box, z.bits):
         m = od.from_valuation(z, v)
         keep = transform(m, v)
         got = _branch_at(branches, v, box)

@@ -55,10 +55,10 @@ class TestInstantiate:
     def test_consistent_with_symbolic_evaluation(self):
         # the instantiated guard equals the evaluated parametric bound
         from ptasynth import pdbm
-        from ptasynth.params import ConstraintSet, ParamBox
+        from ptasynth.params import ParamBox, ValuationSet
 
         b = bound(3 * P - 2, strict=True)
-        z = pdbm.CPDBM(ConstraintSet.of(ParamBox.of({"p": (1, 3)})),
+        z = pdbm.CPDBM(ValuationSet.full(ParamBox.of({"p": (1, 3)})).bits,
                        pdbm.matrix_of(2, {(1, 0): b}))
         loc = PLoc("L", ())
         loc.edges.append(PEdge(((1, 0, b),), (), 0, "e"))

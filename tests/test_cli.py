@@ -82,6 +82,32 @@ class TestSynth:
         assert code == 2
         assert "unknown-atom" in err
 
+    def test_first_bad_atom_across_hash_seeds(self):
+        # the property names the unknown atom inB before the unknown
+        # variable c; the error reports inB whatever the hash seed
+        import os
+        import subprocess
+        import sys
+
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ptasynth.cli", "synth",
+                 "--model", str(fixture_path("deadfold.pta")),
+                 "--ltl", "G (inB -> c <= 0)"],
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+                capture_output=True, text=True)
+            assert proc.returncode == 2, seed
+            assert proc.stderr.startswith("error (unknown-atom): "), seed
+            assert proc.stderr.rstrip().endswith("'inB'"), seed
+
+    def test_no_check_is_a_usage_error(self, capsys):
+        # the soundness checks always run; there is no switch to skip them
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--model", str(fixture_path("gap.pta")),
+                  "--ltl", "G !inB", "--no-check"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-check" in capsys.readouterr().err
+
     def test_capacity_exit_code(self, capsys):
         code, _, err = run(capsys, "synth", "--model",
                            str(fixture_path("gap.pta")),

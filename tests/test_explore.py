@@ -113,12 +113,12 @@ class TestStateStore:
         # different constraint lists with the same points are one set
         store = StateStore(BOX5, [(0, 5)] * 2)
         mat = pdbm.matrix_of(2, {(1, 0): bound(P)})
-        z1 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(P, 3)]), mat,
-                        True)
+        z1 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(P, 3)]).bits,
+                        mat, True)
         z2 = pdbm.CPDBM(ConstraintSet.of(
-            BOX5, [Constraint.le(P, 3), Constraint.le(P, 4)]), mat, True)
+            BOX5, [Constraint.le(P, 3), Constraint.le(P, 4)]).bits, mat, True)
         assert store.resolve(0, z1) == store.resolve(0, z2) == 0
-        assert store.colour == store.pending == [z1.cset.bits]
+        assert store.colour == store.pending == [z1.bits]
 
     def test_equal_only_on_colour_are_two_nodes(self):
         # p pinned to 3 with the bound written parametrically vs literally:
@@ -126,18 +126,18 @@ class TestStateStore:
         # where p is not 3
         store = StateStore(BOX5, [(0, 5)] * 2)
         pin = ConstraintSet.of(BOX5, [Constraint.le(P, 3),
-                                      Constraint.le(3, P)])
+                                      Constraint.le(3, P)]).bits
         z1 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
         z2 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(3)}), True)
         assert store.resolve(0, z1) != store.resolve(0, z2)
 
     def test_zones_differing_at_one_valuation_split(self):
         store = StateStore(BOX5, [(0, 5)] * 2)
-        z1 = pdbm.CPDBM(ConstraintSet.of(BOX5),
+        z1 = pdbm.CPDBM(ValuationSet.full(BOX5).bits,
                         pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
-        z2 = pdbm.CPDBM(ConstraintSet.of(BOX5),
+        z2 = pdbm.CPDBM(ValuationSet.full(BOX5).bits,
                         pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
-        z3 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(1, P)]),
+        z3 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(1, P)]).bits,
                         pdbm.matrix_of(2, {(1, 0): bound(4)}), True)
         assert store.resolve(0, z1) == store.resolve(0, z2)
         assert store.resolve(0, z1) != store.resolve(0, z3)
@@ -145,7 +145,7 @@ class TestStateStore:
         # valuations joins its node with only the new valuation pending
         n3 = store.resolve(0, z3)
         store.pending[n3] = 0
-        z4 = pdbm.CPDBM(ConstraintSet.of(BOX5),
+        z4 = pdbm.CPDBM(ValuationSet.full(BOX5).bits,
                         pdbm.matrix_of(2, {(1, 0): bound(4)}), False)
         assert store.resolve(0, z4) == n3
         assert store.colour[n3] == ValuationSet.full(BOX5).bits
@@ -162,7 +162,7 @@ class TestStateStore:
                            (ParamBox.of({"p": (2, 3)}), 2)):
             store = StateStore(box, [(0, 5)])
             for b in (bound(3), bound(P)):
-                store.resolve(0, pdbm.CPDBM(ConstraintSet.of(box),
+                store.resolve(0, pdbm.CPDBM(ValuationSet.full(box).bits,
                                             pdbm.matrix_of(2, {(1, 0): b}),
                                             True))
             assert len(store.locs) == nodes
@@ -172,28 +172,34 @@ class TestStateStore:
         # the window [-1, 1] at every other point of the box
         box = ParamBox.of({"p": (0, 3)})
         one = ConstraintSet.of(box, [Constraint.le(P, 1),
-                                     Constraint.le(1, P)])
+                                     Constraint.le(1, P)]).bits
         zs = [pdbm.CPDBM(one, pdbm.matrix_of(3, {
             (1, 0): INF_BOUND, (2, 0): INF_BOUND,
             (2, 1): bound(-k * P + k)}), True) for k in (2, 4)]
         store = StateStore(box, [(0, 1, 1)])
         assert [store.resolve(0, z) for z in zs] == [0, 0]
-        assert store.colour == [one.bits]
+        assert store.colour == [one]
         assert store.mats == [zs[0].mat]
 
     def test_each_location_clamps_to_its_own_window(self):
-        # x <= 2 and x <= 3 lie inside the window of a location whose
-        # bound on x is 5, and both clamp to one value above the window of
-        # one whose bound is 1, where the check rejects them
-        zs = [pdbm.CPDBM(ConstraintSet.of(BOX5),
-                         pdbm.matrix_of(2, {(1, 0): bound(k)}), True)
-              for k in (2, 3)]
-        store = StateStore(BOX5, [(0, 5), (0, 1)], check=False)
+        # on p = 1, x <= p and x <= 2p - 1 are both x <= 1, inside the
+        # window of either location; elsewhere they differ, inside the
+        # window of a location whose bound on x is 5 and above the window
+        # of one whose bound is 1, where both clamp to one value
+        box = ParamBox.of({"p": (1, 5)})
+        one = ConstraintSet.of(box, [Constraint.le(P, 1)]).bits
+        zs = [pdbm.CPDBM(one, pdbm.matrix_of(2, {(1, 0): b}), True)
+              for b in (bound(P), bound(2 * P - 1))]
+        store = StateStore(box, [(0, 5), (0, 1)])
         assert store.bounds_of(1) == (0, 1)
         assert len({store.resolve(0, z) for z in zs}) == 2
         assert len({store.resolve(1, z) for z in zs}) == 1
+        # on the whole box, x <= p stays inside the first location's
+        # window and leaves the second's from p = 2
+        wide = pdbm.CPDBM(ValuationSet.full(box).bits, zs[0].mat, True)
+        store.resolve(0, wide)
         with pytest.raises(SoundnessError, match="out of range"):
-            StateStore(BOX5, [(0, 5), (0, 1)]).resolve(1, zs[0])
+            store.resolve(1, wide)
 
     def test_offcolour_bounds_keep_the_graph_finite(self):
         from ptasynth.baseline import enumerate_box
@@ -270,7 +276,7 @@ class TestDeadlockValuations:
         a = Ptba(["0", "x"], [loc], 0)
         s = initial_states(a, BOX5, [(0, 0)])[0]
         got = deadlock_valuations(s, a, BOX5)
-        assert got.bits == s.zone.cset.bits
+        assert got.bits == s.zone.bits
 
     def test_unguarded_edge_never_deadlocks(self):
         a = tiny_ptba()
@@ -300,7 +306,8 @@ class TestDeadlockValuations:
         n = 5
         free = {(i, j): INF_BOUND for i in range(1, n) for j in range(n)
                 if i != j}
-        z = pdbm.CPDBM(ConstraintSet.of(BOX5), pdbm.matrix_of(n, free), True)
+        z = pdbm.CPDBM(ValuationSet.full(BOX5).bits, pdbm.matrix_of(n, free),
+                       True)
         loc = PLoc("L", ())
         for c in range(1, n):
             atoms = [(c, 0, bound(k)) for k in range(3)]
@@ -390,6 +397,33 @@ component M {
         assert "where:\n  p=" in sink.getvalue()
 
 
+TRAINS = "G !(Train1.Cross && Train2.Cross)"
+
+
+class TestPinnedStats:
+    """The node table's partition, pinned by the statistics it yields:
+    stored states, transitions, expansions, splits, fixpoint rounds."""
+
+    @pytest.mark.parametrize("fixture, prop, box, want", [
+        ("traingate.pta", TRAINS, {"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)},
+         (61, 86, 61, {"extrapolate": 6, "guard": 15}, 2)),
+        ("traingate.pta", TRAINS, {"p1": (0, 8), "p2": (1, 8), "p3": (0, 8)},
+         (61, 86, 61, {"extrapolate": 6, "guard": 15}, 2)),
+        ("traingate6.pta", "G F Train1.Cross",
+         {"p1": (2, 3), "p2": (1, 2), "p3": (0, 1), "p4": (1, 1),
+          "p6": (1, 1)},
+         (409, 1077, 468, {"extrapolate": 72, "guard": 52}, 2)),
+        ("fuzz837.pta", "G !al1", {},
+         (1173, 4167, 1180, {"extrapolate": 11, "guard": 31}, 3)),
+    ])
+    def test_stats(self, fixture, prop, box, want):
+        net = load_fixture(fixture)
+        stats = synthesize(net, prop, net.box(box)).stats
+        assert tuple(stats[k] for k in (
+            "stored_states", "transitions", "expansions", "splits",
+            "fixpoint_rounds")) == want
+
+
 class TestStoredBoundScan:
     def test_fixture_bounds_in_range(self):
         from ptasynth.explore import build_automaton
@@ -408,13 +442,17 @@ class TestStoredBoundScan:
         loc = PLoc("L", ())
         loc.edges.append(PEdge(((0, 1, bound(-1)),), (1,), 0, "loop"))
         a = Ptba(["0", "x", "y"], [loc], 0)
-        assert build_graph(a, BOX5).n_nodes > 0
+        g = build_graph(a, BOX5)
+        assert scan_stored_bounds(g) > 0
+        # the same graph with an unwidened matrix fails the scan
+        g.store.mats[-1] = pdbm.matrix_of(3, {(1, 0): INF_BOUND,
+                                              (2, 0): INF_BOUND,
+                                              (2, 1): bound(1)})
+        with pytest.raises(SoundnessError, match="out of range"):
+            scan_stored_bounds(g)
         monkeypatch.setattr(pdbm, "extrapolate", lambda z, maxima, box: [z])
         with pytest.raises(SoundnessError, match="out of range"):
             build_graph(a, BOX5, opts=Options(limit_states=50))
-        # unchecked, the clamped node keys still end the search
-        g = build_graph(a, BOX5, opts=Options(check=False, limit_states=50))
-        assert 0 < g.n_nodes < 50
 
 
 class TestBoundRange:

@@ -297,6 +297,10 @@ class TestComparisonsAgreePointwise:
     def test_window_bits(self, rng):
         for box in self.BOXES:
             table = box.bounds
+            points = [dict(zip(box.params, vals)) for vals in
+                      itertools.product(*(range(a, c + 1)
+                                          for a, c in zip(box.lo, box.hi)))]
+            ids = {}  # id -> clamped encoded values
             for _ in range(300):
                 b = self.bound(rng, box)
                 if b.expr is None:
@@ -304,7 +308,14 @@ class TestComparisonsAgreePointwise:
                 hi, lo = rng.randrange(-4, 10), -rng.randrange(-4, 10)
                 want = (pointwise(box, lambda v: b.expr.eval(v) <= hi),
                         pointwise(box, lambda v: b.expr.eval(v) >= lo))
-                assert table.window_bits(b, hi, lo) == want, str(b)
+                below, above, vid = table.window_bits(b, hi, lo)
+                assert (below, above) == want, str(b)
+                # equal ids exactly where the clamped values are equal
+                clamped = tuple(
+                    min(max(2 * b.expr.eval(v) + (not b.strict), 2 * lo - 1),
+                        2 * hi + 2) for v in points)
+                assert ids.setdefault(vid, clamped) == clamped, str(b)
+            assert len(set(ids.values())) == len(ids)
 
 
 _bounds = st.one_of(

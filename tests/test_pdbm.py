@@ -28,14 +28,19 @@ Q = AffineExpr.var("q")
 
 
 def mk(entries, box, n=3, canonical=False):
-    return pdbm.CPDBM(ConstraintSet.of(box), pdbm.matrix_of(n, entries),
+    return pdbm.CPDBM(ValuationSet.full(box).bits, pdbm.matrix_of(n, entries),
                       canonical)
+
+
+def ext(box, *cs):
+    """Extension of the conjunction of ``cs`` over ``box``."""
+    return ConstraintSet.of(box, cs).bits
 
 
 def branches_disjoint(branches, box):
     seen = 0
     for b in branches:
-        bits = b.cset.extension(box).bits
+        bits = b.bits
         assert bits, "empty branch extension"
         assert seen & bits == 0, "branch extensions overlap"
         seen |= bits
@@ -43,7 +48,7 @@ def branches_disjoint(branches, box):
 
 
 def branch_at(branches, v, box):
-    hits = [b for b in branches if v in b.cset.extension(box)]
+    hits = [b for b in branches if v in ValuationSet(box, b.bits)]
     assert len(hits) <= 1
     return hits[0] if hits else None
 
@@ -56,9 +61,9 @@ class TestAtomicGuard:
         out = pdbm.apply_atomic_guard(z, (1, 0, bound(Q)), self.BOX)
         assert len(out) == 2
         keep, repl = out
-        assert keep.cset == ConstraintSet.of(self.BOX, [Constraint.le(P, Q)])
+        assert keep.bits == ext(self.BOX, Constraint.le(P, Q))
         assert keep.mat[1][0] == bound(P)
-        assert repl.cset == ConstraintSet.of(self.BOX, [Constraint.lt(Q, P)])
+        assert repl.bits == ext(self.BOX, Constraint.lt(Q, P))
         assert repl.mat[1][0] == bound(Q)
         # per-valuation: entry-wise minimum with the guard bound
         for v in ValuationSet.full(self.BOX):
@@ -124,10 +129,9 @@ class TestCanonicalForm:
         out = pdbm.canonicalize(z, self.BOX)
         assert len(out) == 2
         first, second = out
-        assert first.cset == ConstraintSet.of(self.BOX, [Constraint.le(P, Q)])
+        assert first.bits == ext(self.BOX, Constraint.le(P, Q))
         assert first.mat[1][0] == bound(P) and first.mat[2][0] == bound(P)
-        assert second.cset == ConstraintSet.of(self.BOX,
-                                               [Constraint.lt(Q, P)])
+        assert second.bits == ext(self.BOX, Constraint.lt(Q, P))
         assert second.mat[1][0] == bound(Q) and second.mat[2][0] == bound(Q)
         for b in out:
             assert b.canonical and od.is_canonical(b, self.BOX)
@@ -147,7 +151,7 @@ class TestCanonicalForm:
             z = random_cpdbm(rng, box, n=rng.randrange(2, 4))
             out = pdbm.canonicalize(z, box)
             branches_disjoint(out, box)
-            for v in z.cset.extension(box):
+            for v in ValuationSet(box, z.bits):
                 m = od.from_valuation(z, v)
                 ok = od.close(m)
                 got = branch_at(out, v, box)
@@ -182,7 +186,7 @@ def random_cpdbm(rng, box, n=3):
             else:
                 entries[(i, j)] = bound(random_expr(rng, box),
                                         rng.random() < 0.4)
-    return pdbm.CPDBM(ConstraintSet.of(box), pdbm.matrix_of(n, entries))
+    return pdbm.CPDBM(ValuationSet.full(box).bits, pdbm.matrix_of(n, entries))
 
 
 def canonical_samples(rng, box, n, count):
@@ -221,7 +225,7 @@ class TestConstrain:
                         for c in pdbm.canonicalize(w, self.BOX)]
                 branches_disjoint(got, self.BOX)
                 assert all(b.canonical for b in got)
-                for v in z.cset.extension(self.BOX):
+                for v in ValuationSet(self.BOX, z.bits):
                     m = od.from_valuation(z, v)
                     for i, j, g in atoms:
                         od.constrain(m, i, j, (g.expr.eval(v), g.strict))
@@ -271,7 +275,7 @@ class TestResetUp:
             clocks = [c for c in (1, 2) if rng.random() < 0.6]
             got_r = pdbm.reset(z, clocks)
             got_u = pdbm.up(z)
-            for v in z.cset.extension(self.BOX):
+            for v in ValuationSet(self.BOX, z.bits):
                 m = od.from_valuation(z, v)
                 mr = od.clone(m)
                 od.reset(mr, clocks)
@@ -289,7 +293,7 @@ class TestResetUp:
 
     def test_closure_noop_on_canonical_evaluations(self, rng):
         for z in canonical_samples(rng, self.BOX, 3, 10):
-            for v in z.cset.extension(self.BOX):
+            for v in ValuationSet(self.BOX, z.bits):
                 m = od.from_valuation(z, v)
                 closed = od.clone(m)
                 assert od.close(closed)
@@ -302,16 +306,15 @@ class TestExtrapolation:
         # exceeds the maximum, widening the bound to infinity where it does
         box = ParamBox.of({"p": (0, 7)})
         z = pdbm.CPDBM(
-            ConstraintSet.of(box),
+            ValuationSet.full(box).bits,
             pdbm.matrix_of(3, {(1, 0): INF_BOUND, (2, 0): bound(2 * P)}),
             canonical=True)
         out = pdbm.extrapolate(z, [0, 10, 10], box)
         assert len(out) == 2
         kept, widened = out
-        assert kept.cset == ConstraintSet.of(box, [Constraint.le(2 * P, 10)])
+        assert kept.bits == ext(box, Constraint.le(2 * P, 10))
         assert kept.mat == z.mat
-        assert widened.cset == ConstraintSet.of(box,
-                                                [Constraint.lt(10, 2 * P)])
+        assert widened.bits == ext(box, Constraint.lt(10, 2 * P))
         assert widened.mat[2][0] is INF_BOUND
         assert branches_disjoint(out, box) == ValuationSet.full(box).bits
 
@@ -337,7 +340,7 @@ class TestExtrapolation:
             maxima = [0] + [rng.randrange(0, 7) for _ in range(2)]
             out = pdbm.extrapolate(z, maxima, box)
             branches_disjoint(out, box)
-            for v in z.cset.extension(box):
+            for v in ValuationSet(box, z.bits):
                 m = od.from_valuation(z, v)
                 od.extrapolate(m, maxima)
                 got = branch_at(out, v, box)
@@ -374,7 +377,7 @@ class TestInitial:
         assert z.canonical
         assert z.mat[1][0] is INF_BOUND
         assert z.mat[0][1] == ZERO_LE
-        assert z.cset.extension(box).bits == ValuationSet.full(box).bits
+        assert z.bits == ValuationSet.full(box).bits
         # evaluated zone at any valuation: every clock value >= 0 reachable
         m = od.from_valuation(z, {"p": 3})
         assert od.close(m)
@@ -383,14 +386,13 @@ class TestInitial:
     def test_box_constraints_present(self):
         box = ParamBox.of({"p": (2, 4)})
         z = pdbm.initial_cpdbm(1, box)
-        assert z.cset == ConstraintSet.of(
-            box, [Constraint.le(2, P), Constraint.le(P, 4)])
+        assert z.bits == ext(box, Constraint.le(2, P), Constraint.le(P, 4))
 
 
 class TestDump:
     def test_format(self):
         box = ParamBox.of({"p": (0, 5)})
-        z = pdbm.CPDBM(ConstraintSet.of(box, [Constraint.le(P, 3)]),
+        z = pdbm.CPDBM(ext(box, Constraint.le(P, 3)),
                        pdbm.matrix_of(2, {(1, 0): bound(P, strict=True)}))
         text = pdbm.dump(z, box, ["0", "x"])
         assert "x - 0 < p" in text
