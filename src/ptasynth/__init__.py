@@ -12,7 +12,6 @@ from .baseline import check_valuation, enumerate_box, instantiate
 from .explore import (
     Options,
     SynthesisResult,
-    cumulative_ndfs,
     deadlock_valuations,
     initial_states,
     successors,
@@ -34,7 +33,6 @@ __all__ = [
     "ValuationSet",
     "check_valuation",
     "compose",
-    "cumulative_ndfs",
     "deadlock_valuations",
     "enumerate_box",
     "initial_states",

@@ -17,7 +17,7 @@ import sys
 from .baseline import enumerate_box
 from .errors import CapacityError, InputError, SoundnessError, SynthError
 from .explore import Options, build_automaton, synthesize
-from .ltl import neg, parse_ltl, to_buchi, to_nnf
+from .ltl import negated_automaton, parse_ltl
 from .model import clock_bounds, dump_product, load_model
 
 EXIT_OK = 0
@@ -139,7 +139,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_dump_ba(args) -> int:
-    aut = to_buchi(to_nnf(neg(parse_ltl(args.ltl))))
+    aut = negated_automaton(parse_ltl(args.ltl))
     sys.stdout.write(aut.dump() + "\n")
     return EXIT_OK
 

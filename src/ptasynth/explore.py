@@ -1,20 +1,20 @@
 """The symbolic engine.
 
-A colour worklist builds the reachable symbolic graph once.  A node is a
-location with a widened matrix (``StateStore`` gives the key), and its
-colour is the bitset of the valuations under which it is reachable; a
-colour only grows.  A matrix is widened with the clock bounds of the
-location it is stored at (``model.location_bounds``, static guard
-analysis after Behrmann, Bouyer, Fleury and Larsen, TACAS 2003), which
-are at most the one vector that covers every location and often far
-below it, so fewer matrices stay apart.  When a node's colour grows by
-some valuations, the worklist expands the node's matrix on those
-valuations alone: successor generation with constraint splitting, and
-the deadlock valuations.  Each successor branch adds its valuations to
-its target node and to the colour of the edge.  At a valuation v, the
-nodes and edges whose colours hold v form the widened zone graph at v,
-up to nodes that repeat a zone, which changes neither reachability nor
-accepting cycles.
+A colour worklist builds the reachable symbolic graph once, in the node
+table (``StateStore``), which is the graph: per node a location, a
+widened matrix, a colour and coloured out-edges.  A node's colour is the
+bitset of the valuations under which it is reachable; a colour only
+grows.  A matrix is widened with the clock bounds of the location it is
+stored at (``model.location_bounds``, static guard analysis after
+Behrmann, Bouyer, Fleury and Larsen, TACAS 2003), which are at most the
+one vector that covers every location and often far below it, so fewer
+matrices stay apart.  When a node's colour grows by some valuations, the
+worklist expands the node's matrix on those valuations alone: successor
+generation with constraint splitting, and the deadlock valuations.  Each
+successor branch adds its valuations to its target node and to the
+colour of the edge.  At a valuation v, the nodes and edges whose colours
+hold v form the widened zone graph at v, up to nodes that repeat a zone,
+which changes neither reachability nor accepting cycles.
 
 Accepting cycles are then found for all valuations at once by a fixpoint
 on colours (``cumulative_ndfs_graph``).  The violating set is the union of
@@ -24,12 +24,11 @@ what survives it, and the satisfying set its complement inside the box.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import ltl as ltl_mod
 from . import pdbm, zones
 from .errors import CapacityError, InputError, SoundnessError
-from .ltl import Formula, parse_ltl, to_buchi, to_nnf
+from .ltl import Formula, atoms_of, negated_automaton, parse_ltl
 from .model import (
     Network,
     Ptba,
@@ -53,14 +52,12 @@ class Options:
     trace: object = None    # writable stream for expanded-state dumps
 
 
-@dataclass
-class SymbolicState:
-    loc: int
-    zone: CPDBM
-
-
 class StateStore:
-    """The node table: one node per location and widened matrix.
+    """The node table, which is the coloured graph: one node per location
+    and widened matrix, with its colour and its out-edges (``succ``,
+    target node -> edge colour).  ``build_graph`` fills it and adds the
+    initial nodes, the deadlock valuations, the number of expansions and
+    the split counts (see ``successors``).
 
     ``bounds`` holds each location's clock bounds (``location_bounds``),
     the vector its matrices are widened with.  A node's key is its
@@ -102,11 +99,14 @@ class StateStore:
         self.succ: list[dict[int, int]] = []  # target node -> edge colour
         self.queue: deque[int] = deque()
         self._index: dict[tuple, int] = {}
+        self.initials: list[int] = []
+        self.deadlock_bits = 0
+        self.expansions = 0
+        self.counts: dict[str, int] = {}
 
-    def bounds_of(self, loc: int) -> tuple[int, ...]:
-        """The clock bounds the matrices stored at ``loc`` are widened
-        with."""
-        return self.bounds[loc]
+    @property
+    def n_nodes(self) -> int:
+        return len(self.locs)
 
     def _key(self, loc: int, z: CPDBM) -> tuple:
         key = [loc]
@@ -158,48 +158,35 @@ class StateStore:
 # --- successor generation ----------------------------------------------------
 
 
-def initial_states(a: Ptba, box: ParamBox, bounds=None) -> list[SymbolicState]:
-    """Zero zone with time released, constrained by the initial invariant,
-    canonical, then widened with the initial location's clock bounds
-    (``bounds`` is the ``location_bounds`` table)."""
-    if bounds is None:
-        bounds = location_bounds(a, box)
+def initial_states(a: Ptba, box: ParamBox, bounds) -> list[CPDBM]:
+    """The initial matrices, all at ``a.initial``: zero zone with time
+    released, constrained by the initial invariant, canonical, then
+    widened with the initial location's clock bounds (``bounds`` is the
+    ``location_bounds`` table)."""
     z0 = pdbm.initial_cpdbm(a.n_clocks, box)
-    out = []
-    for z1 in pdbm.constrain(z0, a.locations[a.initial].inv, box):
-        for z2 in pdbm.extrapolate(z1, bounds[a.initial], box):
-            out.append(SymbolicState(a.initial, z2))
-    return out
+    return [z2 for z1 in pdbm.constrain(z0, a.locations[a.initial].inv, box)
+            for z2 in pdbm.extrapolate(z1, bounds[a.initial], box)]
 
 
-def _canonical_branches(z: CPDBM, box: ParamBox) -> list[CPDBM]:
-    return [z] if z.canonical else pdbm.canonicalize(z, box)
-
-
-def successors(s: SymbolicState, a: Ptba, box: ParamBox, bounds=None,
-               counts=None, base=None) -> list[SymbolicState]:
-    """All successor states of one symbolic state: per edge, guard,
-    reset, time release, target invariant, widening with the target's
-    clock bounds (``bounds`` is the ``location_bounds`` table), with empty
-    branches dropped at every stage.  Guard and invariant go through
+def successors(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox, bounds,
+               counts: dict[str, int]) -> list[tuple[int, CPDBM]]:
+    """All successors of the zone at ``loc`` whose canonical branches are
+    ``base``, as (target, matrix) pairs: per edge, guard, reset, time
+    release, target invariant, widening with the target's clock bounds
+    (``bounds`` is the ``location_bounds`` table), with empty branches
+    dropped at every stage.  Guard and invariant go through
     ``pdbm.constrain``, which closes through the guard's clocks only; the
-    base branches, the canonical forms of the source zone, are closed in
-    full.  States come in edge order; branches that reach one target with
-    one matrix meet at their node in the node table.
-
-    ``counts``, when given, tallies per forking operation the branches it
+    base branches are closed in full.  Pairs come in edge order; branches
+    that reach one target with one matrix meet at their node in the node
+    table.  ``counts`` tallies per forking operation the branches it
     added (``guard`` counts a guard or invariant and its closure)."""
-    if bounds is None:
-        bounds = location_bounds(a, box)
-    if base is None:
-        base = _canonical_branches(s.zone, box)
-    out: list[SymbolicState] = []
+    out: list[tuple[int, CPDBM]] = []
 
     def count(tag, n):
-        if counts is not None and n > 1:
+        if n > 1:
             counts[tag] = counts.get(tag, 0) + n - 1
 
-    for e in a.locations[s.loc].edges:
+    for e in a.locations[loc].edges:
         inv = a.locations[e.target].inv
         maxima = bounds[e.target]
         for zb in base:
@@ -212,25 +199,25 @@ def successors(s: SymbolicState, a: Ptba, box: ParamBox, bounds=None,
                 for z3 in g2:
                     ex = pdbm.extrapolate(z3, maxima, box)
                     count("extrapolate", len(ex))
-                    out.extend(SymbolicState(e.target, z) for z in ex)
+                    out.extend((e.target, z) for z in ex)
     return out
 
 
-def deadlock_valuations(s: SymbolicState, a: Ptba, box: ParamBox,
-                        dnf_limit: int = DEFAULT_DNF_LIMIT,
-                        base=None) -> ValuationSet:
-    """Valuations for which some point of the zone enables no outgoing
-    edge: the negated guards of all outgoing edges are applied as a product
-    of disjunctions, and the surviving branches' extensions are united.
+def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox,
+                        dnf_limit: int) -> ValuationSet:
+    """Valuations for which some point of the zone at ``loc``, whose
+    canonical branches are ``base``, enables no outgoing edge: the negated
+    guards of all outgoing edges are applied as a product of
+    disjunctions, and the surviving branches' extensions are united.
     Branches with equal matrices are merged after each edge, so the
     expansion grows with the distinct zones, not with the paths to them."""
-    loc = a.locations[s.loc]
-    if any(not e.atoms for e in loc.edges):
+    edges = a.locations[loc].edges
+    if any(not e.atoms for e in edges):
         # an unguarded edge is always enabled: no zone point can deadlock
         return ValuationSet.empty(box)
-    cur = base if base is not None else _canonical_branches(s.zone, box)
+    cur = base
     steps = 0
-    for e in loc.edges:
+    for e in edges:
         choices = [negate_atom(at) for at in e.atoms]
         nxt: list[CPDBM] = []
         for atom in choices:
@@ -252,109 +239,87 @@ def deadlock_valuations(s: SymbolicState, a: Ptba, box: ParamBox,
 # --- reachable coloured graph ------------------------------------------------
 
 
-@dataclass
-class SymbolicGraph:
-    """Per node its colour, its accepting flag and its out-edges with
-    their colours (target node -> bits); ``store`` holds the matrices of
-    a built graph."""
-
-    box: ParamBox
-    colour: list[int]
-    succ: list[dict[int, int]]
-    accepting: list[bool]
-    store: StateStore | None = None
-    initials: list[int] = field(default_factory=list)
-    deadlock_bits: int = 0
-    expansions: int = 0
-    counts: dict = field(default_factory=dict)  # see successors
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.colour)
-
-
-def build_graph(a: Ptba, box: ParamBox, bounds=None,
-                opts: Options | None = None) -> SymbolicGraph:
+def build_graph(a: Ptba, box: ParamBox, bounds,
+                opts: Options | None = None) -> StateStore:
     """Run the colour worklist from the initial states until no node has
     pending valuations: each expansion takes all of a node's pending
     valuations, folds their deadlock valuations in and adds every
     successor branch to its target node and edge.  ``bounds`` is the
-    ``location_bounds`` table, computed here when not given."""
+    ``location_bounds`` table.  Returns the filled node table."""
     opts = opts or Options()
-    if bounds is None:
-        bounds = location_bounds(a, box)
     store = StateStore(box, bounds, opts.limit_states)
-    g = SymbolicGraph(box, store.colour, store.succ, [], store)
-    for st in initial_states(a, box, bounds):
-        nid = store.resolve(st.loc, st.zone)
-        if nid not in g.initials:
-            g.initials.append(nid)
+    for z in initial_states(a, box, bounds):
+        nid = store.resolve(a.initial, z)
+        if nid not in store.initials:
+            store.initials.append(nid)
     while store.queue:
         u = store.queue.popleft()
         delta, store.pending[u] = store.pending[u], 0
-        s = SymbolicState(store.locs[u],
-                          CPDBM(delta, store.mats[u], store.canonical[u]))
-        base = _canonical_branches(s.zone, box)
+        loc = store.locs[u]
+        z = CPDBM(delta, store.mats[u], store.canonical[u])
+        base = [z] if z.canonical else pdbm.canonicalize(z, box)
         covered = 0
         for zb in base:
             covered |= zb.bits
         if covered != delta:
             raise SoundnessError("stored zone empty at a valuation of its "
                                  "extension")
-        g.deadlock_bits |= deadlock_valuations(s, a, box, opts.dnf_limit,
-                                               base=base).bits
-        g.expansions += 1
+        store.deadlock_bits |= deadlock_valuations(loc, base, a, box,
+                                                   opts.dnf_limit).bits
+        store.expansions += 1
         if opts.trace is not None:
-            opts.trace.write(f"state {u}: {a.locations[s.loc].name}\n")
-            opts.trace.write(pdbm.dump(s.zone, box, a.clock_names) + "\n\n")
+            opts.trace.write(f"state {u}: {a.locations[loc].name}\n")
+            opts.trace.write(pdbm.dump(z, box, a.clock_names) + "\n\n")
         edges = store.succ[u]
-        for t in successors(s, a, box, bounds, counts=g.counts, base=base):
-            bits = t.zone.bits
-            if bits & ~delta:
+        for target, zt in successors(loc, base, a, box, bounds, store.counts):
+            if zt.bits & ~delta:
                 raise SoundnessError(
                     "monotonicity violation: successor valuations not a "
                     "subset of the expanded ones")
-            w = store.resolve(t.loc, t.zone)
-            edges[w] = edges.get(w, 0) | bits
-    g.accepting = [a.locations[loc].accepting for loc in store.locs]
-    return g
+            w = store.resolve(target, zt)
+            edges[w] = edges.get(w, 0) | zt.bits
+    return store
 
 
 # --- colour fixpoint ---------------------------------------------------------
 
 
-def cumulative_ndfs_graph(g: SymbolicGraph, stats: dict | None = None) -> int:
+def cumulative_ndfs_graph(box: ParamBox, colour: list[int],
+                          succ: list[dict[int, int]], accepting: list[bool],
+                          stats: dict | None = None) -> int:
     """Valuations under which an accepting cycle is reachable, for all
     valuations at once: OWCTY-style elimination (Cerna and Pelanek,
     SPIN 2003) in the coloured form of Barnat et al. (IEEE/ACM TCBB
     2012).
 
-    S starts as the colours, and each round (1) keeps in S[w] the
-    valuations under which w is reachable within S from an accepting
-    node, then (2) repeats ``S[w] &= OR_u (S[u] & edge colour u -> w)``
-    until nothing changes, so a node keeps a valuation only with a
-    predecessor under it.  Rounds repeat until one changes nothing.  At a
-    valuation v this is OWCTY on the graph of the nodes and edges whose
-    colours hold v: what survives lies on or after an accepting cycle.
-    Returns the union of S; ``stats`` gets ``fixpoint_rounds`` and one
-    witness valuation per growth of the union, in node order.
+    The graph is given per node: its colour, its out-edges (target node
+    -> edge colour) and its accepting flag.  S starts as the colours, and
+    each round (1) keeps in S[w] the valuations under which w is
+    reachable within S from an accepting node, then (2) repeats
+    ``S[w] &= OR_u (S[u] & edge colour u -> w)`` until nothing changes,
+    so a node keeps a valuation only with a predecessor under it.  Rounds
+    repeat until one changes nothing.  At a valuation v this is OWCTY on
+    the graph of the nodes and edges whose colours hold v: what survives
+    lies on or after an accepting cycle.  Returns the union of S;
+    ``stats`` gets ``fixpoint_rounds`` and one witness valuation per
+    growth of the union, in node order.
     """
-    n = g.n_nodes
+    n = len(colour)
     preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, edges in enumerate(g.succ):
+    for u, edges in enumerate(succ):
         for w, c in edges.items():
             preds[w].append((u, c))
-    s = list(g.colour)
+    s = list(colour)
     rounds = 0
     while True:
         rounds += 1
         r = [0] * n
-        stack = [v for v in range(n) if g.accepting[v] and s[v]]
+        stack = [v for v in range(n) if accepting[v] and s[v]]
         for v in stack:
             r[v] = s[v]
         while stack:
             u = stack.pop()
-            for w, c in g.succ[u].items():
+            for w, c in succ[u].items():
                 add = r[u] & c & s[w] & ~r[w]
                 if add:
                     r[w] |= add
@@ -369,7 +334,7 @@ def cumulative_ndfs_graph(g: SymbolicGraph, stats: dict | None = None) -> int:
                 live |= r[u] & c
             if r[w] & ~live:
                 r[w] &= live
-                for x in g.succ[w]:
+                for x in succ[w]:
                     if r[x] and not queued[x]:
                         queued[x] = True
                         todo.append(x)
@@ -381,20 +346,12 @@ def cumulative_ndfs_graph(g: SymbolicGraph, stats: dict | None = None) -> int:
     for bits in s:
         fresh = bits & ~found
         if fresh:
-            witnesses.append(g.box.point((fresh & -fresh).bit_length() - 1))
+            witnesses.append(box.point((fresh & -fresh).bit_length() - 1))
             found |= bits
     if stats is not None:
         stats["fixpoint_rounds"] = rounds
         stats["witnesses"] = witnesses
     return found
-
-
-def cumulative_ndfs(a: Ptba, box: ParamBox,
-                    opts: Options | None = None) -> ValuationSet:
-    """Valuations under which the automaton has an accepting run."""
-    opts = opts or Options()
-    g = build_graph(a, box, None, opts)
-    return ValuationSet(box, cumulative_ndfs_graph(g))
 
 
 # --- end-to-end synthesis -----------------------------------------------------
@@ -428,7 +385,7 @@ def declared_atoms(net: Network) -> set[str]:
 
 def validate_property(net: Network, f: Formula) -> None:
     known = declared_atoms(net)
-    for atom in ltl_mod.atoms_of(f):
+    for atom in atoms_of(f):
         if isinstance(atom, tuple):
             if atom[0] not in net.variables:
                 raise InputError(f"property uses unknown variable {atom[0]!r}",
@@ -473,7 +430,7 @@ def build_automaton(net: Network, f: Formula, box: ParamBox):
     and its ``location_bounds`` table.  Raises InputError when a bound
     falls outside the encodable range."""
     validate_property(net, f)
-    aut = to_buchi(to_nnf(ltl_mod.neg(f)))
+    aut = negated_automaton(f)
     pta, lab = compose(net)
     tba = make_nonzeno(product(pta, lab, aut))
     bounds = location_bounds(tba, box)
@@ -499,7 +456,9 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
         "expansions": g.expansions,
         "splits": {k: g.counts[k] for k in sorted(g.counts)},
     }
-    accepted_bits = cumulative_ndfs_graph(g, stats)
+    accepting = [tba.locations[loc].accepting for loc in g.locs]
+    accepted_bits = cumulative_ndfs_graph(box, g.colour, g.succ, accepting,
+                                          stats)
     accepted = ValuationSet(box, accepted_bits)
     return SynthesisResult(
         box=box,
@@ -510,7 +469,7 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
     )
 
 
-def scan_stored_bounds(g: SymbolicGraph) -> int:
+def scan_stored_bounds(g: StateStore) -> int:
     """Verify that every finite bound of every node's matrix evaluates
     within [-maxima[column], maxima[row]] at every valuation of the node's
     colour, for the clock bounds ``maxima`` of the node's location;
@@ -518,9 +477,9 @@ def scan_stored_bounds(g: SymbolicGraph) -> int:
     check on every arrival; this scan re-checks a finished graph entry by
     entry."""
     checked = 0
-    box, store = g.box, g.store
-    for loc, mat, colour in zip(store.locs, store.mats, g.colour):
-        maxima = store.bounds_of(loc)
+    box = g.box
+    for loc, mat, colour in zip(g.locs, g.mats, g.colour):
+        maxima = g.bounds[loc]
         idx = ValuationSet(box, colour).indices()
         for i, row in enumerate(mat):
             for j, b in enumerate(row):

@@ -113,10 +113,17 @@ def always(f: Formula) -> Formula:
 
 
 def atoms_of(f: Formula) -> KeysView:
-    """The atoms of ``f``, in the order the formula first names them."""
-    if f.kind == "ap":
-        return {f.atom: None}.keys()
-    return dict.fromkeys(a for c in f.children for a in atoms_of(c)).keys()
+    """The atoms of ``f``, in the order the formula first names them.  The
+    walk keeps its own stack, so it takes formulas of any depth."""
+    out: dict = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g.kind == "ap":
+            out.setdefault(g.atom)
+        else:
+            stack.extend(reversed(g.children))
+    return out.keys()
 
 
 # --- tokens and parser ------------------------------------------------------
@@ -296,7 +303,14 @@ class _Parser(TokenCursor):
 
 
 def parse_ltl(text: str) -> Formula:
-    return _Parser(text).parse()
+    """The formula of ``text``.  The parser recurses once per level of
+    nesting, so a property nested deeper than Python's stack allows is
+    rejected as ltl-syntax input."""
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise InputError("property nested too deeply to parse",
+                         kind="ltl-syntax") from None
 
 
 # --- negation normal form ---------------------------------------------------
@@ -505,6 +519,17 @@ def to_buchi(f: Formula) -> BuchiAutomaton:
     accepting = frozenset(i for i, (_, c) in enumerate(order) if c == m)
     aut = BuchiAutomaton(len(order), 0, trans, accepting)
     return _prune(aut)
+
+
+def negated_automaton(f: Formula) -> BuchiAutomaton:
+    """The Büchi automaton of ``!f``, which accepts the runs that violate
+    ``f``.  Normal form and tableau recurse over the formula, so one too
+    deep for Python's stack is rejected as ltl-syntax input."""
+    try:
+        return to_buchi(to_nnf(neg(f)))
+    except RecursionError:
+        raise InputError("property nested too deeply to translate",
+                         kind="ltl-syntax") from None
 
 
 def _numbering(init):

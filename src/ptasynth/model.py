@@ -370,8 +370,17 @@ def parse_model(text: str) -> Network:
 
 
 def load_model(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    """Parse the model file at ``path``, UTF-8 with any line ends; a byte
+    that is not UTF-8 is model-syntax input."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"model file is not UTF-8: byte 0x"
+                         f"{data[exc.start]:02x} at offset {exc.start}",
+                         kind="model-syntax") from None
+    return parse_model(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 # --- composition -----------------------------------------------------------

@@ -58,6 +58,9 @@ class ParamBox:
         for p, a, b in zip(self.params, self.lo, self.hi):
             if a > b:
                 raise SynthError(f"empty range for parameter {p}: {a}..{b}")
+            if a < -(1 << 63) or b >= 1 << 63:  # the grid is int64
+                raise InputError(f"range of parameter {p} ({a}..{b}) leaves "
+                                 f"the int64 grid", kind="bound-range")
         if self.size > MAX_BOX_POINTS:
             raise CapacityError(
                 f"parameter box has {self.size} points (limit {MAX_BOX_POINTS})"

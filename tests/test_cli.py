@@ -217,6 +217,59 @@ component M {
             assert json.loads(out)["equal"] is True
 
 
+BIG = 10 ** 20  # outside int64
+
+
+class TestCrashInputs:
+    """Inputs that once crashed with a traceback (exit 1, the code of a
+    mismatch in compare): each is bad input, one ``error (...)`` line and
+    exit 2.  ``{bad}`` is a file that is not UTF-8, ``{big}`` a model with
+    a parameter range outside int64 that no bound reads."""
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["synth", "--model", "traingate.pta",
+          "--ltl", "!" * 3000 + "Train1.Cross"], "ltl-syntax"),
+        (["compare", "--model", "window.pta",
+          "--ltl", "(" * 400 + "work" + ")" * 400], "ltl-syntax"),
+        (["dump-ba", "--ltl",
+          "G (" + " && ".join(f"a{i}" for i in range(450)) + ")"],
+         "ltl-syntax"),
+        (["validate", "--model", "{bad}"], "model-syntax"),
+        (["synth", "--model", "{big}", "--ltl", "true"], "bound-range"),
+        (["synth", "--model", "gap.pta", "--ltl", "true",
+          "--param", f"p=-{BIG}..-{BIG}"], "bound-range"),
+    ], ids=["negations", "parentheses", "conjuncts", "not-utf8",
+            "model-range", "param-range"])
+    def test_exits_two(self, capsys, tmp_path, argv, kind):
+        bad = tmp_path / "bad.pta"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        big = tmp_path / "big.pta"
+        big.write_text(f"param p = {BIG}..{BIG}\nclock x\n"
+                       "component C {\n  location A { invariant true }\n"
+                       "  init A\n}\n")
+        files = {"{bad}": str(bad), "{big}": str(big)}
+        argv = [files.get(w) or (str(fixture_path(w)) if w.endswith(".pta")
+                                 else w) for w in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error ({kind}): ")
+        assert err.count("\n") == 1
+
+    def test_wide_property_still_runs(self):
+        # 300 conjuncts stay within the translation's recursion; in a
+        # process of its own, as from the command line
+        import subprocess
+        import sys
+
+        prop = "G (" + " && ".join(["work"] * 300) + ")"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptasynth.cli", "synth",
+             "--model", str(fixture_path("window.pta")), "--ltl", prop],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["violating"]
+
+
 class TestValidate:
     def test_ok(self, capsys):
         code, out, _ = run(capsys, "validate", "--model",

@@ -6,12 +6,10 @@ from conftest import SEED, load_fixture
 from ptasynth import pdbm
 from ptasynth.errors import CapacityError, InputError, SoundnessError
 from ptasynth.explore import (
+    DEFAULT_DNF_LIMIT,
     Options,
     StateStore,
-    SymbolicGraph,
-    SymbolicState,
     build_graph,
-    cumulative_ndfs,
     cumulative_ndfs_graph,
     deadlock_valuations,
     initial_states,
@@ -19,7 +17,7 @@ from ptasynth.explore import (
     successors,
     synthesize,
 )
-from ptasynth.model import PEdge, PLoc, Ptba, clock_bounds
+from ptasynth.model import PEdge, PLoc, Ptba, clock_bounds, location_bounds
 from ptasynth.params import (
     AffineExpr,
     Constraint,
@@ -48,7 +46,7 @@ class TestInitialStates:
         a = tiny_ptba()
         states = initial_states(a, BOX5, [(0, 0)])
         assert len(states) == 1
-        z = states[0].zone
+        z = states[0]
         assert z.mat[1][0] is INF_BOUND  # x unbounded above
         assert z.mat[0][1].expr == AffineExpr(0)  # x >= 0
 
@@ -56,7 +54,7 @@ class TestInitialStates:
         a = tiny_ptba(inv=[(1, 0, bound(P))])
         states = initial_states(a, BOX5, [(0, 5)])
         assert len(states) == 1
-        assert states[0].zone.mat[1][0] == bound(P)
+        assert states[0].mat[1][0] == bound(P)
 
     def test_unsatisfiable_invariant_drops_state(self):
         a = tiny_ptba(inv=[(1, 0, bound(-1))])  # x <= -1: empty
@@ -67,17 +65,19 @@ class TestSuccessors:
     def test_no_edges(self):
         loc = PLoc("L", ())
         a = Ptba(["0", "x"], [loc], 0)
-        s = initial_states(a, BOX5, [(0, 0)])[0]
-        assert successors(s, a, BOX5, [(0, 0)]) == []
+        base = initial_states(a, BOX5, [(0, 0)])
+        assert successors(0, base, a, BOX5, [(0, 0)], {}) == []
 
     def test_reset_all_guard_true(self):
         loc = PLoc("L", ())
         loc.edges.append(PEdge((), (1, 2), 0, "loop"))
         a = Ptba(["0", "x", "y"], [loc], 0)
-        s = initial_states(a, BOX5, [(0, 0, 0)])[0]
-        out = successors(s, a, BOX5, [(0, 0, 0)])
-        assert len(out) == 1
-        z = out[0].zone
+        base = initial_states(a, BOX5, [(0, 0, 0)])
+        counts = {}
+        out = successors(0, base, a, BOX5, [(0, 0, 0)], counts)
+        assert len(out) == 1 and counts == {}
+        target, z = out[0]
+        assert target == 0
         # all clocks equal and non-negative after reset + time release
         assert z.mat[1][2].expr == AffineExpr(0)
         assert z.mat[2][1].expr == AffineExpr(0)
@@ -92,12 +92,12 @@ class TestSuccessors:
         loc = PLoc("L", ((1, 0, bound(P)),))
         loc.edges.append(PEdge(((1, 0, bound(q)),), (1,), 0, "loop"))
         a = Ptba(["0", "x"], [loc], 0)
-        s = initial_states(a, box, [(0, 5)])[0]
+        z0 = initial_states(a, box, [(0, 5)])[0]
         g = build_graph(a, box, [(0, 5)])
         assert g.counts == {"guard": 1}
         assert g.n_nodes == 1 and g.expansions == 1
         assert g.colour == [ValuationSet.full(box).bits]
-        assert g.store.mats == [s.zone.mat]
+        assert g.mats == [z0.mat]
         assert g.succ == [{0: ValuationSet.full(box).bits}]
 
 
@@ -191,7 +191,7 @@ class TestStateStore:
         zs = [pdbm.CPDBM(one, pdbm.matrix_of(2, {(1, 0): b}), True)
               for b in (bound(P), bound(2 * P - 1))]
         store = StateStore(box, [(0, 5), (0, 1)])
-        assert store.bounds_of(1) == (0, 1)
+        assert store.bounds[1] == (0, 1)
         assert len({store.resolve(0, z) for z in zs}) == 2
         assert len({store.resolve(1, z) for z in zs}) == 1
         # on the whole box, x <= p stays inside the first location's
@@ -212,14 +212,21 @@ class TestStateStore:
         assert sym.deadlock.bits == base.deadlock.bits
 
 
+def accepted_bits(a: Ptba, box: ParamBox) -> int:
+    """Valuations under which ``a`` has an accepting run: the graph, then
+    the colour fixpoint."""
+    g = build_graph(a, box, location_bounds(a, box))
+    accepting = [a.locations[loc].accepting for loc in g.locs]
+    return cumulative_ndfs_graph(box, g.colour, g.succ, accepting)
+
+
 class TestCumulativeNdfs:
     def test_accepting_self_loop_full_box(self):
-        got = cumulative_ndfs(tiny_ptba(accepting=True), BOX5)
-        assert got.bits == ValuationSet.full(BOX5).bits
+        got = accepted_bits(tiny_ptba(accepting=True), BOX5)
+        assert got == ValuationSet.full(BOX5).bits
 
     def test_no_accepting_locations(self):
-        got = cumulative_ndfs(tiny_ptba(accepting=False), BOX5)
-        assert got.is_empty
+        assert accepted_bits(tiny_ptba(accepting=False), BOX5) == 0
 
     def test_capacity_limit(self):
         net = load_fixture("gap.pta")
@@ -243,25 +250,24 @@ class TestCumulativeNdfs:
                     if bits and rng.random() < 0.4:
                         succ[u][w] = bits
             accepting = [rng.random() < 0.4 for _ in range(n)]
-            g = SymbolicGraph(box, colour, succ, accepting)
-            got = cumulative_ndfs_graph(g)
+            got = cumulative_ndfs_graph(box, colour, succ, accepting)
             want = 0
             for k in range(box.size):
-                if self.accepting_cycle(g, k):
+                if self.accepting_cycle(colour, succ, accepting, k):
                     want |= 1 << k
             assert got == want, (colour, succ, accepting)
 
     @staticmethod
-    def accepting_cycle(g, k):
+    def accepting_cycle(colour, succ, accepting, k):
         """Some accepting node at valuation k reaches itself in one step
         or more over the edges whose colours hold k."""
-        for a in range(g.n_nodes):
-            if not (g.accepting[a] and g.colour[a] >> k & 1):
+        for a in range(len(colour)):
+            if not (accepting[a] and colour[a] >> k & 1):
                 continue
             seen, stack = set(), [a]
             while stack:
                 u = stack.pop()
-                for w, bits in g.succ[u].items():
+                for w, bits in succ[u].items():
                     if bits >> k & 1 and w not in seen:
                         if w == a:
                             return True
@@ -274,29 +280,30 @@ class TestDeadlockValuations:
     def test_no_outgoing_edges_whole_extension(self):
         loc = PLoc("L", ())
         a = Ptba(["0", "x"], [loc], 0)
-        s = initial_states(a, BOX5, [(0, 0)])[0]
-        got = deadlock_valuations(s, a, BOX5)
-        assert got.bits == s.zone.bits
+        base = initial_states(a, BOX5, [(0, 0)])
+        got = deadlock_valuations(0, base, a, BOX5, DEFAULT_DNF_LIMIT)
+        assert got.bits == base[0].bits
 
     def test_unguarded_edge_never_deadlocks(self):
         a = tiny_ptba()
-        s = initial_states(a, BOX5, [(0, 0)])[0]
-        assert deadlock_valuations(s, a, BOX5).is_empty
+        base = initial_states(a, BOX5, [(0, 0)])
+        assert deadlock_valuations(0, base, a, BOX5,
+                                   DEFAULT_DNF_LIMIT).is_empty
 
     def test_upper_bounded_guard_on_unbounded_zone(self):
         # zone x >= 0 with a single guard x <= p: some point beyond p
         # always exists, so every valuation is flagged
         a = tiny_ptba(guard_atoms=[(1, 0, bound(P))])
-        s = initial_states(a, BOX5, [(0, 5)])[0]
-        got = deadlock_valuations(s, a, BOX5)
+        base = initial_states(a, BOX5, [(0, 5)])
+        got = deadlock_valuations(0, base, a, BOX5, DEFAULT_DNF_LIMIT)
         assert got.bits == ValuationSet.full(BOX5).bits
 
     def test_lower_bounded_guard_never_deadlocks_upward_zone(self):
         # guard x >= p on an upward-closed zone is always eventually on,
         # and the formula sees the points below p as deadlocked
         a = tiny_ptba(guard_atoms=[(0, 1, bound(-P))])
-        s = initial_states(a, BOX5, [(0, 5)])[0]
-        got = deadlock_valuations(s, a, BOX5)
+        base = initial_states(a, BOX5, [(0, 5)])
+        got = deadlock_valuations(0, base, a, BOX5, DEFAULT_DNF_LIMIT)
         assert sorted(v["p"] for v in got) == [1, 2, 3, 4, 5]
 
     def test_dnf_capacity(self):
@@ -313,10 +320,9 @@ class TestDeadlockValuations:
             atoms = [(c, 0, bound(k)) for k in range(3)]
             loc.edges.append(PEdge(tuple(atoms), (), 0, "e"))
         a = Ptba(["0", "x1", "x2", "x3", "x4"], [loc], 0)
-        s = SymbolicState(0, z)
         with pytest.raises(CapacityError):
-            deadlock_valuations(s, a, BOX5, dnf_limit=100)
-        assert deadlock_valuations(s, a, BOX5, dnf_limit=120).bits \
+            deadlock_valuations(0, [z], a, BOX5, 100)
+        assert deadlock_valuations(0, [z], a, BOX5, 120).bits \
             == ValuationSet.full(BOX5).bits
 
     def test_repeated_zones_fold_under_default_limit(self):
@@ -442,17 +448,18 @@ class TestStoredBoundScan:
         loc = PLoc("L", ())
         loc.edges.append(PEdge(((0, 1, bound(-1)),), (1,), 0, "loop"))
         a = Ptba(["0", "x", "y"], [loc], 0)
-        g = build_graph(a, BOX5)
+        bounds = location_bounds(a, BOX5)
+        g = build_graph(a, BOX5, bounds)
         assert scan_stored_bounds(g) > 0
         # the same graph with an unwidened matrix fails the scan
-        g.store.mats[-1] = pdbm.matrix_of(3, {(1, 0): INF_BOUND,
-                                              (2, 0): INF_BOUND,
-                                              (2, 1): bound(1)})
+        g.mats[-1] = pdbm.matrix_of(3, {(1, 0): INF_BOUND,
+                                        (2, 0): INF_BOUND,
+                                        (2, 1): bound(1)})
         with pytest.raises(SoundnessError, match="out of range"):
             scan_stored_bounds(g)
         monkeypatch.setattr(pdbm, "extrapolate", lambda z, maxima, box: [z])
         with pytest.raises(SoundnessError, match="out of range"):
-            build_graph(a, BOX5, opts=Options(limit_states=50))
+            build_graph(a, BOX5, bounds, Options(limit_states=50))
 
 
 class TestBoundRange:
