@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 from ptasynth.cli import main
 
 
@@ -223,34 +223,32 @@ BIG = 10 ** 20  # outside int64
 class TestCrashInputs:
     """Inputs that once crashed with a traceback (exit 1, the code of a
     mismatch in compare): each is bad input, one ``error (...)`` line and
-    exit 2.  ``{bad}`` is a file that is not UTF-8, ``{big}`` a model with
-    a parameter range outside int64 that no bound reads."""
+    exit 2.  ``{tmp}/bad.pta`` is a file that is not UTF-8,
+    ``{tmp}/big.pta`` a model with a parameter range outside int64 that
+    no bound reads."""
 
     @pytest.mark.parametrize("argv, kind", [
-        (["synth", "--model", "traingate.pta",
+        (["synth", "--model", "{fix}/traingate.pta",
           "--ltl", "!" * 3000 + "Train1.Cross"], "ltl-syntax"),
-        (["compare", "--model", "window.pta",
+        (["compare", "--model", "{fix}/window.pta",
           "--ltl", "(" * 400 + "work" + ")" * 400], "ltl-syntax"),
         (["dump-ba", "--ltl",
           "G (" + " && ".join(f"a{i}" for i in range(450)) + ")"],
          "ltl-syntax"),
-        (["validate", "--model", "{bad}"], "model-syntax"),
-        (["synth", "--model", "{big}", "--ltl", "true"], "bound-range"),
-        (["synth", "--model", "gap.pta", "--ltl", "true",
+        (["validate", "--model", "{tmp}/bad.pta"], "model-syntax"),
+        (["synth", "--model", "{tmp}/big.pta", "--ltl", "true"],
+         "bound-range"),
+        (["synth", "--model", "{fix}/gap.pta", "--ltl", "true",
           "--param", f"p=-{BIG}..-{BIG}"], "bound-range"),
     ], ids=["negations", "parentheses", "conjuncts", "not-utf8",
             "model-range", "param-range"])
     def test_exits_two(self, capsys, tmp_path, argv, kind):
-        bad = tmp_path / "bad.pta"
-        bad.write_bytes(b"\xff\xfe\x00bad")
-        big = tmp_path / "big.pta"
-        big.write_text(f"param p = {BIG}..{BIG}\nclock x\n"
-                       "component C {\n  location A { invariant true }\n"
-                       "  init A\n}\n")
-        files = {"{bad}": str(bad), "{big}": str(big)}
-        argv = [files.get(w) or (str(fixture_path(w)) if w.endswith(".pta")
-                                 else w) for w in argv]
-        code, _, err = run(capsys, *argv)
+        (tmp_path / "bad.pta").write_bytes(b"\xff\xfe\x00bad")
+        (tmp_path / "big.pta").write_text(
+            f"param p = {BIG}..{BIG}\nclock x\n"
+            "component C {\n  location A { invariant true }\n  init A\n}\n")
+        code, _, err = run(capsys, *(w.format(tmp=tmp_path, fix=FIXTURES)
+                                     for w in argv))
         assert code == 2
         assert err.startswith(f"error ({kind}): ")
         assert err.count("\n") == 1
