@@ -508,7 +508,6 @@ def enumerate_box(net: Network, prop: Formula | str,
     tba, bounds = build_automaton(net, f, box)
     accepted_bits, deadlock_bits, total_states, max_states = _explore(
         tba, box, bounds, opts)
-    accepted = ValuationSet(box, accepted_bits)
     stats = {
         "engine": "enumerate",
         "box_points": box.size,
@@ -517,8 +516,7 @@ def enumerate_box(net: Network, prop: Formula | str,
     }
     return SynthesisResult(
         box=box,
-        accepted=accepted,
-        satisfying=accepted.complement(),
+        accepted=ValuationSet(box, accepted_bits),
         deadlock=ValuationSet(box, deadlock_bits),
         stats=stats,
     )

@@ -51,7 +51,7 @@ def _add_engine(p: argparse.ArgumentParser):
     p.add_argument("--stats", action="store_true",
                    help="emit engine statistics to stderr")
     p.add_argument("--trace", action="store_true",
-                   help="dump visited symbolic states to stderr")
+                   help="dump the symbolic engine's expansions to stderr")
     p.add_argument("--limit-states", type=int, default=None, metavar="N")
     p.add_argument("--limit-dnf", type=int, default=None, metavar="N",
                    help="cap on the negated-guard expansion per state")
@@ -92,6 +92,9 @@ def _emit(doc: dict, out_path):
 
 
 def cmd_synth(args) -> int:
+    if args.trace and args.engine == "enumerate":
+        raise InputError("--trace dumps the symbolic engine's expansions; "
+                         "the enumerate engine has none", kind="bad-flag")
     net, box = _load(args)
     opts = _options(args)
     if args.engine == "symbolic":

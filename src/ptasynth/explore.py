@@ -361,9 +361,13 @@ def cumulative_ndfs_graph(box: ParamBox, colour: list[int],
 class SynthesisResult:
     box: ParamBox
     accepted: ValuationSet     # valuations violating the property
-    satisfying: ValuationSet
     deadlock: ValuationSet
     stats: dict
+
+    @property
+    def satisfying(self) -> ValuationSet:
+        """The valuations of the box that satisfy the property."""
+        return self.accepted.complement()
 
     def to_json(self) -> dict:
         return {
@@ -459,11 +463,9 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
     accepting = [tba.locations[loc].accepting for loc in g.locs]
     accepted_bits = cumulative_ndfs_graph(box, g.colour, g.succ, accepting,
                                           stats)
-    accepted = ValuationSet(box, accepted_bits)
     return SynthesisResult(
         box=box,
-        accepted=accepted,
-        satisfying=accepted.complement(),
+        accepted=ValuationSet(box, accepted_bits),
         deadlock=ValuationSet(box, g.deadlock_bits),
         stats=stats,
     )

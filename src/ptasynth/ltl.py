@@ -6,11 +6,15 @@ operators and ``#`` comments, with positions as (line, column).  Property
 atoms are names, dotted names (``Train.Appr``) and comparisons of a data
 variable with an integer constant, possibly negative (``w >= -1``).
 
-The translation is the classic on-the-fly tableau: nodes carry the set of
-obligations for the current position and for the next one, eventuality
-subformulas induce one acceptance set each, and a counter product turns the
-generalized acceptance into a single accepting set.  No attempt is made to
-minimize the automaton; inputs here are small.
+The translation is the classic on-the-fly tableau (Gerth, Peled, Vardi,
+Wolper, PSTV 1995): nodes carry the set of obligations for the current
+position and for the next one, eventuality subformulas induce one
+acceptance set each, and a counter product turns the generalized
+acceptance into a single accepting set.  The tableau is a LIFO worklist of
+nodes, the normal form a walk with its own stack, and a formula caches its
+printed form and hash, so no step recurses over the formula and the width
+of a property is not limited by Python's stack; only the parser recurses,
+once per level of nesting.  No attempt is made to minimize the automaton.
 """
 
 from __future__ import annotations
@@ -38,38 +42,61 @@ def holds(atom: tuple, vals) -> bool:
 # --- formulas ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Formula:
-    kind: str
-    children: tuple["Formula", ...] = ()
-    # atom payload: plain/dotted name, or (var, op, int) comparison
-    atom: tuple | str | None = None
+# How each kind but ``ap`` prints, from its children's printed forms.
+_FORMAT = {"true": "true", "false": "false", "not": "!({})",
+           "next": "X ({})", "finally": "F ({})", "globally": "G ({})",
+           "and": "({}) && ({})", "or": "({}) || ({})",
+           "until": "({}) U ({})", "release": "({}) R ({})"}
 
-    @cached_property
-    def key(self) -> str:
-        return str(self)
+
+class Formula:
+    """A formula node: its kind, its children and, for an atom, its payload
+    (a plain or dotted name, or a (var, op, int) comparison).  The printed
+    form ``key`` and the hash are computed once, from the children's, so
+    that printing, hashing and comparing never recurse."""
+
+    __slots__ = ("kind", "children", "atom", "key", "_hash")
+
+    def __init__(self, kind: str, children: tuple["Formula", ...] = (),
+                 atom: tuple | str | None = None):
+        self.kind = kind
+        self.children = children
+        self.atom = atom
+        if kind == "ap":
+            self.key = "{} {} {}".format(*atom) if isinstance(atom, tuple) \
+                else atom
+        else:
+            self.key = _FORMAT[kind].format(*(c.key for c in children))
+        self._hash = hash(self.key)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        """Structural equality, walked with an explicit stack; shared
+        subformulas and differing hashes end the walk early."""
+        if not isinstance(other, Formula):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            f, g = pairs.pop()
+            if f is g:
+                continue
+            if f._hash != g._hash or f.kind != g.kind or f.atom != g.atom:
+                return False
+            pairs.extend(zip(f.children, g.children))
+        return True
 
     def __str__(self):
-        k = self.kind
-        if k == "ap":
-            if isinstance(self.atom, tuple):
-                var, op, val = self.atom
-                return f"{var} {op} {val}"
-            return self.atom
-        if k in ("true", "false"):
-            return k
-        a = self.children
-        if k == "not":
-            return f"!({a[0]})"
-        if k in ("next", "finally", "globally"):
-            sym = {"next": "X", "finally": "F", "globally": "G"}[k]
-            return f"{sym} ({a[0]})"
-        sym = {"and": "&&", "or": "||", "until": "U", "release": "R"}[k]
-        return f"({a[0]}) {sym} ({a[1]})"
+        return self.key
+
+    def __repr__(self):
+        return f"Formula({self.key!r})"
 
 
 TRUE = Formula("true")
 FALSE = Formula("false")
+_CONST = {"true": TRUE, "false": FALSE}
 
 
 def ap(name: str) -> Formula:
@@ -316,42 +343,42 @@ def parse_ltl(text: str) -> Formula:
 # --- negation normal form ---------------------------------------------------
 
 
+# Negation swaps each kind with its dual; F and G are first read as
+# ``true U a`` and ``false R a``.
+_DUAL = {"and": "or", "or": "and", "until": "release", "release": "until",
+         "true": "false", "false": "true", "next": "next"}
+_SUGAR = {"finally": ("until", TRUE), "globally": ("release", FALSE)}
+
+
 def to_nnf(f: Formula) -> Formula:
-    """Push negations to the atoms; rewrite F/G into U/R."""
-    return _nnf(f, False)
-
-
-def _nnf(f: Formula, negated: bool) -> Formula:
-    k = f.kind
-    if k == "true":
-        return FALSE if negated else TRUE
-    if k == "false":
-        return TRUE if negated else FALSE
-    if k == "ap":
-        return neg(f) if negated else f
-    if k == "not":
-        return _nnf(f.children[0], not negated)
-    if k == "and":
-        a, b = (_nnf(c, negated) for c in f.children)
-        return disj(a, b) if negated else conj(a, b)
-    if k == "or":
-        a, b = (_nnf(c, negated) for c in f.children)
-        return conj(a, b) if negated else disj(a, b)
-    if k == "next":
-        return nxt(_nnf(f.children[0], negated))
-    if k == "until":
-        a, b = (_nnf(c, negated) for c in f.children)
-        return release(a, b) if negated else until(a, b)
-    if k == "release":
-        a, b = (_nnf(c, negated) for c in f.children)
-        return until(a, b) if negated else release(a, b)
-    if k == "finally":
-        sub = _nnf(f.children[0], negated)
-        return release(FALSE, sub) if negated else until(TRUE, sub)
-    if k == "globally":
-        sub = _nnf(f.children[0], negated)
-        return until(TRUE, sub) if negated else release(FALSE, sub)
-    raise ValueError(f"unknown formula kind {k}")
+    """Push negations to the atoms; rewrite F/G into U/R.  One walk with
+    its own stack, so it takes formulas of any depth: a work item is a
+    subformula under a negation flag, or a kind whose n children's normal
+    forms are the last n on ``done``."""
+    done: list[Formula] = []
+    work: list = [(False, f)]
+    while work:
+        negated, g = work.pop()
+        if negated is None:
+            k, n = g
+            kids = tuple(done[-n:])
+            del done[-n:]
+            done.append(Formula(k, kids))
+            continue
+        k, kids = g.kind, g.children
+        if k in _SUGAR:
+            k, first = _SUGAR[k]
+            kids = (first, kids[0])
+        if k == "not":
+            work.append((not negated, kids[0]))
+        elif k == "ap":
+            done.append(neg(g) if negated else g)
+        elif k in _CONST:
+            done.append(_CONST[_DUAL[k] if negated else k])
+        else:
+            work.append((None, (_DUAL[k] if negated else k, len(kids))))
+            work.extend((negated, c) for c in reversed(kids))
+    return done[0]
 
 
 # --- Büchi automata ---------------------------------------------------------
@@ -404,101 +431,93 @@ def _atom_str(a) -> str:
 
 
 class _Node:
-    __slots__ = ("incoming", "new", "old", "nxt", "seq")
+    __slots__ = ("incoming", "new", "old", "nxt")
 
     def __init__(self, incoming, new, old, nxt):
         self.incoming = set(incoming)
         self.new = set(new)
         self.old = set(old)
         self.nxt = set(nxt)
-        self.seq = None
 
 
-def _expand(node: _Node, done: list[_Node]) -> None:
-    if not node.new:
-        for other in done:
-            if other.old == node.old and other.nxt == node.nxt:
-                other.incoming |= node.incoming
-                return
-        node.seq = len(done) + 1  # 0 is reserved for the initial state
-        done.append(node)
-        _expand(_Node({node.seq}, node.nxt, set(), set()), done)
-        return
-    f = min(node.new, key=lambda g: g.key)
-    node.new.discard(f)
-    k = f.kind
-    if k == "false" or (k == "not" and f.children[0] in node.old) \
-            or (k == "ap" and neg(f) in node.old):
-        return
-    if k == "true":
-        node.old.add(f)  # recorded so an until fulfilled by "true" counts
-        _expand(node, done)
-        return
-    if k in ("ap", "not"):
-        node.old.add(f)
-        _expand(node, done)
-        return
-    if k == "and":
-        node.old.add(f)
-        node.new |= set(f.children) - node.old
-        _expand(node, done)
-        return
-    if k == "next":
-        node.old.add(f)
-        node.nxt.add(f.children[0])
-        _expand(node, done)
-        return
-    a, b = f.children
-    left = _Node(node.incoming, set(node.new), set(node.old) | {f},
-                 set(node.nxt))
-    right = _Node(node.incoming, set(node.new), set(node.old) | {f},
-                  set(node.nxt))
-    if k == "or":
-        left.new |= {a} - left.old
-        right.new |= {b} - right.old
-    elif k == "until":
-        left.new |= {a} - left.old
-        left.nxt.add(f)
-        right.new |= {b} - right.old
-    elif k == "release":
-        left.new |= {b} - left.old
-        left.nxt.add(f)
-        right.new |= {a, b} - right.old
-    else:
-        raise ValueError(f"formula not in normal form: {f}")
-    _expand(left, done)
-    _expand(right, done)
+def _tableau(f: Formula) -> list[_Node]:
+    """The finished tableau nodes of ``f`` in the order they finish, which
+    numbers them from 1 (0 is the initial state).  A LIFO worklist in place
+    of recursion: a split pushes its right node and then its left one, and
+    a finished node pushes its successor, so nodes are visited depth first,
+    left before right."""
+    finished: dict[tuple[frozenset, frozenset], _Node] = {}
+    work = [_Node({0}, {f}, set(), set())]
+    while work:
+        node = work.pop()
+        if FALSE in node.new:
+            # taking false up kills the node, and every node split from it
+            # inherits false: drop them all before any work
+            continue
+        if not node.new:
+            # a node with the same obligations takes over the incoming
+            # edges; a finished node's sets are frozen and key it
+            node.old, node.nxt = frozenset(node.old), frozenset(node.nxt)
+            key = (node.old, node.nxt)
+            if key in finished:
+                finished[key].incoming |= node.incoming
+            else:
+                finished[key] = node
+                work.append(_Node({len(finished)}, node.nxt, set(), set()))
+            continue
+        g = min(node.new, key=lambda h: h.key)
+        node.new.discard(g)
+        k = g.kind
+        if (k == "not" and g.children[0] in node.old) \
+                or (k == "ap" and neg(g) in node.old):
+            continue
+        if k in ("or", "until", "release"):
+            a, b = g.children
+            old = node.old | {g}
+            left, right = ({b}, {a, b}) if k == "release" else ({a}, {b})
+            work.append(_Node(node.incoming, node.new | (right - old), old,
+                              node.nxt))
+            work.append(_Node(node.incoming, node.new | (left - old), old,
+                              node.nxt | ({g} if k != "or" else set())))
+            continue
+        if k not in ("true", "ap", "not", "and", "next"):
+            raise ValueError(f"formula not in normal form: {g}")
+        # "true" is recorded too, so an until fulfilled by it counts
+        node.old.add(g)
+        if k == "and":
+            node.new |= set(g.children) - node.old
+        elif k == "next":
+            node.nxt.add(g.children[0])
+        work.append(node)
+    return list(finished.values())
 
 
 def to_buchi(f: Formula) -> BuchiAutomaton:
     """Tableau translation of a negation-normal-form formula, degeneralized
     to a single accepting set with the usual counter product."""
-    root = _Node({0}, {f}, set(), set())
-    nodes: list[_Node] = []
-    _expand(root, nodes)
+    nodes = _tableau(f)
 
     untils = sorted(
         {g for nd in nodes for g in nd.old if g.kind == "until"},
         key=lambda g: g.key)
     acc_sets = [
-        frozenset(nd.seq for nd in nodes
+        frozenset(seq for seq, nd in enumerate(nodes, 1)
                   if g not in nd.old or g.children[1] in nd.old)
         for g in untils
     ]
 
     raw_edges = []  # (src, pos, negs, dst) over tableau states
-    for nd in nodes:
+    for seq, nd in enumerate(nodes, 1):
         pos = frozenset(g.atom for g in nd.old if g.kind == "ap")
         negs = frozenset(g.children[0].atom for g in nd.old if g.kind == "not")
         for src in sorted(nd.incoming):
-            raw_edges.append((src, pos, negs, nd.seq))
+            raw_edges.append((src, pos, negs, seq))
 
     m = len(acc_sets)
     if m == 0:
         trans = [Transition(s, p, ng, d) for s, p, ng, d in raw_edges]
-        aut = BuchiAutomaton(len(nodes) + 1, 0, trans,
-                             frozenset(range(len(nodes) + 1)))
-        return _prune(aut)
+        return BuchiAutomaton(len(nodes) + 1, 0, trans,
+                              frozenset(range(len(nodes) + 1)))
 
     out_by_src: dict[int, list] = {}
     for e in raw_edges:
@@ -517,19 +536,13 @@ def to_buchi(f: Formula) -> BuchiAutomaton:
             trans.append(Transition(src, pos, negs,
                                     state_id((dst, copy_after(dst, base)))))
     accepting = frozenset(i for i, (_, c) in enumerate(order) if c == m)
-    aut = BuchiAutomaton(len(order), 0, trans, accepting)
-    return _prune(aut)
+    return BuchiAutomaton(len(order), 0, trans, accepting)
 
 
 def negated_automaton(f: Formula) -> BuchiAutomaton:
     """The Büchi automaton of ``!f``, which accepts the runs that violate
-    ``f``.  Normal form and tableau recurse over the formula, so one too
-    deep for Python's stack is rejected as ltl-syntax input."""
-    try:
-        return to_buchi(to_nnf(neg(f)))
-    except RecursionError:
-        raise InputError("property nested too deeply to translate",
-                         kind="ltl-syntax") from None
+    ``f``."""
+    return to_buchi(to_nnf(neg(f)))
 
 
 def _numbering(init):
@@ -546,23 +559,6 @@ def _numbering(init):
         return index[st]
 
     return order, state_id
-
-
-def _prune(aut: BuchiAutomaton) -> BuchiAutomaton:
-    """Drop states unreachable from the initial state; renumber densely."""
-    seen = {aut.initial}
-    frontier = [aut.initial]
-    while frontier:
-        q = frontier.pop()
-        for t in aut.outgoing(q):
-            if t.dst not in seen:
-                seen.add(t.dst)
-                frontier.append(t.dst)
-    remap = {q: i for i, q in enumerate(sorted(seen))}
-    trans = [Transition(remap[t.src], t.pos, t.negs, remap[t.dst])
-             for t in aut.transitions if t.src in seen and t.dst in seen]
-    acc = frozenset(remap[q] for q in aut.accepting if q in seen)
-    return BuchiAutomaton(len(seen), remap[aut.initial], trans, acc)
 
 
 def lasso_accepts(aut: BuchiAutomaton, prefix, period) -> bool:

@@ -144,6 +144,22 @@ class TestSynth:
         assert err == ("soundness: cycle states do not share one valuation "
                        "set\n")
 
+    def test_trace_needs_the_symbolic_engine(self, capsys):
+        # only the symbolic engine expands nodes; enumerate would run and
+        # drop the flag without a word
+        code, out, err = run(capsys, "synth", "--model",
+                             str(fixture_path("gap.pta")), "--ltl", "G !inB",
+                             "--engine", "enumerate", "--trace")
+        assert (code, out) == (2, "")
+        assert err.startswith("error (bad-flag): ")
+        assert err.count("\n") == 1
+        # compare runs the symbolic engine too, and traces it
+        code, _, err = run(capsys, "compare", "--model",
+                           str(fixture_path("gap.pta")), "--ltl", "G !inB",
+                           "--trace")
+        assert code == 0
+        assert err.startswith("state 0: ")
+
     def test_stats_flag(self, capsys):
         code, _, err = run(capsys, "synth", "--model",
                            str(fixture_path("gap.pta")),
@@ -232,16 +248,13 @@ class TestCrashInputs:
           "--ltl", "!" * 3000 + "Train1.Cross"], "ltl-syntax"),
         (["compare", "--model", "{fix}/window.pta",
           "--ltl", "(" * 400 + "work" + ")" * 400], "ltl-syntax"),
-        (["dump-ba", "--ltl",
-          "G (" + " && ".join(f"a{i}" for i in range(450)) + ")"],
-         "ltl-syntax"),
         (["validate", "--model", "{tmp}/bad.pta"], "model-syntax"),
         (["synth", "--model", "{tmp}/big.pta", "--ltl", "true"],
          "bound-range"),
         (["synth", "--model", "{fix}/gap.pta", "--ltl", "true",
           "--param", f"p=-{BIG}..-{BIG}"], "bound-range"),
-    ], ids=["negations", "parentheses", "conjuncts", "not-utf8",
-            "model-range", "param-range"])
+    ], ids=["negations", "parentheses", "not-utf8", "model-range",
+            "param-range"])
     def test_exits_two(self, capsys, tmp_path, argv, kind):
         (tmp_path / "bad.pta").write_bytes(b"\xff\xfe\x00bad")
         (tmp_path / "big.pta").write_text(
@@ -254,8 +267,9 @@ class TestCrashInputs:
         assert err.count("\n") == 1
 
     def test_wide_property_still_runs(self):
-        # 300 conjuncts stay within the translation's recursion; in a
-        # process of its own, as from the command line
+        # the width of a property is not a stack limit: the translation
+        # keeps its own stacks.  In a process of its own, as from the
+        # command line
         import subprocess
         import sys
 
@@ -266,6 +280,16 @@ class TestCrashInputs:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["violating"]
+
+    def test_distinct_conjuncts_translate(self, capsys):
+        # a wide property is not bad input: the translation keeps its own
+        # stacks.  The negation waits, violates one conjunct and then
+        # accepts anything: the initial and the waiting state, one state
+        # per conjunct, and the accepting sink
+        prop = "G (" + " && ".join(f"a{i}" for i in range(450)) + ")"
+        code, out, err = run(capsys, "dump-ba", "--ltl", prop)
+        assert (code, err) == (0, "")
+        assert out.startswith("states: 453\n")
 
 
 class TestValidate:

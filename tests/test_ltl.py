@@ -1,6 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
 import oracle_ltl as ol
+from conftest import CORPUS
+from model_fuzz import random_model, random_property
 from ptasynth import ltl
 from ptasynth.errors import InputError
 from ptasynth.model import parse_model
@@ -136,6 +141,69 @@ class TestBuchi:
         assert "initial: 0" in text
         assert "accepting:" in text
         assert " -- " in text and " -> " in text
+
+
+# sha256 over the dumps of the negated automata, one per line: the corpus
+# properties, the properties of the first 1,000 generator-seed-1 fuzz jobs
+# and 300 random formulas of depth 4 over three atoms (Random(1))
+TRANSLATION_DIGEST = \
+    "72f935fcee12dcc61f10101f37e21d34d2ddfe48a6157e556ce1a4c2addd135c"
+
+
+def test_translation_pinned():
+    # state numbers, transition order and labels are part of the output:
+    # the product's locations follow them
+    rng = random.Random(1)
+    props = [p for ps in CORPUS.values() for p in ps]
+    for _ in range(1000):
+        _, labels = random_model(rng)
+        props.append(random_property(rng, labels))
+    rng = random.Random(1)
+    formulas = [ltl.parse_ltl(p) for p in props] + [
+        ol.random_formula(rng, ["a", "b", "c"], 4) for _ in range(300)]
+    h = hashlib.sha256()
+    for f in formulas:
+        h.update(ltl.negated_automaton(f).dump().encode() + b"\n")
+    assert h.hexdigest() == TRANSLATION_DIGEST
+
+
+def test_width_is_not_a_stack_limit():
+    # normal form, tableau, hashing and printing keep their own stacks, so
+    # a thousand conjuncts translate far below Python's default recursion
+    # limit; only the parser recurses, once per level of nesting
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from ptasynth import ltl\n"
+        "prop = 'G (' + ' && '.join(f'a{i}' for i in range(1000)) + ')'\n"
+        "sys.setrecursionlimit(100)\n"
+        "print(ltl.negated_automaton(ltl.parse_ltl(prop)).n_states)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1003\n"
+
+
+def test_nested_eventualities_stay_linear(monkeypatch):
+    # the negation of F F ... F a is false R (false R ...): the right node
+    # of every split takes false up and dies.  Dropped before any work,
+    # the tableau grows linearly with the nesting (4k + 2 nodes here);
+    # expanding the dying nodes doubles the work per level (2^(k+2) - 2)
+    made = []
+
+    class Counted(ltl._Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ltl, "_Node", Counted)
+    aut = ltl.negated_automaton(ltl.parse_ltl("F " * 12 + "a"))
+    assert aut.n_states == 2
+    assert len(made) <= 4 * 12 + 2
 
 
 class TestLassoMembership:
