@@ -157,9 +157,11 @@ class _Tables:
         edges = [e for loc in a.locations for e in loc.edges]
         guards = [atom_ids(e.atoms) for e in edges]
         # per location: None when some edge is unguarded (never a deadlock),
-        # else the negated atoms of each edge, the choices the fold takes
+        # else the negated atoms of each distinct guard, the choices the
+        # fold takes (an edge enabled twice is enabled once)
         self.negated = [
-            [atom_ids([negate_atom(at) for at in e.atoms]) for e in loc.edges]
+            [atom_ids([negate_atom(at) for at in atoms])
+             for atoms in dict.fromkeys(e.atoms for e in loc.edges)]
             if all(e.atoms for e in loc.edges) else None
             for loc in a.locations]
         self.pos = np.array(pos, dtype=np.int64)

@@ -10,11 +10,13 @@ Behrmann, Bouyer, Fleury and Larsen, TACAS 2003), which are at most the
 one vector that covers every location and often far below it, so fewer
 matrices stay apart.  When a node's colour grows by some valuations, the
 worklist expands the node's matrix on those valuations alone: successor
-generation with constraint splitting, and the deadlock valuations.  Each
-successor branch adds its valuations to its target node and to the
-colour of the edge.  At a valuation v, the nodes and edges whose colours
-hold v form the widened zone graph at v, up to nodes that repeat a zone,
-which changes neither reachability nor accepting cycles.
+generation with constraint splitting, and the deadlock valuations among
+those not yet known to deadlock (the deadlock set is a union).  Each
+successor branch, widened, hands the node table the ids of its entries
+and adds its valuations to its target node and to the colour of the
+edge.  At a valuation v, the nodes and edges whose colours hold v form
+the widened zone graph at v, up to nodes that repeat a zone, which
+changes neither reachability nor accepting cycles.
 
 Accepting cycles are then found for all valuations at once by a fixpoint
 on colours (``cumulative_ndfs_graph``).  The violating set is the union of
@@ -76,12 +78,18 @@ class StateStore:
     keys finite, so the table is finite and each node grows at most
     |box| times.  The clamped values are the ids that the box's
     ``BoundTable.window_bits`` memoizes per bound and window, the memo
-    that widening reads too.
+    that widening reads too: ``pdbm.extrapolate`` hands them over as the
+    branch's ``ids``, so an arrival is keyed without another walk over
+    its matrix (one without ``ids`` is walked here).
 
     ``resolve`` adds an arrival and queues its node when the arrival
     brings new valuations, which ``pending`` holds until the node is
     expanded.  Every arrival's finite entries must lie inside the window
-    on its valuations, else SoundnessError.
+    on its valuations, else SoundnessError.  A new node's entries are
+    checked one by one, and ``inside`` keeps the points where all of
+    them lie inside; whether an entry does depends only on its id, so an
+    arrival that hits the node is checked with one AND against those
+    bits, and walked only when the AND fails, to name the entry.
     """
 
     def __init__(self, box: ParamBox, bounds,
@@ -94,6 +102,7 @@ class StateStore:
         self.locs: list[int] = []
         self.mats: list[Matrix] = []
         self.canonical: list[bool] = []
+        self.inside: list[int] = []
         self.colour: list[int] = []
         self.pending: list[int] = []
         self.succ: list[dict[int, int]] = []  # target node -> edge colour
@@ -108,32 +117,42 @@ class StateStore:
     def n_nodes(self) -> int:
         return len(self.locs)
 
-    def _key(self, loc: int, z: CPDBM) -> tuple:
-        key = [loc]
-        bits = z.bits
+    def _scan(self, loc: int, mat: Matrix, bits: int) -> tuple[tuple, int]:
+        """The ids of the entries of ``mat`` in the windows of ``loc`` and
+        the points where every finite entry lies inside its window; raises
+        SoundnessError at the first entry that leaves it on ``bits``."""
+        ids = []
+        inside = ValuationSet.full(self.box).bits
         windows = self._windows[loc]
-        for i, row in enumerate(z.mat):
+        maxima = self.bounds[loc]
+        for i, row in enumerate(mat):
             memos = windows[i]
             for j, b in enumerate(row):
                 if b.expr is None:
-                    key.append(-1)
+                    ids.append(-1)
                     continue
                 got = memos[j].get(id(b))
                 if got is None:
-                    maxima = self.bounds[loc]
                     got = self.box.bounds.window_bits(b, maxima[i],
                                                       -maxima[j])
-                key.append(got[2])
-                if bits & ~(got[0] & got[1]):
+                ids.append(got[2])
+                ok = got[0] & got[1]
+                if bits & ~ok:
                     raise SoundnessError(
                         f"stored bound out of range at entry ({i},{j}): {b}")
-        return tuple(key)
+                inside &= ok
+        return tuple(ids), inside
 
     def resolve(self, loc: int, z: CPDBM) -> int:
         """Add an arrival of ``z`` at ``loc``; returns its node."""
-        key = self._key(loc, z)
+        ids, inside = z.ids, None
+        if ids is None:
+            ids, inside = self._scan(loc, z.mat, z.bits)
+        key = (loc, ids)
         nid = self._index.get(key)
         if nid is None:
+            if inside is None:
+                inside = self._scan(loc, z.mat, z.bits)[1]
             nid = len(self.locs)
             if nid >= self.limit:
                 raise CapacityError(f"stored states exceeded {self.limit}")
@@ -141,11 +160,15 @@ class StateStore:
             self.locs.append(loc)
             self.mats.append(z.mat)
             self.canonical.append(z.canonical)
+            self.inside.append(inside)
             self.colour.append(0)
             self.pending.append(0)
             self.succ.append({})
-        elif not z.canonical:
-            self.canonical[nid] = False
+        else:
+            if z.bits & ~self.inside[nid]:
+                self._scan(loc, z.mat, z.bits)  # raises at the entry
+            if not z.canonical:
+                self.canonical[nid] = False
         fresh = z.bits & ~self.colour[nid]
         if fresh:
             if not self.pending[nid]:
@@ -171,10 +194,11 @@ def initial_states(a: Ptba, box: ParamBox, bounds) -> list[CPDBM]:
 def successors(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox, bounds,
                counts: dict[str, int]) -> list[tuple[int, CPDBM]]:
     """All successors of the zone at ``loc`` whose canonical branches are
-    ``base``, as (target, matrix) pairs: per edge, guard, reset, time
-    release, target invariant, widening with the target's clock bounds
-    (``bounds`` is the ``location_bounds`` table), with empty branches
-    dropped at every stage.  Guard and invariant go through
+    ``base``, as (target, matrix) pairs: per edge, guard, reset and time
+    release (one copy), target invariant, widening with the target's
+    clock bounds (``bounds`` is the ``location_bounds`` table), with empty
+    branches dropped at every stage; each matrix carries the node-table
+    ids the widening read.  Guard and invariant go through
     ``pdbm.constrain``, which closes through the guard's clocks only; the
     base branches are closed in full.  Pairs come in edge order; branches
     that reach one target with one matrix meet at their node in the node
@@ -193,7 +217,7 @@ def successors(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox, bounds,
             g1 = pdbm.constrain(zb, e.atoms, box)
             count("guard", len(g1))
             for z1 in g1:
-                z2 = pdbm.up(pdbm.reset(z1, e.resets))
+                z2 = pdbm.reset(z1, e.resets, release=True)
                 g2 = pdbm.constrain(z2, inv, box)
                 count("guard", len(g2))
                 for z3 in g2:
@@ -207,18 +231,20 @@ def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox,
                         dnf_limit: int) -> ValuationSet:
     """Valuations for which some point of the zone at ``loc``, whose
     canonical branches are ``base``, enables no outgoing edge: the negated
-    guards of all outgoing edges are applied as a product of
-    disjunctions, and the surviving branches' extensions are united.
-    Branches with equal matrices are merged after each edge, so the
-    expansion grows with the distinct zones, not with the paths to them."""
+    guards of all outgoing edges, each distinct guard once, are applied as
+    a product of disjunctions, and the surviving branches' extensions are
+    united.  Branches with equal matrices are merged after each guard, so
+    the expansion grows with the distinct zones, not with the paths to
+    them."""
     edges = a.locations[loc].edges
     if any(not e.atoms for e in edges):
         # an unguarded edge is always enabled: no zone point can deadlock
         return ValuationSet.empty(box)
     cur = base
     steps = 0
-    for e in edges:
-        choices = [negate_atom(at) for at in e.atoms]
+    # an edge enabled twice is enabled once: fold each distinct guard once
+    for atoms in dict.fromkeys(e.atoms for e in edges):
+        choices = [negate_atom(at) for at in atoms]
         nxt: list[CPDBM] = []
         for atom in choices:
             for z in cur:
@@ -243,9 +269,10 @@ def build_graph(a: Ptba, box: ParamBox, bounds,
                 opts: Options | None = None) -> StateStore:
     """Run the colour worklist from the initial states until no node has
     pending valuations: each expansion takes all of a node's pending
-    valuations, folds their deadlock valuations in and adds every
-    successor branch to its target node and edge.  ``bounds`` is the
-    ``location_bounds`` table.  Returns the filled node table."""
+    valuations, folds in the deadlock valuations of those not yet in the
+    deadlock set and adds every successor branch to its target node and
+    edge.  ``bounds`` is the ``location_bounds`` table.  Returns the
+    filled node table."""
     opts = opts or Options()
     store = StateStore(box, bounds, opts.limit_states)
     for z in initial_states(a, box, bounds):
@@ -264,8 +291,14 @@ def build_graph(a: Ptba, box: ParamBox, bounds,
         if covered != delta:
             raise SoundnessError("stored zone empty at a valuation of its "
                                  "extension")
-        store.deadlock_bits |= deadlock_valuations(loc, base, a, box,
-                                                   opts.dnf_limit).bits
+        # the deadlock set is a union: fold only valuations not in it yet
+        fold = delta & ~store.deadlock_bits
+        if fold:
+            live = base if fold == delta else [
+                CPDBM(zb.bits & fold, zb.mat, zb.canonical) for zb in base
+                if zb.bits & fold]
+            store.deadlock_bits |= deadlock_valuations(loc, live, a, box,
+                                                       opts.dnf_limit).bits
         store.expansions += 1
         if opts.trace is not None:
             opts.trace.write(f"state {u}: {a.locations[loc].name}\n")

@@ -14,7 +14,7 @@ bounds is weak only when both summands are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -43,11 +43,16 @@ Matrix = tuple[tuple[StrictBound, ...], ...]
 @dataclass(frozen=True)
 class CPDBM:
     """Zone matrix plus the valuations under which it is read: ``bits``
-    is their extension over the box."""
+    is their extension over the box.  ``ids``, set by ``extrapolate`` alone,
+    holds per entry in row-major order the id of its values clamped to the
+    widening window (``BoundTable.window_bits``), -1 for infinity: the
+    node table's key without another walk over the matrix."""
 
     bits: int
     mat: Matrix
     canonical: bool = False
+    ids: tuple[int, ...] | None = field(default=None, compare=False,
+                                        repr=False)
 
     @property
     def n(self) -> int:
@@ -219,8 +224,10 @@ def constrain(z: CPDBM, atoms: Sequence[Atom], box: ParamBox) -> list[CPDBM]:
     return out
 
 
-def reset(z: CPDBM, clocks: Iterable[int]) -> CPDBM:
-    """Reset clocks to zero, lowest index first; preserves canonical form."""
+def reset(z: CPDBM, clocks: Iterable[int], release: bool = False) -> CPDBM:
+    """Reset clocks to zero, lowest index first, and with ``release`` then
+    remove all clock upper bounds (``up``) in the same copy; preserves
+    canonical form."""
     rows = [list(r) for r in z.mat]
     n = z.n
     for r in sorted(clocks):
@@ -230,16 +237,16 @@ def reset(z: CPDBM, clocks: Iterable[int]) -> CPDBM:
         for i in range(n):
             if i != r:
                 rows[i][r] = rows[i][0]
-    return CPDBM(z.bits, tuple(tuple(r) for r in rows), canonical=z.canonical)
+    if release:
+        for i in range(1, n):
+            rows[i][0] = INF_BOUND
+    return CPDBM(z.bits, tuple(map(tuple, rows)), canonical=z.canonical)
 
 
 def up(z: CPDBM) -> CPDBM:
     """Remove all clock upper bounds (time successor); preserves canonical
     form."""
-    rows = [list(r) for r in z.mat]
-    for i in range(1, z.n):
-        rows[i][0] = INF_BOUND
-    return CPDBM(z.bits, tuple(tuple(r) for r in rows), canonical=z.canonical)
+    return reset(z, (), release=True)
 
 
 def extrapolate(z: CPDBM, maxima: Sequence[int], box: ParamBox) -> list[CPDBM]:
@@ -251,60 +258,69 @@ def extrapolate(z: CPDBM, maxima: Sequence[int], box: ParamBox) -> list[CPDBM]:
     there, and valuation-dependent cases fork the extension (kept
     branch first, floored next, widened last).  The diagonal and infinite
     entries are untouched.  Results are marked non-canonical when an entry
-    changed.
+    changed, and carry the ``ids`` of their entries in the window, read
+    from the window memo on the same walk.
     """
     n = z.n
     table = box.bounds
     windows = table.windows(maxima)
-    floors = [table.floor(m) for m in maxima]
     out: list[CPDBM] = []
     # depth first, as in canonicalize: a fork leaves its other branches to
     # restart the current row, whose earlier cells are no-ops on them
-    todo = [(0, [list(r) for r in z.mat], z.bits, False)]
+    todo = [(0, [list(r) for r in z.mat], z.bits, False, [])]
     while todo:
-        at, rows, ext, changed = todo.pop()
+        at, rows, ext, changed, ids = todo.pop()
+        push = ids.append
         for i in range(at, n):
             row = rows[i]
             memos = windows[i]
             for j in range(n):
                 e = row[j]
-                if i == j or e.expr is None:
+                if e.expr is None:
+                    push(-1)
                     continue
                 win = memos[j].get(id(e))
                 if win is None:
                     win = table.window_bits(e, maxima[i], -maxima[j])
                 below = ext & win[0]
-                if below == ext and ext & win[1] == ext:
+                if i == j or below == ext and ext & win[1] == ext:
+                    push(win[2])
                     continue
                 forks = []
                 if below != ext:
                     if not below:
                         row[j] = INF_BOUND
                         changed = True
+                        push(-1)
                         continue
-                    forks.append(_fork(i, rows, j, INF_BOUND, ext & ~below))
+                    forks.append(_fork(i, rows, ids, j, INF_BOUND,
+                                       ext & ~below))
                     ext = below
                 above = ext & win[1]
-                if above != ext:
-                    if not above:
-                        row[j] = floors[j]
-                        changed = True
-                    else:
-                        forks.append(_fork(i, rows, j, floors[j],
-                                           ext & ~above))
-                        ext = above
+                if above == ext:
+                    push(win[2])
+                elif above:
+                    forks.append(_fork(i, rows, ids, j,
+                                       table.floor(maxima[j]), ext & ~above))
+                    ext = above
+                    push(win[2])
+                else:
+                    row[j] = floor = table.floor(maxima[j])
+                    changed = True
+                    push(table.window_bits(floor, maxima[i], -maxima[j])[2])
                 todo.extend(forks)  # the floored branch pops first
         mat = tuple(map(tuple, rows)) if changed else z.mat
-        out.append(CPDBM(ext, mat, canonical=z.canonical and not changed))
+        out.append(CPDBM(ext, mat, z.canonical and not changed, tuple(ids)))
     return out
 
 
-def _fork(i: int, rows: list, j: int, b: StrictBound, ext: int):
+def _fork(i: int, rows: list, ids: list, j: int, b: StrictBound, ext: int):
     """A changed branch of ``extrapolate`` that restarts row ``i``: a copy
-    of ``rows`` with entry (i, j) set to ``b``."""
+    of ``rows`` with entry (i, j) set to ``b``, and the ids of the rows
+    above."""
     rows = [r[:] for r in rows]
     rows[i][j] = b
-    return (i, rows, ext, True)
+    return (i, rows, ext, True, ids[:i * len(rows)])
 
 
 def merge(branches: list[CPDBM]) -> list[CPDBM]:

@@ -325,10 +325,10 @@ class TestLimits:
         with pytest.raises(CapacityError,
                            match="^stored states exceeded 5$"):
             enumerate_box(net, "G !al0",
-                          opts=Options(dnf_limit=6, limit_states=5))
+                          opts=Options(dnf_limit=4, limit_states=5))
         with pytest.raises(CapacityError,
-                           match="^deadlock-guard expansion exceeded 6$"):
-            enumerate_box(net, "G !al0", opts=Options(dnf_limit=6))
+                           match="^deadlock-guard expansion exceeded 4$"):
+            enumerate_box(net, "G !al0", opts=Options(dnf_limit=4))
 
     def test_state_limit_at_the_largest_graph(self):
         net = load_fixture("limits.pta")

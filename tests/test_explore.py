@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
 
-from conftest import SEED, load_fixture
+from conftest import CORPUS, SEED, load_fixture
 from ptasynth import pdbm
 from ptasynth.errors import CapacityError, InputError, SoundnessError
 from ptasynth.explore import (
@@ -39,6 +42,11 @@ def tiny_ptba(accepting=True, guard_atoms=(), inv=()):
 
 
 BOX5 = ParamBox.of({"p": (0, 5)})
+
+# the perfbench ``live6`` job: p1, p2, p3 and p5 free, p4 and p6 pinned
+LIVE6 = ("traingate6.pta", "G F Train1.Cross",
+         {"p1": (2, 3), "p2": (1, 2), "p3": (0, 1), "p4": (1, 1),
+          "p6": (1, 1)})
 
 
 class TestInitialStates:
@@ -200,6 +208,11 @@ class TestStateStore:
         store.resolve(0, wide)
         with pytest.raises(SoundnessError, match="out of range"):
             store.resolve(1, wide)
+        # so does the same arrival with the ids the widening hands over:
+        # it hits the node, whose window bits leave out p >= 2
+        ids = pdbm.extrapolate(zs[0], store.bounds[1], box)[0].ids
+        with pytest.raises(SoundnessError, match="out of range"):
+            store.resolve(1, dataclasses.replace(wide, ids=ids))
 
     def test_offcolour_bounds_keep_the_graph_finite(self):
         from ptasynth.baseline import enumerate_box
@@ -338,6 +351,46 @@ class TestDeadlockValuations:
         assert sym.deadlock.bits == base.deadlock.bits
         assert not sym.deadlock.is_empty
 
+    def test_repeated_guards_fold_once(self):
+        # G over 600 copies of one atom gives product locations with many
+        # edges that share one clock guard; folding every copy would
+        # multiply the negated-guard product past the default limit.
+        # Folded once per distinct guard, the copies take the steps one
+        # does: both engines finish within the 5 steps G work takes
+        # symbolically
+        from ptasynth.baseline import enumerate_box
+
+        net = load_fixture("window.pta")
+        prop = "G (" + " && ".join(["work"] * 600) + ")"
+        for run in (synthesize, enumerate_box):
+            got = run(net, prop, opts=Options(dnf_limit=5))
+            want = run(net, "G work")
+            assert got.accepted.bits == want.accepted.bits
+            assert got.deadlock.bits == want.deadlock.bits
+
+    def test_settled_valuations_skip_the_fold(self, monkeypatch):
+        # the deadlock set is a union, so an expansion folds only the
+        # valuations not yet known to deadlock: on the six-parameter job
+        # 10 of its 468 expansions fold
+        import ptasynth.explore as explore
+        from ptasynth.baseline import enumerate_box
+
+        calls = []
+        fold = explore.deadlock_valuations
+
+        def counted(*args):
+            calls.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(explore, "deadlock_valuations", counted)
+        name, prop, box = LIVE6
+        net = load_fixture(name)
+        res = synthesize(net, prop, net.box(box))
+        assert len(calls) < res.stats["expansions"] == 468
+        assert res.deadlock.bits == \
+            enumerate_box(net, prop, net.box(box)).deadlock.bits
+        assert not res.deadlock.is_empty
+
 
 class TestSynthesize:
     def test_true_never_violated(self):
@@ -430,6 +483,25 @@ class TestPinnedStats:
             "fixpoint_rounds")) == want
 
 
+# sha256 over json.dumps(to_json(), sort_keys=True) of the 30 corpus pairs
+# and the LIVE6 job, one line each, stats and witnesses included
+RESULTS_DIGEST = \
+    "572c2ea8baea8aeba0b0ddc504df4ddf4e3dd88af36613d9e9536e447e996bec"
+
+
+def test_result_documents_pinned():
+    # the node table's partition, the order nodes are numbered in and the
+    # fixpoint's witnesses all reach the result document
+    jobs = [(name, prop, None) for name, props in CORPUS.items()
+            for prop in props] + [LIVE6]
+    h = hashlib.sha256()
+    for name, prop, box in jobs:
+        net = load_fixture(name)
+        doc = synthesize(net, prop, net.box(box)).to_json()
+        h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == RESULTS_DIGEST
+
+
 class TestStoredBoundScan:
     def test_fixture_bounds_in_range(self):
         from ptasynth.explore import build_automaton
@@ -457,7 +529,14 @@ class TestStoredBoundScan:
                                         (2, 1): bound(1)})
         with pytest.raises(SoundnessError, match="out of range"):
             scan_stored_bounds(g)
+        widen = pdbm.extrapolate
         monkeypatch.setattr(pdbm, "extrapolate", lambda z, maxima, box: [z])
+        with pytest.raises(SoundnessError, match="out of range"):
+            build_graph(a, BOX5, bounds, Options(limit_states=50))
+        # widened in a window that keeps every entry, the branches hand
+        # over ids, and the node table checks them in its own windows
+        monkeypatch.setattr(pdbm, "extrapolate", lambda z, maxima, box:
+                            widen(z, [100] * len(maxima), box))
         with pytest.raises(SoundnessError, match="out of range"):
             build_graph(a, BOX5, bounds, Options(limit_states=50))
 
