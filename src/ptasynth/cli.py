@@ -54,7 +54,10 @@ def _add_engine(p: argparse.ArgumentParser):
                    help="dump the symbolic engine's expansions to stderr")
     p.add_argument("--limit-states", type=int, default=None, metavar="N")
     p.add_argument("--limit-dnf", type=int, default=None, metavar="N",
-                   help="cap on the negated-guard expansion per state")
+                   help="cap on the negated-guard expansion per state; "
+                   "the symbolic engine counts one step per (negated atom, "
+                   "parametric branch), enumeration one per (negated atom, "
+                   "zone) of one valuation")
 
 
 def _options(args) -> Options:

@@ -12,11 +12,11 @@ matrices stay apart.  When a node's colour grows by some valuations, the
 worklist expands the node's matrix on those valuations alone: successor
 generation with constraint splitting, and the deadlock valuations among
 those not yet known to deadlock (the deadlock set is a union).  Each
-successor branch, widened, hands the node table the ids of its entries
-and adds its valuations to its target node and to the colour of the
-edge.  At a valuation v, the nodes and edges whose colours hold v form
-the widened zone graph at v, up to nodes that repeat a zone, which
-changes neither reachability nor accepting cycles.
+successor branch, widened, adds its valuations to its target node and to
+the colour of the edge; the node table keys and checks the branch's
+matrix in one walk over it.  At a valuation v, the nodes and edges whose
+colours hold v form the widened zone graph at v, up to nodes that repeat
+a zone, which changes neither reachability nor accepting cycles.
 
 Accepting cycles are then found for all valuations at once by a fixpoint
 on colours (``cumulative_ndfs_graph``).  The violating set is the union of
@@ -78,18 +78,13 @@ class StateStore:
     keys finite, so the table is finite and each node grows at most
     |box| times.  The clamped values are the ids that the box's
     ``BoundTable.window_bits`` memoizes per bound and window, the memo
-    that widening reads too: ``pdbm.extrapolate`` hands them over as the
-    branch's ``ids``, so an arrival is keyed without another walk over
-    its matrix (one without ``ids`` is walked here).
+    that widening reads too.
 
     ``resolve`` adds an arrival and queues its node when the arrival
     brings new valuations, which ``pending`` holds until the node is
     expanded.  Every arrival's finite entries must lie inside the window
-    on its valuations, else SoundnessError.  A new node's entries are
-    checked one by one, and ``inside`` keeps the points where all of
-    them lie inside; whether an entry does depends only on its id, so an
-    arrival that hits the node is checked with one AND against those
-    bits, and walked only when the AND fails, to name the entry.
+    on its valuations, else SoundnessError: one walk over the arrival's
+    matrix reads each entry's id and checks it.
     """
 
     def __init__(self, box: ParamBox, bounds,
@@ -102,7 +97,6 @@ class StateStore:
         self.locs: list[int] = []
         self.mats: list[Matrix] = []
         self.canonical: list[bool] = []
-        self.inside: list[int] = []
         self.colour: list[int] = []
         self.pending: list[int] = []
         self.succ: list[dict[int, int]] = []  # target node -> edge colour
@@ -117,42 +111,34 @@ class StateStore:
     def n_nodes(self) -> int:
         return len(self.locs)
 
-    def _scan(self, loc: int, mat: Matrix, bits: int) -> tuple[tuple, int]:
-        """The ids of the entries of ``mat`` in the windows of ``loc`` and
-        the points where every finite entry lies inside its window; raises
-        SoundnessError at the first entry that leaves it on ``bits``."""
-        ids = []
-        inside = ValuationSet.full(self.box).bits
+    def _key(self, loc: int, z: CPDBM) -> tuple:
+        """The node key of ``z`` at ``loc``; raises SoundnessError at the
+        first finite entry outside its window on ``z.bits``."""
+        key = [loc]
+        bits = z.bits
         windows = self._windows[loc]
-        maxima = self.bounds[loc]
-        for i, row in enumerate(mat):
+        for i, row in enumerate(z.mat):
             memos = windows[i]
             for j, b in enumerate(row):
                 if b.expr is None:
-                    ids.append(-1)
+                    key.append(-1)
                     continue
                 got = memos[j].get(id(b))
                 if got is None:
+                    maxima = self.bounds[loc]
                     got = self.box.bounds.window_bits(b, maxima[i],
                                                       -maxima[j])
-                ids.append(got[2])
-                ok = got[0] & got[1]
-                if bits & ~ok:
+                key.append(got[2])
+                if bits & ~(got[0] & got[1]):
                     raise SoundnessError(
                         f"stored bound out of range at entry ({i},{j}): {b}")
-                inside &= ok
-        return tuple(ids), inside
+        return tuple(key)
 
     def resolve(self, loc: int, z: CPDBM) -> int:
         """Add an arrival of ``z`` at ``loc``; returns its node."""
-        ids, inside = z.ids, None
-        if ids is None:
-            ids, inside = self._scan(loc, z.mat, z.bits)
-        key = (loc, ids)
+        key = self._key(loc, z)
         nid = self._index.get(key)
         if nid is None:
-            if inside is None:
-                inside = self._scan(loc, z.mat, z.bits)[1]
             nid = len(self.locs)
             if nid >= self.limit:
                 raise CapacityError(f"stored states exceeded {self.limit}")
@@ -160,15 +146,11 @@ class StateStore:
             self.locs.append(loc)
             self.mats.append(z.mat)
             self.canonical.append(z.canonical)
-            self.inside.append(inside)
             self.colour.append(0)
             self.pending.append(0)
             self.succ.append({})
-        else:
-            if z.bits & ~self.inside[nid]:
-                self._scan(loc, z.mat, z.bits)  # raises at the entry
-            if not z.canonical:
-                self.canonical[nid] = False
+        elif not z.canonical:
+            self.canonical[nid] = False
         fresh = z.bits & ~self.colour[nid]
         if fresh:
             if not self.pending[nid]:
@@ -197,8 +179,7 @@ def successors(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox, bounds,
     ``base``, as (target, matrix) pairs: per edge, guard, reset and time
     release (one copy), target invariant, widening with the target's
     clock bounds (``bounds`` is the ``location_bounds`` table), with empty
-    branches dropped at every stage; each matrix carries the node-table
-    ids the widening read.  Guard and invariant go through
+    branches dropped at every stage.  Guard and invariant go through
     ``pdbm.constrain``, which closes through the guard's clocks only; the
     base branches are closed in full.  Pairs come in edge order; branches
     that reach one target with one matrix meet at their node in the node
@@ -284,7 +265,7 @@ def build_graph(a: Ptba, box: ParamBox, bounds,
         delta, store.pending[u] = store.pending[u], 0
         loc = store.locs[u]
         z = CPDBM(delta, store.mats[u], store.canonical[u])
-        base = [z] if z.canonical else pdbm.canonicalize(z, box)
+        base = pdbm.canonicalize(z, box)
         covered = 0
         for zb in base:
             covered |= zb.bits

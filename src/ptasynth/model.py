@@ -18,7 +18,10 @@ Names start with a letter or an underscore and go on with letters, digits
 and underscores (letters outside ASCII included); unlike property atoms,
 they never contain dots.  ``#`` starts a comment that runs to the end of
 the line.  The ``clock``, ``chan``, ``label`` and ``reset`` lists end with
-their line.  The lexer is ``ltl.TokenCursor``.
+their line.  The lexer is ``ltl.TokenCursor``.  Parameters, clocks,
+variables and channels share one namespace and are declared once each;
+locations are unique per component, components per network.  Ranges are
+``LO..HI`` with ``LO <= HI``.
 
 Guards are conjunctions (&&) of clock constraints with at most one real
 clock per atom (the literal ``0`` names the zero clock in differences) and
@@ -101,13 +104,28 @@ class _ModelParser(TokenCursor):
     def __init__(self, text: str):
         super().__init__(text)
         self.net = Network({}, [], [], {}, [])
+        # parameters, clocks, variables and channels share one namespace
+        self.declared: dict[str, str] = {}
 
-    def names_on_line(self) -> list[str]:
-        """The names that follow the last taken token on its line."""
+    def declare(self, noun: str) -> str:
+        """Take a name and declare it as a ``noun``; a name declared before
+        is an error at this declaration."""
+        t = self.peek()
+        name = self.ident(f"{noun} name")
+        prev = self.declared.get(name)
+        if prev is not None:
+            raise self.err(f"{name} is declared twice: as a {prev}, then "
+                           f"as a {noun}", tok=t)
+        self.declared[name] = noun
+        return name
+
+    def names_on_line(self, noun: str | None = None) -> list[str]:
+        """The names that follow the last taken token on its line, each
+        declared as a ``noun`` when one is given."""
         line = self.toks[self.i - 1][2]
         names = []
         while self.peek()[0] == "id" and self.peek()[2] == line:
-            names.append(self.take()[1])
+            names.append(self.declare(noun) if noun else self.take()[1])
         return names
 
     # grammar -------------------------------------------------------------
@@ -116,28 +134,22 @@ class _ModelParser(TokenCursor):
             t = self.take()
             word = t[1]
             if word == "param":
-                name = self.ident("parameter name")
+                name = self.declare("parameter")
                 self.expect("=")
-                lo = self.integer()
-                self.expect("..")
-                hi = self.integer()
-                if name in self.net.params:
-                    raise self.err(f"duplicate parameter {name}")
+                lo, hi = self.range_of("parameter", name)
                 self.net.params[name] = (lo, hi)
             elif word == "clock":
-                self.net.clocks += self.names_on_line()
+                self.net.clocks += self.names_on_line("clock")
             elif word == "chan":
-                self.net.channels += self.names_on_line()
+                self.net.channels += self.names_on_line("channel")
             elif word == "var":
-                name = self.ident("variable name")
+                name = self.declare("variable")
                 if self.peek()[1] != ":":
                     raise self.err(
                         f"data variable {name} needs a finite range",
                         kind="unbounded-variable")
                 self.expect(":")
-                lo = self.integer()
-                self.expect("..")
-                hi = self.integer()
+                lo, hi = self.range_of("variable", name)
                 self.expect("=")
                 init = self.integer()
                 if not lo <= init <= hi:
@@ -151,14 +163,33 @@ class _ModelParser(TokenCursor):
             raise self.err("model has no components")
         return self.net
 
+    def range_of(self, noun: str, name: str) -> tuple[int, int]:
+        """``LO..HI`` of the ``noun`` ``name``; an empty one is an error at
+        its start."""
+        t = self.peek()
+        lo = self.integer()
+        self.expect("..")
+        hi = self.integer()
+        if lo > hi:
+            raise self.err(f"empty range for {noun} {name}: {lo}..{hi}",
+                           kind="empty-range", tok=t)
+        return lo, hi
+
     def component(self):
+        t = self.peek()
         name = self.ident("component name")
+        if any(c.name == name for c in self.net.components):
+            raise self.err(f"duplicate component {name}", tok=t)
         comp = Component(name, {}, "", [])
         self.expect("{")
         while self.peek()[1] != "}":
             word = self.take()[1]
             if word == "location":
+                t = self.peek()
                 loc = self.location()
+                if loc.name in comp.locations:
+                    raise self.err(f"duplicate location {loc.name} in {name}",
+                                   tok=t)
                 comp.locations[loc.name] = loc
             elif word == "init":
                 comp.init = self.ident("location name")

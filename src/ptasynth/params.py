@@ -57,7 +57,8 @@ class ParamBox:
             raise SynthError("bounds do not match parameter list")
         for p, a, b in zip(self.params, self.lo, self.hi):
             if a > b:
-                raise SynthError(f"empty range for parameter {p}: {a}..{b}")
+                raise InputError(f"empty range for parameter {p}: {a}..{b}",
+                                 kind="empty-range")
             if a < -(1 << 63) or b >= 1 << 63:  # the grid is int64
                 raise InputError(f"range of parameter {p} ({a}..{b}) leaves "
                                  f"the int64 grid", kind="bound-range")

@@ -14,7 +14,7 @@ bounds is weak only when both summands are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -43,16 +43,11 @@ Matrix = tuple[tuple[StrictBound, ...], ...]
 @dataclass(frozen=True)
 class CPDBM:
     """Zone matrix plus the valuations under which it is read: ``bits``
-    is their extension over the box.  ``ids``, set by ``extrapolate`` alone,
-    holds per entry in row-major order the id of its values clamped to the
-    widening window (``BoundTable.window_bits``), -1 for infinity: the
-    node table's key without another walk over the matrix."""
+    is their extension over the box."""
 
     bits: int
     mat: Matrix
     canonical: bool = False
-    ids: tuple[int, ...] | None = field(default=None, compare=False,
-                                        repr=False)
 
     @property
     def n(self) -> int:
@@ -258,69 +253,60 @@ def extrapolate(z: CPDBM, maxima: Sequence[int], box: ParamBox) -> list[CPDBM]:
     there, and valuation-dependent cases fork the extension (kept
     branch first, floored next, widened last).  The diagonal and infinite
     entries are untouched.  Results are marked non-canonical when an entry
-    changed, and carry the ``ids`` of their entries in the window, read
-    from the window memo on the same walk.
+    changed.
     """
     n = z.n
     table = box.bounds
     windows = table.windows(maxima)
+    floors = [table.floor(m) for m in maxima]
     out: list[CPDBM] = []
     # depth first, as in canonicalize: a fork leaves its other branches to
     # restart the current row, whose earlier cells are no-ops on them
-    todo = [(0, [list(r) for r in z.mat], z.bits, False, [])]
+    todo = [(0, [list(r) for r in z.mat], z.bits, False)]
     while todo:
-        at, rows, ext, changed, ids = todo.pop()
-        push = ids.append
+        at, rows, ext, changed = todo.pop()
         for i in range(at, n):
             row = rows[i]
             memos = windows[i]
             for j in range(n):
                 e = row[j]
-                if e.expr is None:
-                    push(-1)
+                if i == j or e.expr is None:
                     continue
                 win = memos[j].get(id(e))
                 if win is None:
                     win = table.window_bits(e, maxima[i], -maxima[j])
                 below = ext & win[0]
-                if i == j or below == ext and ext & win[1] == ext:
-                    push(win[2])
+                if below == ext and ext & win[1] == ext:
                     continue
                 forks = []
                 if below != ext:
                     if not below:
                         row[j] = INF_BOUND
                         changed = True
-                        push(-1)
                         continue
-                    forks.append(_fork(i, rows, ids, j, INF_BOUND,
-                                       ext & ~below))
+                    forks.append(_fork(i, rows, j, INF_BOUND, ext & ~below))
                     ext = below
                 above = ext & win[1]
-                if above == ext:
-                    push(win[2])
-                elif above:
-                    forks.append(_fork(i, rows, ids, j,
-                                       table.floor(maxima[j]), ext & ~above))
-                    ext = above
-                    push(win[2])
-                else:
-                    row[j] = floor = table.floor(maxima[j])
-                    changed = True
-                    push(table.window_bits(floor, maxima[i], -maxima[j])[2])
+                if above != ext:
+                    if not above:
+                        row[j] = floors[j]
+                        changed = True
+                    else:
+                        forks.append(_fork(i, rows, j, floors[j],
+                                           ext & ~above))
+                        ext = above
                 todo.extend(forks)  # the floored branch pops first
         mat = tuple(map(tuple, rows)) if changed else z.mat
-        out.append(CPDBM(ext, mat, z.canonical and not changed, tuple(ids)))
+        out.append(CPDBM(ext, mat, canonical=z.canonical and not changed))
     return out
 
 
-def _fork(i: int, rows: list, ids: list, j: int, b: StrictBound, ext: int):
+def _fork(i: int, rows: list, j: int, b: StrictBound, ext: int):
     """A changed branch of ``extrapolate`` that restarts row ``i``: a copy
-    of ``rows`` with entry (i, j) set to ``b``, and the ids of the rows
-    above."""
+    of ``rows`` with entry (i, j) set to ``b``."""
     rows = [r[:] for r in rows]
     rows[i][j] = b
-    return (i, rows, ext, True, ids[:i * len(rows)])
+    return (i, rows, ext, True)
 
 
 def merge(branches: list[CPDBM]) -> list[CPDBM]:

@@ -253,8 +253,10 @@ class TestCrashInputs:
          "bound-range"),
         (["synth", "--model", "{fix}/gap.pta", "--ltl", "true",
           "--param", f"p=-{BIG}..-{BIG}"], "bound-range"),
+        (["synth", "--model", "{fix}/gap.pta", "--ltl", "true",
+          "--param", "p=5..3"], "empty-range"),
     ], ids=["negations", "parentheses", "not-utf8", "model-range",
-            "param-range"])
+            "param-range", "param-empty"])
     def test_exits_two(self, capsys, tmp_path, argv, kind):
         (tmp_path / "bad.pta").write_bytes(b"\xff\xfe\x00bad")
         (tmp_path / "big.pta").write_text(
@@ -264,6 +266,33 @@ class TestCrashInputs:
                                      for w in argv))
         assert code == 2
         assert err.startswith(f"error ({kind}): ")
+        assert err.count("\n") == 1
+
+    # models that once parsed with a declaration silently replaced or
+    # doubled; the error names the second declaration's position
+    @pytest.mark.parametrize("text, kind, pos", [
+        ("clock x\ncomponent C {\n  location A { invariant x <= 1 }\n"
+         "  location A { invariant true }\n  init A\n}\n",
+         "model-syntax", (4, 11)),
+        ("var w : 0..1 = 0\nvar w : 0..3 = 2\n", "model-syntax", (2, 4)),
+        ("clock x x\n", "model-syntax", (1, 8)),
+        ("clock x\ncomponent A {\n  location L\n  init L\n}\n"
+         "component A {\n  location L\n  init L\n}\n", "model-syntax", (6, 10)),
+        ("param p = 0..2\nclock p\n", "model-syntax", (2, 6)),
+        ("chan go\nvar go : 0..1 = 0\n", "model-syntax", (2, 4)),
+        ("param p = 0..1\nparam p = 0..2\n", "model-syntax", (2, 6)),
+        ("param p = 3..1\n", "empty-range", (1, 10)),
+        ("var w : 3..1 = 2\n", "empty-range", (1, 8)),
+    ], ids=["location", "variable", "clock", "component", "param-clock",
+            "channel-variable", "parameter", "param-empty", "var-empty"])
+    def test_declarations_exit_two(self, capsys, tmp_path, text, kind, pos):
+        model = tmp_path / "m.pta"
+        model.write_text(text + "clock y\ncomponent M {\n  location A\n"
+                         "  init A\n}\n")
+        code, _, err = run(capsys, "validate", "--model", str(model))
+        assert code == 2
+        assert err.startswith(f"error ({kind}): line {pos[0]}, "
+                              f"column {pos[1]}: ")
         assert err.count("\n") == 1
 
     def test_wide_property_still_runs(self):
