@@ -3,9 +3,10 @@
 fallback, on the batched closure kernel ``close_many`` and on an
 end-to-end enumeration run on each; then the symbolic closure: a guard on
 canonical constrained parametric matrices closed in full vs through the
-guard's clocks only.  Every row checks that the closures it times agree,
-and the enumeration runs that their results, stats included, agree; a
-disagreement exits non-zero.
+guard's clocks only, and one symbolic transition (guard, reset, invariant,
+widening) stage by stage vs in one pass.  Every row checks that the
+closures or branches it times agree, and the enumeration runs that their
+results, stats included, agree; a disagreement exits non-zero.
 
 Usage: python benchmarks/bench_zones.py [--quick] [--section NAME ...]
 
@@ -125,6 +126,46 @@ def bench_pdbm_closure(box, jobs, repeat):
     return best_full, best_pivot
 
 
+def staged_transition(z, edge, box, counts):
+    """``pdbm.transition`` stage by stage, with the same tallies."""
+    atoms, resets, inv, maxima = edge
+
+    def tally(tag, branches):
+        if len(branches) > 1:
+            counts[tag] = counts.get(tag, 0) + len(branches) - 1
+        return branches
+
+    out = []
+    for z1 in tally("guard", pdbm.constrain(z, atoms, box)):
+        z2 = pdbm.reset(z1, resets, release=True)
+        for z3 in tally("guard", pdbm.constrain(z2, inv, box)):
+            out += tally("extrapolate", pdbm.extrapolate(z3, maxima, box))
+    return out
+
+
+def bench_transition(box, jobs, repeat):
+    """Best times of the transitions stage by stage and in one pass (its
+    plans built outside the timing, as the engine builds them once per
+    edge); both must give the same branches, in order, and tallies."""
+    table = box.bounds
+    plans = [pdbm.transition_plan(*edge, table) for _, edge in jobs]
+    best_staged = best_pass = float("inf")
+    for _ in range(repeat):
+        staged_counts, pass_counts = {}, {}
+        t0 = time.perf_counter()
+        staged = [staged_transition(z, edge, box, staged_counts)
+                  for z, edge in jobs]
+        t1 = time.perf_counter()
+        one = [pdbm.transition(z, plan, table, pass_counts)
+               for (z, _), plan in zip(jobs, plans)]
+        t2 = time.perf_counter()
+        best_staged = min(best_staged, t1 - t0)
+        best_pass = min(best_pass, t2 - t1)
+        if staged != one or staged_counts != pass_counts:
+            raise SystemExit("staged and one-pass transitions disagree")
+    return best_staged, best_pass, sum(map(len, one))
+
+
 def backends():
     out = [("pure", pure)]
     if compiled is not None:
@@ -189,6 +230,21 @@ def pdbm_rows(count, repeat):
               f"{box.size} points (best of {repeat}):")
         print(f"  full: {full * 1e3:8.1f} ms   through the guard's clocks: "
               f"{pivot * 1e3:8.1f} ms   speedup: {full / pivot:5.1f}x")
+        # a generator of its own leaves the closure rows' inputs as they were
+        edge_rng = random.Random(n)
+        edges = []
+        for z, atom in jobs:
+            clocks = range(1, n)
+            resets = edge_rng.sample(clocks, edge_rng.randrange(0, 3))
+            inv = [(i, 0, bound(random_expr(edge_rng, box)))
+                   for i in edge_rng.sample(clocks, edge_rng.randrange(0, 2))]
+            maxima = [0] + [edge_rng.randrange(2, 9) for _ in clocks]
+            edges.append((z, ([atom], resets, inv, maxima)))
+        staged, one, branches = bench_transition(box, edges, repeat)
+        print(f"transition of the same {count} CPDBMs, {branches} branches "
+              f"(best of {repeat}):")
+        print(f"  stage by stage: {staged * 1e3:8.1f} ms   one pass: "
+              f"{one * 1e3:8.1f} ms   speedup: {staged / one:5.1f}x")
 
 
 def main():

@@ -372,7 +372,9 @@ def _explore(a: Ptba, box: ParamBox, bounds, opts: Options):
     A valuation stops at its first capacity error in its own order, a
     state's deadlock check before its successors, and checks no state for
     deadlock after its first deadlocked one.  The lowest point that stops
-    raises, once every point below it has finished."""
+    raises, once every point below it has finished.  Before each batch,
+    ``opts.time_limit`` stops the whole run."""
+    over_time = opts.timer()
     t = _Tables(a, box, bounds)
     cost = [max(d, 1) for d in t.degree]
     pending: list[_Graph] = []  # open valuations, in point order
@@ -390,6 +392,7 @@ def _explore(a: Ptba, box: ParamBox, bounds, opts: Options):
                 for k, key in zip(*t.initial(a.initial, points))]
 
     while True:
+        over_time()
         batch = []  # (graph, number of its states from head on)
         room = ROW_CAP
         for g in pending:

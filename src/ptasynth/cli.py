@@ -58,6 +58,9 @@ def _add_engine(p: argparse.ArgumentParser):
                    "the symbolic engine counts one step per (negated atom, "
                    "parametric branch), enumeration one per (negated atom, "
                    "zone) of one valuation")
+    p.add_argument("--time-limit", type=float, default=None,
+                   metavar="SECONDS", help="stop an engine (exit 3) once it "
+                   "has explored for this long")
 
 
 def _options(args) -> Options:
@@ -66,11 +69,15 @@ def _options(args) -> Options:
         if value is not None and value < 1:
             raise InputError(f"{flag} must be at least 1, got {value}",
                              kind="bad-flag")
+    if args.time_limit is not None and not args.time_limit >= 0:
+        raise InputError(f"--time-limit must be at least 0, got "
+                         f"{args.time_limit}", kind="bad-flag")
     opts = Options()
     if args.limit_states is not None:
         opts.limit_states = args.limit_states
     if args.limit_dnf is not None:
         opts.dnf_limit = args.limit_dnf
+    opts.time_limit = args.time_limit
     if args.trace:
         opts.trace = sys.stderr
     return opts

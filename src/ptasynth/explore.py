@@ -11,12 +11,15 @@ one vector that covers every location and often far below it, so fewer
 matrices stay apart.  When a node's colour grows by some valuations, the
 worklist expands the node's matrix on those valuations alone: successor
 generation with constraint splitting, and the deadlock valuations among
-those not yet known to deadlock (the deadlock set is a union).  Each
-successor branch, widened, adds its valuations to its target node and to
-the colour of the edge; the node table keys and checks the branch's
-matrix in one walk over it.  At a valuation v, the nodes and edges whose
-colours hold v form the widened zone graph at v, up to nodes that repeat
-a zone, which changes neither reachability nor accepting cycles.
+those not yet known to deadlock (the deadlock set is a union).  The
+successors along one edge of one canonical branch come from one pass over
+mutable rows (``pdbm.transition``), with the edge's constants prepared
+once per graph.  Each successor branch, widened, adds its valuations to
+its target node and to the colour of the edge; the node table keys and
+checks the branch's matrix in one walk over it.  At a valuation v, the
+nodes and edges whose colours hold v form the widened zone graph at v, up
+to nodes that repeat a zone, which changes neither reachability nor
+accepting cycles.
 
 Accepting cycles are then found for all valuations at once by a fixpoint
 on colours (``cumulative_ndfs_graph``).  The violating set is the union of
@@ -25,6 +28,7 @@ what survives it, and the satisfying set its complement inside the box.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -52,6 +56,21 @@ class Options:
     limit_states: int = DEFAULT_STATE_LIMIT
     dnf_limit: int = DEFAULT_DNF_LIMIT
     trace: object = None    # writable stream for expanded-state dumps
+    time_limit: float | None = None  # seconds of exploration per engine run
+
+    def timer(self):
+        """A check to run per unit of exploration work: it raises
+        CapacityError once ``time_limit`` seconds have passed since this
+        call, and does nothing without a limit."""
+        if self.time_limit is None:
+            return lambda: None
+        deadline = time.monotonic() + self.time_limit
+
+        def check():
+            if time.monotonic() >= deadline:
+                raise CapacityError(
+                    f"time limit of {self.time_limit} s exceeded")
+        return check
 
 
 class StateStore:
@@ -174,37 +193,33 @@ def initial_states(a: Ptba, box: ParamBox, bounds) -> list[CPDBM]:
 
 
 def successors(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox, bounds,
-               counts: dict[str, int]) -> list[tuple[int, CPDBM]]:
+               counts: dict[str, int],
+               plans: dict | None = None) -> list[tuple[int, CPDBM]]:
     """All successors of the zone at ``loc`` whose canonical branches are
-    ``base``, as (target, matrix) pairs: per edge, guard, reset and time
-    release (one copy), target invariant, widening with the target's
-    clock bounds (``bounds`` is the ``location_bounds`` table), with empty
-    branches dropped at every stage.  Guard and invariant go through
-    ``pdbm.constrain``, which closes through the guard's clocks only; the
+    ``base``, as (target, matrix) pairs: per edge and base branch, one
+    ``pdbm.transition``: guard, reset and time release, target invariant,
+    widening with the target's clock bounds (``bounds`` is the
+    ``location_bounds`` table), with empty branches dropped at every
+    stage.  Guard and invariant are closed through their clocks only; the
     base branches are closed in full.  Pairs come in edge order; branches
     that reach one target with one matrix meet at their node in the node
-    table.  ``counts`` tallies per forking operation the branches it
-    added (``guard`` counts a guard or invariant and its closure)."""
+    table.  ``counts`` tallies per forking stage the branches it added
+    (``guard`` counts a guard or invariant and its closure).  ``plans``
+    keeps each location's per-edge ``pdbm.transition_plan`` for one box
+    and ``bounds``; ``build_graph`` passes one per graph."""
+    table = box.bounds
+    if plans is None:
+        plans = {}
+    steps = plans.get(loc)
+    if steps is None:
+        steps = plans[loc] = [(e.target, pdbm.transition_plan(
+            e.atoms, e.resets, a.locations[e.target].inv, bounds[e.target],
+            table)) for e in a.locations[loc].edges]
     out: list[tuple[int, CPDBM]] = []
-
-    def count(tag, n):
-        if n > 1:
-            counts[tag] = counts.get(tag, 0) + n - 1
-
-    for e in a.locations[loc].edges:
-        inv = a.locations[e.target].inv
-        maxima = bounds[e.target]
+    for target, plan in steps:
         for zb in base:
-            g1 = pdbm.constrain(zb, e.atoms, box)
-            count("guard", len(g1))
-            for z1 in g1:
-                z2 = pdbm.reset(z1, e.resets, release=True)
-                g2 = pdbm.constrain(z2, inv, box)
-                count("guard", len(g2))
-                for z3 in g2:
-                    ex = pdbm.extrapolate(z3, maxima, box)
-                    count("extrapolate", len(ex))
-                    out.extend((e.target, z) for z in ex)
+            out.extend((target, z)
+                       for z in pdbm.transition(zb, plan, table, counts))
     return out
 
 
@@ -253,14 +268,18 @@ def build_graph(a: Ptba, box: ParamBox, bounds,
     valuations, folds in the deadlock valuations of those not yet in the
     deadlock set and adds every successor branch to its target node and
     edge.  ``bounds`` is the ``location_bounds`` table.  Returns the
-    filled node table."""
+    filled node table; raises CapacityError before an expansion once
+    ``opts.time_limit`` has passed."""
     opts = opts or Options()
+    over_time = opts.timer()
     store = StateStore(box, bounds, opts.limit_states)
+    plans: dict = {}  # location -> its edges' transition plans
     for z in initial_states(a, box, bounds):
         nid = store.resolve(a.initial, z)
         if nid not in store.initials:
             store.initials.append(nid)
     while store.queue:
+        over_time()
         u = store.queue.popleft()
         delta, store.pending[u] = store.pending[u], 0
         loc = store.locs[u]
@@ -285,7 +304,8 @@ def build_graph(a: Ptba, box: ParamBox, bounds,
             opts.trace.write(f"state {u}: {a.locations[loc].name}\n")
             opts.trace.write(pdbm.dump(z, box, a.clock_names) + "\n\n")
         edges = store.succ[u]
-        for target, zt in successors(loc, base, a, box, bounds, store.counts):
+        for target, zt in successors(loc, base, a, box, bounds, store.counts,
+                                     plans):
             if zt.bits & ~delta:
                 raise SoundnessError(
                     "monotonicity violation: successor valuations not a "
@@ -431,15 +451,18 @@ def _check_bound_range(a: Ptba, box: ParamBox, maxima) -> None:
 
     for name, m in zip(a.clock_names, maxima):
         check(m, f"maximum of clock {name}")
-    for loc in a.locations:
-        for atoms in [loc.inv] + [e.atoms for e in loc.edges]:
-            for _, _, b in atoms:
-                if b.is_inf:
-                    continue
-                check(abs(b.expr.const), "bound constant")
-                for p, z in b.expr.coeffs:
-                    check(abs(z) * max(abs(box.lower(p)), abs(box.upper(p))),
-                          f"bound term {z}*{p}")
+    magnitude = {p: max(abs(lo), abs(hi))
+                 for p, lo, hi in zip(box.params, box.lo, box.hi)}
+    # the product shares guard tuples between locations: read each tuple,
+    # then each distinct expression, once, in order of first occurrence
+    guards = {id(atoms): atoms for loc in a.locations
+              for atoms in [loc.inv] + [e.atoms for e in loc.edges]}
+    exprs = dict.fromkeys(b.expr for atoms in guards.values()
+                          for _, _, b in atoms if b.expr is not None)
+    for e in exprs:
+        check(abs(e.const), "bound constant")
+        for p, z in e.coeffs:
+            check(abs(z) * magnitude[p], f"bound term {z}*{p}")
 
 
 def build_automaton(net: Network, f: Formula, box: ParamBox):

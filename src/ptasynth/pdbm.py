@@ -10,12 +10,15 @@ non-empty extensions.
 Strictness bookkeeping follows the difference-bound order throughout: at
 equal values a strict bound is tighter than a weak one, and the sum of two
 bounds is weak only when both summands are.
+
+Each operation wraps a row helper that works on a branch's own rows in
+place (guard and reset copy tuple rows first) and copies them at a fork.
+``transition`` runs a whole edge on them, making one matrix per branch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,9 +32,7 @@ from .params import (
     ValuationSet,
     ZERO_LE,
 )
-# not called here: the benchmark tracer (perfbench/tracer.py) replaces
-# these two names on this module, and tests/test_bench_hooks.py fails
-# while it cannot
+# not called here: perfbench/tracer.py replaces them (test_bench_hooks.py)
 from .params import bound_le_constraint, covers  # noqa: F401
 
 # an atomic clock constraint x_i - x_j < / <= e
@@ -40,8 +41,7 @@ Atom = tuple[int, int, StrictBound]
 Matrix = tuple[tuple[StrictBound, ...], ...]
 
 
-@dataclass(frozen=True)
-class CPDBM:
+class CPDBM(NamedTuple):
     """Zone matrix plus the valuations under which it is read: ``bits``
     is their extension over the box."""
 
@@ -53,19 +53,11 @@ class CPDBM:
     def n(self) -> int:
         return len(self.mat)
 
-    def with_entry(self, i: int, j: int, b: StrictBound) -> "CPDBM":
-        rows = list(self.mat)
-        row = list(rows[i])
-        row[j] = b
-        rows[i] = tuple(row)
-        return CPDBM(self.bits, tuple(rows), canonical=False)
-
 
 def matrix_of(n: int, entries: Mapping[tuple[int, int], StrictBound]) -> Matrix:
     """Matrix with (0, <=) everywhere except the given entries."""
-    return tuple(
-        tuple(entries.get((i, j), ZERO_LE) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(entries.get((i, j), ZERO_LE) for j in range(n))
+                 for i in range(n))
 
 
 def initial_cpdbm(n_clocks: int, box: ParamBox) -> CPDBM:
@@ -76,193 +68,205 @@ def initial_cpdbm(n_clocks: int, box: ParamBox) -> CPDBM:
     return CPDBM(ValuationSet.full(box).bits, mat, canonical=True)
 
 
-def apply_atomic_guard(z: CPDBM, atom: Atom, box: ParamBox) -> list[CPDBM]:
-    """Constrain one entry by a guard atom.
-
-    Three-way outcome on whether the current bound already lies within the
-    guard bound: keep the matrix, replace the entry, or fork the extension
-    into both cases.  The unchanged branch is listed first.
-    """
-    i, j, g = atom
-    table = box.bounds
-    g = table.intern(g)
-    ext = z.bits
-    within = ext & table.le_bits(z.mat[i][j], g)
-    if within == ext:
-        return [z]
-    if not within:
-        return [z.with_entry(i, j, g)]
-    keep = CPDBM(within, z.mat, canonical=z.canonical)
-    repl = CPDBM(ext & ~within, z.mat).with_entry(i, j, g)
-    return [keep, repl]
+def _interned(atoms: Sequence[Atom], table: BoundTable) -> tuple:
+    """The atoms with interned bounds, and their sorted clocks."""
+    return ([(i, j, table.intern(g)) for i, j, g in atoms],
+            sorted({c for i, j, _ in atoms for c in (i, j)}))
 
 
 def apply_guard(z: CPDBM, atoms: Sequence[Atom], box: ParamBox) -> list[CPDBM]:
-    """Left fold of the atomic application over a conjunction of atoms;
-    branches whose extension is empty are dropped."""
-    branches = [z]
-    for atom in atoms:
-        nxt: list[CPDBM] = []
-        for b in branches:
-            nxt.extend(apply_atomic_guard(b, atom, box))
-        branches = [b for b in nxt if b.bits]
+    """Left fold of a conjunction of guard atoms, with a three-way outcome
+    per atom on whether the current bound already lies within the atom's:
+    keep the matrix, replace the entry, or fork the extension into both
+    cases, the unchanged branch first.  Empty branches are dropped."""
+    table = box.bounds
+    return [CPDBM(ext, tuple(map(tuple, rows)), z.canonical and not changed)
+            for rows, ext, changed in _guard_rows(
+                z.mat, z.bits, _interned(atoms, table)[0], table)]
+
+
+def _guard_rows(rows, ext: int, atoms: Sequence[Atom],
+                table: BoundTable) -> list:
+    """``apply_guard`` of interned atoms on one branch's rows: its
+    branches as (rows, ext, changed); an unchanged branch keeps ``rows``."""
+    branches = [(rows, ext, False)]
+    for i, j, g in atoms:
+        nxt = []
+        for rows, ext, changed in branches:
+            within = ext & table.le_bits(rows[i][j], g)
+            if within != ext:
+                if within:
+                    nxt.append((rows, within, changed))
+                    rows, ext = [list(r) for r in rows], ext & ~within
+                elif type(rows) is tuple:
+                    rows = [list(r) for r in rows]
+                rows[i][j] = g
+                changed = True
+            if ext:
+                nxt.append((rows, ext, changed))
+        branches = nxt
     return branches
 
 
-def canonicalize(z: CPDBM, box: ParamBox,
-                 pivots: Sequence[int] | None = None) -> list[CPDBM]:
+def canonicalize(z: CPDBM, box: ParamBox) -> list[CPDBM]:
     """Tighten every entry to the strongest derivable bound, forking the
     extension whenever a relaxation's outcome depends on the parameters.
 
-    This is Floyd-Warshall on every branch: entry (i, j) is relaxed with
-    the candidate (i, k) + (k, j) for each pivot clock k.  The entry is
-    rewritten only where the candidate is strictly tighter somewhere; pure
-    ties never fork.  On a fork the tighter-or-tie valuations take the
-    candidate (the bounds agree on ties, which keeps the branch count
-    minimal) and come first, the rest keep the entry.  A diagonal entry
-    is never rewritten: a tighter candidate there means the zone is empty,
-    so those valuations are dropped and only the rest of the branch goes
-    on.  Surviving branches are canonical and satisfiable at every
-    valuation of their extension, in the order a step-by-step pass over
-    all branches would list them.
-
-    ``pivots`` limits the pivots to the given clocks.  That closes a
-    matrix exactly only when it was canonical before the entries between
-    pivot clocks were tightened; ``constrain`` is the entry point that
-    holds to this.  Without it every clock is a pivot.
+    Floyd-Warshall on every branch: entry (i, j) takes (i, k) + (k, j)
+    where that is strictly tighter; ties never fork, and on a fork the
+    tighter-or-tie valuations come first.  A tighter diagonal empties the
+    zone there.  The branches are canonical and non-empty, in the order a
+    step-by-step pass over all branches would list them.
     """
     if z.canonical:
         return [z]
-    ks = range(z.n) if pivots is None else pivots
-    out: list[CPDBM] = []
-    # depth first: a fork goes on with its first branch and leaves the
-    # second to restart the current pivot, whose earlier relaxations are
-    # no-ops on it
-    todo = [(0, [list(r) for r in z.mat], z.bits)]
-    while todo:
-        at, rows, ext = todo.pop()
-        ext = _close_branch(rows, ext, ks, at, todo, box.bounds)
-        if ext:
-            out.append(CPDBM(ext, tuple(map(tuple, rows)), canonical=True))
-    return out
+    return [CPDBM(ext, tuple(map(tuple, rows)), canonical=True)
+            for rows, ext in _close([list(r) for r in z.mat], z.bits,
+                                    range(z.n), box.bounds)]
 
 
-def _close_branch(rows: list, ext: int, ks: Sequence[int], at: int,
-                  todo: list, table: BoundTable) -> int:
-    """Relax ``rows`` in place through the pivots ``ks[at:]``; returns the
-    branch's extension, 0 when the zone is empty everywhere on it.  Forks
-    push their second branch on ``todo``."""
+def _close(rows: list, ext: int, ks: Sequence[int],
+           table: BoundTable) -> list:
+    """``canonicalize`` of a branch's own rows through pivots ``ks``."""
     n = len(rows)
     inf = INF_BOUND
     sums, les = table.sums, table.les
-    for kpos in range(at, len(ks)):
-        k = ks[kpos]
-        row_k = rows[k]
-        for i in range(n):
-            if i == k:
-                continue  # relaxing through a clean diagonal cannot tighten
-            a = rows[i][k]
-            if a is inf:
-                continue
-            plus_a = sums.get(id(a))
-            if plus_a is None:
-                plus_a = table.plus(a)
-            row_i = rows[i]
-            for j in range(n):
-                b = row_k[j]
-                if j == k or b is inf:
+    out = []
+    # depth first: a fork goes on with its first branch; the second restarts
+    # the current pivot, whose earlier relaxations are no-ops on it
+    todo = [(0, rows, ext)]
+    while todo:
+        at, rows, ext = todo.pop()
+        for kpos in range(at, len(ks)):
+            k = ks[kpos]
+            row_k = rows[k]
+            for i in range(n):
+                if i == k:
+                    continue  # a clean diagonal cannot tighten
+                a = rows[i][k]
+                if a is inf:
                     continue
-                cand = plus_a.get(id(b))
-                if cand is None:
-                    cand = table.add(a, b)
-                cur = row_i[j]
-                if cand is cur or cand is inf:
-                    continue
-                le = les.get(id(cur) << 64 | id(cand))
-                if le is None:
-                    le = table.le_bits(cur, cand)
-                kept = ext & le  # where the candidate is not tighter
-                if kept == ext:
-                    continue
-                if i == j:
-                    if not kept:
-                        return 0
-                    ext = kept
-                    continue
-                if kept:
-                    tie = les.get(id(cand) << 64 | id(cur))
-                    if tie is None:
-                        tie = table.le_bits(cand, cur)
-                    if ext & tie != ext:
-                        todo.append((kpos, [r[:] for r in rows], ext & ~tie))
-                        ext &= tie
-                row_i[j] = cand
-    return ext
+                plus_a = sums.get(id(a)) or table.plus(a)
+                row_i = rows[i]
+                for j in range(n):
+                    b = row_k[j]
+                    if j == k or b is inf:
+                        continue
+                    cand = plus_a.get(id(b)) or table.add(a, b)
+                    cur = row_i[j]
+                    if cand is cur or cand is inf:
+                        continue
+                    le = les.get(id(cur) << 64 | id(cand))
+                    if le is None:
+                        le = table.le_bits(cur, cand)
+                    kept = ext & le  # where the candidate is not tighter
+                    if kept == ext:
+                        continue
+                    if i == j:
+                        ext = kept  # 0 when the zone is empty everywhere
+                        if not ext:
+                            break
+                        continue
+                    if kept:
+                        tie = les.get(id(cand) << 64 | id(cur))
+                        if tie is None:
+                            tie = table.le_bits(cand, cur)
+                        if ext & tie != ext:
+                            todo.append((kpos, [r[:] for r in rows],
+                                         ext & ~tie))
+                            ext &= tie
+                    row_i[j] = cand
+                if not ext:
+                    break
+            if not ext:
+                break
+        else:
+            out.append((rows, ext))
+    return out
 
 
 def constrain(z: CPDBM, atoms: Sequence[Atom], box: ParamBox) -> list[CPDBM]:
     """Apply a guard to a canonical matrix and restore canonical form.
 
-    Only entries between the guard's clocks are tightened, so a shortest
-    path that improves on the old canonical matrix runs through those
-    clocks, and closing through them alone as pivots is exact: the
-    incremental closure of Bengtsson and Yi, O(|clocks| * n^2) per branch
-    instead of O(n^3).  Raises SoundnessError when ``z`` is not marked
-    canonical.
+    Only entries between the guard's clocks are tightened, so a shorter
+    path runs through them, and closing through them alone is exact: the
+    incremental closure of Bengtsson and Yi, O(|clocks| * n^2) per branch.
+    Raises SoundnessError when ``z`` is not marked canonical.
     """
     if not z.canonical:
         raise SoundnessError("constrain needs a canonical matrix")
-    pivots = sorted({c for i, j, _ in atoms for c in (i, j)})
-    out: list[CPDBM] = []
-    for w in apply_guard(z, atoms, box):
-        out.extend(canonicalize(w, box, pivots))
+    table = box.bounds
+    return [CPDBM(ext, tuple(map(tuple, rows)), canonical=True) for rows, ext
+            in _constrain_rows(z.mat, z.bits, *_interned(atoms, table), table)]
+
+
+def _constrain_rows(rows, ext: int, atoms: Sequence[Atom],
+                    pivots: Sequence[int], table: BoundTable) -> list:
+    """``constrain`` of interned atoms on canonical rows, as (rows, ext)."""
+    out = []
+    for rows, ext, changed in _guard_rows(rows, ext, atoms, table):
+        out.extend(_close(rows, ext, pivots, table) if changed
+                   else [(rows, ext)])
     return out
 
 
 def reset(z: CPDBM, clocks: Iterable[int], release: bool = False) -> CPDBM:
-    """Reset clocks to zero, lowest index first, and with ``release`` then
-    remove all clock upper bounds (``up``) in the same copy; preserves
-    canonical form."""
-    rows = [list(r) for r in z.mat]
-    n = z.n
-    for r in sorted(clocks):
-        for j in range(n):
-            if j != r:
-                rows[r][j] = rows[0][j]
-        for i in range(n):
-            if i != r:
-                rows[i][r] = rows[i][0]
-    if release:
-        for i in range(1, n):
-            rows[i][0] = INF_BOUND
+    """Reset clocks to zero, lowest index first, then with ``release``
+    remove all clock upper bounds (``up``); keeps canonical form."""
+    rows = _reset_rows(z.mat, sorted(clocks), release)
     return CPDBM(z.bits, tuple(map(tuple, rows)), canonical=z.canonical)
 
 
+def _reset_rows(rows, clocks: Sequence[int], release: bool) -> list:
+    """``reset`` of the sorted ``clocks`` on one branch's rows."""
+    if type(rows) is tuple:
+        rows = [list(r) for r in rows]
+    for r in clocks:
+        rows[r][:r] = rows[0][:r]
+        rows[r][r + 1:] = rows[0][r + 1:]
+        for i, row in enumerate(rows):
+            if i != r:
+                row[r] = row[0]
+    if release:
+        for row in rows[1:]:
+            row[0] = INF_BOUND
+    return rows
+
+
 def up(z: CPDBM) -> CPDBM:
-    """Remove all clock upper bounds (time successor); preserves canonical
-    form."""
+    """Remove all clock upper bounds (time successor); keeps canonical."""
     return reset(z, (), release=True)
 
 
 def extrapolate(z: CPDBM, maxima: Sequence[int], box: ParamBox) -> list[CPDBM]:
     """Widen bounds past the per-clock maxima so that finite entries only
-    ever evaluate inside [-maxima[j], maxima[i]].
+    ever evaluate inside [-maxima[j], maxima[i]]: per off-diagonal entry,
+    bounds above the row clock's maximum become infinite and bounds below
+    minus the column clock's maximum are floored to a strict bound there,
+    forking the extension where that depends on the valuation (kept branch
+    first, floored next, widened last).  Changed results are non-canonical."""
+    branches = _widen_rows([list(r) for r in z.mat], z.bits,
+                           widening(maxima, box.bounds), box.bounds)
+    return [CPDBM(ext, tuple(map(tuple, rows)) if changed else z.mat,
+                  canonical=z.canonical and not changed)
+            for rows, ext, changed in branches]
 
-    Per entry: bounds above the row clock's maximum become infinite, bounds
-    below minus the column clock's maximum are floored to a strict bound
-    there, and valuation-dependent cases fork the extension (kept
-    branch first, floored next, widened last).  The diagonal and infinite
-    entries are untouched.  Results are marked non-canonical when an entry
-    changed.
-    """
-    n = z.n
-    table = box.bounds
-    windows = table.windows(maxima)
-    floors = [table.floor(m) for m in maxima]
-    out: list[CPDBM] = []
-    # depth first, as in canonicalize: a fork leaves its other branches to
+
+def widening(maxima: Sequence[int], table: BoundTable) -> tuple:
+    """A clock-bound vector with its window memos and floors."""
+    return (maxima, table.windows(maxima), [table.floor(m) for m in maxima])
+
+
+def _widen_rows(rows: list, ext: int, widen: tuple,
+                table: BoundTable) -> list:
+    """``extrapolate`` of one branch's own rows, with the ``widening`` of
+    the clock bounds: its branches as (rows, ext, changed)."""
+    maxima, windows, floors = widen
+    n = len(rows)
+    out = []
+    # depth first, as in _close: a fork leaves its other branches to
     # restart the current row, whose earlier cells are no-ops on them
-    todo = [(0, [list(r) for r in z.mat], z.bits, False)]
+    todo = [(0, rows, ext, False)]
     while todo:
         at, rows, ext, changed = todo.pop()
         for i in range(at, n):
@@ -272,52 +276,79 @@ def extrapolate(z: CPDBM, maxima: Sequence[int], box: ParamBox) -> list[CPDBM]:
                 e = row[j]
                 if i == j or e.expr is None:
                     continue
-                win = memos[j].get(id(e))
-                if win is None:
-                    win = table.window_bits(e, maxima[i], -maxima[j])
+                win = memos[j].get(id(e)) or \
+                    table.window_bits(e, maxima[i], -maxima[j])
                 below = ext & win[0]
                 if below == ext and ext & win[1] == ext:
                     continue
-                forks = []
                 if below != ext:
                     if not below:
                         row[j] = INF_BOUND
                         changed = True
                         continue
-                    forks.append(_fork(i, rows, j, INF_BOUND, ext & ~below))
+                    todo.append(_fork(i, rows, j, INF_BOUND, ext & ~below))
                     ext = below
                 above = ext & win[1]
                 if above != ext:
                     if not above:
                         row[j] = floors[j]
                         changed = True
-                    else:
-                        forks.append(_fork(i, rows, j, floors[j],
-                                           ext & ~above))
+                    else:  # pops before the widened fork
+                        todo.append(_fork(i, rows, j, floors[j], ext & ~above))
                         ext = above
-                todo.extend(forks)  # the floored branch pops first
-        mat = tuple(map(tuple, rows)) if changed else z.mat
-        out.append(CPDBM(ext, mat, canonical=z.canonical and not changed))
+        out.append((rows, ext, changed))
     return out
 
 
-def _fork(i: int, rows: list, j: int, b: StrictBound, ext: int):
-    """A changed branch of ``extrapolate`` that restarts row ``i``: a copy
-    of ``rows`` with entry (i, j) set to ``b``."""
+def _fork(i: int, rows: list, j: int, b: StrictBound, ext: int) -> tuple:
+    """A copy of ``rows`` with entry (i, j) set to ``b``, restarting row i."""
     rows = [r[:] for r in rows]
     rows[i][j] = b
     return (i, rows, ext, True)
 
 
-def merge(branches: list[CPDBM]) -> list[CPDBM]:
-    """Unite branches with equal matrices, in order of first occurrence.
+def transition_plan(atoms: Sequence[Atom], resets: Iterable[int],
+                    inv: Sequence[Atom], maxima: Sequence[int],
+                    table: BoundTable) -> tuple:
+    """What ``transition`` reads of one edge: interned guard and target
+    invariant with their clocks, sorted resets, the target's ``widening``."""
+    return (*_interned(atoms, table), sorted(resets), *_interned(inv, table),
+            widening(maxima, table))
 
-    The united branch's extension is the union of the extensions, and the
-    result is canonical only when every united branch is.  Every operation
-    here acts on each valuation separately, so a matrix means the same zone
-    at every valuation of either extension and the union denotes exactly
-    the branches it replaces.
-    """
+
+def transition(z: CPDBM, plan: tuple, table: BoundTable,
+               counts: dict[str, int]) -> list[CPDBM]:
+    """The successor branches of the canonical ``z`` along the edge of
+    ``plan`` in one pass over its rows: those, in order, of ``constrain`` by
+    the guard, ``reset(release=True)``, ``constrain`` by the invariant and
+    ``extrapolate``, with their added branches tallied in ``counts``."""
+    if not z.canonical:
+        raise SoundnessError("constrain needs a canonical matrix")
+    guard, guard_ks, resets, inv, inv_ks, widen = plan
+    out = []
+    g1 = _constrain_rows(z.mat, z.bits, guard, guard_ks, table)
+    _tally(counts, "guard", len(g1))
+    for rows, ext in g1:
+        g2 = _constrain_rows(_reset_rows(rows, resets, True), ext, inv,
+                             inv_ks, table)
+        _tally(counts, "guard", len(g2))
+        for rows, ext in g2:
+            ex = _widen_rows(rows, ext, widen, table)
+            _tally(counts, "extrapolate", len(ex))
+            out.extend(CPDBM(ext, tuple(map(tuple, rows)), not changed)
+                       for rows, ext, changed in ex)
+    return out
+
+
+def _tally(counts: dict[str, int], tag: str, n: int) -> None:
+    if n > 1:
+        counts[tag] = counts.get(tag, 0) + n - 1
+
+
+def merge(branches: list[CPDBM]) -> list[CPDBM]:
+    """Unite branches with equal matrices, in order of first occurrence,
+    into the union of their extensions, canonical when all are.  Operations
+    act on each valuation separately, so the union means the same."""
     if len(branches) < 2:
         return branches  # hashing a matrix is the cost; skip it when alone
     out: list[CPDBM] = []
@@ -340,54 +371,23 @@ def negate_atom(atom: Atom) -> Atom:
 
 
 def evaluate_all(z: CPDBM, box: ParamBox) -> np.ndarray:
-    """Encoded matrices at every box point: shape (box.size, n, n).
-
-    One matrix product: rows are the [constant, coefficients] vectors of
-    the finite entries, columns of the grid are the box points."""
-    n = z.n
-    grid = box.grid
-    size = grid.shape[1]
-    k = len(box.params)
-    pidx = {p: a for a, p in enumerate(box.params)}
-    coefs = np.zeros((n * n, k + 1), dtype=np.int64)
-    weak = np.zeros((n * n, 1), dtype=np.int64)
-    inf_rows = np.zeros(n * n, dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            row = i * n + j
-            b = z.mat[i][j]
-            if b.expr is None:
-                inf_rows[row] = True
-                continue
-            coefs[row, 0] = b.expr.const
-            for p, zc in b.expr.coeffs:
-                coefs[row, 1 + pidx[p]] = zc
-            weak[row, 0] = 0 if b.strict else 1
-    aug = np.empty((k + 1, size), dtype=np.int64)
-    aug[0] = 1
-    if k:
-        aug[1:] = grid
-    out = (coefs @ aug) * 2 + weak
-    out[inf_rows] = zones.INF
-    return out.reshape(n, n, size).transpose(2, 0, 1)
+    """Encoded matrices at every box point: shape (box.size, n, n)."""
+    out = np.empty((box.size, z.n, z.n), dtype=np.int64)
+    for i, row in enumerate(z.mat):
+        for j, b in enumerate(row):
+            out[:, i, j] = zones.INF if b.expr is None else \
+                box.values(b.expr) * 2 + (not b.strict)
+    return out
 
 
 def dump(z: CPDBM, box: ParamBox, names: Sequence[str] | None = None) -> str:
     """Debug text: one line per finite entry, then one line per valuation
     of the extension."""
-    n = z.n
-    names = names or [f"x{i}" for i in range(n)]
-    lines = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            b = z.mat[i][j]
-            if b.is_inf:
-                continue
-            op = "<" if b.strict else "<="
-            lines.append(f"{names[i]} - {names[j]} {op} {b.expr}")
+    names = names or [f"x{i}" for i in range(z.n)]
+    lines = [f"{names[i]} - {names[j]} {'<' if b.strict else '<='} {b.expr}"
+             for i, row in enumerate(z.mat) for j, b in enumerate(row)
+             if i != j and not b.is_inf]
     lines.append("where:")
-    for v in ValuationSet(box, z.bits):
-        lines.append("  " + ", ".join(f"{p}={x}" for p, x in v.items()))
+    lines += ["  " + ", ".join(f"{p}={x}" for p, x in v.items())
+              for v in ValuationSet(box, z.bits)]
     return "\n".join(lines)

@@ -121,6 +121,29 @@ class TestSynth:
         assert code == 2
         assert "error (bad-flag)" in err
 
+    @pytest.mark.parametrize("engine", ["symbolic", "enumerate"])
+    def test_time_limit_zero_is_capacity(self, capsys, engine):
+        code, out, err = run(capsys, "synth", "--model",
+                             str(fixture_path("gap.pta")), "--ltl", "G !inB",
+                             "--engine", engine, "--time-limit", "0")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("capacity: time limit")
+
+    def test_time_limit_generous_is_the_same_document(self, capsys):
+        argv = ["synth", "--model", str(fixture_path("window.pta")),
+                "--ltl", "G (idle -> F work)"]
+        plain = run(capsys, *argv)
+        assert run(capsys, *argv, "--time-limit", "600") == plain
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_time_limit_below_zero(self, capsys, value):
+        code, _, err = run(capsys, "compare", "--model",
+                           str(fixture_path("gap.pta")), "--ltl", "G !inB",
+                           "--time-limit", value)
+        assert code == 2
+        assert "error (bad-flag)" in err
+
     def test_limit_dnf_below_one(self, capsys):
         code, _, err = run(capsys, "synth", "--model",
                            str(fixture_path("gap.pta")),

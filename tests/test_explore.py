@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -478,20 +479,46 @@ class TestPinnedStats:
             "fixpoint_rounds")) == want
 
 
-# sha256 over json.dumps(to_json(), sort_keys=True) of the 30 corpus pairs
-# and the LIVE6 job, one line each, stats and witnesses included
+# the perfbench ``dense3`` job: the low corner of the test_c9 box
+DENSE3 = ("traingate.pta", "G !(Train1.Cross && Train2.Cross)",
+          {"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)})
+
+
+def perfbench_fuzz_jobs(count=200, seed=1):
+    """The perfbench ``fuzz`` pool, (network, property) in generation
+    order, drawn from the frozen generator ``perfbench/fuzzgen.py``."""
+    import importlib.util
+
+    from ptasynth.model import parse_model
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "fuzzgen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_fuzzgen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        src, labels = gen.random_model(rng)
+        out.append((parse_model(src), gen.random_property(rng, labels)))
+    return out
+
+
+# sha256 over json.dumps(to_json(), sort_keys=True) of the 30 corpus pairs,
+# the LIVE6 and DENSE3 jobs and the 200 perfbench fuzz jobs, one line
+# each, stats and witnesses included
 RESULTS_DIGEST = \
-    "572c2ea8baea8aeba0b0ddc504df4ddf4e3dd88af36613d9e9536e447e996bec"
+    "98aee8a6007172781fb1306845f13c58a380aeba7da1182757663b3103ce4818"
 
 
 def test_result_documents_pinned():
     # the node table's partition, the order nodes are numbered in and the
     # fixpoint's witnesses all reach the result document
-    jobs = [(name, prop, None) for name, props in CORPUS.items()
-            for prop in props] + [LIVE6]
+    jobs = [(load_fixture(name), prop, box) for name, prop, box in
+            [(name, prop, None) for name, props in CORPUS.items()
+             for prop in props] + [LIVE6, DENSE3]]
+    jobs += [(net, prop, None) for net, prop in perfbench_fuzz_jobs()]
     h = hashlib.sha256()
-    for name, prop, box in jobs:
-        net = load_fixture(name)
+    for net, prop, box in jobs:
         doc = synthesize(net, prop, net.box(box)).to_json()
         h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == RESULTS_DIGEST
@@ -524,14 +551,18 @@ class TestStoredBoundScan:
                                         (2, 1): bound(1)})
         with pytest.raises(SoundnessError, match="out of range"):
             scan_stored_bounds(g)
-        widen = pdbm.extrapolate
-        monkeypatch.setattr(pdbm, "extrapolate", lambda z, maxima, box: [z])
+        # the successor pass widens through pdbm._widen_rows
+        widen = pdbm._widen_rows
+        monkeypatch.setattr(pdbm, "_widen_rows", lambda rows, ext, widening,
+                            table: [(rows, ext, False)])
         with pytest.raises(SoundnessError, match="out of range"):
             build_graph(a, BOX5, bounds, Options(limit_states=50))
         # widened in a window that keeps every entry, the branches reach
         # the node table, which checks them in its own windows
-        monkeypatch.setattr(pdbm, "extrapolate", lambda z, maxima, box:
-                            widen(z, [100] * len(maxima), box))
+        monkeypatch.setattr(pdbm, "_widen_rows", lambda rows, ext, widening,
+                            table: widen(rows, ext,
+                                         pdbm.widening([100] * 3, table),
+                                         table))
         with pytest.raises(SoundnessError, match="out of range"):
             build_graph(a, BOX5, bounds, Options(limit_states=50))
 
@@ -575,6 +606,30 @@ component C {{
         assert clock_bounds(bounds)[1] == 1
         self.rejected(f"param p = {lo + 1}..{lo + 2}", f"p - {lo + 1}",
                       "bound term 1*p")
+
+    def test_first_bound_in_order_is_reported(self):
+        # both bounds evaluate to 0..2, but the invariant's term p reaches
+        # the limit and so does the guard's constant; the invariant is read
+        # first, however often the guard repeats
+        from ptasynth.explore import build_automaton
+        from ptasynth.ltl import parse_ltl
+        from ptasynth.model import parse_model
+
+        lo = self.LIMIT - 1
+        edges = "\n".join(f"  edge A -> A {{ guard x >= 2 * p - {2 * lo} }}"
+                          for _ in range(3))
+        net = parse_model(f"""param p = {lo}..{lo + 1}
+clock x
+component C {{
+  location A {{ invariant x <= p - {lo} }}
+  init A
+{edges}
+}}
+""")
+        with pytest.raises(InputError) as exc:
+            build_automaton(net, parse_ltl("G F C.A"), net.box())
+        assert exc.value.kind == "bound-range"
+        assert "bound term 1*p" in str(exc.value)
 
     def test_atom_constant(self):
         # p + q - c is 0 or 1, each term is 2^37, the constant reaches 2^38

@@ -58,7 +58,7 @@ class TestAtomicGuard:
 
     def test_split_case(self):
         z = mk({(1, 0): bound(P)}, self.BOX, n=2, canonical=True)
-        out = pdbm.apply_atomic_guard(z, (1, 0, bound(Q)), self.BOX)
+        out = pdbm.apply_guard(z, [(1, 0, bound(Q))], self.BOX)
         assert len(out) == 2
         keep, repl = out
         assert keep.bits == ext(self.BOX, Constraint.le(P, Q))
@@ -74,13 +74,12 @@ class TestAtomicGuard:
 
     def test_covers_case_unchanged(self):
         z = mk({(1, 0): bound(3)}, self.BOX, n=2, canonical=True)
-        out = pdbm.apply_atomic_guard(z, (1, 0, bound(5)), self.BOX)
+        out = pdbm.apply_guard(z, [(1, 0, bound(5))], self.BOX)
         assert out == [z]
 
     def test_covers_negation_replaces_infinite(self):
         z = mk({(1, 0): INF_BOUND}, self.BOX, n=2, canonical=True)
-        out = pdbm.apply_atomic_guard(z, (1, 0, bound(2, strict=True)),
-                                      self.BOX)
+        out = pdbm.apply_guard(z, [(1, 0, bound(2, strict=True))], self.BOX)
         assert len(out) == 1 and out[0].mat[1][0] == bound(2, strict=True)
         assert not out[0].canonical
 
@@ -346,6 +345,96 @@ class TestExtrapolation:
                 got = branch_at(out, v, box)
                 assert got is not None
                 assert od.from_valuation(got, v) == m
+
+
+def staged_transition(z, atoms, resets, inv, maxima, box, counts):
+    """The successor branches of one edge stage by stage: constrain by the
+    guard, reset with time release, constrain by the invariant, widen;
+    each stage call tallies the branches it added."""
+    def tally(tag, branches):
+        if len(branches) > 1:
+            counts[tag] = counts.get(tag, 0) + len(branches) - 1
+        return branches
+
+    out = []
+    for z1 in tally("guard", pdbm.constrain(z, atoms, box)):
+        z2 = pdbm.reset(z1, resets, release=True)
+        for z3 in tally("guard", pdbm.constrain(z2, inv, box)):
+            out += tally("extrapolate", pdbm.extrapolate(z3, maxima, box))
+    return out
+
+
+def own_rows_apart(branches):
+    """No two branches share a row list."""
+    lists = [id(r) for rows, *_ in branches if type(rows) is list
+             for r in rows]
+    return len(lists) == len(set(lists))
+
+
+class TestTransition:
+    """The one-pass transition against its stages run one after another."""
+
+    BOX = ParamBox.of({"p": (0, 5), "q": (0, 5)})
+
+    def random_edge(self, rng, z):
+        n = z.n
+        atoms = [TestConstrain.random_atom(self, rng, z)
+                 for _ in range(rng.randrange(0, 3))]
+        resets = rng.sample(range(1, n), rng.randrange(0, n))
+        inv = [(i, 0, bound(random_expr(rng, self.BOX), rng.random() < 0.5))
+               for i in rng.sample(range(1, n), rng.randrange(0, 2))]
+        maxima = [0] + [rng.randrange(0, 6) for _ in range(n - 1)]
+        return atoms, resets, inv, maxima
+
+    def test_same_branches_order_and_splits(self, rng):
+        table = self.BOX.bounds
+        seen = {"guard forks": 0, "widening forks": 0, "several resets": 0,
+                "empty invariant": 0, "emptied": 0}
+        for n in (3, 4):
+            for z in canonical_samples(rng, self.BOX, n, 60):
+                atoms, resets, inv, maxima = self.random_edge(rng, z)
+                mat = z.mat
+                want_counts, got_counts = {}, {}
+                want = staged_transition(z, atoms, resets, inv, maxima,
+                                         self.BOX, want_counts)
+                plan = pdbm.transition_plan(atoms, resets, inv, maxima, table)
+                got = pdbm.transition(z, plan, table, got_counts)
+                assert [tuple(b) for b in got] == [tuple(b) for b in want]
+                assert got_counts == want_counts
+                assert z.mat is mat and z.mat == mat
+                g1 = pdbm.constrain(z, atoms, self.BOX)
+                seen["guard forks"] += len(g1) > 1
+                seen["emptied"] += not got
+                seen["widening forks"] += "extrapolate" in got_counts
+                seen["several resets"] += len(resets) > 1
+                seen["empty invariant"] += not inv
+        assert all(seen.values()), seen
+
+    def test_refuses_non_canonical(self):
+        z = mk({(1, 0): bound(P)}, self.BOX, n=2, canonical=False)
+        plan = pdbm.transition_plan([], [1], [], [0, 3], self.BOX.bounds)
+        with pytest.raises(SoundnessError):
+            pdbm.transition(z, plan, self.BOX.bounds, {})
+
+    def test_rows_never_alias_across_forks(self, rng):
+        table = self.BOX.bounds
+        for z in canonical_samples(rng, self.BOX, 4, 60):
+            atoms, resets, inv, maxima = self.random_edge(rng, z)
+            atoms, pivots = pdbm._interned(atoms, table)
+            guarded = pdbm._guard_rows(z.mat, z.bits, atoms, table)
+            # the input matrix's tuple rows are shared, never written
+            assert all(type(rows) is list or rows is z.mat
+                       for rows, _, _ in guarded)
+            assert own_rows_apart(guarded)
+            for rows, ext, changed in guarded:
+                if not changed:
+                    continue
+                closed = pdbm._close(rows, ext, pivots, table)
+                assert own_rows_apart(closed)
+                for c_rows, c_ext in closed:
+                    widened = pdbm._widen_rows(
+                        c_rows, c_ext, pdbm.widening(maxima, table), table)
+                    assert own_rows_apart(widened)
 
 
 class TestEvaluate:
