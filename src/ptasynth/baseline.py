@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import zones
-from .errors import CapacityError, EvaluationError
+from .errors import CapacityError
 from .explore import Options, SynthesisResult, build_automaton
 from .ltl import Formula, parse_ltl
 from .model import Network, Ptba, location_bounds
@@ -137,10 +137,6 @@ class _Tables:
             for i, j, b in atoms:
                 key = (i * n + j, b)
                 if key not in ids:
-                    for p, _ in b.expr.coeffs:
-                        if p not in box.params:
-                            raise EvaluationError(
-                                f"valuation missing parameter {p}")
                     ids[key] = len(pos)
                     pos.append(key[0])
                     enc.append((box.values(b.expr) << 1)

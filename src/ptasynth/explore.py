@@ -193,8 +193,7 @@ def initial_states(a: Ptba, box: ParamBox, bounds) -> list[CPDBM]:
 
 
 def successors(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox, bounds,
-               counts: dict[str, int],
-               plans: dict | None = None) -> list[tuple[int, CPDBM]]:
+               counts: dict[str, int], plans: dict) -> list[tuple[int, CPDBM]]:
     """All successors of the zone at ``loc`` whose canonical branches are
     ``base``, as (target, matrix) pairs: per edge and base branch, one
     ``pdbm.transition``: guard, reset and time release, target invariant,
@@ -208,8 +207,6 @@ def successors(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox, bounds,
     keeps each location's per-edge ``pdbm.transition_plan`` for one box
     and ``bounds``; ``build_graph`` passes one per graph."""
     table = box.bounds
-    if plans is None:
-        plans = {}
     steps = plans.get(loc)
     if steps is None:
         steps = plans[loc] = [(e.target, pdbm.transition_plan(
@@ -468,9 +465,17 @@ def _check_bound_range(a: Ptba, box: ParamBox, maxima) -> None:
 def build_automaton(net: Network, f: Formula, box: ParamBox):
     """Shared front end for both engines: product of the composed network
     with the automaton of the negated property, made strongly non-Zeno,
-    and its ``location_bounds`` table.  Raises InputError when a bound
-    falls outside the encodable range."""
+    and its ``location_bounds`` table.  Raises InputError when the box
+    misses a guard parameter or a bound falls outside the encodable range."""
     validate_property(net, f)
+    used = {p for c in net.components
+            for atoms in [loc.inv_atoms for loc in c.locations.values()]
+            + [e.clock_atoms for e in c.edges]
+            for _, _, b in atoms if not b.is_inf for p, _ in b.expr.coeffs}
+    missing = sorted(used.difference(box.params))
+    if missing:
+        raise InputError("the parameter box has no range for "
+                         + ", ".join(missing), kind="unknown-param")
     aut = negated_automaton(f)
     pta, lab = compose(net)
     tba = make_nonzeno(product(pta, lab, aut))

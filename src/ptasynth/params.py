@@ -87,16 +87,6 @@ class ParamBox:
         return self.hi[self.params.index(p)]
 
     @cached_property
-    def grid(self) -> np.ndarray:
-        """(num_params, size) int64 array of all points, row-major order."""
-        if not self.params:
-            return np.zeros((0, 1), dtype=np.int64)
-        axes = [np.arange(a, b + 1, dtype=np.int64)
-                for a, b in zip(self.lo, self.hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh])
-
-    @cached_property
     def _full_bits(self) -> int:
         return (1 << self.size) - 1
 
@@ -104,11 +94,17 @@ class ParamBox:
         """Values of ``e`` at every point, in row-major order (int64)."""
         return self._values(e.const, e.coeffs)
 
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, ...]:
+        """Each parameter's values, shaped to broadcast over the box."""
+        return np.ix_(*[np.arange(a, b + 1, dtype=np.int64)
+                        for a, b in zip(self.lo, self.hi)])
+
     def _values(self, const: int, coeffs) -> np.ndarray:
-        vals = np.full(self.size, const, dtype=np.int64)
+        vals = np.full([axis.size for axis in self._axes], const, np.int64)
         for p, z in coeffs:
-            vals += z * self.grid[self.params.index(p)]
-        return vals
+            vals += z * self._axes[self.params.index(p)]
+        return vals.reshape(-1)
 
     def constraint_bits(self, c: "Constraint") -> int:
         """Bitset of the points satisfying ``c``."""
@@ -169,9 +165,12 @@ class ParamBox:
         return BoundTable(self)
 
     def point(self, index: int) -> dict[str, int]:
-        """Valuation at a row-major grid index."""
-        col = self.grid[:, index]
-        return {p: int(v) for p, v in zip(self.params, col)}
+        """Valuation at a row-major grid index: the inverse of ``index``."""
+        offsets = []
+        for a, b in zip(reversed(self.lo), reversed(self.hi)):
+            index, r = divmod(index, b - a + 1)
+            offsets.append(a + int(r))
+        return dict(zip(self.params, reversed(offsets)))
 
     def index(self, v: Mapping[str, int]) -> int:
         idx = 0

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 import sys
@@ -46,6 +47,17 @@ def load_fixture(name: str):
     from ptasynth.model import load_model
 
     return load_model(fixture_path(name))
+
+
+def load_fuzzgen():
+    """The random model and property generator ``perfbench/fuzzgen.py``,
+    loaded by path: the fuzz gate and the perfbench ``fuzz`` workload
+    draw their jobs from the one file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "fuzzgen.py"
+    spec = importlib.util.spec_from_file_location("fuzzgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def oracle_bound(enc):

@@ -1,11 +1,10 @@
 import hashlib
 import json
 import random
-from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS, SEED, load_fixture
+from conftest import CORPUS, SEED, load_fixture, load_fuzzgen
 from ptasynth import pdbm
 from ptasynth.errors import CapacityError, InputError, SoundnessError
 from ptasynth.explore import (
@@ -74,7 +73,7 @@ class TestSuccessors:
         loc = PLoc("L", ())
         a = Ptba(["0", "x"], [loc], 0)
         base = initial_states(a, BOX5, [(0, 0)])
-        assert successors(0, base, a, BOX5, [(0, 0)], {}) == []
+        assert successors(0, base, a, BOX5, [(0, 0)], {}, {}) == []
 
     def test_reset_all_guard_true(self):
         loc = PLoc("L", ())
@@ -82,7 +81,7 @@ class TestSuccessors:
         a = Ptba(["0", "x", "y"], [loc], 0)
         base = initial_states(a, BOX5, [(0, 0, 0)])
         counts = {}
-        out = successors(0, base, a, BOX5, [(0, 0, 0)], counts)
+        out = successors(0, base, a, BOX5, [(0, 0, 0)], counts, {})
         assert len(out) == 1 and counts == {}
         target, z = out[0]
         assert target == 0
@@ -487,14 +486,9 @@ DENSE3 = ("traingate.pta", "G !(Train1.Cross && Train2.Cross)",
 def perfbench_fuzz_jobs(count=200, seed=1):
     """The perfbench ``fuzz`` pool, (network, property) in generation
     order, drawn from the frozen generator ``perfbench/fuzzgen.py``."""
-    import importlib.util
-
     from ptasynth.model import parse_model
 
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "fuzzgen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_fuzzgen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = load_fuzzgen()
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -638,3 +632,16 @@ component C {{
         _, bounds = self.front_end(params, f"p + q - {self.LIMIT - 1}")
         assert clock_bounds(bounds)[1] == 1
         self.rejected(params, f"p + q - {self.LIMIT}", "bound constant")
+
+
+@pytest.mark.parametrize("engine", ["symbolic", "enumerate"])
+def test_box_missing_a_guard_parameter_is_refused(engine):
+    # the train-gate guards and invariants read p1, p2 and p3
+    from ptasynth.baseline import enumerate_box
+
+    run = synthesize if engine == "symbolic" else enumerate_box
+    net = load_fixture("traingate.pta")
+    with pytest.raises(InputError) as exc:
+        run(net, "G !Train1.Cross", ParamBox.of({"p1": (2, 5)}))
+    assert exc.value.kind == "unknown-param"
+    assert str(exc.value).endswith("p2, p3")

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from conftest import SEED, load_fixture, one_vector_enumeration
-from model_fuzz import random_model, random_property
+from conftest import SEED, load_fixture, load_fuzzgen, one_vector_enumeration
 from ptasynth.baseline import enumerate_box
 from ptasynth.errors import CapacityError, InputError
 from ptasynth.explore import Options, synthesize
 from ptasynth.model import parse_model
+
+fuzzgen = load_fuzzgen()
 
 
 def test_random_models_agree():
@@ -18,8 +19,8 @@ def test_random_models_agree():
     checked = 0
     skipped = 0
     while checked < 120:
-        src, labels = random_model(rng)
-        prop = random_property(rng, labels)
+        src, labels = fuzzgen.random_model(rng)
+        prop = fuzzgen.random_property(rng, labels)
         net = parse_model(src)
         opts = Options(limit_states=30000)
         try:
@@ -57,8 +58,8 @@ def test_first_thousand_jobs_of_generator_seed_1_agree():
     # enumeration with one bound vector for every location
     rng = random.Random(1)
     for k in range(1000):
-        src, labels = random_model(rng)
-        prop = random_property(rng, labels)
+        src, labels = fuzzgen.random_model(rng)
+        prop = fuzzgen.random_property(rng, labels)
         net = parse_model(src)
         sym = synthesize(net, prop)
         context = f"job {k}: property {prop!r} on\n{src}"

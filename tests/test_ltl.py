@@ -4,11 +4,12 @@ import random
 import pytest
 
 import oracle_ltl as ol
-from conftest import CORPUS
-from model_fuzz import random_model, random_property
+from conftest import CORPUS, load_fuzzgen
 from ptasynth import ltl
 from ptasynth.errors import InputError
 from ptasynth.model import parse_model
+
+fuzzgen = load_fuzzgen()
 
 
 class TestParser:
@@ -156,8 +157,8 @@ def test_translation_pinned():
     rng = random.Random(1)
     props = [p for ps in CORPUS.values() for p in ps]
     for _ in range(1000):
-        _, labels = random_model(rng)
-        props.append(random_property(rng, labels))
+        _, labels = fuzzgen.random_model(rng)
+        props.append(fuzzgen.random_property(rng, labels))
     rng = random.Random(1)
     formulas = [ltl.parse_ltl(p) for p in props] + [
         ol.random_formula(rng, ["a", "b", "c"], 4) for _ in range(300)]

@@ -70,6 +70,21 @@ class TestAffineExpr:
         assert str(AffineExpr.of(3, {"p": 2, "q": -1})) == "2*p - q + 3"
 
 
+class TestParamBox:
+    @pytest.mark.parametrize("bounds", [
+        {}, {"p": (-3, 2)}, {"p": (0, 4), "q": (-2, 1), "r": (5, 7)}])
+    def test_points_and_values_row_major(self, bounds):
+        # last parameter fastest; ``point`` inverts ``index``, and
+        # ``values`` reads each expression at the points in that order
+        box = ParamBox.of(bounds)
+        points = [dict(zip(box.params, v)) for v in itertools.product(
+            *(range(a, b + 1) for a, b in zip(box.lo, box.hi)))]
+        assert [box.point(i) for i in range(box.size)] == points
+        assert [box.index(v) for v in points] == list(range(box.size))
+        e = AffineExpr.of(3, dict(zip(box.params, (2, -1, 5))))
+        assert box.values(e).tolist() == [e.eval(v) for v in points]
+
+
 class TestExtension:
     def test_empty_constraint_set_is_box(self):
         box = ParamBox.of({"p": (0, 2)})

@@ -215,7 +215,7 @@ class TestConstrain:
 
     def test_matches_full_closure_and_oracle(self, rng):
         emptied = kept = 0
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 6):
             for z in canonical_samples(rng, self.BOX, n, 30):
                 atoms = [self.random_atom(rng, z)
                          for _ in range(rng.randrange(1, 3))]
@@ -390,7 +390,7 @@ class TestTransition:
         table = self.BOX.bounds
         seen = {"guard forks": 0, "widening forks": 0, "several resets": 0,
                 "empty invariant": 0, "emptied": 0}
-        for n in (3, 4):
+        for n in (3, 4, 6):
             for z in canonical_samples(rng, self.BOX, n, 60):
                 atoms, resets, inv, maxima = self.random_edge(rng, z)
                 mat = z.mat
