@@ -96,8 +96,9 @@ class StateStore:
     colour denotes exactly the zones that arrived.  The clamp makes the
     keys finite, so the table is finite and each node grows at most
     |box| times.  The clamped values are the ids that the box's
-    ``BoundTable.window_bits`` memoizes per bound and window, the memo
-    that widening reads too.
+    ``BoundTable.window_bits`` memoizes per window and bound id, the memo
+    that widening reads too; a matrix's entries are bound ids, so the key
+    walk reads the memo by the entry itself.
 
     ``resolve`` adds an arrival and queues its node when the arrival
     brings new valuations, which ``pending`` holds until the node is
@@ -139,10 +140,10 @@ class StateStore:
         for i, row in enumerate(z.mat):
             memos = windows[i]
             for j, b in enumerate(row):
-                if b.expr is None:
+                if not b:
                     key.append(-1)
                     continue
-                got = memos[j].get(id(b))
+                got = memos[j].get(b)
                 if got is None:
                     maxima = self.bounds[loc]
                     got = self.box.bounds.window_bits(b, maxima[i],
@@ -150,7 +151,8 @@ class StateStore:
                 key.append(got[2])
                 if bits & ~(got[0] & got[1]):
                     raise SoundnessError(
-                        f"stored bound out of range at entry ({i},{j}): {b}")
+                        f"stored bound out of range at entry ({i},{j}): "
+                        f"{self.box.bounds.bound(b)}")
         return tuple(key)
 
     def resolve(self, loc: int, z: CPDBM) -> int:
@@ -526,7 +528,7 @@ def scan_stored_bounds(g: StateStore) -> int:
         maxima = g.bounds[loc]
         idx = ValuationSet(box, colour).indices()
         for i, row in enumerate(mat):
-            for j, b in enumerate(row):
+            for j, b in enumerate(map(box.bounds.bound, row)):
                 if b.is_inf or i == j:
                     continue
                 vals = box.values(b.expr)[idx]

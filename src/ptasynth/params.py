@@ -9,9 +9,10 @@ conjunction, and the engines carry it as a plain int.
 
 The zone machinery asks the same questions over and over, so the answers
 are memoized, on the box and nowhere else: ``ParamBox.bounds`` is the
-box's ``BoundTable``, which hash-conses bounds and memoizes their sums,
-and their comparisons and widening windows as extension bits, which
-would be wrong for any other box.
+box's ``BoundTable``, which numbers bounds with small ints and memoizes,
+by those ints, their sums, and their comparisons and widening windows as
+extension bits, which would be wrong for any other box.  The symbolic
+engine's matrices hold the ints.
 
 Most comparisons do not need the points one by one.  A constant
 constraint holds on the whole box or nowhere.  One over a single
@@ -160,8 +161,7 @@ class ParamBox:
 
     @cached_property
     def bounds(self) -> "BoundTable":
-        """The box's table of hash-consed bounds and memoized bound
-        arithmetic."""
+        """The box's table of bound ids and memoized bound arithmetic."""
         return BoundTable(self)
 
     def point(self, index: int) -> dict[str, int]:
@@ -530,22 +530,28 @@ def bound_le_constraint(b1: StrictBound, b2: StrictBound) -> Constraint:
     return Constraint(b1.expr - b2.expr, strict=not weak_cmp)
 
 
-class BoundTable:
-    """Hash-consed bounds over one box, with their sums and comparisons
-    memoized.
+# the ids every BoundTable hands out first: ``not b`` tests for infinity
+INF_ID = 0
+ZERO_LE_ID = 1
 
-    ``intern`` maps a bound to the one object the table keeps for all
-    equal bounds, and every bound the table returns is such an object, so
-    a matrix built from them decides equal entries by identity.  The memos
-    are keyed by the identities of interned bounds, a pair of them packed
-    into one int as ``id(a) << 64 | id(b)`` (one int is smaller than a
-    tuple of two); the table holds every bound it keys on, so no key
-    outlives its object, and a bound that is not interned just misses and
-    is interned on the way.  Comparisons are memoized as extension bits
-    over the box, so ``ext & bits == ext`` decides one on an extension
-    ``ext``.  ``window_bits`` memoizes, per widening window, where a
-    bound lies inside it and an id of its values clamped to it; the
-    widening and the node table of the symbolic engine both read it.
+
+class BoundTable:
+    """Hash-consed bounds over one box as small ints, with their sums and
+    comparisons memoized.
+
+    ``intern`` hands out one int per distinct bound, in order of first
+    arrival, and ``bound`` reads it back: infinity is 0 (``INF_ID``) and
+    (0, <=) is 1 (``ZERO_LE_ID``), so ``not b`` tests an id for infinity
+    and equal ids mean equal bounds.  The symbolic engine keeps its
+    matrices as tuples of these ids.  The memos are lists indexed by id,
+    one entry per id handed out, each a dict keyed by the other id:
+    ``sums[a][b]`` is the id of a + b and ``les[a][b]`` the extension bits
+    of "a is at most b".  A pair's key is the pair itself, exact for every
+    id the table can hand out, and ``ext & les[a][b] == ext`` decides a
+    comparison on an extension ``ext``.  ``window_bits`` memoizes, per
+    widening window and id, where the bound lies inside the window and an
+    id of its values clamped to it; the widening and the node table of the
+    symbolic engine both read it.
 
     A miss goes to ``ParamBox.affine_bits`` with the constant and the
     coefficients of the difference it compares, built without an
@@ -557,45 +563,47 @@ class BoundTable:
 
     def __init__(self, box: ParamBox):
         self.box = box
-        self._canon: dict[StrictBound, StrictBound] = {
-            INF_BOUND: INF_BOUND, ZERO_LE: ZERO_LE}
+        self._bounds: list[StrictBound] = []
+        self._ids: dict[StrictBound, int] = {}
         # the closure and widening loops read these memos directly
-        self.sums: dict[int, dict[int, StrictBound]] = {}
-        self.les: dict[int, int] = {}
-        # window (hi, lo) -> id of a bound -> its window_bits
+        self.sums: list[dict[int, int]] = []
+        self.les: list[dict[int, int]] = []
+        # window (hi, lo) -> bound id -> its window_bits
         self._windows: dict[tuple[int, int], dict] = {}
         self._grids: dict[tuple[int, ...], list] = {}
         self._value_ids: dict[bytes, int] = {}
-        self._floor: dict[int, StrictBound] = {}
+        self._floor: dict[int, int] = {}
+        self.intern(INF_BOUND)
+        self.intern(ZERO_LE)
 
-    def intern(self, b: StrictBound) -> StrictBound:
-        """The table's object for bounds equal to ``b``."""
-        got = self._canon.get(b)
+    def intern(self, b: StrictBound) -> int:
+        """The id of ``b``."""
+        got = self._ids.get(b)
         if got is None:
-            got = self._canon[b] = b
+            got = self._ids[b] = len(self._bounds)
+            self._bounds.append(b)
+            self.sums.append({})
+            self.les.append({})
         return got
 
-    def add(self, b1: StrictBound, b2: StrictBound) -> StrictBound:
-        """Interned ``bound_add(b1, b2)``."""
-        got = self.plus(b1).get(id(b2))
+    def bound(self, i: int) -> StrictBound:
+        """The bound of id ``i``."""
+        return self._bounds[i]
+
+    def add(self, a: int, b: int) -> int:
+        """The id of ``bound_add`` of the bounds of ids ``a`` and ``b``."""
+        got = self.sums[a].get(b)
         if got is None:
-            b1, b2 = self.intern(b1), self.intern(b2)
-            got = self.plus(b1)[id(b2)] = self.intern(bound_add(b1, b2))
+            got = self.sums[a][b] = self.intern(
+                bound_add(self._bounds[a], self._bounds[b]))
         return got
 
-    def plus(self, b: StrictBound) -> dict[int, StrictBound]:
-        """Memo of the sums ``b + c``, keyed by the identity of ``c``."""
-        got = self.sums.get(id(b))
+    def le_bits(self, a: int, b: int) -> int:
+        """Extension of "a is at most b" for bound ids: the box points
+        where it holds."""
+        got = self.les[a].get(b)
         if got is None:
-            b = self.intern(b)
-            got = self.sums.setdefault(id(b), {})
-        return got
-
-    def le_bits(self, b1: StrictBound, b2: StrictBound) -> int:
-        """Extension of "b1 is at most b2": the box points where it holds."""
-        got = self.les.get(id(b1) << 64 | id(b2))
-        if got is None:
-            b1, b2 = self.intern(b1), self.intern(b2)
+            b1, b2 = self._bounds[a], self._bounds[b]
             e1, e2 = b1.expr, b2.expr
             if e2 is None:
                 got = self.box._full_bits
@@ -610,12 +618,12 @@ class BoundTable:
                     e1.const - e2.const,
                     [(p, z) for p, z in diff.items() if z],
                     b2.strict and not b1.strict)
-            self.les[id(b1) << 64 | id(b2)] = got
+            self.les[a][b] = got
         return got
 
     def windows(self, maxima: Sequence[int]) -> list[list[dict]]:
         """Per entry (i, j), the ``window_bits`` memo of the window
-        (maxima[i], -maxima[j]), keyed by the identity of the bound."""
+        (maxima[i], -maxima[j]), keyed by bound id."""
         maxima = tuple(maxima)
         got = self._grids.get(maxima)
         if got is None:
@@ -624,19 +632,18 @@ class BoundTable:
                 for hi in maxima]
         return got
 
-    def window_bits(self, b: StrictBound, hi: int,
-                    lo: int) -> tuple[int, int, int]:
-        """Points where the finite bound's value is at most ``hi``, points
-        where it is at least ``lo``, and the id of its encoded values
-        ``2v + weak`` at every point clamped to [2*lo - 1, 2*hi + 2], one
-        step outside the window: equal ids mean equal values wherever
-        either bound lies inside the window."""
-        b = self.intern(b)
+    def window_bits(self, b: int, hi: int, lo: int) -> tuple[int, int, int]:
+        """Points where the finite bound of id ``b`` is at most ``hi``,
+        points where it is at least ``lo``, and the id of its encoded
+        values ``2v + weak`` at every point clamped to [2*lo - 1,
+        2*hi + 2], one step outside the window: equal ids mean equal
+        values wherever either bound lies inside the window."""
         memo = self._windows.setdefault((hi, lo), {})
-        got = memo.get(id(b))
+        got = memo.get(b)
         if got is None:
-            e, box = b.expr, self.box
-            weak = 0 if b.strict else 1
+            sb, box = self._bounds[b], self.box
+            e = sb.expr
+            weak = 0 if sb.strict else 1
             if e.is_const:
                 # the bytes the array below would hold, without the array
                 v = min(max(2 * e.const + weak, 2 * lo - 1), 2 * hi + 2)
@@ -646,15 +653,15 @@ class BoundTable:
                 np.maximum(vals, 2 * lo - 1, out=vals)
                 raw = np.minimum(vals, 2 * hi + 2, out=vals).tobytes()
             # e - hi <= 0 and lo - e <= 0
-            got = memo[id(b)] = (
+            got = memo[b] = (
                 box.affine_bits(e.const - hi, e.coeffs, False),
                 box.affine_bits(lo - e.const, [(p, -z) for p, z in e.coeffs],
                                 False),
                 self._value_ids.setdefault(raw, len(self._value_ids)))
         return got
 
-    def floor(self, m: int) -> StrictBound:
-        """The interned bound ``(-m, <)``."""
+    def floor(self, m: int) -> int:
+        """The id of the bound ``(-m, <)``."""
         got = self._floor.get(m)
         if got is None:
             got = self._floor[m] = self.intern(StrictBound(AffineExpr(-m), True))

@@ -7,6 +7,12 @@ on the parameters fork the extension into complementary branches, so
 most operations here return a list of matrices with pairwise-disjoint,
 non-empty extensions.
 
+An entry is the id that the box's ``BoundTable`` gives its bound, 0 for
+infinity, so the loops here read and compare small ints and look sums,
+comparisons and widening windows up by them.  ``matrix_of`` and the
+guard atoms take bounds in; ``dump`` and ``evaluate_all`` read the ids
+back with ``BoundTable.bound``.
+
 Strictness bookkeeping follows the difference-bound order throughout: at
 equal values a strict bound is tighter than a weak one, and the sum of two
 bounds is weak only when both summands are.
@@ -25,12 +31,13 @@ import numpy as np
 from . import zones
 from .errors import SoundnessError
 from .params import (
-    BoundTable,
     INF_BOUND,
+    INF_ID,
+    ZERO_LE_ID,
+    BoundTable,
     ParamBox,
     StrictBound,
     ValuationSet,
-    ZERO_LE,
 )
 # not called here: perfbench/tracer.py replaces them (test_bench_hooks.py)
 from .params import bound_le_constraint, covers  # noqa: F401
@@ -38,7 +45,8 @@ from .params import bound_le_constraint, covers  # noqa: F401
 # an atomic clock constraint x_i - x_j < / <= e
 Atom = tuple[int, int, StrictBound]
 
-Matrix = tuple[tuple[StrictBound, ...], ...]
+# bound ids of the box's BoundTable
+Matrix = tuple[tuple[int, ...], ...]
 
 
 class CPDBM(NamedTuple):
@@ -54,9 +62,12 @@ class CPDBM(NamedTuple):
         return len(self.mat)
 
 
-def matrix_of(n: int, entries: Mapping[tuple[int, int], StrictBound]) -> Matrix:
-    """Matrix with (0, <=) everywhere except the given entries."""
-    return tuple(tuple(entries.get((i, j), ZERO_LE) for j in range(n))
+def matrix_of(n: int, entries: Mapping[tuple[int, int], StrictBound],
+              table: BoundTable) -> Matrix:
+    """Matrix with (0, <=) everywhere except the given entries, as the
+    ids ``table`` gives them."""
+    ids = {ij: table.intern(b) for ij, b in entries.items()}
+    return tuple(tuple(ids.get((i, j), ZERO_LE_ID) for j in range(n))
                  for i in range(n))
 
 
@@ -64,12 +75,12 @@ def initial_cpdbm(n_clocks: int, box: ParamBox) -> CPDBM:
     """All clocks equal and non-negative with time already released, at
     every point of the box."""
     n = n_clocks + 1
-    mat = matrix_of(n, {(i, 0): INF_BOUND for i in range(1, n)})
+    mat = matrix_of(n, {(i, 0): INF_BOUND for i in range(1, n)}, box.bounds)
     return CPDBM(ValuationSet.full(box).bits, mat, canonical=True)
 
 
 def _interned(atoms: Sequence[Atom], table: BoundTable) -> tuple:
-    """The atoms with interned bounds, and their sorted clocks."""
+    """The atoms with their bounds' ids, and their sorted clocks."""
     return ([(i, j, table.intern(g)) for i, j, g in atoms],
             sorted({c for i, j, _ in atoms for c in (i, j)}))
 
@@ -87,7 +98,7 @@ def apply_guard(z: CPDBM, atoms: Sequence[Atom], box: ParamBox) -> list[CPDBM]:
 
 def _guard_rows(rows, ext: int, atoms: Sequence[Atom],
                 table: BoundTable) -> list:
-    """``apply_guard`` of interned atoms on one branch's rows: its
+    """``apply_guard`` of atoms with bound ids on one branch's rows: its
     branches as (rows, ext, changed); an unchanged branch keeps ``rows``."""
     branches = [(rows, ext, False)]
     for i, j, g in atoms:
@@ -129,7 +140,6 @@ def _close(rows: list, ext: int, ks: Sequence[int],
            table: BoundTable) -> list:
     """``canonicalize`` of a branch's own rows through pivots ``ks``."""
     n = len(rows)
-    inf = INF_BOUND
     sums, les = table.sums, table.les
     out = []
     # depth first: a fork goes on with its first branch; the second restarts
@@ -144,19 +154,20 @@ def _close(rows: list, ext: int, ks: Sequence[int],
                 if i == k:
                     continue  # a clean diagonal cannot tighten
                 a = rows[i][k]
-                if a is inf:
+                if not a:
                     continue
-                plus_a = sums.get(id(a)) or table.plus(a)
+                plus_a = sums[a]
                 row_i = rows[i]
                 for j in range(n):
                     b = row_k[j]
-                    if j == k or b is inf:
+                    if j == k or not b:
                         continue
-                    cand = plus_a.get(id(b)) or table.add(a, b)
+                    # a sum of finite bounds is finite: never 0
+                    cand = plus_a.get(b) or table.add(a, b)
                     cur = row_i[j]
-                    if cand is cur or cand is inf:
+                    if cand == cur:
                         continue
-                    le = les.get(id(cur) << 64 | id(cand))
+                    le = les[cur].get(cand)
                     if le is None:
                         le = table.le_bits(cur, cand)
                     kept = ext & le  # where the candidate is not tighter
@@ -168,7 +179,7 @@ def _close(rows: list, ext: int, ks: Sequence[int],
                             break
                         continue
                     if kept:
-                        tie = les.get(id(cand) << 64 | id(cur))
+                        tie = les[cand].get(cur)
                         if tie is None:
                             tie = table.le_bits(cand, cur)
                         if ext & tie != ext:
@@ -202,7 +213,8 @@ def constrain(z: CPDBM, atoms: Sequence[Atom], box: ParamBox) -> list[CPDBM]:
 
 def _constrain_rows(rows, ext: int, atoms: Sequence[Atom],
                     pivots: Sequence[int], table: BoundTable) -> list:
-    """``constrain`` of interned atoms on canonical rows, as (rows, ext)."""
+    """``constrain`` of atoms with bound ids on canonical rows, as
+    (rows, ext)."""
     out = []
     for rows, ext, changed in _guard_rows(rows, ext, atoms, table):
         out.extend(_close(rows, ext, pivots, table) if changed
@@ -229,7 +241,7 @@ def _reset_rows(rows, clocks: Sequence[int], release: bool) -> list:
                 row[r] = row[0]
     if release:
         for row in rows[1:]:
-            row[0] = INF_BOUND
+            row[0] = INF_ID
     return rows
 
 
@@ -274,19 +286,19 @@ def _widen_rows(rows: list, ext: int, widen: tuple,
             memos = windows[i]
             for j in range(n):
                 e = row[j]
-                if i == j or e.expr is None:
+                if i == j or not e:
                     continue
-                win = memos[j].get(id(e)) or \
+                win = memos[j].get(e) or \
                     table.window_bits(e, maxima[i], -maxima[j])
                 below = ext & win[0]
                 if below == ext and ext & win[1] == ext:
                     continue
                 if below != ext:
                     if not below:
-                        row[j] = INF_BOUND
+                        row[j] = INF_ID
                         changed = True
                         continue
-                    todo.append(_fork(i, rows, j, INF_BOUND, ext & ~below))
+                    todo.append(_fork(i, rows, j, INF_ID, ext & ~below))
                     ext = below
                 above = ext & win[1]
                 if above != ext:
@@ -300,7 +312,7 @@ def _widen_rows(rows: list, ext: int, widen: tuple,
     return out
 
 
-def _fork(i: int, rows: list, j: int, b: StrictBound, ext: int) -> tuple:
+def _fork(i: int, rows: list, j: int, b: int, ext: int) -> tuple:
     """A copy of ``rows`` with entry (i, j) set to ``b``, restarting row i."""
     rows = [r[:] for r in rows]
     rows[i][j] = b
@@ -310,8 +322,9 @@ def _fork(i: int, rows: list, j: int, b: StrictBound, ext: int) -> tuple:
 def transition_plan(atoms: Sequence[Atom], resets: Iterable[int],
                     inv: Sequence[Atom], maxima: Sequence[int],
                     table: BoundTable) -> tuple:
-    """What ``transition`` reads of one edge: interned guard and target
-    invariant with their clocks, sorted resets, the target's ``widening``."""
+    """What ``transition`` reads of one edge: guard and target invariant
+    with bound ids and their clocks, sorted resets, the target's
+    ``widening``."""
     return (*_interned(atoms, table), sorted(resets), *_interned(inv, table),
             widening(maxima, table))
 
@@ -375,6 +388,7 @@ def evaluate_all(z: CPDBM, box: ParamBox) -> np.ndarray:
     out = np.empty((box.size, z.n, z.n), dtype=np.int64)
     for i, row in enumerate(z.mat):
         for j, b in enumerate(row):
+            b = box.bounds.bound(b)
             out[:, i, j] = zones.INF if b.expr is None else \
                 box.values(b.expr) * 2 + (not b.strict)
     return out
@@ -384,8 +398,10 @@ def dump(z: CPDBM, box: ParamBox, names: Sequence[str] | None = None) -> str:
     """Debug text: one line per finite entry, then one line per valuation
     of the extension."""
     names = names or [f"x{i}" for i in range(z.n)]
+    bound = box.bounds.bound
     lines = [f"{names[i]} - {names[j]} {'<' if b.strict else '<='} {b.expr}"
-             for i, row in enumerate(z.mat) for j, b in enumerate(row)
+             for i, row in enumerate(z.mat)
+             for j, b in enumerate(map(bound, row))
              if i != j and not b.is_inf]
     lines.append("where:")
     lines += ["  " + ", ".join(f"{p}={x}" for p, x in v.items())

@@ -27,15 +27,21 @@ def minimum(a, b):
     return a if lt(a, b) else b
 
 
-def from_valuation(cpdbm, v):
+def bounds_of(cpdbm, box):
+    """The matrix's entries as bounds, each id read back from the box's
+    bound table."""
+    bound = box.bounds.bound
+    return [[bound(i) for i in row] for row in cpdbm.mat]
+
+
+def from_valuation(cpdbm, v, box):
     """Evaluate a constrained parametric matrix at one valuation, on the
-    oracle's own representation."""
-    n = cpdbm.n
+    oracle's own representation: each entry is read back as a bound and
+    its expression evaluated with ``AffineExpr.eval``."""
     out = []
-    for i in range(n):
+    for bounds in bounds_of(cpdbm, box):
         row = []
-        for j in range(n):
-            b = cpdbm.mat[i][j]
+        for b in bounds:
             if b.expr is None:
                 row.append(INF)
             else:
@@ -50,7 +56,7 @@ def is_canonical(cpdbm, box):
     for idx in range(box.size):
         if not cpdbm.bits >> idx & 1:
             continue
-        m = from_valuation(cpdbm, box.point(idx))
+        m = from_valuation(cpdbm, box.point(idx), box)
         closed = clone(m)
         close(closed)
         if closed != m:

@@ -26,6 +26,7 @@ from ptasynth.params import (
     INF_BOUND,
     ParamBox,
     ValuationSet,
+    ZERO_LE,
     bound,
 )
 
@@ -80,15 +81,18 @@ def test_c2_canonical_form_golden():
     p, q = AffineExpr.var("p"), AffineExpr.var("q")
     box = ParamBox.of({"p": (0, 7), "q": (0, 7)})
     z = pdbm.CPDBM(ValuationSet.full(box).bits,
-                   pdbm.matrix_of(3, {(1, 0): bound(p), (2, 0): bound(q)}))
+                   pdbm.matrix_of(3, {(1, 0): bound(p), (2, 0): bound(q)},
+                                  box.bounds))
     out = pdbm.canonicalize(z, box)
     assert len(out) == 2
     le, gt = out
     assert le.bits == ConstraintSet.of(box, [Constraint.le(p, q)]).bits
-    assert [le.mat[1][0], le.mat[2][0]] == [bound(p), bound(p)]
-    assert le.mat[1][2] == le.mat[2][1] == pdbm.ZERO_LE
+    at = od.bounds_of(le, box)
+    assert [at[1][0], at[2][0]] == [bound(p), bound(p)]
+    assert at[1][2] == at[2][1] == ZERO_LE
     assert gt.bits == ConstraintSet.of(box, [Constraint.lt(q, p)]).bits
-    assert [gt.mat[1][0], gt.mat[2][0]] == [bound(q), bound(q)]
+    at = od.bounds_of(gt, box)
+    assert [at[1][0], at[2][0]] == [bound(q), bound(q)]
     for b in out:
         assert od.is_canonical(b, box)
     ok(2, "canonical-form split matches the expected two branches exactly")
@@ -101,7 +105,8 @@ def test_c3_extrapolation_golden():
     box = ParamBox.of({"p": (0, 7)})
     z = pdbm.CPDBM(
         ValuationSet.full(box).bits,
-        pdbm.matrix_of(3, {(1, 0): INF_BOUND, (2, 0): bound(2 * p)}),
+        pdbm.matrix_of(3, {(1, 0): INF_BOUND, (2, 0): bound(2 * p)},
+                       box.bounds),
         canonical=True)
     out = pdbm.extrapolate(z, [0, 10, 10], box)
     assert len(out) == 2
@@ -110,8 +115,9 @@ def test_c3_extrapolation_golden():
     assert kept.mat == z.mat
     assert widened.bits == ConstraintSet.of(
         box, [Constraint.lt(10, 2 * p)]).bits
-    assert widened.mat[2][0] is INF_BOUND
-    assert widened.mat[1][2] == widened.mat[2][1] == pdbm.ZERO_LE
+    at = od.bounds_of(widened, box)
+    assert at[2][0] is INF_BOUND
+    assert at[1][2] == at[2][1] == ZERO_LE
     ok(3, "widening split matches the expected two branches exactly")
 
 
@@ -190,14 +196,14 @@ def _validate(op_name, z, branches, box, transform):
     """Per-valuation branch soundness of one operation application."""
     _check_disjoint(branches, box)
     for v in ValuationSet(box, z.bits):
-        m = od.from_valuation(z, v)
+        m = od.from_valuation(z, v, box)
         keep = transform(m, v)
         got = _branch_at(branches, v, box)
         if not keep:
             assert got is None, op_name
         else:
             assert got is not None, op_name
-            assert od.from_valuation(got, v) == m, op_name
+            assert od.from_valuation(got, v, box) == m, op_name
 
 
 def test_c7_zone_operation_fuzz():

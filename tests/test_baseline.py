@@ -58,15 +58,17 @@ class TestInstantiate:
         from ptasynth.params import ParamBox, ValuationSet
 
         b = bound(3 * P - 2, strict=True)
-        z = pdbm.CPDBM(ValuationSet.full(ParamBox.of({"p": (1, 3)})).bits,
-                       pdbm.matrix_of(2, {(1, 0): b}))
+        box = ParamBox.of({"p": (1, 3)})
+        z = pdbm.CPDBM(ValuationSet.full(box).bits,
+                       pdbm.matrix_of(2, {(1, 0): b}, box.bounds))
         loc = PLoc("L", ())
         loc.edges.append(PEdge(((1, 0, b),), (), 0, "e"))
         a = Ptba(["0", "x"], [loc], 0)
         for p in range(1, 4):
             ct = instantiate(a, {"p": p})
             enc = ct.edges[0][0][0][0][2]
-            assert enc == zones.encode(*od.from_valuation(z, {"p": p})[1][0])
+            assert enc == zones.encode(
+                *od.from_valuation(z, {"p": p}, box)[1][0])
 
 
 def flat_atoms(rows, n):

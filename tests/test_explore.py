@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import random
 
 import pytest
 
+import oracle_dbm as od
 from conftest import CORPUS, SEED, load_fixture, load_fuzzgen
 from ptasynth import pdbm
 from ptasynth.errors import CapacityError, InputError, SoundnessError
@@ -53,15 +55,15 @@ class TestInitialStates:
         a = tiny_ptba()
         states = initial_states(a, BOX5, [(0, 0)])
         assert len(states) == 1
-        z = states[0]
-        assert z.mat[1][0] is INF_BOUND  # x unbounded above
-        assert z.mat[0][1].expr == AffineExpr(0)  # x >= 0
+        at = od.bounds_of(states[0], BOX5)
+        assert at[1][0] is INF_BOUND  # x unbounded above
+        assert at[0][1].expr == AffineExpr(0)  # x >= 0
 
     def test_upper_bound_invariant(self):
         a = tiny_ptba(inv=[(1, 0, bound(P))])
         states = initial_states(a, BOX5, [(0, 5)])
         assert len(states) == 1
-        assert states[0].mat[1][0] == bound(P)
+        assert od.bounds_of(states[0], BOX5)[1][0] == bound(P)
 
     def test_unsatisfiable_invariant_drops_state(self):
         a = tiny_ptba(inv=[(1, 0, bound(-1))])  # x <= -1: empty
@@ -86,9 +88,10 @@ class TestSuccessors:
         target, z = out[0]
         assert target == 0
         # all clocks equal and non-negative after reset + time release
-        assert z.mat[1][2].expr == AffineExpr(0)
-        assert z.mat[2][1].expr == AffineExpr(0)
-        assert z.mat[1][0] is INF_BOUND
+        at = od.bounds_of(z, BOX5)
+        assert at[1][2].expr == AffineExpr(0)
+        assert at[2][1].expr == AffineExpr(0)
+        assert at[1][0] is INF_BOUND
 
     def test_equal_matrix_siblings_merge(self):
         # the guard x <= q forks the zone 0 <= x <= p on p <= q; the reset
@@ -119,7 +122,7 @@ class TestStateStore:
     def test_equal_extensions_hit_structurally(self):
         # different constraint lists with the same points are one set
         store = StateStore(BOX5, [(0, 5)] * 2)
-        mat = pdbm.matrix_of(2, {(1, 0): bound(P)})
+        mat = pdbm.matrix_of(2, {(1, 0): bound(P)}, BOX5.bounds)
         z1 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(P, 3)]).bits,
                         mat, True)
         z2 = pdbm.CPDBM(ConstraintSet.of(
@@ -134,18 +137,23 @@ class TestStateStore:
         store = StateStore(BOX5, [(0, 5)] * 2)
         pin = ConstraintSet.of(BOX5, [Constraint.le(P, 3),
                                       Constraint.le(3, P)]).bits
-        z1 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
-        z2 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(3)}), True)
+        z1 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(P)},
+                                            BOX5.bounds), True)
+        z2 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(3)},
+                                            BOX5.bounds), True)
         assert store.resolve(0, z1) != store.resolve(0, z2)
 
     def test_zones_differing_at_one_valuation_split(self):
         store = StateStore(BOX5, [(0, 5)] * 2)
         z1 = pdbm.CPDBM(ValuationSet.full(BOX5).bits,
-                        pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
+                        pdbm.matrix_of(2, {(1, 0): bound(P)}, BOX5.bounds),
+                        True)
         z2 = pdbm.CPDBM(ValuationSet.full(BOX5).bits,
-                        pdbm.matrix_of(2, {(1, 0): bound(P)}), True)
+                        pdbm.matrix_of(2, {(1, 0): bound(P)}, BOX5.bounds),
+                        True)
         z3 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(1, P)]).bits,
-                        pdbm.matrix_of(2, {(1, 0): bound(4)}), True)
+                        pdbm.matrix_of(2, {(1, 0): bound(4)}, BOX5.bounds),
+                        True)
         assert store.resolve(0, z1) == store.resolve(0, z2)
         assert store.resolve(0, z1) != store.resolve(0, z3)
         # once z3's valuations are expanded, the same matrix on other
@@ -153,7 +161,8 @@ class TestStateStore:
         n3 = store.resolve(0, z3)
         store.pending[n3] = 0
         z4 = pdbm.CPDBM(ValuationSet.full(BOX5).bits,
-                        pdbm.matrix_of(2, {(1, 0): bound(4)}), False)
+                        pdbm.matrix_of(2, {(1, 0): bound(4)}, BOX5.bounds),
+                        False)
         assert store.resolve(0, z4) == n3
         assert store.colour[n3] == ValuationSet.full(BOX5).bits
         assert store.pending[n3] == 1  # p = 0
@@ -169,9 +178,9 @@ class TestStateStore:
                            (ParamBox.of({"p": (2, 3)}), 2)):
             store = StateStore(box, [(0, 5)])
             for b in (bound(3), bound(P)):
-                store.resolve(0, pdbm.CPDBM(ValuationSet.full(box).bits,
-                                            pdbm.matrix_of(2, {(1, 0): b}),
-                                            True))
+                store.resolve(0, pdbm.CPDBM(
+                    ValuationSet.full(box).bits,
+                    pdbm.matrix_of(2, {(1, 0): b}, box.bounds), True))
             assert len(store.locs) == nodes
 
     def test_bounds_equal_in_the_window_are_one_node(self):
@@ -182,7 +191,7 @@ class TestStateStore:
                                      Constraint.le(1, P)]).bits
         zs = [pdbm.CPDBM(one, pdbm.matrix_of(3, {
             (1, 0): INF_BOUND, (2, 0): INF_BOUND,
-            (2, 1): bound(-k * P + k)}), True) for k in (2, 4)]
+            (2, 1): bound(-k * P + k)}, box.bounds), True) for k in (2, 4)]
         store = StateStore(box, [(0, 1, 1)])
         assert [store.resolve(0, z) for z in zs] == [0, 0]
         assert store.colour == [one]
@@ -195,7 +204,8 @@ class TestStateStore:
         # of one whose bound is 1, where both clamp to one value
         box = ParamBox.of({"p": (1, 5)})
         one = ConstraintSet.of(box, [Constraint.le(P, 1)]).bits
-        zs = [pdbm.CPDBM(one, pdbm.matrix_of(2, {(1, 0): b}), True)
+        zs = [pdbm.CPDBM(one, pdbm.matrix_of(2, {(1, 0): b}, box.bounds),
+                         True)
               for b in (bound(P), bound(2 * P - 1))]
         store = StateStore(box, [(0, 5), (0, 1)])
         assert store.bounds[1] == (0, 1)
@@ -206,7 +216,8 @@ class TestStateStore:
         # hits the node of zs, and the walk that keys it raises
         wide = pdbm.CPDBM(ValuationSet.full(box).bits, zs[0].mat, True)
         store.resolve(0, wide)
-        with pytest.raises(SoundnessError, match="out of range"):
+        with pytest.raises(SoundnessError,
+                           match=r"out of range at entry \(1,0\): \(p, <=\)$"):
             store.resolve(1, wide)
 
     def test_offcolour_bounds_keep_the_graph_finite(self):
@@ -321,8 +332,8 @@ class TestDeadlockValuations:
         n = 5
         free = {(i, j): INF_BOUND for i in range(1, n) for j in range(n)
                 if i != j}
-        z = pdbm.CPDBM(ValuationSet.full(BOX5).bits, pdbm.matrix_of(n, free),
-                       True)
+        z = pdbm.CPDBM(ValuationSet.full(BOX5).bits,
+                       pdbm.matrix_of(n, free, BOX5.bounds), True)
         loc = PLoc("L", ())
         for c in range(1, n):
             atoms = [(c, 0, bound(k)) for k in range(3)]
@@ -518,6 +529,23 @@ def test_result_documents_pinned():
     assert h.hexdigest() == RESULTS_DIGEST
 
 
+# sha256 over the Options(trace=...) text of gap.pta under "G !inB", then
+# of the DENSE3 job: every expanded node's location, finite entries and
+# valuations, in expansion order
+TRACE_DIGEST = \
+    "47323b67d11dc2fd0fe897d0c682a90343b66eb078a3f2ef96e19be323f9f1cc"
+
+
+def test_trace_text_pinned():
+    h = hashlib.sha256()
+    for name, prop, box in [("gap.pta", "G !inB", None), DENSE3]:
+        net = load_fixture(name)
+        out = io.StringIO()
+        synthesize(net, prop, net.box(box), Options(trace=out))
+        h.update(out.getvalue().encode())
+    assert h.hexdigest() == TRACE_DIGEST
+
+
 class TestStoredBoundScan:
     def test_fixture_bounds_in_range(self):
         from ptasynth.explore import build_automaton
@@ -542,14 +570,17 @@ class TestStoredBoundScan:
         # the same graph with an unwidened matrix fails the scan
         g.mats[-1] = pdbm.matrix_of(3, {(1, 0): INF_BOUND,
                                         (2, 0): INF_BOUND,
-                                        (2, 1): bound(1)})
-        with pytest.raises(SoundnessError, match="out of range"):
+                                        (2, 1): bound(1)}, BOX5.bounds)
+        with pytest.raises(SoundnessError,
+                           match=r"out of range at entry \(2,1\): \(1, <=\)$"):
             scan_stored_bounds(g)
-        # the successor pass widens through pdbm._widen_rows
+        # the successor pass widens through pdbm._widen_rows; unwidened,
+        # 0 - y <= -1 after the first loop leaves the window [0, 0]
+        unwidened = r"out of range at entry \(0,2\): \(-1, <=\)$"
         widen = pdbm._widen_rows
         monkeypatch.setattr(pdbm, "_widen_rows", lambda rows, ext, widening,
                             table: [(rows, ext, False)])
-        with pytest.raises(SoundnessError, match="out of range"):
+        with pytest.raises(SoundnessError, match=unwidened):
             build_graph(a, BOX5, bounds, Options(limit_states=50))
         # widened in a window that keeps every entry, the branches reach
         # the node table, which checks them in its own windows
@@ -557,7 +588,7 @@ class TestStoredBoundScan:
                             table: widen(rows, ext,
                                          pdbm.widening([100] * 3, table),
                                          table))
-        with pytest.raises(SoundnessError, match="out of range"):
+        with pytest.raises(SoundnessError, match=unwidened):
             build_graph(a, BOX5, bounds, Options(limit_states=50))
 
 

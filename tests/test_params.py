@@ -14,11 +14,13 @@ from ptasynth.params import (
     Cover,
     FALSE_CONSTRAINT,
     INF_BOUND,
+    INF_ID,
     ParamBox,
     StrictBound,
     TRUE_CONSTRAINT,
     ValuationSet,
     ZERO_LE,
+    ZERO_LE_ID,
     bound,
     bound_add,
     bound_eval,
@@ -213,22 +215,55 @@ class TestBoundTable:
         # box must keep its own answer for the same pair of bounds
         low = ParamBox.of({"p": (0, 2)})
         high = ParamBox.of({"p": (4, 5)})
-        cur, cand = bound(P), bound(3)
-        assert low.bounds.le_bits(cur, cand) == ValuationSet.full(low).bits
-        assert high.bounds.le_bits(cur, cand) == 0
-        assert low.bounds.le_bits(cur, cand) == ValuationSet.full(low).bits
-        assert high.bounds.le_bits(cur, cand) == 0
+        lo_ids = [low.bounds.intern(b) for b in (bound(P), bound(3))]
+        hi_ids = [high.bounds.intern(b) for b in (bound(P), bound(3))]
+        assert low.bounds.le_bits(*lo_ids) == ValuationSet.full(low).bits
+        assert high.bounds.le_bits(*hi_ids) == 0
+        assert low.bounds.le_bits(*lo_ids) == ValuationSet.full(low).bits
+        assert high.bounds.le_bits(*hi_ids) == 0
 
     def test_equal_bounds_are_one_object(self):
         table = ParamBox.of({"p": (0, 3)}).bounds
         one = table.intern(bound(P + 1))
-        assert table.intern(bound(P + 1)) is one
-        assert table.intern(bound(P + 1, strict=True)) is not one
-        assert table.add(bound(P), bound(1)) is one
-        assert table.add(bound(1), bound(P)) is one
-        assert table.intern(StrictBound(None, True)) is INF_BOUND
-        assert table.intern(bound(0)) is ZERO_LE
-        assert table.floor(3) is table.intern(bound(-3, strict=True))
+        assert table.bound(one) == bound(P + 1)
+        assert table.intern(bound(P + 1)) == one
+        assert table.intern(bound(P + 1, strict=True)) != one
+        p, c = table.intern(bound(P)), table.intern(bound(1))
+        assert table.add(p, c) == one
+        assert table.add(c, p) == one
+        assert table.intern(StrictBound(None, True)) == INF_ID
+        assert table.bound(INF_ID) is INF_BOUND
+        assert table.intern(bound(0)) == ZERO_LE_ID
+        assert table.bound(ZERO_LE_ID) is ZERO_LE
+        assert table.floor(3) == table.intern(bound(-3, strict=True))
+
+    def test_memos_exact_for_far_apart_ids(self, rng):
+        # thousands of ids on one box: with every pair's answer memoized
+        # first, each memo entry must still equal a fresh computation, so
+        # no two pairs can share a key
+        box = ParamBox.of({"p": (-2, 3), "q": (0, 4)})
+        table = box.bounds
+        bounds = [INF_BOUND] + [
+            StrictBound(AffineExpr.of(c, {"p": zp, "q": zq}), strict)
+            for c in range(-120, 120) for zp in (-1, 0, 2) for zq in (0, 3)
+            for strict in (False, True)]
+        ids = [table.intern(b) for b in bounds]
+        assert len(set(ids)) == len(ids) > 2000
+        far = len(ids) // 2
+        pairs = [(ids[k], ids[(k + far) % len(ids)])
+                 for k in rng.sample(range(len(ids)), 300)]
+        pairs += [(ids[0], ids[-1]), (ids[-1], ids[0]), (ids[1], ids[-2])]
+        pairs += [(b, a) for a, b in pairs]
+        for a, b in pairs:
+            table.le_bits(a, b)
+            table.add(a, b)
+        for a, b in pairs:
+            x, y = table.bound(a), table.bound(b)
+            le = bound_le_constraint(x, y)
+            want = box.affine_bits(le.lhs.const, le.lhs.coeffs, le.strict)
+            assert table.les[a][b] == table.le_bits(a, b) == want
+            assert table.bound(table.sums[a][b]) == bound_add(x, y)
+            assert table.add(a, b) == table.sums[a][b]
 
 
 def pointwise(box, holds):
@@ -307,7 +342,8 @@ class TestComparisonsAgreePointwise:
                     b = self.bound(rng, box)
                 for x, y in ((a, b), (b, a)):
                     want = pointwise(box, lambda v: bound_at_most(x, y, v))
-                    assert table.le_bits(x, y) == want, (str(x), str(y))
+                    got = table.le_bits(table.intern(x), table.intern(y))
+                    assert got == want, (str(x), str(y))
 
     def test_window_bits(self, rng):
         for box in self.BOXES:
@@ -323,7 +359,8 @@ class TestComparisonsAgreePointwise:
                 hi, lo = rng.randrange(-4, 10), -rng.randrange(-4, 10)
                 want = (pointwise(box, lambda v: b.expr.eval(v) <= hi),
                         pointwise(box, lambda v: b.expr.eval(v) >= lo))
-                below, above, vid = table.window_bits(b, hi, lo)
+                below, above, vid = table.window_bits(table.intern(b), hi,
+                                                      lo)
                 assert (below, above) == want, str(b)
                 # equal ids exactly where the clamped values are equal
                 clamped = tuple(

@@ -28,8 +28,8 @@ Q = AffineExpr.var("q")
 
 
 def mk(entries, box, n=3, canonical=False):
-    return pdbm.CPDBM(ValuationSet.full(box).bits, pdbm.matrix_of(n, entries),
-                      canonical)
+    return pdbm.CPDBM(ValuationSet.full(box).bits,
+                      pdbm.matrix_of(n, entries, box.bounds), canonical)
 
 
 def ext(box, *cs):
@@ -62,15 +62,15 @@ class TestAtomicGuard:
         assert len(out) == 2
         keep, repl = out
         assert keep.bits == ext(self.BOX, Constraint.le(P, Q))
-        assert keep.mat[1][0] == bound(P)
+        assert od.bounds_of(keep, self.BOX)[1][0] == bound(P)
         assert repl.bits == ext(self.BOX, Constraint.lt(Q, P))
-        assert repl.mat[1][0] == bound(Q)
+        assert od.bounds_of(repl, self.BOX)[1][0] == bound(Q)
         # per-valuation: entry-wise minimum with the guard bound
         for v in ValuationSet.full(self.BOX):
-            m = od.from_valuation(z, v)
+            m = od.from_valuation(z, v, self.BOX)
             od.constrain(m, 1, 0, (v["q"], False))
             got = branch_at(out, v, self.BOX)
-            assert od.from_valuation(got, v) == m
+            assert od.from_valuation(got, v, self.BOX) == m
 
     def test_covers_case_unchanged(self):
         z = mk({(1, 0): bound(3)}, self.BOX, n=2, canonical=True)
@@ -80,7 +80,8 @@ class TestAtomicGuard:
     def test_covers_negation_replaces_infinite(self):
         z = mk({(1, 0): INF_BOUND}, self.BOX, n=2, canonical=True)
         out = pdbm.apply_guard(z, [(1, 0, bound(2, strict=True))], self.BOX)
-        assert len(out) == 1 and out[0].mat[1][0] == bound(2, strict=True)
+        assert len(out) == 1
+        assert od.bounds_of(out[0], self.BOX)[1][0] == bound(2, strict=True)
         assert not out[0].canonical
 
 
@@ -99,11 +100,11 @@ class TestGuardConjunction:
         assert 1 <= len(out) <= 4
         branches_disjoint(out, self.BOX)
         for v in ValuationSet.full(self.BOX):
-            m = od.from_valuation(z, v)
+            m = od.from_valuation(z, v, self.BOX)
             od.constrain(m, 1, 0, (v["q"], False))
             od.constrain(m, 2, 0, (3, False))
             got = branch_at(out, v, self.BOX)
-            assert got is not None and od.from_valuation(got, v) == m
+            assert got is not None and od.from_valuation(got, v, self.BOX) == m
 
     def test_contradicting_guard_kept_until_canonical_form(self):
         # x <= 1 and x >= 3: branches survive guard application with empty
@@ -129,9 +130,11 @@ class TestCanonicalForm:
         assert len(out) == 2
         first, second = out
         assert first.bits == ext(self.BOX, Constraint.le(P, Q))
-        assert first.mat[1][0] == bound(P) and first.mat[2][0] == bound(P)
+        at = od.bounds_of(first, self.BOX)
+        assert at[1][0] == bound(P) and at[2][0] == bound(P)
         assert second.bits == ext(self.BOX, Constraint.lt(Q, P))
-        assert second.mat[1][0] == bound(Q) and second.mat[2][0] == bound(Q)
+        at = od.bounds_of(second, self.BOX)
+        assert at[1][0] == bound(Q) and at[2][0] == bound(Q)
         for b in out:
             assert b.canonical and od.is_canonical(b, self.BOX)
         assert branches_disjoint(out, self.BOX) == \
@@ -151,14 +154,14 @@ class TestCanonicalForm:
             out = pdbm.canonicalize(z, box)
             branches_disjoint(out, box)
             for v in ValuationSet(box, z.bits):
-                m = od.from_valuation(z, v)
+                m = od.from_valuation(z, v, box)
                 ok = od.close(m)
                 got = branch_at(out, v, box)
                 if not ok:
                     assert got is None
                 else:
                     assert got is not None
-                    assert od.from_valuation(got, v) == m
+                    assert od.from_valuation(got, v, box) == m
                     assert got.canonical
 
 
@@ -185,7 +188,8 @@ def random_cpdbm(rng, box, n=3):
             else:
                 entries[(i, j)] = bound(random_expr(rng, box),
                                         rng.random() < 0.4)
-    return pdbm.CPDBM(ValuationSet.full(box).bits, pdbm.matrix_of(n, entries))
+    return pdbm.CPDBM(ValuationSet.full(box).bits,
+                      pdbm.matrix_of(n, entries, box.bounds))
 
 
 def canonical_samples(rng, box, n, count):
@@ -206,7 +210,7 @@ class TestConstrain:
 
     def random_atom(self, rng, z):
         i, j = rng.sample(range(z.n), 2)
-        back = z.mat[j][i]
+        back = od.bounds_of(z, self.BOX)[j][i]
         if rng.random() < 0.3 and back.expr is not None:
             # x_i - x_j below minus the bound on x_j - x_i: a negative
             # cycle through the diagonal empties the zone everywhere
@@ -225,7 +229,7 @@ class TestConstrain:
                 branches_disjoint(got, self.BOX)
                 assert all(b.canonical for b in got)
                 for v in ValuationSet(self.BOX, z.bits):
-                    m = od.from_valuation(z, v)
+                    m = od.from_valuation(z, v, self.BOX)
                     for i, j, g in atoms:
                         od.constrain(m, i, j, (g.expr.eval(v), g.strict))
                     mine = branch_at(got, v, self.BOX)
@@ -235,8 +239,8 @@ class TestConstrain:
                         assert mine is None and ref is None
                     else:
                         kept += 1
-                        assert od.from_valuation(mine, v) == m
-                        assert od.from_valuation(ref, v) == m
+                        assert od.from_valuation(mine, v, self.BOX) == m
+                        assert od.from_valuation(ref, v, self.BOX) == m
         assert emptied and kept
 
     def test_non_canonical_refused(self):
@@ -254,7 +258,8 @@ class TestResetUp:
                self.BOX),
             self.BOX)[0]
         got = pdbm.reset(z, [1])
-        assert got.mat[1][0] == ZERO_LE and got.mat[0][1] == ZERO_LE
+        at = od.bounds_of(got, self.BOX)
+        assert at[1][0] == ZERO_LE and at[0][1] == ZERO_LE
         assert got.mat[1][2] == z.mat[0][2]
         assert got.mat[2][1] == z.mat[2][0]
         assert got.canonical
@@ -266,7 +271,8 @@ class TestResetUp:
     def test_up_removes_upper_bounds(self):
         z = pdbm.initial_cpdbm(2, self.BOX)
         got = pdbm.up(pdbm.reset(z, [1, 2]))
-        assert got.mat[1][0] is INF_BOUND and got.mat[2][0] is INF_BOUND
+        at = od.bounds_of(got, self.BOX)
+        assert at[1][0] is INF_BOUND and at[2][0] is INF_BOUND
         assert pdbm.up(got) == got  # idempotent
 
     def test_match_concrete(self, rng):
@@ -275,13 +281,13 @@ class TestResetUp:
             got_r = pdbm.reset(z, clocks)
             got_u = pdbm.up(z)
             for v in ValuationSet(self.BOX, z.bits):
-                m = od.from_valuation(z, v)
+                m = od.from_valuation(z, v, self.BOX)
                 mr = od.clone(m)
                 od.reset(mr, clocks)
-                assert od.from_valuation(got_r, v) == mr
+                assert od.from_valuation(got_r, v, self.BOX) == mr
                 mu = od.clone(m)
                 od.up(mu)
-                assert od.from_valuation(got_u, v) == mu
+                assert od.from_valuation(got_u, v, self.BOX) == mu
 
     def test_canonical_form_preserved_exactly(self, rng):
         # reset and time release keep the canonical invariant, not just
@@ -293,7 +299,7 @@ class TestResetUp:
     def test_closure_noop_on_canonical_evaluations(self, rng):
         for z in canonical_samples(rng, self.BOX, 3, 10):
             for v in ValuationSet(self.BOX, z.bits):
-                m = od.from_valuation(z, v)
+                m = od.from_valuation(z, v, self.BOX)
                 closed = od.clone(m)
                 assert od.close(closed)
                 assert closed == m
@@ -306,7 +312,8 @@ class TestExtrapolation:
         box = ParamBox.of({"p": (0, 7)})
         z = pdbm.CPDBM(
             ValuationSet.full(box).bits,
-            pdbm.matrix_of(3, {(1, 0): INF_BOUND, (2, 0): bound(2 * P)}),
+            pdbm.matrix_of(3, {(1, 0): INF_BOUND, (2, 0): bound(2 * P)},
+                           box.bounds),
             canonical=True)
         out = pdbm.extrapolate(z, [0, 10, 10], box)
         assert len(out) == 2
@@ -314,7 +321,7 @@ class TestExtrapolation:
         assert kept.bits == ext(box, Constraint.le(2 * P, 10))
         assert kept.mat == z.mat
         assert widened.bits == ext(box, Constraint.lt(10, 2 * P))
-        assert widened.mat[2][0] is INF_BOUND
+        assert od.bounds_of(widened, box)[2][0] is INF_BOUND
         assert branches_disjoint(out, box) == ValuationSet.full(box).bits
 
     def test_small_constants_untouched(self):
@@ -330,7 +337,7 @@ class TestExtrapolation:
         z = mk({(0, 1): bound(-6)}, box, n=2, canonical=True)
         out = pdbm.extrapolate(z, [0, 5], box)
         assert len(out) == 1
-        assert out[0].mat[0][1] == bound(-5, strict=True)
+        assert od.bounds_of(out[0], box)[0][1] == bound(-5, strict=True)
         assert not out[0].canonical
 
     def test_matches_concrete(self, rng):
@@ -340,11 +347,11 @@ class TestExtrapolation:
             out = pdbm.extrapolate(z, maxima, box)
             branches_disjoint(out, box)
             for v in ValuationSet(box, z.bits):
-                m = od.from_valuation(z, v)
+                m = od.from_valuation(z, v, box)
                 od.extrapolate(m, maxima)
                 got = branch_at(out, v, box)
                 assert got is not None
-                assert od.from_valuation(got, v) == m
+                assert od.from_valuation(got, v, box) == m
 
 
 def staged_transition(z, atoms, resets, inv, maxima, box, counts):
@@ -456,7 +463,7 @@ class TestEvaluate:
             ms = pdbm.evaluate_all(z, box)
             for idx in (0, 7, box.size - 1):
                 v = box.point(idx)
-                assert (ms[idx] == from_oracle(od.from_valuation(z, v))).all()
+                assert (ms[idx] == from_oracle(od.from_valuation(z, v, box))).all()
 
 
 class TestInitial:
@@ -464,11 +471,12 @@ class TestInitial:
         box = ParamBox.of({"p": (2, 4)})
         z = pdbm.initial_cpdbm(1, box)
         assert z.canonical
-        assert z.mat[1][0] is INF_BOUND
-        assert z.mat[0][1] == ZERO_LE
+        at = od.bounds_of(z, box)
+        assert at[1][0] is INF_BOUND
+        assert at[0][1] == ZERO_LE
         assert z.bits == ValuationSet.full(box).bits
         # evaluated zone at any valuation: every clock value >= 0 reachable
-        m = od.from_valuation(z, {"p": 3})
+        m = od.from_valuation(z, {"p": 3}, box)
         assert od.close(m)
         assert m[0][1] == (0, False) and m[1][0] is od.INF
 
@@ -482,7 +490,8 @@ class TestDump:
     def test_format(self):
         box = ParamBox.of({"p": (0, 5)})
         z = pdbm.CPDBM(ext(box, Constraint.le(P, 3)),
-                       pdbm.matrix_of(2, {(1, 0): bound(P, strict=True)}))
+                       pdbm.matrix_of(2, {(1, 0): bound(P, strict=True)},
+                                      box.bounds))
         text = pdbm.dump(z, box, ["0", "x"])
         assert "x - 0 < p" in text
         where = text.split("where:\n")[1]
