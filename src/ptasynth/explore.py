@@ -14,12 +14,15 @@ generation with constraint splitting, and the deadlock valuations among
 those not yet known to deadlock (the deadlock set is a union).  The
 successors along one edge of one canonical branch come from one pass over
 mutable rows (``pdbm.transition``), with the edge's constants prepared
-once per graph.  Each successor branch, widened, adds its valuations to
-its target node and to the colour of the edge; the node table keys and
-checks the branch's matrix in one walk over it.  At a valuation v, the
-nodes and edges whose colours hold v form the widened zone graph at v, up
-to nodes that repeat a zone, which changes neither reachability nor
-accepting cycles.
+once per graph.  The product repeats a network edge at every automaton
+state that carries it; the product locations that repeat a clock edge
+share its plan and, per base branch, its successor branches, so each
+distinct transition is computed once per graph.  Each successor branch,
+widened, adds its valuations to its target node and to the colour of the
+edge; the node table keys and checks the branch's matrix in one walk over
+it.  At a valuation v, the nodes and edges whose colours hold v form the
+widened zone graph at v, up to nodes that repeat a zone, which changes
+neither reachability nor accepting cycles.
 
 Accepting cycles are then found for all valuations at once by a fixpoint
 on colours (``cumulative_ndfs_graph``).  The violating set is the union of
@@ -197,28 +200,51 @@ def initial_states(a: Ptba, box: ParamBox, bounds) -> list[CPDBM]:
 def successors(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox, bounds,
                counts: dict[str, int], plans: dict) -> list[tuple[int, CPDBM]]:
     """All successors of the zone at ``loc`` whose canonical branches are
-    ``base``, as (target, matrix) pairs: per edge and base branch, one
-    ``pdbm.transition``: guard, reset and time release, target invariant,
-    widening with the target's clock bounds (``bounds`` is the
-    ``location_bounds`` table), with empty branches dropped at every
-    stage.  Guard and invariant are closed through their clocks only; the
-    base branches are closed in full.  Pairs come in edge order; branches
-    that reach one target with one matrix meet at their node in the node
-    table.  ``counts`` tallies per forking stage the branches it added
-    (``guard`` counts a guard or invariant and its closure).  ``plans``
-    keeps each location's per-edge ``pdbm.transition_plan`` for one box
-    and ``bounds``; ``build_graph`` passes one per graph."""
+    ``base``, as (target, matrix) pairs: per edge and base branch, the
+    branches of one ``pdbm.transition``: guard, reset and time release,
+    target invariant, widening with the target's clock bounds (``bounds``
+    is the ``location_bounds`` table), with empty branches dropped at
+    every stage.  Guard and invariant are closed through their clocks
+    only; the base branches are closed in full.  Pairs come in edge order;
+    branches that reach one target with one matrix meet at their node in
+    the node table.  ``counts`` tallies per forking stage the branches it
+    added (``guard`` counts a guard or invariant and its closure).
+
+    ``plans`` holds, for one box and ``bounds``, each location's edges as
+    (target, shared plan) and each shared plan under its content: guard,
+    sorted resets, target invariant and target clock bounds.  The product
+    repeats a network edge at every automaton state that carries it, and
+    every copy gets the one ``pdbm.transition_plan`` with its memo from a
+    base branch's (bits, matrix) to its successor branches and the splits
+    they added.  ``transition`` is a pure function of the plan, the branch
+    and the box's ``BoundTable``, so a hit gives what a call would, and
+    its splits are tallied again.  ``build_graph`` passes one ``plans``
+    per graph, so nothing is kept across graphs."""
     table = box.bounds
     steps = plans.get(loc)
     if steps is None:
-        steps = plans[loc] = [(e.target, pdbm.transition_plan(
-            e.atoms, e.resets, a.locations[e.target].inv, bounds[e.target],
-            table)) for e in a.locations[loc].edges]
+        steps = plans[loc] = []
+        for e in a.locations[loc].edges:
+            inv, maxima = a.locations[e.target].inv, bounds[e.target]
+            content = (e.atoms, tuple(sorted(e.resets)), inv, maxima)
+            shared = plans.get(content)
+            if shared is None:
+                shared = plans[content] = (pdbm.transition_plan(
+                    e.atoms, e.resets, inv, maxima, table), {})
+            steps.append((e.target, shared))
     out: list[tuple[int, CPDBM]] = []
-    for target, plan in steps:
+    for target, (plan, memo) in steps:
         for zb in base:
-            out.extend((target, z)
-                       for z in pdbm.transition(zb, plan, table, counts))
+            key = (zb.bits, zb.mat)
+            hit = memo.get(key)
+            if hit is None:
+                tally: dict[str, int] = {}
+                hit = memo[key] = (pdbm.transition(zb, plan, table, tally),
+                                   tuple(tally.items()))
+            branches, added = hit
+            for tag, n in added:
+                counts[tag] = counts.get(tag, 0) + n
+            out.extend((target, z) for z in branches)
     return out
 
 
@@ -272,7 +298,7 @@ def build_graph(a: Ptba, box: ParamBox, bounds,
     opts = opts or Options()
     over_time = opts.timer()
     store = StateStore(box, bounds, opts.limit_states)
-    plans: dict = {}  # location -> its edges' transition plans
+    plans: dict = {}  # shared transition plans and memos (``successors``)
     for z in initial_states(a, box, bounds):
         nid = store.resolve(a.initial, z)
         if nid not in store.initials:

@@ -222,15 +222,10 @@ def _constrain_rows(rows, ext: int, atoms: Sequence[Atom],
     return out
 
 
-def reset(z: CPDBM, clocks: Iterable[int], release: bool = False) -> CPDBM:
-    """Reset clocks to zero, lowest index first, then with ``release``
-    remove all clock upper bounds (``up``); keeps canonical form."""
-    rows = _reset_rows(z.mat, sorted(clocks), release)
-    return CPDBM(z.bits, tuple(map(tuple, rows)), canonical=z.canonical)
-
-
 def _reset_rows(rows, clocks: Sequence[int], release: bool) -> list:
-    """``reset`` of the sorted ``clocks`` on one branch's rows."""
+    """Reset the sorted ``clocks`` to zero on one branch's rows, lowest
+    index first, then with ``release`` remove all clock upper bounds (time
+    successor); keeps canonical form."""
     if type(rows) is tuple:
         rows = [list(r) for r in rows]
     for r in clocks:
@@ -243,11 +238,6 @@ def _reset_rows(rows, clocks: Sequence[int], release: bool) -> list:
         for row in rows[1:]:
             row[0] = INF_ID
     return rows
-
-
-def up(z: CPDBM) -> CPDBM:
-    """Remove all clock upper bounds (time successor); keeps canonical."""
-    return reset(z, (), release=True)
 
 
 def extrapolate(z: CPDBM, maxima: Sequence[int], box: ParamBox) -> list[CPDBM]:
@@ -333,8 +323,9 @@ def transition(z: CPDBM, plan: tuple, table: BoundTable,
                counts: dict[str, int]) -> list[CPDBM]:
     """The successor branches of the canonical ``z`` along the edge of
     ``plan`` in one pass over its rows: those, in order, of ``constrain`` by
-    the guard, ``reset(release=True)``, ``constrain`` by the invariant and
-    ``extrapolate``, with their added branches tallied in ``counts``."""
+    the guard, the reset with time release (``_reset_rows``), ``constrain``
+    by the invariant and ``extrapolate``, with their added branches tallied
+    in ``counts``."""
     if not z.canonical:
         raise SoundnessError("constrain needs a canonical matrix")
     guard, guard_ks, resets, inv, inv_ks, widen = plan

@@ -60,6 +60,15 @@ def load_fuzzgen():
     return module
 
 
+def reset_zone(z, clocks, release=False):
+    """``z`` with ``clocks`` reset to zero and, with ``release``, time
+    released: pdbm's row helper ``_reset_rows`` on a constrained matrix."""
+    from ptasynth import pdbm
+
+    rows = pdbm._reset_rows(z.mat, sorted(clocks), release)
+    return pdbm.CPDBM(z.bits, tuple(map(tuple, rows)), z.canonical)
+
+
 def oracle_bound(enc):
     """An encoded kernel bound as an oracle bound."""
     import oracle_dbm as od

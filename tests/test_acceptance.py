@@ -12,7 +12,7 @@ import pytest
 
 import oracle_dbm as od
 import oracle_ltl as ol
-from conftest import CORPUS, SEED, fixture_path, load_fixture
+from conftest import CORPUS, SEED, fixture_path, load_fixture, reset_zone
 from ptasynth import ltl, pdbm
 from ptasynth.baseline import enumerate_box
 from ptasynth.cli import main as cli_main
@@ -247,12 +247,12 @@ def test_c7_zone_operation_fuzz():
                     out.extend(got)
             elif op == "reset":
                 clocks = [c for c in range(1, n) if rng.random() < 0.5]
-                got = pdbm.reset(z, clocks)
+                got = reset_zone(z, clocks)
                 _validate("reset", z, [got], box,
                           lambda m, v: (od.reset(m, clocks), True)[1])
                 out = [got]
             elif op == "up":
-                got = pdbm.up(z)
+                got = reset_zone(z, (), release=True)
                 _validate("up", z, [got], box,
                           lambda m, v: (od.up(m), True)[1])
                 out = [got]

@@ -7,12 +7,13 @@ import pytest
 
 import oracle_dbm as od
 from conftest import CORPUS, SEED, load_fixture, load_fuzzgen
-from ptasynth import pdbm
+from ptasynth import explore, pdbm
 from ptasynth.errors import CapacityError, InputError, SoundnessError
 from ptasynth.explore import (
     DEFAULT_DNF_LIMIT,
     Options,
     StateStore,
+    build_automaton,
     build_graph,
     cumulative_ndfs_graph,
     deadlock_valuations,
@@ -21,6 +22,7 @@ from ptasynth.explore import (
     successors,
     synthesize,
 )
+from ptasynth.ltl import parse_ltl
 from ptasynth.model import PEdge, PLoc, Ptba, clock_bounds, location_bounds
 from ptasynth.params import (
     AffineExpr,
@@ -515,15 +517,20 @@ RESULTS_DIGEST = \
     "98aee8a6007172781fb1306845f13c58a380aeba7da1182757663b3103ce4818"
 
 
-def test_result_documents_pinned():
-    # the node table's partition, the order nodes are numbered in and the
-    # fixpoint's witnesses all reach the result document
+def pinned_jobs():
+    """(network, property, box overrides) of the 30 corpus pairs, the LIVE6
+    and DENSE3 jobs and the 200 perfbench fuzz jobs, in that order."""
     jobs = [(load_fixture(name), prop, box) for name, prop, box in
             [(name, prop, None) for name, props in CORPUS.items()
              for prop in props] + [LIVE6, DENSE3]]
-    jobs += [(net, prop, None) for net, prop in perfbench_fuzz_jobs()]
+    return jobs + [(net, prop, None) for net, prop in perfbench_fuzz_jobs()]
+
+
+def test_result_documents_pinned():
+    # the node table's partition, the order nodes are numbered in and the
+    # fixpoint's witnesses all reach the result document
     h = hashlib.sha256()
-    for net, prop, box in jobs:
+    for net, prop, box in pinned_jobs():
         doc = synthesize(net, prop, net.box(box)).to_json()
         h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == RESULTS_DIGEST
@@ -544,6 +551,106 @@ def test_trace_text_pinned():
         synthesize(net, prop, net.box(box), Options(trace=out))
         h.update(out.getvalue().encode())
     assert h.hexdigest() == TRACE_DIGEST
+
+
+def unshared_successors(loc, base, a, box, bounds, counts, plans):
+    """Reference successor generation with nothing shared between product
+    edges: a plan per product edge, made when its location is first
+    expanded, and one ``pdbm.transition`` per product edge and base
+    branch."""
+    table = box.bounds
+    steps = plans.get(loc)
+    if steps is None:
+        steps = plans[loc] = [(e.target, pdbm.transition_plan(
+            e.atoms, e.resets, a.locations[e.target].inv, bounds[e.target],
+            table)) for e in a.locations[loc].edges]
+    out = []
+    for target, plan in steps:
+        for zb in base:
+            out.extend((target, z)
+                       for z in pdbm.transition(zb, plan, table, counts))
+    return out
+
+
+def graph_of(net, prop, box):
+    """The filled node table of a job, field by field; out-edges in the
+    order they were added."""
+    box = net.box(box)
+    tba, bounds = build_automaton(net, parse_ltl(prop), box)
+    g = build_graph(tba, box, bounds)
+    return {"locs": g.locs, "mats": g.mats, "canonical": g.canonical,
+            "colour": g.colour,
+            "succ": [list(edges.items()) for edges in g.succ],
+            "initials": g.initials, "counts": g.counts,
+            "deadlock_bits": g.deadlock_bits, "expansions": g.expansions}
+
+
+class TestSharedTransitions:
+    """Product locations that repeat a network edge share its plan and its
+    successor branches; the graph is the one an unshared run builds."""
+
+    def test_graphs_match_unshared_successors(self, monkeypatch):
+        jobs = pinned_jobs()
+        shared = [graph_of(*job) for job in jobs]
+        monkeypatch.setattr(explore, "successors", unshared_successors)
+        for job, want in zip(jobs, shared):
+            assert graph_of(*job) == want, job[1]
+
+    def test_live6_one_call_per_distinct_input(self, monkeypatch):
+        distinct = set()
+
+        def keyed(loc, base, a, box, bounds, counts, plans):
+            for e in a.locations[loc].edges:
+                content = (e.atoms, tuple(sorted(e.resets)),
+                           a.locations[e.target].inv, bounds[e.target])
+                distinct.update((content, zb.bits, zb.mat) for zb in base)
+            return unshared_successors(loc, base, a, box, bounds, counts,
+                                       plans)
+
+        net = load_fixture(LIVE6[0])
+        with monkeypatch.context() as m:
+            m.setattr(explore, "successors", keyed)
+            want = graph_of(net, *LIVE6[1:])
+        calls = []
+        transition = pdbm.transition
+
+        def counted(*args):
+            calls.append(1)
+            return transition(*args)
+
+        monkeypatch.setattr(pdbm, "transition", counted)
+        assert graph_of(net, *LIVE6[1:]) == want
+        assert len(calls) == len(distinct) == 703
+
+    def test_repeated_edge_shares_branches_and_tallies_splits(self):
+        # two locations carry the same guarded edge, which forks on p <= q
+        box = ParamBox.of({"p": (0, 3), "q": (0, 3)})
+        q = AffineExpr.var("q")
+        locs = [PLoc(name, ((1, 0, bound(P)),)) for name in ("L0", "L1")]
+        for loc in locs:
+            loc.edges.append(PEdge(((1, 0, bound(q)),), (), 1, "go"))
+        a = Ptba(["0", "x"], locs, 0)
+        bounds = [(0, 3), (0, 3)]
+        base = initial_states(a, box, bounds)
+        counts, plans = {}, {}
+        first = successors(0, base, a, box, bounds, counts, plans)
+        second = successors(1, base, a, box, bounds, counts, plans)
+        assert len(first) == 2 and counts == {"guard": 2}
+        assert second == first
+        assert all(x is y for (_, x), (_, y) in zip(first, second))
+        assert plans[0][0][1] is plans[1][0][1]
+
+    def test_graphs_on_two_boxes_share_nothing(self, monkeypatch):
+        # each box numbers its bounds afresh, so a memo kept from the
+        # first graph would misread the second
+        name, prop, box = LIVE6
+        boxes = [box, dict(box, p1=(3, 3), p3=(1, 1))]
+        net = load_fixture(name)
+        got = [synthesize(net, prop, net.box(b)).to_json() for b in boxes]
+        monkeypatch.setattr(explore, "successors", unshared_successors)
+        for b, doc in zip(boxes, got):
+            fresh = load_fixture(name)
+            assert synthesize(fresh, prop, fresh.box(b)).to_json() == doc
 
 
 class TestStoredBoundScan:

@@ -9,7 +9,7 @@ concrete (oracle) transformation to the evaluated input.
 import pytest
 
 import oracle_dbm as od
-from conftest import from_oracle
+from conftest import from_oracle, reset_zone
 from ptasynth import pdbm
 from ptasynth.errors import SoundnessError
 from ptasynth.params import (
@@ -257,7 +257,7 @@ class TestResetUp:
             mk({(1, 0): bound(P), (2, 0): bound(3), (0, 2): bound(-1)},
                self.BOX),
             self.BOX)[0]
-        got = pdbm.reset(z, [1])
+        got = reset_zone(z, [1])
         at = od.bounds_of(got, self.BOX)
         assert at[1][0] == ZERO_LE and at[0][1] == ZERO_LE
         assert got.mat[1][2] == z.mat[0][2]
@@ -266,20 +266,20 @@ class TestResetUp:
 
     def test_reset_empty_identity(self):
         z = pdbm.initial_cpdbm(2, self.BOX)
-        assert pdbm.reset(z, []) == z
+        assert reset_zone(z, []) == z
 
     def test_up_removes_upper_bounds(self):
         z = pdbm.initial_cpdbm(2, self.BOX)
-        got = pdbm.up(pdbm.reset(z, [1, 2]))
+        got = reset_zone(reset_zone(z, [1, 2]), (), release=True)
         at = od.bounds_of(got, self.BOX)
         assert at[1][0] is INF_BOUND and at[2][0] is INF_BOUND
-        assert pdbm.up(got) == got  # idempotent
+        assert reset_zone(got, (), release=True) == got  # idempotent
 
     def test_match_concrete(self, rng):
         for z in canonical_samples(rng, self.BOX, 3, 40):
             clocks = [c for c in (1, 2) if rng.random() < 0.6]
-            got_r = pdbm.reset(z, clocks)
-            got_u = pdbm.up(z)
+            got_r = reset_zone(z, clocks)
+            got_u = reset_zone(z, (), release=True)
             for v in ValuationSet(self.BOX, z.bits):
                 m = od.from_valuation(z, v, self.BOX)
                 mr = od.clone(m)
@@ -293,8 +293,8 @@ class TestResetUp:
         # reset and time release keep the canonical invariant, not just
         # the flag
         for z in canonical_samples(rng, self.BOX, 3, 6):
-            assert od.is_canonical(pdbm.reset(z, [1]), self.BOX)
-            assert od.is_canonical(pdbm.up(z), self.BOX)
+            assert od.is_canonical(reset_zone(z, [1]), self.BOX)
+            assert od.is_canonical(reset_zone(z, (), release=True), self.BOX)
 
     def test_closure_noop_on_canonical_evaluations(self, rng):
         for z in canonical_samples(rng, self.BOX, 3, 10):
@@ -365,7 +365,7 @@ def staged_transition(z, atoms, resets, inv, maxima, box, counts):
 
     out = []
     for z1 in tally("guard", pdbm.constrain(z, atoms, box)):
-        z2 = pdbm.reset(z1, resets, release=True)
+        z2 = reset_zone(z1, resets, release=True)
         for z3 in tally("guard", pdbm.constrain(z2, inv, box)):
             out += tally("extrapolate", pdbm.extrapolate(z3, maxima, box))
     return out
