@@ -88,6 +88,9 @@ def _load(args):
     overrides = {}
     for text in args.param:
         name, lo, hi = _param_override(text)
+        if name in overrides:
+            raise InputError(f"--param {name} given more than once",
+                             kind="bad-flag")
         overrides[name] = (lo, hi)
     return net, net.box(overrides)
 

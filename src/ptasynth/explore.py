@@ -14,15 +14,17 @@ generation with constraint splitting, and the deadlock valuations among
 those not yet known to deadlock (the deadlock set is a union).  The
 successors along one edge of one canonical branch come from one pass over
 mutable rows (``pdbm.transition``), with the edge's constants prepared
-once per graph.  The product repeats a network edge at every automaton
-state that carries it; the product locations that repeat a clock edge
-share its plan and, per base branch, its successor branches, so each
-distinct transition is computed once per graph.  Each successor branch,
-widened, adds its valuations to its target node and to the colour of the
-edge; the node table keys and checks the branch's matrix in one walk over
-it.  At a valuation v, the nodes and edges whose colours hold v form the
-widened zone graph at v, up to nodes that repeat a zone, which changes
-neither reachability nor accepting cycles.
+once per graph; the initial matrices are one such pass from the zero
+zone, along an edge with no guard and no reset.  The product repeats a
+network edge at every automaton state that carries it; the product
+locations that repeat a clock edge share its plan and, per base branch,
+its successor branches, so each distinct transition is computed once per
+graph.  Each successor branch, widened, adds its valuations to its
+target node and to the colour of the edge; the node table keys and checks
+the branch's matrix in one walk over it.  At a valuation v, the nodes
+and edges whose colours hold v form the widened zone graph at v, up to
+nodes that repeat a zone, which changes neither reachability nor
+accepting cycles.
 
 Accepting cycles are then found for all valuations at once by a fixpoint
 on colours (``cumulative_ndfs_graph``).  The violating set is the union of
@@ -188,13 +190,16 @@ class StateStore:
 
 
 def initial_states(a: Ptba, box: ParamBox, bounds) -> list[CPDBM]:
-    """The initial matrices, all at ``a.initial``: zero zone with time
-    released, constrained by the initial invariant, canonical, then
-    widened with the initial location's clock bounds (``bounds`` is the
-    ``location_bounds`` table)."""
-    z0 = pdbm.initial_cpdbm(a.n_clocks, box)
-    return [z2 for z1 in pdbm.constrain(z0, a.locations[a.initial].inv, box)
-            for z2 in pdbm.extrapolate(z1, bounds[a.initial], box)]
+    """The initial matrices, all at ``a.initial``: one ``pdbm.transition``
+    from the zero zone with time released, along an edge with no guard and
+    no reset into ``a.initial``, so constrained by its invariant and
+    widened with its clock bounds (``bounds`` is the ``location_bounds``
+    table).  Time release is a no-op on the released zero zone.  Its
+    splits are not tallied."""
+    plan = pdbm.transition_plan((), (), a.locations[a.initial].inv,
+                                bounds[a.initial], box.bounds)
+    return pdbm.transition(pdbm.initial_cpdbm(a.n_clocks, box), plan,
+                           box.bounds, {})
 
 
 def successors(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox, bounds,

@@ -175,6 +175,8 @@ class ParamBox:
     def index(self, v: Mapping[str, int]) -> int:
         idx = 0
         for p, a, b in zip(self.params, self.lo, self.hi):
+            if p not in v:
+                raise EvaluationError(f"valuation missing parameter {p}")
             x = v[p]
             if not a <= x <= b:
                 raise EvaluationError(f"{p}={x} outside {a}..{b}")

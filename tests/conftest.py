@@ -49,15 +49,33 @@ def load_fixture(name: str):
     return load_model(fixture_path(name))
 
 
-def load_fuzzgen():
-    """The random model and property generator ``perfbench/fuzzgen.py``,
-    loaded by path: the fuzz gate and the perfbench ``fuzz`` workload
-    draw their jobs from the one file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "fuzzgen.py"
-    spec = importlib.util.spec_from_file_location("fuzzgen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def load_perfbench(name: str):
+    """The module ``perfbench/<name>.py``, loaded by path once and kept
+    under its name, as perfbench's own imports between its modules expect;
+    the perfbench directory itself stays off ``sys.path``."""
+    module = sys.modules.get(name)
+    if module is None:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / \
+            f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
     return module
+
+
+def load_fuzzgen():
+    """The random model and property generator ``perfbench/fuzzgen.py``:
+    the fuzz gate and the perfbench ``fuzz`` workload draw their jobs from
+    the one file."""
+    return load_perfbench("fuzzgen")
+
+
+def load_workloads():
+    """perfbench's job definitions ``perfbench/workloads.py``, whose
+    ``fuzz_pool`` imports ``fuzzgen``."""
+    load_fuzzgen()
+    return load_perfbench("workloads")
 
 
 def reset_zone(z, clocks, release=False):

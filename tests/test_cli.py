@@ -76,6 +76,14 @@ class TestSynth:
                            "--ltl", "G !inB", "--param", "p=zzz")
         assert code == 2
 
+    def test_repeated_param_flag(self, capsys):
+        code, out, err = run(capsys, "synth", "--model",
+                             str(fixture_path("traingate.pta")),
+                             "--ltl", "G !(Train1.Cross && Train2.Cross)",
+                             "--param", "p1=0..1", "--param", "p1=2..2")
+        assert (code, out) == (2, "")
+        assert err == "error (bad-flag): --param p1 given more than once\n"
+
     def test_unknown_atom(self, capsys):
         code, _, err = run(capsys, "synth", "--model",
                            str(fixture_path("gap.pta")), "--ltl", "G !nope")

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracle_dbm as od
-from conftest import CORPUS, SEED, load_fixture, load_fuzzgen
+from conftest import CORPUS, FIXTURES, SEED, load_fixture, load_workloads
 from ptasynth import explore, pdbm
 from ptasynth.errors import CapacityError, InputError, SoundnessError
 from ptasynth.explore import (
@@ -46,10 +46,20 @@ def tiny_ptba(accepting=True, guard_atoms=(), inv=()):
 
 BOX5 = ParamBox.of({"p": (0, 5)})
 
+workloads = load_workloads()
+
+
+def bench_job(workload):
+    """The one job of a perfbench model workload as (fixture name, property,
+    box overrides); the fixture is the workload's model file."""
+    [job] = workloads.jobs(workload, 0)
+    return job.model, job.prop, job.box
+
+
 # the perfbench ``live6`` job: p1, p2, p3 and p5 free, p4 and p6 pinned
-LIVE6 = ("traingate6.pta", "G F Train1.Cross",
-         {"p1": (2, 3), "p2": (1, 2), "p3": (0, 1), "p4": (1, 1),
-          "p6": (1, 1)})
+LIVE6 = bench_job("live6")
+# the perfbench ``dense3`` job: the low corner of the test_c9 box
+DENSE3 = bench_job("dense3")
 
 
 class TestInitialStates:
@@ -70,6 +80,32 @@ class TestInitialStates:
     def test_unsatisfiable_invariant_drops_state(self):
         a = tiny_ptba(inv=[(1, 0, bound(-1))])  # x <= -1: empty
         assert initial_states(a, BOX5, [(0, 5)]) == []
+
+    @staticmethod
+    def constrain_then_extrapolate(a, box, bounds):
+        """The initial matrices as two operations: the zero zone with time
+        released, constrained by the initial invariant, then widened."""
+        z0 = pdbm.initial_cpdbm(a.n_clocks, box)
+        return [z2 for z1 in pdbm.constrain(z0, a.locations[a.initial].inv,
+                                            box)
+                for z2 in pdbm.extrapolate(z1, bounds[a.initial], box)]
+
+    def test_one_transition_matches_constrain_then_extrapolate(self):
+        # x <= p widened at 3 forks: kept where p <= 3, infinite above
+        forked = tiny_ptba(inv=[(1, 0, bound(P))])
+        cases = [(forked, BOX5, [(0, 3)])]
+        for net, prop, box in pinned_jobs():
+            box = net.box(box)
+            tba, bounds = build_automaton(net, parse_ltl(prop), box)
+            cases.append((tba, box, bounds))
+        many = 0
+        for a, box, bounds in cases:
+            want = self.constrain_then_extrapolate(a, box, bounds)
+            got = initial_states(a, box, bounds)
+            assert [(z.bits, z.mat, z.canonical) for z in got] == \
+                [(z.bits, z.mat, z.canonical) for z in want]
+            many += len(got) > 1
+        assert many > 0
 
 
 class TestSuccessors:
@@ -491,23 +527,18 @@ class TestPinnedStats:
             "fixpoint_rounds")) == want
 
 
-# the perfbench ``dense3`` job: the low corner of the test_c9 box
-DENSE3 = ("traingate.pta", "G !(Train1.Cross && Train2.Cross)",
-          {"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)})
+def test_bench_models_are_the_fixtures():
+    # LIVE6 and DENSE3 load the fixture named after the workload's model
+    for name, _, _ in (LIVE6, DENSE3):
+        assert (FIXTURES / name).read_bytes() == \
+            (workloads.MODELS / name).read_bytes()
 
 
-def perfbench_fuzz_jobs(count=200, seed=1):
+def perfbench_fuzz_jobs():
     """The perfbench ``fuzz`` pool, (network, property) in generation
-    order, drawn from the frozen generator ``perfbench/fuzzgen.py``."""
-    from ptasynth.model import parse_model
-
-    gen = load_fuzzgen()
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        src, labels = gen.random_model(rng)
-        out.append((parse_model(src), gen.random_property(rng, labels)))
-    return out
+    order."""
+    return [(workloads.network(job), job.prop)
+            for job in workloads.fuzz_pool()]
 
 
 # sha256 over json.dumps(to_json(), sort_keys=True) of the 30 corpus pairs,
@@ -607,9 +638,18 @@ class TestSharedTransitions:
             return unshared_successors(loc, base, a, box, bounds, counts,
                                        plans)
 
+        def keyed_initial(a, box, bounds):
+            # the initial matrices are one more transition, from the zero
+            # zone along an edge with no guard and no reset
+            z0 = pdbm.initial_cpdbm(a.n_clocks, box)
+            content = ((), (), a.locations[a.initial].inv, bounds[a.initial])
+            distinct.add((content, z0.bits, z0.mat))
+            return initial_states(a, box, bounds)
+
         net = load_fixture(LIVE6[0])
         with monkeypatch.context() as m:
             m.setattr(explore, "successors", keyed)
+            m.setattr(explore, "initial_states", keyed_initial)
             want = graph_of(net, *LIVE6[1:])
         calls = []
         transition = pdbm.transition
@@ -620,7 +660,7 @@ class TestSharedTransitions:
 
         monkeypatch.setattr(pdbm, "transition", counted)
         assert graph_of(net, *LIVE6[1:]) == want
-        assert len(calls) == len(distinct) == 703
+        assert len(calls) == len(distinct) == 704
 
     def test_repeated_edge_shares_branches_and_tallies_splits(self):
         # two locations carry the same guarded edge, which forks on p <= q
@@ -783,3 +823,15 @@ def test_box_missing_a_guard_parameter_is_refused(engine):
         run(net, "G !Train1.Cross", ParamBox.of({"p1": (2, 5)}))
     assert exc.value.kind == "unknown-param"
     assert str(exc.value).endswith("p2, p3")
+
+
+def test_package_exports_the_engines_not_their_steps():
+    import ptasynth
+
+    assert sorted(ptasynth.__all__) == sorted([
+        "AffineExpr", "Options", "ParamBox", "SynthesisResult",
+        "ValuationSet", "check_valuation", "compose", "enumerate_box",
+        "load_model", "make_nonzeno", "parse_ltl", "parse_model", "product",
+        "synthesize", "to_buchi", "to_nnf", "__version__"])
+    for name in ptasynth.__all__:
+        assert hasattr(ptasynth, name), name

@@ -446,6 +446,8 @@ class TestValuationSets:
     def test_membership(self):
         assert {"p": 0, "q": 0} in self.vs(1)
         assert {"p": 0, "q": 1} not in self.vs(1)
+        with pytest.raises(EvaluationError, match="missing parameter q"):
+            {"p": 0} in self.vs(1)
 
 
 class TestConstraintSetAlgebra:
