@@ -20,15 +20,15 @@ class InputError(SynthError):
 
 class CapacityError(SynthError):
     """A configured resource limit was exceeded (box points, stored states,
-    deadlock-negation expansion)."""
+    deadlock-negation expansion, the wall-clock ``--time-limit``)."""
 
 
 class SoundnessError(SynthError):
     """An internal soundness check failed: a stored zone is empty at a
     valuation of its extension, a successor has valuations its predecessor
-    lacks, the states of a cycle differ in their valuations, a stored
-    bound lies outside the widening range, or a matrix that must be
-    canonical is not.  It means a defect in the tool, not in the input."""
+    lacks, a stored bound lies outside the widening range, or a matrix
+    that must be canonical is not.  It means a defect in the tool, not in
+    the input."""
 
 
 class EvaluationError(SynthError):

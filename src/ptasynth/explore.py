@@ -49,7 +49,7 @@ from .model import (
     make_nonzeno,
     product,
 )
-from .params import ParamBox, ValuationSet
+from .params import BoundTable, ParamBox, ValuationSet
 from .pdbm import CPDBM, Matrix, negate_atom
 
 DEFAULT_STATE_LIMIT = 1 << 22
@@ -100,10 +100,10 @@ class StateStore:
     keys mean equal matrices there, and the node's matrix read on its
     colour denotes exactly the zones that arrived.  The clamp makes the
     keys finite, so the table is finite and each node grows at most
-    |box| times.  The clamped values are the ids that the box's
-    ``BoundTable.window_bits`` memoizes per window and bound id, the memo
-    that widening reads too; a matrix's entries are bound ids, so the key
-    walk reads the memo by the entry itself.
+    |box| times.  The clamped values are the ids that ``table``, the
+    graph's ``BoundTable``, memoizes in ``window_bits`` per window and
+    bound id, the memo that widening reads too; a matrix's entries are
+    bound ids, so the key walk reads the memo by the entry itself.
 
     ``resolve`` adds an arrival and queues its node when the arrival
     brings new valuations, which ``pending`` holds until the node is
@@ -112,12 +112,12 @@ class StateStore:
     matrix reads each entry's id and checks it.
     """
 
-    def __init__(self, box: ParamBox, bounds,
+    def __init__(self, table: BoundTable, bounds,
                  limit: int = DEFAULT_STATE_LIMIT):
-        self.box = box
+        self.table = table
         self.bounds = bounds
         # per location, the window memos of its entries
-        self._windows = [box.bounds.windows(v) for v in bounds]
+        self._windows = [table.windows(v) for v in bounds]
         self.limit = limit
         self.locs: list[int] = []
         self.mats: list[Matrix] = []
@@ -151,13 +151,12 @@ class StateStore:
                 got = memos[j].get(b)
                 if got is None:
                     maxima = self.bounds[loc]
-                    got = self.box.bounds.window_bits(b, maxima[i],
-                                                      -maxima[j])
+                    got = self.table.window_bits(b, maxima[i], -maxima[j])
                 key.append(got[2])
                 if bits & ~(got[0] & got[1]):
                     raise SoundnessError(
                         f"stored bound out of range at entry ({i},{j}): "
-                        f"{self.box.bounds.bound(b)}")
+                        f"{self.table.bound(b)}")
         return tuple(key)
 
     def resolve(self, loc: int, z: CPDBM) -> int:
@@ -189,7 +188,7 @@ class StateStore:
 # --- successor generation ----------------------------------------------------
 
 
-def initial_states(a: Ptba, box: ParamBox, bounds) -> list[CPDBM]:
+def initial_states(a: Ptba, table: BoundTable, bounds) -> list[CPDBM]:
     """The initial matrices, all at ``a.initial``: one ``pdbm.transition``
     from the zero zone with time released, along an edge with no guard and
     no reset into ``a.initial``, so constrained by its invariant and
@@ -197,13 +196,14 @@ def initial_states(a: Ptba, box: ParamBox, bounds) -> list[CPDBM]:
     table).  Time release is a no-op on the released zero zone.  Its
     splits are not tallied."""
     plan = pdbm.transition_plan((), (), a.locations[a.initial].inv,
-                                bounds[a.initial], box.bounds)
-    return pdbm.transition(pdbm.initial_cpdbm(a.n_clocks, box), plan,
-                           box.bounds, {})
+                                bounds[a.initial], table)
+    return pdbm.transition(pdbm.initial_cpdbm(a.n_clocks, table), plan,
+                           table, {})
 
 
-def successors(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox, bounds,
-               counts: dict[str, int], plans: dict) -> list[tuple[int, CPDBM]]:
+def successors(loc: int, base: list[CPDBM], a: Ptba, table: BoundTable,
+               bounds, counts: dict[str, int],
+               plans: dict) -> list[tuple[int, CPDBM]]:
     """All successors of the zone at ``loc`` whose canonical branches are
     ``base``, as (target, matrix) pairs: per edge and base branch, the
     branches of one ``pdbm.transition``: guard, reset and time release,
@@ -215,17 +215,16 @@ def successors(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox, bounds,
     the node table.  ``counts`` tallies per forking stage the branches it
     added (``guard`` counts a guard or invariant and its closure).
 
-    ``plans`` holds, for one box and ``bounds``, each location's edges as
+    ``plans`` holds, for one ``table`` and ``bounds``, each location's edges as
     (target, shared plan) and each shared plan under its content: guard,
     sorted resets, target invariant and target clock bounds.  The product
     repeats a network edge at every automaton state that carries it, and
     every copy gets the one ``pdbm.transition_plan`` with its memo from a
     base branch's (bits, matrix) to its successor branches and the splits
     they added.  ``transition`` is a pure function of the plan, the branch
-    and the box's ``BoundTable``, so a hit gives what a call would, and
-    its splits are tallied again.  ``build_graph`` passes one ``plans``
+    and ``table``, so a hit gives what a call would, and its splits are
+    tallied again.  ``build_graph`` passes one ``table`` and one ``plans``
     per graph, so nothing is kept across graphs."""
-    table = box.bounds
     steps = plans.get(loc)
     if steps is None:
         steps = plans[loc] = []
@@ -253,8 +252,8 @@ def successors(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox, bounds,
     return out
 
 
-def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox,
-                        dnf_limit: int) -> ValuationSet:
+def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba,
+                        table: BoundTable, dnf_limit: int) -> ValuationSet:
     """Valuations for which some point of the zone at ``loc``, whose
     canonical branches are ``base``, enables no outgoing edge: the negated
     guards of all outgoing edges, each distinct guard once, are applied as
@@ -265,7 +264,7 @@ def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox,
     edges = a.locations[loc].edges
     if any(not e.atoms for e in edges):
         # an unguarded edge is always enabled: no zone point can deadlock
-        return ValuationSet.empty(box)
+        return ValuationSet.empty(table.box)
     cur = base
     steps = 0
     # an edge enabled twice is enabled once: fold each distinct guard once
@@ -278,14 +277,14 @@ def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba, box: ParamBox,
                 if steps > dnf_limit:
                     raise CapacityError(
                         f"deadlock-guard expansion exceeded {dnf_limit}")
-                nxt.extend(pdbm.constrain(z, [atom], box))
+                nxt.extend(pdbm.constrain(z, [atom], table))
         cur = pdbm.merge(nxt)
         if not cur:
             break
     bits = 0
     for z in cur:
         bits |= z.bits
-    return ValuationSet(box, bits)
+    return ValuationSet(table.box, bits)
 
 
 # --- reachable coloured graph ------------------------------------------------
@@ -297,14 +296,16 @@ def build_graph(a: Ptba, box: ParamBox, bounds,
     pending valuations: each expansion takes all of a node's pending
     valuations, folds in the deadlock valuations of those not yet in the
     deadlock set and adds every successor branch to its target node and
-    edge.  ``bounds`` is the ``location_bounds`` table.  Returns the
-    filled node table; raises CapacityError before an expansion once
-    ``opts.time_limit`` has passed."""
+    edge.  ``bounds`` is the ``location_bounds`` table; the graph's own
+    ``BoundTable`` numbers its bounds.  Returns the filled node table;
+    raises CapacityError before an expansion once ``opts.time_limit`` has
+    passed."""
     opts = opts or Options()
     over_time = opts.timer()
-    store = StateStore(box, bounds, opts.limit_states)
+    table = BoundTable(box)
+    store = StateStore(table, bounds, opts.limit_states)
     plans: dict = {}  # shared transition plans and memos (``successors``)
-    for z in initial_states(a, box, bounds):
+    for z in initial_states(a, table, bounds):
         nid = store.resolve(a.initial, z)
         if nid not in store.initials:
             store.initials.append(nid)
@@ -314,7 +315,7 @@ def build_graph(a: Ptba, box: ParamBox, bounds,
         delta, store.pending[u] = store.pending[u], 0
         loc = store.locs[u]
         z = CPDBM(delta, store.mats[u], store.canonical[u])
-        base = pdbm.canonicalize(z, box)
+        base = pdbm.canonicalize(z, table)
         covered = 0
         for zb in base:
             covered |= zb.bits
@@ -327,15 +328,15 @@ def build_graph(a: Ptba, box: ParamBox, bounds,
             live = base if fold == delta else [
                 CPDBM(zb.bits & fold, zb.mat, zb.canonical) for zb in base
                 if zb.bits & fold]
-            store.deadlock_bits |= deadlock_valuations(loc, live, a, box,
+            store.deadlock_bits |= deadlock_valuations(loc, live, a, table,
                                                        opts.dnf_limit).bits
         store.expansions += 1
         if opts.trace is not None:
             opts.trace.write(f"state {u}: {a.locations[loc].name}\n")
-            opts.trace.write(pdbm.dump(z, box, a.clock_names) + "\n\n")
+            opts.trace.write(pdbm.dump(z, table, a.clock_names) + "\n\n")
         edges = store.succ[u]
-        for target, zt in successors(loc, base, a, box, bounds, store.counts,
-                                     plans):
+        for target, zt in successors(loc, base, a, table, bounds,
+                                     store.counts, plans):
             if zt.bits & ~delta:
                 raise SoundnessError(
                     "monotonicity violation: successor valuations not a "
@@ -554,12 +555,13 @@ def scan_stored_bounds(g: StateStore) -> int:
     check on every arrival; this scan re-checks a finished graph entry by
     entry."""
     checked = 0
-    box = g.box
+    table = g.table
+    box = table.box
     for loc, mat, colour in zip(g.locs, g.mats, g.colour):
         maxima = g.bounds[loc]
         idx = ValuationSet(box, colour).indices()
         for i, row in enumerate(mat):
-            for j, b in enumerate(map(box.bounds.bound, row)):
+            for j, b in enumerate(map(table.bound, row)):
                 if b.is_inf or i == j:
                     continue
                 vals = box.values(b.expr)[idx]

@@ -8,11 +8,11 @@ box grid.  A constraint set is nothing but the extension of its
 conjunction, and the engines carry it as a plain int.
 
 The zone machinery asks the same questions over and over, so the answers
-are memoized, on the box and nowhere else: ``ParamBox.bounds`` is the
-box's ``BoundTable``, which numbers bounds with small ints and memoizes,
-by those ints, their sums, and their comparisons and widening windows as
-extension bits, which would be wrong for any other box.  The symbolic
-engine's matrices hold the ints.
+are memoized in a ``BoundTable`` over one box, which numbers bounds with
+small ints and memoizes, by those ints, their sums, and their comparisons
+and widening windows as extension bits, which would be wrong for any
+other box.  The symbolic engine's matrices hold the ints; each graph
+makes its own table, which dies with it.
 
 Most comparisons do not need the points one by one.  A constant
 constraint holds on the whole box or nowhere.  One over a single
@@ -159,11 +159,6 @@ class ParamBox:
     def _thresholds(self) -> dict[tuple[str, int], int]:
         return {}
 
-    @cached_property
-    def bounds(self) -> "BoundTable":
-        """The box's table of bound ids and memoized bound arithmetic."""
-        return BoundTable(self)
-
     def point(self, index: int) -> dict[str, int]:
         """Valuation at a row-major grid index: the inverse of ``index``."""
         offsets = []
@@ -173,6 +168,10 @@ class ParamBox:
         return dict(zip(self.params, reversed(offsets)))
 
     def index(self, v: Mapping[str, int]) -> int:
+        for p in v:
+            if p not in self.params:
+                raise EvaluationError(f"valuation names parameter {p}, "
+                                      f"which the box does not have")
         idx = 0
         for p, a, b in zip(self.params, self.lo, self.hi):
             if p not in v:
@@ -322,9 +321,6 @@ class Constraint:
     @classmethod
     def lt(cls, a: AffineExpr | int, b: AffineExpr | int) -> "Constraint":
         return cls(_expr(a) - _expr(b), strict=True)
-
-    def negated(self) -> "Constraint":
-        return Constraint(-self.lhs, not self.strict)
 
     def holds(self, v: Mapping[str, int]) -> bool:
         x = self.lhs.eval(v)
@@ -539,7 +535,7 @@ ZERO_LE_ID = 1
 
 class BoundTable:
     """Hash-consed bounds over one box as small ints, with their sums and
-    comparisons memoized.
+    comparisons memoized: the state of one run, made per graph.
 
     ``intern`` hands out one int per distinct bound, in order of first
     arrival, and ``bound`` reads it back: infinity is 0 (``INF_ID``) and

@@ -7,11 +7,12 @@ on the parameters fork the extension into complementary branches, so
 most operations here return a list of matrices with pairwise-disjoint,
 non-empty extensions.
 
-An entry is the id that the box's ``BoundTable`` gives its bound, 0 for
+An entry is the id that a ``BoundTable`` gives its bound, 0 for
 infinity, so the loops here read and compare small ints and look sums,
-comparisons and widening windows up by them.  ``matrix_of`` and the
-guard atoms take bounds in; ``dump`` and ``evaluate_all`` read the ids
-back with ``BoundTable.bound``.
+comparisons and widening windows up by them.  The table belongs to the
+graph (``explore.build_graph`` makes one per run) and knows its box;
+every operation here takes it.  ``matrix_of`` and the guard atoms take
+bounds in; ``dump`` and ``evaluate_all`` read the ids back.
 
 Strictness bookkeeping follows the difference-bound order throughout: at
 equal values a strict bound is tighter than a weak one, and the sum of two
@@ -35,7 +36,6 @@ from .params import (
     INF_ID,
     ZERO_LE_ID,
     BoundTable,
-    ParamBox,
     StrictBound,
     ValuationSet,
 )
@@ -45,7 +45,7 @@ from .params import bound_le_constraint, covers  # noqa: F401
 # an atomic clock constraint x_i - x_j < / <= e
 Atom = tuple[int, int, StrictBound]
 
-# bound ids of the box's BoundTable
+# bound ids of a BoundTable
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -71,12 +71,12 @@ def matrix_of(n: int, entries: Mapping[tuple[int, int], StrictBound],
                  for i in range(n))
 
 
-def initial_cpdbm(n_clocks: int, box: ParamBox) -> CPDBM:
+def initial_cpdbm(n_clocks: int, table: BoundTable) -> CPDBM:
     """All clocks equal and non-negative with time already released, at
-    every point of the box."""
+    every point of the table's box."""
     n = n_clocks + 1
-    mat = matrix_of(n, {(i, 0): INF_BOUND for i in range(1, n)}, box.bounds)
-    return CPDBM(ValuationSet.full(box).bits, mat, canonical=True)
+    mat = matrix_of(n, {(i, 0): INF_BOUND for i in range(1, n)}, table)
+    return CPDBM(ValuationSet.full(table.box).bits, mat, canonical=True)
 
 
 def _interned(atoms: Sequence[Atom], table: BoundTable) -> tuple:
@@ -85,12 +85,12 @@ def _interned(atoms: Sequence[Atom], table: BoundTable) -> tuple:
             sorted({c for i, j, _ in atoms for c in (i, j)}))
 
 
-def apply_guard(z: CPDBM, atoms: Sequence[Atom], box: ParamBox) -> list[CPDBM]:
+def apply_guard(z: CPDBM, atoms: Sequence[Atom],
+                table: BoundTable) -> list[CPDBM]:
     """Left fold of a conjunction of guard atoms, with a three-way outcome
     per atom on whether the current bound already lies within the atom's:
     keep the matrix, replace the entry, or fork the extension into both
     cases, the unchanged branch first.  Empty branches are dropped."""
-    table = box.bounds
     return [CPDBM(ext, tuple(map(tuple, rows)), z.canonical and not changed)
             for rows, ext, changed in _guard_rows(
                 z.mat, z.bits, _interned(atoms, table)[0], table)]
@@ -119,7 +119,7 @@ def _guard_rows(rows, ext: int, atoms: Sequence[Atom],
     return branches
 
 
-def canonicalize(z: CPDBM, box: ParamBox) -> list[CPDBM]:
+def canonicalize(z: CPDBM, table: BoundTable) -> list[CPDBM]:
     """Tighten every entry to the strongest derivable bound, forking the
     extension whenever a relaxation's outcome depends on the parameters.
 
@@ -133,7 +133,7 @@ def canonicalize(z: CPDBM, box: ParamBox) -> list[CPDBM]:
         return [z]
     return [CPDBM(ext, tuple(map(tuple, rows)), canonical=True)
             for rows, ext in _close([list(r) for r in z.mat], z.bits,
-                                    range(z.n), box.bounds)]
+                                    range(z.n), table)]
 
 
 def _close(rows: list, ext: int, ks: Sequence[int],
@@ -196,7 +196,8 @@ def _close(rows: list, ext: int, ks: Sequence[int],
     return out
 
 
-def constrain(z: CPDBM, atoms: Sequence[Atom], box: ParamBox) -> list[CPDBM]:
+def constrain(z: CPDBM, atoms: Sequence[Atom],
+              table: BoundTable) -> list[CPDBM]:
     """Apply a guard to a canonical matrix and restore canonical form.
 
     Only entries between the guard's clocks are tightened, so a shorter
@@ -206,7 +207,6 @@ def constrain(z: CPDBM, atoms: Sequence[Atom], box: ParamBox) -> list[CPDBM]:
     """
     if not z.canonical:
         raise SoundnessError("constrain needs a canonical matrix")
-    table = box.bounds
     return [CPDBM(ext, tuple(map(tuple, rows)), canonical=True) for rows, ext
             in _constrain_rows(z.mat, z.bits, *_interned(atoms, table), table)]
 
@@ -240,7 +240,8 @@ def _reset_rows(rows, clocks: Sequence[int], release: bool) -> list:
     return rows
 
 
-def extrapolate(z: CPDBM, maxima: Sequence[int], box: ParamBox) -> list[CPDBM]:
+def extrapolate(z: CPDBM, maxima: Sequence[int],
+                table: BoundTable) -> list[CPDBM]:
     """Widen bounds past the per-clock maxima so that finite entries only
     ever evaluate inside [-maxima[j], maxima[i]]: per off-diagonal entry,
     bounds above the row clock's maximum become infinite and bounds below
@@ -248,7 +249,7 @@ def extrapolate(z: CPDBM, maxima: Sequence[int], box: ParamBox) -> list[CPDBM]:
     forking the extension where that depends on the valuation (kept branch
     first, floored next, widened last).  Changed results are non-canonical."""
     branches = _widen_rows([list(r) for r in z.mat], z.bits,
-                           widening(maxima, box.bounds), box.bounds)
+                           widening(maxima, table), table)
     return [CPDBM(ext, tuple(map(tuple, rows)) if changed else z.mat,
                   canonical=z.canonical and not changed)
             for rows, ext, changed in branches]
@@ -327,7 +328,7 @@ def transition(z: CPDBM, plan: tuple, table: BoundTable,
     by the invariant and ``extrapolate``, with their added branches tallied
     in ``counts``."""
     if not z.canonical:
-        raise SoundnessError("constrain needs a canonical matrix")
+        raise SoundnessError("transition needs a canonical matrix")
     guard, guard_ks, resets, inv, inv_ks, widen = plan
     out = []
     g1 = _constrain_rows(z.mat, z.bits, guard, guard_ks, table)
@@ -374,27 +375,27 @@ def negate_atom(atom: Atom) -> Atom:
     return (j, i, StrictBound(-b.expr, not b.strict))
 
 
-def evaluate_all(z: CPDBM, box: ParamBox) -> np.ndarray:
+def evaluate_all(z: CPDBM, table: BoundTable) -> np.ndarray:
     """Encoded matrices at every box point: shape (box.size, n, n)."""
+    box = table.box
     out = np.empty((box.size, z.n, z.n), dtype=np.int64)
     for i, row in enumerate(z.mat):
-        for j, b in enumerate(row):
-            b = box.bounds.bound(b)
+        for j, b in enumerate(map(table.bound, row)):
             out[:, i, j] = zones.INF if b.expr is None else \
                 box.values(b.expr) * 2 + (not b.strict)
     return out
 
 
-def dump(z: CPDBM, box: ParamBox, names: Sequence[str] | None = None) -> str:
+def dump(z: CPDBM, table: BoundTable,
+         names: Sequence[str] | None = None) -> str:
     """Debug text: one line per finite entry, then one line per valuation
     of the extension."""
     names = names or [f"x{i}" for i in range(z.n)]
-    bound = box.bounds.bound
     lines = [f"{names[i]} - {names[j]} {'<' if b.strict else '<='} {b.expr}"
              for i, row in enumerate(z.mat)
-             for j, b in enumerate(map(bound, row))
+             for j, b in enumerate(map(table.bound, row))
              if i != j and not b.is_inf]
     lines.append("where:")
     lines += ["  " + ", ".join(f"{p}={x}" for p, x in v.items())
-              for v in ValuationSet(box, z.bits)]
+              for v in ValuationSet(table.box, z.bits)]
     return "\n".join(lines)

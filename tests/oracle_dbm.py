@@ -27,19 +27,18 @@ def minimum(a, b):
     return a if lt(a, b) else b
 
 
-def bounds_of(cpdbm, box):
-    """The matrix's entries as bounds, each id read back from the box's
-    bound table."""
-    bound = box.bounds.bound
-    return [[bound(i) for i in row] for row in cpdbm.mat]
+def bounds_of(cpdbm, table):
+    """The matrix's entries as bounds, each id read back from the bound
+    table that numbered it."""
+    return [[table.bound(i) for i in row] for row in cpdbm.mat]
 
 
-def from_valuation(cpdbm, v, box):
+def from_valuation(cpdbm, v, table):
     """Evaluate a constrained parametric matrix at one valuation, on the
     oracle's own representation: each entry is read back as a bound and
     its expression evaluated with ``AffineExpr.eval``."""
     out = []
-    for bounds in bounds_of(cpdbm, box):
+    for bounds in bounds_of(cpdbm, table):
         row = []
         for b in bounds:
             if b.expr is None:
@@ -50,13 +49,14 @@ def from_valuation(cpdbm, v, box):
     return out
 
 
-def is_canonical(cpdbm, box):
+def is_canonical(cpdbm, table):
     """True when the matrix is closed at every valuation of its
     extension: closing it there with ``close`` changes no entry."""
+    box = table.box
     for idx in range(box.size):
         if not cpdbm.bits >> idx & 1:
             continue
-        m = from_valuation(cpdbm, box.point(idx), box)
+        m = from_valuation(cpdbm, box.point(idx), table)
         closed = clone(m)
         close(closed)
         if closed != m:

@@ -21,6 +21,7 @@ from ptasynth.explore import Options, build_automaton, build_graph, \
 from ptasynth.model import load_model
 from ptasynth.params import (
     AffineExpr,
+    BoundTable,
     Constraint,
     ConstraintSet,
     INF_BOUND,
@@ -80,21 +81,22 @@ def test_c2_canonical_form_golden():
     with p below q (both bounds tightened to p) and its complement."""
     p, q = AffineExpr.var("p"), AffineExpr.var("q")
     box = ParamBox.of({"p": (0, 7), "q": (0, 7)})
+    table = BoundTable(box)
     z = pdbm.CPDBM(ValuationSet.full(box).bits,
                    pdbm.matrix_of(3, {(1, 0): bound(p), (2, 0): bound(q)},
-                                  box.bounds))
-    out = pdbm.canonicalize(z, box)
+                                  table))
+    out = pdbm.canonicalize(z, table)
     assert len(out) == 2
     le, gt = out
     assert le.bits == ConstraintSet.of(box, [Constraint.le(p, q)]).bits
-    at = od.bounds_of(le, box)
+    at = od.bounds_of(le, table)
     assert [at[1][0], at[2][0]] == [bound(p), bound(p)]
     assert at[1][2] == at[2][1] == ZERO_LE
     assert gt.bits == ConstraintSet.of(box, [Constraint.lt(q, p)]).bits
-    at = od.bounds_of(gt, box)
+    at = od.bounds_of(gt, table)
     assert [at[1][0], at[2][0]] == [bound(q), bound(q)]
     for b in out:
-        assert od.is_canonical(b, box)
+        assert od.is_canonical(b, table)
     ok(2, "canonical-form split matches the expected two branches exactly")
 
 
@@ -103,19 +105,19 @@ def test_c3_extrapolation_golden():
     exactly {2p <= 10} unchanged and {2p > 10} with the bound removed."""
     p = AffineExpr.var("p")
     box = ParamBox.of({"p": (0, 7)})
+    table = BoundTable(box)
     z = pdbm.CPDBM(
         ValuationSet.full(box).bits,
-        pdbm.matrix_of(3, {(1, 0): INF_BOUND, (2, 0): bound(2 * p)},
-                       box.bounds),
+        pdbm.matrix_of(3, {(1, 0): INF_BOUND, (2, 0): bound(2 * p)}, table),
         canonical=True)
-    out = pdbm.extrapolate(z, [0, 10, 10], box)
+    out = pdbm.extrapolate(z, [0, 10, 10], table)
     assert len(out) == 2
     kept, widened = out
     assert kept.bits == ConstraintSet.of(box, [Constraint.le(2 * p, 10)]).bits
     assert kept.mat == z.mat
     assert widened.bits == ConstraintSet.of(
         box, [Constraint.lt(10, 2 * p)]).bits
-    at = od.bounds_of(widened, box)
+    at = od.bounds_of(widened, table)
     assert at[2][0] is INF_BOUND
     assert at[1][2] == at[2][1] == ZERO_LE
     ok(3, "widening split matches the expected two branches exactly")
@@ -192,18 +194,19 @@ def _check_disjoint(branches, box):
         seen |= bits
 
 
-def _validate(op_name, z, branches, box, transform):
+def _validate(op_name, z, branches, table, transform):
     """Per-valuation branch soundness of one operation application."""
+    box = table.box
     _check_disjoint(branches, box)
     for v in ValuationSet(box, z.bits):
-        m = od.from_valuation(z, v, box)
+        m = od.from_valuation(z, v, table)
         keep = transform(m, v)
         got = _branch_at(branches, v, box)
         if not keep:
             assert got is None, op_name
         else:
             assert got is not None, op_name
-            assert od.from_valuation(got, v, box) == m, op_name
+            assert od.from_valuation(got, v, table) == m, op_name
 
 
 def test_c7_zone_operation_fuzz():
@@ -219,8 +222,9 @@ def test_c7_zone_operation_fuzz():
             lo = rng.randrange(0, 3)
             params[pname] = (lo, lo + rng.randrange(1, 6 - lo))
         box = ParamBox.of(params)
+        table = BoundTable(box)
         n = n_clocks + 1
-        pool = [pdbm.initial_cpdbm(n_clocks, box)]
+        pool = [pdbm.initial_cpdbm(n_clocks, table)]
         for _ in range(rng.randrange(2, 5)):
             z = pool[rng.randrange(len(pool))]
             op = rng.choice(("guard", "reset", "up", "extrapolate"))
@@ -231,39 +235,39 @@ def test_c7_zone_operation_fuzz():
                     i, j = (c, 0) if rng.random() < 0.5 else (0, c)
                     atoms.append((i, j, bound(_random_expr(rng, box),
                                               rng.random() < 0.4)))
-                mid = pdbm.apply_guard(z, atoms, box)
+                mid = pdbm.apply_guard(z, atoms, table)
 
                 def guard_oracle(m, v, _atoms=atoms):
                     for (i, j, b) in _atoms:
                         od.constrain(m, i, j, (b.expr.eval(v), b.strict))
                     return True
 
-                _validate("guard", z, mid, box, guard_oracle)
+                _validate("guard", z, mid, table, guard_oracle)
                 out = []
                 for w in mid:
-                    got = pdbm.canonicalize(w, box)
-                    _validate("canonicalize", w, got, box,
+                    got = pdbm.canonicalize(w, table)
+                    _validate("canonicalize", w, got, table,
                               lambda m, v: od.close(m))
                     out.extend(got)
             elif op == "reset":
                 clocks = [c for c in range(1, n) if rng.random() < 0.5]
                 got = reset_zone(z, clocks)
-                _validate("reset", z, [got], box,
+                _validate("reset", z, [got], table,
                           lambda m, v: (od.reset(m, clocks), True)[1])
                 out = [got]
             elif op == "up":
                 got = reset_zone(z, (), release=True)
-                _validate("up", z, [got], box,
+                _validate("up", z, [got], table,
                           lambda m, v: (od.up(m), True)[1])
                 out = [got]
             else:
                 maxima = [0] + [rng.randrange(0, 6) for _ in range(n_clocks)]
-                got = pdbm.extrapolate(z, maxima, box)
-                _validate("extrapolate", z, got, box,
+                got = pdbm.extrapolate(z, maxima, table)
+                _validate("extrapolate", z, got, table,
                           lambda m, v: (od.extrapolate(m, maxima), True)[1])
                 out = []
                 for w in got:
-                    out.extend(pdbm.canonicalize(w, box))
+                    out.extend(pdbm.canonicalize(w, table))
             if out:
                 pool.extend(out[:3])
             operations += 1

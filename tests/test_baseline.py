@@ -55,12 +55,13 @@ class TestInstantiate:
     def test_consistent_with_symbolic_evaluation(self):
         # the instantiated guard equals the evaluated parametric bound
         from ptasynth import pdbm
-        from ptasynth.params import ParamBox, ValuationSet
+        from ptasynth.params import BoundTable, ParamBox, ValuationSet
 
         b = bound(3 * P - 2, strict=True)
         box = ParamBox.of({"p": (1, 3)})
+        table = BoundTable(box)
         z = pdbm.CPDBM(ValuationSet.full(box).bits,
-                       pdbm.matrix_of(2, {(1, 0): b}, box.bounds))
+                       pdbm.matrix_of(2, {(1, 0): b}, table))
         loc = PLoc("L", ())
         loc.edges.append(PEdge(((1, 0, b),), (), 0, "e"))
         a = Ptba(["0", "x"], [loc], 0)
@@ -68,7 +69,7 @@ class TestInstantiate:
             ct = instantiate(a, {"p": p})
             enc = ct.edges[0][0][0][0][2]
             assert enc == zones.encode(
-                *od.from_valuation(z, {"p": p}, box)[1][0])
+                *od.from_valuation(z, {"p": p}, table)[1][0])
 
 
 def flat_atoms(rows, n):

@@ -26,6 +26,7 @@ from ptasynth.ltl import parse_ltl
 from ptasynth.model import PEdge, PLoc, Ptba, clock_bounds, location_bounds
 from ptasynth.params import (
     AffineExpr,
+    BoundTable,
     Constraint,
     ConstraintSet,
     INF_BOUND,
@@ -45,6 +46,7 @@ def tiny_ptba(accepting=True, guard_atoms=(), inv=()):
 
 
 BOX5 = ParamBox.of({"p": (0, 5)})
+TABLE5 = BoundTable(BOX5)
 
 workloads = load_workloads()
 
@@ -65,30 +67,30 @@ DENSE3 = bench_job("dense3")
 class TestInitialStates:
     def test_plain_invariant(self):
         a = tiny_ptba()
-        states = initial_states(a, BOX5, [(0, 0)])
+        states = initial_states(a, TABLE5, [(0, 0)])
         assert len(states) == 1
-        at = od.bounds_of(states[0], BOX5)
+        at = od.bounds_of(states[0], TABLE5)
         assert at[1][0] is INF_BOUND  # x unbounded above
         assert at[0][1].expr == AffineExpr(0)  # x >= 0
 
     def test_upper_bound_invariant(self):
         a = tiny_ptba(inv=[(1, 0, bound(P))])
-        states = initial_states(a, BOX5, [(0, 5)])
+        states = initial_states(a, TABLE5, [(0, 5)])
         assert len(states) == 1
-        assert od.bounds_of(states[0], BOX5)[1][0] == bound(P)
+        assert od.bounds_of(states[0], TABLE5)[1][0] == bound(P)
 
     def test_unsatisfiable_invariant_drops_state(self):
         a = tiny_ptba(inv=[(1, 0, bound(-1))])  # x <= -1: empty
-        assert initial_states(a, BOX5, [(0, 5)]) == []
+        assert initial_states(a, TABLE5, [(0, 5)]) == []
 
     @staticmethod
-    def constrain_then_extrapolate(a, box, bounds):
+    def constrain_then_extrapolate(a, table, bounds):
         """The initial matrices as two operations: the zero zone with time
         released, constrained by the initial invariant, then widened."""
-        z0 = pdbm.initial_cpdbm(a.n_clocks, box)
+        z0 = pdbm.initial_cpdbm(a.n_clocks, table)
         return [z2 for z1 in pdbm.constrain(z0, a.locations[a.initial].inv,
-                                            box)
-                for z2 in pdbm.extrapolate(z1, bounds[a.initial], box)]
+                                            table)
+                for z2 in pdbm.extrapolate(z1, bounds[a.initial], table)]
 
     def test_one_transition_matches_constrain_then_extrapolate(self):
         # x <= p widened at 3 forks: kept where p <= 3, infinite above
@@ -100,8 +102,9 @@ class TestInitialStates:
             cases.append((tba, box, bounds))
         many = 0
         for a, box, bounds in cases:
-            want = self.constrain_then_extrapolate(a, box, bounds)
-            got = initial_states(a, box, bounds)
+            table = BoundTable(box)
+            want = self.constrain_then_extrapolate(a, table, bounds)
+            got = initial_states(a, table, bounds)
             assert [(z.bits, z.mat, z.canonical) for z in got] == \
                 [(z.bits, z.mat, z.canonical) for z in want]
             many += len(got) > 1
@@ -112,21 +115,21 @@ class TestSuccessors:
     def test_no_edges(self):
         loc = PLoc("L", ())
         a = Ptba(["0", "x"], [loc], 0)
-        base = initial_states(a, BOX5, [(0, 0)])
-        assert successors(0, base, a, BOX5, [(0, 0)], {}, {}) == []
+        base = initial_states(a, TABLE5, [(0, 0)])
+        assert successors(0, base, a, TABLE5, [(0, 0)], {}, {}) == []
 
     def test_reset_all_guard_true(self):
         loc = PLoc("L", ())
         loc.edges.append(PEdge((), (1, 2), 0, "loop"))
         a = Ptba(["0", "x", "y"], [loc], 0)
-        base = initial_states(a, BOX5, [(0, 0, 0)])
+        base = initial_states(a, TABLE5, [(0, 0, 0)])
         counts = {}
-        out = successors(0, base, a, BOX5, [(0, 0, 0)], counts, {})
+        out = successors(0, base, a, TABLE5, [(0, 0, 0)], counts, {})
         assert len(out) == 1 and counts == {}
         target, z = out[0]
         assert target == 0
         # all clocks equal and non-negative after reset + time release
-        at = od.bounds_of(z, BOX5)
+        at = od.bounds_of(z, TABLE5)
         assert at[1][2].expr == AffineExpr(0)
         assert at[2][1].expr == AffineExpr(0)
         assert at[1][0] is INF_BOUND
@@ -140,8 +143,8 @@ class TestSuccessors:
         loc = PLoc("L", ((1, 0, bound(P)),))
         loc.edges.append(PEdge(((1, 0, bound(q)),), (1,), 0, "loop"))
         a = Ptba(["0", "x"], [loc], 0)
-        z0 = initial_states(a, box, [(0, 5)])[0]
         g = build_graph(a, box, [(0, 5)])
+        z0 = initial_states(a, g.table, [(0, 5)])[0]
         assert g.counts == {"guard": 1}
         assert g.n_nodes == 1 and g.expansions == 1
         assert g.colour == [ValuationSet.full(box).bits]
@@ -151,16 +154,16 @@ class TestSuccessors:
 
 class TestStateStore:
     def test_identical_zone_same_data(self):
-        store = StateStore(BOX5, [(0, 5)] * 2)
-        r1 = store.resolve(0, pdbm.initial_cpdbm(1, BOX5))
-        r2 = store.resolve(0, pdbm.initial_cpdbm(1, BOX5))
+        store = StateStore(TABLE5, [(0, 5)] * 2)
+        r1 = store.resolve(0, pdbm.initial_cpdbm(1, TABLE5))
+        r2 = store.resolve(0, pdbm.initial_cpdbm(1, TABLE5))
         assert r1 == r2
         assert list(store.queue) == [r1]
 
     def test_equal_extensions_hit_structurally(self):
         # different constraint lists with the same points are one set
-        store = StateStore(BOX5, [(0, 5)] * 2)
-        mat = pdbm.matrix_of(2, {(1, 0): bound(P)}, BOX5.bounds)
+        store = StateStore(TABLE5, [(0, 5)] * 2)
+        mat = pdbm.matrix_of(2, {(1, 0): bound(P)}, TABLE5)
         z1 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(P, 3)]).bits,
                         mat, True)
         z2 = pdbm.CPDBM(ConstraintSet.of(
@@ -172,25 +175,25 @@ class TestStateStore:
         # p pinned to 3 with the bound written parametrically vs literally:
         # the key reads the values at every box point, and they differ
         # where p is not 3
-        store = StateStore(BOX5, [(0, 5)] * 2)
+        store = StateStore(TABLE5, [(0, 5)] * 2)
         pin = ConstraintSet.of(BOX5, [Constraint.le(P, 3),
                                       Constraint.le(3, P)]).bits
         z1 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(P)},
-                                            BOX5.bounds), True)
+                                            TABLE5), True)
         z2 = pdbm.CPDBM(pin, pdbm.matrix_of(2, {(1, 0): bound(3)},
-                                            BOX5.bounds), True)
+                                            TABLE5), True)
         assert store.resolve(0, z1) != store.resolve(0, z2)
 
     def test_zones_differing_at_one_valuation_split(self):
-        store = StateStore(BOX5, [(0, 5)] * 2)
+        store = StateStore(TABLE5, [(0, 5)] * 2)
         z1 = pdbm.CPDBM(ValuationSet.full(BOX5).bits,
-                        pdbm.matrix_of(2, {(1, 0): bound(P)}, BOX5.bounds),
+                        pdbm.matrix_of(2, {(1, 0): bound(P)}, TABLE5),
                         True)
         z2 = pdbm.CPDBM(ValuationSet.full(BOX5).bits,
-                        pdbm.matrix_of(2, {(1, 0): bound(P)}, BOX5.bounds),
+                        pdbm.matrix_of(2, {(1, 0): bound(P)}, TABLE5),
                         True)
         z3 = pdbm.CPDBM(ConstraintSet.of(BOX5, [Constraint.le(1, P)]).bits,
-                        pdbm.matrix_of(2, {(1, 0): bound(4)}, BOX5.bounds),
+                        pdbm.matrix_of(2, {(1, 0): bound(4)}, TABLE5),
                         True)
         assert store.resolve(0, z1) == store.resolve(0, z2)
         assert store.resolve(0, z1) != store.resolve(0, z3)
@@ -199,7 +202,7 @@ class TestStateStore:
         n3 = store.resolve(0, z3)
         store.pending[n3] = 0
         z4 = pdbm.CPDBM(ValuationSet.full(BOX5).bits,
-                        pdbm.matrix_of(2, {(1, 0): bound(4)}, BOX5.bounds),
+                        pdbm.matrix_of(2, {(1, 0): bound(4)}, TABLE5),
                         False)
         assert store.resolve(0, z4) == n3
         assert store.colour[n3] == ValuationSet.full(BOX5).bits
@@ -214,11 +217,11 @@ class TestStateStore:
         for box, nodes in ((ParamBox.of({"p": (3, 3)}), 1),
                            (ParamBox.of({"p": (3, 3), "q": (0, 1)}), 1),
                            (ParamBox.of({"p": (2, 3)}), 2)):
-            store = StateStore(box, [(0, 5)])
+            store = StateStore(BoundTable(box), [(0, 5)])
             for b in (bound(3), bound(P)):
                 store.resolve(0, pdbm.CPDBM(
                     ValuationSet.full(box).bits,
-                    pdbm.matrix_of(2, {(1, 0): b}, box.bounds), True))
+                    pdbm.matrix_of(2, {(1, 0): b}, store.table), True))
             assert len(store.locs) == nodes
 
     def test_bounds_equal_in_the_window_are_one_node(self):
@@ -227,10 +230,10 @@ class TestStateStore:
         box = ParamBox.of({"p": (0, 3)})
         one = ConstraintSet.of(box, [Constraint.le(P, 1),
                                      Constraint.le(1, P)]).bits
+        store = StateStore(BoundTable(box), [(0, 1, 1)])
         zs = [pdbm.CPDBM(one, pdbm.matrix_of(3, {
             (1, 0): INF_BOUND, (2, 0): INF_BOUND,
-            (2, 1): bound(-k * P + k)}, box.bounds), True) for k in (2, 4)]
-        store = StateStore(box, [(0, 1, 1)])
+            (2, 1): bound(-k * P + k)}, store.table), True) for k in (2, 4)]
         assert [store.resolve(0, z) for z in zs] == [0, 0]
         assert store.colour == [one]
         assert store.mats == [zs[0].mat]
@@ -242,10 +245,10 @@ class TestStateStore:
         # of one whose bound is 1, where both clamp to one value
         box = ParamBox.of({"p": (1, 5)})
         one = ConstraintSet.of(box, [Constraint.le(P, 1)]).bits
-        zs = [pdbm.CPDBM(one, pdbm.matrix_of(2, {(1, 0): b}, box.bounds),
+        store = StateStore(BoundTable(box), [(0, 5), (0, 1)])
+        zs = [pdbm.CPDBM(one, pdbm.matrix_of(2, {(1, 0): b}, store.table),
                          True)
               for b in (bound(P), bound(2 * P - 1))]
-        store = StateStore(box, [(0, 5), (0, 1)])
         assert store.bounds[1] == (0, 1)
         assert len({store.resolve(0, z) for z in zs}) == 2
         assert len({store.resolve(1, z) for z in zs}) == 1
@@ -337,30 +340,30 @@ class TestDeadlockValuations:
     def test_no_outgoing_edges_whole_extension(self):
         loc = PLoc("L", ())
         a = Ptba(["0", "x"], [loc], 0)
-        base = initial_states(a, BOX5, [(0, 0)])
-        got = deadlock_valuations(0, base, a, BOX5, DEFAULT_DNF_LIMIT)
+        base = initial_states(a, TABLE5, [(0, 0)])
+        got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
         assert got.bits == base[0].bits
 
     def test_unguarded_edge_never_deadlocks(self):
         a = tiny_ptba()
-        base = initial_states(a, BOX5, [(0, 0)])
-        assert deadlock_valuations(0, base, a, BOX5,
+        base = initial_states(a, TABLE5, [(0, 0)])
+        assert deadlock_valuations(0, base, a, TABLE5,
                                    DEFAULT_DNF_LIMIT).is_empty
 
     def test_upper_bounded_guard_on_unbounded_zone(self):
         # zone x >= 0 with a single guard x <= p: some point beyond p
         # always exists, so every valuation is flagged
         a = tiny_ptba(guard_atoms=[(1, 0, bound(P))])
-        base = initial_states(a, BOX5, [(0, 5)])
-        got = deadlock_valuations(0, base, a, BOX5, DEFAULT_DNF_LIMIT)
+        base = initial_states(a, TABLE5, [(0, 5)])
+        got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
         assert got.bits == ValuationSet.full(BOX5).bits
 
     def test_lower_bounded_guard_never_deadlocks_upward_zone(self):
         # guard x >= p on an upward-closed zone is always eventually on,
         # and the formula sees the points below p as deadlocked
         a = tiny_ptba(guard_atoms=[(0, 1, bound(-P))])
-        base = initial_states(a, BOX5, [(0, 5)])
-        got = deadlock_valuations(0, base, a, BOX5, DEFAULT_DNF_LIMIT)
+        base = initial_states(a, TABLE5, [(0, 5)])
+        got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
         assert sorted(v["p"] for v in got) == [1, 2, 3, 4, 5]
 
     def test_dnf_capacity(self):
@@ -371,15 +374,15 @@ class TestDeadlockValuations:
         free = {(i, j): INF_BOUND for i in range(1, n) for j in range(n)
                 if i != j}
         z = pdbm.CPDBM(ValuationSet.full(BOX5).bits,
-                       pdbm.matrix_of(n, free, BOX5.bounds), True)
+                       pdbm.matrix_of(n, free, TABLE5), True)
         loc = PLoc("L", ())
         for c in range(1, n):
             atoms = [(c, 0, bound(k)) for k in range(3)]
             loc.edges.append(PEdge(tuple(atoms), (), 0, "e"))
         a = Ptba(["0", "x1", "x2", "x3", "x4"], [loc], 0)
         with pytest.raises(CapacityError):
-            deadlock_valuations(0, [z], a, BOX5, 100)
-        assert deadlock_valuations(0, [z], a, BOX5, 120).bits \
+            deadlock_valuations(0, [z], a, TABLE5, 100)
+        assert deadlock_valuations(0, [z], a, TABLE5, 120).bits \
             == ValuationSet.full(BOX5).bits
 
     def test_repeated_zones_fold_under_default_limit(self):
@@ -584,12 +587,11 @@ def test_trace_text_pinned():
     assert h.hexdigest() == TRACE_DIGEST
 
 
-def unshared_successors(loc, base, a, box, bounds, counts, plans):
+def unshared_successors(loc, base, a, table, bounds, counts, plans):
     """Reference successor generation with nothing shared between product
     edges: a plan per product edge, made when its location is first
     expanded, and one ``pdbm.transition`` per product edge and base
     branch."""
-    table = box.bounds
     steps = plans.get(loc)
     if steps is None:
         steps = plans[loc] = [(e.target, pdbm.transition_plan(
@@ -630,21 +632,21 @@ class TestSharedTransitions:
     def test_live6_one_call_per_distinct_input(self, monkeypatch):
         distinct = set()
 
-        def keyed(loc, base, a, box, bounds, counts, plans):
+        def keyed(loc, base, a, table, bounds, counts, plans):
             for e in a.locations[loc].edges:
                 content = (e.atoms, tuple(sorted(e.resets)),
                            a.locations[e.target].inv, bounds[e.target])
                 distinct.update((content, zb.bits, zb.mat) for zb in base)
-            return unshared_successors(loc, base, a, box, bounds, counts,
+            return unshared_successors(loc, base, a, table, bounds, counts,
                                        plans)
 
-        def keyed_initial(a, box, bounds):
+        def keyed_initial(a, table, bounds):
             # the initial matrices are one more transition, from the zero
             # zone along an edge with no guard and no reset
-            z0 = pdbm.initial_cpdbm(a.n_clocks, box)
+            z0 = pdbm.initial_cpdbm(a.n_clocks, table)
             content = ((), (), a.locations[a.initial].inv, bounds[a.initial])
             distinct.add((content, z0.bits, z0.mat))
-            return initial_states(a, box, bounds)
+            return initial_states(a, table, bounds)
 
         net = load_fixture(LIVE6[0])
         with monkeypatch.context() as m:
@@ -671,18 +673,19 @@ class TestSharedTransitions:
             loc.edges.append(PEdge(((1, 0, bound(q)),), (), 1, "go"))
         a = Ptba(["0", "x"], locs, 0)
         bounds = [(0, 3), (0, 3)]
-        base = initial_states(a, box, bounds)
+        table = BoundTable(box)
+        base = initial_states(a, table, bounds)
         counts, plans = {}, {}
-        first = successors(0, base, a, box, bounds, counts, plans)
-        second = successors(1, base, a, box, bounds, counts, plans)
+        first = successors(0, base, a, table, bounds, counts, plans)
+        second = successors(1, base, a, table, bounds, counts, plans)
         assert len(first) == 2 and counts == {"guard": 2}
         assert second == first
         assert all(x is y for (_, x), (_, y) in zip(first, second))
         assert plans[0][0][1] is plans[1][0][1]
 
     def test_graphs_on_two_boxes_share_nothing(self, monkeypatch):
-        # each box numbers its bounds afresh, so a memo kept from the
-        # first graph would misread the second
+        # each graph numbers its bounds afresh in its own table, so a memo
+        # kept from the first graph would misread the second
         name, prop, box = LIVE6
         boxes = [box, dict(box, p1=(3, 3), p3=(1, 1))]
         net = load_fixture(name)
@@ -691,6 +694,17 @@ class TestSharedTransitions:
         for b, doc in zip(boxes, got):
             fresh = load_fixture(name)
             assert synthesize(fresh, prop, fresh.box(b)).to_json() == doc
+
+    def test_bound_table_dies_with_its_graph(self):
+        # the box keeps no table after a run, and a second run on it
+        # numbers its bounds afresh and gives the same document
+        name, prop, box = LIVE6
+        net = load_fixture(name)
+        box = net.box(box)
+        first = synthesize(net, prop, box).to_json()
+        assert not hasattr(ParamBox, "bounds")
+        assert not any(isinstance(v, BoundTable) for v in vars(box).values())
+        assert synthesize(net, prop, box).to_json() == first
 
 
 class TestStoredBoundScan:
@@ -717,7 +731,7 @@ class TestStoredBoundScan:
         # the same graph with an unwidened matrix fails the scan
         g.mats[-1] = pdbm.matrix_of(3, {(1, 0): INF_BOUND,
                                         (2, 0): INF_BOUND,
-                                        (2, 1): bound(1)}, BOX5.bounds)
+                                        (2, 1): bound(1)}, g.table)
         with pytest.raises(SoundnessError,
                            match=r"out of range at entry \(2,1\): \(1, <=\)$"):
             scan_stored_bounds(g)

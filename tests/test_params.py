@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ptasynth.errors import CapacityError, EvaluationError, SynthError
 from ptasynth.params import (
     AffineExpr,
+    BoundTable,
     Constraint,
     ConstraintSet,
     Cover,
@@ -212,18 +213,19 @@ class TestBoundAlgebra:
 class TestBoundTable:
     def test_le_bits_per_box(self):
         # "p <= 3" holds on all of p = 0..2 and nowhere on p = 4..5: each
-        # box must keep its own answer for the same pair of bounds
+        # box's table must keep its own answer for the same pair of bounds
         low = ParamBox.of({"p": (0, 2)})
         high = ParamBox.of({"p": (4, 5)})
-        lo_ids = [low.bounds.intern(b) for b in (bound(P), bound(3))]
-        hi_ids = [high.bounds.intern(b) for b in (bound(P), bound(3))]
-        assert low.bounds.le_bits(*lo_ids) == ValuationSet.full(low).bits
-        assert high.bounds.le_bits(*hi_ids) == 0
-        assert low.bounds.le_bits(*lo_ids) == ValuationSet.full(low).bits
-        assert high.bounds.le_bits(*hi_ids) == 0
+        lo_t, hi_t = BoundTable(low), BoundTable(high)
+        lo_ids = [lo_t.intern(b) for b in (bound(P), bound(3))]
+        hi_ids = [hi_t.intern(b) for b in (bound(P), bound(3))]
+        assert lo_t.le_bits(*lo_ids) == ValuationSet.full(low).bits
+        assert hi_t.le_bits(*hi_ids) == 0
+        assert lo_t.le_bits(*lo_ids) == ValuationSet.full(low).bits
+        assert hi_t.le_bits(*hi_ids) == 0
 
     def test_equal_bounds_are_one_object(self):
-        table = ParamBox.of({"p": (0, 3)}).bounds
+        table = BoundTable(ParamBox.of({"p": (0, 3)}))
         one = table.intern(bound(P + 1))
         assert table.bound(one) == bound(P + 1)
         assert table.intern(bound(P + 1)) == one
@@ -242,7 +244,7 @@ class TestBoundTable:
         # first, each memo entry must still equal a fresh computation, so
         # no two pairs can share a key
         box = ParamBox.of({"p": (-2, 3), "q": (0, 4)})
-        table = box.bounds
+        table = BoundTable(box)
         bounds = [INF_BOUND] + [
             StrictBound(AffineExpr.of(c, {"p": zp, "q": zq}), strict)
             for c in range(-120, 120) for zp in (-1, 0, 2) for zq in (0, 3)
@@ -330,7 +332,7 @@ class TestComparisonsAgreePointwise:
 
     def test_le_bits(self, rng):
         for box in self.BOXES:
-            table = box.bounds
+            table = BoundTable(box)
             for _ in range(300):
                 a = self.bound(rng, box)
                 if a.expr is not None and rng.random() < 0.5:
@@ -347,7 +349,7 @@ class TestComparisonsAgreePointwise:
 
     def test_window_bits(self, rng):
         for box in self.BOXES:
-            table = box.bounds
+            table = BoundTable(box)
             points = [dict(zip(box.params, vals)) for vals in
                       itertools.product(*(range(a, c + 1)
                                           for a, c in zip(box.lo, box.hi)))]
@@ -448,6 +450,8 @@ class TestValuationSets:
         assert {"p": 0, "q": 1} not in self.vs(1)
         with pytest.raises(EvaluationError, match="missing parameter q"):
             {"p": 0} in self.vs(1)
+        with pytest.raises(EvaluationError, match="names parameter r,"):
+            {"p": 0, "q": 0, "r": 7} in self.vs(1)
 
 
 class TestConstraintSetAlgebra:

@@ -14,6 +14,7 @@ from ptasynth import pdbm
 from ptasynth.errors import SoundnessError
 from ptasynth.params import (
     AffineExpr,
+    BoundTable,
     Constraint,
     ConstraintSet,
     INF_BOUND,
@@ -27,9 +28,9 @@ P = AffineExpr.var("p")
 Q = AffineExpr.var("q")
 
 
-def mk(entries, box, n=3, canonical=False):
-    return pdbm.CPDBM(ValuationSet.full(box).bits,
-                      pdbm.matrix_of(n, entries, box.bounds), canonical)
+def mk(entries, table, n=3, canonical=False):
+    return pdbm.CPDBM(ValuationSet.full(table.box).bits,
+                      pdbm.matrix_of(n, entries, table), canonical)
 
 
 def ext(box, *cs):
@@ -55,113 +56,118 @@ def branch_at(branches, v, box):
 
 class TestAtomicGuard:
     BOX = ParamBox.of({"p": (0, 7), "q": (0, 7)})
+    TABLE = BoundTable(BOX)
 
     def test_split_case(self):
-        z = mk({(1, 0): bound(P)}, self.BOX, n=2, canonical=True)
-        out = pdbm.apply_guard(z, [(1, 0, bound(Q))], self.BOX)
+        z = mk({(1, 0): bound(P)}, self.TABLE, n=2, canonical=True)
+        out = pdbm.apply_guard(z, [(1, 0, bound(Q))], self.TABLE)
         assert len(out) == 2
         keep, repl = out
         assert keep.bits == ext(self.BOX, Constraint.le(P, Q))
-        assert od.bounds_of(keep, self.BOX)[1][0] == bound(P)
+        assert od.bounds_of(keep, self.TABLE)[1][0] == bound(P)
         assert repl.bits == ext(self.BOX, Constraint.lt(Q, P))
-        assert od.bounds_of(repl, self.BOX)[1][0] == bound(Q)
+        assert od.bounds_of(repl, self.TABLE)[1][0] == bound(Q)
         # per-valuation: entry-wise minimum with the guard bound
         for v in ValuationSet.full(self.BOX):
-            m = od.from_valuation(z, v, self.BOX)
+            m = od.from_valuation(z, v, self.TABLE)
             od.constrain(m, 1, 0, (v["q"], False))
             got = branch_at(out, v, self.BOX)
-            assert od.from_valuation(got, v, self.BOX) == m
+            assert od.from_valuation(got, v, self.TABLE) == m
 
     def test_covers_case_unchanged(self):
-        z = mk({(1, 0): bound(3)}, self.BOX, n=2, canonical=True)
-        out = pdbm.apply_guard(z, [(1, 0, bound(5))], self.BOX)
+        z = mk({(1, 0): bound(3)}, self.TABLE, n=2, canonical=True)
+        out = pdbm.apply_guard(z, [(1, 0, bound(5))], self.TABLE)
         assert out == [z]
 
     def test_covers_negation_replaces_infinite(self):
-        z = mk({(1, 0): INF_BOUND}, self.BOX, n=2, canonical=True)
-        out = pdbm.apply_guard(z, [(1, 0, bound(2, strict=True))], self.BOX)
+        z = mk({(1, 0): INF_BOUND}, self.TABLE, n=2, canonical=True)
+        out = pdbm.apply_guard(z, [(1, 0, bound(2, strict=True))], self.TABLE)
         assert len(out) == 1
-        assert od.bounds_of(out[0], self.BOX)[1][0] == bound(2, strict=True)
+        assert od.bounds_of(out[0], self.TABLE)[1][0] == bound(2, strict=True)
         assert not out[0].canonical
 
 
 class TestGuardConjunction:
     BOX = ParamBox.of({"p": (0, 5), "q": (0, 5)})
+    TABLE = BoundTable(BOX)
 
     def test_empty_conjunction_identity(self):
-        z = pdbm.initial_cpdbm(2, self.BOX)
-        assert pdbm.apply_guard(z, [], self.BOX) == [z]
+        z = pdbm.initial_cpdbm(2, self.TABLE)
+        assert pdbm.apply_guard(z, [], self.TABLE) == [z]
 
     def test_two_splitting_conjuncts(self):
-        z = mk({(1, 0): bound(P), (2, 0): bound(P)}, self.BOX,
+        z = mk({(1, 0): bound(P), (2, 0): bound(P)}, self.TABLE,
                canonical=True)
         atoms = [(1, 0, bound(Q)), (2, 0, bound(3))]
-        out = pdbm.apply_guard(z, atoms, self.BOX)
+        out = pdbm.apply_guard(z, atoms, self.TABLE)
         assert 1 <= len(out) <= 4
         branches_disjoint(out, self.BOX)
         for v in ValuationSet.full(self.BOX):
-            m = od.from_valuation(z, v, self.BOX)
+            m = od.from_valuation(z, v, self.TABLE)
             od.constrain(m, 1, 0, (v["q"], False))
             od.constrain(m, 2, 0, (3, False))
             got = branch_at(out, v, self.BOX)
-            assert got is not None and od.from_valuation(got, v, self.BOX) == m
+            assert got is not None
+            assert od.from_valuation(got, v, self.TABLE) == m
 
     def test_contradicting_guard_kept_until_canonical_form(self):
         # x <= 1 and x >= 3: branches survive guard application with empty
         # zones; the canonical form then drops them all
-        z = pdbm.initial_cpdbm(1, self.BOX)
+        z = pdbm.initial_cpdbm(1, self.TABLE)
         atoms = [(1, 0, bound(1)), (0, 1, bound(-3))]
-        mid = pdbm.apply_guard(z, atoms, self.BOX)
+        mid = pdbm.apply_guard(z, atoms, self.TABLE)
         assert mid
         out = []
         for b in mid:
-            out.extend(pdbm.canonicalize(b, self.BOX))
+            out.extend(pdbm.canonicalize(b, self.TABLE))
         assert out == []
 
 
 class TestCanonicalForm:
     BOX = ParamBox.of({"p": (0, 7), "q": (0, 7)})
+    TABLE = BoundTable(BOX)
 
     def test_two_branch_golden(self):
         # zone x <= p, y <= q, x = y: the canonical set splits on which
         # parameter is smaller and tightens both upper bounds to it
-        z = mk({(1, 0): bound(P), (2, 0): bound(Q)}, self.BOX)
-        out = pdbm.canonicalize(z, self.BOX)
+        z = mk({(1, 0): bound(P), (2, 0): bound(Q)}, self.TABLE)
+        out = pdbm.canonicalize(z, self.TABLE)
         assert len(out) == 2
         first, second = out
         assert first.bits == ext(self.BOX, Constraint.le(P, Q))
-        at = od.bounds_of(first, self.BOX)
+        at = od.bounds_of(first, self.TABLE)
         assert at[1][0] == bound(P) and at[2][0] == bound(P)
         assert second.bits == ext(self.BOX, Constraint.lt(Q, P))
-        at = od.bounds_of(second, self.BOX)
+        at = od.bounds_of(second, self.TABLE)
         assert at[1][0] == bound(Q) and at[2][0] == bound(Q)
         for b in out:
-            assert b.canonical and od.is_canonical(b, self.BOX)
+            assert b.canonical and od.is_canonical(b, self.TABLE)
         assert branches_disjoint(out, self.BOX) == \
             ValuationSet.full(self.BOX).bits
 
     def test_already_canonical_unchanged(self):
         z = mk({(1, 0): bound(4), (2, 0): bound(4), (1, 2): bound(1),
-                (2, 1): bound(2)}, self.BOX, canonical=False)
-        out = pdbm.canonicalize(z, self.BOX)
+                (2, 1): bound(2)}, self.TABLE, canonical=False)
+        out = pdbm.canonicalize(z, self.TABLE)
         assert len(out) == 1
-        assert od.is_canonical(out[0], self.BOX)
+        assert od.is_canonical(out[0], self.TABLE)
 
     def test_matches_concrete_closure(self, rng):
         box = ParamBox.of({"p": (0, 5), "q": (0, 5)})
+        table = BoundTable(box)
         for _ in range(60):
-            z = random_cpdbm(rng, box, n=rng.randrange(2, 4))
-            out = pdbm.canonicalize(z, box)
+            z = random_cpdbm(rng, table, n=rng.randrange(2, 4))
+            out = pdbm.canonicalize(z, table)
             branches_disjoint(out, box)
             for v in ValuationSet(box, z.bits):
-                m = od.from_valuation(z, v, box)
+                m = od.from_valuation(z, v, table)
                 ok = od.close(m)
                 got = branch_at(out, v, box)
                 if not ok:
                     assert got is None
                 else:
                     assert got is not None
-                    assert od.from_valuation(got, v, box) == m
+                    assert od.from_valuation(got, v, table) == m
                     assert got.canonical
 
 
@@ -172,8 +178,10 @@ def random_expr(rng, box):
          if rng.random() < 0.5})
 
 
-def random_cpdbm(rng, box, n=3):
-    """Arbitrary matrix over the box; not necessarily satisfiable."""
+def random_cpdbm(rng, table, n=3):
+    """Arbitrary matrix over the table's box; not necessarily
+    satisfiable."""
+    box = table.box
     entries = {}
     for i in range(n):
         for j in range(n):
@@ -189,13 +197,13 @@ def random_cpdbm(rng, box, n=3):
                 entries[(i, j)] = bound(random_expr(rng, box),
                                         rng.random() < 0.4)
     return pdbm.CPDBM(ValuationSet.full(box).bits,
-                      pdbm.matrix_of(n, entries, box.bounds))
+                      pdbm.matrix_of(n, entries, table))
 
 
-def canonical_samples(rng, box, n, count):
+def canonical_samples(rng, table, n, count):
     out = []
     while len(out) < count:
-        for b in pdbm.canonicalize(random_cpdbm(rng, box, n), box):
+        for b in pdbm.canonicalize(random_cpdbm(rng, table, n), table):
             out.append(b)
             if len(out) == count:
                 break
@@ -207,10 +215,11 @@ class TestConstrain:
     only, against the full closure and the oracle."""
 
     BOX = ParamBox.of({"p": (0, 5), "q": (0, 5)})
+    TABLE = BoundTable(BOX)
 
     def random_atom(self, rng, z):
         i, j = rng.sample(range(z.n), 2)
-        back = od.bounds_of(z, self.BOX)[j][i]
+        back = od.bounds_of(z, self.TABLE)[j][i]
         if rng.random() < 0.3 and back.expr is not None:
             # x_i - x_j below minus the bound on x_j - x_i: a negative
             # cycle through the diagonal empties the zone everywhere
@@ -220,16 +229,16 @@ class TestConstrain:
     def test_matches_full_closure_and_oracle(self, rng):
         emptied = kept = 0
         for n in (2, 3, 4, 6):
-            for z in canonical_samples(rng, self.BOX, n, 30):
+            for z in canonical_samples(rng, self.TABLE, n, 30):
                 atoms = [self.random_atom(rng, z)
                          for _ in range(rng.randrange(1, 3))]
-                got = pdbm.constrain(z, atoms, self.BOX)
-                full = [c for w in pdbm.apply_guard(z, atoms, self.BOX)
-                        for c in pdbm.canonicalize(w, self.BOX)]
+                got = pdbm.constrain(z, atoms, self.TABLE)
+                full = [c for w in pdbm.apply_guard(z, atoms, self.TABLE)
+                        for c in pdbm.canonicalize(w, self.TABLE)]
                 branches_disjoint(got, self.BOX)
                 assert all(b.canonical for b in got)
                 for v in ValuationSet(self.BOX, z.bits):
-                    m = od.from_valuation(z, v, self.BOX)
+                    m = od.from_valuation(z, v, self.TABLE)
                     for i, j, g in atoms:
                         od.constrain(m, i, j, (g.expr.eval(v), g.strict))
                     mine = branch_at(got, v, self.BOX)
@@ -239,67 +248,69 @@ class TestConstrain:
                         assert mine is None and ref is None
                     else:
                         kept += 1
-                        assert od.from_valuation(mine, v, self.BOX) == m
-                        assert od.from_valuation(ref, v, self.BOX) == m
+                        assert od.from_valuation(mine, v, self.TABLE) == m
+                        assert od.from_valuation(ref, v, self.TABLE) == m
         assert emptied and kept
 
     def test_non_canonical_refused(self):
-        z = mk({(1, 0): bound(P)}, self.BOX, n=2, canonical=False)
-        with pytest.raises(SoundnessError):
-            pdbm.constrain(z, [(1, 0, bound(Q))], self.BOX)
+        z = mk({(1, 0): bound(P)}, self.TABLE, n=2, canonical=False)
+        with pytest.raises(SoundnessError,
+                           match="^constrain needs a canonical matrix$"):
+            pdbm.constrain(z, [(1, 0, bound(Q))], self.TABLE)
 
 
 class TestResetUp:
     BOX = ParamBox.of({"p": (0, 5), "q": (0, 5)})
+    TABLE = BoundTable(BOX)
 
     def test_reset_single_clock(self):
         z = pdbm.canonicalize(
             mk({(1, 0): bound(P), (2, 0): bound(3), (0, 2): bound(-1)},
-               self.BOX),
-            self.BOX)[0]
+               self.TABLE),
+            self.TABLE)[0]
         got = reset_zone(z, [1])
-        at = od.bounds_of(got, self.BOX)
+        at = od.bounds_of(got, self.TABLE)
         assert at[1][0] == ZERO_LE and at[0][1] == ZERO_LE
         assert got.mat[1][2] == z.mat[0][2]
         assert got.mat[2][1] == z.mat[2][0]
         assert got.canonical
 
     def test_reset_empty_identity(self):
-        z = pdbm.initial_cpdbm(2, self.BOX)
+        z = pdbm.initial_cpdbm(2, self.TABLE)
         assert reset_zone(z, []) == z
 
     def test_up_removes_upper_bounds(self):
-        z = pdbm.initial_cpdbm(2, self.BOX)
+        z = pdbm.initial_cpdbm(2, self.TABLE)
         got = reset_zone(reset_zone(z, [1, 2]), (), release=True)
-        at = od.bounds_of(got, self.BOX)
+        at = od.bounds_of(got, self.TABLE)
         assert at[1][0] is INF_BOUND and at[2][0] is INF_BOUND
         assert reset_zone(got, (), release=True) == got  # idempotent
 
     def test_match_concrete(self, rng):
-        for z in canonical_samples(rng, self.BOX, 3, 40):
+        for z in canonical_samples(rng, self.TABLE, 3, 40):
             clocks = [c for c in (1, 2) if rng.random() < 0.6]
             got_r = reset_zone(z, clocks)
             got_u = reset_zone(z, (), release=True)
             for v in ValuationSet(self.BOX, z.bits):
-                m = od.from_valuation(z, v, self.BOX)
+                m = od.from_valuation(z, v, self.TABLE)
                 mr = od.clone(m)
                 od.reset(mr, clocks)
-                assert od.from_valuation(got_r, v, self.BOX) == mr
+                assert od.from_valuation(got_r, v, self.TABLE) == mr
                 mu = od.clone(m)
                 od.up(mu)
-                assert od.from_valuation(got_u, v, self.BOX) == mu
+                assert od.from_valuation(got_u, v, self.TABLE) == mu
 
     def test_canonical_form_preserved_exactly(self, rng):
         # reset and time release keep the canonical invariant, not just
         # the flag
-        for z in canonical_samples(rng, self.BOX, 3, 6):
-            assert od.is_canonical(reset_zone(z, [1]), self.BOX)
-            assert od.is_canonical(reset_zone(z, (), release=True), self.BOX)
+        for z in canonical_samples(rng, self.TABLE, 3, 6):
+            assert od.is_canonical(reset_zone(z, [1]), self.TABLE)
+            assert od.is_canonical(reset_zone(z, (), release=True), self.TABLE)
 
     def test_closure_noop_on_canonical_evaluations(self, rng):
-        for z in canonical_samples(rng, self.BOX, 3, 10):
+        for z in canonical_samples(rng, self.TABLE, 3, 10):
             for v in ValuationSet(self.BOX, z.bits):
-                m = od.from_valuation(z, v, self.BOX)
+                m = od.from_valuation(z, v, self.TABLE)
                 closed = od.clone(m)
                 assert od.close(closed)
                 assert closed == m
@@ -310,51 +321,55 @@ class TestExtrapolation:
         # x = y, y <= 2p, p in [0,7], maxima 10: forks on whether 2p
         # exceeds the maximum, widening the bound to infinity where it does
         box = ParamBox.of({"p": (0, 7)})
+        table = BoundTable(box)
         z = pdbm.CPDBM(
             ValuationSet.full(box).bits,
             pdbm.matrix_of(3, {(1, 0): INF_BOUND, (2, 0): bound(2 * P)},
-                           box.bounds),
+                           table),
             canonical=True)
-        out = pdbm.extrapolate(z, [0, 10, 10], box)
+        out = pdbm.extrapolate(z, [0, 10, 10], table)
         assert len(out) == 2
         kept, widened = out
         assert kept.bits == ext(box, Constraint.le(2 * P, 10))
         assert kept.mat == z.mat
         assert widened.bits == ext(box, Constraint.lt(10, 2 * P))
-        assert od.bounds_of(widened, box)[2][0] is INF_BOUND
+        assert od.bounds_of(widened, table)[2][0] is INF_BOUND
         assert branches_disjoint(out, box) == ValuationSet.full(box).bits
 
     def test_small_constants_untouched(self):
         box = ParamBox.of({"p": (0, 3)})
-        z = mk({(1, 0): bound(2), (2, 0): bound(1), (1, 2): bound(1)}, box,
+        table = BoundTable(box)
+        z = mk({(1, 0): bound(2), (2, 0): bound(1), (1, 2): bound(1)}, table,
                canonical=True)
-        out = pdbm.extrapolate(z, [0, 5, 5], box)
+        out = pdbm.extrapolate(z, [0, 5, 5], table)
         assert out == [z]
         assert out[0].canonical
 
     def test_low_constant_floored(self):
         box = ParamBox.of({"p": (0, 3)})
-        z = mk({(0, 1): bound(-6)}, box, n=2, canonical=True)
-        out = pdbm.extrapolate(z, [0, 5], box)
+        table = BoundTable(box)
+        z = mk({(0, 1): bound(-6)}, table, n=2, canonical=True)
+        out = pdbm.extrapolate(z, [0, 5], table)
         assert len(out) == 1
-        assert od.bounds_of(out[0], box)[0][1] == bound(-5, strict=True)
+        assert od.bounds_of(out[0], table)[0][1] == bound(-5, strict=True)
         assert not out[0].canonical
 
     def test_matches_concrete(self, rng):
         box = ParamBox.of({"p": (0, 5), "q": (0, 5)})
-        for z in canonical_samples(rng, box, 3, 40):
+        table = BoundTable(box)
+        for z in canonical_samples(rng, table, 3, 40):
             maxima = [0] + [rng.randrange(0, 7) for _ in range(2)]
-            out = pdbm.extrapolate(z, maxima, box)
+            out = pdbm.extrapolate(z, maxima, table)
             branches_disjoint(out, box)
             for v in ValuationSet(box, z.bits):
-                m = od.from_valuation(z, v, box)
+                m = od.from_valuation(z, v, table)
                 od.extrapolate(m, maxima)
                 got = branch_at(out, v, box)
                 assert got is not None
-                assert od.from_valuation(got, v, box) == m
+                assert od.from_valuation(got, v, table) == m
 
 
-def staged_transition(z, atoms, resets, inv, maxima, box, counts):
+def staged_transition(z, atoms, resets, inv, maxima, table, counts):
     """The successor branches of one edge stage by stage: constrain by the
     guard, reset with time release, constrain by the invariant, widen;
     each stage call tallies the branches it added."""
@@ -364,10 +379,10 @@ def staged_transition(z, atoms, resets, inv, maxima, box, counts):
         return branches
 
     out = []
-    for z1 in tally("guard", pdbm.constrain(z, atoms, box)):
+    for z1 in tally("guard", pdbm.constrain(z, atoms, table)):
         z2 = reset_zone(z1, resets, release=True)
-        for z3 in tally("guard", pdbm.constrain(z2, inv, box)):
-            out += tally("extrapolate", pdbm.extrapolate(z3, maxima, box))
+        for z3 in tally("guard", pdbm.constrain(z2, inv, table)):
+            out += tally("extrapolate", pdbm.extrapolate(z3, maxima, table))
     return out
 
 
@@ -382,6 +397,7 @@ class TestTransition:
     """The one-pass transition against its stages run one after another."""
 
     BOX = ParamBox.of({"p": (0, 5), "q": (0, 5)})
+    TABLE = BoundTable(BOX)
 
     def random_edge(self, rng, z):
         n = z.n
@@ -394,22 +410,22 @@ class TestTransition:
         return atoms, resets, inv, maxima
 
     def test_same_branches_order_and_splits(self, rng):
-        table = self.BOX.bounds
+        table = self.TABLE
         seen = {"guard forks": 0, "widening forks": 0, "several resets": 0,
                 "empty invariant": 0, "emptied": 0}
         for n in (3, 4, 6):
-            for z in canonical_samples(rng, self.BOX, n, 60):
+            for z in canonical_samples(rng, table, n, 60):
                 atoms, resets, inv, maxima = self.random_edge(rng, z)
                 mat = z.mat
                 want_counts, got_counts = {}, {}
                 want = staged_transition(z, atoms, resets, inv, maxima,
-                                         self.BOX, want_counts)
+                                         table, want_counts)
                 plan = pdbm.transition_plan(atoms, resets, inv, maxima, table)
                 got = pdbm.transition(z, plan, table, got_counts)
                 assert [tuple(b) for b in got] == [tuple(b) for b in want]
                 assert got_counts == want_counts
                 assert z.mat is mat and z.mat == mat
-                g1 = pdbm.constrain(z, atoms, self.BOX)
+                g1 = pdbm.constrain(z, atoms, table)
                 seen["guard forks"] += len(g1) > 1
                 seen["emptied"] += not got
                 seen["widening forks"] += "extrapolate" in got_counts
@@ -418,14 +434,15 @@ class TestTransition:
         assert all(seen.values()), seen
 
     def test_refuses_non_canonical(self):
-        z = mk({(1, 0): bound(P)}, self.BOX, n=2, canonical=False)
-        plan = pdbm.transition_plan([], [1], [], [0, 3], self.BOX.bounds)
-        with pytest.raises(SoundnessError):
-            pdbm.transition(z, plan, self.BOX.bounds, {})
+        z = mk({(1, 0): bound(P)}, self.TABLE, n=2, canonical=False)
+        plan = pdbm.transition_plan([], [1], [], [0, 3], self.TABLE)
+        with pytest.raises(SoundnessError,
+                           match="^transition needs a canonical matrix$"):
+            pdbm.transition(z, plan, self.TABLE, {})
 
     def test_rows_never_alias_across_forks(self, rng):
-        table = self.BOX.bounds
-        for z in canonical_samples(rng, self.BOX, 4, 60):
+        table = self.TABLE
+        for z in canonical_samples(rng, table, 4, 60):
             atoms, resets, inv, maxima = self.random_edge(rng, z)
             atoms, pivots = pdbm._interned(atoms, table)
             guarded = pdbm._guard_rows(z.mat, z.bits, atoms, table)
@@ -446,53 +463,59 @@ class TestTransition:
 
 class TestEvaluate:
     BOX = ParamBox.of({"p": (0, 5)})
+    TABLE = BoundTable(BOX)
 
     def test_entry(self):
-        z = mk({(1, 0): bound(P)}, self.BOX, n=2)
-        m = pdbm.evaluate_all(z, self.BOX)[3]
+        z = mk({(1, 0): bound(P)}, self.TABLE, n=2)
+        m = pdbm.evaluate_all(z, self.TABLE)[3]
         assert m[1][0] == 3 * 2 + 1  # encoded (3, <=)
 
     def test_inf_preserved(self):
-        z = mk({(1, 0): INF_BOUND}, self.BOX, n=2)
-        assert pdbm.evaluate_all(z, self.BOX)[0][1][0] >= 2 ** 40
+        z = mk({(1, 0): INF_BOUND}, self.TABLE, n=2)
+        assert pdbm.evaluate_all(z, self.TABLE)[0][1][0] >= 2 ** 40
 
     def test_evaluate_all_matches_pointwise(self, rng):
         box = ParamBox.of({"p": (0, 4), "q": (0, 4)})
+        table = BoundTable(box)
         for _ in range(10):
-            z = random_cpdbm(rng, box)
-            ms = pdbm.evaluate_all(z, box)
+            z = random_cpdbm(rng, table)
+            ms = pdbm.evaluate_all(z, table)
             for idx in (0, 7, box.size - 1):
                 v = box.point(idx)
-                assert (ms[idx] == from_oracle(od.from_valuation(z, v, box))).all()
+                m = od.from_valuation(z, v, table)
+                assert (ms[idx] == from_oracle(m)).all()
 
 
 class TestInitial:
     def test_shape(self):
         box = ParamBox.of({"p": (2, 4)})
-        z = pdbm.initial_cpdbm(1, box)
+        table = BoundTable(box)
+        z = pdbm.initial_cpdbm(1, table)
         assert z.canonical
-        at = od.bounds_of(z, box)
+        at = od.bounds_of(z, table)
         assert at[1][0] is INF_BOUND
         assert at[0][1] == ZERO_LE
         assert z.bits == ValuationSet.full(box).bits
         # evaluated zone at any valuation: every clock value >= 0 reachable
-        m = od.from_valuation(z, {"p": 3}, box)
+        m = od.from_valuation(z, {"p": 3}, table)
         assert od.close(m)
         assert m[0][1] == (0, False) and m[1][0] is od.INF
 
     def test_box_constraints_present(self):
         box = ParamBox.of({"p": (2, 4)})
-        z = pdbm.initial_cpdbm(1, box)
+        table = BoundTable(box)
+        z = pdbm.initial_cpdbm(1, table)
         assert z.bits == ext(box, Constraint.le(2, P), Constraint.le(P, 4))
 
 
 class TestDump:
     def test_format(self):
         box = ParamBox.of({"p": (0, 5)})
+        table = BoundTable(box)
         z = pdbm.CPDBM(ext(box, Constraint.le(P, 3)),
                        pdbm.matrix_of(2, {(1, 0): bound(P, strict=True)},
-                                      box.bounds))
-        text = pdbm.dump(z, box, ["0", "x"])
+                                      table))
+        text = pdbm.dump(z, table, ["0", "x"])
         assert "x - 0 < p" in text
         where = text.split("where:\n")[1]
         assert where.split("\n") == ["  p=0", "  p=1", "  p=2", "  p=3"]
