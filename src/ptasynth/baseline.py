@@ -4,11 +4,13 @@ with a concrete zone-graph search.
 This is the comparison engine and the exactness oracle for the symbolic
 one.  It shares the whole front end (model composition, property
 translation, product, non-Zeno transformation, per-location clock bounds)
-so that the two engines explore the same automaton with the same
-abstraction coarseness, and implements the per-state deadlock formula the
-same way.  A zone is widened with the clock bounds of the location it is
-stored at (``model.location_bounds``, static guard analysis after
-Behrmann, Bouyer, Fleury and Larsen, TACAS 2003).
+so that the two engines explore the same automaton, and implements the
+per-state deadlock formula the same way.  A zone is widened with the
+clock bounds of the location it is stored at (``model.location_bounds``,
+static guard analysis after Behrmann, Bouyer, Fleury and Larsen, TACAS
+2003).  Unlike the symbolic engine, it never frees inactive clocks, so
+its zones are finer than the symbolic ones and agreement between the
+engines checks that abstraction independently.
 
 Every valuation gets its own zone graph, but the graphs are explored in
 lockstep: the automaton's atoms are encoded once per box, at every point,

@@ -8,7 +8,11 @@ grows.  A matrix is widened with the clock bounds of the location it is
 stored at (``model.location_bounds``, static guard analysis after
 Behrmann, Bouyer, Fleury and Larsen, TACAS 2003), which are at most the
 one vector that covers every location and often far below it, so fewer
-matrices stay apart.  When a node's colour grows by some valuations, the
+matrices stay apart.  Before widening, a matrix frees the clocks that
+every path from its location resets before reading them
+(``model.inactive_clocks``, after Daws and Yovine, RTSS 1996), so
+matrices that differ only on those clocks meet at one node.  When a
+node's colour grows by some valuations, the
 worklist expands the node's matrix on those valuations alone: successor
 generation with constraint splitting, and the deadlock valuations among
 those not yet known to deadlock (the deadlock set is a union).  The
@@ -19,12 +23,13 @@ zone, along an edge with no guard and no reset.  The product repeats a
 network edge at every automaton state that carries it; the product
 locations that repeat a clock edge share its plan and, per base branch,
 its successor branches, so each distinct transition is computed once per
-graph.  Each successor branch, widened, adds its valuations to its
-target node and to the colour of the edge; the node table keys and checks
-the branch's matrix in one walk over it.  At a valuation v, the nodes
-and edges whose colours hold v form the widened zone graph at v, up to
-nodes that repeat a zone, which changes neither reachability nor
-accepting cycles.
+graph.  Each successor branch, freed and widened, adds its valuations to
+its target node and to the colour of the edge; the node table keys and
+checks the branch's matrix in one walk over it.  At a valuation v, the
+nodes and edges whose colours hold v form the widened zone graph at v
+with inactive clocks freed, up to nodes that repeat a zone.  Neither
+changes reachability or accepting cycles, and the deadlock fold reads
+only the location's guards, whose clocks are active there.
 
 Accepting cycles are then found for all valuations at once by a fixpoint
 on colours (``cumulative_ndfs_graph``).  The violating set is the union of
@@ -45,6 +50,7 @@ from .model import (
     Ptba,
     clock_bounds,
     compose,
+    inactive_clocks,
     location_bounds,
     make_nonzeno,
     product,
@@ -94,6 +100,10 @@ class StateStore:
     keyed as infinity.  A node keeps the first matrix that arrives, its
     colour is the union of the arrivals' valuations, and it is canonical
     only if every arrival was.
+
+    Matrices arrive with the location's inactive clocks freed
+    (``pdbm.transition``); a freed clock's bound is 0, so its entries lie
+    inside the window too, and arrivals that differ only on it share a key.
 
     This is exact: on an arrival's valuations, widening keeps its finite
     entries inside the window, where the clamp changes nothing, so equal
@@ -188,53 +198,59 @@ class StateStore:
 # --- successor generation ----------------------------------------------------
 
 
-def initial_states(a: Ptba, table: BoundTable, bounds) -> list[CPDBM]:
+def initial_states(a: Ptba, table: BoundTable, bounds,
+                   free) -> list[CPDBM]:
     """The initial matrices, all at ``a.initial``: one ``pdbm.transition``
     from the zero zone with time released, along an edge with no guard and
-    no reset into ``a.initial``, so constrained by its invariant and
-    widened with its clock bounds (``bounds`` is the ``location_bounds``
-    table).  Time release is a no-op on the released zero zone.  Its
-    splits are not tallied."""
+    no reset into ``a.initial``, so constrained by its invariant, with its
+    inactive clocks freed and widened with its clock bounds (``bounds`` is
+    the ``location_bounds`` table, ``free`` the ``inactive_clocks`` one).
+    Time release is a no-op on the released zero zone.  Its splits are not
+    tallied."""
     plan = pdbm.transition_plan((), (), a.locations[a.initial].inv,
-                                bounds[a.initial], table)
+                                bounds[a.initial], free[a.initial], table)
     return pdbm.transition(pdbm.initial_cpdbm(a.n_clocks, table), plan,
                            table, {})
 
 
 def successors(loc: int, base: list[CPDBM], a: Ptba, table: BoundTable,
-               bounds, counts: dict[str, int],
+               bounds, free, counts: dict[str, int],
                plans: dict) -> list[tuple[int, CPDBM]]:
     """All successors of the zone at ``loc`` whose canonical branches are
     ``base``, as (target, matrix) pairs: per edge and base branch, the
     branches of one ``pdbm.transition``: guard, reset and time release,
-    target invariant, widening with the target's clock bounds (``bounds``
-    is the ``location_bounds`` table), with empty branches dropped at
-    every stage.  Guard and invariant are closed through their clocks
-    only; the base branches are closed in full.  Pairs come in edge order;
-    branches that reach one target with one matrix meet at their node in
-    the node table.  ``counts`` tallies per forking stage the branches it
-    added (``guard`` counts a guard or invariant and its closure).
+    target invariant, freeing the target's inactive clocks (``free`` is
+    the ``inactive_clocks`` table), widening with the target's clock
+    bounds (``bounds`` is the ``location_bounds`` table), with empty
+    branches dropped at every stage.  Guard and invariant are closed
+    through their clocks only; the base branches are closed in full.
+    Pairs come in edge order; branches that reach one target with one
+    matrix meet at their node in the node table.  ``counts`` tallies per
+    forking stage the branches it added (``guard`` counts a guard or
+    invariant and its closure).
 
-    ``plans`` holds, for one ``table`` and ``bounds``, each location's edges as
-    (target, shared plan) and each shared plan under its content: guard,
-    sorted resets, target invariant and target clock bounds.  The product
-    repeats a network edge at every automaton state that carries it, and
-    every copy gets the one ``pdbm.transition_plan`` with its memo from a
-    base branch's (bits, matrix) to its successor branches and the splits
-    they added.  ``transition`` is a pure function of the plan, the branch
-    and ``table``, so a hit gives what a call would, and its splits are
-    tallied again.  ``build_graph`` passes one ``table`` and one ``plans``
-    per graph, so nothing is kept across graphs."""
+    ``plans`` holds, for one ``table``, ``bounds`` and ``free``, each
+    location's edges as (target, shared plan) and each shared plan under
+    its content, the arguments of ``pdbm.transition_plan``: guard, sorted
+    resets, target invariant, clock bounds and inactive clocks.  The
+    product repeats a network edge at every automaton state that carries
+    it, and every copy gets the one ``pdbm.transition_plan`` with its memo
+    from a base branch's (bits, matrix) to its successor branches and the
+    splits they added.  ``transition`` is a pure function of the plan, the
+    branch and ``table``, so a hit gives what a call would, and its splits
+    are tallied again.  ``build_graph`` passes one ``table`` and one
+    ``plans`` per graph, so nothing is kept across graphs."""
     steps = plans.get(loc)
     if steps is None:
         steps = plans[loc] = []
         for e in a.locations[loc].edges:
-            inv, maxima = a.locations[e.target].inv, bounds[e.target]
-            content = (e.atoms, tuple(sorted(e.resets)), inv, maxima)
+            t = e.target
+            content = (e.atoms, tuple(sorted(e.resets)), a.locations[t].inv,
+                       bounds[t], free[t])
             shared = plans.get(content)
             if shared is None:
-                shared = plans[content] = (pdbm.transition_plan(
-                    e.atoms, e.resets, inv, maxima, table), {})
+                shared = plans[content] = (
+                    pdbm.transition_plan(*content, table), {})
             steps.append((e.target, shared))
     out: list[tuple[int, CPDBM]] = []
     for target, (plan, memo) in steps:
@@ -297,15 +313,17 @@ def build_graph(a: Ptba, box: ParamBox, bounds,
     valuations, folds in the deadlock valuations of those not yet in the
     deadlock set and adds every successor branch to its target node and
     edge.  ``bounds`` is the ``location_bounds`` table; the graph's own
-    ``BoundTable`` numbers its bounds.  Returns the filled node table;
-    raises CapacityError before an expansion once ``opts.time_limit`` has
-    passed."""
+    ``BoundTable`` numbers its bounds, and its ``inactive_clocks`` table
+    says which clocks each location's matrices free.  Returns the filled
+    node table; raises CapacityError before an expansion once
+    ``opts.time_limit`` has passed."""
     opts = opts or Options()
     over_time = opts.timer()
     table = BoundTable(box)
     store = StateStore(table, bounds, opts.limit_states)
+    free = inactive_clocks(a)
     plans: dict = {}  # shared transition plans and memos (``successors``)
-    for z in initial_states(a, table, bounds):
+    for z in initial_states(a, table, bounds, free):
         nid = store.resolve(a.initial, z)
         if nid not in store.initials:
             store.initials.append(nid)
@@ -335,7 +353,7 @@ def build_graph(a: Ptba, box: ParamBox, bounds,
             opts.trace.write(f"state {u}: {a.locations[loc].name}\n")
             opts.trace.write(pdbm.dump(z, table, a.clock_names) + "\n\n")
         edges = store.succ[u]
-        for target, zt in successors(loc, base, a, table, bounds,
+        for target, zt in successors(loc, base, a, table, bounds, free,
                                      store.counts, plans):
             if zt.bits & ~delta:
                 raise SoundnessError(

@@ -625,8 +625,37 @@ def location_bounds(a: Ptba, box: ParamBox) -> list[tuple[int, ...]]:
     Widening a zone stored at a location with that location's vector keeps
     the answers exact for diagonal-free guards: every guard and invariant
     the zone's points can meet before a reset lies within the vector."""
-    n = len(a.clock_names)
     magnitude: dict[AffineExpr, int] = {}  # the product repeats atoms
+
+    def read(e: AffineExpr) -> int:
+        m = magnitude.get(e)
+        if m is None:
+            m = magnitude[e] = max(e.max_bound(box), (-e).max_bound(box))
+        return m
+
+    return [tuple(row) for row in _passed_back(a, read)]
+
+
+def inactive_clocks(a: Ptba) -> list[tuple[int, ...]]:
+    """Per location, the sorted clocks that are inactive there (Daws and
+    Yovine, RTSS 1996).  A clock is active at a location when its
+    invariant or an outgoing guard reads it with a finite bound, also
+    with 0, or when an edge that does not reset it leads to a location
+    where it is active.  Every path from the location resets an inactive
+    clock before any guard or invariant reads it, so no run depends on
+    its value there, and its ``location_bounds`` entry is 0."""
+    n = len(a.clock_names)
+    return [tuple(c for c in range(1, n) if not row[c])
+            for row in _passed_back(a, lambda e: 1)]
+
+
+def _passed_back(a: Ptba, read) -> list[list[int]]:
+    """Per location and clock, the largest ``read(e)`` over the finite
+    bounds ``e`` that the location's invariant and outgoing guards
+    compare the clock with, then passed back along every edge to its
+    source for each clock the edge does not reset, until nothing
+    changes.  The zero clock stays at 0."""
+    n = len(a.clock_names)
     table: list[list[int]] = []
     preds: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in a.locations]
     kept_of: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -636,10 +665,7 @@ def location_bounds(a: Ptba, box: ParamBox) -> list[tuple[int, ...]]:
             for i, j, b in atoms:
                 if b.is_inf:
                     continue
-                m = magnitude.get(b.expr)
-                if m is None:
-                    m = magnitude[b.expr] = max(b.expr.max_bound(box),
-                                                (-b.expr).max_bound(box))
+                m = read(b.expr)
                 for c in (i, j):
                     if c and m > row[c]:
                         row[c] = m
@@ -666,7 +692,7 @@ def location_bounds(a: Ptba, box: ParamBox) -> list[tuple[int, ...]]:
             if grew and not queued[l]:
                 queued[l] = True
                 todo.append(l)
-    return [tuple(row) for row in table]
+    return table
 
 
 def clock_bounds(table: list[tuple[int, ...]]) -> list[int]:

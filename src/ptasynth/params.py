@@ -18,7 +18,8 @@ Most comparisons do not need the points one by one.  A constant
 constraint holds on the whole box or nowhere.  One over a single
 parameter, ``z*p + k < 0`` or ``<= 0``, is a threshold on ``p``, rounded
 exactly on the integers and answered from the bits of "p is at most t",
-which the box builds with integer shifts and memoizes per (parameter, t).
+which the box builds with integer shifts and a ``BoundTable`` memoizes
+per (parameter, t).
 Two bounds with equal coefficients differ by a constant, so the table
 compares them without building the difference.  Only constraints over
 two or more parameters are evaluated on the numpy grid of the box.
@@ -111,14 +112,16 @@ class ParamBox:
         """Bitset of the points satisfying ``c``."""
         return self.affine_bits(c.lhs.const, c.lhs.coeffs, c.strict)
 
-    def affine_bits(self, const: int, coeffs, strict: bool) -> int:
+    def affine_bits(self, const: int, coeffs, strict: bool,
+                    thresholds: dict | None = None) -> int:
         """Bitset of the points where ``const + sum(z * p)`` over the
         ``(p, z)`` pairs of ``coeffs`` (nonzero ``z``, each parameter once)
         is below 0 (``strict``) or at most 0.
 
         A constant constraint holds everywhere or nowhere, and one over a
-        single parameter is a threshold on it; only constraints over two
-        or more parameters are evaluated on the grid."""
+        single parameter is a threshold on it, memoized in ``thresholds``
+        when given; only constraints over two or more parameters are
+        evaluated on the grid."""
         if not coeffs:
             holds = const < 0 if strict else const <= 0
             return self._full_bits if holds else 0
@@ -126,24 +129,27 @@ class ParamBox:
             # z*p + k < 0 is z*p + k + 1 <= 0 on integers: z*p <= r
             (p, z), = coeffs
             r = -const - (1 if strict else 0)
+            memo = {} if thresholds is None else thresholds
             if z > 0:
-                return self._threshold_bits(p, r // z)
+                return self._threshold_bits(p, r // z, memo)
             # p >= ceil(r / z) = -(r // -z), the complement of p <= that - 1
-            return self._full_bits & ~self._threshold_bits(p, -(r // -z) - 1)
+            return self._full_bits & ~self._threshold_bits(
+                p, -(r // -z) - 1, memo)
         vals = self._values(const, coeffs)
         mask = vals < 0 if strict else vals <= 0
         return int.from_bytes(
             np.packbits(mask, bitorder="little").tobytes(), "little")
 
-    def _threshold_bits(self, p: str, t: int) -> int:
-        """Bitset of the points where parameter ``p`` is at most ``t``."""
+    def _threshold_bits(self, p: str, t: int, memo: dict) -> int:
+        """Bitset of the points where parameter ``p`` is at most ``t``,
+        memoized in ``memo`` per (p, t)."""
         a = self.params.index(p)
         lo, hi = self.lo[a], self.hi[a]
         if t < lo:
             return 0
         if t >= hi:
             return self._full_bits
-        got = self._thresholds.get((p, t))
+        got = memo.get((p, t))
         if got is None:
             # row-major: p's value is constant over runs of ``inner``
             # points, and its whole range repeats every ``period`` points
@@ -151,13 +157,9 @@ class ParamBox:
             for b, c in zip(self.lo[a + 1:], self.hi[a + 1:]):
                 inner *= c - b + 1
             period = (hi - lo + 1) * inner
-            got = self._thresholds[(p, t)] = _repeat(
+            got = memo[(p, t)] = _repeat(
                 (1 << (t - lo + 1) * inner) - 1, period, self.size // period)
         return got
-
-    @cached_property
-    def _thresholds(self) -> dict[tuple[str, int], int]:
-        return {}
 
     def point(self, index: int) -> dict[str, int]:
         """Valuation at a row-major grid index: the inverse of ``index``."""
@@ -555,8 +557,9 @@ class BoundTable:
     coefficients of the difference it compares, built without an
     expression object: two bounds with equal coefficients, or a constant
     bound against a window, leave a constant that holds on the whole box
-    or nowhere; a difference over one parameter is a threshold mask; only
-    one over two or more parameters is evaluated on the grid.
+    or nowhere; a difference over one parameter is a threshold mask, which
+    the table memoizes per (parameter, threshold); only one over two or
+    more parameters is evaluated on the grid.
     """
 
     def __init__(self, box: ParamBox):
@@ -571,6 +574,7 @@ class BoundTable:
         self._grids: dict[tuple[int, ...], list] = {}
         self._value_ids: dict[bytes, int] = {}
         self._floor: dict[int, int] = {}
+        self._thresholds: dict[tuple[str, int], int] = {}
         self.intern(INF_BOUND)
         self.intern(ZERO_LE)
 
@@ -615,7 +619,7 @@ class BoundTable:
                 got = self.box.affine_bits(
                     e1.const - e2.const,
                     [(p, z) for p, z in diff.items() if z],
-                    b2.strict and not b1.strict)
+                    b2.strict and not b1.strict, self._thresholds)
             self.les[a][b] = got
         return got
 
@@ -652,9 +656,10 @@ class BoundTable:
                 raw = np.minimum(vals, 2 * hi + 2, out=vals).tobytes()
             # e - hi <= 0 and lo - e <= 0
             got = memo[b] = (
-                box.affine_bits(e.const - hi, e.coeffs, False),
+                box.affine_bits(e.const - hi, e.coeffs, False,
+                                self._thresholds),
                 box.affine_bits(lo - e.const, [(p, -z) for p, z in e.coeffs],
-                                False),
+                                False, self._thresholds),
                 self._value_ids.setdefault(raw, len(self._value_ids)))
         return got
 

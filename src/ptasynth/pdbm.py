@@ -20,7 +20,8 @@ bounds is weak only when both summands are.
 
 Each operation wraps a row helper that works on a branch's own rows in
 place (guard and reset copy tuple rows first) and copies them at a fork.
-``transition`` runs a whole edge on them, making one matrix per branch.
+``transition`` runs a whole edge on them, making one matrix per branch;
+it is also where the target's inactive clocks are freed.
 """
 
 from __future__ import annotations
@@ -240,6 +241,19 @@ def _reset_rows(rows, clocks: Sequence[int], release: bool) -> list:
     return rows
 
 
+def _free_rows(rows: list, clocks: Sequence[int]) -> list:
+    """Free the ``clocks`` on one branch's own rows: each keeps no bound
+    but its lower bound 0, in relation to no other clock (existential
+    projection, Daws and Yovine's inactive clocks); keeps canonical
+    form."""
+    for c in clocks:
+        for row in rows:
+            row[c] = row[0]
+        rows[c] = [INF_ID] * len(rows)
+        rows[c][c] = ZERO_LE_ID
+    return rows
+
+
 def extrapolate(z: CPDBM, maxima: Sequence[int],
                 table: BoundTable) -> list[CPDBM]:
     """Widen bounds past the per-clock maxima so that finite entries only
@@ -312,12 +326,12 @@ def _fork(i: int, rows: list, j: int, b: int, ext: int) -> tuple:
 
 def transition_plan(atoms: Sequence[Atom], resets: Iterable[int],
                     inv: Sequence[Atom], maxima: Sequence[int],
-                    table: BoundTable) -> tuple:
+                    free: Sequence[int], table: BoundTable) -> tuple:
     """What ``transition`` reads of one edge: guard and target invariant
-    with bound ids and their clocks, sorted resets, the target's
-    ``widening``."""
+    with bound ids and their clocks, sorted resets, the target's inactive
+    clocks ``free`` and its ``widening``."""
     return (*_interned(atoms, table), sorted(resets), *_interned(inv, table),
-            widening(maxima, table))
+            tuple(free), widening(maxima, table))
 
 
 def transition(z: CPDBM, plan: tuple, table: BoundTable,
@@ -325,11 +339,13 @@ def transition(z: CPDBM, plan: tuple, table: BoundTable,
     """The successor branches of the canonical ``z`` along the edge of
     ``plan`` in one pass over its rows: those, in order, of ``constrain`` by
     the guard, the reset with time release (``_reset_rows``), ``constrain``
-    by the invariant and ``extrapolate``, with their added branches tallied
-    in ``counts``."""
+    by the invariant, freeing the target's inactive clocks (``_free_rows``)
+    and ``extrapolate``, with their added branches tallied in ``counts``.
+    Freeing never forks, and a freed clock's bound is 0 at the target, so
+    its entries lie inside the target's widening window."""
     if not z.canonical:
         raise SoundnessError("transition needs a canonical matrix")
-    guard, guard_ks, resets, inv, inv_ks, widen = plan
+    guard, guard_ks, resets, inv, inv_ks, free, widen = plan
     out = []
     g1 = _constrain_rows(z.mat, z.bits, guard, guard_ks, table)
     _tally(counts, "guard", len(g1))
@@ -338,7 +354,7 @@ def transition(z: CPDBM, plan: tuple, table: BoundTable,
                              inv_ks, table)
         _tally(counts, "guard", len(g2))
         for rows, ext in g2:
-            ex = _widen_rows(rows, ext, widen, table)
+            ex = _widen_rows(_free_rows(rows, free), ext, widen, table)
             _tally(counts, "extrapolate", len(ex))
             out.extend(CPDBM(ext, tuple(map(tuple, rows)), not changed)
                        for rows, ext, changed in ex)

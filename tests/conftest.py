@@ -87,6 +87,15 @@ def reset_zone(z, clocks, release=False):
     return pdbm.CPDBM(z.bits, tuple(map(tuple, rows)), z.canonical)
 
 
+def free_zone(z, clocks):
+    """``z`` with ``clocks`` freed: pdbm's row helper ``_free_rows`` on a
+    constrained matrix."""
+    from ptasynth import pdbm
+
+    rows = pdbm._free_rows([list(r) for r in z.mat], clocks)
+    return pdbm.CPDBM(z.bits, tuple(map(tuple, rows)), z.canonical)
+
+
 def oracle_bound(enc):
     """An encoded kernel bound as an oracle bound."""
     import oracle_dbm as od

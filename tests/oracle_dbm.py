@@ -104,6 +104,17 @@ def reset(m, clocks):
                 m[i][r] = m[i][0]
 
 
+def free(m, clocks):
+    """Forget all that ``m`` says about ``clocks`` but that they are
+    non-negative, then close: the existential projection."""
+    for c in clocks:
+        for j in range(len(m)):
+            if j != c:
+                m[c][j] = m[j][c] = INF
+        m[0][c] = (0, False)
+    close(m)
+
+
 def extrapolate(m, maxima):
     """Per-entry widening against the per-clock maxima."""
     n = len(m)

@@ -6,7 +6,14 @@ import random
 import pytest
 
 import oracle_dbm as od
-from conftest import CORPUS, FIXTURES, SEED, load_fixture, load_workloads
+from conftest import (
+    CORPUS,
+    FIXTURES,
+    SEED,
+    free_zone,
+    load_fixture,
+    load_workloads,
+)
 from ptasynth import explore, pdbm
 from ptasynth.errors import CapacityError, InputError, SoundnessError
 from ptasynth.explore import (
@@ -23,7 +30,14 @@ from ptasynth.explore import (
     synthesize,
 )
 from ptasynth.ltl import parse_ltl
-from ptasynth.model import PEdge, PLoc, Ptba, clock_bounds, location_bounds
+from ptasynth.model import (
+    PEdge,
+    PLoc,
+    Ptba,
+    clock_bounds,
+    inactive_clocks,
+    location_bounds,
+)
 from ptasynth.params import (
     AffineExpr,
     BoundTable,
@@ -66,8 +80,10 @@ DENSE3 = bench_job("dense3")
 
 class TestInitialStates:
     def test_plain_invariant(self):
+        # nothing reads x, so it is freed: still unbounded and non-negative
         a = tiny_ptba()
-        states = initial_states(a, TABLE5, [(0, 0)])
+        assert inactive_clocks(a) == [(1,)]
+        states = initial_states(a, TABLE5, [(0, 0)], inactive_clocks(a))
         assert len(states) == 1
         at = od.bounds_of(states[0], TABLE5)
         assert at[1][0] is INF_BOUND  # x unbounded above
@@ -75,24 +91,26 @@ class TestInitialStates:
 
     def test_upper_bound_invariant(self):
         a = tiny_ptba(inv=[(1, 0, bound(P))])
-        states = initial_states(a, TABLE5, [(0, 5)])
+        states = initial_states(a, TABLE5, [(0, 5)], [()])
         assert len(states) == 1
         assert od.bounds_of(states[0], TABLE5)[1][0] == bound(P)
 
     def test_unsatisfiable_invariant_drops_state(self):
         a = tiny_ptba(inv=[(1, 0, bound(-1))])  # x <= -1: empty
-        assert initial_states(a, TABLE5, [(0, 5)]) == []
+        assert initial_states(a, TABLE5, [(0, 5)], [()]) == []
 
     @staticmethod
-    def constrain_then_extrapolate(a, table, bounds):
-        """The initial matrices as two operations: the zero zone with time
-        released, constrained by the initial invariant, then widened."""
+    def constrain_free_extrapolate(a, table, bounds, free):
+        """The initial matrices as three operations: the zero zone with
+        time released, constrained by the initial invariant, with the
+        initial location's inactive clocks freed, then widened."""
         z0 = pdbm.initial_cpdbm(a.n_clocks, table)
         return [z2 for z1 in pdbm.constrain(z0, a.locations[a.initial].inv,
                                             table)
-                for z2 in pdbm.extrapolate(z1, bounds[a.initial], table)]
+                for z2 in pdbm.extrapolate(free_zone(z1, free[a.initial]),
+                                           bounds[a.initial], table)]
 
-    def test_one_transition_matches_constrain_then_extrapolate(self):
+    def test_one_transition_matches_constrain_free_extrapolate(self):
         # x <= p widened at 3 forks: kept where p <= 3, infinite above
         forked = tiny_ptba(inv=[(1, 0, bound(P))])
         cases = [(forked, BOX5, [(0, 3)])]
@@ -100,31 +118,33 @@ class TestInitialStates:
             box = net.box(box)
             tba, bounds = build_automaton(net, parse_ltl(prop), box)
             cases.append((tba, box, bounds))
-        many = 0
+        many = freed = 0
         for a, box, bounds in cases:
             table = BoundTable(box)
-            want = self.constrain_then_extrapolate(a, table, bounds)
-            got = initial_states(a, table, bounds)
+            free = inactive_clocks(a)
+            want = self.constrain_free_extrapolate(a, table, bounds, free)
+            got = initial_states(a, table, bounds, free)
             assert [(z.bits, z.mat, z.canonical) for z in got] == \
                 [(z.bits, z.mat, z.canonical) for z in want]
             many += len(got) > 1
-        assert many > 0
+            freed += bool(free[a.initial])
+        assert many > 0 and freed > 0
 
 
 class TestSuccessors:
     def test_no_edges(self):
         loc = PLoc("L", ())
         a = Ptba(["0", "x"], [loc], 0)
-        base = initial_states(a, TABLE5, [(0, 0)])
-        assert successors(0, base, a, TABLE5, [(0, 0)], {}, {}) == []
+        base = initial_states(a, TABLE5, [(0, 0)], [()])
+        assert successors(0, base, a, TABLE5, [(0, 0)], [()], {}, {}) == []
 
     def test_reset_all_guard_true(self):
         loc = PLoc("L", ())
         loc.edges.append(PEdge((), (1, 2), 0, "loop"))
         a = Ptba(["0", "x", "y"], [loc], 0)
-        base = initial_states(a, TABLE5, [(0, 0, 0)])
+        base = initial_states(a, TABLE5, [(0, 0, 0)], [()])
         counts = {}
-        out = successors(0, base, a, TABLE5, [(0, 0, 0)], counts, {})
+        out = successors(0, base, a, TABLE5, [(0, 0, 0)], [()], counts, {})
         assert len(out) == 1 and counts == {}
         target, z = out[0]
         assert target == 0
@@ -144,7 +164,7 @@ class TestSuccessors:
         loc.edges.append(PEdge(((1, 0, bound(q)),), (1,), 0, "loop"))
         a = Ptba(["0", "x"], [loc], 0)
         g = build_graph(a, box, [(0, 5)])
-        z0 = initial_states(a, g.table, [(0, 5)])[0]
+        z0 = initial_states(a, g.table, [(0, 5)], [()])[0]
         assert g.counts == {"guard": 1}
         assert g.n_nodes == 1 and g.expansions == 1
         assert g.colour == [ValuationSet.full(box).bits]
@@ -340,13 +360,13 @@ class TestDeadlockValuations:
     def test_no_outgoing_edges_whole_extension(self):
         loc = PLoc("L", ())
         a = Ptba(["0", "x"], [loc], 0)
-        base = initial_states(a, TABLE5, [(0, 0)])
+        base = initial_states(a, TABLE5, [(0, 0)], [()])
         got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
         assert got.bits == base[0].bits
 
     def test_unguarded_edge_never_deadlocks(self):
         a = tiny_ptba()
-        base = initial_states(a, TABLE5, [(0, 0)])
+        base = initial_states(a, TABLE5, [(0, 0)], [()])
         assert deadlock_valuations(0, base, a, TABLE5,
                                    DEFAULT_DNF_LIMIT).is_empty
 
@@ -354,7 +374,7 @@ class TestDeadlockValuations:
         # zone x >= 0 with a single guard x <= p: some point beyond p
         # always exists, so every valuation is flagged
         a = tiny_ptba(guard_atoms=[(1, 0, bound(P))])
-        base = initial_states(a, TABLE5, [(0, 5)])
+        base = initial_states(a, TABLE5, [(0, 5)], [()])
         got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
         assert got.bits == ValuationSet.full(BOX5).bits
 
@@ -362,7 +382,7 @@ class TestDeadlockValuations:
         # guard x >= p on an upward-closed zone is always eventually on,
         # and the formula sees the points below p as deadlocked
         a = tiny_ptba(guard_atoms=[(0, 1, bound(-P))])
-        base = initial_states(a, TABLE5, [(0, 5)])
+        base = initial_states(a, TABLE5, [(0, 5)], [()])
         got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
         assert sorted(v["p"] for v in got) == [1, 2, 3, 4, 5]
 
@@ -418,7 +438,7 @@ class TestDeadlockValuations:
     def test_settled_valuations_skip_the_fold(self, monkeypatch):
         # the deadlock set is a union, so an expansion folds only the
         # valuations not yet known to deadlock: on the six-parameter job
-        # 10 of its 468 expansions fold
+        # 10 of its 228 expansions fold
         import ptasynth.explore as explore
         from ptasynth.baseline import enumerate_box
 
@@ -433,7 +453,7 @@ class TestDeadlockValuations:
         name, prop, box = LIVE6
         net = load_fixture(name)
         res = synthesize(net, prop, net.box(box))
-        assert len(calls) < res.stats["expansions"] == 468
+        assert len(calls) == 10 < res.stats["expansions"] == 228
         assert res.deadlock.bits == \
             enumerate_box(net, prop, net.box(box)).deadlock.bits
         assert not res.deadlock.is_empty
@@ -512,15 +532,15 @@ class TestPinnedStats:
 
     @pytest.mark.parametrize("fixture, prop, box, want", [
         ("traingate.pta", TRAINS, {"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)},
-         (61, 86, 61, {"extrapolate": 6, "guard": 15}, 2)),
+         (26, 38, 26, {"guard": 8}, 2)),
         ("traingate.pta", TRAINS, {"p1": (0, 8), "p2": (1, 8), "p3": (0, 8)},
-         (61, 86, 61, {"extrapolate": 6, "guard": 15}, 2)),
+         (26, 38, 26, {"guard": 8}, 2)),
         ("traingate6.pta", "G F Train1.Cross",
          {"p1": (2, 3), "p2": (1, 2), "p3": (0, 1), "p4": (1, 1),
           "p6": (1, 1)},
-         (409, 1077, 468, {"extrapolate": 72, "guard": 52}, 2)),
+         (212, 564, 228, {"extrapolate": 25, "guard": 26}, 2)),
         ("fuzz837.pta", "G !al1", {},
-         (1173, 4167, 1180, {"extrapolate": 11, "guard": 31}, 3)),
+         (1099, 3872, 1102, {"extrapolate": 6, "guard": 31}, 3)),
     ])
     def test_stats(self, fixture, prop, box, want):
         net = load_fixture(fixture)
@@ -548,7 +568,7 @@ def perfbench_fuzz_jobs():
 # the LIVE6 and DENSE3 jobs and the 200 perfbench fuzz jobs, one line
 # each, stats and witnesses included
 RESULTS_DIGEST = \
-    "98aee8a6007172781fb1306845f13c58a380aeba7da1182757663b3103ce4818"
+    "c55271fd1270b378cc64c18be6000ee4d3941688f3c331f71113ce10938aed1e"
 
 
 def pinned_jobs():
@@ -574,7 +594,7 @@ def test_result_documents_pinned():
 # of the DENSE3 job: every expanded node's location, finite entries and
 # valuations, in expansion order
 TRACE_DIGEST = \
-    "47323b67d11dc2fd0fe897d0c682a90343b66eb078a3f2ef96e19be323f9f1cc"
+    "38f3eba5385f2501a84bfafd911b1a21293ba9a006cb68ef38d1e6a36017c336"
 
 
 def test_trace_text_pinned():
@@ -587,16 +607,16 @@ def test_trace_text_pinned():
     assert h.hexdigest() == TRACE_DIGEST
 
 
-def unshared_successors(loc, base, a, table, bounds, counts, plans):
+def unshared_successors(loc, base, a, table, bounds, free, counts, plans):
     """Reference successor generation with nothing shared between product
     edges: a plan per product edge, made when its location is first
     expanded, and one ``pdbm.transition`` per product edge and base
-    branch."""
+    branch, which frees the clocks inactive at the edge's target."""
     steps = plans.get(loc)
     if steps is None:
         steps = plans[loc] = [(e.target, pdbm.transition_plan(
             e.atoms, e.resets, a.locations[e.target].inv, bounds[e.target],
-            table)) for e in a.locations[loc].edges]
+            free[e.target], table)) for e in a.locations[loc].edges]
     out = []
     for target, plan in steps:
         for zb in base:
@@ -632,21 +652,23 @@ class TestSharedTransitions:
     def test_live6_one_call_per_distinct_input(self, monkeypatch):
         distinct = set()
 
-        def keyed(loc, base, a, table, bounds, counts, plans):
+        def keyed(loc, base, a, table, bounds, free, counts, plans):
             for e in a.locations[loc].edges:
                 content = (e.atoms, tuple(sorted(e.resets)),
-                           a.locations[e.target].inv, bounds[e.target])
+                           a.locations[e.target].inv, bounds[e.target],
+                           free[e.target])
                 distinct.update((content, zb.bits, zb.mat) for zb in base)
-            return unshared_successors(loc, base, a, table, bounds, counts,
-                                       plans)
+            return unshared_successors(loc, base, a, table, bounds, free,
+                                       counts, plans)
 
-        def keyed_initial(a, table, bounds):
+        def keyed_initial(a, table, bounds, free):
             # the initial matrices are one more transition, from the zero
             # zone along an edge with no guard and no reset
             z0 = pdbm.initial_cpdbm(a.n_clocks, table)
-            content = ((), (), a.locations[a.initial].inv, bounds[a.initial])
+            content = ((), (), a.locations[a.initial].inv,
+                       bounds[a.initial], free[a.initial])
             distinct.add((content, z0.bits, z0.mat))
-            return initial_states(a, table, bounds)
+            return initial_states(a, table, bounds, free)
 
         net = load_fixture(LIVE6[0])
         with monkeypatch.context() as m:
@@ -662,7 +684,7 @@ class TestSharedTransitions:
 
         monkeypatch.setattr(pdbm, "transition", counted)
         assert graph_of(net, *LIVE6[1:]) == want
-        assert len(calls) == len(distinct) == 704
+        assert len(calls) == len(distinct) == 343
 
     def test_repeated_edge_shares_branches_and_tallies_splits(self):
         # two locations carry the same guarded edge, which forks on p <= q
@@ -672,12 +694,12 @@ class TestSharedTransitions:
         for loc in locs:
             loc.edges.append(PEdge(((1, 0, bound(q)),), (), 1, "go"))
         a = Ptba(["0", "x"], locs, 0)
-        bounds = [(0, 3), (0, 3)]
+        bounds, free = [(0, 3), (0, 3)], inactive_clocks(a)
         table = BoundTable(box)
-        base = initial_states(a, table, bounds)
+        base = initial_states(a, table, bounds, free)
         counts, plans = {}, {}
-        first = successors(0, base, a, table, bounds, counts, plans)
-        second = successors(1, base, a, table, bounds, counts, plans)
+        first = successors(0, base, a, table, bounds, free, counts, plans)
+        second = successors(1, base, a, table, bounds, free, counts, plans)
         assert len(first) == 2 and counts == {"guard": 2}
         assert second == first
         assert all(x is y for (_, x), (_, y) in zip(first, second))
@@ -720,12 +742,14 @@ class TestStoredBoundScan:
 
     def test_unwidened_bounds_fail_soundness(self, monkeypatch):
         # x is reset on every loop and y never is, so y - x grows by one
-        # per loop; y is compared with nothing, so its maximum is 0 and
-        # without widening the first successor's bounds on y leave the range
-        loc = PLoc("L", ())
+        # per loop; y is compared only with 0, so it stays active, not
+        # freed, its maximum is 0, and without widening the first
+        # successor's bounds on y leave the range
+        loc = PLoc("L", ((0, 2, bound(0)),))
         loc.edges.append(PEdge(((0, 1, bound(-1)),), (1,), 0, "loop"))
         a = Ptba(["0", "x", "y"], [loc], 0)
         bounds = location_bounds(a, BOX5)
+        assert bounds == [(0, 1, 0)] and inactive_clocks(a) == [()]
         g = build_graph(a, BOX5, bounds)
         assert scan_stored_bounds(g) > 0
         # the same graph with an unwidened matrix fails the scan

@@ -13,6 +13,7 @@ from ptasynth.model import (
     clock_bounds,
     compose,
     dump_product,
+    inactive_clocks,
     location_bounds,
     make_nonzeno,
     parse_model,
@@ -437,6 +438,57 @@ class TestLocationBounds:
         # x >= 5 and x <= 3 both name the zero clock
         a = chain(("A", [(0, 1, bound(-5))], [([(1, 0, bound(3))], (), 0)]))
         assert location_bounds(a, BOX03) == [(0, 5, 0)]
+
+
+class TestInactiveClocks:
+    """A clock is active where a guard or invariant reads it, and upstream
+    of that along edges that do not reset it; the rest are freed."""
+
+    def test_clock_compared_with_zero_stays_active(self):
+        # the urgent invariant x <= 0 reads x with bound 0: x keeps a 0
+        # bound, which still separates x = 0 from x > 0, and is not freed
+        a = chain(("A", [(1, 0, bound(0))], [([], (), 1)]),
+                  ("B", [], []))
+        assert location_bounds(a, BOX03) == [(0, 0, 0), (0, 0, 0)]
+        assert inactive_clocks(a) == [(2,), (1, 2)]
+
+    def test_read_after_a_non_resetting_edge_is_active(self):
+        # B reads x; A's edge keeps x and resets y, which nothing reads
+        a = chain(("A", [], [([], (2,), 1)]),
+                  ("B", [], [([X_LE_7], (), 1)]))
+        assert inactive_clocks(a) == [(2,), (2,)]
+
+    def test_reset_before_the_read_is_inactive(self):
+        # C reads both clocks; A's edge resets x, so x is inactive at A
+        a = chain(("A", [], [([], (1,), 1)]),
+                  ("B", [], [([], (), 2)]),
+                  ("C", [X_LE_7, Y_LE_4], []))
+        assert inactive_clocks(a) == [(1,), (), ()]
+
+    def test_nonzeno_clock_active_upstream_of_its_gates(self):
+        # S -> A -> B (accepting) -> C, C looping; no guard reads x or y.
+        # Only the gate edges from A~0 into B~1 read _nz, and the edge
+        # S~0 -> A~0 keeps it, so _nz is active at S~0 and A~0 alone
+        a = chain(("S", [], [([], (), 1)]),
+                  ("A", [], [([], (), 2)]),
+                  ("B", [], [([], (), 3)]),
+                  ("C", [], [([], (), 3)]))
+        a.locations[2].accepting = True
+        out = make_nonzeno(a)
+        nz = out.clock_names.index("_nz")
+        got = dict(zip((loc.name for loc in out.locations),
+                       inactive_clocks(out)))
+        assert got == {"S~0": (1, 2), "A~0": (1, 2), "B~0": (1, 2, nz),
+                       "B~1": (1, 2, nz), "C~0": (1, 2, nz)}
+
+    @pytest.mark.parametrize("fixture,prop", [
+        (name, prop) for name, props in CORPUS.items() for prop in props])
+    def test_inactive_clocks_have_bound_zero(self, fixture, prop):
+        # so the freed entries stay inside the widening window
+        net = load_fixture(fixture)
+        tba, bounds = build_automaton(net, ltl.parse_ltl(prop), net.box())
+        for row, free in zip(bounds, inactive_clocks(tba)):
+            assert all(row[c] == 0 for c in free)
 
 
 def test_dump_product_smoke():

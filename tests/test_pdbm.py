@@ -9,7 +9,7 @@ concrete (oracle) transformation to the evaluated input.
 import pytest
 
 import oracle_dbm as od
-from conftest import from_oracle, reset_zone
+from conftest import free_zone, from_oracle, reset_zone
 from ptasynth import pdbm
 from ptasynth.errors import SoundnessError
 from ptasynth.params import (
@@ -307,6 +307,22 @@ class TestResetUp:
             assert od.is_canonical(reset_zone(z, [1]), self.TABLE)
             assert od.is_canonical(reset_zone(z, (), release=True), self.TABLE)
 
+    def test_free_matches_concrete_and_stays_canonical(self, rng):
+        # freeing is an existential projection: the oracle forgets the
+        # clocks' constraints and closes; the row helper keeps canonical
+        # form without a closure
+        freed = 0
+        for z in canonical_samples(rng, self.TABLE, 4, 30):
+            clocks = [c for c in (1, 2, 3) if rng.random() < 0.5]
+            got = free_zone(z, clocks)
+            assert od.is_canonical(got, self.TABLE)
+            for v in ValuationSet(self.BOX, z.bits):
+                m = od.from_valuation(z, v, self.TABLE)
+                od.free(m, clocks)
+                assert od.from_valuation(got, v, self.TABLE) == m
+            freed += len(clocks) > 1 and got != z
+        assert freed
+
     def test_closure_noop_on_canonical_evaluations(self, rng):
         for z in canonical_samples(rng, self.TABLE, 3, 10):
             for v in ValuationSet(self.BOX, z.bits):
@@ -369,10 +385,11 @@ class TestExtrapolation:
                 assert od.from_valuation(got, v, table) == m
 
 
-def staged_transition(z, atoms, resets, inv, maxima, table, counts):
+def staged_transition(z, atoms, resets, inv, free, maxima, table, counts):
     """The successor branches of one edge stage by stage: constrain by the
-    guard, reset with time release, constrain by the invariant, widen;
-    each stage call tallies the branches it added."""
+    guard, reset with time release, constrain by the invariant, free the
+    ``free`` clocks, widen; each stage call tallies the branches it
+    added."""
     def tally(tag, branches):
         if len(branches) > 1:
             counts[tag] = counts.get(tag, 0) + len(branches) - 1
@@ -382,7 +399,8 @@ def staged_transition(z, atoms, resets, inv, maxima, table, counts):
     for z1 in tally("guard", pdbm.constrain(z, atoms, table)):
         z2 = reset_zone(z1, resets, release=True)
         for z3 in tally("guard", pdbm.constrain(z2, inv, table)):
-            out += tally("extrapolate", pdbm.extrapolate(z3, maxima, table))
+            out += tally("extrapolate", pdbm.extrapolate(
+                free_zone(z3, free), maxima, table))
     return out
 
 
@@ -406,21 +424,23 @@ class TestTransition:
         resets = rng.sample(range(1, n), rng.randrange(0, n))
         inv = [(i, 0, bound(random_expr(rng, self.BOX), rng.random() < 0.5))
                for i in rng.sample(range(1, n), rng.randrange(0, 2))]
+        free = sorted(rng.sample(range(1, n), rng.randrange(0, n - 1)))
         maxima = [0] + [rng.randrange(0, 6) for _ in range(n - 1)]
-        return atoms, resets, inv, maxima
+        return atoms, resets, inv, free, maxima
 
     def test_same_branches_order_and_splits(self, rng):
         table = self.TABLE
         seen = {"guard forks": 0, "widening forks": 0, "several resets": 0,
-                "empty invariant": 0, "emptied": 0}
+                "empty invariant": 0, "emptied": 0, "several freed": 0}
         for n in (3, 4, 6):
             for z in canonical_samples(rng, table, n, 60):
-                atoms, resets, inv, maxima = self.random_edge(rng, z)
+                atoms, resets, inv, free, maxima = self.random_edge(rng, z)
                 mat = z.mat
                 want_counts, got_counts = {}, {}
-                want = staged_transition(z, atoms, resets, inv, maxima,
+                want = staged_transition(z, atoms, resets, inv, free, maxima,
                                          table, want_counts)
-                plan = pdbm.transition_plan(atoms, resets, inv, maxima, table)
+                plan = pdbm.transition_plan(atoms, resets, inv, maxima, free,
+                                            table)
                 got = pdbm.transition(z, plan, table, got_counts)
                 assert [tuple(b) for b in got] == [tuple(b) for b in want]
                 assert got_counts == want_counts
@@ -431,11 +451,12 @@ class TestTransition:
                 seen["widening forks"] += "extrapolate" in got_counts
                 seen["several resets"] += len(resets) > 1
                 seen["empty invariant"] += not inv
+                seen["several freed"] += len(free) > 1
         assert all(seen.values()), seen
 
     def test_refuses_non_canonical(self):
         z = mk({(1, 0): bound(P)}, self.TABLE, n=2, canonical=False)
-        plan = pdbm.transition_plan([], [1], [], [0, 3], self.TABLE)
+        plan = pdbm.transition_plan([], [1], [], [0, 3], [], self.TABLE)
         with pytest.raises(SoundnessError,
                            match="^transition needs a canonical matrix$"):
             pdbm.transition(z, plan, self.TABLE, {})
@@ -443,7 +464,7 @@ class TestTransition:
     def test_rows_never_alias_across_forks(self, rng):
         table = self.TABLE
         for z in canonical_samples(rng, table, 4, 60):
-            atoms, resets, inv, maxima = self.random_edge(rng, z)
+            atoms, resets, inv, free, maxima = self.random_edge(rng, z)
             atoms, pivots = pdbm._interned(atoms, table)
             guarded = pdbm._guard_rows(z.mat, z.bits, atoms, table)
             # the input matrix's tuple rows are shared, never written
