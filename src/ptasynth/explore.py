@@ -11,7 +11,10 @@ one vector that covers every location and often far below it, so fewer
 matrices stay apart.  Before widening, a matrix frees the clocks that
 every path from its location resets before reading them
 (``model.inactive_clocks``, after Daws and Yovine, RTSS 1996), so
-matrices that differ only on those clocks meet at one node.  When a
+matrices that differ only on those clocks meet at one node, and it drops
+the lower bounds of the non-Zeno clock (``Ptba.gate``, which only its
+gate ``>= 1`` reads; ``model.make_nonzeno``), so matrices that differ
+only in how long ago that clock was reset meet too.  When a
 node's colour grows by some valuations, the
 worklist expands the node's matrix on those valuations alone: successor
 generation with constraint splitting, and the deadlock valuations among
@@ -23,16 +26,22 @@ zone, along an edge with no guard and no reset.  The product repeats a
 network edge at every automaton state that carries it; the product
 locations that repeat a clock edge share its plan and, per base branch,
 its successor branches, so each distinct transition is computed once per
-graph.  Each successor branch, freed and widened, adds its valuations to
-its target node and to the colour of the edge; the node table keys and
-checks the branch's matrix in one walk over it.  At a valuation v, the
-nodes and edges whose colours hold v form the widened zone graph at v
-with inactive clocks freed, up to nodes that repeat a zone.  Neither
-changes reachability or accepting cycles, and the deadlock fold reads
-only the location's guards, whose clocks are active there.
+graph.  Each successor branch, freed, dropped and widened, adds its
+valuations to its target node and to the colour of the edge; the node
+table keys and checks the branch's matrix in one walk over it.  At a
+valuation v, the nodes and edges whose colours hold v form the widened
+zone graph at v with inactive clocks freed and the gate clock's lower
+bounds dropped, up to nodes that repeat a zone.  None of the three
+changes reachability or accepting cycles (each added point is simulated
+by a point already there), and the deadlock fold reads only the
+location's guards, whose clocks are active there; the gate is the one
+guard that reads the gate clock, and each gated edge has an ungated
+sibling with the same source and otherwise the same guard, so the fold
+never depends on that clock.
 
 Accepting cycles are then found for all valuations at once by a fixpoint
-on colours (``cumulative_ndfs_graph``).  The violating set is the union of
+on colours (``cumulative_ndfs_graph``), which runs the same time-limit
+check as the worklist.  The violating set is the union of
 what survives it, and the satisfying set its complement inside the box.
 """
 
@@ -208,7 +217,8 @@ def initial_states(a: Ptba, table: BoundTable, bounds,
     Time release is a no-op on the released zero zone.  Its splits are not
     tallied."""
     plan = pdbm.transition_plan((), (), a.locations[a.initial].inv,
-                                bounds[a.initial], free[a.initial], table)
+                                bounds[a.initial], free[a.initial], a.gate,
+                                table)
     return pdbm.transition(pdbm.initial_cpdbm(a.n_clocks, table), plan,
                            table, {})
 
@@ -246,7 +256,7 @@ def successors(loc: int, base: list[CPDBM], a: Ptba, table: BoundTable,
         for e in a.locations[loc].edges:
             t = e.target
             content = (e.atoms, tuple(sorted(e.resets)), a.locations[t].inv,
-                       bounds[t], free[t])
+                       bounds[t], free[t], a.gate)
             shared = plans.get(content)
             if shared is None:
                 shared = plans[content] = (
@@ -307,18 +317,19 @@ def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba,
 
 
 def build_graph(a: Ptba, box: ParamBox, bounds,
-                opts: Options | None = None) -> StateStore:
+                opts: Options | None = None, over_time=None) -> StateStore:
     """Run the colour worklist from the initial states until no node has
     pending valuations: each expansion takes all of a node's pending
     valuations, folds in the deadlock valuations of those not yet in the
     deadlock set and adds every successor branch to its target node and
     edge.  ``bounds`` is the ``location_bounds`` table; the graph's own
     ``BoundTable`` numbers its bounds, and its ``inactive_clocks`` table
-    says which clocks each location's matrices free.  Returns the filled
-    node table; raises CapacityError before an expansion once
-    ``opts.time_limit`` has passed."""
+    says which clocks each location's matrices free, and ``a.gate`` whose
+    lower bounds they drop.  Returns the filled node table; before each
+    expansion it runs ``over_time``, by default ``opts.timer()``, which
+    raises CapacityError once ``opts.time_limit`` has passed."""
     opts = opts or Options()
-    over_time = opts.timer()
+    over_time = over_time or opts.timer()
     table = BoundTable(box)
     store = StateStore(table, bounds, opts.limit_states)
     free = inactive_clocks(a)
@@ -369,7 +380,8 @@ def build_graph(a: Ptba, box: ParamBox, bounds,
 
 def cumulative_ndfs_graph(box: ParamBox, colour: list[int],
                           succ: list[dict[int, int]], accepting: list[bool],
-                          stats: dict | None = None) -> int:
+                          stats: dict | None = None,
+                          over_time=lambda: None) -> int:
     """Valuations under which an accepting cycle is reachable, for all
     valuations at once: OWCTY-style elimination (Cerna and Pelanek,
     SPIN 2003) in the coloured form of Barnat et al. (IEEE/ACM TCBB
@@ -385,7 +397,8 @@ def cumulative_ndfs_graph(box: ParamBox, colour: list[int],
     the graph of the nodes and edges whose colours hold v: what survives
     lies on or after an accepting cycle.  Returns the union of S;
     ``stats`` gets ``fixpoint_rounds`` and one witness valuation per
-    growth of the union, in node order.
+    growth of the union, in node order.  ``over_time`` (an
+    ``Options.timer`` check) runs before each of a round's two steps.
     """
     n = len(colour)
     preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -395,6 +408,7 @@ def cumulative_ndfs_graph(box: ParamBox, colour: list[int],
     s = list(colour)
     rounds = 0
     while True:
+        over_time()
         rounds += 1
         r = [0] * n
         stack = [v for v in range(n) if accepting[v] and s[v]]
@@ -407,6 +421,7 @@ def cumulative_ndfs_graph(box: ParamBox, colour: list[int],
                 if add:
                     r[w] |= add
                     stack.append(w)
+        over_time()
         queued = [bool(x) for x in r]
         todo = [w for w in range(n) if queued[w]]
         while todo:
@@ -544,7 +559,8 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
     box = box or net.box()
     f = parse_ltl(prop) if isinstance(prop, str) else prop
     tba, bounds = build_automaton(net, f, box)
-    g = build_graph(tba, box, bounds, opts)
+    over_time = opts.timer()  # one limit for the graph and the fixpoint
+    g = build_graph(tba, box, bounds, opts, over_time)
     stats: dict = {
         "engine": "symbolic",
         "box_points": box.size,
@@ -556,7 +572,7 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
     }
     accepting = [tba.locations[loc].accepting for loc in g.locs]
     accepted_bits = cumulative_ndfs_graph(box, g.colour, g.succ, accepting,
-                                          stats)
+                                          stats, over_time)
     return SynthesisResult(
         box=box,
         accepted=ValuationSet(box, accepted_bits),

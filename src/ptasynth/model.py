@@ -444,8 +444,12 @@ class Pta:
         return len(self.clock_names) - 1
 
 
+@dataclass
 class Ptba(Pta):
-    """Product automaton with accepting locations."""
+    """Product automaton with accepting locations.  ``gate`` is the clock
+    that ``make_nonzeno`` adds, 0 when there is none."""
+
+    gate: int = 0
 
 
 class Labelling:
@@ -584,6 +588,13 @@ def make_nonzeno(a: Ptba) -> Ptba:
     edge drops back to phase 0.  Every accepting run of the result is
     non-Zeno, and every non-Zeno accepting run of the input survives by
     switching phase only at visits spaced one time unit apart.
+
+    The result records the fresh clock as its ``gate``.  No invariant and
+    no guard but the gate reads it, so a valuation where it is larger
+    enables every edge that one where it is smaller does, and every gate
+    edge has an ungated sibling with the same source and otherwise the
+    same guard: the symbolic engine forgets the clock's lower bounds
+    (``pdbm.transition``), enumeration keeps them.
     """
     z = len(a.clock_names)
     names = a.clock_names + ["_nz"]
@@ -603,7 +614,7 @@ def make_nonzeno(a: Ptba) -> Ptba:
                 ploc.edges.append(PEdge(
                     e.atoms + (gate,), tuple(sorted(set(e.resets) | {z})),
                     tgt1, e.tag + "+gap"))
-    return Ptba(names, locations, 0)
+    return Ptba(names, locations, 0, gate=z)
 
 
 # --- clock bounds for extrapolation ------------------------------------------

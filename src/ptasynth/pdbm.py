@@ -21,7 +21,8 @@ bounds is weak only when both summands are.
 Each operation wraps a row helper that works on a branch's own rows in
 place (guard and reset copy tuple rows first) and copies them at a fork.
 ``transition`` runs a whole edge on them, making one matrix per branch;
-it is also where the target's inactive clocks are freed.
+it is also where the target's inactive clocks are freed and the non-Zeno
+gate clock's lower bounds are dropped.
 """
 
 from __future__ import annotations
@@ -254,6 +255,20 @@ def _free_rows(rows: list, clocks: Sequence[int]) -> list:
     return rows
 
 
+def _unbound_below(rows: list, g: int) -> list:
+    """Drop every lower bound of clock ``g`` on one branch's own rows but
+    ``g >= 0``, its differences with the other clocks included: its
+    column becomes the zero clock's, so the zone also holds every point
+    with a smaller ``g``, while its row, and so its upper bounds, stay.
+    Keeps canonical form where every clock is non-negative, as in every
+    zone the engines reach.  No-op for ``g`` 0."""
+    if g:
+        for i, row in enumerate(rows):
+            if i != g:
+                row[g] = row[0]
+    return rows
+
+
 def extrapolate(z: CPDBM, maxima: Sequence[int],
                 table: BoundTable) -> list[CPDBM]:
     """Widen bounds past the per-clock maxima so that finite entries only
@@ -326,12 +341,14 @@ def _fork(i: int, rows: list, j: int, b: int, ext: int) -> tuple:
 
 def transition_plan(atoms: Sequence[Atom], resets: Iterable[int],
                     inv: Sequence[Atom], maxima: Sequence[int],
-                    free: Sequence[int], table: BoundTable) -> tuple:
+                    free: Sequence[int], gate: int,
+                    table: BoundTable) -> tuple:
     """What ``transition`` reads of one edge: guard and target invariant
     with bound ids and their clocks, sorted resets, the target's inactive
-    clocks ``free`` and its ``widening``."""
+    clocks ``free``, the non-Zeno ``gate`` clock (``model.make_nonzeno``;
+    0 for none) and the target's ``widening``."""
     return (*_interned(atoms, table), sorted(resets), *_interned(inv, table),
-            tuple(free), widening(maxima, table))
+            tuple(free), gate, widening(maxima, table))
 
 
 def transition(z: CPDBM, plan: tuple, table: BoundTable,
@@ -339,13 +356,22 @@ def transition(z: CPDBM, plan: tuple, table: BoundTable,
     """The successor branches of the canonical ``z`` along the edge of
     ``plan`` in one pass over its rows: those, in order, of ``constrain`` by
     the guard, the reset with time release (``_reset_rows``), ``constrain``
-    by the invariant, freeing the target's inactive clocks (``_free_rows``)
-    and ``extrapolate``, with their added branches tallied in ``counts``.
-    Freeing never forks, and a freed clock's bound is 0 at the target, so
-    its entries lie inside the target's widening window."""
+    by the invariant, freeing the target's inactive clocks (``_free_rows``),
+    dropping the gate clock's lower bounds (``_unbound_below``) and
+    ``extrapolate``, with their added branches tallied in ``counts``.
+    Freeing and dropping never fork, and a freed clock's bound is 0 at the
+    target, so its entries lie inside the target's widening window.
+
+    Dropping is exact for the gate clock, which only its lower-bound guard
+    ``>= 1`` reads: with the LU bounds of Behrmann, Bouyer, Larsen and
+    Pelanek (TACAS 2004) L = 1 and U = -infinity for it, every added point
+    is LU-simulated by a point of the zone with the same other clocks and
+    a larger gate clock, so the step lies inside Extra_LU, which keeps
+    Buchi emptiness.  The other clocks' projection is unchanged, so the
+    deadlock fold, which the gate never decides, sees the same points."""
     if not z.canonical:
         raise SoundnessError("transition needs a canonical matrix")
-    guard, guard_ks, resets, inv, inv_ks, free, widen = plan
+    guard, guard_ks, resets, inv, inv_ks, free, gate, widen = plan
     out = []
     g1 = _constrain_rows(z.mat, z.bits, guard, guard_ks, table)
     _tally(counts, "guard", len(g1))
@@ -354,7 +380,8 @@ def transition(z: CPDBM, plan: tuple, table: BoundTable,
                              inv_ks, table)
         _tally(counts, "guard", len(g2))
         for rows, ext in g2:
-            ex = _widen_rows(_free_rows(rows, free), ext, widen, table)
+            ex = _widen_rows(_unbound_below(_free_rows(rows, free), gate),
+                             ext, widen, table)
             _tally(counts, "extrapolate", len(ex))
             out.extend(CPDBM(ext, tuple(map(tuple, rows)), not changed)
                        for rows, ext, changed in ex)

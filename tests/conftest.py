@@ -96,6 +96,15 @@ def free_zone(z, clocks):
     return pdbm.CPDBM(z.bits, tuple(map(tuple, rows)), z.canonical)
 
 
+def unbound_zone(z, gate):
+    """``z`` with the lower bounds of clock ``gate`` dropped: pdbm's row
+    helper ``_unbound_below`` on a constrained matrix."""
+    from ptasynth import pdbm
+
+    rows = pdbm._unbound_below([list(r) for r in z.mat], gate)
+    return pdbm.CPDBM(z.bits, tuple(map(tuple, rows)), z.canonical)
+
+
 def oracle_bound(enc):
     """An encoded kernel bound as an oracle bound."""
     import oracle_dbm as od

@@ -115,6 +115,17 @@ def free(m, clocks):
     close(m)
 
 
+def unbound_below(m, c):
+    """Forget every lower bound of clock ``c``, its differences with the
+    other clocks included, but that it is non-negative, then close: the
+    points of ``m`` with ``c`` lowered to any value down to 0."""
+    for i in range(len(m)):
+        if i != c:
+            m[i][c] = INF
+    m[0][c] = (0, False)
+    close(m)
+
+
 def extrapolate(m, maxima):
     """Per-entry widening against the per-clock maxima."""
     n = len(m)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from conftest import (
     free_zone,
     load_fixture,
     load_workloads,
+    unbound_zone,
 )
 from ptasynth import explore, pdbm
 from ptasynth.errors import CapacityError, InputError, SoundnessError
@@ -101,14 +103,16 @@ class TestInitialStates:
 
     @staticmethod
     def constrain_free_extrapolate(a, table, bounds, free):
-        """The initial matrices as three operations: the zero zone with
+        """The initial matrices as four operations: the zero zone with
         time released, constrained by the initial invariant, with the
-        initial location's inactive clocks freed, then widened."""
+        initial location's inactive clocks freed and the gate clock's
+        lower bounds dropped, then widened."""
         z0 = pdbm.initial_cpdbm(a.n_clocks, table)
         return [z2 for z1 in pdbm.constrain(z0, a.locations[a.initial].inv,
                                             table)
-                for z2 in pdbm.extrapolate(free_zone(z1, free[a.initial]),
-                                           bounds[a.initial], table)]
+                for z2 in pdbm.extrapolate(
+                    unbound_zone(free_zone(z1, free[a.initial]), a.gate),
+                    bounds[a.initial], table)]
 
     def test_one_transition_matches_constrain_free_extrapolate(self):
         # x <= p widened at 3 forks: kept where p <= 3, infinite above
@@ -118,7 +122,7 @@ class TestInitialStates:
             box = net.box(box)
             tba, bounds = build_automaton(net, parse_ltl(prop), box)
             cases.append((tba, box, bounds))
-        many = freed = 0
+        many = freed = gated = 0
         for a, box, bounds in cases:
             table = BoundTable(box)
             free = inactive_clocks(a)
@@ -128,7 +132,8 @@ class TestInitialStates:
                 [(z.bits, z.mat, z.canonical) for z in want]
             many += len(got) > 1
             freed += bool(free[a.initial])
-        assert many > 0 and freed > 0
+            gated += a.gate not in free[a.initial] and bool(a.gate)
+        assert many > 0 and freed > 0 and gated > 0
 
 
 class TestSuccessors:
@@ -313,6 +318,39 @@ class TestCumulativeNdfs:
         with pytest.raises(CapacityError):
             synthesize(net, "G !inB", opts=Options(limit_states=3))
 
+    def test_time_limit_expires_inside_the_fixpoint(self, monkeypatch):
+        # the clock stands still while the graph is built and passes the
+        # limit right after, so the fixpoint's first check raises
+        now = [0.0]
+        monkeypatch.setattr(explore, "time",
+                            SimpleNamespace(monotonic=lambda: now[0]))
+        build = explore.build_graph
+
+        def late(*args):
+            g = build(*args)
+            now[0] += 60
+            return g
+
+        monkeypatch.setattr(explore, "build_graph", late)
+        name, prop, box = LIVE6
+        net = load_fixture(name)
+        with pytest.raises(CapacityError,
+                           match="^time limit of 10 s exceeded$") as info:
+            synthesize(net, prop, net.box(box), Options(time_limit=10))
+        assert info.traceback[-2].name == "cumulative_ndfs_graph"
+
+    def test_timer_runs_every_round(self):
+        name, prop, box = LIVE6
+        net = load_fixture(name)
+        box = net.box(box)
+        tba, bounds = build_automaton(net, parse_ltl(prop), box)
+        g = build_graph(tba, box, bounds)
+        calls, stats = [], {}
+        cumulative_ndfs_graph(box, g.colour, g.succ,
+                              [tba.locations[loc].accepting for loc in g.locs],
+                              stats, lambda: calls.append(1))
+        assert len(calls) == 2 * stats["fixpoint_rounds"] > 2
+
     def test_fixpoint_matches_per_valuation_search(self):
         # random coloured graphs; at each valuation the nodes and edges
         # whose colours hold it must have an accepting cycle exactly when
@@ -438,7 +476,7 @@ class TestDeadlockValuations:
     def test_settled_valuations_skip_the_fold(self, monkeypatch):
         # the deadlock set is a union, so an expansion folds only the
         # valuations not yet known to deadlock: on the six-parameter job
-        # 10 of its 228 expansions fold
+        # 9 of its 150 expansions fold
         import ptasynth.explore as explore
         from ptasynth.baseline import enumerate_box
 
@@ -453,7 +491,7 @@ class TestDeadlockValuations:
         name, prop, box = LIVE6
         net = load_fixture(name)
         res = synthesize(net, prop, net.box(box))
-        assert len(calls) == 10 < res.stats["expansions"] == 228
+        assert len(calls) == 9 < res.stats["expansions"] == 150
         assert res.deadlock.bits == \
             enumerate_box(net, prop, net.box(box)).deadlock.bits
         assert not res.deadlock.is_empty
@@ -524,6 +562,8 @@ component M {
 
 
 TRAINS = "G !(Train1.Cross && Train2.Cross)"
+FISCHER_SAFE = "G !(P1.CS && P2.CS)"
+FISCHER_RESPONSE = "G (P1.Req -> F P1.CS)"
 
 
 class TestPinnedStats:
@@ -538,9 +578,13 @@ class TestPinnedStats:
         ("traingate6.pta", "G F Train1.Cross",
          {"p1": (2, 3), "p2": (1, 2), "p3": (0, 1), "p4": (1, 1),
           "p6": (1, 1)},
-         (212, 564, 228, {"extrapolate": 25, "guard": 26}, 2)),
+         (150, 359, 150, {"extrapolate": 6, "guard": 22}, 2)),
         ("fuzz837.pta", "G !al1", {},
-         (1099, 3872, 1102, {"extrapolate": 6, "guard": 31}, 3)),
+         (641, 2104, 644, {"extrapolate": 6, "guard": 20}, 3)),
+        ("fischer2.pta", FISCHER_SAFE, {},
+         (504, 1534, 504, {"extrapolate": 60}, 2)),
+        ("fischer2.pta", FISCHER_RESPONSE, {},
+         (368, 1095, 368, {"extrapolate": 69}, 2)),
     ])
     def test_stats(self, fixture, prop, box, want):
         net = load_fixture(fixture)
@@ -548,6 +592,23 @@ class TestPinnedStats:
         assert tuple(stats[k] for k in (
             "stored_states", "transitions", "expansions", "splits",
             "fixpoint_rounds")) == want
+
+
+@pytest.mark.parametrize("prop", [FISCHER_SAFE, FISCHER_RESPONSE])
+def test_fischer2_engines_agree(prop):
+    # enumeration keeps the gate clock's lower bounds, so agreement checks
+    # the symbolic engine's dropping them; mutual exclusion fails exactly
+    # where a process may claim the lock later than b (a > b)
+    from ptasynth.baseline import enumerate_box
+
+    net = load_fixture("fischer2.pta")
+    sym = synthesize(net, prop)
+    base = enumerate_box(net, prop)
+    assert sym.accepted.bits == base.accepted.bits
+    assert sym.deadlock.bits == base.deadlock.bits
+    if prop == FISCHER_SAFE:
+        assert [(v["a"], v["b"]) for v in sym.accepted] == \
+            [(a, b) for a in range(1, 5) for b in range(1, 5) if a > b]
 
 
 def test_bench_models_are_the_fixtures():
@@ -568,7 +629,7 @@ def perfbench_fuzz_jobs():
 # the LIVE6 and DENSE3 jobs and the 200 perfbench fuzz jobs, one line
 # each, stats and witnesses included
 RESULTS_DIGEST = \
-    "c55271fd1270b378cc64c18be6000ee4d3941688f3c331f71113ce10938aed1e"
+    "52e27980c16bae06e85611653940855889698030ef3fc0c8774af3ac5371edbc"
 
 
 def pinned_jobs():
@@ -594,7 +655,7 @@ def test_result_documents_pinned():
 # of the DENSE3 job: every expanded node's location, finite entries and
 # valuations, in expansion order
 TRACE_DIGEST = \
-    "38f3eba5385f2501a84bfafd911b1a21293ba9a006cb68ef38d1e6a36017c336"
+    "b17b6ed35e1395d5874f01e61be5c1cfe5aad4f6a9d6819f79f03b4accb4b6ff"
 
 
 def test_trace_text_pinned():
@@ -611,12 +672,13 @@ def unshared_successors(loc, base, a, table, bounds, free, counts, plans):
     """Reference successor generation with nothing shared between product
     edges: a plan per product edge, made when its location is first
     expanded, and one ``pdbm.transition`` per product edge and base
-    branch, which frees the clocks inactive at the edge's target."""
+    branch, which frees the clocks inactive at the edge's target and drops
+    the gate clock's lower bounds."""
     steps = plans.get(loc)
     if steps is None:
         steps = plans[loc] = [(e.target, pdbm.transition_plan(
             e.atoms, e.resets, a.locations[e.target].inv, bounds[e.target],
-            free[e.target], table)) for e in a.locations[loc].edges]
+            free[e.target], a.gate, table)) for e in a.locations[loc].edges]
     out = []
     for target, plan in steps:
         for zb in base:
@@ -656,7 +718,7 @@ class TestSharedTransitions:
             for e in a.locations[loc].edges:
                 content = (e.atoms, tuple(sorted(e.resets)),
                            a.locations[e.target].inv, bounds[e.target],
-                           free[e.target])
+                           free[e.target], a.gate)
                 distinct.update((content, zb.bits, zb.mat) for zb in base)
             return unshared_successors(loc, base, a, table, bounds, free,
                                        counts, plans)
@@ -666,7 +728,7 @@ class TestSharedTransitions:
             # zone along an edge with no guard and no reset
             z0 = pdbm.initial_cpdbm(a.n_clocks, table)
             content = ((), (), a.locations[a.initial].inv,
-                       bounds[a.initial], free[a.initial])
+                       bounds[a.initial], free[a.initial], a.gate)
             distinct.add((content, z0.bits, z0.mat))
             return initial_states(a, table, bounds, free)
 
@@ -684,7 +746,7 @@ class TestSharedTransitions:
 
         monkeypatch.setattr(pdbm, "transition", counted)
         assert graph_of(net, *LIVE6[1:]) == want
-        assert len(calls) == len(distinct) == 343
+        assert len(calls) == len(distinct) == 207
 
     def test_repeated_edge_shares_branches_and_tallies_splits(self):
         # two locations carry the same guarded edge, which forks on p <= q

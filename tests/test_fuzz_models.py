@@ -1,6 +1,7 @@
 """Cross-engine fuzz: random small networks and properties must get
 identical violating and deadlock sets from both engines."""
 
+import dataclasses
 import random
 
 import pytest
@@ -75,21 +76,21 @@ def test_first_thousand_jobs_of_generator_seed_1_agree():
             one_vector_enumeration(net, prop, sym.box)[:2], context
 
 
-def test_freeing_inactive_clocks_is_exact_and_never_grows(monkeypatch):
-    # the symbolic engine run twice on the corpus with its properties and
-    # the first 200 generator-seed-1 jobs: as it is, and with no clock
-    # ever freed; the three sets agree, and freeing never adds nodes
+def exact_and_never_grows(monkeypatch, attr, off):
+    """Run the symbolic engine on the corpus with its properties and the
+    first 200 generator-seed-1 jobs, as it is and with ``attr`` of
+    ``explore`` replaced by ``off``: the three sets agree, the node count
+    is never higher as it is, and lower on some jobs."""
     rng = random.Random(1)
     jobs = [(load_fixture(name), prop) for name, props in CORPUS.items()
             for prop in props]
     for _ in range(200):
         src, labels = fuzzgen.random_model(rng)
         jobs.append((parse_model(src), fuzzgen.random_property(rng, labels)))
-    freed = [synthesize(net, prop) for net, prop in jobs]
-    monkeypatch.setattr(explore, "inactive_clocks",
-                        lambda a: [()] * len(a.locations))
+    on = [synthesize(net, prop) for net, prop in jobs]
+    monkeypatch.setattr(explore, attr, off)
     fewer = 0
-    for (net, prop), got in zip(jobs, freed):
+    for (net, prop), got in zip(jobs, on):
         kept = synthesize(net, prop)
         assert sets(got) == sets(kept), prop
         nodes = got.stats["stored_states"], kept.stats["stored_states"]
@@ -98,12 +99,28 @@ def test_freeing_inactive_clocks_is_exact_and_never_grows(monkeypatch):
     assert fewer > 0
 
 
+def test_freeing_inactive_clocks_is_exact_and_never_grows(monkeypatch):
+    # with no clock ever freed
+    exact_and_never_grows(monkeypatch, "inactive_clocks",
+                          lambda a: [()] * len(a.locations))
+
+
+def test_dropping_gate_lower_bounds_is_exact_and_never_grows(monkeypatch):
+    # with the front end recording no gate clock, so every matrix keeps
+    # the non-Zeno clock's lower bounds
+    make_nonzeno = explore.make_nonzeno
+    exact_and_never_grows(
+        monkeypatch, "make_nonzeno",
+        lambda a: dataclasses.replace(make_nonzeno(a), gate=0))
+
+
 def test_job_837_stays_small():
     # job 837 of that list, the largest symbolic graph in it: 5,468 nodes
     # when every location was widened with one bound vector, 2,120 states
     # in the older per-extension store, 1,173 nodes with per-location
-    # bounds, 1,099 with inactive clocks freed
+    # bounds, 1,099 with inactive clocks freed, 641 with the gate clock's
+    # lower bounds dropped
     net = load_fixture("fuzz837.pta")
     sym = synthesize(net, "G !al1")
     assert sets(sym) == sets(enumerate_box(net, "G !al1"))
-    assert sym.stats["stored_states"] <= 2120
+    assert sym.stats["stored_states"] <= 660

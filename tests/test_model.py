@@ -279,6 +279,8 @@ class TestNonZeno:
         prod = product(pta, lab, ltl.to_buchi(ltl.to_nnf(ltl.TRUE)))
         out = make_nonzeno(prod)
         assert len(out.clock_names) == len(prod.clock_names) + 1
+        # recorded as the gate clock, which the product has none of
+        assert (prod.gate, out.gate) == (0, len(prod.clock_names))
 
     def test_accepting_cycles_pass_the_gate(self):
         # structural contract: every cycle through an accepting location

@@ -9,7 +9,7 @@ concrete (oracle) transformation to the evaluated input.
 import pytest
 
 import oracle_dbm as od
-from conftest import free_zone, from_oracle, reset_zone
+from conftest import free_zone, from_oracle, reset_zone, unbound_zone
 from ptasynth import pdbm
 from ptasynth.errors import SoundnessError
 from ptasynth.params import (
@@ -323,6 +323,31 @@ class TestResetUp:
             freed += len(clocks) > 1 and got != z
         assert freed
 
+    def test_unbound_below_matches_concrete_and_stays_canonical(self, rng):
+        # dropping a clock's lower bounds from a zone of non-negative
+        # clocks: canonical without a closure, the oracle's matrix with
+        # them forgotten, and the other clocks' projection unchanged
+        table = self.TABLE
+        nonnegative = [(0, j, ZERO_LE) for j in (1, 2, 3)]
+        zones = [w for z in canonical_samples(rng, table, 4, 40)
+                 for w in pdbm.constrain(z, nonnegative, table)]
+        moved = 0
+        for z in zones:
+            g = rng.randrange(1, 4)
+            got = unbound_zone(z, g)
+            assert od.is_canonical(got, table)
+            for v in ValuationSet(self.BOX, z.bits):
+                m = od.from_valuation(z, v, table)
+                want = od.clone(m)
+                od.unbound_below(want, g)
+                assert od.from_valuation(got, v, table) == want
+                od.free(m, [g])
+                od.free(want, [g])
+                assert want == m
+            moved += got != z
+        assert moved > 10
+        assert unbound_zone(zones[0], 0) == zones[0]  # no gate clock
+
     def test_closure_noop_on_canonical_evaluations(self, rng):
         for z in canonical_samples(rng, self.TABLE, 3, 10):
             for v in ValuationSet(self.BOX, z.bits):
@@ -385,11 +410,12 @@ class TestExtrapolation:
                 assert od.from_valuation(got, v, table) == m
 
 
-def staged_transition(z, atoms, resets, inv, free, maxima, table, counts):
+def staged_transition(z, atoms, resets, inv, free, gate, maxima, table,
+                      counts):
     """The successor branches of one edge stage by stage: constrain by the
     guard, reset with time release, constrain by the invariant, free the
-    ``free`` clocks, widen; each stage call tallies the branches it
-    added."""
+    ``free`` clocks, drop the ``gate`` clock's lower bounds, widen; each
+    stage call tallies the branches it added."""
     def tally(tag, branches):
         if len(branches) > 1:
             counts[tag] = counts.get(tag, 0) + len(branches) - 1
@@ -400,7 +426,7 @@ def staged_transition(z, atoms, resets, inv, free, maxima, table, counts):
         z2 = reset_zone(z1, resets, release=True)
         for z3 in tally("guard", pdbm.constrain(z2, inv, table)):
             out += tally("extrapolate", pdbm.extrapolate(
-                free_zone(z3, free), maxima, table))
+                unbound_zone(free_zone(z3, free), gate), maxima, table))
     return out
 
 
@@ -425,22 +451,25 @@ class TestTransition:
         inv = [(i, 0, bound(random_expr(rng, self.BOX), rng.random() < 0.5))
                for i in rng.sample(range(1, n), rng.randrange(0, 2))]
         free = sorted(rng.sample(range(1, n), rng.randrange(0, n - 1)))
+        gate = rng.randrange(0, n)  # 0: no gate clock
         maxima = [0] + [rng.randrange(0, 6) for _ in range(n - 1)]
-        return atoms, resets, inv, free, maxima
+        return atoms, resets, inv, free, gate, maxima
 
     def test_same_branches_order_and_splits(self, rng):
         table = self.TABLE
         seen = {"guard forks": 0, "widening forks": 0, "several resets": 0,
-                "empty invariant": 0, "emptied": 0, "several freed": 0}
+                "empty invariant": 0, "emptied": 0, "several freed": 0,
+                "gate": 0, "no gate": 0}
         for n in (3, 4, 6):
             for z in canonical_samples(rng, table, n, 60):
-                atoms, resets, inv, free, maxima = self.random_edge(rng, z)
+                atoms, resets, inv, free, gate, maxima = \
+                    self.random_edge(rng, z)
                 mat = z.mat
                 want_counts, got_counts = {}, {}
-                want = staged_transition(z, atoms, resets, inv, free, maxima,
-                                         table, want_counts)
+                want = staged_transition(z, atoms, resets, inv, free, gate,
+                                         maxima, table, want_counts)
                 plan = pdbm.transition_plan(atoms, resets, inv, maxima, free,
-                                            table)
+                                            gate, table)
                 got = pdbm.transition(z, plan, table, got_counts)
                 assert [tuple(b) for b in got] == [tuple(b) for b in want]
                 assert got_counts == want_counts
@@ -452,11 +481,13 @@ class TestTransition:
                 seen["several resets"] += len(resets) > 1
                 seen["empty invariant"] += not inv
                 seen["several freed"] += len(free) > 1
+                seen["gate"] += gate not in free and bool(gate)
+                seen["no gate"] += not gate
         assert all(seen.values()), seen
 
     def test_refuses_non_canonical(self):
         z = mk({(1, 0): bound(P)}, self.TABLE, n=2, canonical=False)
-        plan = pdbm.transition_plan([], [1], [], [0, 3], [], self.TABLE)
+        plan = pdbm.transition_plan([], [1], [], [0, 3], [], 0, self.TABLE)
         with pytest.raises(SoundnessError,
                            match="^transition needs a canonical matrix$"):
             pdbm.transition(z, plan, self.TABLE, {})
@@ -464,7 +495,7 @@ class TestTransition:
     def test_rows_never_alias_across_forks(self, rng):
         table = self.TABLE
         for z in canonical_samples(rng, table, 4, 60):
-            atoms, resets, inv, free, maxima = self.random_edge(rng, z)
+            atoms, resets, inv, free, _, maxima = self.random_edge(rng, z)
             atoms, pivots = pdbm._interned(atoms, table)
             guarded = pdbm._guard_rows(z.mat, z.bits, atoms, table)
             # the input matrix's tuple rows are shared, never written
