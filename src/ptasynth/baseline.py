@@ -8,9 +8,12 @@ so that the two engines explore the same automaton, and implements the
 per-state deadlock formula the same way.  A zone is widened with the
 clock bounds of the location it is stored at (``model.location_bounds``,
 static guard analysis after Behrmann, Bouyer, Fleury and Larsen, TACAS
-2003).  Unlike the symbolic engine, it never frees inactive clocks, so
-its zones are finer than the symbolic ones and agreement between the
-engines checks that abstraction independently.
+2003).  Before widening, a step frees the clocks that are inactive at its
+target (``model.inactive_clocks``, Daws and Yovine, RTSS 1996) and drops
+the lower bounds of the non-Zeno clock (``Ptba.gate``), as the symbolic
+engine's ``pdbm.transition`` does, so both engines explore zones of one
+abstraction.  The independent check of those two steps is the tests'
+one-vector reference, which runs this search with neither.
 
 Every valuation gets its own zone graph, but the graphs are explored in
 lockstep: the automaton's atoms are encoded once per box, at every point,
@@ -28,7 +31,7 @@ from . import zones
 from .errors import CapacityError
 from .explore import Options, SynthesisResult, build_automaton
 from .ltl import Formula, parse_ltl
-from .model import Network, Ptba, location_bounds
+from .model import Network, Ptba, inactive_clocks, location_bounds
 from .params import ParamBox, ValuationSet, bound_eval
 from .pdbm import negate_atom
 
@@ -94,28 +97,50 @@ def _constrain(ms: np.ndarray, pos: np.ndarray, enc: np.ndarray) -> np.ndarray:
     return zones.close_many(ms)
 
 
-def _step(ms, guard, gather, inv, bounds):
+def _step(ms, guard, gather, inv, bounds, freed, gate):
     """Successors of canonical zones through one edge each, in a batch:
-    guard, reset, time elapse, target invariant and extrapolation.
+    guard, reset, time elapse, target invariant, freeing the target's
+    inactive clocks, dropping the lower bounds of the ``gate`` clock and
+    extrapolation.
 
     ``guard`` and ``inv`` are ``(pos, enc)`` pairs for ``_constrain``;
     ``gather`` (count, n) maps each clock to itself, or to the zero clock
     when the edge resets it, so that ``m[g][:, g]`` is the reset of a
     closed non-empty zone; ``bounds`` (count, n) holds each row's target
-    clock bounds.  Returns the indices of the rows that stay non-empty
-    and their canonical zones."""
+    clock bounds and ``freed`` (count, n) marks its target's inactive
+    clocks; ``gate`` is the non-Zeno clock, 0 for none.  Returns the
+    indices of the rows that stay non-empty and their canonical zones."""
     keep = np.flatnonzero(_constrain(ms, *guard))
     g = gather[keep]
     ms = ms[keep[:, None, None], g[:, :, None], g[:, None, :]]
     zones.up(ms)
     ok = _constrain(ms, inv[0][keep], inv[1][keep])
     keep, ms = keep[ok], ms[ok]
+    _project(ms, freed[keep], gate)
     changed = zones.extrapolate(ms, bounds[keep])
     if changed.any():
         wide = ms[changed]
         zones.close_many(wide)
         ms[changed] = wide
     return keep, ms
+
+
+def _project(ms: np.ndarray, freed: np.ndarray, gate: int) -> None:
+    """In place, as ``pdbm._free_rows`` and then ``pdbm._unbound_below``
+    do: each zone's ``freed`` clocks (count, n) take the zero clock's
+    column, an infinite row and a weak zero diagonal, so each keeps only
+    its lower bound 0; then the ``gate`` clock takes the zero clock's
+    column and a weak zero diagonal, keeping its row.  Both keep a closed
+    zone canonical."""
+    if freed.any():
+        np.copyto(ms, ms[:, :, :1], where=freed[:, None, :])
+        n = ms.shape[1]
+        free_row = np.full((n, n), zones.INF, dtype=np.int64)
+        np.fill_diagonal(free_row, zones.ZERO_WEAK)
+        np.copyto(ms, free_row, where=freed[:, :, None])
+    if gate:
+        ms[:, :, gate] = ms[:, :, 0]
+        ms[:, gate, gate] = zones.ZERO_WEAK
 
 
 class _Tables:
@@ -126,9 +151,11 @@ class _Tables:
     the atom rows of shorter guards and invariants.  Edges are numbered
     location by location, so location ``l`` owns the ``degree[l]`` edges
     from ``first[l]`` on.  ``bounds[l]`` holds the clock bounds zones at
-    location ``l`` are widened with."""
+    location ``l`` are widened with, ``freed[l]`` marks the clocks they
+    free (of the ``inactive_clocks`` table ``free``), and ``gate`` is the
+    non-Zeno clock whose lower bounds every zone drops."""
 
-    def __init__(self, a: Ptba, box: ParamBox, bounds):
+    def __init__(self, a: Ptba, box: ParamBox, bounds, free):
         n = len(a.clock_names)
         ids: dict = {}
         pos = [0]
@@ -148,6 +175,10 @@ class _Tables:
 
         self.n = n
         self.bounds = np.asarray(bounds, dtype=np.int64)
+        self.freed = np.zeros((len(a.locations), n), dtype=bool)
+        for row, clocks in zip(self.freed, free):
+            row[list(clocks)] = True
+        self.gate = a.gate
         self.accepting = [loc.accepting for loc in a.locations]
         self.degree = [len(loc.edges) for loc in a.locations]
         self.first = np.cumsum([0] + self.degree)[:-1]
@@ -173,7 +204,8 @@ class _Tables:
 
     def initial(self, loc: int, points: np.ndarray):
         """The initial zone at each point: all clocks zero, then time
-        elapse, the invariant of ``loc`` and extrapolation.  Returns the
+        elapse, the invariant of ``loc``, freeing, dropping the gate
+        clock's lower bounds and extrapolation.  Returns the
         indices of the points where it is non-empty and its keys there."""
         count, n = len(points), self.n
         keep, ms = _step(
@@ -181,7 +213,8 @@ class _Tables:
             self.atoms(np.zeros((count, 1), dtype=np.int64), points),
             np.tile(np.arange(n), (count, 1)),
             self.atoms(np.tile(self.inv[loc], (count, 1)), points),
-            np.broadcast_to(self.bounds[loc], (count, n)))
+            np.broadcast_to(self.bounds[loc], (count, n)),
+            np.broadcast_to(self.freed[loc], (count, n)), self.gate)
         return keep.tolist(), _pack(loc, ms)
 
     def successors(self, states):
@@ -199,7 +232,8 @@ class _Tables:
                          self.atoms(self.guard[eids], points),
                          self.gather[eids],
                          self.atoms(self.inv[targets], points),
-                         self.bounds[targets])
+                         self.bounds[targets], self.freed[targets],
+                         self.gate)
         found: list = [None] * len(rows)
         for row, key in zip(keep.tolist(), _pack(targets[keep], ms)):
             found[row] = key
@@ -351,10 +385,11 @@ class _Graph:
         return [self.succ[a:b] for a, b in zip(self.starts, ends)]
 
 
-def _explore(a: Ptba, box: ParamBox, bounds, opts: Options):
+def _explore(a: Ptba, box: ParamBox, bounds, free, opts: Options):
     """The reachable concrete zone graph of every box point, each checked
     for an accepting cycle and a deadlock state, with zones widened by the
-    ``location_bounds`` table ``bounds``; returns (accepting bits,
+    ``location_bounds`` table ``bounds`` and freeing the clocks of the
+    ``inactive_clocks`` table ``free``; returns (accepting bits,
     deadlock bits, total states, largest state count).
 
     The graphs are explored in lockstep.  A batch takes pending states in
@@ -373,7 +408,7 @@ def _explore(a: Ptba, box: ParamBox, bounds, opts: Options):
     raises, once every point below it has finished.  Before each batch,
     ``opts.time_limit`` stops the whole run."""
     over_time = opts.timer()
-    t = _Tables(a, box, bounds)
+    t = _Tables(a, box, bounds, free)
     cost = [max(d, 1) for d in t.degree]
     pending: list[_Graph] = []  # open valuations, in point order
     next_point, stop = 0, box.size  # no point from ``stop`` on is opened
@@ -497,7 +532,8 @@ def check_valuation(a: Ptba, v, bounds=None,
     box = ParamBox.of({p: (x, x) for p, x in v.items()})
     if bounds is None:
         bounds = location_bounds(a, box)
-    accepted, deadlock, _, _ = _explore(a, box, bounds, opts or Options())
+    accepted, deadlock, _, _ = _explore(a, box, bounds, inactive_clocks(a),
+                                        opts or Options())
     return bool(accepted), bool(deadlock)
 
 
@@ -510,7 +546,7 @@ def enumerate_box(net: Network, prop: Formula | str,
     f = parse_ltl(prop) if isinstance(prop, str) else prop
     tba, bounds = build_automaton(net, f, box)
     accepted_bits, deadlock_bits, total_states, max_states = _explore(
-        tba, box, bounds, opts)
+        tba, box, bounds, inactive_clocks(tba), opts)
     stats = {
         "engine": "enumerate",
         "box_points": box.size,

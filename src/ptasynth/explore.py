@@ -31,7 +31,8 @@ valuations to its target node and to the colour of the edge; the node
 table keys and checks the branch's matrix in one walk over it.  At a
 valuation v, the nodes and edges whose colours hold v form the widened
 zone graph at v with inactive clocks freed and the gate clock's lower
-bounds dropped, up to nodes that repeat a zone.  None of the three
+bounds dropped, the graph the enumeration engine explores at v, up to
+nodes that repeat a zone.  None of the three
 changes reachability or accepting cycles (each added point is simulated
 by a point already there), and the deadlock fold reads only the
 location's guards, whose clocks are active there; the gate is the one

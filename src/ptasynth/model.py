@@ -593,8 +593,8 @@ def make_nonzeno(a: Ptba) -> Ptba:
     no guard but the gate reads it, so a valuation where it is larger
     enables every edge that one where it is smaller does, and every gate
     edge has an ungated sibling with the same source and otherwise the
-    same guard: the symbolic engine forgets the clock's lower bounds
-    (``pdbm.transition``), enumeration keeps them.
+    same guard: both engines forget the clock's lower bounds
+    (``pdbm.transition``, ``baseline._step``).
     """
     z = len(a.clock_names)
     names = a.clock_names + ["_nz"]

@@ -145,14 +145,20 @@ def one_clock_bounds(a, box):
 
 
 def one_vector_enumeration(net, prop: str, box):
-    """The enumeration engine with ``one_clock_bounds`` for every location:
-    (violating bits, deadlock bits, zone states), an exactness reference
-    for per-location bounds that does not run their analysis."""
+    """The enumeration engine with ``one_clock_bounds`` for every location,
+    no clock freed and the non-Zeno clock's lower bounds kept: (violating
+    bits, deadlock bits, zone states), an exactness reference for
+    per-location bounds, inactive clocks and the gate step that runs none
+    of their analyses."""
+    import dataclasses
+
     from ptasynth import baseline
     from ptasynth.explore import Options, build_automaton
     from ptasynth.ltl import parse_ltl
 
     tba, _ = build_automaton(net, parse_ltl(prop), box)
     one = [tuple(one_clock_bounds(tba, box))] * len(tba.locations)
-    accepted, deadlock, total, _ = baseline._explore(tba, box, one, Options())
+    accepted, deadlock, total, _ = baseline._explore(
+        dataclasses.replace(tba, gate=0), box, one,
+        [()] * len(tba.locations), Options())
     return accepted, deadlock, total

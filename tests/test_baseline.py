@@ -85,13 +85,16 @@ def flat_atoms(rows, n):
     return pos, enc
 
 
-def random_canonical(rng, n):
-    """A closed non-empty zone with random finite and infinite entries."""
+def random_canonical(rng, n, nonnegative=False):
+    """A closed non-empty zone with random finite and infinite entries;
+    with ``nonnegative``, one where every clock is at least 0."""
     while True:
         z = np.array([[zones.encode(rng.randrange(-4, 9), rng.random() < 0.5)
                        if i != j and rng.random() < 0.8 else
                        zones.ZERO_WEAK if i == j else zones.INF
                        for j in range(n)] for i in range(n)], dtype=np.int64)
+        if nonnegative:
+            np.minimum(z[0], zones.ZERO_WEAK, out=z[0])
         if zones.close(z):
             return z
 
@@ -134,13 +137,19 @@ class TestConstrained:
 
 class TestStep:
     def test_matches_oracle(self, rng):
-        # random batches through guard, reset, up, invariant and
-        # extrapolation: every kept row is the oracle's zone, and exactly
-        # the rows the oracle finds empty are dropped
-        kept = dropped = 0
+        # random batches through guard, reset, up, invariant, freeing,
+        # dropping the gate clock's lower bounds and extrapolation: every
+        # kept row is the oracle's zone and canonical, and exactly the rows
+        # the oracle finds empty are dropped.  Dropping keeps a zone
+        # canonical only where every clock is non-negative, as in every
+        # zone the engine reaches, so batches with a gate start there
+        kept = dropped = freed_rows = 0
         for n in (2, 3, 4):
-            for _ in range(8):
-                zs = [random_canonical(rng, n) for _ in range(30)]
+            for _ in range(12):
+                gate = rng.randrange(n)
+                share = rng.choice([0, 0.3])
+                zs = [random_canonical(rng, n, nonnegative=bool(gate))
+                      for _ in range(30)]
                 guards = [random_atoms(rng, n, 0, 2) for _ in zs]
                 invs = [random_atoms(rng, n, 0, 2) for _ in zs]
                 resets = [[c for c in range(1, n) if rng.random() < 0.4]
@@ -148,11 +157,14 @@ class TestStep:
                 gather = np.tile(np.arange(n), (len(zs), 1))
                 for row, clocks in zip(gather, resets):
                     row[clocks] = 0
-                # one bound vector per row, as per-location bounds give
+                # one bound vector and one freed mask per row, as
+                # per-location tables give
                 bounds = np.array([[rng.randrange(0, 7) for _ in range(n)]
                                    for _ in zs], dtype=np.int64)
+                freed = np.array([[0 < c and rng.random() < share
+                                   for c in range(n)] for _ in zs])
                 keep, got = _step(np.stack(zs), flat_atoms(guards, n), gather,
-                                  flat_atoms(invs, n), bounds)
+                                  flat_atoms(invs, n), bounds, freed, gate)
                 want = {}
                 for k, z in enumerate(zs):
                     m = to_oracle(z)
@@ -166,15 +178,22 @@ class TestStep:
                         od.constrain(m, i, j, oracle_bound(enc))
                     if not od.close(m):
                         continue
+                    od.free(m, np.flatnonzero(freed[k]).tolist())
+                    if gate:
+                        od.unbound_below(m, gate)
                     od.extrapolate(m, bounds[k].tolist())
                     od.close(m)
                     want[k] = from_oracle(m)
                 assert keep.tolist() == sorted(want)
                 for k, m in zip(keep.tolist(), got):
                     assert np.array_equal(m, want[k])
+                    closed = m.copy()
+                    assert zones.close(closed)
+                    assert np.array_equal(closed, m)
                 kept += len(want)
                 dropped += len(zs) - len(want)
-        assert kept and dropped
+                freed_rows += int(freed[keep].any(axis=1).sum())
+        assert kept and dropped and freed_rows
 
 
 class TestCheckValuation:
@@ -268,11 +287,25 @@ class TestEnumerate:
     def test_zone_state_count_pinned(self):
         # the benchmark's dense3 box: a closure that is not canonical would
         # change the zone graph, and with it this count (4,044 with one
-        # bound vector for every location, 2,700 with per-location bounds)
+        # bound vector for every location, 2,700 with per-location bounds,
+        # 1,520 with inactive clocks freed and the gate clock's lower
+        # bounds dropped)
         net = load_fixture("traingate.pta")
         box = net.box({"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)})
         res = enumerate_box(net, "G !(Train1.Cross && Train2.Cross)", box)
-        assert res.stats["zone_states_total"] == 2700
+        assert res.stats["zone_states_total"] == 1520
+
+    @pytest.mark.parametrize("prop,violating,states", [
+        ("G !(P1.CS && P2.CS)", 29456, 33944),
+        ("G (P1.Req -> F P1.CS)", 65535, 33300),
+    ])
+    def test_fischer3(self, prop, violating, states):
+        # Fischer's protocol with three processes on a, b = 1..4: the sets
+        # found before any clock was freed, when the zone graphs held
+        # 291,456 and 270,775 states; every point deadlocks
+        res = enumerate_box(load_fixture("fischer3.pta"), prop)
+        assert (res.accepted.bits, res.deadlock.bits) == (violating, 65535)
+        assert res.stats["zone_states_total"] == states
 
     def test_six_parameter_traingate_point(self):
         # all six bounds parametric, pinned to one valuation each

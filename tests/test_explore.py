@@ -14,6 +14,7 @@ from conftest import (
     free_zone,
     load_fixture,
     load_workloads,
+    one_vector_enumeration,
     unbound_zone,
 )
 from ptasynth import explore, pdbm
@@ -596,9 +597,10 @@ class TestPinnedStats:
 
 @pytest.mark.parametrize("prop", [FISCHER_SAFE, FISCHER_RESPONSE])
 def test_fischer2_engines_agree(prop):
-    # enumeration keeps the gate clock's lower bounds, so agreement checks
-    # the symbolic engine's dropping them; mutual exclusion fails exactly
-    # where a process may claim the lock later than b (a > b)
+    # both engines free inactive clocks and drop the gate clock's lower
+    # bounds, so the one-vector reference, which does neither, checks
+    # those steps; mutual exclusion fails exactly where a process may
+    # claim the lock later than b (a > b)
     from ptasynth.baseline import enumerate_box
 
     net = load_fixture("fischer2.pta")
@@ -606,6 +608,8 @@ def test_fischer2_engines_agree(prop):
     base = enumerate_box(net, prop)
     assert sym.accepted.bits == base.accepted.bits
     assert sym.deadlock.bits == base.deadlock.bits
+    assert (sym.accepted.bits, sym.deadlock.bits) == \
+        one_vector_enumeration(net, prop, sym.box)[:2]
     if prop == FISCHER_SAFE:
         assert [(v["a"], v["b"]) for v in sym.accepted] == \
             [(a, b) for a in range(1, 5) for b in range(1, 5) if a > b]

@@ -13,7 +13,7 @@ from conftest import (
     load_fuzzgen,
     one_vector_enumeration,
 )
-from ptasynth import explore
+from ptasynth import baseline, explore
 from ptasynth.baseline import enumerate_box
 from ptasynth.errors import CapacityError, InputError
 from ptasynth.explore import Options, synthesize
@@ -62,8 +62,11 @@ def test_first_thousand_jobs_of_generator_seed_1_agree():
     # the fixed job list every engine change is checked on: the first
     # 1,000 (model, property) pairs drawn from Random(1), under default
     # options (none of them raises).  Both engines share the per-location
-    # bounds, so the violating and deadlock sets are also checked against
-    # enumeration with one bound vector for every location
+    # bounds, the freeing of inactive clocks and the dropping of the
+    # non-Zeno clock's lower bounds, so the violating and deadlock sets are
+    # also checked against enumeration with one bound vector for every
+    # location, no clock freed and those lower bounds kept: that reference
+    # is what checks all three steps here
     rng = random.Random(1)
     for k in range(1000):
         src, labels = fuzzgen.random_model(rng)
@@ -76,10 +79,10 @@ def test_first_thousand_jobs_of_generator_seed_1_agree():
             one_vector_enumeration(net, prop, sym.box)[:2], context
 
 
-def exact_and_never_grows(monkeypatch, attr, off):
-    """Run the symbolic engine on the corpus with its properties and the
-    first 200 generator-seed-1 jobs, as it is and with ``attr`` of
-    ``explore`` replaced by ``off``: the three sets agree, the node count
+def exact_and_never_grows(monkeypatch, engine, count, patches):
+    """Run ``engine`` on the corpus with its properties and the first 200
+    generator-seed-1 jobs, as it is and with each ``(module, attr,
+    value)`` of ``patches`` set: the three sets agree, the ``count`` stat
     is never higher as it is, and lower on some jobs."""
     rng = random.Random(1)
     jobs = [(load_fixture(name), prop) for name, props in CORPUS.items()
@@ -87,22 +90,27 @@ def exact_and_never_grows(monkeypatch, attr, off):
     for _ in range(200):
         src, labels = fuzzgen.random_model(rng)
         jobs.append((parse_model(src), fuzzgen.random_property(rng, labels)))
-    on = [synthesize(net, prop) for net, prop in jobs]
-    monkeypatch.setattr(explore, attr, off)
+    on = [engine(net, prop) for net, prop in jobs]
+    for module, attr, value in patches:
+        monkeypatch.setattr(module, attr, value)
     fewer = 0
     for (net, prop), got in zip(jobs, on):
-        kept = synthesize(net, prop)
+        kept = engine(net, prop)
         assert sets(got) == sets(kept), prop
-        nodes = got.stats["stored_states"], kept.stats["stored_states"]
-        assert nodes[0] <= nodes[1], prop
-        fewer += nodes[0] < nodes[1]
+        states = got.stats[count], kept.stats[count]
+        assert states[0] <= states[1], prop
+        fewer += states[0] < states[1]
     assert fewer > 0
+
+
+def no_clock_freed(a):
+    return [()] * len(a.locations)
 
 
 def test_freeing_inactive_clocks_is_exact_and_never_grows(monkeypatch):
     # with no clock ever freed
-    exact_and_never_grows(monkeypatch, "inactive_clocks",
-                          lambda a: [()] * len(a.locations))
+    exact_and_never_grows(monkeypatch, synthesize, "stored_states",
+                          [(explore, "inactive_clocks", no_clock_freed)])
 
 
 def test_dropping_gate_lower_bounds_is_exact_and_never_grows(monkeypatch):
@@ -110,8 +118,24 @@ def test_dropping_gate_lower_bounds_is_exact_and_never_grows(monkeypatch):
     # the non-Zeno clock's lower bounds
     make_nonzeno = explore.make_nonzeno
     exact_and_never_grows(
-        monkeypatch, "make_nonzeno",
-        lambda a: dataclasses.replace(make_nonzeno(a), gate=0))
+        monkeypatch, synthesize, "stored_states",
+        [(explore, "make_nonzeno",
+          lambda a: dataclasses.replace(make_nonzeno(a), gate=0))])
+
+
+def test_enumeration_projection_is_exact_and_never_grows(monkeypatch):
+    # the enumeration engine with no clock freed and the non-Zeno clock's
+    # lower bounds kept, under the same per-location clock bounds
+    build_automaton = baseline.build_automaton
+
+    def gateless(*args):
+        tba, bounds = build_automaton(*args)
+        return dataclasses.replace(tba, gate=0), bounds
+
+    exact_and_never_grows(
+        monkeypatch, enumerate_box, "zone_states_total",
+        [(baseline, "inactive_clocks", no_clock_freed),
+         (baseline, "build_automaton", gateless)])
 
 
 def test_job_837_stays_small():
