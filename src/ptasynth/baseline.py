@@ -3,8 +3,9 @@ with a concrete zone-graph search.
 
 This is the comparison engine and the exactness oracle for the symbolic
 one.  It shares the whole front end (model composition, property
-translation, product, non-Zeno transformation, per-location clock bounds)
-so that the two engines explore the same automaton, and implements the
+translation, product, the analysis of the accepting locations that can be
+Zeno and the non-Zeno transformation that gates them, per-location clock
+bounds) so that the two engines explore the same automaton, and implements the
 per-state deadlock formula the same way.  A zone is widened with the
 clock bounds of the location it is stored at (``model.location_bounds``,
 static guard analysis after Behrmann, Bouyer, Fleury and Larsen, TACAS
@@ -12,8 +13,9 @@ static guard analysis after Behrmann, Bouyer, Fleury and Larsen, TACAS
 target (``model.inactive_clocks``, Daws and Yovine, RTSS 1996) and drops
 the lower bounds of the non-Zeno clock (``Ptba.gate``), as the symbolic
 engine's ``pdbm.transition`` does, so both engines explore zones of one
-abstraction.  The independent check of those two steps is the tests'
-one-vector reference, which runs this search with neither.
+abstraction.  The independent check of those two steps, and of the Zeno
+analysis, is the tests' one-vector reference, which runs this search
+with neither, on the product with every accepting location gated.
 
 Every valuation gets its own zone graph, but the graphs are explored in
 lockstep: the automaton's atoms are encoded once per box, at every point,

@@ -14,7 +14,10 @@ every path from its location resets before reading them
 matrices that differ only on those clocks meet at one node, and it drops
 the lower bounds of the non-Zeno clock (``Ptba.gate``, which only its
 gate ``>= 1`` reads; ``model.make_nonzeno``), so matrices that differ
-only in how long ago that clock was reset meet too.  When a
+only in how long ago that clock was reset meet too.  The front end adds
+that clock only for the accepting locations that a Zeno run could visit
+infinitely often (``model.zeno_accepting``), and none where every cycle
+lets time pass.  When a
 node's colour grows by some valuations, the
 worklist expands the node's matrix on those valuations alone: successor
 generation with constraint splitting, and the deadlock valuations among
@@ -64,6 +67,7 @@ from .model import (
     location_bounds,
     make_nonzeno,
     product,
+    zeno_accepting,
 )
 from .params import BoundTable, ParamBox, ValuationSet
 from .pdbm import CPDBM, Matrix, negate_atom
@@ -532,8 +536,9 @@ def _check_bound_range(a: Ptba, box: ParamBox, maxima) -> None:
 
 def build_automaton(net: Network, f: Formula, box: ParamBox):
     """Shared front end for both engines: product of the composed network
-    with the automaton of the negated property, made strongly non-Zeno,
-    and its ``location_bounds`` table.  Raises InputError when the box
+    with the automaton of the negated property, its accepting locations
+    that can be Zeno gated (``zeno_accepting``, ``make_nonzeno``), and its
+    ``location_bounds`` table.  Raises InputError when the box
     misses a guard parameter or a bound falls outside the encodable range."""
     validate_property(net, f)
     used = {p for c in net.components
@@ -546,7 +551,8 @@ def build_automaton(net: Network, f: Formula, box: ParamBox):
                          + ", ".join(missing), kind="unknown-param")
     aut = negated_automaton(f)
     pta, lab = compose(net)
-    tba = make_nonzeno(product(pta, lab, aut))
+    prod = product(pta, lab, aut)
+    tba = make_nonzeno(prod, zeno_accepting(prod, box))
     bounds = location_bounds(tba, box)
     _check_bound_range(tba, box, clock_bounds(bounds))
     return tba, bounds

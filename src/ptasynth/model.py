@@ -27,9 +27,10 @@ Guards are conjunctions (&&) of clock constraints with at most one real
 clock per atom (the literal ``0`` names the zero clock in differences) and
 of comparisons of a data variable against an integer.  This module turns a
 network into a single product automaton with data folded into locations,
-builds the product with a Büchi automaton, and applies the transformation
-that forces at least one time unit between accepting visits so that every
-accepting run is non-Zeno.
+builds the product with a Büchi automaton, finds the accepting locations
+that a Zeno run could visit infinitely often, and applies the
+transformation that forces at least one time unit between visits to
+those, so that every accepting run is non-Zeno.
 """
 
 from __future__ import annotations
@@ -579,15 +580,20 @@ def product(pta: Pta, lab: Labelling, aut: BuchiAutomaton) -> Ptba:
 # --- non-Zeno transformation ------------------------------------------------
 
 
-def make_nonzeno(a: Ptba) -> Ptba:
-    """Force at least one time unit between consecutive accepting visits.
+def make_nonzeno(a: Ptba, gated) -> Ptba:
+    """Force at least one time unit between consecutive visits to the
+    accepting locations in ``gated`` (``zeno_accepting``).
 
-    Locations are duplicated into two phases.  Phase-0 copies are never
-    accepting; an edge into an accepting location may switch to phase 1
-    when a fresh clock is at least 1, resetting it; from phase 1 the next
-    edge drops back to phase 0.  Every accepting run of the result is
-    non-Zeno, and every non-Zeno accepting run of the input survives by
-    switching phase only at visits spaced one time unit apart.
+    Locations are duplicated into two phases.  The phase-0 copy of a
+    location in ``gated`` is not accepting; an edge into it may switch to
+    phase 1 when a fresh clock is at least 1, resetting it; from phase 1
+    the next edge drops back to phase 0.  Every other accepting location
+    stays accepting in its phase-0 copy and gets no phase 1.  Every run
+    that visits a gated location's accepting copy infinitely often is
+    non-Zeno, and every non-Zeno such run of the input survives by
+    switching phase only at visits spaced one time unit apart; the runs
+    through the other accepting locations are non-Zeno as they stand.
+    With ``gated`` empty no clock is added.
 
     The result records the fresh clock as its ``gate``.  No invariant and
     no guard but the gate reads it, so a valuation where it is larger
@@ -596,25 +602,143 @@ def make_nonzeno(a: Ptba) -> Ptba:
     same guard: both engines forget the clock's lower bounds
     (``pdbm.transition``, ``baseline._step``).
     """
-    z = len(a.clock_names)
-    names = a.clock_names + ["_nz"]
+    z = len(a.clock_names) if gated else 0
+    names = a.clock_names + ["_nz"] if gated else a.clock_names
     gate: Atom = (0, z, bound(-1))  # fresh clock >= 1
     order, state_id = _numbering((a.initial, 0))
     locations: list[PLoc] = []
     for l, ph in order:
         base = a.locations[l]
         ploc = PLoc(f"{base.name}~{ph}", base.inv,
-                    accepting=base.accepting and ph == 1)
+                    accepting=base.accepting and (ph == 1 or l not in gated))
         locations.append(ploc)
         for e in base.edges:
             tgt0 = state_id((e.target, 0))
             ploc.edges.append(PEdge(e.atoms, e.resets, tgt0, e.tag))
-            if ph == 0 and a.locations[e.target].accepting:
+            if ph == 0 and e.target in gated:
                 tgt1 = state_id((e.target, 1))
                 ploc.edges.append(PEdge(
                     e.atoms + (gate,), tuple(sorted(set(e.resets) | {z})),
                     tgt1, e.tag + "+gap"))
     return Ptba(names, locations, 0, gate=z)
+
+
+def zeno_accepting(a: Ptba, box: ParamBox) -> set[int]:
+    """The accepting locations that a Zeno run could visit infinitely
+    often over the whole box: the locations ``make_nonzeno`` must gate.
+    The test is the strongly non-Zeno condition of Tripakis, Yovine and
+    Bouajjani (FMSD 2005), applied to the strongly connected components
+    of the location graph and, within them, to smaller parts.
+
+    An edge holds a clock at 1 when a guard atom asks for it to be at
+    least 1, or above 1, at every point of the box.  A part with a cycle
+    passes with clock x when some edge holds x at 1 and no such edge that
+    does not reset x lies on a cycle of the part without the edges that
+    reset x; the edges that hold a passing clock at 1 are then deleted
+    and the components of what is left are tested in turn.  A part with a
+    cycle and no passing clock fails, and its accepting locations, not
+    the rest of the component it lies in, are gated.  A run that visits
+    an accepting location infinitely often ends in that location's part
+    at some depth: with less than one time unit left, each clock can
+    still be reset or pass a guard that holds it at 1, but not both,
+    while each cycle of a passing part that passes such a guard of a
+    passing clock also resets that clock, so inside a passing part every
+    infinite run lets time diverge.
+    """
+    if not any(loc.accepting for loc in a.locations):
+        return set()
+    held_of: dict[int, int] = {}  # the product shares guard tuples
+
+    def held(atoms) -> int:
+        m = held_of.get(id(atoms))
+        if m is None:
+            m = held_of[id(atoms)] = sum({
+                1 << j for i, j, b in atoms if i == 0 and j
+                and not b.is_inf and b.expr.max_bound(box) <= -1})
+        return m
+
+    edges = [(l, e.target, held(e.atoms), sum(1 << c for c in e.resets))
+             for l, loc in enumerate(a.locations) for e in loc.edges]
+    gated: set[int] = set()
+    parts = _cyclic_parts(range(len(a.locations)), edges)
+    while parts:
+        nodes, inside = parts.pop()
+        if not any(a.locations[l].accepting for l in nodes):
+            continue
+        passing = 0
+        clocks = 0
+        for e in inside:
+            clocks |= e[2]
+        while clocks:
+            x = clocks & -clocks
+            clocks ^= x
+            comp = _components(nodes, [e for e in inside if not e[3] & x])
+            if all(comp[u] != comp[v] for u, v, h, r in inside
+                   if h & x and not r & x):
+                passing |= x
+        if passing:
+            parts += _cyclic_parts(nodes, [e for e in inside
+                                           if not e[2] & passing])
+        else:
+            gated.update(l for l in nodes if a.locations[l].accepting)
+    return gated
+
+
+def _cyclic_parts(nodes, edges) -> list[tuple[list[int], list[tuple]]]:
+    """The strongly connected components of the graph on ``nodes`` with
+    ``edges`` (source, target, ...) that contain an edge, each with the
+    edges inside it."""
+    comp = _components(nodes, edges)
+    parts: dict[int, tuple[list[int], list[tuple]]] = {}
+    for e in edges:
+        c = comp[e[0]]
+        if c == comp[e[1]]:
+            parts.setdefault(c, ([], []))[1].append(e)
+    for l in nodes:
+        if comp[l] in parts:
+            parts[comp[l]][0].append(l)
+    return list(parts.values())
+
+
+def _components(nodes, edges) -> dict[int, int]:
+    """A strongly connected component number per node of the graph on
+    ``nodes`` with ``edges`` (source, target, ...): Tarjan's algorithm
+    with an explicit stack, since products reach thousands of
+    locations."""
+    succ: dict[int, list[int]] = {l: [] for l in nodes}
+    for e in edges:
+        succ[e[0]].append(e[1])
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    comp: dict[int, int] = {}
+    stack: list[int] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w not in comp and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = v
+                        if w == v:
+                            break
+    return comp
 
 
 # --- clock bounds for extrapolation ------------------------------------------

@@ -144,19 +144,38 @@ def one_clock_bounds(a, box):
     return maxima
 
 
+def every_accepting(a, box=None):
+    """Every accepting location of ``a``: the gated set of the non-Zeno
+    construction before ``model.zeno_accepting``, with the signature of
+    that analysis."""
+    return {l for l, loc in enumerate(a.locations) if loc.accepting}
+
+
+def fully_gated_automaton(net, prop: str):
+    """The shared front end's product with every accepting location gated
+    (``make_nonzeno(p, every_accepting(p))``), built without
+    ``model.zeno_accepting``."""
+    from ptasynth.ltl import negated_automaton, parse_ltl
+    from ptasynth.model import compose, make_nonzeno, product
+
+    pta, lab = compose(net)
+    p = product(pta, lab, negated_automaton(parse_ltl(prop)))
+    return make_nonzeno(p, every_accepting(p))
+
+
 def one_vector_enumeration(net, prop: str, box):
-    """The enumeration engine with ``one_clock_bounds`` for every location,
-    no clock freed and the non-Zeno clock's lower bounds kept: (violating
-    bits, deadlock bits, zone states), an exactness reference for
+    """The enumeration engine on ``fully_gated_automaton`` with
+    ``one_clock_bounds`` for every location, no clock freed and the
+    non-Zeno clock's lower bounds kept: (violating bits, deadlock bits,
+    zone states), an exactness reference for the Zeno analysis,
     per-location bounds, inactive clocks and the gate step that runs none
-    of their analyses."""
+    of them."""
     import dataclasses
 
     from ptasynth import baseline
-    from ptasynth.explore import Options, build_automaton
-    from ptasynth.ltl import parse_ltl
+    from ptasynth.explore import Options
 
-    tba, _ = build_automaton(net, parse_ltl(prop), box)
+    tba = fully_gated_automaton(net, prop)
     one = [tuple(one_clock_bounds(tba, box))] * len(tba.locations)
     accepted, deadlock, total, _ = baseline._explore(
         dataclasses.replace(tba, gate=0), box, one,

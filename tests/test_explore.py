@@ -477,7 +477,7 @@ class TestDeadlockValuations:
     def test_settled_valuations_skip_the_fold(self, monkeypatch):
         # the deadlock set is a union, so an expansion folds only the
         # valuations not yet known to deadlock: on the six-parameter job
-        # 9 of its 150 expansions fold
+        # 7 of its 69 expansions fold
         import ptasynth.explore as explore
         from ptasynth.baseline import enumerate_box
 
@@ -492,7 +492,7 @@ class TestDeadlockValuations:
         name, prop, box = LIVE6
         net = load_fixture(name)
         res = synthesize(net, prop, net.box(box))
-        assert len(calls) == 9 < res.stats["expansions"] == 150
+        assert len(calls) == 7 < res.stats["expansions"] == 69
         assert res.deadlock.bits == \
             enumerate_box(net, prop, net.box(box)).deadlock.bits
         assert not res.deadlock.is_empty
@@ -579,13 +579,13 @@ class TestPinnedStats:
         ("traingate6.pta", "G F Train1.Cross",
          {"p1": (2, 3), "p2": (1, 2), "p3": (0, 1), "p4": (1, 1),
           "p6": (1, 1)},
-         (150, 359, 150, {"extrapolate": 6, "guard": 22}, 2)),
+         (69, 127, 69, {"guard": 7}, 2)),
         ("fuzz837.pta", "G !al1", {},
-         (641, 2104, 644, {"extrapolate": 6, "guard": 20}, 3)),
+         (640, 2094, 643, {"extrapolate": 6, "guard": 19}, 3)),
         ("fischer2.pta", FISCHER_SAFE, {},
-         (504, 1534, 504, {"extrapolate": 60}, 2)),
+         (117, 226, 117, {}, 2)),
         ("fischer2.pta", FISCHER_RESPONSE, {},
-         (368, 1095, 368, {"extrapolate": 69}, 2)),
+         (123, 268, 123, {}, 2)),
     ])
     def test_stats(self, fixture, prop, box, want):
         net = load_fixture(fixture)
@@ -615,6 +615,18 @@ def test_fischer2_engines_agree(prop):
             [(a, b) for a in range(1, 5) for b in range(1, 5) if a > b]
 
 
+@pytest.mark.parametrize("prop,violating,nodes", [
+    (FISCHER_SAFE, 29456, 1571), (FISCHER_RESPONSE, 65535, 1839)])
+def test_fischer3(prop, violating, nodes):
+    # three processes on a, b = 1..4: the sets enumeration found before any
+    # clock was freed, and every point deadlocks; 263,907 and 171,698
+    # nodes (about a minute per property) with every accepting location
+    # gated, none of which lies on a cycle that can be Zeno
+    res = synthesize(load_fixture("fischer3.pta"), prop)
+    assert (res.accepted.bits, res.deadlock.bits) == (violating, 65535)
+    assert res.stats["stored_states"] == nodes
+
+
 def test_bench_models_are_the_fixtures():
     # LIVE6 and DENSE3 load the fixture named after the workload's model
     for name, _, _ in (LIVE6, DENSE3):
@@ -633,7 +645,7 @@ def perfbench_fuzz_jobs():
 # the LIVE6 and DENSE3 jobs and the 200 perfbench fuzz jobs, one line
 # each, stats and witnesses included
 RESULTS_DIGEST = \
-    "52e27980c16bae06e85611653940855889698030ef3fc0c8774af3ac5371edbc"
+    "99474ff030963cef5d8ed3aa6f477a73333987547f6d31bea69e4eead4202862"
 
 
 def pinned_jobs():
@@ -659,7 +671,7 @@ def test_result_documents_pinned():
 # of the DENSE3 job: every expanded node's location, finite entries and
 # valuations, in expansion order
 TRACE_DIGEST = \
-    "b17b6ed35e1395d5874f01e61be5c1cfe5aad4f6a9d6819f79f03b4accb4b6ff"
+    "8b1381ae42762a6a39ee6852ab821de484771330001abf91a104b1eb406c5d38"
 
 
 def test_trace_text_pinned():
@@ -750,7 +762,7 @@ class TestSharedTransitions:
 
         monkeypatch.setattr(pdbm, "transition", counted)
         assert graph_of(net, *LIVE6[1:]) == want
-        assert len(calls) == len(distinct) == 207
+        assert len(calls) == len(distinct) == 44
 
     def test_repeated_edge_shares_branches_and_tallies_splits(self):
         # two locations carry the same guarded edge, which forks on p <= q

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     CORPUS,
     SEED,
+    every_accepting,
     load_fixture,
     load_fuzzgen,
     one_vector_enumeration,
@@ -61,12 +62,13 @@ def sets(res):
 def test_first_thousand_jobs_of_generator_seed_1_agree():
     # the fixed job list every engine change is checked on: the first
     # 1,000 (model, property) pairs drawn from Random(1), under default
-    # options (none of them raises).  Both engines share the per-location
-    # bounds, the freeing of inactive clocks and the dropping of the
-    # non-Zeno clock's lower bounds, so the violating and deadlock sets are
-    # also checked against enumeration with one bound vector for every
-    # location, no clock freed and those lower bounds kept: that reference
-    # is what checks all three steps here
+    # options (none of them raises).  Both engines share the Zeno analysis,
+    # the per-location bounds, the freeing of inactive clocks and the
+    # dropping of the non-Zeno clock's lower bounds, so the violating and
+    # deadlock sets are also checked against enumeration with every
+    # accepting location gated, one bound vector for every location, no
+    # clock freed and those lower bounds kept: that reference is what
+    # checks all four steps here
     rng = random.Random(1)
     for k in range(1000):
         src, labels = fuzzgen.random_model(rng)
@@ -113,14 +115,26 @@ def test_freeing_inactive_clocks_is_exact_and_never_grows(monkeypatch):
                           [(explore, "inactive_clocks", no_clock_freed)])
 
 
+@pytest.mark.parametrize("engine,count", [
+    (synthesize, "stored_states"), (enumerate_box, "zone_states_total")])
+def test_gating_only_zeno_accepting_is_exact_and_never_grows(monkeypatch,
+                                                             engine, count):
+    # with every accepting location gated, as before the Zeno analysis
+    exact_and_never_grows(monkeypatch, engine, count,
+                          [(explore, "zeno_accepting", every_accepting)])
+
+
 def test_dropping_gate_lower_bounds_is_exact_and_never_grows(monkeypatch):
-    # with the front end recording no gate clock, so every matrix keeps
-    # the non-Zeno clock's lower bounds
+    # on every accepting location gated, so that most jobs have a gate
+    # clock: with the front end recording none, every matrix keeps the
+    # non-Zeno clock's lower bounds
+    monkeypatch.setattr(explore, "zeno_accepting", every_accepting)
     make_nonzeno = explore.make_nonzeno
     exact_and_never_grows(
         monkeypatch, synthesize, "stored_states",
         [(explore, "make_nonzeno",
-          lambda a: dataclasses.replace(make_nonzeno(a), gate=0))])
+          lambda a, gated: dataclasses.replace(make_nonzeno(a, gated),
+                                               gate=0))])
 
 
 def test_enumeration_projection_is_exact_and_never_grows(monkeypatch):
@@ -143,7 +157,8 @@ def test_job_837_stays_small():
     # when every location was widened with one bound vector, 2,120 states
     # in the older per-extension store, 1,173 nodes with per-location
     # bounds, 1,099 with inactive clocks freed, 641 with the gate clock's
-    # lower bounds dropped
+    # lower bounds dropped, 640 with only the accepting locations that can
+    # be Zeno gated
     net = load_fixture("fuzz837.pta")
     sym = synthesize(net, "G !al1")
     assert sets(sym) == sets(enumerate_box(net, "G !al1"))

@@ -2,7 +2,13 @@ import hashlib
 
 import pytest
 
-from conftest import CORPUS, load_fixture, one_clock_bounds
+from conftest import (
+    CORPUS,
+    every_accepting,
+    fully_gated_automaton,
+    load_fixture,
+    one_clock_bounds,
+)
 from ptasynth import ltl
 from ptasynth.errors import InputError
 from ptasynth.explore import build_automaton
@@ -18,6 +24,7 @@ from ptasynth.model import (
     make_nonzeno,
     parse_model,
     product,
+    zeno_accepting,
 )
 from ptasynth.params import AffineExpr, ParamBox, bound
 
@@ -270,14 +277,14 @@ class TestNonZeno:
         net = parse_model(MINIMAL)
         pta, lab = compose(net)
         prod = product(pta, lab, ltl.to_buchi(ltl.to_nnf(ltl.FALSE)))
-        out = make_nonzeno(prod)
+        out = make_nonzeno(prod, every_accepting(prod))
         assert not any(l.accepting for l in out.locations)
 
     def test_fresh_clock_added(self):
         net = parse_model(MINIMAL)
         pta, lab = compose(net)
         prod = product(pta, lab, ltl.to_buchi(ltl.to_nnf(ltl.TRUE)))
-        out = make_nonzeno(prod)
+        out = make_nonzeno(prod, every_accepting(prod))
         assert len(out.clock_names) == len(prod.clock_names) + 1
         # recorded as the gate clock, which the product has none of
         assert (prod.gate, out.gate) == (0, len(prod.clock_names))
@@ -290,7 +297,7 @@ class TestNonZeno:
         pta, lab = compose(net)
         prod = product(pta, lab, ltl.to_buchi(ltl.to_nnf(
             ltl.neg(ltl.parse_ltl("F inB")))))
-        out = make_nonzeno(prod)
+        out = make_nonzeno(prod, every_accepting(prod))
         z = len(out.clock_names) - 1
         # remove the gated edges; no accepting location may remain on a cycle
         succ = []
@@ -476,7 +483,7 @@ class TestInactiveClocks:
                   ("B", [], [([], (), 3)]),
                   ("C", [], [([], (), 3)]))
         a.locations[2].accepting = True
-        out = make_nonzeno(a)
+        out = make_nonzeno(a, {2})
         nz = out.clock_names.index("_nz")
         got = dict(zip((loc.name for loc in out.locations),
                        inactive_clocks(out)))
@@ -493,6 +500,104 @@ class TestInactiveClocks:
             assert all(row[c] == 0 for c in free)
 
 
+def x_at_least(e, strict=False):
+    """The guard atom x >= e, or x > e with ``strict``."""
+    return (0, 1, bound(-e, strict))
+
+
+P = AffineExpr.var("p")
+BOX02 = ParamBox.of({"p": (0, 2)})
+BOX12 = ParamBox.of({"p": (1, 2)})
+
+
+def accepting_at(a, *locs):
+    for l in locs:
+        a.locations[l].accepting = True
+    return a
+
+
+class TestZenoAccepting:
+    """An accepting location is gated when it lies in a part of the
+    location graph that some cycle crosses without letting a time unit
+    pass for sure; x is clock 1 and y clock 2."""
+
+    def test_zero_time_cycle_is_gated(self):
+        a = accepting_at(chain(("A", [], [([], (), 0)])), 0)
+        assert zeno_accepting(a, BOX03) == {0}
+
+    def test_guard_without_reset_on_the_cycle_is_gated(self):
+        # x >= 1 holds forever once it holds once
+        a = accepting_at(chain(("A", [], [([x_at_least(1)], (), 0)])), 0)
+        assert zeno_accepting(a, BOX03) == {0}
+
+    def test_reset_then_guard_is_not_gated(self):
+        a = accepting_at(chain(("A", [], [([], (1,), 1)]),
+                               ("B", [], [([x_at_least(1)], (), 0)])), 0)
+        assert zeno_accepting(a, BOX03) == set()
+
+    def test_parametric_guard_counts_only_at_1_over_the_whole_box(self):
+        a = accepting_at(chain(("A", [], [([x_at_least(P)], (1,), 0)])), 0)
+        assert zeno_accepting(a, BOX02) == {0}  # x >= 0 at p = 0
+        assert zeno_accepting(a, BOX12) == set()
+
+    def test_strict_guard_at_0_is_gated(self):
+        a = accepting_at(chain(("A", [], [([x_at_least(0, True)], (1,),
+                                           0)])), 0)
+        assert zeno_accepting(a, BOX03) == {0}
+
+    def test_upper_bounds_and_diagonals_do_not_count(self):
+        # x <= 7, and x - y >= 1 (y - x <= -1), with x and y reset
+        a = accepting_at(chain(("A", [], [([X_LE_7, (2, 1, bound(-1))],
+                                           (1, 2), 0)])), 0)
+        assert zeno_accepting(a, BOX03) == {0}
+
+    def test_second_clock_passes_once_the_first_clock_edges_go(self):
+        # A -> B holds x and y at 1 and resets x only; A -> C holds y at 1
+        # and resets y.  y fails in the whole component, where the cycle
+        # through B passes its guard without resetting it, and passes once
+        # x's edge is gone
+        a = accepting_at(chain(
+            ("A", [], [([x_at_least(1), (0, 2, bound(-1))], (1,), 1),
+                       ([(0, 2, bound(-1))], (2,), 2)]),
+            ("B", [], [([], (), 0)]),
+            ("C", [], [([], (), 0)])), 0)
+        assert zeno_accepting(a, BOX03) == set()
+        # without y's reset the cycle through C lets no time pass for sure
+        a.locations[0].edges[1].resets = ()
+        assert zeno_accepting(a, BOX03) == {0}
+
+    def test_only_the_failing_part_is_gated(self):
+        # A -> B resets x and needs it at 1, so A leaves its component's
+        # cycles once that edge goes; B <-> C stays, with no guard
+        a = accepting_at(chain(("A", [], [([x_at_least(1)], (1,), 1)]),
+                               ("B", [], [([], (), 0), ([], (), 2)]),
+                               ("C", [], [([], (), 1)])), 0, 2)
+        assert zeno_accepting(a, BOX03) == {2}
+
+    def test_accepting_location_on_no_cycle_is_not_gated(self):
+        a = accepting_at(chain(("A", [], [([], (), 1)]),
+                               ("B", [], [([], (), 1)])), 0)
+        assert zeno_accepting(a, BOX03) == set()
+
+    def test_5000_location_cycle_does_not_recurse(self):
+        n = 5000
+        a = accepting_at(chain(*[(f"L{k}", [], [([], (), (k + 1) % n)])
+                                 for k in range(n)]), n - 1)
+        assert zeno_accepting(a, BOX03) == {n - 1}
+
+    def test_ungated_accepting_location_keeps_phase_0(self):
+        a = accepting_at(chain(("A", [], [([], (1,), 1)]),
+                               ("B", [], [([x_at_least(1)], (), 0)])), 0)
+        out = make_nonzeno(a, set())
+        assert (out.clock_names, out.gate) == (a.clock_names, 0)
+        assert [(loc.name, loc.accepting) for loc in out.locations] == \
+            [("A~0", True), ("B~0", False)]
+        out = make_nonzeno(a, {0})
+        assert (out.clock_names[-1], out.gate) == ("_nz", 3)
+        assert [(loc.name, loc.accepting) for loc in out.locations] == \
+            [("A~0", False), ("B~0", False), ("A~1", True)]
+
+
 def test_dump_product_smoke():
     net = parse_model(MINIMAL)
     pta, lab = compose(net)
@@ -505,6 +610,71 @@ def test_dump_product_smoke():
 # corpus fixture and property, and of the negated property's automaton
 # dump: location order and naming are part of the front end's output
 PRODUCT_DIGESTS = {
+    ("gap.pta", "G !inB"):
+        "f09921a9fae3d9f874794094fb89dcd923b60d72c6105277670f672b2f2c1b3e",
+    ("gap.pta", "G (inA -> F inB)"):
+        "90538fc014336bb0417eca223e994bb112e60f4b40c09858b240c19e02bb36b1",
+    ("gap.pta", "true U inB"):
+        "3954ce6b9ad0590202f8841d58553411aaa2c49aa5a02cb29ec20a2c58b6b819",
+    ("window.pta", "G !work"):
+        "5048f5811ea3eb4dd2d900af7fe66fac592a6d8d7eb1e275a8f698b77256abcd",
+    ("window.pta", "G (idle -> F work)"):
+        "11f2c9136ed512781296f1594148fea9bcece220dece24a76d6f0e4d2d2dd908",
+    ("window.pta", "F work"):
+        "6edc8da3f6520a5a0e92b639b74575b3a0b4c872a057d14b03853bafeee005be",
+    ("zeno.pta", "G !inB"):
+        "f805bdae3c21a8d0c9a52d1bb8792d270e2e16ae209e20f20c1c91801307690d",
+    ("zeno.pta", "G (inA -> F inB)"):
+        "2febc9514fdb4959cf1ddb3845eee9ec03efbb64573058372817d95ff99ad386",
+    ("zeno.pta", "F inB"):
+        "dde2a5234b37228863dc24f4e14ed406487208939144a25bc3629e69a76dde13",
+    ("counter.pta", "G (inB -> c <= 0)"):
+        "72211944c262ae2c4df1451fde673737f49909a1ea18f5433f655c894e100e01",
+    ("counter.pta", "G (inA -> F inB)"):
+        "349313e9ad274afadc8983fffbd5898bb490333b378392aec50afbc8fbaef9fb",
+    ("counter.pta", "true U c >= 2"):
+        "f21aa384f5ec6c030e86f930c1089ed603790d14de2e0415fdd55fa027df8a03",
+    ("handshake.pta", "G !busy"):
+        "1c8f6fb9158ab7cff1ca2935070ea9ff28037879a865e2f7b58f1f9e621788b5",
+    ("handshake.pta", "G (waiting -> F idle)"):
+        "52fb3fdb0c17a2f2516450637a832e1a2f602e87e5385f1a9c500e988e4727e2",
+    ("handshake.pta", "F busy"):
+        "26897946557aed90e259dd5c18ca5fbc8928c10e280111794916d3a864becb54",
+    ("branchy.pta", "G !inB"):
+        "f4bc399a3c072fac00488dbda52f3dd3c58ead0e2b1319ae4ab2b8617ce0adfe",
+    ("branchy.pta", "G (inA -> F inB)"):
+        "cf1cc2213610ff4b9008a488fdc98da341dfa041f1962bbf80e30e6eee602ef8",
+    ("branchy.pta", "F inB"):
+        "d9816d39d1e95e380c827e46046d44b43b1ec10be95ee3e34a19fbfe76fc91f4",
+    ("strict.pta", "G !inB"):
+        "fe99d92b99d149f5cb2224e669ec534f0ccb1b3256ebefd63b07ea718b9d9922",
+    ("strict.pta", "G (inA -> F inB)"):
+        "154feeecc118a263ca1d5f4c66a682eaf2dc464715975730532ae9026a6209c6",
+    ("strict.pta", "true U inB"):
+        "f94745f1fd248d8fedc388ca086b55f6a56212f9e343f538e98492274554bf38",
+    ("staggered.pta", "G !inB"):
+        "a35fc253b0cd484a74c9578d16f33fc2f36cf2664d3b6b39664e0b8acc14fed1",
+    ("staggered.pta", "G (inA -> F inB)"):
+        "7881c2e10dd5e04d0104b310e4c2dd667d7b918ad00ec4fc8702899c04110603",
+    ("staggered.pta", "F inB"):
+        "748e73d7823d5a6eb376d334a896efd91f680a7b048d5cd2477e3453dbc1dd27",
+    ("urgent.pta", "G !inC"):
+        "a6f9be963e98a5540a4c841a42a9df27d1bd828c459827aacd4b8b37071b4e6a",
+    ("urgent.pta", "G (inB -> F inC)"):
+        "e84ea4a4f730a805675ead52247b26ca13ec954140fc0882d0c71761af71bc0a",
+    ("urgent.pta", "F inC"):
+        "cf67ec5208c80286fff2b204f881ae86bcddc9a8ceca880eca61cb92f68b2ec9",
+    ("traingate.pta", "G !(Train1.Cross && Train2.Cross)"):
+        "af551d322083638a5b15cb52cc314196da3b3e2a0b0920d06e1b0878bdb8aa56",
+    ("traingate.pta", "G (Train1.Appr -> F Train1.Cross)"):
+        "0b65878d02ef476335eaf92f032f085e1cd1a3ae4d3a19809a444188b2af86eb",
+    ("traingate.pta", "F (Train1.Cross || Train2.Cross)"):
+        "e7f827bc7093e60c6aa10e46e64d788a22e0edb820eac499c04727f868a5fa29",
+}
+# the same, with every accepting location gated (``fully_gated_automaton``):
+# the front end's output before ``zeno_accepting``, for the 28 pairs that
+# have an accepting location (the other two then had an unread ``_nz``)
+FULLY_GATED_DIGESTS = {
     ("gap.pta", "G !inB"):
         "32daf2f577b66278ce19e5196b5de67c7a29726921d0980280516c46cb49d943",
     ("gap.pta", "G (inA -> F inB)"):
@@ -523,8 +693,6 @@ PRODUCT_DIGESTS = {
         "3fc7ff9ce2e8e23851256a4e7390d14890f0145f373c37c0c2eae549e191ba4d",
     ("zeno.pta", "F inB"):
         "c13f1131e47fc81cf027ebb1729a22fd5dbd87630fd254b66d60e41a33ed18f9",
-    ("counter.pta", "G (inB -> c <= 0)"):
-        "8d8cc0dcf0e9b7082ab82335c6ddc69208d43647cf7992bde1940e474f906f4f",
     ("counter.pta", "G (inA -> F inB)"):
         "b30cbac864931783665e56e6dd4aa3199a8226629a72ad03c7ea45163a192e4e",
     ("counter.pta", "true U c >= 2"):
@@ -559,8 +727,6 @@ PRODUCT_DIGESTS = {
         "6f124e4f45a0499dce8132e5e8d66b6be6ca07518cc8e8cbdc7c566acd2cc0bc",
     ("urgent.pta", "F inC"):
         "3027211452f551476e70f12377735e09f161ba64afe2357040ae2d6e30fb9433",
-    ("traingate.pta", "G !(Train1.Cross && Train2.Cross)"):
-        "3e802fdd03f80746ab25b0e81e8b1555911e2687b61714c0a1661cd36c67b7f9",
     ("traingate.pta", "G (Train1.Appr -> F Train1.Cross)"):
         "b95683cd65e8092c4fa97f7549279b5a7f30e5d1eb9fc3bcbfd0dbc7517d93c4",
     ("traingate.pta", "F (Train1.Cross || Train2.Cross)"):
@@ -621,3 +787,15 @@ def test_front_end_output_pinned(fixture, prop):
     aut = ltl.to_buchi(ltl.to_nnf(ltl.neg(f)))
     assert sha(aut.dump()) == BA_DIGESTS[prop]
 
+
+
+@pytest.mark.parametrize("fixture,prop", list(FULLY_GATED_DIGESTS))
+def test_fully_gated_front_end_output_pinned(fixture, prop):
+    # make_nonzeno with every accepting location gated is the construction
+    # the analysis refines, and the one the one-vector reference runs
+    net = load_fixture(fixture)
+    tba = fully_gated_automaton(net, prop)
+    maxima = clock_bounds(location_bounds(tba, net.box()))
+    assert hashlib.sha256((dump_product(tba) + "\n" + repr(maxima))
+                          .encode()).hexdigest() == \
+        FULLY_GATED_DIGESTS[(fixture, prop)]
