@@ -3,15 +3,18 @@ with a concrete zone-graph search.
 
 This is the comparison engine and the exactness oracle for the symbolic
 one.  It shares the whole front end (model composition, property
-translation, product, the analysis of the accepting locations that can be
-Zeno and the non-Zeno transformation that gates them, per-location clock
-bounds) so that the two engines explore the same automaton, and implements the
-per-state deadlock formula the same way.  A zone is widened with the
-clock bounds of the location it is stored at (``model.location_bounds``,
-static guard analysis after Behrmann, Bouyer, Fleury and Larsen, TACAS
-2003).  Before widening, a step frees the clocks that are inactive at its
-target (``model.inactive_clocks``, Daws and Yovine, RTSS 1996) and drops
-the lower bounds of the non-Zeno clock (``Ptba.gate``), as the symbolic
+translation, product, the analysis of the accepting locations that can
+be Zeno and the non-Zeno transformation that gates them, per-location
+clock bounds) so that the two engines explore the same automaton, and
+implements the per-state deadlock formula the same way.  Its
+accepting-cycle check is the front end's strongly connected component
+decomposition (``model._components``), which also serves the Zeno
+analysis.  A zone is widened with the clock bounds of the location it is
+stored at (``model.location_bounds``, static guard analysis after
+Behrmann, Bouyer, Fleury and Larsen, TACAS 2003).  Before widening, a
+step frees the clocks that are inactive at its target
+(``model.inactive_clocks``, Daws and Yovine, RTSS 1996) and drops the
+lower bounds of the non-Zeno clock (``Ptba.gate``), as the symbolic
 engine's ``pdbm.transition`` does, so both engines explore zones of one
 abstraction.  The independent check of those two steps, and of the Zeno
 analysis, is the tests' one-vector reference, which runs this search
@@ -33,7 +36,13 @@ from . import zones
 from .errors import CapacityError
 from .explore import Options, SynthesisResult, build_automaton
 from .ltl import Formula, parse_ltl
-from .model import Network, Ptba, inactive_clocks, location_bounds
+from .model import (
+    Network,
+    Ptba,
+    _accepting_cycle,
+    inactive_clocks,
+    location_bounds,
+)
 from .params import ParamBox, ValuationSet, bound_eval
 from .pdbm import negate_atom
 
@@ -338,11 +347,11 @@ def _deadlocks(t: _Tables, states, dnf_limit: int) -> list:
 
 class _Graph:
     """One valuation's zone graph while it is explored: states numbered in
-    discovery order, each with its location and key (see ``_pack``).  The
-    successor ids of state ``s`` start at ``succ[starts[s]]``; the
-    ``head`` states expanded so far have a start."""
+    discovery order, each with its location and key (see ``_pack``), and
+    the (source, target) ``edges`` of the ``head`` states expanded so
+    far."""
 
-    __slots__ = ("point", "locs", "keys", "index", "succ", "starts",
+    __slots__ = ("point", "locs", "keys", "index", "edges", "head",
                  "deadlock")
 
     def __init__(self, point: int, loc: int, key: bytes):
@@ -350,13 +359,9 @@ class _Graph:
         self.locs = [loc]
         self.keys = [key]
         self.index = {key: 0}
-        self.succ: list[int] = []
-        self.starts: list[int] = []
+        self.edges: list[tuple[int, int]] = []
+        self.head = 0
         self.deadlock = False
-
-    @property
-    def head(self) -> int:
-        return len(self.starts)
 
     def settle(self, dead, targets, found, opts: Options) -> str | None:
         """Expand the state at ``head``: take its deadlock-check result
@@ -367,7 +372,8 @@ class _Graph:
             if dead is _OVER:
                 return f"deadlock-guard expansion exceeded {opts.dnf_limit}"
             self.deadlock = dead
-        self.starts.append(len(self.succ))
+        source = self.head
+        self.head += 1
         for target, key in zip(targets, found):
             if key is None:
                 continue
@@ -379,12 +385,8 @@ class _Graph:
                 self.index[key] = sid
                 self.locs.append(target)
                 self.keys.append(key)
-            self.succ.append(sid)
+            self.edges.append((source, sid))
         return None
-
-    def adjacency(self) -> list:
-        ends = self.starts[1:] + [len(self.succ)]
-        return [self.succ[a:b] for a, b in zip(self.starts, ends)]
 
 
 def _explore(a: Ptba, box: ParamBox, bounds, free, opts: Options):
@@ -401,8 +403,8 @@ def _explore(a: Ptba, box: ParamBox, bounds, free, opts: Options):
     only while it has room.  Each batch runs the deadlock fold and one
     ``_step`` over all its edge rows, then numbers the new zones valuation
     by valuation, in the order a valuation explored alone numbers them.  A
-    valuation whose queue is empty is checked for an accepting cycle and
-    freed.
+    valuation whose queue is empty is checked for an accepting cycle
+    (``model._accepting_cycle``) and freed.
 
     A valuation stops at its first capacity error in its own order, a
     state's deadlock check before its successors, and checks no state for
@@ -472,8 +474,8 @@ def _explore(a: Ptba, box: ParamBox, bounds, free, opts: Options):
             if g.point < stop and g.head == len(g.locs):
                 total += len(g.locs)
                 most = max(most, len(g.locs))
-                if _has_accepting_cycle(g.adjacency(),
-                                        [t.accepting[l] for l in g.locs]):
+                if _accepting_cycle([t.accepting[l] for l in g.locs],
+                                    g.edges):
                     accepted |= 1 << g.point
                 if g.deadlock:
                     deadlocked |= 1 << g.point
@@ -482,48 +484,6 @@ def _explore(a: Ptba, box: ParamBox, bounds, free, opts: Options):
     if error is not None:
         raise CapacityError(error)
     return accepted, deadlocked, total, most
-
-
-def _has_accepting_cycle(succ, acc) -> bool:
-    """Two-color nested DFS over a cached graph, iterative."""
-    n = len(succ)
-    if n == 0:
-        return False
-    in_outer = [False] * n
-    in_inner = [False] * n
-    on_stack = [False] * n
-
-    def inner(root) -> bool:
-        stack = [root]
-        while stack:
-            nid = stack.pop()
-            if in_inner[nid]:
-                continue
-            in_inner[nid] = True
-            for nxt in succ[nid]:
-                if on_stack[nxt]:
-                    return True
-                if not in_inner[nxt]:
-                    stack.append(nxt)
-        return False
-
-    in_outer[0] = True
-    on_stack[0] = True
-    frames = [(0, iter(succ[0]))]
-    while frames:
-        nid, it = frames[-1]
-        nxt = next(it, None)
-        if nxt is not None:
-            if not in_outer[nxt]:
-                in_outer[nxt] = True
-                on_stack[nxt] = True
-                frames.append((nxt, iter(succ[nxt])))
-            continue
-        if acc[nid] and inner(nid):
-            return True
-        on_stack[nid] = False
-        frames.pop()
-    return False
 
 
 def check_valuation(a: Ptba, v, bounds=None,

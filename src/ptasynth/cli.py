@@ -52,7 +52,10 @@ def _add_engine(p: argparse.ArgumentParser):
                    help="emit engine statistics to stderr")
     p.add_argument("--trace", action="store_true",
                    help="dump the symbolic engine's expansions to stderr")
-    p.add_argument("--limit-states", type=int, default=None, metavar="N")
+    p.add_argument("--limit-states", type=int, default=None, metavar="N",
+                   help="cap on stored states; the symbolic engine counts "
+                   "the nodes of its one graph, enumeration the zone "
+                   "states of one valuation's graph")
     p.add_argument("--limit-dnf", type=int, default=None, metavar="N",
                    help="cap on the negated-guard expansion per state; "
                    "the symbolic engine counts one step per (negated atom, "

@@ -565,47 +565,19 @@ def lasso_accepts(aut: BuchiAutomaton, prefix, period) -> bool:
     """Does the automaton accept the word prefix . period^omega?
 
     Letters are sets of atoms.  The product with the lasso positions is
-    explored and an accepting product state is searched for on a cycle.
+    explored and an accepting product state is searched for on a cycle
+    (``model._accepting_cycle``).
     """
+    from .model import _accepting_cycle  # model imports this module
+
     if not period:
         raise ValueError("period must be non-empty")
     letters = [frozenset(a) for a in list(prefix) + list(period)]
-    total = len(letters)
-    loop = len(prefix)
-
-    def nxt_pos(i):
-        return i + 1 if i + 1 < total else loop
-
-    start = (0, aut.initial)
-    adj: dict[tuple, list[tuple]] = {}
-    stack = [start]
-    seen = {start}
-    while stack:
-        i, q = stack.pop()
-        succs = []
+    order, state_id = _numbering((0, aut.initial))
+    edges = []
+    for k, (i, q) in enumerate(order):
+        nxt = i + 1 if i + 1 < len(letters) else len(prefix)
         for t in aut.outgoing(q):
             if t.enabled(letters[i]):
-                nx = (nxt_pos(i), t.dst)
-                succs.append(nx)
-                if nx not in seen:
-                    seen.add(nx)
-                    stack.append(nx)
-        adj[(i, q)] = succs
-
-    def reaches_itself(node) -> bool:
-        work = list(adj[node])
-        visited = set()
-        while work:
-            cur = work.pop()
-            if cur == node:
-                return True
-            if cur in visited:
-                continue
-            visited.add(cur)
-            work.extend(adj[cur])
-        return False
-
-    for node in seen:
-        if node[1] in aut.accepting and reaches_itself(node):
-            return True
-    return False
+                edges.append((k, state_id((nxt, t.dst))))
+    return _accepting_cycle([q in aut.accepting for _, q in order], edges)

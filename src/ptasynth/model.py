@@ -700,11 +700,24 @@ def _cyclic_parts(nodes, edges) -> list[tuple[list[int], list[tuple]]]:
     return list(parts.values())
 
 
+def _accepting_cycle(accepting: list[bool], edges) -> bool:
+    """Does a node ``k`` with ``accepting[k]`` lie on a cycle of the graph
+    on nodes ``0 .. len(accepting) - 1`` with ``edges`` (source, target):
+    does an edge leave it inside its own strongly connected component?  A
+    graph without such a node is not searched."""
+    if not any(accepting):
+        return False
+    comp = _components(range(len(accepting)), edges)
+    return any(accepting[u] and comp[u] == comp[w] for u, w in edges)
+
+
 def _components(nodes, edges) -> dict[int, int]:
     """A strongly connected component number per node of the graph on
     ``nodes`` with ``edges`` (source, target, ...): Tarjan's algorithm
-    with an explicit stack, since products reach thousands of
-    locations."""
+    with an explicit stack, since products reach thousands of locations
+    and zone graphs many more.  It serves the Zeno analysis, the
+    enumeration engine's accepting-cycle check and the lasso check
+    (``_accepting_cycle``)."""
     succ: dict[int, list[int]] = {l: [] for l in nodes}
     for e in edges:
         succ[e[0]].append(e[1])

@@ -298,7 +298,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("prop,violating,states", [
         ("G !(P1.CS && P2.CS)", 29456, 5630),
         ("G (P1.Req -> F P1.CS)", 65535, 7285),
-    ])
+    ], ids=["G !(P1.CS && P2.CS)", "G (P1.Req -> F P1.CS)"])
     def test_fischer3(self, prop, violating, states):
         # Fischer's protocol with three processes on a, b = 1..4: the sets
         # found before any clock was freed, when the zone graphs held
@@ -330,7 +330,8 @@ class TestOneVectorReference:
         ("traingate6.pta", "G F Train1.Cross",
          {"p1": (2, 3), "p2": (1, 2), "p3": (0, 1), "p4": (1, 1),
           "p6": (1, 1)}, 4830),
-    ])
+    ], ids=["traingate.pta-G !(Train1.Cross && Train2.Cross)",
+            "traingate6.pta-G F Train1.Cross"])
     def test_symbolic_matches_one_vector_enumeration(self, fixture, prop,
                                                      overrides, states):
         from ptasynth.explore import build_automaton

@@ -616,7 +616,8 @@ def test_fischer2_engines_agree(prop):
 
 
 @pytest.mark.parametrize("prop,violating,nodes", [
-    (FISCHER_SAFE, 29456, 1571), (FISCHER_RESPONSE, 65535, 1839)])
+    (FISCHER_SAFE, 29456, 1571), (FISCHER_RESPONSE, 65535, 1839)],
+    ids=[FISCHER_SAFE, FISCHER_RESPONSE])
 def test_fischer3(prop, violating, nodes):
     # three processes on a, b = 1..4: the sets enumeration found before any
     # clock was freed, and every point deadlocks; 263,907 and 171,698

@@ -16,6 +16,7 @@ from ptasynth.model import (
     PEdge,
     PLoc,
     Ptba,
+    _accepting_cycle,
     clock_bounds,
     compose,
     dump_product,
@@ -596,6 +597,20 @@ class TestZenoAccepting:
         assert (out.clock_names[-1], out.gate) == ("_nz", 3)
         assert [(loc.name, loc.accepting) for loc in out.locations] == \
             [("A~0", False), ("B~0", False), ("A~1", True)]
+
+
+@pytest.mark.parametrize("accepting,edges,want", [
+    ([True], [(0, 0)], True),
+    # lasso 0 -> 1 -> 2 -> 1, accepting on the stem only, then in the loop
+    ([True, False, False], [(0, 1), (1, 2), (2, 1)], False),
+    ([False, False, True], [(0, 1), (1, 2), (2, 1)], True),
+    ([False, False, False], [(0, 1), (1, 2), (2, 1)], False),
+    # cycle 0 <-> 1, accepting 2 beside it with no way back
+    ([False, False, True], [(0, 1), (1, 0), (1, 2)], False),
+], ids=["accepting self-loop", "accepting stem", "accepting 2-cycle",
+        "no accepting state", "accepting beside a cycle"])
+def test_accepting_cycle(accepting, edges, want):
+    assert _accepting_cycle(accepting, edges) is want
 
 
 def test_dump_product_smoke():
