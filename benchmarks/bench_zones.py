@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the zone-arithmetic backends: compiled extension vs the pure
-fallback, on the batched closure kernel ``close_many`` and on an
-end-to-end enumeration run on each.  Every closure row checks that the
-kernels agree on the stack it times, and the enumeration runs that their
-results, stats included, agree; a disagreement exits non-zero.
+fallback, on the batched closure kernel ``close_many``, on the guard
+kernel ``constrain_many`` against tightening with ``np.minimum.at`` and
+closing in full, and on an end-to-end enumeration run on each.  Every
+kernel row checks that the kernels (and, for guards, both ways) agree on
+the stack it times, and the enumeration runs that their results, stats
+included, agree; a disagreement exits non-zero.
 
 Usage: python benchmarks/bench_zones.py [--quick]
 """
@@ -40,14 +42,41 @@ def random_zone(rng, n):
     return m
 
 
-def bench_close_many(backend, ms, repeat):
-    """Best time of closing the batch; also the closed batch and flags."""
+def canonical_stack(rng, n, count):
+    """Closed non-empty zones: random bounds, each loosened where needed to
+    hold at one random point, then closed."""
+    ms = np.stack([random_zone(rng, n) for _ in range(count)])
+    at = np.array([[0] + [rng.randrange(12) for _ in range(n - 1)]
+                   for _ in range(count)], dtype=np.int64)
+    diff = at[:, :, None] - at[:, None, :]
+    loose = (ms < zones.INF) & ((ms >> 1) <= diff)
+    ms[loose] = (diff[loose] << 1) | 1
+    ok = np.empty(count, dtype=np.uint8)
+    pure.close_many(ms, ok)
+    if not ok.all():
+        raise SystemExit("a zone holding its own point closed empty")
+    return ms
+
+
+def random_atoms(rng, count, n, width):
+    """``(pos, enc)`` arrays: ``width`` random atoms per zone."""
+    pos = np.array([[rng.randrange(n * n) for _ in range(width)]
+                    for _ in range(count)], dtype=np.int64)
+    enc = np.array([[(rng.randrange(-6, 12) << 1) | (rng.random() < 0.5)
+                     for _ in range(width)] for _ in range(count)],
+                   dtype=np.int64)
+    return pos, enc
+
+
+def timed(run, ms, repeat):
+    """Best time of ``run(work, ok)`` on copies of the batch; also the
+    last result and flags."""
     best = float("inf")
     ok = np.empty(ms.shape[0], dtype=np.uint8)
     for _ in range(repeat):
         work = ms.copy()
         t0 = time.perf_counter()
-        backend.close_many(work, ok)
+        run(work, ok)
         best = min(best, time.perf_counter() - t0)
     return best, work, ok
 
@@ -102,13 +131,43 @@ def kernel_rows(count, repeat):
         print(f"\nclosure of {count} {n}x{n} zones (best of {repeat}):")
         base = reference = None
         for name, backend in backends():
-            t, *closed = bench_close_many(backend, batch, repeat)
+            t, *closed = timed(backend.close_many, batch, repeat)
             if base is None:
                 base, reference = t, closed
             if not same_closure(closed, reference):
                 raise SystemExit(f"{name} and pure kernels disagree at n={n}")
             print(f"  {name:9s} close_many: {t * 1e3:8.1f} ms   "
                   f"speedup vs pure: {base / t:5.1f}x")
+
+
+def constrain_rows(count, repeat):
+    rng = random.Random(11)
+    for n in (4, 6, 10):
+        ms = canonical_stack(rng, n, count)
+        rows = np.arange(count)[:, None] * n * n
+        for width in (1, 2):
+            pos, enc = random_atoms(rng, count, n, width)
+            print(f"\nguard of {width} atom{'s' * (width > 1)} on {count} "
+                  f"canonical {n}x{n} zones (best of {repeat}):")
+            reference = None
+            for name, backend in backends():
+                def full(work, ok):
+                    np.minimum.at(work.reshape(-1), rows + pos, enc)
+                    backend.close_many(work, ok)
+
+                t_full, *by_full = timed(full, ms, repeat)
+                t_inc, *by_inc = timed(
+                    lambda work, ok: backend.constrain_many(work, pos, enc,
+                                                            ok), ms, repeat)
+                reference = reference or by_full
+                if not (same_closure(by_full, reference)
+                        and same_closure(by_inc, reference)):
+                    raise SystemExit(f"{name} guard kernels disagree at "
+                                     f"n={n}, {width} atoms")
+                print(f"  {name:9s} minimum.at + close_many: "
+                      f"{t_full * 1e3:7.1f} ms   constrain_many: "
+                      f"{t_inc * 1e3:7.1f} ms   speedup: "
+                      f"{t_full / t_inc:5.1f}x")
 
 
 def main():
@@ -121,6 +180,7 @@ def main():
         print("compiled kernel not built (python setup.py build_ext "
               "--inplace); showing the pure fallback only")
     kernel_rows(2000 if args.quick else 10000, repeat=3)
+    constrain_rows(2000 if args.quick else 10000, repeat=3)
     enumeration_rows()
 
 

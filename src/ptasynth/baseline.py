@@ -98,14 +98,13 @@ def instantiate(a: Ptba, v) -> ConcreteTba:
 
 
 def _constrain(ms: np.ndarray, pos: np.ndarray, enc: np.ndarray) -> np.ndarray:
-    """Lower the entries of each zone in ``ms`` (count, n, n) at the flat
-    positions ``pos`` (count, k) to ``enc`` (count, k) where that is
-    tighter, then close every zone in place; returns the non-empty mask.
-    A row may name one position more than once."""
-    nn = ms.shape[1] * ms.shape[2]
-    flat = np.arange(len(ms))[:, None] * nn + pos
-    np.minimum.at(ms.reshape(-1), flat, enc)
-    return zones.close_many(ms)
+    """Tighten each canonical non-empty zone in ``ms`` (count, n, n) in
+    place by its row of atoms, the flat positions ``pos`` (count, k)
+    bounded by ``enc`` (count, k), keeping it canonical; returns the
+    non-empty mask.  A row may name one position more than once.  Only
+    the entries an atom tightens are closed through, one O(n^2) pass each
+    (``zones.constrain_many``); a zone no atom tightens is not touched."""
+    return zones.constrain_many(ms, pos, enc)
 
 
 def _step(ms, guard, gather, inv, bounds, freed, gate):
@@ -114,7 +113,9 @@ def _step(ms, guard, gather, inv, bounds, freed, gate):
     inactive clocks, dropping the lower bounds of the ``gate`` clock and
     extrapolation.
 
-    ``guard`` and ``inv`` are ``(pos, enc)`` pairs for ``_constrain``;
+    ``guard`` and ``inv`` are ``(pos, enc)`` pairs for ``_constrain``,
+    which keeps each zone canonical through the entries its atoms tighten,
+    so only the widened zones are closed in full;
     ``gather`` (count, n) maps each clock to itself, or to the zero clock
     when the edge resets it, so that ``m[g][:, g]`` is the reset of a
     closed non-empty zone; ``bounds`` (count, n) holds each row's target

@@ -702,56 +702,86 @@ def _cyclic_parts(nodes, edges) -> list[tuple[list[int], list[tuple]]]:
 
 def _accepting_cycle(accepting: list[bool], edges) -> bool:
     """Does a node ``k`` with ``accepting[k]`` lie on a cycle of the graph
-    on nodes ``0 .. len(accepting) - 1`` with ``edges`` (source, target):
-    does an edge leave it inside its own strongly connected component?  A
-    graph without such a node is not searched."""
+    on nodes ``0 .. len(accepting) - 1`` with ``edges`` (source, target)?
+    It does when its strongly connected component has another node or it
+    has a self-loop.  The search stops at the first such component to
+    close, and a graph without an accepting node is not searched."""
     if not any(accepting):
         return False
-    comp = _components(range(len(accepting)), edges)
-    return any(accepting[u] and comp[u] == comp[w] for u, w in edges)
+    succ: list[list[int]] = [[] for _ in accepting]
+    for u, w in edges:
+        succ[u].append(w)
+    for part in _closing_components(succ):
+        if len(part) > 1:
+            if any(accepting[u] for u in part):
+                return True
+        elif accepting[part[0]] and part[0] in succ[part[0]]:
+            return True
+    return False
 
 
 def _components(nodes, edges) -> dict[int, int]:
     """A strongly connected component number per node of the graph on
-    ``nodes`` with ``edges`` (source, target, ...): Tarjan's algorithm
-    with an explicit stack, since products reach thousands of locations
-    and zone graphs many more.  It serves the Zeno analysis, the
-    enumeration engine's accepting-cycle check and the lasso check
-    (``_accepting_cycle``)."""
-    succ: dict[int, list[int]] = {l: [] for l in nodes}
+    ``nodes`` with ``edges`` (source, target, ...), numbered in the order
+    the components close (``_closing_components``)."""
+    nodes = list(nodes)
+    at = {l: k for k, l in enumerate(nodes)}
+    succ: list[list[int]] = [[] for _ in nodes]
     for e in edges:
-        succ[e[0]].append(e[1])
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
+        succ[at[e[0]]].append(at[e[1]])
     comp: dict[int, int] = {}
+    for number, part in enumerate(_closing_components(succ)):
+        for k in part:
+            comp[nodes[k]] = number
+    return comp
+
+
+def _closing_components(succ: list[list[int]]):
+    """The strongly connected components of the graph on nodes ``0 ..
+    len(succ) - 1`` with successor lists ``succ``, each yielded as a list
+    of its nodes as soon as it closes, so sinks first: Tarjan's algorithm
+    with an explicit stack, since products reach thousands of locations
+    and zone graphs many more.  It serves the Zeno analysis
+    (``_components``), the enumeration engine's accepting-cycle check and
+    the lasso check (``_accepting_cycle``)."""
+    # a node's index is -1 until it is reached and ``done`` once its
+    # component has closed, so that no later low link can take it
+    done = len(succ)
+    index = [-1] * done
+    low = [0] * done
     stack: list[int] = []
-    for root in succ:
-        if root in index:
+    count = 0
+    for root in range(done):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = count
+        count += 1
         stack.append(root)
         work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
                     stack.append(w)
                     work.append((w, iter(succ[w])))
                     break
-                if w not in comp and index[w] < low[v]:
+                if index[w] < low[v]:
                     low[v] = index[w]
             else:
                 work.pop()
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
                 if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = v
-                        if w == v:
-                            break
-    return comp
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    part = stack[at:]
+                    del stack[at:]
+                    for w in part:
+                        index[w] = done
+                    yield part
 
 
 # --- clock bounds for extrapolation ------------------------------------------

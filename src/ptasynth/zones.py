@@ -9,8 +9,11 @@ bound, and bound addition is ``a + b - ((a | b) & 1)``.
 The closure loops live in ``_zonecore``, a hand-written C extension that
 ``setup.py`` builds when a C compiler is available; without it they run in
 the numpy twin ``_zonecore_py``.  Set ``PTASYNTH_PURE=1`` to force the pure
-fallback.  Both export one closure, ``close_many``: full Floyd-Warshall
-over a stack of matrices, in place, with one emptiness flag per matrix.
+fallback.  Both export two kernels over a stack of matrices, in place,
+with one emptiness flag per matrix: ``close_many``, full Floyd-Warshall,
+and ``constrain_many``, which tightens canonical matrices by atoms and
+re-closes each through the entries it tightens, one O(n^2) pass per
+tightened entry.
 """
 
 from __future__ import annotations
@@ -49,10 +52,30 @@ def close(m: np.ndarray) -> bool:
 def close_many(ms: np.ndarray) -> np.ndarray:
     """Close a (count, n, n) batch in place; returns a boolean non-empty mask.
     A batch that is not C-contiguous is closed in a copy and copied back."""
+    return _in_place(_core.close_many, ms)
+
+
+def constrain_many(ms: np.ndarray, pos: np.ndarray,
+                   enc: np.ndarray) -> np.ndarray:
+    """Tighten a (count, n, n) stack of canonical non-empty matrices in
+    place: matrix ``t`` takes each atom of row ``t`` of ``pos`` and ``enc``
+    (count, k) in turn, the flat entry ``pos[t, a]`` bounded by the
+    encoded ``enc[t, a]``, and stays canonical.  Returns a boolean
+    non-empty mask.  A position may repeat in a row, and atom (0, INF)
+    pads a row; a matrix whose atoms tighten nothing is left unchanged.
+    A stack that is not C-contiguous is changed in a copy and copied
+    back."""
+    return _in_place(_core.constrain_many, ms, np.ascontiguousarray(pos),
+                     np.ascontiguousarray(enc))
+
+
+def _in_place(kernel, ms: np.ndarray, *args) -> np.ndarray:
+    """Run ``kernel(ms, *args, ok)`` on the stack, on a C-contiguous copy
+    copied back when it is not; returns ``ok`` as a boolean mask."""
     ok = np.empty(ms.shape[0], dtype=np.uint8)
     if ms.shape[0]:
         work = np.ascontiguousarray(ms)
-        _core.close_many(work, ok)
+        kernel(work, *args, ok)
         if work is not ms:
             ms[...] = work
     return ok.astype(bool)

@@ -17,6 +17,7 @@ from ptasynth.model import (
     PLoc,
     Ptba,
     _accepting_cycle,
+    _components,
     clock_bounds,
     compose,
     dump_product,
@@ -611,6 +612,54 @@ class TestZenoAccepting:
         "no accepting state", "accepting beside a cycle"])
 def test_accepting_cycle(accepting, edges, want):
     assert _accepting_cycle(accepting, edges) is want
+
+
+def reachable(edges, start) -> set[int]:
+    """The nodes one or more edges away from ``start``."""
+    seen: set[int] = set()
+    todo = [w for u, w in edges if u == start]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo.extend(w for u, w in edges if u == v)
+    return seen
+
+
+def random_graph(rng):
+    """From single nodes to dense graphs, self-loops and repeated edges
+    included."""
+    n = rng.randrange(1, 13)
+    edges = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randrange(3 * n))]
+    return n, edges
+
+
+def test_accepting_cycle_matches_reachability(rng):
+    # against the definition: some accepting node reaches itself
+    found = 0
+    for _ in range(400):
+        n, edges = random_graph(rng)
+        accepting = [rng.random() < 0.3 for _ in range(n)]
+        want = any(accepting[u] and u in reachable(edges, u)
+                   for u in range(n))
+        assert _accepting_cycle(accepting, edges) is want, (accepting, edges)
+        found += want
+    assert 50 < found < 350
+
+
+def test_components_match_mutual_reachability(rng):
+    for _ in range(200):
+        n, edges = random_graph(rng)
+        # the Zeno analysis passes any node ids and edges with more fields
+        nodes = rng.sample(range(100), n)
+        comp = _components(nodes, [(nodes[u], nodes[w], "label")
+                                   for u, w in edges])
+        reach = [reachable(edges, u) | {u} for u in range(n)]
+        for u in range(n):
+            for w in range(n):
+                assert (comp[nodes[u]] == comp[nodes[w]]) is (
+                    w in reach[u] and u in reach[w]), (edges, u, w)
 
 
 def test_dump_product_smoke():

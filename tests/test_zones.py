@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle_dbm as od
-from conftest import from_oracle, to_oracle
+from conftest import from_oracle, oracle_bound, to_oracle
 from ptasynth import zones
 from ptasynth import _zonecore_py as pure
 
@@ -150,6 +150,185 @@ def test_close_many_strided_batch(rng, kernel, monkeypatch):
     ok = np.zeros(len(want), dtype=np.uint8)
     kernel.close_many(want, ok)
     assert zones.close_many(batch).tolist() == ok.astype(bool).tolist()
+    assert np.array_equal(base[::2][ok == 1], want[ok == 1])
+    assert np.array_equal(base[1::2], untouched)
+
+
+def canonical_zone(rng, n):
+    """A closed non-empty zone: random bounds, each loosened where needed
+    to hold at one random point, then closed."""
+    at = [0] + [rng.randrange(6) for _ in range(n - 1)]
+    m = random_zone(rng, n)
+    for i in range(n):
+        for j in range(n):
+            if m[i, j] < zones.INF and m[i, j] >> 1 <= at[i] - at[j]:
+                m[i, j] = zones.encode(at[i] - at[j], False)
+    assert zones.close(m)
+    return m
+
+
+def random_atom_rows(rng, ms, width):
+    """Per zone of the stack, ``width`` atoms as ``(pos, enc)`` arrays:
+    random bounds (strict or weak) at random entries, diagonals included,
+    some bounding the entry of the atom before (duplicates), some equal to
+    or looser than the entry (not tighter), and padding (0, INF)."""
+    count, n, _ = ms.shape
+    pos = np.zeros((count, width), dtype=np.int64)
+    enc = np.full((count, width), zones.INF, dtype=np.int64)
+    for t in range(count):
+        for a in range(width):
+            kind = rng.random()
+            if kind < 0.1:
+                continue
+            pos[t, a] = (pos[t, a - 1] if a and kind < 0.3
+                         else rng.randrange(n * n))
+            if kind > 0.85:
+                enc[t, a] = min(ms[t].flat[pos[t, a]] + rng.randrange(3),
+                                zones.INF)
+            else:
+                enc[t, a] = zones.encode(rng.randrange(-6, 9),
+                                         rng.random() < 0.5)
+    return pos, enc
+
+
+def oracle_constrain(m, pos, enc):
+    """Tighten, then close in full, on the oracle: (non-empty, matrix)."""
+    om = to_oracle(m)
+    n = len(om)
+    for p, e in zip(pos.tolist(), enc.tolist()):
+        od.constrain(om, p // n, p % n, oracle_bound(e))
+    ok = od.close(om)
+    return ok, from_oracle(om)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_constrain_matches_oracle(rng, kernel, n):
+    """Each row of canonical zones tightened by its atoms and re-closed
+    through them is the oracle's tightened and fully closed zone; a row
+    no atom tightens keeps every byte."""
+    seen = {"empty": 0, "tightened": 0, "unchanged": 0}
+    for width in (1, 2, 3):
+        ms = np.stack([canonical_zone(rng, n) for _ in range(60)])
+        pos, enc = random_atom_rows(rng, ms, width)
+        got = ms.copy()
+        ok = np.zeros(len(ms), dtype=np.uint8)
+        kernel.constrain_many(got, pos, enc, ok)
+        for t in range(len(ms)):
+            want_ok, want = oracle_constrain(ms[t], pos[t], enc[t])
+            assert ok[t] == want_ok
+            if not want_ok:
+                seen["empty"] += 1
+                continue
+            assert np.array_equal(got[t], want)
+            tighter = (enc[t] < ms[t].reshape(-1)[pos[t]]).any()
+            seen["tightened" if tighter else "unchanged"] += 1
+            if not tighter:
+                assert got[t].tobytes() == ms[t].tobytes()
+    # a one-clock zone is its diagonal: a tighter bound empties it
+    assert seen["unchanged"] and seen["empty"]
+    assert seen["tightened"] or n == 1
+
+
+def test_constrain_backends_agree(rng, compiled):
+    for n in range(1, 7):
+        for width in (1, 2, 3):
+            ms = np.stack([canonical_zone(rng, n) for _ in range(80)])
+            pos, enc = random_atom_rows(rng, ms, width)
+            ms1, ms2 = ms.copy(), ms.copy()
+            ok1 = np.zeros(len(ms), dtype=np.uint8)
+            ok2 = np.zeros(len(ms), dtype=np.uint8)
+            compiled.constrain_many(ms1, pos, enc, ok1)
+            pure.constrain_many(ms2, pos, enc, ok2)
+            assert np.array_equal(ok1, ok2)
+            assert ms1[ok1 == 1].tobytes() == ms2[ok2 == 1].tobytes()
+
+
+def test_constrain_padding_duplicates_and_emptying(kernel):
+    z = np.full((3, 3), zones.ZERO_WEAK, dtype=np.int64)
+    zones.up(z)  # x1, x2 >= 0 and equal
+    le = zones.encode
+    rows = [
+        # padding only: unchanged
+        ([0, 0], [zones.INF, zones.INF]),
+        # x1 <= 4 twice, then x1 < 2: the last one counts
+        ([3, 3, 3], [le(4, False), le(4, False), le(2, True)]),
+        # x1 < 2, then x1 <= 4 is not tighter
+        ([3, 3], [le(2, True), le(4, False)]),
+        # x1 >= 3, then x1 <= 2: empty
+        ([1, 3], [le(-3, False), le(2, False)]),
+        # x1 - x1 < 0 on the diagonal: empty
+        ([4], [le(0, True)]),
+    ]
+    width = max(len(p) for p, _ in rows)
+    pos = np.zeros((len(rows), width), dtype=np.int64)
+    enc = np.full((len(rows), width), zones.INF, dtype=np.int64)
+    for t, (p, e) in enumerate(rows):
+        pos[t, :len(p)] = p
+        enc[t, :len(e)] = e
+    ms = np.stack([z] * len(rows))
+    ok = np.zeros(len(rows), dtype=np.uint8)
+    kernel.constrain_many(ms, pos, enc, ok)
+    assert ok.tolist() == [1, 1, 1, 0, 0]
+    assert ms[0].tobytes() == z.tobytes()
+    for t in (1, 2):
+        # x1 < 2 carries over to x2 through their equality
+        assert ms[t, 1, 0] == ms[t, 2, 0] == le(2, True)
+
+
+def test_constrain_rejects_bad_inputs(kernel):
+    ms = np.stack([np.full((3, 3), zones.ZERO_WEAK, dtype=np.int64)] * 2)
+    pos = np.array([[3, 0], [5, 1]], dtype=np.int64)
+    enc = np.array([[2, zones.INF], [4, 4]], dtype=np.int64)
+    ok = np.full(2, 7, dtype=np.uint8)
+    read_only = ms.copy()
+    read_only.flags.writeable = False
+    bad = [
+        # positions outside [0, n * n), in a later row too
+        (ms, np.array([[3, 0], [9, 1]]), enc, ok),
+        (ms, np.array([[-1, 0], [5, 1]]), enc, ok),
+        # shapes and counts that do not fit
+        (ms, pos[:, :1], enc, ok),
+        (ms, pos[:1], enc[:1], ok),
+        (ms, pos, enc, ok[:1]),
+        (ms, pos[:, :, None], enc[:, :, None], ok),
+        (ms[:, :, :2].copy(), pos, enc, ok),
+        # dtypes
+        (ms.astype(np.int32), pos, enc, ok),
+        (ms.astype(np.float64), pos, enc, ok),
+        (ms, pos.astype(np.int32), enc, ok),
+        (ms, pos, enc.astype(np.float64), ok),
+        (ms, pos, enc, ok.astype(np.int64)),
+        # buffers that are not C-contiguous, or not writable
+        (ms[::-1], pos, enc, ok),
+        (ms, np.repeat(pos, 2, axis=1)[:, ::2], enc, ok),
+        (ms, pos, np.repeat(enc, 2, axis=1)[:, ::2], ok),
+        (ms, pos, enc, np.repeat(ok, 2)[::2]),
+        (read_only, pos, enc, ok),
+        (ms.tolist(), pos, enc, ok),
+    ]
+    for args in bad:
+        before = [np.array(a, copy=True) for a in (args[0], args[3])]
+        with pytest.raises(ValueError):
+            kernel.constrain_many(*args)
+        assert np.array_equal(np.asarray(args[0]), before[0])
+        assert np.array_equal(np.asarray(args[3]), before[1])
+    kernel.constrain_many(ms, pos, enc, ok)
+    assert ok.tolist() == [1, 1]
+
+
+def test_constrain_many_strided_batch(rng, kernel, monkeypatch):
+    """``zones.constrain_many`` changes a stack that is not C-contiguous in
+    place all the same, and takes strided atom arrays."""
+    monkeypatch.setattr(zones, "_core", kernel)
+    base = np.stack([canonical_zone(rng, 4) for _ in range(40)])
+    untouched = base[1::2].copy()
+    batch = base[::2]
+    pos, enc = random_atom_rows(rng, batch, 4)
+    want = batch.copy()
+    ok = np.zeros(len(want), dtype=np.uint8)
+    kernel.constrain_many(want, pos, enc, ok)
+    got = zones.constrain_many(batch, pos[:, ::-1][:, ::-1], enc.T.copy().T)
+    assert got.tolist() == ok.astype(bool).tolist()
     assert np.array_equal(base[::2][ok == 1], want[ok == 1])
     assert np.array_equal(base[1::2], untouched)
 
