@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the zone-arithmetic backends: compiled extension vs the pure
-fallback, on the batched closure kernel ``close_many``, on the guard
-kernel ``constrain_many`` against tightening with ``np.minimum.at`` and
-closing in full, and on an end-to-end enumeration run on each.  Every
-kernel row checks that the kernels (and, for guards, both ways) agree on
-the stack it times, and the enumeration runs that their results, stats
-included, agree; a disagreement exits non-zero.
+fallback, on full closure (``zones.close_many``, the kernel re-closing
+through every diagonal entry), on guards (``zones.constrain_many``)
+against tightening with ``np.minimum.at`` and closing in full, and on an
+end-to-end enumeration run on each.  ``zones._core`` is set to each
+backend in turn.  Every kernel row checks that the backends (and, for
+guards, both ways) agree on the stack it times, and the enumeration runs
+that their results, stats included, agree; a disagreement exits non-zero.
 
 Usage: python benchmarks/bench_zones.py [--quick]
 """
@@ -51,9 +52,7 @@ def canonical_stack(rng, n, count):
     diff = at[:, :, None] - at[:, None, :]
     loose = (ms < zones.INF) & ((ms >> 1) <= diff)
     ms[loose] = (diff[loose] << 1) | 1
-    ok = np.empty(count, dtype=np.uint8)
-    pure.close_many(ms, ok)
-    if not ok.all():
+    if not zones.close_many(ms).all():
         raise SystemExit("a zone holding its own point closed empty")
     return ms
 
@@ -69,31 +68,37 @@ def random_atoms(rng, count, n, width):
 
 
 def timed(run, ms, repeat):
-    """Best time of ``run(work, ok)`` on copies of the batch; also the
-    last result and flags."""
+    """Best time of ``run(work)``, which returns the non-empty mask, on
+    copies of the batch; also the last result and mask."""
     best = float("inf")
-    ok = np.empty(ms.shape[0], dtype=np.uint8)
     for _ in range(repeat):
         work = ms.copy()
         t0 = time.perf_counter()
-        run(work, ok)
+        ok = run(work)
         best = min(best, time.perf_counter() - t0)
     return best, work, ok
 
 
 def same_closure(a, b):
-    """Equal emptiness flags, and equal matrices where the zone is non-empty
+    """Equal emptiness masks, and equal matrices where the zone is non-empty
     (an empty zone's contents depend on the order of the updates)."""
     (ms_a, ok_a), (ms_b, ok_b) = a, b
-    return (np.array_equal(ok_a, ok_b)
-            and np.array_equal(ms_a[ok_a == 1], ms_b[ok_b == 1]))
+    return np.array_equal(ok_a, ok_b) and np.array_equal(ms_a[ok_a],
+                                                          ms_b[ok_b])
 
 
 def backends():
+    """Each built backend's name, with ``zones._core`` set to it meanwhile."""
     out = [("pure", pure)]
     if compiled is not None:
         out.append(("compiled", compiled))
-    return out
+    active = zones._core
+    try:
+        for name, backend in out:
+            zones._core = backend
+            yield name
+    finally:
+        zones._core = active
 
 
 def enumeration_rows():
@@ -106,22 +111,17 @@ def enumeration_rows():
         / "traingate.pta"
     net = load_model(fixture)
     print("\nend-to-end enumeration on the two-train fixture:")
-    active = zones._core
     reference = None
-    try:
-        for name, backend in backends():
-            zones._core = backend
-            t0 = time.perf_counter()
-            doc = enumerate_box(net, "G !(Train1.Cross && Train2.Cross)").to_json()
-            elapsed = time.perf_counter() - t0
-            print(f"  {name:9s} {elapsed:6.2f} s   "
-                  f"{doc['stats']['zone_states_total']} zone states")
-            reference = reference or doc
-            if doc != reference:
-                raise SystemExit(f"{name} and pure kernels disagree on the "
-                                 "enumeration result")
-    finally:
-        zones._core = active
+    for name in backends():
+        t0 = time.perf_counter()
+        doc = enumerate_box(net, "G !(Train1.Cross && Train2.Cross)").to_json()
+        elapsed = time.perf_counter() - t0
+        print(f"  {name:9s} {elapsed:6.2f} s   "
+              f"{doc['stats']['zone_states_total']} zone states")
+        reference = reference or doc
+        if doc != reference:
+            raise SystemExit(f"{name} and pure kernels disagree on the "
+                             "enumeration result")
 
 
 def kernel_rows(count, repeat):
@@ -130,8 +130,8 @@ def kernel_rows(count, repeat):
         batch = np.stack([random_zone(rng, n) for _ in range(count)])
         print(f"\nclosure of {count} {n}x{n} zones (best of {repeat}):")
         base = reference = None
-        for name, backend in backends():
-            t, *closed = timed(backend.close_many, batch, repeat)
+        for name in backends():
+            t, *closed = timed(zones.close_many, batch, repeat)
             if base is None:
                 base, reference = t, closed
             if not same_closure(closed, reference):
@@ -150,15 +150,15 @@ def constrain_rows(count, repeat):
             print(f"\nguard of {width} atom{'s' * (width > 1)} on {count} "
                   f"canonical {n}x{n} zones (best of {repeat}):")
             reference = None
-            for name, backend in backends():
-                def full(work, ok):
+            for name in backends():
+                def full(work):
                     np.minimum.at(work.reshape(-1), rows + pos, enc)
-                    backend.close_many(work, ok)
+                    return zones.close_many(work)
 
                 t_full, *by_full = timed(full, ms, repeat)
                 t_inc, *by_inc = timed(
-                    lambda work, ok: backend.constrain_many(work, pos, enc,
-                                                            ok), ms, repeat)
+                    lambda work: zones.constrain_many(work, pos, enc), ms,
+                    repeat)
                 reference = reference or by_full
                 if not (same_closure(by_full, reference)
                         and same_closure(by_inc, reference)):

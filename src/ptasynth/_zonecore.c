@@ -5,18 +5,17 @@
  * value).  Infinity is the sentinel 1 << 40; values stay small enough that
  * the sum of two encoded bounds never reaches it.  A stack of matrices
  * arrives as a writable C-contiguous int64 buffer and is changed in place,
- * one matrix after another, by one of two functions:
- *
- * - close_many(ms, ok) closes every matrix by full Floyd-Warshall;
- * - constrain_many(ms, pos, enc, ok) tightens each matrix by its row of
- *   atoms (flat entry pos[t][a] bounded by the encoded enc[t][a], in
- *   column order) and re-closes through each entry it tightens in one
- *   O(n^2) pass (Bengtsson and Yi, 2004).  The result is canonical only
- *   when every input matrix is canonical and non-empty, the contract of
- *   every caller.  A row whose atoms tighten nothing is left unchanged.
- *
- * Both set ok[t] (uint8) to 1 when matrix t is non-empty.  Bad shapes,
- * formats or atom positions raise ValueError before anything is written.
+ * one matrix after another, by the one function constrain_many(ms, pos,
+ * enc, ok).  It takes each matrix's row of atoms in column order (flat
+ * entry pos[t][a] bounded by the encoded enc[t][a]) and re-closes the
+ * matrix through each entry whose atom is finite and not looser than it,
+ * in one O(n^2) pass (Bengtsson and Yi, 2004).  On a canonical non-empty
+ * matrix the result is canonical, and a row of atoms that tighten nothing
+ * leaves every byte.  Re-closing through each diagonal entry in turn at
+ * (0, <=) is Floyd-Warshall, so the same function closes any matrix in
+ * full.  It sets ok[t] (uint8) to 1 when matrix t is non-empty, which it
+ * reads off the diagonal.  Bad shapes, formats or atom positions raise
+ * ValueError before anything is written.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -31,45 +30,18 @@
 #define NATIVE_ORDER '>'
 #endif
 
-/* Floyd-Warshall closure of one n x n matrix through every clock; 0 when
-   the zone is empty (some diagonal entry drops below (0, <=)). */
-static int close_one(int64_t *m, Py_ssize_t n)
-{
-    for (Py_ssize_t k = 0; k < n; k++) {
-        const int64_t *row = m + k * n;
-        for (Py_ssize_t i = 0; i < n; i++) {
-            int64_t a = m[i * n + k];
-            if (a >= INF)
-                continue;
-            int64_t *out = m + i * n;
-            for (Py_ssize_t j = 0; j < n; j++) {
-                int64_t b = row[j];
-                if (b >= INF)
-                    continue;
-                int64_t s = a + b - ((a | b) & 1);
-                if (s < out[j])
-                    out[j] = s;
-            }
-        }
-    }
-    for (Py_ssize_t i = 0; i < n; i++)
-        if (m[i * n + i] < ZERO_WEAK)
-            return 0;
-    return 1;
-}
-
-/* Tighten one canonical non-empty n x n matrix by k atoms in order: atom a
-   bounds flat entry pos[a] by enc[a].  An atom tighter than its entry
-   closes a new cycle only through that entry, so the zone is empty
-   exactly when that cycle is negative; otherwise one pass through the
-   entry re-closes it, leaving row j and column i as they were.  0 when
-   the zone is empty. */
+/* Tighten one n x n matrix by k atoms in order: atom a bounds flat entry
+   pos[a] by enc[a] and, unless it is looser than the entry or infinite,
+   m[r][s] = min(m[r][s], m[r][i] + enc[a] + m[j][s]) re-closes the matrix
+   through it, leaving row j and column i as they were unless the cycle
+   through the entry is negative.  0 when the zone is empty: on such a
+   cycle, or on a diagonal entry below (0, <=) at the end. */
 static int constrain_one(int64_t *m, Py_ssize_t n, const int64_t *pos,
                          const int64_t *enc, Py_ssize_t k)
 {
     for (Py_ssize_t a = 0; a < k; a++) {
         int64_t c = enc[a];
-        if (c >= m[pos[a]])
+        if (c > m[pos[a]] || c >= INF)
             continue;
         Py_ssize_t i = pos[a] / n, j = pos[a] % n;
         int64_t back = m[j * n + i];
@@ -92,6 +64,9 @@ static int constrain_one(int64_t *m, Py_ssize_t n, const int64_t *pos,
             }
         }
     }
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (m[i * n + i] < ZERO_WEAK)
+            return 0;
     return 1;
 }
 
@@ -149,22 +124,6 @@ static int get_stack(PyObject *ms_obj, PyObject *ok_obj, Py_buffer *ms,
     return 0;
 }
 
-static PyObject *zone_close_many(PyObject *self, PyObject *args)
-{
-    PyObject *ms_obj, *ok_obj;
-    Py_buffer ms, ok;
-    if (!PyArg_ParseTuple(args, "OO:close_many", &ms_obj, &ok_obj)
-        || get_stack(ms_obj, ok_obj, &ms, &ok) < 0)
-        return NULL;
-    Py_ssize_t count = ms.shape[0], n = ms.shape[1];
-    for (Py_ssize_t t = 0; t < count; t++)
-        ((unsigned char *)ok.buf)[t] =
-            (unsigned char)close_one((int64_t *)ms.buf + t * n * n, n);
-    PyBuffer_Release(&ok);
-    PyBuffer_Release(&ms);
-    Py_RETURN_NONE;
-}
-
 static PyObject *zone_constrain_many(PyObject *self, PyObject *args)
 {
     PyObject *ms_obj, *pos_obj, *enc_obj, *ok_obj;
@@ -211,15 +170,12 @@ release_stack:
 }
 
 static PyMethodDef methods[] = {
-    {"close_many", zone_close_many, METH_VARARGS,
-     "close_many(ms, ok): close a (count, n, n) int64 stack in place;\n"
-     "ok[t] (uint8) is set to 1 when matrix t is non-empty."},
     {"constrain_many", zone_constrain_many, METH_VARARGS,
-     "constrain_many(ms, pos, enc, ok): tighten each canonical non-empty\n"
-     "matrix t of a (count, n, n) int64 stack, in place, by the atoms of\n"
-     "row t of the (count, k) int64 arrays pos (flat entry) and enc\n"
-     "(encoded bound), keeping it canonical; ok[t] (uint8) is set to 1\n"
-     "when matrix t is non-empty."},
+     "constrain_many(ms, pos, enc, ok): tighten each matrix t of a\n"
+     "(count, n, n) int64 stack, in place, by the atoms of row t of the\n"
+     "(count, k) int64 arrays pos (flat entry) and enc (encoded bound),\n"
+     "re-closing it through each entry whose atom is finite and not\n"
+     "looser; ok[t] (uint8) is set to 1 when matrix t is non-empty."},
     {NULL, NULL, 0, NULL},
 };
 

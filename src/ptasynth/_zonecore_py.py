@@ -1,28 +1,21 @@
 """Pure numpy twin of the compiled zone kernel ``_zonecore.c``.
 
-Same contract as the compiled module, two functions on a ``(count, n, n)``
-int64 stack, in place, each setting ``ok[t]`` (uint8) to 1 when matrix
-``t`` is non-empty:
-
-- ``close_many(ms, ok)`` closes every matrix by full Floyd-Warshall.  Each
-  of the ``n`` relaxation rounds (one per intermediate clock) is
-  vectorized over the whole stack, so a batch costs ``n`` numpy passes
-  whatever its length.
-- ``constrain_many(ms, pos, enc, ok)`` tightens canonical non-empty
-  matrices by atoms and keeps them canonical.  ``pos`` and ``enc`` are
-  ``(count, k)`` int64 arrays: atom column ``a`` of row ``t`` bounds the
-  flat entry ``pos[t, a]`` by the encoded ``enc[t, a]``.  Columns are
-  applied in order, each in one pass over the stack that re-closes every
-  matrix through its entry ``(i, j)`` at the tighter of atom and entry
-  (Bengtsson and Yi, *Timed Automata: Semantics, Algorithms and Tools*,
-  2004): ``m[a, b] = min(m[a, b], m[a, i] + c + m[j, b])``.  A canonical
-  matrix re-closed through its own entry keeps every byte, so a row whose
-  atoms tighten nothing is left as it was; so is padding, atom
-  ``(0, INF)``.  A bound that empties a zone closes a negative cycle
-  through its entry, which the pass writes onto the diagonal, so
-  emptiness is read off the diagonals at the end.  The result is the
-  canonical form only when every input matrix is canonical and non-empty;
-  bad shapes, dtypes or positions raise ``ValueError`` before any write.
+Same contract as the compiled module, one function on a ``(count, n, n)``
+int64 stack, in place: ``constrain_many(ms, pos, enc, ok)``.  ``pos`` and
+``enc`` are ``(count, k)`` int64 arrays: atom column ``a`` of row ``t``
+bounds the flat entry ``pos[t, a]`` by the encoded ``enc[t, a]``.  Columns
+are applied in order, each in one pass over the stack that re-closes
+every matrix through its entry ``(i, j)`` at the tighter of atom and entry
+(Bengtsson and Yi, *Timed Automata: Semantics, Algorithms and Tools*,
+2004): ``m[a, b] = min(m[a, b], m[a, i] + c + m[j, b])``; a column whose
+atoms are all looser than their entries or infinite is skipped.  A
+canonical matrix re-closed through its own entry keeps every byte, so on
+canonical non-empty input a row whose atoms tighten nothing is left as it
+was, and so is padding, atom ``(0, INF)``.  Re-closing through diagonal
+entry ``k`` at ``(0, <=)`` is round ``k`` of Floyd-Warshall, so the same
+function closes any matrix in full.  ``ok[t]`` (uint8) is set to 1 when
+matrix ``t`` is non-empty, read off its diagonal at the end.  Bad shapes,
+dtypes or positions raise ``ValueError`` before any write.
 
 It is the path that runs without a C compiler and under
 ``PTASYNTH_PURE=1``, and the reference the compiled kernel is tested
@@ -35,17 +28,6 @@ INF = 1 << 40
 
 _ZERO_WEAK = 1
 _BIG = INF << 8  # stands for infinity in sums: above INF whatever is added
-
-
-def close_many(ms, ok):
-    for k in range(ms.shape[1]):
-        col = ms[:, :, k, None]
-        row = ms[:, None, k, :]
-        s = col + row - ((col | row) & 1)
-        np.copyto(s, INF, where=(col >= INF) | (row >= INF))
-        np.minimum(ms, s, out=ms)
-    good = (np.diagonal(ms, axis1=1, axis2=2) >= _ZERO_WEAK).all(axis=1)
-    ok[:] = good.astype(np.uint8)
 
 
 def _check_constrain(ms, pos, enc, ok):
@@ -73,33 +55,31 @@ def constrain_many(ms, pos, enc, ok):
     count, n, _ = ms.shape
     flat = ms.reshape(count, n * n)
     rows = np.arange(count)
-    # earlier columns only lower entries, so a column that tightens no
-    # entry of the input tightens none later either
+    # earlier columns only lower entries, so a column whose atoms are all
+    # looser than the input's entries or infinite stays so later
     cur = flat[rows[:, None], pos]
-    live = (enc < cur).any(axis=0).nonzero()[0].tolist()
-    if not live:
-        ok[:] = 1
-        return
-    # every row is re-closed through its entry at the tighter of atom and
-    # input entry: a canonical matrix re-closed through an entry at that
-    # entry's bound or looser keeps every byte, so rows whose atom
-    # tightens nothing stay as they are.  Infinity is _BIG until the end,
-    # so that no sum through an infinite bound wins a minimum
-    through = np.minimum(enc, cur)
-    np.putmask(through, through >= INF, _BIG)
-    np.putmask(ms, ms >= INF, _BIG)
-    i_of, j_of = np.divmod(pos, n)
-    for a in live:
-        c = through[:, a, None]
-        to = ms[rows, :, i_of[:, a]]
-        to = (to + c - ((to | c) & 1))[:, :, None]
-        fro = ms[rows, j_of[:, a]][:, None, :]
-        s = to + fro
-        w = to | fro
-        w &= 1
-        s -= w
-        np.minimum(ms, s, out=ms)
-    np.minimum(ms, INF, out=ms)
+    live = ((enc <= cur) & (enc < INF)).any(axis=0).nonzero()[0].tolist()
+    if live:
+        # every row is re-closed through its entry at the tighter of atom
+        # and input entry: a canonical matrix re-closed through an entry
+        # at that entry's bound or looser keeps every byte, so rows whose
+        # atom tightens nothing stay as they are.  Infinity is _BIG until
+        # the end, so that no sum through an infinite bound wins a minimum
+        through = np.minimum(enc, cur)
+        np.putmask(through, through >= INF, _BIG)
+        np.putmask(ms, ms >= INF, _BIG)
+        i_of, j_of = np.divmod(pos, n)
+        for a in live:
+            c = through[:, a, None]
+            to = ms[rows, :, i_of[:, a]]
+            to = (to + c - ((to | c) & 1))[:, :, None]
+            fro = ms[rows, j_of[:, a]][:, None, :]
+            s = to + fro
+            w = to | fro
+            w &= 1
+            s -= w
+            np.minimum(ms, s, out=ms)
+        np.minimum(ms, INF, out=ms)
     # a bound that empties a zone closes a negative cycle through its
     # entry, which the pass writes onto the diagonal; no later pass raises
     # it again

@@ -97,36 +97,28 @@ def instantiate(a: Ptba, v) -> ConcreteTba:
 # --- batched zone steps -----------------------------------------------------
 
 
-def _constrain(ms: np.ndarray, pos: np.ndarray, enc: np.ndarray) -> np.ndarray:
-    """Tighten each canonical non-empty zone in ``ms`` (count, n, n) in
-    place by its row of atoms, the flat positions ``pos`` (count, k)
-    bounded by ``enc`` (count, k), keeping it canonical; returns the
-    non-empty mask.  A row may name one position more than once.  Only
-    the entries an atom tightens are closed through, one O(n^2) pass each
-    (``zones.constrain_many``); a zone no atom tightens is not touched."""
-    return zones.constrain_many(ms, pos, enc)
-
-
 def _step(ms, guard, gather, inv, bounds, freed, gate):
     """Successors of canonical zones through one edge each, in a batch:
     guard, reset, time elapse, target invariant, freeing the target's
     inactive clocks, dropping the lower bounds of the ``gate`` clock and
     extrapolation.
 
-    ``guard`` and ``inv`` are ``(pos, enc)`` pairs for ``_constrain``,
-    which keeps each zone canonical through the entries its atoms tighten,
-    so only the widened zones are closed in full;
+    ``guard`` and ``inv`` are ``(pos, enc)`` pairs for
+    ``zones.constrain_many``, which keeps each zone canonical in one pass
+    per atom that is finite and not looser than its entry; only the
+    widened zones are closed in full, by ``zones.close_many``, the same
+    kernel on the diagonal entries;
     ``gather`` (count, n) maps each clock to itself, or to the zero clock
     when the edge resets it, so that ``m[g][:, g]`` is the reset of a
     closed non-empty zone; ``bounds`` (count, n) holds each row's target
     clock bounds and ``freed`` (count, n) marks its target's inactive
     clocks; ``gate`` is the non-Zeno clock, 0 for none.  Returns the
     indices of the rows that stay non-empty and their canonical zones."""
-    keep = np.flatnonzero(_constrain(ms, *guard))
+    keep = np.flatnonzero(zones.constrain_many(ms, *guard))
     g = gather[keep]
     ms = ms[keep[:, None, None], g[:, :, None], g[:, None, :]]
     zones.up(ms)
-    ok = _constrain(ms, inv[0][keep], inv[1][keep])
+    ok = zones.constrain_many(ms, inv[0][keep], inv[1][keep])
     keep, ms = keep[ok], ms[ok]
     _project(ms, freed[keep], gate)
     changed = zones.extrapolate(ms, bounds[keep])
@@ -252,8 +244,8 @@ class _Tables:
         return targets.tolist(), found
 
     def atoms(self, ids: np.ndarray, points: np.ndarray):
-        """The ``(pos, enc)`` pair for ``_constrain`` of the atom-id rows
-        ``ids`` (count, k), row r read at box point ``points[r]``."""
+        """The ``(pos, enc)`` pair for ``zones.constrain_many`` of the atom-id
+        rows ``ids`` (count, k), row r read at box point ``points[r]``."""
         return self.pos[ids], self.enc[ids, points[:, None]]
 
 
@@ -326,7 +318,8 @@ def _deadlocks(t: _Tables, states, dnf_limit: int) -> list:
             hi = lo + ROW_CAP
             ms = _unpack(blobs[lo:hi], t.n)
             ids = np.array(atoms[lo:hi])[:, None]
-            ok = _constrain(ms, *t.atoms(ids, np.array(points[lo:hi])))
+            ok = zones.constrain_many(
+                ms, *t.atoms(ids, np.array(points[lo:hi])))
             kept = iter(_pack(0, ms[ok]))
             got.extend(next(kept) if good else None for good in ok.tolist())
         seen: list[dict] = [{} for _ in live]

@@ -6,14 +6,17 @@ A zone over ``n`` clock slots (index 0 is the constant-zero clock) is an
 ``<=``; infinity is a large sentinel.  Smaller encoded value = tighter
 bound, and bound addition is ``a + b - ((a | b) & 1)``.
 
-The closure loops live in ``_zonecore``, a hand-written C extension that
-``setup.py`` builds when a C compiler is available; without it they run in
+The closure loop lives in ``_zonecore``, a hand-written C extension that
+``setup.py`` builds when a C compiler is available; without it it runs in
 the numpy twin ``_zonecore_py``.  Set ``PTASYNTH_PURE=1`` to force the pure
-fallback.  Both export two kernels over a stack of matrices, in place,
-with one emptiness flag per matrix: ``close_many``, full Floyd-Warshall,
-and ``constrain_many``, which tightens canonical matrices by atoms and
-re-closes each through the entries it tightens, one O(n^2) pass per
-tightened entry.
+fallback.  Both export one kernel over a C-contiguous stack of matrices,
+in place, with one emptiness flag per matrix: ``constrain_many``, which
+tightens matrices by atoms and re-closes each through the entry of every
+atom that is finite and not looser than it, one O(n^2) pass per atom.
+Here ``constrain_many`` applies it to canonical matrices, and full
+closure, ``close_many``, applies it to the diagonal atoms ``(k, k)`` at
+``(0, <=)`` for k = 0 .. n-1: re-closing through diagonal entry k is
+round k of Floyd-Warshall.
 """
 
 from __future__ import annotations
@@ -50,34 +53,27 @@ def close(m: np.ndarray) -> bool:
 
 
 def close_many(ms: np.ndarray) -> np.ndarray:
-    """Close a (count, n, n) batch in place; returns a boolean non-empty mask.
-    A batch that is not C-contiguous is closed in a copy and copied back."""
-    return _in_place(_core.close_many, ms)
+    """Close a C-contiguous (count, n, n) stack in place; returns a boolean
+    non-empty mask.  The kernel re-closes each matrix through its diagonal
+    entries in order, at (0, <=), which is Floyd-Warshall."""
+    count, n, _ = ms.shape
+    pos = np.tile(np.arange(0, n * n, n + 1, dtype=np.int64), (count, 1))
+    return constrain_many(ms, pos, np.full_like(pos, ZERO_WEAK))
 
 
 def constrain_many(ms: np.ndarray, pos: np.ndarray,
                    enc: np.ndarray) -> np.ndarray:
-    """Tighten a (count, n, n) stack of canonical non-empty matrices in
-    place: matrix ``t`` takes each atom of row ``t`` of ``pos`` and ``enc``
-    (count, k) in turn, the flat entry ``pos[t, a]`` bounded by the
-    encoded ``enc[t, a]``, and stays canonical.  Returns a boolean
-    non-empty mask.  A position may repeat in a row, and atom (0, INF)
-    pads a row; a matrix whose atoms tighten nothing is left unchanged.
-    A stack that is not C-contiguous is changed in a copy and copied
-    back."""
-    return _in_place(_core.constrain_many, ms, np.ascontiguousarray(pos),
-                     np.ascontiguousarray(enc))
-
-
-def _in_place(kernel, ms: np.ndarray, *args) -> np.ndarray:
-    """Run ``kernel(ms, *args, ok)`` on the stack, on a C-contiguous copy
-    copied back when it is not; returns ``ok`` as a boolean mask."""
+    """Tighten a C-contiguous (count, n, n) stack of canonical non-empty
+    matrices in place: matrix ``t`` takes each atom of row ``t`` of the
+    C-contiguous ``pos`` and ``enc`` (count, k) in turn, the flat entry
+    ``pos[t, a]`` bounded by the encoded ``enc[t, a]``, and stays
+    canonical.  Returns a boolean non-empty mask.  A position may repeat
+    in a row, and atom (0, INF) pads a row; a matrix whose atoms tighten
+    nothing is left unchanged.  Arrays that are not C-contiguous int64
+    raise ValueError."""
     ok = np.empty(ms.shape[0], dtype=np.uint8)
-    if ms.shape[0]:
-        work = np.ascontiguousarray(ms)
-        kernel(work, *args, ok)
-        if work is not ms:
-            ms[...] = work
+    if len(ok):
+        _core.constrain_many(ms, pos, enc, ok)
     return ok.astype(bool)
 
 

@@ -16,7 +16,6 @@ from conftest import (
 )
 from ptasynth import baseline, zones
 from ptasynth.baseline import (
-    _constrain,
     _step,
     check_valuation,
     enumerate_box,
@@ -73,8 +72,8 @@ class TestInstantiate:
 
 
 def flat_atoms(rows, n):
-    """``(pos, enc)`` arrays for ``_constrain`` from per-zone lists of
-    ``(i, j, encoded bound)`` atoms, padded with a no-op atom."""
+    """``(pos, enc)`` arrays for ``zones.constrain_many`` from per-zone
+    lists of ``(i, j, encoded bound)`` atoms, padded with a no-op atom."""
     width = max([1] + [len(r) for r in rows])
     pos = np.zeros((len(rows), width), dtype=np.int64)
     enc = np.full((len(rows), width), zones.INF, dtype=np.int64)
@@ -95,8 +94,9 @@ def random_canonical(rng, n, nonnegative=False):
                        for j in range(n)] for i in range(n)], dtype=np.int64)
         if nonnegative:
             np.minimum(z[0], zones.ZERO_WEAK, out=z[0])
-        if zones.close(z):
-            return z
+        m = to_oracle(z)
+        if od.close(m):
+            return from_oracle(m)
 
 
 def random_atoms(rng, n, fewest, most):
@@ -115,7 +115,8 @@ class TestConstrained:
         atoms = [(1, 0, zones.INF), (0, 2, zones.ZERO_WEAK),
                  (2, 1, zones.encode(4, False))]
         ms = z[None].copy()
-        assert _constrain(ms, *flat_atoms([atoms], 3)).tolist() == [True]
+        assert zones.constrain_many(ms, *flat_atoms([atoms], 3)).tolist() \
+            == [True]
         assert np.array_equal(ms[0], z)
 
     def test_matches_full_closure(self, rng):
@@ -125,21 +126,21 @@ class TestConstrained:
             zs = [random_canonical(rng, n) for _ in range(75)]
             rows = [random_atoms(rng, n, 1, 3) for _ in zs]
             ms = np.stack(zs)
-            ok = _constrain(ms, *flat_atoms(rows, n))
+            ok = zones.constrain_many(ms, *flat_atoms(rows, n))
             for z, atoms, got, good in zip(zs, rows, ms, ok):
-                want = z.copy()
+                want = to_oracle(z)
                 for i, j, enc in atoms:
-                    want[i, j] = min(want[i, j], enc)
-                assert good == zones.close(want)
+                    od.constrain(want, i, j, oracle_bound(enc))
+                assert good == od.close(want)
                 if good:
-                    assert np.array_equal(got, want)
+                    assert np.array_equal(got, from_oracle(want))
 
 
 class TestStep:
     def test_matches_oracle(self, rng):
         # random batches through guard, reset, up, invariant, freeing,
         # dropping the gate clock's lower bounds and extrapolation: every
-        # kept row is the oracle's zone and canonical, and exactly the rows
+        # kept row is the oracle's closed zone, and exactly the rows
         # the oracle finds empty are dropped.  Dropping keeps a zone
         # canonical only where every clock is non-negative, as in every
         # zone the engine reaches, so batches with a gate start there
@@ -187,9 +188,6 @@ class TestStep:
                 assert keep.tolist() == sorted(want)
                 for k, m in zip(keep.tolist(), got):
                     assert np.array_equal(m, want[k])
-                    closed = m.copy()
-                    assert zones.close(closed)
-                    assert np.array_equal(closed, m)
                 kept += len(want)
                 dropped += len(zs) - len(want)
                 freed_rows += int(freed[keep].any(axis=1).sum())

@@ -83,21 +83,91 @@ def test_backend_reported():
     assert zones.BACKEND in ("compiled", "python")
 
 
+def widened_zones(rng, n, count):
+    """Canonical zones, some with time released, widened by
+    ``zones.extrapolate`` at random maxima; only those it changed."""
+    out = []
+    while len(out) < count:
+        m = canonical_zone(rng, n)
+        if rng.random() < 0.5:
+            zones.up(m)
+        maxima = np.array([0] + [rng.randrange(4) for _ in range(n - 1)],
+                          dtype=np.int64)
+        if zones.extrapolate(m, maxima):
+            out.append(m)
+    return out
+
+
+def negative_diagonal_zone(rng, n):
+    m = random_zone(rng, n)
+    k = rng.randrange(n)
+    m[k, k] = zones.encode(rng.randrange(-3, 1), True)
+    return m
+
+
+def late_empty_zone(rng, n):
+    """Each clock at least 0 and no other bound on the zero clock, with a
+    negative cycle among the other clocks (n >= 3): the zone is empty, but
+    the round through clock 0 changes nothing."""
+    m = np.full((n, n), zones.INF, dtype=np.int64)
+    np.fill_diagonal(m, zones.ZERO_WEAK)
+    m[0] = zones.ZERO_WEAK
+    cycle = rng.sample(range(1, n), rng.randrange(2, n))
+    total = 0
+    for a, b in zip(cycle, cycle[1:]):
+        value = rng.randrange(-3, 4)
+        m[a, b] = zones.encode(value, False)
+        total += value
+    m[cycle[-1], cycle[0]] = zones.encode(-total, True)
+    return m
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_close_matches_oracle(rng, n, request):
-    """Each kernel closes a stack of random zones as the oracle closes them
-    one by one."""
-    ms = np.stack([random_zone(rng, n) for _ in range(120)])
-    oms = [to_oracle(m) for m in ms]
-    oks = [od.close(om) for om in oms]
+def test_close_matches_oracle(rng, n, request, monkeypatch):
+    """``zones.close_many`` on each kernel closes stacks as the oracle
+    closes their zones one by one: random zones, canonical zones widened
+    by ``zones.extrapolate`` (the engine's only input to it), zones with
+    a negative diagonal entry, and zones empty only at a later pivot."""
+    kinds = [[random_zone(rng, n) for _ in range(120)],
+             widened_zones(rng, n, 60),
+             [negative_diagonal_zone(rng, n) for _ in range(20)]]
+    if n > 2:  # with one clock besides 0, every cycle passes through 0
+        kinds.append([late_empty_zone(rng, n) for _ in range(20)])
+    oracles = [[to_oracle(m) for m in zs] for zs in kinds]
+    oks = [[od.close(om) for om in oms] for oms in oracles]
+    assert all(oks[1]) and not any(sum(oks[2:], []))
     for kernel in built_kernels(request):
-        got = ms.copy()
-        flags = np.zeros(len(ms), dtype=np.uint8)
-        kernel.close_many(got, flags)
-        assert flags.tolist() == oks
-        for m, om, ok in zip(got, oms, oks):
-            if ok:  # empty zones leave unspecified contents behind
+        monkeypatch.setattr(zones, "_core", kernel)
+        for zs, oms, want in zip(kinds, oracles, oks):
+            got = np.stack(zs)
+            assert zones.close_many(got).tolist() == want
+            for m, om, ok in zip(got, oms, want):
+                if ok:  # empty zones leave unspecified contents behind
+                    assert np.array_equal(m, from_oracle(om))
+
+
+def test_diagonal_atom_is_a_floyd_warshall_round(rng, kernel):
+    """An atom (0, <=) on diagonal entry k re-closes any matrix as round k
+    of Floyd-Warshall does; below (0, <=) on that entry, it is skipped and
+    the zone is reported empty."""
+    for n in range(1, 6):
+        for k in range(n):
+            ms = np.stack([random_zone(rng, n) for _ in range(30)])
+            pos = np.full((30, 1), k * (n + 1), dtype=np.int64)
+            enc = np.full((30, 1), zones.ZERO_WEAK, dtype=np.int64)
+            got, ok = ms.copy(), np.zeros(30, dtype=np.uint8)
+            kernel.constrain_many(got, pos, enc, ok)
+            for m, flag, om in zip(got, ok, map(to_oracle, ms)):
+                for i in range(n):
+                    for j in range(n):
+                        om[i][j] = od.minimum(om[i][j],
+                                              od.add(om[i][k], om[k][j]))
                 assert np.array_equal(m, from_oracle(om))
+                assert flag == all(not od.lt(om[i][i], (0, False))
+                                   for i in range(n))
+            got[:, k, k] = zones.encode(0, True)
+            kernel.constrain_many(got, pos, enc, ok)
+            assert not ok.any()
 
 
 def test_close_many_matches_single(rng):
@@ -108,50 +178,40 @@ def test_close_many_matches_single(rng):
         assert flags[t] == zones.close(singles[t])
         if flags[t]:
             assert np.array_equal(ms[t], singles[t])
+    assert zones.close_many(ms[:0]).shape == (0,)
 
 
-def test_backends_agree(rng, compiled):
+def test_backends_agree(rng, compiled, monkeypatch):
     assert compiled.INF == pure.INF
     for n in range(1, 7):
         ms = np.stack([random_zone(rng, n) for _ in range(60)])
         ms1, ms2 = ms.copy(), ms.copy()
-        ok1 = np.zeros(60, dtype=np.uint8)
-        ok2 = np.zeros(60, dtype=np.uint8)
-        compiled.close_many(ms1, ok1)
-        pure.close_many(ms2, ok2)
+        monkeypatch.setattr(zones, "_core", compiled)
+        ok1 = zones.close_many(ms1)
+        monkeypatch.setattr(zones, "_core", pure)
+        ok2 = zones.close_many(ms2)
         assert np.array_equal(ok1, ok2)
-        assert np.array_equal(ms1[ok1 == 1], ms2[ok2 == 1])
+        assert ms1[ok1].tobytes() == ms2[ok2].tobytes()
 
 
 def test_compiled_rejects_bad_buffers(compiled):
+    """The compiled kernel's buffer checks on the stack and the flags."""
     square = np.full((3, 3), zones.ZERO_WEAK, dtype=np.int64)
     batch = np.stack([square, square])
     read_only = batch.copy()
     read_only.flags.writeable = False
     strided = np.full((2, 4, 4), 1, dtype=np.int64)[:, ::2, ::2]
+    pos = np.zeros((2, 1), dtype=np.int64)
+    enc = np.full((2, 1), zones.ZERO_WEAK, dtype=np.int64)
     ok = np.zeros(2, dtype=np.uint8)
     for bad in (batch.astype(np.int32), batch.astype(np.float64),
                 batch[:, :, :2], strided, batch[::-1], read_only,
                 [[[1]], [[1]]], square, batch[None]):
         with pytest.raises(ValueError):
-            compiled.close_many(bad, ok)
+            compiled.constrain_many(bad, pos, enc, ok)
     for bad_ok in (np.zeros(3, dtype=np.uint8), np.zeros(2, dtype=np.int64)):
         with pytest.raises(ValueError):
-            compiled.close_many(batch, bad_ok)
-
-
-def test_close_many_strided_batch(rng, kernel, monkeypatch):
-    """A batch that is not C-contiguous is closed in place all the same."""
-    monkeypatch.setattr(zones, "_core", kernel)
-    base = np.stack([random_zone(rng, 4) for _ in range(40)])
-    untouched = base[1::2].copy()
-    batch = base[::2]
-    want = batch.copy()
-    ok = np.zeros(len(want), dtype=np.uint8)
-    kernel.close_many(want, ok)
-    assert zones.close_many(batch).tolist() == ok.astype(bool).tolist()
-    assert np.array_equal(base[::2][ok == 1], want[ok == 1])
-    assert np.array_equal(base[1::2], untouched)
+            compiled.constrain_many(batch, pos, enc, bad_ok)
 
 
 def canonical_zone(rng, n):
@@ -163,8 +223,9 @@ def canonical_zone(rng, n):
         for j in range(n):
             if m[i, j] < zones.INF and m[i, j] >> 1 <= at[i] - at[j]:
                 m[i, j] = zones.encode(at[i] - at[j], False)
-    assert zones.close(m)
-    return m
+    om = to_oracle(m)
+    assert od.close(om)
+    return from_oracle(om)
 
 
 def random_atom_rows(rng, ms, width):
@@ -316,21 +377,35 @@ def test_constrain_rejects_bad_inputs(kernel):
     assert ok.tolist() == [1, 1]
 
 
+def test_close_many_strided_batch(rng, kernel, monkeypatch):
+    """``zones.close_many`` passes the stack to the kernel as it is: a
+    strided, reversed, non-square, int32 or float64 stack raises
+    ValueError and is left as it was."""
+    monkeypatch.setattr(zones, "_core", kernel)
+    base = np.stack([random_zone(rng, 4) for _ in range(40)])
+    for stack in (base[::2], base[:, ::2, ::2], base[::-1],
+                  base[:, :, :2].copy(), base.astype(np.int32),
+                  base.astype(np.float64)):
+        before = stack.copy()
+        with pytest.raises(ValueError):
+            zones.close_many(stack)
+        assert np.array_equal(stack, before)
+
+
 def test_constrain_many_strided_batch(rng, kernel, monkeypatch):
-    """``zones.constrain_many`` changes a stack that is not C-contiguous in
-    place all the same, and takes strided atom arrays."""
+    """``zones.constrain_many`` passes its arrays to the kernel as they
+    are: a strided stack or strided atom arrays raise ValueError before
+    anything is written."""
     monkeypatch.setattr(zones, "_core", kernel)
     base = np.stack([canonical_zone(rng, 4) for _ in range(40)])
-    untouched = base[1::2].copy()
-    batch = base[::2]
-    pos, enc = random_atom_rows(rng, batch, 4)
-    want = batch.copy()
-    ok = np.zeros(len(want), dtype=np.uint8)
-    kernel.constrain_many(want, pos, enc, ok)
-    got = zones.constrain_many(batch, pos[:, ::-1][:, ::-1], enc.T.copy().T)
-    assert got.tolist() == ok.astype(bool).tolist()
-    assert np.array_equal(base[::2][ok == 1], want[ok == 1])
-    assert np.array_equal(base[1::2], untouched)
+    untouched = base.copy()
+    pos, enc = random_atom_rows(rng, base[::2], 4)
+    for args in ((base[::2], pos, enc), (base[:, ::2, ::2], pos, enc),
+                 (base[:20], pos[:, ::-1], enc),
+                 (base[:20], pos, enc.T.copy().T)):
+        with pytest.raises(ValueError):
+            zones.constrain_many(*args)
+        assert np.array_equal(base, untouched)
 
 
 def test_up_and_extrapolate_match_oracle(rng):
