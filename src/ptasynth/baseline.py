@@ -5,20 +5,21 @@ This is the comparison engine and the exactness oracle for the symbolic
 one.  It shares the whole front end (model composition, property
 translation, product, the analysis of the accepting locations that can
 be Zeno and the non-Zeno transformation that gates them, per-location
-clock bounds) so that the two engines explore the same automaton, and
-implements the per-state deadlock formula the same way.  Its
-accepting-cycle check is the front end's strongly connected component
-decomposition (``model._components``), which also serves the Zeno
-analysis.  A zone is widened with the clock bounds of the location it is
-stored at (``model.location_bounds``, static guard analysis after
-Behrmann, Bouyer, Fleury and Larsen, TACAS 2003).  Before widening, a
-step frees the clocks that are inactive at its target
-(``model.inactive_clocks``, Daws and Yovine, RTSS 1996) and drops the
-lower bounds of the non-Zeno clock (``Ptba.gate``), as the symbolic
-engine's ``pdbm.transition`` does, so both engines explore zones of one
-abstraction.  The independent check of those two steps, and of the Zeno
-analysis, is the tests' one-vector reference, which runs this search
-with neither, on the product with every accepting location gated.
+clock bounds and inactive clocks) so that the two engines explore the
+same automaton, and implements the per-state deadlock formula the same
+way.  Its accepting-cycle check is the front end's strongly connected
+component decomposition (``model._components``), which also serves the
+Zeno analysis.  A zone is widened with the clock bounds of the location
+it is stored at (static guard analysis after Behrmann, Bouyer, Fleury
+and Larsen, TACAS 2003).  Before widening, a step frees the clocks that
+are inactive at its target (Daws and Yovine, RTSS 1996), the other table
+of the front end's one clock analysis (``model.clock_tables``), and
+drops the lower bounds of the non-Zeno clock (``Ptba.gate``), as the
+symbolic engine's ``pdbm.transition`` does, so both engines explore
+zones of one abstraction.  The independent check of those two steps,
+and of the Zeno analysis, is the tests' one-vector reference, which runs
+this search with neither, on the product with every accepting location
+gated.
 
 Every valuation gets its own zone graph, but the graphs are explored in
 lockstep: the automaton's atoms are encoded once per box, at every point,
@@ -36,13 +37,7 @@ from . import zones
 from .errors import CapacityError
 from .explore import Options, SynthesisResult, build_automaton
 from .ltl import Formula, parse_ltl
-from .model import (
-    Network,
-    Ptba,
-    _accepting_cycle,
-    inactive_clocks,
-    location_bounds,
-)
+from .model import Network, Ptba, _accepting_cycle, clock_tables
 from .params import ParamBox, ValuationSet, bound_eval
 from .pdbm import negate_atom
 
@@ -156,7 +151,7 @@ class _Tables:
     location by location, so location ``l`` owns the ``degree[l]`` edges
     from ``first[l]`` on.  ``bounds[l]`` holds the clock bounds zones at
     location ``l`` are widened with, ``freed[l]`` marks the clocks they
-    free (of the ``inactive_clocks`` table ``free``), and ``gate`` is the
+    free (of the inactive-clock table ``free``), and ``gate`` is the
     non-Zeno clock whose lower bounds every zone drops."""
 
     def __init__(self, a: Ptba, box: ParamBox, bounds, free):
@@ -386,8 +381,8 @@ class _Graph:
 def _explore(a: Ptba, box: ParamBox, bounds, free, opts: Options):
     """The reachable concrete zone graph of every box point, each checked
     for an accepting cycle and a deadlock state, with zones widened by the
-    ``location_bounds`` table ``bounds`` and freeing the clocks of the
-    ``inactive_clocks`` table ``free``; returns (accepting bits,
+    clock bounds ``bounds`` and freeing the inactive clocks ``free`` (the
+    two tables of ``model.clock_tables``); returns (accepting bits,
     deadlock bits, total states, largest state count).
 
     The graphs are explored in lockstep.  A batch takes pending states in
@@ -483,13 +478,13 @@ def _explore(a: Ptba, box: ParamBox, bounds, free, opts: Options):
 def check_valuation(a: Ptba, v, bounds=None,
                     opts: Options | None = None) -> tuple[bool, bool]:
     """(accepting run exists, deadlock state reachable) at one valuation:
-    the lockstep explorer on the one-point box.  ``bounds`` is the
-    ``location_bounds`` table, computed on that box when not given."""
+    the lockstep explorer on the one-point box, with the clock tables of
+    that box (``model.clock_tables``); ``bounds``, when given, replaces
+    their clock bounds."""
     box = ParamBox.of({p: (x, x) for p, x in v.items()})
-    if bounds is None:
-        bounds = location_bounds(a, box)
-    accepted, deadlock, _, _ = _explore(a, box, bounds, inactive_clocks(a),
-                                        opts or Options())
+    table, free = clock_tables(a, box)
+    accepted, deadlock, _, _ = _explore(
+        a, box, table if bounds is None else bounds, free, opts or Options())
     return bool(accepted), bool(deadlock)
 
 
@@ -500,9 +495,9 @@ def enumerate_box(net: Network, prop: Formula | str,
     opts = opts or Options()
     box = box or net.box()
     f = parse_ltl(prop) if isinstance(prop, str) else prop
-    tba, bounds = build_automaton(net, f, box)
+    tba, bounds, free = build_automaton(net, f, box)
     accepted_bits, deadlock_bits, total_states, max_states = _explore(
-        tba, box, bounds, inactive_clocks(tba), opts)
+        tba, box, bounds, free, opts)
     stats = {
         "engine": "enumerate",
         "box_points": box.size,

@@ -165,7 +165,7 @@ def cmd_dump_ba(args) -> int:
 
 def cmd_dump_product(args) -> int:
     net, box = _load(args)
-    tba, bounds = build_automaton(net, parse_ltl(args.ltl), box)
+    tba, bounds, _ = build_automaton(net, parse_ltl(args.ltl), box)
     maxima = clock_bounds(bounds)
     sys.stdout.write(dump_product(tba) + "\n")
     sys.stdout.write("clock maxima: "

@@ -5,22 +5,22 @@ table (``StateStore``), which is the graph: per node a location, a
 widened matrix, a colour and coloured out-edges.  A node's colour is the
 bitset of the valuations under which it is reachable; a colour only
 grows.  A matrix is widened with the clock bounds of the location it is
-stored at (``model.location_bounds``, static guard analysis after
-Behrmann, Bouyer, Fleury and Larsen, TACAS 2003), which are at most the
-one vector that covers every location and often far below it, so fewer
-matrices stay apart.  Before widening, a matrix frees the clocks that
-every path from its location resets before reading them
-(``model.inactive_clocks``, after Daws and Yovine, RTSS 1996), so
-matrices that differ only on those clocks meet at one node, and it drops
-the lower bounds of the non-Zeno clock (``Ptba.gate``, which only its
-gate ``>= 1`` reads; ``model.make_nonzeno``), so matrices that differ
-only in how long ago that clock was reset meet too.  The front end adds
-that clock only for the accepting locations that a Zeno run could visit
-infinitely often (``model.zeno_accepting``), and none where every cycle
-lets time pass.  When a
-node's colour grows by some valuations, the
-worklist expands the node's matrix on those valuations alone: successor
-generation with constraint splitting, and the deadlock valuations among
+stored at (static guard analysis after Behrmann, Bouyer, Fleury and
+Larsen, TACAS 2003), which are at most the one vector that covers every
+location and often far below it, so fewer matrices stay apart.  Before
+widening, a matrix frees the clocks that every path from its location
+resets before reading them (after Daws and Yovine, RTSS 1996), so
+matrices that differ only on those clocks meet at one node; the front
+end computes both tables in one analysis (``model.clock_tables``) and
+hands them to the engine.  A matrix also drops the lower bounds of the
+non-Zeno clock (``Ptba.gate``, which only its gate ``>= 1`` reads;
+``model.make_nonzeno``), so matrices that differ only in how long ago
+that clock was reset meet too.  The front end adds that clock only for
+the accepting locations that a Zeno run could visit infinitely often
+(``model.zeno_accepting``), and none where every cycle lets time pass.
+When a node's colour grows by some valuations, the worklist expands the
+node's matrix on those valuations alone: successor generation with
+constraint splitting, and the deadlock valuations among
 those not yet known to deadlock (the deadlock set is a union).  The
 successors along one edge of one canonical branch come from one pass over
 mutable rows (``pdbm.transition``), with the edge's constants prepared
@@ -62,9 +62,8 @@ from .model import (
     Network,
     Ptba,
     clock_bounds,
+    clock_tables,
     compose,
-    inactive_clocks,
-    location_bounds,
     make_nonzeno,
     product,
     zeno_accepting,
@@ -105,7 +104,7 @@ class StateStore:
     initial nodes, the deadlock valuations, the number of expansions and
     the split counts (see ``successors``).
 
-    ``bounds`` holds each location's clock bounds (``location_bounds``),
+    ``bounds`` holds each location's clock bounds (``clock_tables``),
     the vector its matrices are widened with.  A node's key is its
     location and, for every entry (i, j) of its matrix, the entry's
     encoded value (``2v + weak``) at every box point, clamped to
@@ -217,8 +216,8 @@ def initial_states(a: Ptba, table: BoundTable, bounds,
     """The initial matrices, all at ``a.initial``: one ``pdbm.transition``
     from the zero zone with time released, along an edge with no guard and
     no reset into ``a.initial``, so constrained by its invariant, with its
-    inactive clocks freed and widened with its clock bounds (``bounds`` is
-    the ``location_bounds`` table, ``free`` the ``inactive_clocks`` one).
+    inactive clocks freed and widened with its clock bounds (``bounds``
+    and ``free`` are the two tables of ``clock_tables``).
     Time release is a no-op on the released zero zone.  Its splits are not
     tallied."""
     plan = pdbm.transition_plan((), (), a.locations[a.initial].inv,
@@ -234,9 +233,9 @@ def successors(loc: int, base: list[CPDBM], a: Ptba, table: BoundTable,
     """All successors of the zone at ``loc`` whose canonical branches are
     ``base``, as (target, matrix) pairs: per edge and base branch, the
     branches of one ``pdbm.transition``: guard, reset and time release,
-    target invariant, freeing the target's inactive clocks (``free`` is
-    the ``inactive_clocks`` table), widening with the target's clock
-    bounds (``bounds`` is the ``location_bounds`` table), with empty
+    target invariant, freeing the target's inactive clocks (``free``),
+    widening with the target's clock bounds (``bounds``; both tables come
+    from ``clock_tables``), with empty
     branches dropped at every stage.  Guard and invariant are closed
     through their clocks only; the base branches are closed in full.
     Pairs come in edge order; branches that reach one target with one
@@ -289,9 +288,11 @@ def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba,
     canonical branches are ``base``, enables no outgoing edge: the negated
     guards of all outgoing edges, each distinct guard once, are applied as
     a product of disjunctions, and the surviving branches' extensions are
-    united.  Branches with equal matrices are merged after each guard, so
-    the expansion grows with the distinct zones, not with the paths to
-    them."""
+    united.  After each guard, branches with equal matrices become one
+    branch on the union of their valuations, in order of first
+    occurrence, so the expansion grows with the distinct zones, not with
+    the paths to them; operations act on each valuation separately, so
+    the union means the same."""
     edges = a.locations[loc].edges
     if any(not e.atoms for e in edges):
         # an unguarded edge is always enabled: no zone point can deadlock
@@ -301,15 +302,17 @@ def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba,
     # an edge enabled twice is enabled once: fold each distinct guard once
     for atoms in dict.fromkeys(e.atoms for e in edges):
         choices = [negate_atom(at) for at in atoms]
-        nxt: list[CPDBM] = []
+        united: dict[Matrix, int] = {}  # matrix -> valuation bits
         for atom in choices:
             for z in cur:
                 steps += 1
                 if steps > dnf_limit:
                     raise CapacityError(
                         f"deadlock-guard expansion exceeded {dnf_limit}")
-                nxt.extend(pdbm.constrain(z, [atom], table))
-        cur = pdbm.merge(nxt)
+                for w in pdbm.constrain(z, [atom], table):
+                    united[w.mat] = united.get(w.mat, 0) | w.bits
+        # constrain's branches are canonical
+        cur = [CPDBM(bits, mat, True) for mat, bits in united.items()]
         if not cur:
             break
     bits = 0
@@ -321,23 +324,23 @@ def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba,
 # --- reachable coloured graph ------------------------------------------------
 
 
-def build_graph(a: Ptba, box: ParamBox, bounds,
+def build_graph(a: Ptba, box: ParamBox, bounds, free,
                 opts: Options | None = None, over_time=None) -> StateStore:
     """Run the colour worklist from the initial states until no node has
     pending valuations: each expansion takes all of a node's pending
     valuations, folds in the deadlock valuations of those not yet in the
     deadlock set and adds every successor branch to its target node and
-    edge.  ``bounds`` is the ``location_bounds`` table; the graph's own
-    ``BoundTable`` numbers its bounds, and its ``inactive_clocks`` table
-    says which clocks each location's matrices free, and ``a.gate`` whose
-    lower bounds they drop.  Returns the filled node table; before each
-    expansion it runs ``over_time``, by default ``opts.timer()``, which
-    raises CapacityError once ``opts.time_limit`` has passed."""
+    edge.  ``bounds`` and ``free`` are the ``clock_tables`` of ``a``: the
+    clock bounds each location's matrices are widened with and the
+    clocks they free; ``a.gate`` is the clock whose lower bounds they
+    drop, and the graph's own ``BoundTable`` numbers its bounds.  Returns
+    the filled node table; before each expansion it runs ``over_time``,
+    by default ``opts.timer()``, which raises CapacityError once
+    ``opts.time_limit`` has passed."""
     opts = opts or Options()
     over_time = over_time or opts.timer()
     table = BoundTable(box)
     store = StateStore(table, bounds, opts.limit_states)
-    free = inactive_clocks(a)
     plans: dict = {}  # shared transition plans and memos (``successors``)
     for z in initial_states(a, table, bounds, free):
         nid = store.resolve(a.initial, z)
@@ -538,8 +541,9 @@ def build_automaton(net: Network, f: Formula, box: ParamBox):
     """Shared front end for both engines: product of the composed network
     with the automaton of the negated property, its accepting locations
     that can be Zeno gated (``zeno_accepting``, ``make_nonzeno``), and its
-    ``location_bounds`` table.  Raises InputError when the box
-    misses a guard parameter or a bound falls outside the encodable range."""
+    two ``clock_tables``: (automaton, clock bounds, inactive clocks).
+    Raises InputError when the box misses a guard parameter or a bound
+    falls outside the encodable range."""
     validate_property(net, f)
     used = {p for c in net.components
             for atoms in [loc.inv_atoms for loc in c.locations.values()]
@@ -553,9 +557,9 @@ def build_automaton(net: Network, f: Formula, box: ParamBox):
     pta, lab = compose(net)
     prod = product(pta, lab, aut)
     tba = make_nonzeno(prod, zeno_accepting(prod, box))
-    bounds = location_bounds(tba, box)
+    bounds, free = clock_tables(tba, box)
     _check_bound_range(tba, box, clock_bounds(bounds))
-    return tba, bounds
+    return tba, bounds, free
 
 
 def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
@@ -565,9 +569,9 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
     opts = opts or Options()
     box = box or net.box()
     f = parse_ltl(prop) if isinstance(prop, str) else prop
-    tba, bounds = build_automaton(net, f, box)
+    tba, bounds, free = build_automaton(net, f, box)
     over_time = opts.timer()  # one limit for the graph and the fixpoint
-    g = build_graph(tba, box, bounds, opts, over_time)
+    g = build_graph(tba, box, bounds, free, opts, over_time)
     stats: dict = {
         "engine": "symbolic",
         "box_points": box.size,

@@ -30,7 +30,9 @@ network into a single product automaton with data folded into locations,
 builds the product with a Büchi automaton, finds the accepting locations
 that a Zeno run could visit infinitely often, and applies the
 transformation that forces at least one time unit between visits to
-those, so that every accepting run is non-Zeno.
+those, so that every accepting run is non-Zeno.  One backward analysis
+then gives every location's clock bounds and inactive clocks
+(``clock_tables``), which both engines read.
 """
 
 from __future__ import annotations
@@ -435,22 +437,20 @@ class PLoc:
 
 
 @dataclass
-class Pta:
+class Ptba:
+    """A product automaton: the composed network (``compose``), which has
+    no accepting location, or its product with a Büchi automaton.
+    ``gate`` is the clock that ``make_nonzeno`` adds, 0 when there is
+    none."""
+
     clock_names: list[str]  # index 0 is the zero clock
     locations: list[PLoc]
     initial: int
+    gate: int = 0
 
     @property
     def n_clocks(self) -> int:
         return len(self.clock_names) - 1
-
-
-@dataclass
-class Ptba(Pta):
-    """Product automaton with accepting locations.  ``gate`` is the clock
-    that ``make_nonzeno`` adds, 0 when there is none."""
-
-    gate: int = 0
 
 
 class Labelling:
@@ -471,7 +471,7 @@ class Labelling:
         return atom in self.aps[loc]
 
 
-def compose(net: Network) -> tuple[Pta, Labelling]:
+def compose(net: Network) -> tuple[Ptba, Labelling]:
     """Product of the components with data variables folded into locations:
     interleaving for plain edges, pairwise handshake for matching !/? pairs
     (guards conjoined, resets united, sender updates applied first)."""
@@ -548,14 +548,14 @@ def compose(net: Network) -> tuple[Pta, Labelling]:
                 state_id((tuple(nlocs), tuple(nv[v] for v in varnames))),
                 tag))
 
-    pta = Pta(["0"] + list(net.clocks), locations, 0)
+    pta = Ptba(["0"] + list(net.clocks), locations, 0)
     return pta, Labelling(aps, varvals)
 
 
 # --- product with a Büchi automaton ----------------------------------------
 
 
-def product(pta: Pta, lab: Labelling, aut: BuchiAutomaton) -> Ptba:
+def product(pta: Ptba, lab: Labelling, aut: BuchiAutomaton) -> Ptba:
     """Synchronous product: an automaton edge fires on the label of the
     source location, so a run's location trace spells the word the
     automaton reads.  Accepting locations are those whose automaton state
@@ -784,47 +784,49 @@ def _closing_components(succ: list[list[int]]):
                     yield part
 
 
-# --- clock bounds for extrapolation ------------------------------------------
+# --- clock bounds and inactive clocks ----------------------------------------
 
 
-def location_bounds(a: Ptba, box: ParamBox) -> list[tuple[int, ...]]:
-    """Per location, the largest constant each clock can still be compared
-    with before it is next reset, over the whole box: static guard
-    analysis (Behrmann, Bouyer, Fleury, Larsen, TACAS 2003).
+def clock_tables(a: Ptba, box: ParamBox
+                 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Per location, the clock bounds and the inactive clocks over the
+    whole box, from one backward propagation (``_passed_back``).
 
-    A location starts from the atoms of its invariant and of its outgoing
-    guards.  Every atom contributes to both of its clocks, and both the
-    expression and its negation are considered: a lower-bound guard stores
-    the negated threshold, so only the pair covers the magnitudes that
-    matter.  An edge then passes its target's bounds back to its source for
-    every clock it does not reset, until nothing changes.  The zero clock
-    stays at 0.
+    A clock's bound at a location is the largest constant it can still be
+    compared with before it is next reset: static guard analysis
+    (Behrmann, Bouyer, Fleury, Larsen, TACAS 2003).  A location starts
+    from the atoms of its invariant and of its outgoing guards.  Every
+    atom contributes to both of its clocks, and both the expression and
+    its negation are considered: a lower-bound guard stores the negated
+    threshold, so only the pair covers the magnitudes that matter.  An
+    edge then passes its target's bounds back to its source for every
+    clock it does not reset, until nothing changes.  The zero clock stays
+    at 0.  Widening a zone stored at a location with that location's
+    vector keeps the answers exact for diagonal-free guards: every guard
+    and invariant the zone's points can meet before a reset lies within
+    the vector.
 
-    Widening a zone stored at a location with that location's vector keeps
-    the answers exact for diagonal-free guards: every guard and invariant
-    the zone's points can meet before a reset lies within the vector."""
+    A clock is inactive at a location (Daws and Yovine, RTSS 1996) when no
+    invariant or guard reads it with a finite bound, not even 0, before
+    every path from the location resets it, so no run depends on its
+    value there; its bound is 0.  Each atom is read as its magnitude plus
+    1, so that a table entry of 0 marks an inactive clock and any other
+    entry v is the bound v - 1: adding 1 commutes with the propagation's
+    maximum.  Returns (bounds, inactive clocks), each a tuple per
+    location, the clocks in increasing order."""
     magnitude: dict[AffineExpr, int] = {}  # the product repeats atoms
 
     def read(e: AffineExpr) -> int:
         m = magnitude.get(e)
         if m is None:
-            m = magnitude[e] = max(e.max_bound(box), (-e).max_bound(box))
+            m = magnitude[e] = max(e.max_bound(box), (-e).max_bound(box)) + 1
         return m
 
-    return [tuple(row) for row in _passed_back(a, read)]
-
-
-def inactive_clocks(a: Ptba) -> list[tuple[int, ...]]:
-    """Per location, the sorted clocks that are inactive there (Daws and
-    Yovine, RTSS 1996).  A clock is active at a location when its
-    invariant or an outgoing guard reads it with a finite bound, also
-    with 0, or when an edge that does not reset it leads to a location
-    where it is active.  Every path from the location resets an inactive
-    clock before any guard or invariant reads it, so no run depends on
-    its value there, and its ``location_bounds`` entry is 0."""
-    n = len(a.clock_names)
-    return [tuple(c for c in range(1, n) if not row[c])
-            for row in _passed_back(a, lambda e: 1)]
+    table = _passed_back(a, read)
+    bounds = [tuple(v - 1 if v else 0 for v in row) for row in table]
+    free = [tuple(c for c, v in enumerate(row) if c and not v)
+            for row in table]
+    return bounds, free
 
 
 def _passed_back(a: Ptba, read) -> list[list[int]]:
@@ -875,7 +877,8 @@ def _passed_back(a: Ptba, read) -> list[list[int]]:
 
 def clock_bounds(table: list[tuple[int, ...]]) -> list[int]:
     """The largest bound of each clock over all locations of a
-    ``location_bounds`` table: the one vector that covers every location."""
+    ``clock_tables`` bounds table: the one vector that covers every
+    location."""
     return [max(col) for col in zip(*table)]
 
 

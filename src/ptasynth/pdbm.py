@@ -393,24 +393,6 @@ def _tally(counts: dict[str, int], tag: str, n: int) -> None:
         counts[tag] = counts.get(tag, 0) + n - 1
 
 
-def merge(branches: list[CPDBM]) -> list[CPDBM]:
-    """Unite branches with equal matrices, in order of first occurrence,
-    into the union of their extensions, canonical when all are.  Operations
-    act on each valuation separately, so the union means the same."""
-    if len(branches) < 2:
-        return branches  # hashing a matrix is the cost; skip it when alone
-    out: list[CPDBM] = []
-    at: dict[Matrix, int] = {}
-    for z in branches:
-        k = at.setdefault(z.mat, len(out))
-        if k == len(out):
-            out.append(z)
-        else:
-            w = out[k]
-            out[k] = CPDBM(w.bits | z.bits, z.mat, w.canonical and z.canonical)
-    return out
-
-
 def negate_atom(atom: Atom) -> Atom:
     """Complement of a finite atomic constraint: not(xi - xj < e) is
     xj - xi <= -e and dually for weak bounds."""

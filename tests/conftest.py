@@ -132,7 +132,7 @@ def one_clock_bounds(a, box):
     """Every atom's magnitude over the box, both signs, maximized per clock
     over the whole automaton: the one bound vector all locations were
     widened with before per-location bounds, computed here without
-    ``model.location_bounds``."""
+    ``model.clock_tables``."""
     maxima = [0] * len(a.clock_names)
     for loc in a.locations:
         for atoms in [loc.inv] + [e.atoms for e in loc.edges]:

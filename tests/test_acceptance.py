@@ -145,8 +145,9 @@ def test_c5_termination_and_bound_range():
     for name, props in CORPUS.items():
         net = load_fixture(name)
         box = net.box()
-        tba, maxima = build_automaton(net, ltl.parse_ltl(props[0]), box)
-        g = build_graph(tba, box, maxima, Options())
+        tba, bounds, free = build_automaton(net, ltl.parse_ltl(props[0]),
+                                            box)
+        g = build_graph(tba, box, bounds, free, Options())
         assert g.n_nodes < Options().limit_states
         total_checked += scan_stored_bounds(g)
     assert total_checked > 0

@@ -211,7 +211,7 @@ class TestCheckValuation:
         from ptasynth.ltl import parse_ltl
 
         box = net.box()
-        tba, bounds = build_automaton(net, parse_ltl("G !work"), box)
+        tba, bounds, _ = build_automaton(net, parse_ltl("G !work"), box)
         v = {"p": 2, "q": 3}
         first = check_valuation(tba, v, bounds)
         assert all(check_valuation(tba, v, bounds) == first for _ in range(3))
@@ -344,7 +344,7 @@ class TestOneVectorReference:
         # accepting location, so no non-Zeno clock either (4,044 with one)
         assert total == states
         # and check_valuation at the box's last point, given the vector
-        tba, _ = build_automaton(net, parse_ltl(prop), box)
+        tba, _, _ = build_automaton(net, parse_ltl(prop), box)
         one = [tuple(one_clock_bounds(tba, box))] * len(tba.locations)
         last = box.size - 1
         assert check_valuation(tba, box.point(last), one) == (

@@ -38,8 +38,7 @@ from ptasynth.model import (
     PLoc,
     Ptba,
     clock_bounds,
-    inactive_clocks,
-    location_bounds,
+    clock_tables,
 )
 from ptasynth.params import (
     AffineExpr,
@@ -85,8 +84,9 @@ class TestInitialStates:
     def test_plain_invariant(self):
         # nothing reads x, so it is freed: still unbounded and non-negative
         a = tiny_ptba()
-        assert inactive_clocks(a) == [(1,)]
-        states = initial_states(a, TABLE5, [(0, 0)], inactive_clocks(a))
+        bounds, free = clock_tables(a, BOX5)
+        assert bounds == [(0, 0)] and free == [(1,)]
+        states = initial_states(a, TABLE5, bounds, free)
         assert len(states) == 1
         at = od.bounds_of(states[0], TABLE5)
         assert at[1][0] is INF_BOUND  # x unbounded above
@@ -118,15 +118,14 @@ class TestInitialStates:
     def test_one_transition_matches_constrain_free_extrapolate(self):
         # x <= p widened at 3 forks: kept where p <= 3, infinite above
         forked = tiny_ptba(inv=[(1, 0, bound(P))])
-        cases = [(forked, BOX5, [(0, 3)])]
+        cases = [(forked, BOX5, [(0, 3)], clock_tables(forked, BOX5)[1])]
         for net, prop, box in pinned_jobs():
             box = net.box(box)
-            tba, bounds = build_automaton(net, parse_ltl(prop), box)
-            cases.append((tba, box, bounds))
+            tba, bounds, free = build_automaton(net, parse_ltl(prop), box)
+            cases.append((tba, box, bounds, free))
         many = freed = gated = 0
-        for a, box, bounds in cases:
+        for a, box, bounds, free in cases:
             table = BoundTable(box)
-            free = inactive_clocks(a)
             want = self.constrain_free_extrapolate(a, table, bounds, free)
             got = initial_states(a, table, bounds, free)
             assert [(z.bits, z.mat, z.canonical) for z in got] == \
@@ -169,7 +168,7 @@ class TestSuccessors:
         loc = PLoc("L", ((1, 0, bound(P)),))
         loc.edges.append(PEdge(((1, 0, bound(q)),), (1,), 0, "loop"))
         a = Ptba(["0", "x"], [loc], 0)
-        g = build_graph(a, box, [(0, 5)])
+        g = build_graph(a, box, [(0, 5)], [()])
         z0 = initial_states(a, g.table, [(0, 5)], [()])[0]
         assert g.counts == {"guard": 1}
         assert g.n_nodes == 1 and g.expansions == 1
@@ -301,7 +300,7 @@ class TestStateStore:
 def accepted_bits(a: Ptba, box: ParamBox) -> int:
     """Valuations under which ``a`` has an accepting run: the graph, then
     the colour fixpoint."""
-    g = build_graph(a, box, location_bounds(a, box))
+    g = build_graph(a, box, *clock_tables(a, box))
     accepting = [a.locations[loc].accepting for loc in g.locs]
     return cumulative_ndfs_graph(box, g.colour, g.succ, accepting)
 
@@ -344,8 +343,8 @@ class TestCumulativeNdfs:
         name, prop, box = LIVE6
         net = load_fixture(name)
         box = net.box(box)
-        tba, bounds = build_automaton(net, parse_ltl(prop), box)
-        g = build_graph(tba, box, bounds)
+        tba, bounds, free = build_automaton(net, parse_ltl(prop), box)
+        g = build_graph(tba, box, bounds, free)
         calls, stats = [], {}
         cumulative_ndfs_graph(box, g.colour, g.succ,
                               [tba.locations[loc].accepting for loc in g.locs],
@@ -708,8 +707,8 @@ def graph_of(net, prop, box):
     """The filled node table of a job, field by field; out-edges in the
     order they were added."""
     box = net.box(box)
-    tba, bounds = build_automaton(net, parse_ltl(prop), box)
-    g = build_graph(tba, box, bounds)
+    tba, bounds, free = build_automaton(net, parse_ltl(prop), box)
+    g = build_graph(tba, box, bounds, free)
     return {"locs": g.locs, "mats": g.mats, "canonical": g.canonical,
             "colour": g.colour,
             "succ": [list(edges.items()) for edges in g.succ],
@@ -773,7 +772,7 @@ class TestSharedTransitions:
         for loc in locs:
             loc.edges.append(PEdge(((1, 0, bound(q)),), (), 1, "go"))
         a = Ptba(["0", "x"], locs, 0)
-        bounds, free = [(0, 3), (0, 3)], inactive_clocks(a)
+        bounds, free = [(0, 3), (0, 3)], clock_tables(a, box)[1]
         table = BoundTable(box)
         base = initial_states(a, table, bounds, free)
         counts, plans = {}, {}
@@ -815,8 +814,8 @@ class TestStoredBoundScan:
 
         net = load_fixture("staggered.pta")
         box = net.box()
-        tba, bounds = build_automaton(net, parse_ltl("G !inB"), box)
-        g = build_graph(tba, box, bounds)
+        tba, bounds, free = build_automaton(net, parse_ltl("G !inB"), box)
+        g = build_graph(tba, box, bounds, free)
         assert scan_stored_bounds(g) > 0
 
     def test_unwidened_bounds_fail_soundness(self, monkeypatch):
@@ -827,9 +826,9 @@ class TestStoredBoundScan:
         loc = PLoc("L", ((0, 2, bound(0)),))
         loc.edges.append(PEdge(((0, 1, bound(-1)),), (1,), 0, "loop"))
         a = Ptba(["0", "x", "y"], [loc], 0)
-        bounds = location_bounds(a, BOX5)
-        assert bounds == [(0, 1, 0)] and inactive_clocks(a) == [()]
-        g = build_graph(a, BOX5, bounds)
+        bounds, free = clock_tables(a, BOX5)
+        assert bounds == [(0, 1, 0)] and free == [()]
+        g = build_graph(a, BOX5, bounds, free)
         assert scan_stored_bounds(g) > 0
         # the same graph with an unwidened matrix fails the scan
         g.mats[-1] = pdbm.matrix_of(3, {(1, 0): INF_BOUND,
@@ -845,7 +844,7 @@ class TestStoredBoundScan:
         monkeypatch.setattr(pdbm, "_widen_rows", lambda rows, ext, widening,
                             table: [(rows, ext, False)])
         with pytest.raises(SoundnessError, match=unwidened):
-            build_graph(a, BOX5, bounds, Options(limit_states=50))
+            build_graph(a, BOX5, bounds, free, Options(limit_states=50))
         # widened in a window that keeps every entry, the branches reach
         # the node table, which checks them in its own windows
         monkeypatch.setattr(pdbm, "_widen_rows", lambda rows, ext, widening,
@@ -853,7 +852,7 @@ class TestStoredBoundScan:
                                          pdbm.widening([100] * 3, table),
                                          table))
         with pytest.raises(SoundnessError, match=unwidened):
-            build_graph(a, BOX5, bounds, Options(limit_states=50))
+            build_graph(a, BOX5, bounds, free, Options(limit_states=50))
 
 
 class TestBoundRange:
@@ -884,14 +883,14 @@ component C {{
         assert what in str(exc.value)
 
     def test_clock_maximum(self):
-        _, bounds = self.front_end("", str(self.LIMIT - 1))
+        _, bounds, _ = self.front_end("", str(self.LIMIT - 1))
         assert clock_bounds(bounds)[1] == self.LIMIT - 1
         self.rejected("", str(self.LIMIT), "maximum of clock x")
 
     def test_atom_term(self):
         # the bound p - c is at most 1, but the term p reaches the limit
         lo = self.LIMIT - 2
-        _, bounds = self.front_end(f"param p = {lo}..{lo + 1}", f"p - {lo}")
+        _, bounds, _ = self.front_end(f"param p = {lo}..{lo + 1}", f"p - {lo}")
         assert clock_bounds(bounds)[1] == 1
         self.rejected(f"param p = {lo + 1}..{lo + 2}", f"p - {lo + 1}",
                       "bound term 1*p")
@@ -924,7 +923,7 @@ component C {{
         # p + q - c is 0 or 1, each term is 2^37, the constant reaches 2^38
         half = self.LIMIT // 2
         params = f"param p = {half}..{half}\nparam q = {half}..{half}"
-        _, bounds = self.front_end(params, f"p + q - {self.LIMIT - 1}")
+        _, bounds, _ = self.front_end(params, f"p + q - {self.LIMIT - 1}")
         assert clock_bounds(bounds)[1] == 1
         self.rejected(params, f"p + q - {self.LIMIT}", "bound constant")
 

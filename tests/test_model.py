@@ -1,12 +1,15 @@
 import hashlib
+import random
 
 import pytest
 
 from conftest import (
     CORPUS,
+    SEED,
     every_accepting,
     fully_gated_automaton,
     load_fixture,
+    load_fuzzgen,
     one_clock_bounds,
 )
 from ptasynth import ltl
@@ -19,10 +22,9 @@ from ptasynth.model import (
     _accepting_cycle,
     _components,
     clock_bounds,
+    clock_tables,
     compose,
     dump_product,
-    inactive_clocks,
-    location_bounds,
     make_nonzeno,
     parse_model,
     product,
@@ -357,7 +359,7 @@ class TestProductAcceptance:
         prod = product(pta, lab, aut)
         from ptasynth.params import ValuationSet
 
-        k = max(clock_bounds(location_bounds(prod, box)))
+        k = max(clock_bounds(clock_tables(prod, box)[0]))
         accepted = synthesize(net, prop, box).accepted
         for v in ValuationSet.full(box):
             want = oracle_region.accepting_run_exists(prod, v, k)
@@ -390,21 +392,21 @@ class TestClockBounds:
         net = parse_model(src)
         pta, lab = compose(net)
         prod = product(pta, lab, ltl.to_buchi(ltl.to_nnf(ltl.TRUE)))
-        maxima = clock_bounds(location_bounds(prod, net.box()))
+        maxima = clock_bounds(clock_tables(prod, net.box())[0])
         assert maxima[1] >= 100
 
     def test_zero_clock_pinned(self):
         net = parse_model(MINIMAL)
         pta, lab = compose(net)
         prod = product(pta, lab, ltl.to_buchi(ltl.to_nnf(ltl.TRUE)))
-        assert clock_bounds(location_bounds(prod, net.box()))[0] == 0
+        assert clock_bounds(clock_tables(prod, net.box())[0])[0] == 0
 
     @pytest.mark.parametrize("fixture,prop", [
         (name, prop) for name, props in CORPUS.items() for prop in props])
     def test_column_max_is_the_one_vector(self, fixture, prop):
         net = load_fixture(fixture)
         box = net.box()
-        tba, bounds = build_automaton(net, ltl.parse_ltl(prop), box)
+        tba, bounds, _ = build_automaton(net, ltl.parse_ltl(prop), box)
         assert clock_bounds(bounds) == one_clock_bounds(tba, box)
 
 
@@ -416,24 +418,24 @@ class TestLocationBounds:
         p = AffineExpr.var("p")
         a = chain(("A", [(1, 0, bound(p + 1))], [([(0, 2, bound(-2))], (), 1)]),
                   ("B", [], []))
-        assert location_bounds(a, BOX03) == [(0, 4, 2), (0, 0, 0)]
+        assert clock_tables(a, BOX03)[0] == [(0, 4, 2), (0, 0, 0)]
 
     def test_reset_clock_does_not_inherit(self):
         a = chain(("A", [], [([], (1,), 1)]),
                   ("B", [], [([X_LE_7], (), 1)]))
-        assert location_bounds(a, BOX03) == [(0, 0, 0), (0, 7, 0)]
+        assert clock_tables(a, BOX03)[0] == [(0, 0, 0), (0, 7, 0)]
 
     def test_kept_clock_inherits(self):
         a = chain(("A", [], [([], (2,), 1)]),
                   ("B", [], [([X_LE_7], (), 1)]))
-        assert location_bounds(a, BOX03) == [(0, 7, 0), (0, 7, 0)]
+        assert clock_tables(a, BOX03)[0] == [(0, 7, 0), (0, 7, 0)]
 
     def test_target_invariant_propagates_back(self):
         # through two edges, the first resetting x only
         a = chain(("A", [], [([], (1,), 1)]),
                   ("B", [], [([], (), 2)]),
                   ("C", [X_LE_7, Y_LE_4], []))
-        assert location_bounds(a, BOX03) == [(0, 0, 4), (0, 7, 4),
+        assert clock_tables(a, BOX03)[0] == [(0, 0, 4), (0, 7, 4),
                                              (0, 7, 4)]
 
     def test_cycle_reaches_its_fixpoint(self):
@@ -442,13 +444,13 @@ class TestLocationBounds:
         a = chain(("A", [], [([], (1,), 1)]),
                   ("B", [], [([X_LE_7], (), 2)]),
                   ("C", [], [([Y_LE_4], (), 0)]))
-        assert location_bounds(a, BOX03) == [(0, 0, 4), (0, 7, 4),
+        assert clock_tables(a, BOX03)[0] == [(0, 0, 4), (0, 7, 4),
                                              (0, 0, 4)]
 
     def test_zero_clock_stays_zero(self):
         # x >= 5 and x <= 3 both name the zero clock
         a = chain(("A", [(0, 1, bound(-5))], [([(1, 0, bound(3))], (), 0)]))
-        assert location_bounds(a, BOX03) == [(0, 5, 0)]
+        assert clock_tables(a, BOX03)[0] == [(0, 5, 0)]
 
 
 class TestInactiveClocks:
@@ -460,21 +462,21 @@ class TestInactiveClocks:
         # bound, which still separates x = 0 from x > 0, and is not freed
         a = chain(("A", [(1, 0, bound(0))], [([], (), 1)]),
                   ("B", [], []))
-        assert location_bounds(a, BOX03) == [(0, 0, 0), (0, 0, 0)]
-        assert inactive_clocks(a) == [(2,), (1, 2)]
+        assert clock_tables(a, BOX03)[0] == [(0, 0, 0), (0, 0, 0)]
+        assert clock_tables(a, BOX03)[1] == [(2,), (1, 2)]
 
     def test_read_after_a_non_resetting_edge_is_active(self):
         # B reads x; A's edge keeps x and resets y, which nothing reads
         a = chain(("A", [], [([], (2,), 1)]),
                   ("B", [], [([X_LE_7], (), 1)]))
-        assert inactive_clocks(a) == [(2,), (2,)]
+        assert clock_tables(a, BOX03)[1] == [(2,), (2,)]
 
     def test_reset_before_the_read_is_inactive(self):
         # C reads both clocks; A's edge resets x, so x is inactive at A
         a = chain(("A", [], [([], (1,), 1)]),
                   ("B", [], [([], (), 2)]),
                   ("C", [X_LE_7, Y_LE_4], []))
-        assert inactive_clocks(a) == [(1,), (), ()]
+        assert clock_tables(a, BOX03)[1] == [(1,), (), ()]
 
     def test_nonzeno_clock_active_upstream_of_its_gates(self):
         # S -> A -> B (accepting) -> C, C looping; no guard reads x or y.
@@ -488,7 +490,7 @@ class TestInactiveClocks:
         out = make_nonzeno(a, {2})
         nz = out.clock_names.index("_nz")
         got = dict(zip((loc.name for loc in out.locations),
-                       inactive_clocks(out)))
+                       clock_tables(out, BOX03)[1]))
         assert got == {"S~0": (1, 2), "A~0": (1, 2), "B~0": (1, 2, nz),
                        "B~1": (1, 2, nz), "C~0": (1, 2, nz)}
 
@@ -497,9 +499,79 @@ class TestInactiveClocks:
     def test_inactive_clocks_have_bound_zero(self, fixture, prop):
         # so the freed entries stay inside the widening window
         net = load_fixture(fixture)
-        tba, bounds = build_automaton(net, ltl.parse_ltl(prop), net.box())
-        for row, free in zip(bounds, inactive_clocks(tba)):
-            assert all(row[c] == 0 for c in free)
+        tba, bounds, free = build_automaton(net, ltl.parse_ltl(prop),
+                                            net.box())
+        for row, clocks in zip(bounds, free):
+            assert all(row[c] == 0 for c in clocks)
+
+
+def reference_clock_tables(a, box):
+    """``model.clock_tables`` clock by clock: for each location l and clock
+    c, a search from l over the edges that do not reset c collects the
+    magnitudes of the invariant and guard atoms that read c with a finite
+    bound at the locations it reaches.  The bound is their maximum, 0 if
+    there are none, and c is inactive at l if there are none."""
+    bounds, free = [], []
+    for l in range(len(a.locations)):
+        row, inactive = [0], []
+        for c in range(1, len(a.clock_names)):
+            seen, todo, magnitudes = {l}, [l], []
+            while todo:
+                loc = a.locations[todo.pop()]
+                for atoms in [loc.inv] + [e.atoms for e in loc.edges]:
+                    magnitudes += [
+                        max(b.expr.max_bound(box), (-b.expr).max_bound(box))
+                        for i, j, b in atoms if c in (i, j) and not b.is_inf]
+                for e in loc.edges:
+                    if c not in e.resets and e.target not in seen:
+                        seen.add(e.target)
+                        todo.append(e.target)
+            row.append(max(magnitudes, default=0))
+            if not magnitudes:
+                inactive.append(c)
+        bounds.append(tuple(row))
+        free.append(tuple(inactive))
+    return bounds, free
+
+
+class TestClockTablesReference:
+    """The front end's clock tables against ``reference_clock_tables``."""
+
+    @staticmethod
+    def check(net, prop, kinds):
+        """Compare the tables ``build_automaton`` hands the engines with the
+        reference's; ``kinds`` counts the entries that are bounds above 0,
+        active clocks with bound 0 and inactive clocks."""
+        box = net.box()
+        tba, bounds, free = build_automaton(net, ltl.parse_ltl(prop), box)
+        assert (bounds, free) == reference_clock_tables(tba, box), prop
+        for row, clocks in zip(bounds, free):
+            for c in range(1, len(row)):
+                kinds[0 if row[c] else 2 if c in clocks else 1] += 1
+
+    def test_corpus(self):
+        kinds = [0, 0, 0]
+        for name, props in CORPUS.items():
+            for prop in props:
+                self.check(load_fixture(name), prop, kinds)
+        assert all(kinds)
+
+    def test_random_products(self):
+        fuzzgen = load_fuzzgen()
+        rng = random.Random(SEED ^ 0xC10C)
+        kinds = [0, 0, 0]
+        checked = 0
+        while checked < 150:
+            src, labels = fuzzgen.random_model(rng)
+            prop = fuzzgen.random_property(rng, labels)
+            try:
+                self.check(parse_model(src), prop, kinds)
+            except InputError as exc:
+                # a generated handshake can chain updates out of range
+                assert exc.kind == "update-out-of-range"
+                continue
+            checked += 1
+        assert all(kinds)
 
 
 def x_at_least(e, strict=False):
@@ -844,7 +916,7 @@ def test_front_end_output_pinned(fixture, prop):
 
     net = load_fixture(fixture)
     f = ltl.parse_ltl(prop)
-    tba, bounds = build_automaton(net, f, net.box())
+    tba, bounds, _ = build_automaton(net, f, net.box())
     maxima = clock_bounds(bounds)
     assert sha(dump_product(tba) + "\n" + repr(maxima)) == \
         PRODUCT_DIGESTS[(fixture, prop)]
@@ -859,7 +931,7 @@ def test_fully_gated_front_end_output_pinned(fixture, prop):
     # the analysis refines, and the one the one-vector reference runs
     net = load_fixture(fixture)
     tba = fully_gated_automaton(net, prop)
-    maxima = clock_bounds(location_bounds(tba, net.box()))
+    maxima = clock_bounds(clock_tables(tba, net.box())[0])
     assert hashlib.sha256((dump_product(tba) + "\n" + repr(maxima))
                           .encode()).hexdigest() == \
         FULLY_GATED_DIGESTS[(fixture, prop)]
