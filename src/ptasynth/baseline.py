@@ -100,7 +100,9 @@ def _step(ms, guard, gather, inv, bounds, freed, gate):
 
     ``guard`` and ``inv`` are ``(pos, enc)`` pairs for
     ``zones.constrain_many``, which keeps each zone canonical in one pass
-    per atom that is finite and not looser than its entry; only the
+    per atom that is finite and not looser than its entry; a batch whose
+    atoms are all infinite, as rows of padding are, would leave its
+    canonical non-empty zones as they are, so it skips the call; only the
     widened zones are closed in full, by ``zones.close_many``, the same
     kernel on the diagonal entries;
     ``gather`` (count, n) maps each clock to itself, or to the zero clock
@@ -109,12 +111,16 @@ def _step(ms, guard, gather, inv, bounds, freed, gate):
     clock bounds and ``freed`` (count, n) marks its target's inactive
     clocks; ``gate`` is the non-Zeno clock, 0 for none.  Returns the
     indices of the rows that stay non-empty and their canonical zones."""
-    keep = np.flatnonzero(zones.constrain_many(ms, *guard))
+    keep = np.arange(len(ms))
+    if (guard[1] < zones.INF).any():
+        keep = np.flatnonzero(zones.constrain_many(ms, *guard))
     g = gather[keep]
     ms = ms[keep[:, None, None], g[:, :, None], g[:, None, :]]
     zones.up(ms)
-    ok = zones.constrain_many(ms, inv[0][keep], inv[1][keep])
-    keep, ms = keep[ok], ms[ok]
+    enc = inv[1][keep]
+    if (enc < zones.INF).any():
+        ok = zones.constrain_many(ms, inv[0][keep], enc)
+        keep, ms = keep[ok], ms[ok]
     _project(ms, freed[keep], gate)
     changed = zones.extrapolate(ms, bounds[keep])
     if changed.any():

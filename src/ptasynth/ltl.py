@@ -14,7 +14,20 @@ acceptance into a single accepting set.  The tableau is a LIFO worklist of
 nodes, the normal form a walk with its own stack, and a formula caches its
 printed form and hash, so no step recurses over the formula and the width
 of a property is not limited by Python's stack; only the parser recurses,
-once per level of nesting.  No attempt is made to minimize the automaton.
+once per level of nesting.
+
+The tableau emits bisimilar copies: its initial state repeats the state
+it enters, repeated or redundant subformulas give states with equal
+labels and futures, and the counter product enters the accepting sink
+through a copy of it.  The automaton the engines run on,
+``negated_automaton``, is the translation reduced to its coarsest
+bisimulation quotient (``bisimulation_quotient``; Etessami and Holzmann,
+*Optimizing Büchi automata*, CONCUR 2000, reduce by simulation instead).
+It must be a bisimulation and not a language-preserving reduction: the
+product gives a location no edge when no automaton transition is enabled
+on its label, and such a location counts as a deadlock.  A bisimulation
+quotient leaves the product bisimilar, label-blocked locations included,
+while a reduction by simulation or by language can add or remove them.
 """
 
 from __future__ import annotations
@@ -539,10 +552,71 @@ def to_buchi(f: Formula) -> BuchiAutomaton:
     return BuchiAutomaton(len(order), 0, trans, accepting)
 
 
+def bisimulation_quotient(
+        aut: BuchiAutomaton) -> tuple[BuchiAutomaton, list[int]]:
+    """The coarsest bisimulation quotient of ``aut`` and the quotient
+    state of each of its states.  Two states are bisimilar when both or
+    neither accept and, for every transition of one, the other has a
+    transition with the same label (``pos``, ``negs``) to a bisimilar
+    state.  Every state of ``aut`` must be reachable from its initial
+    state, as every state of ``to_buchi``'s is.
+
+    Signature refinement over labels interned to ints: the first partition
+    is the accepting flag, and each round splits blocks by the set of
+    (label, block of ``dst``) of their states' transitions until no block
+    splits.  Blocks are numbered in discovery order from the initial
+    state; each takes its first state's transitions in their order, one
+    per (label, block).  Labels are compared by equality and states by
+    number, so the result does not depend on the hash seed, and the
+    quotient of a quotient is the same automaton."""
+    n = aut.n_states
+    # per state, its transitions as (label id * n, dst): a label and a
+    # block add up to one int
+    ids: dict = {}
+    out: list[list] = [[] for _ in range(n)]
+    for t in aut.transitions:
+        out[t.src].append(
+            (ids.setdefault((t.pos, t.negs), len(ids)) * n, t.dst))
+    labels = list(ids)
+    block = [q in aut.accepting for q in range(n)]
+    count = len(set(block))
+    while True:
+        sigs: dict = {}
+        block = [sigs.setdefault(
+            (b, frozenset([lab + block[d] for lab, d in o])), len(sigs))
+            for b, o in zip(block, out)]
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+    first: dict[int, int] = {}
+    for q in range(n - 1, -1, -1):
+        first[block[q]] = q
+    num = {block[aut.initial]: 0}
+    order = [block[aut.initial]]
+    trans = []
+    for src, b in enumerate(order):
+        seen = set()
+        for lab, d in out[first[b]]:
+            to = block[d]
+            if lab + to not in seen:
+                seen.add(lab + to)
+                if to not in num:
+                    num[to] = len(order)
+                    order.append(to)
+                trans.append(Transition(src, *labels[lab // n], num[to]))
+    return (BuchiAutomaton(len(order), 0, trans,
+                           frozenset(num[block[q]] for q in aut.accepting)),
+            [num[b] for b in block])
+
+
 def negated_automaton(f: Formula) -> BuchiAutomaton:
     """The Büchi automaton of ``!f``, which accepts the runs that violate
-    ``f``."""
-    return to_buchi(to_nnf(neg(f)))
+    ``f``: the tableau translation ``to_buchi`` reduced to its
+    ``bisimulation_quotient``.  A product with the quotient is bisimilar to
+    the product with the translation, label-blocked locations and all, so
+    both engines find the same zones, accepting cycles and deadlocks on a
+    smaller product."""
+    return bisimulation_quotient(to_buchi(to_nnf(neg(f))))[0]
 
 
 def _numbering(init):

@@ -151,31 +151,35 @@ def every_accepting(a, box=None):
     return {l for l, loc in enumerate(a.locations) if loc.accepting}
 
 
-def fully_gated_automaton(net, prop: str):
+def fully_gated_automaton(net, prop: str, aut=None):
     """The shared front end's product with every accepting location gated
     (``make_nonzeno(p, every_accepting(p))``), built without
-    ``model.zeno_accepting``."""
-    from ptasynth.ltl import negated_automaton, parse_ltl
+    ``model.zeno_accepting`` and, unless the property automaton ``aut`` is
+    given, on the tableau translation of the negated property as it is,
+    without ``ltl.bisimulation_quotient``."""
+    from ptasynth import ltl
     from ptasynth.model import compose, make_nonzeno, product
 
+    if aut is None:
+        aut = ltl.to_buchi(ltl.to_nnf(ltl.neg(ltl.parse_ltl(prop))))
     pta, lab = compose(net)
-    p = product(pta, lab, negated_automaton(parse_ltl(prop)))
+    p = product(pta, lab, aut)
     return make_nonzeno(p, every_accepting(p))
 
 
-def one_vector_enumeration(net, prop: str, box):
+def one_vector_enumeration(net, prop: str, box, aut=None):
     """The enumeration engine on ``fully_gated_automaton`` with
     ``one_clock_bounds`` for every location, no clock freed and the
     non-Zeno clock's lower bounds kept: (violating bits, deadlock bits,
-    zone states), an exactness reference for the Zeno analysis,
-    per-location bounds, inactive clocks and the gate step that runs none
-    of them."""
+    zone states), an exactness reference for the automaton quotient, the
+    Zeno analysis, per-location bounds, inactive clocks and the gate step
+    that runs none of them."""
     import dataclasses
 
     from ptasynth import baseline
     from ptasynth.explore import Options
 
-    tba = fully_gated_automaton(net, prop)
+    tba = fully_gated_automaton(net, prop, aut)
     one = [tuple(one_clock_bounds(tba, box))] * len(tba.locations)
     accepted, deadlock, total, _ = baseline._explore(
         dataclasses.replace(tba, gate=0), box, one,

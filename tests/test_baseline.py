@@ -287,20 +287,21 @@ class TestEnumerate:
         # change the zone graph, and with it this count (4,044 with one
         # bound vector for every location, 2,700 with per-location bounds,
         # 1,520 with inactive clocks freed and the gate clock's lower
-        # bounds dropped)
+        # bounds dropped, all three on the tableau translation of the
+        # property rather than its quotient)
         net = load_fixture("traingate.pta")
         box = net.box({"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)})
         res = enumerate_box(net, "G !(Train1.Cross && Train2.Cross)", box)
-        assert res.stats["zone_states_total"] == 1520
+        assert res.stats["zone_states_total"] == 1480
 
     @pytest.mark.parametrize("prop,violating,states", [
-        ("G !(P1.CS && P2.CS)", 29456, 5630),
-        ("G (P1.Req -> F P1.CS)", 65535, 7285),
+        ("G !(P1.CS && P2.CS)", 29456, 5512),
+        ("G (P1.Req -> F P1.CS)", 65535, 5830),
     ], ids=["G !(P1.CS && P2.CS)", "G (P1.Req -> F P1.CS)"])
     def test_fischer3(self, prop, violating, states):
         # Fischer's protocol with three processes on a, b = 1..4: the sets
         # found before any clock was freed, when the zone graphs held
-        # 291,456 and 270,775 states (33,944 and 33,300 with every
+        # 291,456 and 270,775 states (33,724 and 30,406 with every
         # accepting location gated); every point deadlocks
         res = enumerate_box(load_fixture("fischer3.pta"), prop)
         assert (res.accepted.bits, res.deadlock.bits) == (violating, 65535)
@@ -324,25 +325,30 @@ class TestOneVectorReference:
 
     @pytest.mark.parametrize("fixture,prop,overrides,states", [
         ("traingate.pta", "G !(Train1.Cross && Train2.Cross)",
-         {"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)}, 3344),
+         {"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)}, (3344, 3344)),
         ("traingate6.pta", "G F Train1.Cross",
          {"p1": (2, 3), "p2": (1, 2), "p3": (0, 1), "p4": (1, 1),
-          "p6": (1, 1)}, 4830),
+          "p6": (1, 1)}, (4830, 3690)),
     ], ids=["traingate.pta-G !(Train1.Cross && Train2.Cross)",
             "traingate6.pta-G F Train1.Cross"])
     def test_symbolic_matches_one_vector_enumeration(self, fixture, prop,
                                                      overrides, states):
         from ptasynth.explore import build_automaton
-        from ptasynth.ltl import parse_ltl
+        from ptasynth.ltl import negated_automaton, parse_ltl
 
         net = load_fixture(fixture)
         box = net.box(overrides)
         sym = synthesize(net, prop, box)
         accepted, deadlock, total = one_vector_enumeration(net, prop, box)
         assert (sym.accepted.bits, sym.deadlock.bits) == (accepted, deadlock)
-        # the one-vector zone graph of old; the safety job has no
-        # accepting location, so no non-Zeno clock either (4,044 with one)
-        assert total == states
+        # the same reference on the reduced property automaton
+        reduced = one_vector_enumeration(net, prop, box,
+                                         negated_automaton(parse_ltl(prop)))
+        assert reduced[:2] == (accepted, deadlock)
+        # the one-vector zone graphs of old, on the tableau translation and
+        # on its quotient; the safety job has no accepting location, so no
+        # non-Zeno clock either (4,044 with one)
+        assert (total, reduced[2]) == states
         # and check_valuation at the box's last point, given the vector
         tba, _, _ = build_automaton(net, parse_ltl(prop), box)
         one = [tuple(one_clock_bounds(tba, box))] * len(tba.locations)
@@ -358,12 +364,17 @@ class TestLimits:
     def test_first_error_in_exploration_order_wins(self):
         # within a valuation the state limit trips before a later state's
         # deadlock fold outgrows its limit; a batch that ran every fold
-        # before numbering the successors would report the fold instead
+        # before numbering the successors would report the fold instead.
+        # One state more and the fold comes first
         net = load_fixture("limits.pta")
         with pytest.raises(CapacityError,
-                           match="^stored states exceeded 5$"):
+                           match="^stored states exceeded 3$"):
             enumerate_box(net, "G !al0",
-                          opts=Options(dnf_limit=1, limit_states=5))
+                          opts=Options(dnf_limit=1, limit_states=3))
+        with pytest.raises(CapacityError,
+                           match="^deadlock-guard expansion exceeded 1$"):
+            enumerate_box(net, "G !al0",
+                          opts=Options(dnf_limit=1, limit_states=4))
         with pytest.raises(CapacityError,
                            match="^deadlock-guard expansion exceeded 1$"):
             enumerate_box(net, "G !al0", opts=Options(dnf_limit=1))

@@ -344,12 +344,17 @@ class TestCrashInputs:
     def test_distinct_conjuncts_translate(self, capsys):
         # a wide property is not bad input: the translation keeps its own
         # stacks.  The negation waits, violates one conjunct and then
-        # accepts anything: the initial and the waiting state, one state
-        # per conjunct, and the accepting sink
+        # accepts anything: the tableau has the initial and the waiting
+        # state, one state per conjunct and the accepting sink (453), and
+        # its quotient the waiting state, with one transition per conjunct
+        # into the accepting sink
         prop = "G (" + " && ".join(f"a{i}" for i in range(450)) + ")"
         code, out, err = run(capsys, "dump-ba", "--ltl", prop)
         assert (code, err) == (0, "")
-        assert out.startswith("states: 453\n")
+        assert out.startswith("states: 2\n")
+        assert sorted(line for line in out.splitlines()
+                      if line.endswith("-> 1")) == \
+            sorted(f"0 -- !a{i} -> 1" for i in range(450)) + ["1 -- true -> 1"]
 
 
 class TestValidate:

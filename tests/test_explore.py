@@ -476,7 +476,7 @@ class TestDeadlockValuations:
     def test_settled_valuations_skip_the_fold(self, monkeypatch):
         # the deadlock set is a union, so an expansion folds only the
         # valuations not yet known to deadlock: on the six-parameter job
-        # 7 of its 69 expansions fold
+        # 7 of its 47 expansions fold
         import ptasynth.explore as explore
         from ptasynth.baseline import enumerate_box
 
@@ -491,10 +491,37 @@ class TestDeadlockValuations:
         name, prop, box = LIVE6
         net = load_fixture(name)
         res = synthesize(net, prop, net.box(box))
-        assert len(calls) == 7 < res.stats["expansions"] == 69
+        assert len(calls) == 7 < res.stats["expansions"] == 47
         assert res.deadlock.bits == \
             enumerate_box(net, prop, net.box(box)).deadlock.bits
         assert not res.deadlock.is_empty
+
+    def test_label_blocked_locations_deadlock(self, monkeypatch):
+        # a product location where the property automaton has no
+        # transition for the label has no edge, and deadlocks: on
+        # blocked.pta under G (a -> X c) where B is reachable, p <= 2; the
+        # automaton of G !a never blocks.  Both engines give those sets
+        # on the tableau translation and on its bisimulation quotient
+        from ptasynth import ltl
+        from ptasynth.baseline import enumerate_box
+
+        net = load_fixture("blocked.pta")
+
+        def results():
+            out = []
+            for prop in ("G (a -> X c)", "G !a"):
+                for run in (synthesize, enumerate_box):
+                    res = run(net, prop)
+                    out.append((res.deadlock.bits, res.accepted.bits))
+            return out
+
+        reduced = results()
+        assert reduced == [(0b0111, 0b1111)] * 2 + [(0, 0b1111)] * 2
+        nodes = synthesize(net, "G (a -> X c)").stats["stored_states"]
+        monkeypatch.setattr(explore, "negated_automaton",
+                            lambda f: ltl.to_buchi(ltl.to_nnf(ltl.neg(f))))
+        assert results() == reduced
+        assert synthesize(net, "G (a -> X c)").stats["stored_states"] > nodes
 
 
 class TestSynthesize:
@@ -572,19 +599,19 @@ class TestPinnedStats:
 
     @pytest.mark.parametrize("fixture, prop, box, want", [
         ("traingate.pta", TRAINS, {"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)},
-         (26, 38, 26, {"guard": 8}, 2)),
+         (25, 36, 25, {"guard": 8}, 2)),
         ("traingate.pta", TRAINS, {"p1": (0, 8), "p2": (1, 8), "p3": (0, 8)},
-         (26, 38, 26, {"guard": 8}, 2)),
+         (25, 36, 25, {"guard": 8}, 2)),
         ("traingate6.pta", "G F Train1.Cross",
          {"p1": (2, 3), "p2": (1, 2), "p3": (0, 1), "p4": (1, 1),
           "p6": (1, 1)},
-         (69, 127, 69, {"guard": 7}, 2)),
+         (47, 96, 47, {"guard": 6}, 2)),
         ("fuzz837.pta", "G !al1", {},
-         (640, 2094, 643, {"extrapolate": 6, "guard": 19}, 3)),
+         (637, 2079, 640, {"extrapolate": 6, "guard": 15}, 2)),
         ("fischer2.pta", FISCHER_SAFE, {},
-         (117, 226, 117, {}, 2)),
+         (114, 220, 114, {}, 2)),
         ("fischer2.pta", FISCHER_RESPONSE, {},
-         (123, 268, 123, {}, 2)),
+         (100, 224, 100, {}, 2)),
     ])
     def test_stats(self, fixture, prop, box, want):
         net = load_fixture(fixture)
@@ -615,12 +642,12 @@ def test_fischer2_engines_agree(prop):
 
 
 @pytest.mark.parametrize("prop,violating,nodes", [
-    (FISCHER_SAFE, 29456, 1571), (FISCHER_RESPONSE, 65535, 1839)],
+    (FISCHER_SAFE, 29456, 1550), (FISCHER_RESPONSE, 65535, 1415)],
     ids=[FISCHER_SAFE, FISCHER_RESPONSE])
 def test_fischer3(prop, violating, nodes):
     # three processes on a, b = 1..4: the sets enumeration found before any
-    # clock was freed, and every point deadlocks; 263,907 and 171,698
-    # nodes (about a minute per property) with every accepting location
+    # clock was freed, and every point deadlocks; 263,862 and 170,069
+    # nodes (a minute and half a minute) with every accepting location
     # gated, none of which lies on a cycle that can be Zeno
     res = synthesize(load_fixture("fischer3.pta"), prop)
     assert (res.accepted.bits, res.deadlock.bits) == (violating, 65535)
@@ -645,7 +672,7 @@ def perfbench_fuzz_jobs():
 # the LIVE6 and DENSE3 jobs and the 200 perfbench fuzz jobs, one line
 # each, stats and witnesses included
 RESULTS_DIGEST = \
-    "99474ff030963cef5d8ed3aa6f477a73333987547f6d31bea69e4eead4202862"
+    "0ba6cea05a1f1756ae2a10fa482e6cfa0bf55bf733d8c4b7da3dc132b518fc12"
 
 
 def pinned_jobs():
@@ -671,7 +698,7 @@ def test_result_documents_pinned():
 # of the DENSE3 job: every expanded node's location, finite entries and
 # valuations, in expansion order
 TRACE_DIGEST = \
-    "8b1381ae42762a6a39ee6852ab821de484771330001abf91a104b1eb406c5d38"
+    "8afc4e44053137d66aac7a66f5cf23039fe774e063f8d92440543d8c4da26e8b"
 
 
 def test_trace_text_pinned():
@@ -762,7 +789,7 @@ class TestSharedTransitions:
 
         monkeypatch.setattr(pdbm, "transition", counted)
         assert graph_of(net, *LIVE6[1:]) == want
-        assert len(calls) == len(distinct) == 44
+        assert len(calls) == len(distinct) == 40
 
     def test_repeated_edge_shares_branches_and_tallies_splits(self):
         # two locations carry the same guarded edge, which forks on p <= q

@@ -144,34 +144,51 @@ class TestBuchi:
         assert " -- " in text and " -> " in text
 
 
-# sha256 over the dumps of the negated automata, one per line: the corpus
-# properties, the properties of the first 1,000 generator-seed-1 fuzz jobs
-# and 300 random formulas of depth 4 over three atoms (Random(1))
-TRANSLATION_DIGEST = \
-    "72f935fcee12dcc61f10101f37e21d34d2ddfe48a6157e556ce1a4c2addd135c"
-
-
-def test_translation_pinned():
-    # state numbers, transition order and labels are part of the output:
-    # the product's locations follow them
+def translation_formulas() -> list:
+    """The corpus properties, the properties of the first 1,000
+    generator-seed-1 fuzz jobs and 300 random formulas of depth 4 over
+    three atoms (Random(1)), in that order."""
     rng = random.Random(1)
     props = [p for ps in CORPUS.values() for p in ps]
     for _ in range(1000):
         _, labels = fuzzgen.random_model(rng)
         props.append(fuzzgen.random_property(rng, labels))
     rng = random.Random(1)
-    formulas = [ltl.parse_ltl(p) for p in props] + [
+    return [ltl.parse_ltl(p) for p in props] + [
         ol.random_formula(rng, ["a", "b", "c"], 4) for _ in range(300)]
-    h = hashlib.sha256()
-    for f in formulas:
-        h.update(ltl.negated_automaton(f).dump().encode() + b"\n")
-    assert h.hexdigest() == TRANSLATION_DIGEST
+
+
+def raw_negated(f):
+    """The tableau translation of ``!f``, before the quotient."""
+    return ltl.to_buchi(ltl.to_nnf(ltl.neg(f)))
+
+
+# sha256 over the dumps of the negated automata of ``translation_formulas``,
+# one per line: the tableau translation and its quotient, the automaton
+# the engines run on
+TRANSLATION_DIGEST = \
+    "72f935fcee12dcc61f10101f37e21d34d2ddfe48a6157e556ce1a4c2addd135c"
+QUOTIENT_DIGEST = \
+    "e6a276a8433ccd0d1c52a855465bd99dfeff1d1e065517a816e5971d272a8c91"
+
+
+def test_translation_pinned():
+    # state numbers, transition order and labels are part of the output:
+    # the product's locations follow them
+    raw, reduced = hashlib.sha256(), hashlib.sha256()
+    for f in translation_formulas():
+        raw.update(raw_negated(f).dump().encode() + b"\n")
+        reduced.update(ltl.negated_automaton(f).dump().encode() + b"\n")
+    assert (raw.hexdigest(), reduced.hexdigest()) == \
+        (TRANSLATION_DIGEST, QUOTIENT_DIGEST)
 
 
 def test_width_is_not_a_stack_limit():
-    # normal form, tableau, hashing and printing keep their own stacks, so
-    # a thousand conjuncts translate far below Python's default recursion
-    # limit; only the parser recurses, once per level of nesting
+    # normal form, tableau, quotient, hashing and printing keep their own
+    # stacks, so a thousand conjuncts translate far below Python's default
+    # recursion limit; only the parser recurses, once per level of nesting.
+    # The tableau waits, violates one conjunct and accepts: 1,003 states,
+    # two in the quotient
     import subprocess
     import sys
 
@@ -180,11 +197,13 @@ def test_width_is_not_a_stack_limit():
         "from ptasynth import ltl\n"
         "prop = 'G (' + ' && '.join(f'a{i}' for i in range(1000)) + ')'\n"
         "sys.setrecursionlimit(100)\n"
-        "print(ltl.negated_automaton(ltl.parse_ltl(prop)).n_states)\n")
+        "f = ltl.parse_ltl(prop)\n"
+        "raw = ltl.to_buchi(ltl.to_nnf(ltl.neg(f)))\n"
+        "print(raw.n_states, ltl.negated_automaton(f).n_states)\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1003\n"
+    assert proc.stdout == "1003 2\n"
 
 
 def test_nested_eventualities_stay_linear(monkeypatch):
@@ -202,9 +221,83 @@ def test_nested_eventualities_stay_linear(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(ltl, "_Node", Counted)
-    aut = ltl.negated_automaton(ltl.parse_ltl("F " * 12 + "a"))
+    aut = raw_negated(ltl.parse_ltl("F " * 12 + "a"))
     assert aut.n_states == 2
     assert len(made) <= 4 * 12 + 2
+
+
+class TestQuotient:
+    """``bisimulation_quotient`` on the tableau translations of
+    ``translation_formulas``."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return [(f, raw_negated(f)) for f in translation_formulas()]
+
+    def test_block_map_is_a_bisimulation(self, pairs):
+        # both ways: every transition of a state has one with the same
+        # label into the same block from the state's block, and back;
+        # acceptance and the initial state are kept; no block repeats a
+        # (label, block) pair; the engines' automaton is that quotient
+        for f, raw in pairs:
+            quo, block = ltl.bisimulation_quotient(raw)
+            assert quo.dump() == ltl.negated_automaton(f).dump(), f
+            assert len(block) == raw.n_states, f
+            assert set(block) == set(range(quo.n_states)), f
+            assert block[raw.initial] == quo.initial, f
+            for q in range(raw.n_states):
+                assert (q in raw.accepting) == \
+                    (block[q] in quo.accepting), f
+                moves = {(t.pos, t.negs, block[t.dst])
+                         for t in raw.outgoing(q)}
+                out = [(t.pos, t.negs, t.dst)
+                       for t in quo.outgoing(block[q])]
+                assert set(out) == moves, f
+                assert len(out) == len(moves), f
+
+    def test_lasso_words_agree(self, pairs):
+        rng = random.Random(2)
+        for f, raw in pairs:
+            quo = ltl.negated_automaton(f)
+            atoms = sorted(ltl.atoms_of(f), key=str) or ["a"]
+            for _ in range(3):
+                u, v = ol.random_lasso(rng, atoms, 4, 4)
+                assert ltl.lasso_accepts(quo, u, v) == \
+                    ltl.lasso_accepts(raw, u, v), f
+
+    def test_quotient_is_stable(self, pairs):
+        for f, _ in pairs:
+            quo = ltl.negated_automaton(f)
+            again, block = ltl.bisimulation_quotient(quo)
+            assert again.dump() == quo.dump(), f
+            assert block == list(range(quo.n_states)), f
+
+    def test_repeated_conjunct(self):
+        # the tableau keeps a state per copy of !a; bisimilar, they merge
+        many = ltl.parse_ltl("G (a && a && a)")
+        assert raw_negated(many).n_states > \
+            raw_negated(ltl.parse_ltl("G a")).n_states
+        assert ltl.negated_automaton(many).dump() == \
+            ltl.negated_automaton(ltl.parse_ltl("G a")).dump()
+
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "from ptasynth import ltl\n"
+            "for p in ['G F a', 'G (a && a && a)', 'G (a -> F b)',\n"
+            "          'G ((a U b) -> F (c && X d))', 'F G (x >= 1 || y)']:\n"
+            "    print(ltl.negated_automaton(ltl.parse_ltl(p)).dump())\n")
+        outs = []
+        for seed in ("0", "1", "4242"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed))
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] == outs[2]
 
 
 class TestLassoMembership:

@@ -747,65 +747,65 @@ def test_dump_product_smoke():
 # dump: location order and naming are part of the front end's output
 PRODUCT_DIGESTS = {
     ("gap.pta", "G !inB"):
-        "f09921a9fae3d9f874794094fb89dcd923b60d72c6105277670f672b2f2c1b3e",
+        "0416bc2c5c542363926a5c5864896cec0375e7af632fe9e3e740f5f099c269b8",
     ("gap.pta", "G (inA -> F inB)"):
-        "90538fc014336bb0417eca223e994bb112e60f4b40c09858b240c19e02bb36b1",
+        "3403ffd90fab4c876c6627ee7bf21c37674300d1d31186fb64491abd39cc40d4",
     ("gap.pta", "true U inB"):
-        "3954ce6b9ad0590202f8841d58553411aaa2c49aa5a02cb29ec20a2c58b6b819",
+        "9e3b562798dd907eff609cfc2c17c9cb01253d4e52d22ec3d07c85099b1c36fc",
     ("window.pta", "G !work"):
-        "5048f5811ea3eb4dd2d900af7fe66fac592a6d8d7eb1e275a8f698b77256abcd",
+        "f8e263591417885ebd4c201d7617696361b2faab2b3889262020638d4e464809",
     ("window.pta", "G (idle -> F work)"):
-        "11f2c9136ed512781296f1594148fea9bcece220dece24a76d6f0e4d2d2dd908",
+        "e4530541ce15810ebffef0d5c7a250a07c117469f8252ecc7e80bfa96bf635bd",
     ("window.pta", "F work"):
-        "6edc8da3f6520a5a0e92b639b74575b3a0b4c872a057d14b03853bafeee005be",
+        "0610d2651df559dce9111cd5a4d40c0c7e039e5633e40c2e00dfa50feb1a106e",
     ("zeno.pta", "G !inB"):
-        "f805bdae3c21a8d0c9a52d1bb8792d270e2e16ae209e20f20c1c91801307690d",
+        "46bfc3bceae936b1805a61ea0e4b54eb6509d2c1ba190dd7c3ea08acd4c7ead6",
     ("zeno.pta", "G (inA -> F inB)"):
-        "2febc9514fdb4959cf1ddb3845eee9ec03efbb64573058372817d95ff99ad386",
+        "751c6b9a30fabcff0efad03cd6d497e4dfef19cb2abc13757e45965a7cf41219",
     ("zeno.pta", "F inB"):
-        "dde2a5234b37228863dc24f4e14ed406487208939144a25bc3629e69a76dde13",
+        "56d0e17fd541cdecdd4ca38de0ef785e11e7224d2a1724131c5df7096c651b21",
     ("counter.pta", "G (inB -> c <= 0)"):
-        "72211944c262ae2c4df1451fde673737f49909a1ea18f5433f655c894e100e01",
+        "2b0984f5f41b7687a29be61d2e3732338c8b4c567c42f98ef09d3680c13d054e",
     ("counter.pta", "G (inA -> F inB)"):
-        "349313e9ad274afadc8983fffbd5898bb490333b378392aec50afbc8fbaef9fb",
+        "c0c32e1ab77845c72da9e01a3582cde48163f6d21b2198135940c333a8e61c48",
     ("counter.pta", "true U c >= 2"):
-        "f21aa384f5ec6c030e86f930c1089ed603790d14de2e0415fdd55fa027df8a03",
+        "84e498821042bd895c202a17af8e9748670c64b3ff734dcb472c0bfd3097ef7e",
     ("handshake.pta", "G !busy"):
-        "1c8f6fb9158ab7cff1ca2935070ea9ff28037879a865e2f7b58f1f9e621788b5",
+        "03545f1a12cb237862f48549c5b17573853d7c238a55e6cd333137f8a9fe6c84",
     ("handshake.pta", "G (waiting -> F idle)"):
-        "52fb3fdb0c17a2f2516450637a832e1a2f602e87e5385f1a9c500e988e4727e2",
+        "4610abadd4d5cde6448f9459f1134aa1e6db8523388592443d2a765a09f06fb1",
     ("handshake.pta", "F busy"):
-        "26897946557aed90e259dd5c18ca5fbc8928c10e280111794916d3a864becb54",
+        "42f460f3114bcf9566734ced03465940e152c0adae51787ce2d64282ce674491",
     ("branchy.pta", "G !inB"):
-        "f4bc399a3c072fac00488dbda52f3dd3c58ead0e2b1319ae4ab2b8617ce0adfe",
+        "906a65f70ec9bef0fb172edd209ce2e72830dfddb2fe9f4cce2019db3da1d399",
     ("branchy.pta", "G (inA -> F inB)"):
-        "cf1cc2213610ff4b9008a488fdc98da341dfa041f1962bbf80e30e6eee602ef8",
+        "22a48b700ab91b4ea93b67f83638bf4669679394d372563ba74d110fe606de55",
     ("branchy.pta", "F inB"):
-        "d9816d39d1e95e380c827e46046d44b43b1ec10be95ee3e34a19fbfe76fc91f4",
+        "edb15b503c4d7282d17755ebb5d7ed44348a7739b77fa812af0a6ecfaf91b5ce",
     ("strict.pta", "G !inB"):
-        "fe99d92b99d149f5cb2224e669ec534f0ccb1b3256ebefd63b07ea718b9d9922",
+        "d2138a92096ef0f5515b489ef152bba32c4dd00782dc21358afaac5f33894244",
     ("strict.pta", "G (inA -> F inB)"):
-        "154feeecc118a263ca1d5f4c66a682eaf2dc464715975730532ae9026a6209c6",
+        "0c76515f0991cce17f768569708cbeef76cbb51bf4808301bb17597672aa0acd",
     ("strict.pta", "true U inB"):
-        "f94745f1fd248d8fedc388ca086b55f6a56212f9e343f538e98492274554bf38",
+        "0cff38e7d8f5ad18210b95cb35354b05afb90cb9cabdd617f66d6244c653cb1b",
     ("staggered.pta", "G !inB"):
-        "a35fc253b0cd484a74c9578d16f33fc2f36cf2664d3b6b39664e0b8acc14fed1",
+        "0b2ae665f595fb6061015342dc6a2fefee55fd51a113633b3ccba9a1a850e3ff",
     ("staggered.pta", "G (inA -> F inB)"):
-        "7881c2e10dd5e04d0104b310e4c2dd667d7b918ad00ec4fc8702899c04110603",
+        "a2ddb09c0321f49fa581b874c4428e874454582f13db99c56a8f675fd9e7e0fd",
     ("staggered.pta", "F inB"):
-        "748e73d7823d5a6eb376d334a896efd91f680a7b048d5cd2477e3453dbc1dd27",
+        "527a3866e8f5a0d9095ee4da77ec70f576b0ef76e5b7a3581ba02974e3671ef5",
     ("urgent.pta", "G !inC"):
-        "a6f9be963e98a5540a4c841a42a9df27d1bd828c459827aacd4b8b37071b4e6a",
+        "d57cd66991e058a13ab2a29e369e926bb3e6092eca3e56e50d5d65ea56cbf010",
     ("urgent.pta", "G (inB -> F inC)"):
-        "e84ea4a4f730a805675ead52247b26ca13ec954140fc0882d0c71761af71bc0a",
+        "b4d50f6908921d280c7b73eb25ca5393336eff60f297a9bd2e6ff37a3cc626ff",
     ("urgent.pta", "F inC"):
-        "cf67ec5208c80286fff2b204f881ae86bcddc9a8ceca880eca61cb92f68b2ec9",
+        "2ba0c38e69c1d2f59d60d0fa3dada31684c7d7d991d4dafbf96b6dd73dac3b5f",
     ("traingate.pta", "G !(Train1.Cross && Train2.Cross)"):
-        "af551d322083638a5b15cb52cc314196da3b3e2a0b0920d06e1b0878bdb8aa56",
+        "68d463f6f198c92d9c3a64c13f4c0f392830065d35230a147f2c12f157af34e8",
     ("traingate.pta", "G (Train1.Appr -> F Train1.Cross)"):
-        "0b65878d02ef476335eaf92f032f085e1cd1a3ae4d3a19809a444188b2af86eb",
+        "9821cee7f95718aa49bcbfd3c7002283f48aab8452cb86b15c3d2cfa938c2e20",
     ("traingate.pta", "F (Train1.Cross || Train2.Cross)"):
-        "e7f827bc7093e60c6aa10e46e64d788a22e0edb820eac499c04727f868a5fa29",
+        "90eab16344c9160cf29e883104ccb923ee06615e04861333362670569e587546",
 }
 # the same, with every accepting location gated (``fully_gated_automaton``):
 # the front end's output before ``zeno_accepting``, for the 28 pairs that
