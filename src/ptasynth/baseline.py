@@ -7,29 +7,29 @@ translation, product, the analysis of the accepting locations that can
 be Zeno and the non-Zeno transformation that gates them, per-location
 clock bounds and inactive clocks) so that the two engines explore the
 same automaton, and implements the per-state deadlock formula the same
-way.  Its accepting-cycle check is the front end's strongly connected
-component decomposition (``model._components``), which also serves the
-Zeno analysis.  A zone is widened with the clock bounds of the location
-it is stored at (static guard analysis after Behrmann, Bouyer, Fleury
-and Larsen, TACAS 2003).  Before widening, a step frees the clocks that
-are inactive at its target (Daws and Yovine, RTSS 1996), the other table
-of the front end's one clock analysis (``model.clock_tables``), and
-drops the lower bounds of the non-Zeno clock (``Ptba.gate``), as the
-symbolic engine's ``pdbm.transition`` does, so both engines explore
-zones of one abstraction.  The independent check of those two steps,
-and of the Zeno analysis, is the tests' one-vector reference, which runs
-this search with neither, on the product with every accepting location
-gated.
+way, on the negated guards the front end gives each location
+(``model.deadlock_guards``).  Its accepting-cycle check
+(``model._accepting_cycle``) runs on the front end's strongly connected
+component decomposition (``model._closing_components``), which also
+serves the Zeno analysis.  A zone is widened with the clock bounds of
+the location it is stored at (static guard analysis after Behrmann,
+Bouyer, Fleury and Larsen, TACAS 2003).  Before widening, a step frees
+the clocks that are inactive at its target (Daws and Yovine, RTSS 1996),
+the other table of the front end's one clock analysis
+(``model.clock_tables``), and drops the lower bounds of the non-Zeno
+clock (``Ptba.gate``), as the symbolic engine's ``pdbm.transition``
+does, so both engines explore zones of one abstraction.  The
+independent check of those two steps, and of the Zeno analysis, is the
+tests' one-vector reference, which runs this search with neither, on the
+product with every accepting location gated.
 
 Every valuation gets its own zone graph, but the graphs are explored in
-lockstep: the automaton's atoms are encoded once per box, at every point,
-and each step applies one array operation to a batch of zones drawn from
-many valuations (see ``_explore``).
+lockstep: the automaton's atoms are encoded once per box, at every point
+(``instantiate``), and each step applies one array operation to a batch
+of zones drawn from many valuations (see ``_explore``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,56 +37,18 @@ from . import zones
 from .errors import CapacityError
 from .explore import Options, SynthesisResult, build_automaton
 from .ltl import Formula, parse_ltl
-from .model import Network, Ptba, _accepting_cycle, clock_tables
-from .params import ParamBox, ValuationSet, bound_eval
-from .pdbm import negate_atom
+from .model import (
+    Network,
+    Ptba,
+    _accepting_cycle,
+    clock_tables,
+    deadlock_guards,
+)
+from .params import ParamBox, ValuationSet
 
 # Edge rows per batch.  It bounds the batch arrays and, through them, how
 # many valuations are open at once, and with them the peak memory.
 ROW_CAP = 128
-
-
-@dataclass
-class ConcreteTba:
-    """Product automaton with all parameters replaced by integers.
-
-    Atoms are (i, j, encoded bound); per location we keep the invariant,
-    the outgoing edges, and the negated-guard choices used by the deadlock
-    check.
-    """
-
-    n: int  # matrix dimension (clocks + zero clock)
-    initial: int
-    inv: list[list[tuple[int, int, int]]]
-    edges: list[list[tuple[list[tuple[int, int, int]], tuple[int, ...], int]]]
-    neg_choices: list[list[list[tuple[int, int, int]]]]
-    accepting: list[bool]
-
-
-def _enc_atom(atom, v) -> tuple[int, int, int]:
-    i, j, b = atom
-    val, strict = bound_eval(b, v)
-    return (i, j, zones.encode(val, strict))
-
-
-def instantiate(a: Ptba, v) -> ConcreteTba:
-    """Replace every affine expression by its value at the valuation."""
-    inv = []
-    edges = []
-    neg = []
-    acc = []
-    for loc in a.locations:
-        inv.append([_enc_atom(at, v) for at in loc.inv])
-        edges.append([
-            ([_enc_atom(at, v) for at in e.atoms], e.resets, e.target)
-            for e in loc.edges
-        ])
-        neg.append([
-            [_enc_atom(negate_atom(at), v) for at in e.atoms]
-            for e in loc.edges
-        ])
-        acc.append(loc.accepting)
-    return ConcreteTba(len(a.clock_names), a.initial, inv, edges, neg, acc)
 
 
 # --- batched zone steps -----------------------------------------------------
@@ -190,14 +152,9 @@ class _Tables:
         inv = [atom_ids(loc.inv) for loc in a.locations]
         edges = [e for loc in a.locations for e in loc.edges]
         guards = [atom_ids(e.atoms) for e in edges]
-        # per location: None when some edge is unguarded (never a deadlock),
-        # else the negated atoms of each distinct guard, the choices the
-        # fold takes (an edge enabled twice is enabled once)
-        self.negated = [
-            [atom_ids([negate_atom(at) for at in atoms])
-             for atoms in dict.fromkeys(e.atoms for e in loc.edges)]
-            if all(e.atoms for e in loc.edges) else None
-            for loc in a.locations]
+        # per location: what the deadlock fold takes, None for nothing
+        self.negated = [None if g is None else [atom_ids(c) for c in g]
+                        for g in map(deadlock_guards, a.locations)]
         self.pos = np.array(pos, dtype=np.int64)
         self.enc = np.stack(enc)
         self.inv = _padded(inv)
@@ -248,6 +205,10 @@ class _Tables:
         """The ``(pos, enc)`` pair for ``zones.constrain_many`` of the atom-id
         rows ``ids`` (count, k), row r read at box point ``points[r]``."""
         return self.pos[ids], self.enc[ids, points[:, None]]
+
+
+# the per-box instantiation step; perfbench's per-layer span reads this name
+instantiate = _Tables
 
 
 def _padded(rows: list[list[int]]) -> np.ndarray:
@@ -407,7 +368,7 @@ def _explore(a: Ptba, box: ParamBox, bounds, free, opts: Options):
     raises, once every point below it has finished.  Before each batch,
     ``opts.time_limit`` stops the whole run."""
     over_time = opts.timer()
-    t = _Tables(a, box, bounds, free)
+    t = instantiate(a, box, bounds, free)
     cost = [max(d, 1) for d in t.degree]
     pending: list[_Graph] = []  # open valuations, in point order
     next_point, stop = 0, box.size  # no point from ``stop`` on is opened
@@ -481,16 +442,14 @@ def _explore(a: Ptba, box: ParamBox, bounds, free, opts: Options):
     return accepted, deadlocked, total, most
 
 
-def check_valuation(a: Ptba, v, bounds=None,
+def check_valuation(a: Ptba, v,
                     opts: Options | None = None) -> tuple[bool, bool]:
     """(accepting run exists, deadlock state reachable) at one valuation:
     the lockstep explorer on the one-point box, with the clock tables of
-    that box (``model.clock_tables``); ``bounds``, when given, replaces
-    their clock bounds."""
+    that box (``model.clock_tables``)."""
     box = ParamBox.of({p: (x, x) for p, x in v.items()})
-    table, free = clock_tables(a, box)
-    accepted, deadlock, _, _ = _explore(
-        a, box, table if bounds is None else bounds, free, opts or Options())
+    accepted, deadlock, _, _ = _explore(a, box, *clock_tables(a, box),
+                                        opts or Options())
     return bool(accepted), bool(deadlock)
 
 

@@ -64,12 +64,13 @@ from .model import (
     clock_bounds,
     clock_tables,
     compose,
+    deadlock_guards,
     make_nonzeno,
     product,
     zeno_accepting,
 )
 from .params import BoundTable, ParamBox, ValuationSet
-from .pdbm import CPDBM, Matrix, negate_atom
+from .pdbm import CPDBM, Matrix
 
 DEFAULT_STATE_LIMIT = 1 << 22
 DEFAULT_DNF_LIMIT = 4096
@@ -286,22 +287,19 @@ def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba,
                         table: BoundTable, dnf_limit: int) -> ValuationSet:
     """Valuations for which some point of the zone at ``loc``, whose
     canonical branches are ``base``, enables no outgoing edge: the negated
-    guards of all outgoing edges, each distinct guard once, are applied as
-    a product of disjunctions, and the surviving branches' extensions are
+    guards of the location (``model.deadlock_guards``) are applied as a
+    product of disjunctions, and the surviving branches' extensions are
     united.  After each guard, branches with equal matrices become one
     branch on the union of their valuations, in order of first
     occurrence, so the expansion grows with the distinct zones, not with
     the paths to them; operations act on each valuation separately, so
     the union means the same."""
-    edges = a.locations[loc].edges
-    if any(not e.atoms for e in edges):
-        # an unguarded edge is always enabled: no zone point can deadlock
+    guards = deadlock_guards(a.locations[loc])
+    if guards is None:
         return ValuationSet.empty(table.box)
     cur = base
     steps = 0
-    # an edge enabled twice is enabled once: fold each distinct guard once
-    for atoms in dict.fromkeys(e.atoms for e in edges):
-        choices = [negate_atom(at) for at in atoms]
+    for choices in guards:
         united: dict[Matrix, int] = {}  # matrix -> valuation bits
         for atom in choices:
             for z in cur:

@@ -32,7 +32,8 @@ that a Zeno run could visit infinitely often, and applies the
 transformation that forces at least one time unit between visits to
 those, so that every accepting run is non-Zeno.  One backward analysis
 then gives every location's clock bounds and inactive clocks
-(``clock_tables``), which both engines read.
+(``clock_tables``), which both engines read, as they read the negated
+guards a deadlock check folds at each location (``deadlock_guards``).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from . import pdbm
 from .errors import InputError
 from .ltl import CMP_OPS, BuchiAutomaton, TokenCursor, _numbering, holds
 from .params import AffineExpr, ParamBox, StrictBound, bound
@@ -880,6 +882,21 @@ def clock_bounds(table: list[tuple[int, ...]]) -> list[int]:
     ``clock_tables`` bounds table: the one vector that covers every
     location."""
     return [max(col) for col in zip(*table)]
+
+
+# --- deadlock guards ---------------------------------------------------------
+
+
+def deadlock_guards(loc: PLoc) -> list[tuple[Atom, ...]] | None:
+    """What a deadlock check folds over a zone at ``loc``: None when some
+    edge is unguarded, since that edge is always enabled and no point can
+    deadlock; otherwise each distinct guard of the edges once, in edge
+    order (an edge enabled twice is enabled once), as its negated atoms,
+    any one of which disables the guard."""
+    if any(not e.atoms for e in loc.edges):
+        return None
+    return [tuple(pdbm.negate_atom(at) for at in atoms)
+            for atoms in dict.fromkeys(e.atoms for e in loc.edges)]
 
 
 def dump_product(a: Ptba) -> str:

@@ -328,11 +328,6 @@ class Constraint:
         x = self.lhs.eval(v)
         return x < 0 if self.strict else x <= 0
 
-    @property
-    def is_trivially_true(self) -> bool:
-        return self.lhs.is_const and (
-            self.lhs.const < 0 if self.strict else self.lhs.const <= 0)
-
     def __str__(self):
         return f"{self.lhs} {'<' if self.strict else '<='} 0"
 
@@ -669,10 +664,3 @@ class BoundTable:
         if got is None:
             got = self._floor[m] = self.intern(StrictBound(AffineExpr(-m), True))
         return got
-
-
-def bound_eval(b: StrictBound, v: Mapping[str, int]) -> tuple[int, bool] | None:
-    """Concrete (value, strict) pair, or None for infinity."""
-    if b.is_inf:
-        return None
-    return b.expr.eval(v), b.strict

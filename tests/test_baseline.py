@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -23,10 +24,11 @@ from ptasynth.baseline import (
 )
 from ptasynth.errors import CapacityError
 from ptasynth.explore import Options, synthesize
-from ptasynth.model import PEdge, PLoc, Ptba
-from ptasynth.params import AffineExpr, bound
+from ptasynth.model import PEdge, PLoc, Ptba, clock_tables, deadlock_guards
+from ptasynth.params import AffineExpr, ParamBox, bound
 
 P = AffineExpr.var("p")
+Q = AffineExpr.var("q")
 
 
 def loop_ptba(accepting=True):
@@ -35,26 +37,64 @@ def loop_ptba(accepting=True):
     return Ptba(["0", "x"], [loc], 0)
 
 
+def tables(a, box):
+    """``instantiate`` with the clock tables of ``box``."""
+    return instantiate(a, box, *clock_tables(a, box))
+
+
+def assert_encoded(t, ids, atoms, box):
+    """The atom-id row ``ids`` encodes ``atoms`` at every point of the box,
+    each as ``zones.encode`` of its bound evaluated there, and pads the
+    rest of the row with atom 0, which bounds nothing."""
+    assert len(ids) >= len(atoms)
+    for k in range(box.size):
+        v = box.point(k)
+        for a, (i, j, b) in zip(ids, atoms):
+            assert t.pos[a] == i * t.n + j
+            assert t.enc[a, k] == zones.encode(b.expr.eval(v), b.strict)
+        assert all(t.enc[a, k] == zones.INF for a in ids[len(atoms):])
+
+
 class TestInstantiate:
+    """The automaton's atoms encoded once per box, at every point."""
+
     def test_parameter_free_identity(self):
-        a = loop_ptba()
-        ct = instantiate(a, {})
-        assert ct.edges[0] == [([], (), 0)]
-        assert ct.accepting == [True]
+        t = tables(loop_ptba(), ParamBox.of({}))
+        assert t.guard.tolist() == [[0]] and t.inv.tolist() == [[0]]
+        assert t.target.tolist() == [0] and t.gather.tolist() == [[0, 1]]
+        assert t.accepting == [True]
+        # an unguarded loop is always enabled: nothing to fold
+        assert t.negated == [None]
 
     def test_affine_guard(self):
-        loc = PLoc("L", ())
-        loc.edges.append(PEdge(((1, 0, bound(2 * P - 1)),), (), 0, "e"))
-        a = Ptba(["0", "x"], [loc], 0)
-        ct = instantiate(a, {"p": 3})
-        (i, j, enc), = ct.edges[0][0][0]
-        assert (i, j) == (1, 0)
-        assert enc == zones.encode(5, False)
+        # guards, invariants and negated guards at every point of a small
+        # box, strict and weak, upper and lower bounds, one guard repeated
+        guard = ((1, 0, bound(2 * P - 1)), (0, 2, bound(Q - P, strict=True)))
+        locs = [PLoc("A", ((1, 0, bound(P + Q + 1)),)),
+                PLoc("B", ((2, 0, bound(3 * Q, strict=True)),))]
+        locs[0].edges += [PEdge(guard, (1,), 1, "e"),
+                          PEdge(((2, 0, bound(P)),), (), 0, "f"),
+                          PEdge(guard, (), 1, "g")]
+        locs[1].edges.append(PEdge(((0, 1, bound(-Q)),), (2,), 0, "h"))
+        a = Ptba(["0", "x", "y"], locs, 0)
+        box = ParamBox.of({"p": (1, 3), "q": (0, 2)})
+        t = tables(a, box)
+        for l, loc in enumerate(a.locations):
+            assert_encoded(t, t.inv[l].tolist(), loc.inv, box)
+            for k, e in enumerate(loc.edges):
+                assert_encoded(t, t.guard[t.first[l] + k].tolist(), e.atoms,
+                               box)
+            negated = deadlock_guards(loc)
+            assert len(t.negated[l]) == len(negated)
+            for ids, atoms in zip(t.negated[l], negated):
+                assert_encoded(t, ids, atoms, box)
+        # the repeated guard is folded once
+        assert [len(n) for n in t.negated] == [2, 1]
 
     def test_consistent_with_symbolic_evaluation(self):
-        # the instantiated guard equals the evaluated parametric bound
+        # the encoded guard equals the evaluated parametric bound
         from ptasynth import pdbm
-        from ptasynth.params import BoundTable, ParamBox, ValuationSet
+        from ptasynth.params import BoundTable, ValuationSet
 
         b = bound(3 * P - 2, strict=True)
         box = ParamBox.of({"p": (1, 3)})
@@ -63,12 +103,11 @@ class TestInstantiate:
                        pdbm.matrix_of(2, {(1, 0): b}, table))
         loc = PLoc("L", ())
         loc.edges.append(PEdge(((1, 0, b),), (), 0, "e"))
-        a = Ptba(["0", "x"], [loc], 0)
-        for p in range(1, 4):
-            ct = instantiate(a, {"p": p})
-            enc = ct.edges[0][0][0][0][2]
-            assert enc == zones.encode(
-                *od.from_valuation(z, {"p": p}, table)[1][0])
+        t = tables(Ptba(["0", "x"], [loc], 0), box)
+        [a] = t.guard[0].tolist()
+        for k in range(box.size):
+            assert t.enc[a, k] == zones.encode(
+                *od.from_valuation(z, box.point(k), table)[1][0])
 
 
 def flat_atoms(rows, n):
@@ -196,13 +235,12 @@ class TestStep:
 
 class TestCheckValuation:
     def test_no_accepting_location(self):
-        acc, dead = check_valuation(loop_ptba(accepting=False), {"p": 0},
-                                    bounds=[(0, 0)])
+        acc, dead = check_valuation(loop_ptba(accepting=False), {"p": 0})
         assert not acc
 
     def test_accepting_self_loop(self):
         for p in range(3):
-            acc, _ = check_valuation(loop_ptba(), {"p": p}, bounds=[(0, 0)])
+            acc, _ = check_valuation(loop_ptba(), {"p": p})
             assert acc
 
     def test_deterministic(self):
@@ -211,10 +249,10 @@ class TestCheckValuation:
         from ptasynth.ltl import parse_ltl
 
         box = net.box()
-        tba, bounds, _ = build_automaton(net, parse_ltl("G !work"), box)
+        tba, _, _ = build_automaton(net, parse_ltl("G !work"), box)
         v = {"p": 2, "q": 3}
-        first = check_valuation(tba, v, bounds)
-        assert all(check_valuation(tba, v, bounds) == first for _ in range(3))
+        first = check_valuation(tba, v)
+        assert all(check_valuation(tba, v) == first for _ in range(3))
 
 
 def random_one_clock_ptba(rng):
@@ -250,7 +288,8 @@ class TestRegionOracle:
             a = random_one_clock_ptba(rng)
             v = {}
             want = oracle_region.accepting_run_exists(a, v, k=3)
-            got, _ = check_valuation(a, v, bounds=[(0, 3)] * len(a.locations))
+            # per-location clock bounds, all at most 3
+            got, _ = check_valuation(a, v)
             assert got == want
             agree += 1
         assert agree == 200
@@ -349,12 +388,15 @@ class TestOneVectorReference:
         # on its quotient; the safety job has no accepting location, so no
         # non-Zeno clock either (4,044 with one)
         assert (total, reduced[2]) == states
-        # and check_valuation at the box's last point, given the vector
+        # and the engine's automaton at the box's last point, with the
+        # vector, as one_vector_enumeration explores it
         tba, _, _ = build_automaton(net, parse_ltl(prop), box)
         one = [tuple(one_clock_bounds(tba, box))] * len(tba.locations)
         last = box.size - 1
-        assert check_valuation(tba, box.point(last), one) == (
-            bool(accepted >> last & 1), bool(deadlock >> last & 1))
+        point = ParamBox.of({p: (x, x) for p, x in box.point(last).items()})
+        got = baseline._explore(dataclasses.replace(tba, gate=0), point, one,
+                                [()] * len(tba.locations), Options())
+        assert got[:2] == (accepted >> last & 1, deadlock >> last & 1)
 
 
 class TestLimits:

@@ -54,3 +54,28 @@ def test_tracer_sees_every_expansion_and_arrival():
     # every successor branch arrives at the node table, and so does
     # every initial matrix
     assert got["resolve"]["calls"] > got["successors"]["work"] > 0
+
+
+LIVE6_INSTANTIATE = """
+import json
+import tracer
+import workloads
+from ptasynth import enumerate_box
+
+t = tracer.Tracer()
+t.install()
+[job] = workloads.jobs("live6", 1)
+net = workloads.network(job)
+enumerate_box(net, job.prop, net.box(job.box))
+print(json.dumps(t.summary()["spans"].get("baseline.instantiate")))
+"""
+
+
+def test_tracer_times_instantiate():
+    # _explore must build its per-box tables through the name the tracer
+    # replaces: calling the class directly would zero the
+    # baseline.instantiate metrics and book the time as baseline self time
+    proc = run_child(LIVE6_INSTANTIATE)
+    assert proc.returncode == 0, proc.stderr
+    span = json.loads(proc.stdout)
+    assert span is not None and span["calls"] == 1

@@ -456,6 +456,26 @@ class TestDeadlockValuations:
         assert sym.deadlock.bits == base.deadlock.bits
         assert not sym.deadlock.is_empty
 
+    @pytest.mark.parametrize("limit,symbolic_done,enumerate_done", [
+        (31, False, False), (37, False, True), (38, True, True)])
+    def test_dnf_limit_counts_engine_steps(self, limit, symbolic_done,
+                                           enumerate_done):
+        # the limit bounds each engine's own fold: on this job the
+        # symbolic fold needs 38 steps and enumeration 32, so from 32 to
+        # 37 only enumeration finishes
+        from ptasynth.baseline import enumerate_box
+
+        net = load_fixture("deadfold.pta")
+        for run, done in ((synthesize, symbolic_done),
+                          (enumerate_box, enumerate_done)):
+            if done:
+                res = run(net, "!al0 U al1", opts=Options(dnf_limit=limit))
+                assert len(res.deadlock) == 12
+            else:
+                with pytest.raises(CapacityError,
+                                   match=f"expansion exceeded {limit}$"):
+                    run(net, "!al0 U al1", opts=Options(dnf_limit=limit))
+
     def test_repeated_guards_fold_once(self):
         # G over 600 copies of one atom gives product locations with many
         # edges that share one clock guard; folding every copy would

@@ -24,13 +24,14 @@ from ptasynth.model import (
     clock_bounds,
     clock_tables,
     compose,
+    deadlock_guards,
     dump_product,
     make_nonzeno,
     parse_model,
     product,
     zeno_accepting,
 )
-from ptasynth.params import AffineExpr, ParamBox, bound
+from ptasynth.params import AffineExpr, ParamBox, StrictBound, bound
 
 MINIMAL = """
 param p = 0..3
@@ -732,6 +733,38 @@ def test_components_match_mutual_reachability(rng):
             for w in range(n):
                 assert (comp[nodes[u]] == comp[nodes[w]]) is (
                     w in reach[u] and u in reach[w]), (edges, u, w)
+
+
+class TestDeadlockGuards:
+    """What a deadlock check folds at a location."""
+
+    X_LE_P = (1, 0, bound(AffineExpr.var("p")))
+    Y_GT_2 = (0, 2, bound(-2, strict=True))
+
+    def guards(self, *atom_lists):
+        loc = PLoc("L", ())
+        loc.edges += [PEdge(tuple(atoms), (), 0, "e") for atoms in atom_lists]
+        return deadlock_guards(loc)
+
+    def test_unguarded_edge_folds_nothing(self):
+        assert self.guards([self.X_LE_P], []) is None
+
+    def test_no_edges_fold_to_no_guard(self):
+        assert self.guards() == []
+
+    def test_repeated_guard_kept_once_in_edge_order(self):
+        a, b = [self.Y_GT_2], [self.X_LE_P, self.Y_GT_2]
+        got = self.guards(a, b, a, b)
+        assert got == self.guards(a, b)
+        assert [len(g) for g in got] == [1, 2]
+        assert self.guards(b, a) == got[::-1]
+
+    def test_atoms_negated(self):
+        atoms = [self.X_LE_P, self.Y_GT_2]
+        [got] = self.guards(atoms)
+        assert got == tuple((j, i, StrictBound(-b.expr, not b.strict))
+                            for i, j, b in atoms)
+        assert got[1] == (2, 0, bound(2))  # not (0 - y < -2) is y - 0 <= 2
 
 
 def test_dump_product_smoke():
