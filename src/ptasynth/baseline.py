@@ -135,8 +135,7 @@ class _Tables:
                 if key not in ids:
                     ids[key] = len(pos)
                     pos.append(key[0])
-                    enc.append((box.values(b.expr) << 1)
-                               | (0 if b.strict else 1))
+                    enc.append(zones.encode(box.values(b.expr), b.strict))
                 out.append(ids[key])
             return out
 

@@ -63,6 +63,7 @@ from .model import (
     Ptba,
     clock_bounds,
     clock_tables,
+    comp_loc,
     compose,
     deadlock_guards,
     make_nonzeno,
@@ -284,7 +285,7 @@ def successors(loc: int, base: list[CPDBM], a: Ptba, table: BoundTable,
 
 
 def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba,
-                        table: BoundTable, dnf_limit: int) -> ValuationSet:
+                        table: BoundTable, dnf_limit: int) -> int:
     """Valuations for which some point of the zone at ``loc``, whose
     canonical branches are ``base``, enables no outgoing edge: the negated
     guards of the location (``model.deadlock_guards``) are applied as a
@@ -296,7 +297,7 @@ def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba,
     the union means the same."""
     guards = deadlock_guards(a.locations[loc])
     if guards is None:
-        return ValuationSet.empty(table.box)
+        return 0
     cur = base
     steps = 0
     for choices in guards:
@@ -316,7 +317,7 @@ def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba,
     bits = 0
     for z in cur:
         bits |= z.bits
-    return ValuationSet(table.box, bits)
+    return bits
 
 
 # --- reachable coloured graph ------------------------------------------------
@@ -364,7 +365,7 @@ def build_graph(a: Ptba, box: ParamBox, bounds, free,
                 CPDBM(zb.bits & fold, zb.mat, zb.canonical) for zb in base
                 if zb.bits & fold]
             store.deadlock_bits |= deadlock_valuations(loc, live, a, table,
-                                                       opts.dnf_limit).bits
+                                                       opts.dnf_limit)
         store.expansions += 1
         if opts.trace is not None:
             opts.trace.write(f"state {u}: {a.locations[loc].name}\n")
@@ -482,17 +483,9 @@ class SynthesisResult:
         }
 
 
-def declared_atoms(net: Network) -> set[str]:
-    out = set()
-    for comp in net.components:
-        for loc in comp.locations.values():
-            out.add(f"{comp.name}.{loc.name}")
-            out.update(loc.labels)
-    return out
-
-
 def validate_property(net: Network, f: Formula) -> None:
-    known = declared_atoms(net)
+    known = {a for comp in net.components for loc in comp.locations.values()
+             for a in (comp_loc(comp.name, loc.name), *loc.labels)}
     for atom in atoms_of(f):
         if isinstance(atom, tuple):
             if atom[0] not in net.variables:
@@ -517,7 +510,8 @@ def _check_bound_range(a: Ptba, box: ParamBox, maxima) -> None:
     def check(value: int, what: str) -> None:
         if value >= BOUND_LIMIT:
             raise InputError(f"{what} reaches {value}, out of the bound "
-                             f"range (below 2^38)", kind="bound-range")
+                             f"range (below 2^{BOUND_LIMIT.bit_length() - 1})",
+                             kind="bound-range")
 
     for name, m in zip(a.clock_names, maxima):
         check(m, f"maximum of clock {name}")

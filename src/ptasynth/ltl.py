@@ -14,7 +14,11 @@ acceptance into a single accepting set.  The tableau is a LIFO worklist of
 nodes, the normal form a walk with its own stack, and a formula caches its
 printed form and hash, so no step recurses over the formula and the width
 of a property is not limited by Python's stack; only the parser recurses,
-once per level of nesting.
+once per level of nesting.  Formulas are equal when their kinds and
+printed forms are, which is structural equality: the printed form puts
+parentheses around every operand, no name the parser builds is a keyword
+or holds a space or a bracket, and a data atom prints with spaces
+(``w >= -1``), so a printed form reads back as one tree only.
 
 The tableau emits bisimilar copies: its initial state repeats the state
 it enters, repeated or redundant subformulas give states with equal
@@ -86,19 +90,10 @@ class Formula:
         return self._hash
 
     def __eq__(self, other):
-        """Structural equality, walked with an explicit stack; shared
-        subformulas and differing hashes end the walk early."""
+        """Equal kinds and printed forms, which is structural equality."""
         if not isinstance(other, Formula):
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            f, g = pairs.pop()
-            if f is g:
-                continue
-            if f._hash != g._hash or f.kind != g.kind or f.atom != g.atom:
-                return False
-            pairs.extend(zip(f.children, g.children))
-        return True
+        return self.kind == other.kind and self.key == other.key
 
     def __str__(self):
         return self.key

@@ -473,6 +473,11 @@ class Labelling:
         return atom in self.aps[loc]
 
 
+def comp_loc(comp: str, loc: str) -> str:
+    """``Comp.Loc``: component ``comp`` at ``loc``, in atoms and names."""
+    return f"{comp}.{loc}"
+
+
 def compose(net: Network) -> tuple[Ptba, Labelling]:
     """Product of the components with data variables folded into locations:
     interleaving for plain edges, pairwise handshake for matching !/? pairs
@@ -494,7 +499,7 @@ def compose(net: Network) -> tuple[Ptba, Labelling]:
         valmap = dict(zip(varnames, vals))
         srcs = [locnames[ci][k] for ci, k in enumerate(locs)]
         name = "|".join(
-            f"{c.name}.{src}" for c, src in zip(net.components, srcs))
+            comp_loc(c.name, src) for c, src in zip(net.components, srcs))
         if varnames:
             name += "|" + ",".join(f"{v}={valmap[v]}" for v in varnames)
         inv: list[Atom] = []
@@ -502,7 +507,7 @@ def compose(net: Network) -> tuple[Ptba, Labelling]:
         for c, src in zip(net.components, srcs):
             loc = c.locations[src]
             inv.extend(loc.inv_atoms)
-            ap_set.add(f"{c.name}.{loc.name}")
+            ap_set.add(comp_loc(c.name, loc.name))
             ap_set.update(loc.labels)
         ploc = PLoc(name, tuple(inv))
         locations.append(ploc)
@@ -562,6 +567,10 @@ def product(pta: Ptba, lab: Labelling, aut: BuchiAutomaton) -> Ptba:
     source location, so a run's location trace spells the word the
     automaton reads.  Accepting locations are those whose automaton state
     is accepting."""
+    atoms = sorted({a for t in aut.transitions for a in t.pos | t.negs},
+                   key=str)  # an order the hash seed does not set
+    letters = [frozenset(a for a in atoms if lab.holds(l, a))
+               for l in range(len(pta.locations))]
     order, state_id = _numbering((pta.initial, aut.initial))
     locations: list[PLoc] = []
     for l, q in order:
@@ -569,9 +578,7 @@ def product(pta: Ptba, lab: Labelling, aut: BuchiAutomaton) -> Ptba:
         ploc = PLoc(f"{base.name}#q{q}", base.inv,
                     accepting=q in aut.accepting)
         locations.append(ploc)
-        enabled = [t for t in aut.outgoing(q)
-                   if all(lab.holds(l, a) for a in t.pos)
-                   and not any(lab.holds(l, a) for a in t.negs)]
+        enabled = [t for t in aut.outgoing(q) if t.enabled(letters[l])]
         for e in base.edges:
             for t in enabled:
                 tgt = state_id((e.target, t.dst))
@@ -900,19 +907,16 @@ def deadlock_guards(loc: PLoc) -> list[tuple[Atom, ...]] | None:
 
 
 def dump_product(a: Ptba) -> str:
-    def atom(i, j, b):
-        op = "<" if b.strict else "<="
-        return f"{a.clock_names[i]} - {a.clock_names[j]} {op} {b.expr}"
-
     lines = [f"clocks: {' '.join(a.clock_names[1:])}",
              f"initial: {a.locations[a.initial].name}"]
     for loc in a.locations:
         mark = " (accepting)" if loc.accepting else ""
         lines.append(f"location {loc.name}{mark}")
         for at in loc.inv:
-            lines.append(f"  invariant {atom(*at)}")
+            lines.append(f"  invariant {pdbm.atom_text(a.clock_names, *at)}")
         for e in loc.edges:
-            guard = " && ".join(atom(*at) for at in e.atoms) or "true"
+            guard = " && ".join(pdbm.atom_text(a.clock_names, *at)
+                                for at in e.atoms) or "true"
             rs = " reset " + ",".join(a.clock_names[r] for r in e.resets) \
                 if e.resets else ""
             lines.append(f"  -> {a.locations[e.target].name}"

@@ -407,8 +407,13 @@ def evaluate_all(z: CPDBM, table: BoundTable) -> np.ndarray:
     for i, row in enumerate(z.mat):
         for j, b in enumerate(map(table.bound, row)):
             out[:, i, j] = zones.INF if b.expr is None else \
-                box.values(b.expr) * 2 + (not b.strict)
+                zones.encode(box.values(b.expr), b.strict)
     return out
+
+
+def atom_text(names: Sequence[str], i: int, j: int, b: StrictBound) -> str:
+    """The clock atom (i, j, b) as ``x - y < e``, clocks named by ``names``."""
+    return f"{names[i]} - {names[j]} {'<' if b.strict else '<='} {b.expr}"
 
 
 def dump(z: CPDBM, table: BoundTable,
@@ -416,8 +421,7 @@ def dump(z: CPDBM, table: BoundTable,
     """Debug text: one line per finite entry, then one line per valuation
     of the extension."""
     names = names or [f"x{i}" for i in range(z.n)]
-    lines = [f"{names[i]} - {names[j]} {'<' if b.strict else '<='} {b.expr}"
-             for i, row in enumerate(z.mat)
+    lines = [atom_text(names, i, j, b) for i, row in enumerate(z.mat)
              for j, b in enumerate(map(table.bound, row))
              if i != j and not b.is_inf]
     lines.append("where:")

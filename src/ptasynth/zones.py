@@ -2,9 +2,9 @@
 
 A zone over ``n`` clock slots (index 0 is the constant-zero clock) is an
 ``(n, n)`` int64 array whose entry ``(i, j)`` encodes the bound on
-``x_i - x_j``.  Encoding: ``(value << 1) | weak`` with ``weak = 1`` for
-``<=``; infinity is a large sentinel.  Smaller encoded value = tighter
-bound, and bound addition is ``a + b - ((a | b) & 1)``.
+``x_i - x_j``.  Encoding (``encode``): ``(value << 1) | weak`` with
+``weak = 1`` for ``<=``; infinity is a large sentinel.  Smaller encoded
+value = tighter bound, and bound addition is ``a + b - ((a | b) & 1)``.
 
 The closure loop lives in ``_zonecore``, a hand-written C extension that
 ``setup.py`` builds when a C compiler is available; without it it runs in
@@ -98,6 +98,6 @@ def extrapolate(m: np.ndarray, bounds: np.ndarray):
     changed = (hi | lo).any(axis=(-2, -1))
     if changed.any():
         m[hi] = INF
-        m[lo] = np.broadcast_to(((-bounds) << 1)[..., None, :], m.shape)[lo]
+        np.copyto(m, encode(-bounds, True)[..., None, :], where=lo)
     return changed
 

@@ -96,7 +96,8 @@ def random_formula(rng, atoms, depth):
             return ltl.TRUE
         if r < 0.2:
             return ltl.FALSE
-        return ltl.ap(rng.choice(atoms))
+        a = rng.choice(atoms)  # a name or a (var, op, value) data atom
+        return ltl.data_ap(*a) if isinstance(a, tuple) else ltl.ap(a)
     op = rng.choice(["not", "and", "or", "next", "until",
                      "release", "finally", "globally"])
     a = random_formula(rng, atoms, depth - 1)

@@ -400,13 +400,13 @@ class TestDeadlockValuations:
         a = Ptba(["0", "x"], [loc], 0)
         base = initial_states(a, TABLE5, [(0, 0)], [()])
         got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
-        assert got.bits == base[0].bits
+        assert got == base[0].bits
 
     def test_unguarded_edge_never_deadlocks(self):
         a = tiny_ptba()
         base = initial_states(a, TABLE5, [(0, 0)], [()])
         assert deadlock_valuations(0, base, a, TABLE5,
-                                   DEFAULT_DNF_LIMIT).is_empty
+                                   DEFAULT_DNF_LIMIT) == 0
 
     def test_upper_bounded_guard_on_unbounded_zone(self):
         # zone x >= 0 with a single guard x <= p: some point beyond p
@@ -414,7 +414,7 @@ class TestDeadlockValuations:
         a = tiny_ptba(guard_atoms=[(1, 0, bound(P))])
         base = initial_states(a, TABLE5, [(0, 5)], [()])
         got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
-        assert got.bits == ValuationSet.full(BOX5).bits
+        assert got == ValuationSet.full(BOX5).bits
 
     def test_lower_bounded_guard_never_deadlocks_upward_zone(self):
         # guard x >= p on an upward-closed zone is always eventually on,
@@ -422,7 +422,8 @@ class TestDeadlockValuations:
         a = tiny_ptba(guard_atoms=[(0, 1, bound(-P))])
         base = initial_states(a, TABLE5, [(0, 5)], [()])
         got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
-        assert sorted(v["p"] for v in got) == [1, 2, 3, 4, 5]
+        assert sorted(v["p"] for v in ValuationSet(BOX5, got)) == \
+            [1, 2, 3, 4, 5]
 
     def test_dnf_capacity(self):
         # four independent clocks, one edge per clock with three guards:
@@ -440,7 +441,7 @@ class TestDeadlockValuations:
         a = Ptba(["0", "x1", "x2", "x3", "x4"], [loc], 0)
         with pytest.raises(CapacityError):
             deadlock_valuations(0, [z], a, TABLE5, 100)
-        assert deadlock_valuations(0, [z], a, TABLE5, 120).bits \
+        assert deadlock_valuations(0, [z], a, TABLE5, 120) \
             == ValuationSet.full(BOX5).bits
 
     def test_repeated_zones_fold_under_default_limit(self):

@@ -97,6 +97,44 @@ def _kinds(f):
     return out
 
 
+def walk_equal(f, g) -> bool:
+    """Structural equality as a walk with an explicit stack: kinds, atoms
+    and children pairwise.  ``Formula.__eq__`` compares kinds and printed
+    forms instead."""
+    pairs = [(f, g)]
+    while pairs:
+        f, g = pairs.pop()
+        if f.kind != g.kind or f.atom != g.atom:
+            return False
+        pairs.extend(zip(f.children, g.children))
+    return True
+
+
+def test_equality_is_structural():
+    # every pair of the corpus properties, the properties of the first
+    # 1,000 generator-seed-1 fuzz jobs and random depth-4 formulas over
+    # dotted names and data atoms with negative constants, each formula
+    # also parsed back from its printed form as a distinct equal tree
+    rng = random.Random(1)
+    texts = [p for ps in CORPUS.values() for p in ps]
+    for _ in range(1000):
+        _, labels = fuzzgen.random_model(rng)
+        texts.append(fuzzgen.random_property(rng, labels))
+    atoms = ["a", "b", "P1.CS", "Train1.Appr", ("c", ">=", -1),
+             ("c", "<=", 0), ("c", "==", -12), ("w", "!=", -1)]
+    rng = random.Random(2)
+    pool = [ltl.parse_ltl(p) for p in dict.fromkeys(texts)] + [
+        ol.random_formula(rng, atoms, 4) for _ in range(250)]
+    pool += [ltl.parse_ltl(f.key) for f in pool]
+    equal = 0
+    for f in pool:
+        for g in pool:
+            same = walk_equal(f, g)
+            assert (f == g) == same, (f, g)
+            equal += same
+    assert equal > len(pool)
+
+
 class TestBuchi:
     def test_true_universal(self):
         aut = ltl.to_buchi(ltl.to_nnf(ltl.TRUE))

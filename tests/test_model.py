@@ -276,6 +276,20 @@ class TestProduct:
         prod = product(pta, lab, aut)
         assert prod.locations[prod.initial].edges == []
 
+    @pytest.mark.parametrize("prop", [
+        "G (start || w >= -1)", "G !(start && M.B && w >= 0)",
+        "G ((start && M.B) -> w >= 0)"])
+    def test_data_atom_on_undeclared_variable(self, prop):
+        # build_automaton rejects such a property before the product, so
+        # only direct callers reach this check.  The last two read w only
+        # next to atoms that never hold together; the product reads every
+        # atom of the automaton at every location, so it raises all the same
+        pta, lab = compose(parse_model(MINIMAL))
+        aut = ltl.negated_automaton(ltl.parse_ltl(prop))
+        with pytest.raises(InputError, match="unknown variable 'w'") as err:
+            product(pta, lab, aut)
+        assert err.value.kind == "unknown-variable"
+
 
 class TestNonZeno:
     def test_empty_acceptance_stays_empty(self):
