@@ -24,9 +24,9 @@ tests' one-vector reference, which runs this search with neither, on the
 product with every accepting location gated.
 
 Every valuation gets its own zone graph, but the graphs are explored in
-lockstep: the automaton's atoms are encoded once per box, at every point
-(``instantiate``), and each step applies one array operation to a batch
-of zones drawn from many valuations (see ``_explore``).
+lockstep: the steps of the front end's table (``model.transition_steps``)
+are encoded once per box, at every point (``instantiate``), and each
+``_step`` call takes a batch of zones from many valuations (``_explore``).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .model import (
     _accepting_cycle,
     clock_tables,
     deadlock_guards,
+    transition_steps,
 )
 from .params import ParamBox, ValuationSet
 
@@ -115,12 +116,13 @@ class _Tables:
 
     Atom ``a`` bounds flat entry ``pos[a]`` by ``enc[a, point]``; atom 0
     bounds nothing (infinity on the diagonal of the zero clock) and pads
-    the atom rows of shorter guards and invariants.  Edges are numbered
-    location by location, so location ``l`` owns the ``degree[l]`` edges
-    from ``first[l]`` on.  ``bounds[l]`` holds the clock bounds zones at
-    location ``l`` are widened with, ``freed[l]`` marks the clocks they
-    free (of the inactive-clock table ``free``), and ``gate`` is the
-    non-Zeno clock whose lower bounds every zone drops."""
+    the atom rows of shorter guards and invariants.  Row k of ``guard``,
+    ``gather``, ``inv``, ``bounds`` (the clock bounds zones are widened
+    with) and ``freed`` (the clocks they free) is step k of
+    ``model.transition_steps``; ``gate`` is the non-Zeno clock whose lower
+    bounds every zone drops.  Edges are numbered location by location, so
+    location ``l`` owns the ``degree[l]`` edges from ``first[l]`` on, and
+    edge ``e`` takes step ``step[e]`` into ``target[e]``."""
 
     def __init__(self, a: Ptba, box: ParamBox, bounds, free):
         n = len(a.clock_names)
@@ -139,44 +141,34 @@ class _Tables:
                 out.append(ids[key])
             return out
 
+        steps, moves = transition_steps(a, bounds, free)
         self.n = n
-        self.bounds = np.asarray(bounds, dtype=np.int64)
-        self.freed = np.zeros((len(a.locations), n), dtype=bool)
-        for row, clocks in zip(self.freed, free):
-            row[list(clocks)] = True
         self.gate = a.gate
         self.accepting = [loc.accepting for loc in a.locations]
-        self.degree = [len(loc.edges) for loc in a.locations]
+        self.degree = [len(m) for m in moves]
         self.first = np.cumsum([0] + self.degree)[:-1]
-        inv = [atom_ids(loc.inv) for loc in a.locations]
-        edges = [e for loc in a.locations for e in loc.edges]
-        guards = [atom_ids(e.atoms) for e in edges]
+        self.target, self.step = np.array(
+            [m for ms in moves for m in ms], dtype=np.int64).reshape(-1, 2).T
+        self.guard = _padded([atom_ids(st[0]) for st in steps])
+        self.gather = np.tile(np.arange(n), (len(steps), 1))
+        self.inv = _padded([atom_ids(st[2]) for st in steps])
+        self.bounds = np.array([st[3] for st in steps], dtype=np.int64)
+        self.freed = np.zeros((len(steps), n), dtype=bool)
+        for k, st in enumerate(steps):
+            self.gather[k, list(st[1])] = 0
+            self.freed[k, list(st[4])] = True
         # per location: what the deadlock fold takes, None for nothing
         self.negated = [None if g is None else [atom_ids(c) for c in g]
                         for g in map(deadlock_guards, a.locations)]
         self.pos = np.array(pos, dtype=np.int64)
         self.enc = np.stack(enc)
-        self.inv = _padded(inv)
-        self.guard = _padded(guards)
-        self.gather = np.tile(np.arange(n), (len(edges), 1))
-        for row, e in zip(self.gather, edges):
-            row[list(e.resets)] = 0
-        self.target = np.array([e.target for e in edges], dtype=np.int64)
 
-    def initial(self, loc: int, points: np.ndarray):
-        """The initial zone at each point: all clocks zero, then time
-        elapse, the invariant of ``loc``, freeing, dropping the gate
-        clock's lower bounds and extrapolation.  Returns the
-        indices of the points where it is non-empty and its keys there."""
-        count, n = len(points), self.n
-        keep, ms = _step(
-            np.full((count, n, n), zones.ZERO_WEAK, dtype=np.int64),
-            self.atoms(np.zeros((count, 1), dtype=np.int64), points),
-            np.tile(np.arange(n), (count, 1)),
-            self.atoms(np.tile(self.inv[loc], (count, 1)), points),
-            np.broadcast_to(self.bounds[loc], (count, n)),
-            np.broadcast_to(self.freed[loc], (count, n)), self.gate)
-        return keep.tolist(), _pack(loc, ms)
+    def advance(self, ms: np.ndarray, ks: np.ndarray, points: np.ndarray):
+        """One ``_step`` of each zone ``ms[r]`` through step ``ks[r]``, read
+        at box point ``points[r]``."""
+        return _step(ms, self.atoms(self.guard[ks], points), self.gather[ks],
+                     self.atoms(self.inv[ks], points), self.bounds[ks],
+                     self.freed[ks], self.gate)
 
     def successors(self, states):
         """One ``_step`` over every edge of a batch of ``(loc, point, key)``
@@ -189,12 +181,8 @@ class _Tables:
                 + np.arange(len(rows)))
         points = np.array([st[1] for st in states], dtype=np.int64)[rows]
         targets = self.target[eids]
-        keep, ms = _step(_unpack([st[2] for st in states], self.n)[rows],
-                         self.atoms(self.guard[eids], points),
-                         self.gather[eids],
-                         self.atoms(self.inv[targets], points),
-                         self.bounds[targets], self.freed[targets],
-                         self.gate)
+        ms = _unpack([st[2] for st in states], self.n)[rows]
+        keep, ms = self.advance(ms, self.step[eids], points)
         found: list = [None] * len(rows)
         for row, key in zip(keep.tolist(), _pack(targets[keep], ms)):
             found[row] = key
@@ -380,8 +368,10 @@ def _explore(a: Ptba, box: ParamBox, bounds, free, opts: Options):
         nonlocal next_point
         points = np.arange(next_point, min(stop, next_point + count))
         next_point += len(points)
+        zero = np.full((len(points), t.n, t.n), zones.ZERO_WEAK, np.int64)
+        keep, ms = t.advance(zero, np.zeros_like(points), points)
         return [_Graph(int(points[k]), a.initial, key)
-                for k, key in zip(*t.initial(a.initial, points))]
+                for k, key in zip(keep.tolist(), _pack(a.initial, ms))]
 
     while True:
         over_time()

@@ -23,13 +23,13 @@ node's matrix on those valuations alone: successor generation with
 constraint splitting, and the deadlock valuations among
 those not yet known to deadlock (the deadlock set is a union).  The
 successors along one edge of one canonical branch come from one pass over
-mutable rows (``pdbm.transition``), with the edge's constants prepared
-once per graph; the initial matrices are one such pass from the zero
-zone, along an edge with no guard and no reset.  The product repeats a
-network edge at every automaton state that carries it; the product
-locations that repeat a clock edge share its plan and, per base branch,
-its successor branches, so each distinct transition is computed once per
-graph.  Each successor branch, freed, dropped and widened, adds its
+mutable rows (``pdbm.transition``) along the edge's step, numbered once
+for both engines by the front end (``model.transition_steps``); the
+initial matrices are step 0 from the zero zone.  Each step's plan is
+prepared once per graph, and the edges that share a step, as the
+product's copies of one network edge do, share its plan and, per base
+branch, its successor branches, so each distinct transition is computed
+once per graph.  Each successor branch, freed, dropped and widened, adds its
 valuations to its target node and to the colour of the edge; the node
 table keys and checks the branch's matrix in one walk over it.  At a
 valuation v, the nodes and edges whose colours hold v form the widened
@@ -61,6 +61,7 @@ from .ltl import Formula, atoms_of, negated_automaton, parse_ltl
 from .model import (
     Network,
     Ptba,
+    check_variable,
     clock_bounds,
     clock_tables,
     comp_loc,
@@ -68,6 +69,7 @@ from .model import (
     deadlock_guards,
     make_nonzeno,
     product,
+    transition_steps,
     zeno_accepting,
 )
 from .params import BoundTable, ParamBox, ValuationSet
@@ -213,31 +215,21 @@ class StateStore:
 # --- successor generation ----------------------------------------------------
 
 
-def initial_states(a: Ptba, table: BoundTable, bounds,
-                   free) -> list[CPDBM]:
-    """The initial matrices, all at ``a.initial``: one ``pdbm.transition``
-    from the zero zone with time released, along an edge with no guard and
-    no reset into ``a.initial``, so constrained by its invariant, with its
-    inactive clocks freed and widened with its clock bounds (``bounds``
-    and ``free`` are the two tables of ``clock_tables``).
-    Time release is a no-op on the released zero zone.  Its splits are not
-    tallied."""
-    plan = pdbm.transition_plan((), (), a.locations[a.initial].inv,
-                                bounds[a.initial], free[a.initial], a.gate,
-                                table)
-    return pdbm.transition(pdbm.initial_cpdbm(a.n_clocks, table), plan,
-                           table, {})
+def initial_states(n_clocks: int, step: tuple,
+                   table: BoundTable) -> list[CPDBM]:
+    """The initial matrices: one ``pdbm.transition`` from the zero zone
+    along ``step``, step 0 of ``model.transition_steps``, which enters the
+    initial location with no guard and no reset.  Time release is a no-op
+    on the released zero zone.  Its splits are not tallied."""
+    return pdbm.transition(pdbm.initial_cpdbm(n_clocks, table),
+                           pdbm.transition_plan(*step, table), table, {})
 
 
-def successors(loc: int, base: list[CPDBM], a: Ptba, table: BoundTable,
-               bounds, free, counts: dict[str, int],
-               plans: dict) -> list[tuple[int, CPDBM]]:
+def successors(loc: int, base: list[CPDBM], moves, steps, table: BoundTable,
+               counts: dict[str, int], plans: list) -> list[tuple[int, CPDBM]]:
     """All successors of the zone at ``loc`` whose canonical branches are
     ``base``, as (target, matrix) pairs: per edge and base branch, the
-    branches of one ``pdbm.transition``: guard, reset and time release,
-    target invariant, freeing the target's inactive clocks (``free``),
-    widening with the target's clock bounds (``bounds``; both tables come
-    from ``clock_tables``), with empty
+    branches of one ``pdbm.transition`` along the edge's step, with empty
     branches dropped at every stage.  Guard and invariant are closed
     through their clocks only; the base branches are closed in full.
     Pairs come in edge order; branches that reach one target with one
@@ -245,31 +237,20 @@ def successors(loc: int, base: list[CPDBM], a: Ptba, table: BoundTable,
     forking stage the branches it added (``guard`` counts a guard or
     invariant and its closure).
 
-    ``plans`` holds, for one ``table``, ``bounds`` and ``free``, each
-    location's edges as (target, shared plan) and each shared plan under
-    its content, the arguments of ``pdbm.transition_plan``: guard, sorted
-    resets, target invariant, clock bounds and inactive clocks.  The
-    product repeats a network edge at every automaton state that carries
-    it, and every copy gets the one ``pdbm.transition_plan`` with its memo
-    from a base branch's (bits, matrix) to its successor branches and the
-    splits they added.  ``transition`` is a pure function of the plan, the
-    branch and ``table``, so a hit gives what a call would, and its splits
-    are tallied again.  ``build_graph`` passes one ``table`` and one
-    ``plans`` per graph, so nothing is kept across graphs."""
-    steps = plans.get(loc)
-    if steps is None:
-        steps = plans[loc] = []
-        for e in a.locations[loc].edges:
-            t = e.target
-            content = (e.atoms, tuple(sorted(e.resets)), a.locations[t].inv,
-                       bounds[t], free[t], a.gate)
-            shared = plans.get(content)
-            if shared is None:
-                shared = plans[content] = (
-                    pdbm.transition_plan(*content, table), {})
-            steps.append((e.target, shared))
+    ``moves[loc]`` lists the edges as (target, step), numbers of
+    ``steps`` (``model.transition_steps``).  ``plans[k]``, made on first
+    use, holds step k's ``pdbm.transition_plan`` for one ``table`` and a
+    memo from a base branch's (bits, matrix) to its successor branches and
+    the splits they added, so the edges that share a step share both.
+    ``transition`` is a pure function of the plan, the branch and
+    ``table``, so a hit gives what a call would, and its splits are
+    tallied again.  ``build_graph`` passes one ``table`` and one ``plans``
+    per graph, so nothing is kept across graphs."""
     out: list[tuple[int, CPDBM]] = []
-    for target, (plan, memo) in steps:
+    for target, k in moves[loc]:
+        if plans[k] is None:
+            plans[k] = (pdbm.transition_plan(*steps[k], table), {})
+        plan, memo = plans[k]
         for zb in base:
             key = (zb.bits, zb.mat)
             hit = memo.get(key)
@@ -340,8 +321,9 @@ def build_graph(a: Ptba, box: ParamBox, bounds, free,
     over_time = over_time or opts.timer()
     table = BoundTable(box)
     store = StateStore(table, bounds, opts.limit_states)
-    plans: dict = {}  # shared transition plans and memos (``successors``)
-    for z in initial_states(a, table, bounds, free):
+    steps, moves = transition_steps(a, bounds, free)
+    plans: list = [None] * len(steps)  # per step (``successors``)
+    for z in initial_states(a.n_clocks, steps[0], table):
         nid = store.resolve(a.initial, z)
         if nid not in store.initials:
             store.initials.append(nid)
@@ -371,7 +353,7 @@ def build_graph(a: Ptba, box: ParamBox, bounds, free,
             opts.trace.write(f"state {u}: {a.locations[loc].name}\n")
             opts.trace.write(pdbm.dump(z, table, a.clock_names) + "\n\n")
         edges = store.succ[u]
-        for target, zt in successors(loc, base, a, table, bounds, free,
+        for target, zt in successors(loc, base, moves, steps, table,
                                      store.counts, plans):
             if zt.bits & ~delta:
                 raise SoundnessError(
@@ -488,9 +470,7 @@ def validate_property(net: Network, f: Formula) -> None:
              for a in (comp_loc(comp.name, loc.name), *loc.labels)}
     for atom in atoms_of(f):
         if isinstance(atom, tuple):
-            if atom[0] not in net.variables:
-                raise InputError(f"property uses unknown variable {atom[0]!r}",
-                                 kind="unknown-variable")
+            check_variable(atom[0], net.variables)
         elif atom not in known:
             raise InputError(f"property uses unknown atom {atom!r}",
                              kind="unknown-atom")

@@ -466,11 +466,16 @@ class Labelling:
 
     def holds(self, loc: int, atom) -> bool:
         if isinstance(atom, tuple):
-            if atom[0] not in self.varvals[loc]:
-                raise InputError(f"unknown variable {atom[0]!r} in property",
-                                 kind="unknown-variable")
+            check_variable(atom[0], self.varvals[loc])
             return holds(atom, self.varvals[loc])
         return atom in self.aps[loc]
+
+
+def check_variable(name: str, variables) -> None:
+    """A property's data atom must read a declared variable."""
+    if name not in variables:
+        raise InputError(f"property uses unknown variable {name!r}",
+                         kind="unknown-variable")
 
 
 def comp_loc(comp: str, loc: str) -> str:
@@ -608,8 +613,8 @@ def make_nonzeno(a: Ptba, gated) -> Ptba:
     no guard but the gate reads it, so a valuation where it is larger
     enables every edge that one where it is smaller does, and every gate
     edge has an ungated sibling with the same source and otherwise the
-    same guard: both engines forget the clock's lower bounds
-    (``pdbm.transition``, ``baseline._step``).
+    same guard: every step of ``transition_steps`` forgets the clock's
+    lower bounds, in both engines (``pdbm.transition``, ``baseline._step``).
     """
     z = len(a.clock_names) if gated else 0
     names = a.clock_names + ["_nz"] if gated else a.clock_names
@@ -889,6 +894,31 @@ def clock_bounds(table: list[tuple[int, ...]]) -> list[int]:
     ``clock_tables`` bounds table: the one vector that covers every
     location."""
     return [max(col) for col in zip(*table)]
+
+
+# --- transition steps --------------------------------------------------------
+
+
+def transition_steps(a: Ptba, bounds, free) -> tuple[list, list]:
+    """What each edge does to a zone, numbered for both engines: a step is
+    the arguments of ``pdbm.transition_plan`` (guard, sorted resets, and
+    the target's invariant, clock bounds and inactive clocks from the
+    ``clock_tables`` ``bounds`` and ``free``, and ``a.gate``).  Steps are
+    numbered in order of first occurrence, equal ones once; step 0, no
+    guard and no reset into ``a.initial``, makes the initial zones from
+    the zero zone.  Returns (steps, moves), ``moves[l]`` listing location
+    ``l``'s edges as (target, step) in edge order."""
+    ids: dict[tuple, int] = {}
+
+    def number(atoms, resets, t: int) -> int:
+        step = (atoms, tuple(sorted(resets)), a.locations[t].inv, bounds[t],
+                free[t], a.gate)
+        return ids.setdefault(step, len(ids))
+
+    number((), (), a.initial)
+    moves = [[(e.target, number(e.atoms, e.resets, e.target))
+              for e in loc.edges] for loc in a.locations]
+    return list(ids), moves
 
 
 # --- deadlock guards ---------------------------------------------------------

@@ -59,9 +59,12 @@ class TestInstantiate:
     """The automaton's atoms encoded once per box, at every point."""
 
     def test_parameter_free_identity(self):
+        # the unguarded, reset-free loop into the initial location takes
+        # the initial step, so there is one step row
         t = tables(loop_ptba(), ParamBox.of({}))
         assert t.guard.tolist() == [[0]] and t.inv.tolist() == [[0]]
-        assert t.target.tolist() == [0] and t.gather.tolist() == [[0, 1]]
+        assert t.target.tolist() == [0] and t.step.tolist() == [0]
+        assert t.gather.tolist() == [[0, 1]]
         assert t.accepting == [True]
         # an unguarded loop is always enabled: nothing to fold
         assert t.negated == [None]
@@ -78,18 +81,32 @@ class TestInstantiate:
         locs[1].edges.append(PEdge(((0, 1, bound(-Q)),), (2,), 0, "h"))
         a = Ptba(["0", "x", "y"], locs, 0)
         box = ParamBox.of({"p": (1, 3), "q": (0, 2)})
-        t = tables(a, box)
+        bounds, free = clock_tables(a, box)
+        t = instantiate(a, box, bounds, free)
+        # step 0 enters the initial location with no guard and no reset
+        assert_encoded(t, t.guard[0].tolist(), (), box)
+        assert_encoded(t, t.inv[0].tolist(), locs[0].inv, box)
+        assert t.gather[0].tolist() == [0, 1, 2]
         for l, loc in enumerate(a.locations):
-            assert_encoded(t, t.inv[l].tolist(), loc.inv, box)
-            for k, e in enumerate(loc.edges):
-                assert_encoded(t, t.guard[t.first[l] + k].tolist(), e.atoms,
-                               box)
+            for i, e in enumerate(loc.edges):
+                k = t.step[t.first[l] + i]
+                assert t.target[t.first[l] + i] == e.target
+                assert_encoded(t, t.guard[k].tolist(), e.atoms, box)
+                assert_encoded(t, t.inv[k].tolist(),
+                               a.locations[e.target].inv, box)
+                assert t.gather[k].tolist() == [
+                    0 if c in e.resets else c for c in range(3)]
+                assert t.bounds[k].tolist() == list(bounds[e.target])
+                assert np.flatnonzero(t.freed[k]).tolist() == \
+                    list(free[e.target])
             negated = deadlock_guards(loc)
             assert len(t.negated[l]) == len(negated)
             for ids, atoms in zip(t.negated[l], negated):
                 assert_encoded(t, ids, atoms, box)
-        # the repeated guard is folded once
+        # the repeated guard is folded once; edges e and g differ only in
+        # their resets, so each has its own step
         assert [len(n) for n in t.negated] == [2, 1]
+        assert t.step.tolist() == [1, 2, 3, 4]
 
     def test_consistent_with_symbolic_evaluation(self):
         # the encoded guard equals the evaluated parametric bound
@@ -104,7 +121,7 @@ class TestInstantiate:
         loc = PLoc("L", ())
         loc.edges.append(PEdge(((1, 0, b),), (), 0, "e"))
         t = tables(Ptba(["0", "x"], [loc], 0), box)
-        [a] = t.guard[0].tolist()
+        [a] = t.guard[t.step[0]].tolist()
         for k in range(box.size):
             assert t.enc[a, k] == zones.encode(
                 *od.from_valuation(z, box.point(k), table)[1][0])

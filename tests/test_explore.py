@@ -17,7 +17,7 @@ from conftest import (
     one_vector_enumeration,
     unbound_zone,
 )
-from ptasynth import explore, pdbm
+from ptasynth import baseline, explore, pdbm
 from ptasynth.errors import CapacityError, InputError, SoundnessError
 from ptasynth.explore import (
     DEFAULT_DNF_LIMIT,
@@ -39,6 +39,7 @@ from ptasynth.model import (
     Ptba,
     clock_bounds,
     clock_tables,
+    transition_steps,
 )
 from ptasynth.params import (
     AffineExpr,
@@ -64,6 +65,21 @@ def tiny_ptba(accepting=True, guard_atoms=(), inv=()):
 BOX5 = ParamBox.of({"p": (0, 5)})
 TABLE5 = BoundTable(BOX5)
 
+
+def initial_of(a, table, bounds, free):
+    """``initial_states`` along step 0 of the step table of ``a``."""
+    steps, _ = transition_steps(a, bounds, free)
+    return initial_states(a.n_clocks, steps[0], table)
+
+
+def successors_of(loc, base, a, table, bounds, free, counts):
+    """``successors`` of one expansion, with the step table of ``a`` and
+    fresh plans."""
+    steps, moves = transition_steps(a, bounds, free)
+    return successors(loc, base, moves, steps, table, counts,
+                      [None] * len(steps))
+
+
 workloads = load_workloads()
 
 
@@ -86,7 +102,7 @@ class TestInitialStates:
         a = tiny_ptba()
         bounds, free = clock_tables(a, BOX5)
         assert bounds == [(0, 0)] and free == [(1,)]
-        states = initial_states(a, TABLE5, bounds, free)
+        states = initial_of(a, TABLE5, bounds, free)
         assert len(states) == 1
         at = od.bounds_of(states[0], TABLE5)
         assert at[1][0] is INF_BOUND  # x unbounded above
@@ -94,13 +110,13 @@ class TestInitialStates:
 
     def test_upper_bound_invariant(self):
         a = tiny_ptba(inv=[(1, 0, bound(P))])
-        states = initial_states(a, TABLE5, [(0, 5)], [()])
+        states = initial_of(a, TABLE5, [(0, 5)], [()])
         assert len(states) == 1
         assert od.bounds_of(states[0], TABLE5)[1][0] == bound(P)
 
     def test_unsatisfiable_invariant_drops_state(self):
         a = tiny_ptba(inv=[(1, 0, bound(-1))])  # x <= -1: empty
-        assert initial_states(a, TABLE5, [(0, 5)], [()]) == []
+        assert initial_of(a, TABLE5, [(0, 5)], [()]) == []
 
     @staticmethod
     def constrain_free_extrapolate(a, table, bounds, free):
@@ -127,7 +143,7 @@ class TestInitialStates:
         for a, box, bounds, free in cases:
             table = BoundTable(box)
             want = self.constrain_free_extrapolate(a, table, bounds, free)
-            got = initial_states(a, table, bounds, free)
+            got = initial_of(a, table, bounds, free)
             assert [(z.bits, z.mat, z.canonical) for z in got] == \
                 [(z.bits, z.mat, z.canonical) for z in want]
             many += len(got) > 1
@@ -140,16 +156,16 @@ class TestSuccessors:
     def test_no_edges(self):
         loc = PLoc("L", ())
         a = Ptba(["0", "x"], [loc], 0)
-        base = initial_states(a, TABLE5, [(0, 0)], [()])
-        assert successors(0, base, a, TABLE5, [(0, 0)], [()], {}, {}) == []
+        base = initial_of(a, TABLE5, [(0, 0)], [()])
+        assert successors_of(0, base, a, TABLE5, [(0, 0)], [()], {}) == []
 
     def test_reset_all_guard_true(self):
         loc = PLoc("L", ())
         loc.edges.append(PEdge((), (1, 2), 0, "loop"))
         a = Ptba(["0", "x", "y"], [loc], 0)
-        base = initial_states(a, TABLE5, [(0, 0, 0)], [()])
+        base = initial_of(a, TABLE5, [(0, 0, 0)], [()])
         counts = {}
-        out = successors(0, base, a, TABLE5, [(0, 0, 0)], [()], counts, {})
+        out = successors_of(0, base, a, TABLE5, [(0, 0, 0)], [()], counts)
         assert len(out) == 1 and counts == {}
         target, z = out[0]
         assert target == 0
@@ -169,7 +185,7 @@ class TestSuccessors:
         loc.edges.append(PEdge(((1, 0, bound(q)),), (1,), 0, "loop"))
         a = Ptba(["0", "x"], [loc], 0)
         g = build_graph(a, box, [(0, 5)], [()])
-        z0 = initial_states(a, g.table, [(0, 5)], [()])[0]
+        z0 = initial_of(a, g.table, [(0, 5)], [()])[0]
         assert g.counts == {"guard": 1}
         assert g.n_nodes == 1 and g.expansions == 1
         assert g.colour == [ValuationSet.full(box).bits]
@@ -398,13 +414,13 @@ class TestDeadlockValuations:
     def test_no_outgoing_edges_whole_extension(self):
         loc = PLoc("L", ())
         a = Ptba(["0", "x"], [loc], 0)
-        base = initial_states(a, TABLE5, [(0, 0)], [()])
+        base = initial_of(a, TABLE5, [(0, 0)], [()])
         got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
         assert got == base[0].bits
 
     def test_unguarded_edge_never_deadlocks(self):
         a = tiny_ptba()
-        base = initial_states(a, TABLE5, [(0, 0)], [()])
+        base = initial_of(a, TABLE5, [(0, 0)], [()])
         assert deadlock_valuations(0, base, a, TABLE5,
                                    DEFAULT_DNF_LIMIT) == 0
 
@@ -412,7 +428,7 @@ class TestDeadlockValuations:
         # zone x >= 0 with a single guard x <= p: some point beyond p
         # always exists, so every valuation is flagged
         a = tiny_ptba(guard_atoms=[(1, 0, bound(P))])
-        base = initial_states(a, TABLE5, [(0, 5)], [()])
+        base = initial_of(a, TABLE5, [(0, 5)], [()])
         got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
         assert got == ValuationSet.full(BOX5).bits
 
@@ -420,7 +436,7 @@ class TestDeadlockValuations:
         # guard x >= p on an upward-closed zone is always eventually on,
         # and the formula sees the points below p as deadlocked
         a = tiny_ptba(guard_atoms=[(0, 1, bound(-P))])
-        base = initial_states(a, TABLE5, [(0, 5)], [()])
+        base = initial_of(a, TABLE5, [(0, 5)], [()])
         got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
         assert sorted(v["p"] for v in ValuationSet(BOX5, got)) == \
             [1, 2, 3, 4, 5]
@@ -732,23 +748,39 @@ def test_trace_text_pinned():
     assert h.hexdigest() == TRACE_DIGEST
 
 
-def unshared_successors(loc, base, a, table, bounds, free, counts, plans):
-    """Reference successor generation with nothing shared between product
-    edges: a plan per product edge, made when its location is first
-    expanded, and one ``pdbm.transition`` per product edge and base
-    branch, which frees the clocks inactive at the edge's target and drops
-    the gate clock's lower bounds."""
-    steps = plans.get(loc)
-    if steps is None:
-        steps = plans[loc] = [(e.target, pdbm.transition_plan(
-            e.atoms, e.resets, a.locations[e.target].inv, bounds[e.target],
-            free[e.target], a.gate, table)) for e in a.locations[loc].edges]
-    out = []
-    for target, plan in steps:
-        for zb in base:
-            out.extend((target, z)
-                       for z in pdbm.transition(zb, plan, table, counts))
-    return out
+def unshared_successors(a, bounds, free):
+    """Reference successor generation on ``a`` with nothing shared between
+    product edges and no step table: a fresh plan per product edge, read
+    from the edge itself at each expansion, and one ``pdbm.transition``
+    per product edge and base branch, which frees the clocks inactive at
+    the edge's target and drops the gate clock's lower bounds.  Returns a
+    stand-in for ``explore.successors``, which ignores the table it is
+    given."""
+
+    def step(loc, base, moves, steps, table, counts, plans):
+        out = []
+        for e in a.locations[loc].edges:
+            t = e.target
+            plan = pdbm.transition_plan(e.atoms, e.resets, a.locations[t].inv,
+                                        bounds[t], free[t], a.gate, table)
+            for zb in base:
+                out.extend((t, z)
+                           for z in pdbm.transition(zb, plan, table, counts))
+        return out
+    return step
+
+
+def unshare(monkeypatch):
+    """Make every ``explore.build_graph`` run expand its nodes with
+    ``unshared_successors`` on its own automaton."""
+    build = explore.build_graph
+
+    def unshared(a, box, bounds, free, *args):
+        with monkeypatch.context() as m:
+            m.setattr(explore, "successors",
+                      unshared_successors(a, bounds, free))
+            return build(a, box, bounds, free, *args)
+    monkeypatch.setattr(explore, "build_graph", unshared)
 
 
 def graph_of(net, prop, box):
@@ -756,7 +788,7 @@ def graph_of(net, prop, box):
     order they were added."""
     box = net.box(box)
     tba, bounds, free = build_automaton(net, parse_ltl(prop), box)
-    g = build_graph(tba, box, bounds, free)
+    g = explore.build_graph(tba, box, bounds, free)
     return {"locs": g.locs, "mats": g.mats, "canonical": g.canonical,
             "colour": g.colour,
             "succ": [list(edges.items()) for edges in g.succ],
@@ -765,38 +797,42 @@ def graph_of(net, prop, box):
 
 
 class TestSharedTransitions:
-    """Product locations that repeat a network edge share its plan and its
-    successor branches; the graph is the one an unshared run builds."""
+    """Product locations that repeat a network edge share its step, its
+    plan and its successor branches; the graph is the one an unshared run
+    builds."""
 
     def test_graphs_match_unshared_successors(self, monkeypatch):
         jobs = pinned_jobs()
         shared = [graph_of(*job) for job in jobs]
-        monkeypatch.setattr(explore, "successors", unshared_successors)
+        unshare(monkeypatch)
         for job, want in zip(jobs, shared):
             assert graph_of(*job) == want, job[1]
 
     def test_live6_one_call_per_distinct_input(self, monkeypatch):
+        # the inputs are keyed by the automaton's edges, not by its steps
         distinct = set()
+        net = load_fixture(LIVE6[0])
+        a, bounds, free = build_automaton(net, parse_ltl(LIVE6[1]),
+                                          net.box(LIVE6[2]))
+        reference = unshared_successors(a, bounds, free)
 
-        def keyed(loc, base, a, table, bounds, free, counts, plans):
+        def keyed(loc, base, *args):
             for e in a.locations[loc].edges:
                 content = (e.atoms, tuple(sorted(e.resets)),
                            a.locations[e.target].inv, bounds[e.target],
                            free[e.target], a.gate)
                 distinct.update((content, zb.bits, zb.mat) for zb in base)
-            return unshared_successors(loc, base, a, table, bounds, free,
-                                       counts, plans)
+            return reference(loc, base, *args)
 
-        def keyed_initial(a, table, bounds, free):
+        def keyed_initial(n_clocks, step, table):
             # the initial matrices are one more transition, from the zero
             # zone along an edge with no guard and no reset
             z0 = pdbm.initial_cpdbm(a.n_clocks, table)
             content = ((), (), a.locations[a.initial].inv,
                        bounds[a.initial], free[a.initial], a.gate)
             distinct.add((content, z0.bits, z0.mat))
-            return initial_states(a, table, bounds, free)
+            return initial_states(a.n_clocks, content, table)
 
-        net = load_fixture(LIVE6[0])
         with monkeypatch.context() as m:
             m.setattr(explore, "successors", keyed)
             m.setattr(explore, "initial_states", keyed_initial)
@@ -822,14 +858,17 @@ class TestSharedTransitions:
         a = Ptba(["0", "x"], locs, 0)
         bounds, free = [(0, 3), (0, 3)], clock_tables(a, box)[1]
         table = BoundTable(box)
-        base = initial_states(a, table, bounds, free)
-        counts, plans = {}, {}
-        first = successors(0, base, a, table, bounds, free, counts, plans)
-        second = successors(1, base, a, table, bounds, free, counts, plans)
+        steps, moves = transition_steps(a, bounds, free)
+        assert moves == [[(1, 1)], [(1, 1)]]
+        base = initial_states(a.n_clocks, steps[0], table)
+        counts, plans = {}, [None] * len(steps)
+        first = successors(0, base, moves, steps, table, counts, plans)
+        second = successors(1, base, moves, steps, table, counts, plans)
         assert len(first) == 2 and counts == {"guard": 2}
         assert second == first
         assert all(x is y for (_, x), (_, y) in zip(first, second))
-        assert plans[0][0][1] is plans[1][0][1]
+        # one plan, made on first use, with one memo entry per base branch
+        assert plans[0] is None and len(plans[1][1]) == len(base) == 1
 
     def test_graphs_on_two_boxes_share_nothing(self, monkeypatch):
         # each graph numbers its bounds afresh in its own table, so a memo
@@ -838,7 +877,7 @@ class TestSharedTransitions:
         boxes = [box, dict(box, p1=(3, 3), p3=(1, 1))]
         net = load_fixture(name)
         got = [synthesize(net, prop, net.box(b)).to_json() for b in boxes]
-        monkeypatch.setattr(explore, "successors", unshared_successors)
+        unshare(monkeypatch)
         for b, doc in zip(boxes, got):
             fresh = load_fixture(name)
             assert synthesize(fresh, prop, fresh.box(b)).to_json() == doc
@@ -853,6 +892,83 @@ class TestSharedTransitions:
         assert not hasattr(ParamBox, "bounds")
         assert not any(isinstance(v, BoundTable) for v in vars(box).values())
         assert synthesize(net, prop, box).to_json() == first
+
+
+def step_tables():
+    """(automaton, clock bounds, inactive clocks) of every pinned job and
+    of Fischer's protocol with three processes."""
+    jobs = pinned_jobs() + [(load_fixture("fischer3.pta"),
+                             "G !(P1.CS && P2.CS)", None)]
+    return [build_automaton(net, parse_ltl(prop), net.box(box))
+            for net, prop, box in jobs]
+
+
+def step_zero_ptba():
+    """L0 (x <= p) loops with no guard and no reset, and L1 (accepting,
+    y <= 3), entered once x >= 1 with y reset, returns to L0 the same
+    way: both unguarded edges take the initial step."""
+    l0 = PLoc("L0", ((1, 0, bound(P)),))
+    l1 = PLoc("L1", ((2, 0, bound(3)),), accepting=True)
+    l0.edges += [PEdge((), (), 0, "stay"),
+                 PEdge(((0, 1, bound(-1)),), (2,), 1, "go")]
+    l1.edges.append(PEdge((), (), 0, "back"))
+    return Ptba(["0", "x", "y"], [l0, l1], 0)
+
+
+class TestTransitionSteps:
+    """The one table of what each edge does to a zone, which both engines
+    index."""
+
+    def test_each_edge_takes_its_own_content(self):
+        for a, bounds, free in step_tables():
+            steps, moves = transition_steps(a, bounds, free)
+            i = a.initial
+            assert steps[0] == ((), (), a.locations[i].inv, bounds[i],
+                                free[i], a.gate)
+            assert len(moves) == len(a.locations)
+            for loc, row in zip(a.locations, moves):
+                assert [t for t, _ in row] == [e.target for e in loc.edges]
+                for e, (t, k) in zip(loc.edges, row):
+                    assert steps[k] == (e.atoms, tuple(sorted(e.resets)),
+                                        a.locations[t].inv, bounds[t],
+                                        free[t], a.gate)
+
+    def test_numbered_in_order_of_first_occurrence(self):
+        shared = 0
+        for a, bounds, free in step_tables():
+            steps, moves = transition_steps(a, bounds, free)
+            # equal content gets one number
+            assert len(set(steps)) == len(steps)
+            order = [0] + [k for row in moves for _, k in row]
+            assert list(dict.fromkeys(order)) == list(range(len(steps)))
+            shared += len(order) - len(steps)
+        assert shared > 0
+
+    @pytest.mark.parametrize("job, edges, steps", [
+        (("fischer3.pta", "G !(P1.CS && P2.CS)", None), 850, 52),
+        (LIVE6, 116, 33)])
+    def test_step_counts_pinned(self, job, edges, steps):
+        net = load_fixture(job[0])
+        a, bounds, free = build_automaton(net, parse_ltl(job[1]),
+                                          net.box(job[2]))
+        got, moves = transition_steps(a, bounds, free)
+        assert sum(map(len, moves)) == edges and len(got) == steps
+
+    def test_edge_on_the_initial_step(self):
+        # pinned as before the table: 3 nodes, 10 zone states in all
+        a = step_zero_ptba()
+        box = ParamBox.of({"p": (0, 3)})
+        bounds, free = clock_tables(a, box)
+        steps, moves = transition_steps(a, bounds, free)
+        assert moves == [[(0, 0), (1, 1)], [(0, 0)]] and len(steps) == 2
+        g = build_graph(a, box, bounds, free)
+        accepted = cumulative_ndfs_graph(
+            box, g.colour, g.succ, [a.locations[l].accepting for l in g.locs])
+        assert (g.n_nodes, g.expansions, g.counts) == (3, 3, {})
+        # an accepting cycle through L1 wherever x >= 1 fits under x <= p
+        assert (accepted, g.deadlock_bits) == (0b1110, 0)
+        assert baseline._explore(a, box, bounds, free, Options()) == \
+            (accepted, g.deadlock_bits, 10, 3)
 
 
 class TestStoredBoundScan:
