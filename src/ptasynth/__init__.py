@@ -9,9 +9,17 @@ checks the three sets match exactly.
 """
 
 from .baseline import check_valuation, enumerate_box
-from .explore import Options, SynthesisResult, synthesize
+from .explore import synthesize
 from .ltl import parse_ltl, to_buchi, to_nnf
-from .model import compose, load_model, make_nonzeno, parse_model, product
+from .model import (
+    Options,
+    SynthesisResult,
+    compose,
+    load_model,
+    make_nonzeno,
+    parse_model,
+    product,
+)
 from .params import AffineExpr, ParamBox, ValuationSet
 
 __version__ = "0.1.0"

@@ -2,12 +2,12 @@
 with a concrete zone-graph search.
 
 This is the comparison engine and the exactness oracle for the symbolic
-one.  It shares the whole front end (model composition, property
-translation, product, the analysis of the accepting locations that can
-be Zeno and the non-Zeno transformation that gates them, per-location
-clock bounds and inactive clocks) so that the two engines explore the
-same automaton, and implements the per-state deadlock formula the same
-way, on the negated guards the front end gives each location
+one, and imports nothing from it.  It shares the engine interface and the
+whole front end (``model.build_automaton``: composition, translation,
+product, the gating of the accepting locations that can be Zeno, clock
+bounds and inactive clocks per location) so that the two engines explore
+the same automaton, and implements the per-state deadlock formula the
+same way, on the negated guards the front end gives each location
 (``model.deadlock_guards``).  Its accepting-cycle check
 (``model._accepting_cycle``) runs on the front end's strongly connected
 component decomposition (``model._closing_components``), which also
@@ -35,12 +35,14 @@ import numpy as np
 
 from . import zones
 from .errors import CapacityError
-from .explore import Options, SynthesisResult, build_automaton
 from .ltl import Formula, parse_ltl
 from .model import (
     Network,
+    Options,
     Ptba,
+    SynthesisResult,
     _accepting_cycle,
+    build_automaton,
     clock_tables,
     deadlock_guards,
     transition_steps,

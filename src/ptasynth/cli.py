@@ -16,9 +16,18 @@ import sys
 
 from .baseline import enumerate_box
 from .errors import CapacityError, InputError, SoundnessError, SynthError
-from .explore import Options, build_automaton, synthesize
+from .explore import synthesize
 from .ltl import negated_automaton, parse_ltl
-from .model import clock_bounds, dump_product, load_model
+from .model import (
+    DEFAULT_DNF_LIMIT,
+    DEFAULT_STATE_LIMIT,
+    Options,
+    build_automaton,
+    clock_bounds,
+    dump_product,
+    load_model,
+    validate_property,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -52,15 +61,15 @@ def _add_engine(p: argparse.ArgumentParser):
                    help="emit engine statistics to stderr")
     p.add_argument("--trace", action="store_true",
                    help="dump the symbolic engine's expansions to stderr")
-    p.add_argument("--limit-states", type=int, default=None, metavar="N",
-                   help="cap on stored states; the symbolic engine counts "
-                   "the nodes of its one graph, enumeration the zone "
-                   "states of one valuation's graph")
-    p.add_argument("--limit-dnf", type=int, default=None, metavar="N",
-                   help="cap on the negated-guard expansion per state; "
-                   "the symbolic engine counts one step per (negated atom, "
-                   "parametric branch), enumeration one per (negated atom, "
-                   "zone) of one valuation")
+    p.add_argument("--limit-states", type=int, metavar="N",
+                   default=DEFAULT_STATE_LIMIT, help="cap on stored states; "
+                   "the symbolic engine counts the nodes of its one graph, "
+                   "enumeration the zone states of one valuation's graph")
+    p.add_argument("--limit-dnf", type=int, metavar="N",
+                   default=DEFAULT_DNF_LIMIT, help="cap on the negated-guard "
+                   "expansion per state; the symbolic engine counts one step "
+                   "per (negated atom, parametric branch), enumeration one "
+                   "per (negated atom, zone) of one valuation")
     p.add_argument("--time-limit", type=float, default=None,
                    metavar="SECONDS", help="stop an engine (exit 3) once it "
                    "has explored for this long")
@@ -69,21 +78,14 @@ def _add_engine(p: argparse.ArgumentParser):
 def _options(args) -> Options:
     for flag, value in (("--limit-states", args.limit_states),
                         ("--limit-dnf", args.limit_dnf)):
-        if value is not None and value < 1:
+        if value < 1:
             raise InputError(f"{flag} must be at least 1, got {value}",
                              kind="bad-flag")
     if args.time_limit is not None and not args.time_limit >= 0:
         raise InputError(f"--time-limit must be at least 0, got "
                          f"{args.time_limit}", kind="bad-flag")
-    opts = Options()
-    if args.limit_states is not None:
-        opts.limit_states = args.limit_states
-    if args.limit_dnf is not None:
-        opts.dnf_limit = args.limit_dnf
-    opts.time_limit = args.time_limit
-    if args.trace:
-        opts.trace = sys.stderr
-    return opts
+    return Options(args.limit_states, args.limit_dnf,
+                   sys.stderr if args.trace else None, args.time_limit)
 
 
 def _load(args):
@@ -177,8 +179,6 @@ def cmd_dump_product(args) -> int:
 def cmd_validate(args) -> int:
     net, box = _load(args)
     if args.ltl:
-        from .explore import validate_property
-
         validate_property(net, parse_ltl(args.ltl))
     sys.stdout.write(
         f"ok: {len(net.components)} components, {len(net.clocks)} clocks, "

@@ -1,4 +1,4 @@
-"""The symbolic engine.
+"""The symbolic engine alone; its front end and interface are in ``model``.
 
 A colour worklist builds the reachable symbolic graph once, in the node
 table (``StateStore``), which is the graph: per node a location, a
@@ -51,54 +51,23 @@ what survives it, and the satisfying set its complement inside the box.
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from dataclasses import dataclass
 
-from . import pdbm, zones
-from .errors import CapacityError, InputError, SoundnessError
-from .ltl import Formula, atoms_of, negated_automaton, parse_ltl
+from . import pdbm
+from .errors import CapacityError, SoundnessError
+from .ltl import Formula, parse_ltl
 from .model import (
+    DEFAULT_STATE_LIMIT,
     Network,
+    Options,
     Ptba,
-    check_variable,
-    clock_bounds,
-    clock_tables,
-    comp_loc,
-    compose,
+    SynthesisResult,
+    build_automaton,
     deadlock_guards,
-    make_nonzeno,
-    product,
     transition_steps,
-    zeno_accepting,
 )
 from .params import BoundTable, ParamBox, ValuationSet
 from .pdbm import CPDBM, Matrix
-
-DEFAULT_STATE_LIMIT = 1 << 22
-DEFAULT_DNF_LIMIT = 4096
-
-
-@dataclass
-class Options:
-    limit_states: int = DEFAULT_STATE_LIMIT
-    dnf_limit: int = DEFAULT_DNF_LIMIT
-    trace: object = None    # writable stream for expanded-state dumps
-    time_limit: float | None = None  # seconds of exploration per engine run
-
-    def timer(self):
-        """A check to run per unit of exploration work: it raises
-        CapacityError once ``time_limit`` seconds have passed since this
-        call, and does nothing without a limit."""
-        if self.time_limit is None:
-            return lambda: None
-        deadline = time.monotonic() + self.time_limit
-
-        def check():
-            if time.monotonic() >= deadline:
-                raise CapacityError(
-                    f"time limit of {self.time_limit} s exceeded")
-        return check
 
 
 class StateStore:
@@ -444,96 +413,6 @@ def cumulative_ndfs_graph(box: ParamBox, colour: list[int],
 # --- end-to-end synthesis -----------------------------------------------------
 
 
-@dataclass
-class SynthesisResult:
-    box: ParamBox
-    accepted: ValuationSet     # valuations violating the property
-    deadlock: ValuationSet
-    stats: dict
-
-    @property
-    def satisfying(self) -> ValuationSet:
-        """The valuations of the box that satisfy the property."""
-        return self.accepted.complement()
-
-    def to_json(self) -> dict:
-        return {
-            "satisfying": self.satisfying.to_json_objs(),
-            "violating": self.accepted.to_json_objs(),
-            "deadlock": self.deadlock.to_json_objs(),
-            "stats": self.stats,
-        }
-
-
-def validate_property(net: Network, f: Formula) -> None:
-    known = {a for comp in net.components for loc in comp.locations.values()
-             for a in (comp_loc(comp.name, loc.name), *loc.labels)}
-    for atom in atoms_of(f):
-        if isinstance(atom, tuple):
-            check_variable(atom[0], net.variables)
-        elif atom not in known:
-            raise InputError(f"property uses unknown atom {atom!r}",
-                             kind="unknown-atom")
-
-
-# A bound below this magnitude encodes below zones.INF / 2, so the sum of
-# two encoded bounds stays below zones.INF.
-BOUND_LIMIT = zones.INF >> 2
-
-
-def _check_bound_range(a: Ptba, box: ParamBox, maxima) -> None:
-    """Reject bounds the int64 zone encoding cannot hold: every clock
-    maximum (``maxima`` is the ``clock_bounds`` vector, which covers every
-    location's), every atom constant and every atom term at its largest
-    magnitude over the box must stay below BOUND_LIMIT."""
-
-    def check(value: int, what: str) -> None:
-        if value >= BOUND_LIMIT:
-            raise InputError(f"{what} reaches {value}, out of the bound "
-                             f"range (below 2^{BOUND_LIMIT.bit_length() - 1})",
-                             kind="bound-range")
-
-    for name, m in zip(a.clock_names, maxima):
-        check(m, f"maximum of clock {name}")
-    magnitude = {p: max(abs(lo), abs(hi))
-                 for p, lo, hi in zip(box.params, box.lo, box.hi)}
-    # the product shares guard tuples between locations: read each tuple,
-    # then each distinct expression, once, in order of first occurrence
-    guards = {id(atoms): atoms for loc in a.locations
-              for atoms in [loc.inv] + [e.atoms for e in loc.edges]}
-    exprs = dict.fromkeys(b.expr for atoms in guards.values()
-                          for _, _, b in atoms if b.expr is not None)
-    for e in exprs:
-        check(abs(e.const), "bound constant")
-        for p, z in e.coeffs:
-            check(abs(z) * magnitude[p], f"bound term {z}*{p}")
-
-
-def build_automaton(net: Network, f: Formula, box: ParamBox):
-    """Shared front end for both engines: product of the composed network
-    with the automaton of the negated property, its accepting locations
-    that can be Zeno gated (``zeno_accepting``, ``make_nonzeno``), and its
-    two ``clock_tables``: (automaton, clock bounds, inactive clocks).
-    Raises InputError when the box misses a guard parameter or a bound
-    falls outside the encodable range."""
-    validate_property(net, f)
-    used = {p for c in net.components
-            for atoms in [loc.inv_atoms for loc in c.locations.values()]
-            + [e.clock_atoms for e in c.edges]
-            for _, _, b in atoms if not b.is_inf for p, _ in b.expr.coeffs}
-    missing = sorted(used.difference(box.params))
-    if missing:
-        raise InputError("the parameter box has no range for "
-                         + ", ".join(missing), kind="unknown-param")
-    aut = negated_automaton(f)
-    pta, lab = compose(net)
-    prod = product(pta, lab, aut)
-    tba = make_nonzeno(prod, zeno_accepting(prod, box))
-    bounds, free = clock_tables(tba, box)
-    _check_bound_range(tba, box, clock_bounds(bounds))
-    return tba, bounds, free
-
-
 def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
                opts: Options | None = None) -> SynthesisResult:
     """Compute the valuations satisfying / violating the property and the
@@ -562,28 +441,3 @@ def synthesize(net: Network, prop: Formula | str, box: ParamBox | None = None,
         deadlock=ValuationSet(box, g.deadlock_bits),
         stats=stats,
     )
-
-
-def scan_stored_bounds(g: StateStore) -> int:
-    """Verify that every finite bound of every node's matrix evaluates
-    within [-maxima[column], maxima[row]] at every valuation of the node's
-    colour, for the clock bounds ``maxima`` of the node's location;
-    returns the number of entries checked.  The node table makes the same
-    check on every arrival; this scan re-checks a finished graph entry by
-    entry."""
-    checked = 0
-    table = g.table
-    box = table.box
-    for loc, mat, colour in zip(g.locs, g.mats, g.colour):
-        maxima = g.bounds[loc]
-        idx = ValuationSet(box, colour).indices()
-        for i, row in enumerate(mat):
-            for j, b in enumerate(map(table.bound, row)):
-                if b.is_inf or i == j:
-                    continue
-                vals = box.values(b.expr)[idx]
-                if (vals > maxima[i]).any() or (vals < -maxima[j]).any():
-                    raise SoundnessError(
-                        f"stored bound out of range at entry ({i},{j}): {b}")
-                checked += 1
-    return checked

@@ -25,26 +25,38 @@ locations are unique per component, components per network.  Ranges are
 
 Guards are conjunctions (&&) of clock constraints with at most one real
 clock per atom (the literal ``0`` names the zero clock in differences) and
-of comparisons of a data variable against an integer.  This module turns a
-network into a single product automaton with data folded into locations,
-builds the product with a Büchi automaton, finds the accepting locations
-that a Zeno run could visit infinitely often, and applies the
-transformation that forces at least one time unit between visits to
-those, so that every accepting run is non-Zeno.  One backward analysis
-then gives every location's clock bounds and inactive clocks
-(``clock_tables``), which both engines read, as they read the negated
-guards a deadlock check folds at each location (``deadlock_guards``).
+of comparisons of a data variable against an integer.  The front end of
+both engines, ``build_automaton``, turns a network into a single product
+automaton with data folded into locations, builds the product with a
+Büchi automaton, finds the accepting locations that a Zeno run could
+visit infinitely often, and applies the transformation that forces at
+least one time unit between visits to those, so that every accepting
+run is non-Zeno.  One backward analysis then gives every location's
+clock bounds and inactive clocks (``clock_tables``), which both engines
+read, as they read the negated guards a deadlock check folds at each
+location (``deadlock_guards``).  Both take ``Options`` and return a
+``SynthesisResult``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from . import pdbm
-from .errors import InputError
-from .ltl import CMP_OPS, BuchiAutomaton, TokenCursor, _numbering, holds
-from .params import AffineExpr, ParamBox, StrictBound, bound
+from . import pdbm, zones
+from .errors import CapacityError, InputError
+from .ltl import (
+    CMP_OPS,
+    BuchiAutomaton,
+    Formula,
+    TokenCursor,
+    _numbering,
+    atoms_of,
+    holds,
+    negated_automaton,
+)
+from .params import AffineExpr, ParamBox, StrictBound, ValuationSet, bound
 from .pdbm import Atom
 
 
@@ -406,12 +418,12 @@ def parse_model(text: str) -> Network:
 
 
 def load_model(path) -> Network:
-    """Parse the model file at ``path``, UTF-8 with any line ends; a byte
-    that is not UTF-8 is model-syntax input."""
+    """Parse the model file at ``path``, UTF-8 with any line ends and an
+    optional byte-order mark; a non-UTF-8 byte is model-syntax input."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(f"model file is not UTF-8: byte 0x"
                          f"{data[exc.start]:02x} at offset {exc.start}",
@@ -476,6 +488,17 @@ def check_variable(name: str, variables) -> None:
     if name not in variables:
         raise InputError(f"property uses unknown variable {name!r}",
                          kind="unknown-variable")
+
+
+def validate_property(net: Network, f: Formula) -> None:
+    known = {a for comp in net.components for loc in comp.locations.values()
+             for a in (comp_loc(comp.name, loc.name), *loc.labels)}
+    for atom in atoms_of(f):
+        if isinstance(atom, tuple):
+            check_variable(atom[0], net.variables)
+        elif atom not in known:
+            raise InputError(f"property uses unknown atom {atom!r}",
+                             kind="unknown-atom")
 
 
 def comp_loc(comp: str, loc: str) -> str:
@@ -952,3 +975,111 @@ def dump_product(a: Ptba) -> str:
             lines.append(f"  -> {a.locations[e.target].name}"
                          f" [{guard}]{rs}  ({e.tag})")
     return "\n".join(lines)
+
+
+# --- the shared front end and the engine interface --------------------------
+
+
+# A bound below this magnitude encodes below zones.INF / 2, so the sum of
+# two encoded bounds stays below zones.INF.
+BOUND_LIMIT = zones.INF >> 2
+
+
+def _check_bound_range(a: Ptba, box: ParamBox, maxima) -> None:
+    """Reject bounds the int64 zone encoding cannot hold: every clock
+    maximum (``maxima`` is the ``clock_bounds`` vector, which covers every
+    location's), every atom constant and every atom term at its largest
+    magnitude over the box must stay below BOUND_LIMIT."""
+
+    def check(value: int, what: str) -> None:
+        if value >= BOUND_LIMIT:
+            raise InputError(f"{what} reaches {value}, out of the bound "
+                             f"range (below 2^{BOUND_LIMIT.bit_length() - 1})",
+                             kind="bound-range")
+
+    for name, m in zip(a.clock_names, maxima):
+        check(m, f"maximum of clock {name}")
+    magnitude = {p: max(abs(lo), abs(hi))
+                 for p, lo, hi in zip(box.params, box.lo, box.hi)}
+    # the product shares guard tuples between locations: read each tuple,
+    # then each distinct expression, once, in order of first occurrence
+    guards = {id(atoms): atoms for loc in a.locations
+              for atoms in [loc.inv] + [e.atoms for e in loc.edges]}
+    exprs = dict.fromkeys(b.expr for atoms in guards.values()
+                          for _, _, b in atoms if b.expr is not None)
+    for e in exprs:
+        check(abs(e.const), "bound constant")
+        for p, z in e.coeffs:
+            check(abs(z) * magnitude[p], f"bound term {z}*{p}")
+
+
+def build_automaton(net: Network, f: Formula, box: ParamBox):
+    """Shared front end for both engines: product of the composed network
+    with the automaton of the negated property, its accepting locations
+    that can be Zeno gated (``zeno_accepting``, ``make_nonzeno``), and its
+    two ``clock_tables``: (automaton, clock bounds, inactive clocks).
+    Raises InputError when the box misses a guard parameter or a bound
+    falls outside the encodable range."""
+    validate_property(net, f)
+    used = {p for c in net.components
+            for atoms in [loc.inv_atoms for loc in c.locations.values()]
+            + [e.clock_atoms for e in c.edges]
+            for _, _, b in atoms if not b.is_inf for p, _ in b.expr.coeffs}
+    missing = sorted(used.difference(box.params))
+    if missing:
+        raise InputError("the parameter box has no range for "
+                         + ", ".join(missing), kind="unknown-param")
+    aut = negated_automaton(f)
+    pta, lab = compose(net)
+    prod = product(pta, lab, aut)
+    tba = make_nonzeno(prod, zeno_accepting(prod, box))
+    bounds, free = clock_tables(tba, box)
+    _check_bound_range(tba, box, clock_bounds(bounds))
+    return tba, bounds, free
+
+
+DEFAULT_STATE_LIMIT = 1 << 22
+DEFAULT_DNF_LIMIT = 4096
+
+
+@dataclass
+class Options:
+    limit_states: int = DEFAULT_STATE_LIMIT
+    dnf_limit: int = DEFAULT_DNF_LIMIT
+    trace: object = None    # writable stream for expanded-state dumps
+    time_limit: float | None = None  # seconds of exploration per engine run
+
+    def timer(self):
+        """A check to run per unit of exploration work: it raises
+        CapacityError once ``time_limit`` seconds have passed since this
+        call, and does nothing without a limit."""
+        if self.time_limit is None:
+            return lambda: None
+        deadline = time.monotonic() + self.time_limit
+
+        def check():
+            if time.monotonic() >= deadline:
+                raise CapacityError(
+                    f"time limit of {self.time_limit} s exceeded")
+        return check
+
+
+@dataclass
+class SynthesisResult:
+    box: ParamBox
+    accepted: ValuationSet     # valuations violating the property
+    deadlock: ValuationSet
+    stats: dict
+
+    @property
+    def satisfying(self) -> ValuationSet:
+        """The valuations of the box that satisfy the property."""
+        return self.accepted.complement()
+
+    def to_json(self) -> dict:
+        return {
+            "satisfying": self.satisfying.to_json_objs(),
+            "violating": self.accepted.to_json_objs(),
+            "deadlock": self.deadlock.to_json_objs(),
+            "stats": self.stats,
+        }

@@ -35,6 +35,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import zones
 from .errors import CapacityError, EvaluationError, InputError, SynthError
 
 MAX_BOX_POINTS = 1 << 24
@@ -632,23 +633,23 @@ class BoundTable:
     def window_bits(self, b: int, hi: int, lo: int) -> tuple[int, int, int]:
         """Points where the finite bound of id ``b`` is at most ``hi``,
         points where it is at least ``lo``, and the id of its encoded
-        values ``2v + weak`` at every point clamped to [2*lo - 1,
-        2*hi + 2], one step outside the window: equal ids mean equal
-        values wherever either bound lies inside the window."""
+        values (``zones.encode``) at every point clamped to the encodings
+        of (lo - 1, <=) and (hi + 1, <), one step outside the window: equal
+        ids mean equal values wherever either bound lies inside the window."""
         memo = self._windows.setdefault((hi, lo), {})
         got = memo.get(b)
         if got is None:
             sb, box = self._bounds[b], self.box
             e = sb.expr
-            weak = 0 if sb.strict else 1
+            floor = zones.encode(lo - 1, False)
+            ceil = zones.encode(hi + 1, True)
             if e.is_const:
                 # the bytes the array below would hold, without the array
-                v = min(max(2 * e.const + weak, 2 * lo - 1), 2 * hi + 2)
+                v = min(max(zones.encode(e.const, sb.strict), floor), ceil)
                 raw = v.to_bytes(8, sys.byteorder, signed=True) * box.size
             else:
-                vals = box.values(e) * 2 + weak
-                np.maximum(vals, 2 * lo - 1, out=vals)
-                raw = np.minimum(vals, 2 * hi + 2, out=vals).tobytes()
+                raw = np.clip(zones.encode(box.values(e), sb.strict), floor,
+                              ceil).tobytes()
             # e - hi <= 0 and lo - e <= 0
             got = memo[b] = (
                 box.affine_bits(e.const - hi, e.coeffs, False,

@@ -101,13 +101,16 @@ def apply_guard(z: CPDBM, atoms: Sequence[Atom],
 def _guard_rows(rows, ext: int, atoms: Sequence[Atom],
                 table: BoundTable) -> list:
     """``apply_guard`` of atoms with bound ids on one branch's rows: its
-    branches as (rows, ext, changed); an unchanged branch keeps ``rows``."""
+    branches as (rows, ext, changed); an unchanged branch keeps ``rows``.
+    A clock-free atom ``0 - 0 < e`` narrows ``ext`` and writes no entry."""
     branches = [(rows, ext, False)]
     for i, j, g in atoms:
         nxt = []
         for rows, ext, changed in branches:
             within = ext & table.le_bits(rows[i][j], g)
-            if within != ext:
+            if i == j:  # the diagonal entry is (0, <=)
+                ext = within
+            elif within != ext:
                 if within:
                     nxt.append((rows, within, changed))
                     rows, ext = [list(r) for r in rows], ext & ~within

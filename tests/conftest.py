@@ -177,7 +177,7 @@ def one_vector_enumeration(net, prop: str, box, aut=None):
     import dataclasses
 
     from ptasynth import baseline
-    from ptasynth.explore import Options
+    from ptasynth.model import Options
 
     tba = fully_gated_automaton(net, prop, aut)
     one = [tuple(one_clock_bounds(tba, box))] * len(tba.locations)
@@ -185,3 +185,32 @@ def one_vector_enumeration(net, prop: str, box, aut=None):
         dataclasses.replace(tba, gate=0), box, one,
         [()] * len(tba.locations), Options())
     return accepted, deadlock, total
+
+
+def scan_stored_bounds(g) -> int:
+    """Verify that every finite bound of every node's matrix in the
+    finished graph ``g`` (an ``explore.StateStore``) evaluates within
+    [-maxima[column], maxima[row]] at every valuation of the node's
+    colour, for the clock bounds ``maxima`` of the node's location;
+    returns the number of entries checked.  The node table makes the same
+    check on every arrival, through its window memo; this scan is the
+    reference for it, read entry by entry off the box's values."""
+    from ptasynth.errors import SoundnessError
+    from ptasynth.params import ValuationSet
+
+    checked = 0
+    table = g.table
+    box = table.box
+    for loc, mat, colour in zip(g.locs, g.mats, g.colour):
+        maxima = g.bounds[loc]
+        idx = ValuationSet(box, colour).indices()
+        for i, row in enumerate(mat):
+            for j, b in enumerate(map(table.bound, row)):
+                if b.is_inf or i == j:
+                    continue
+                vals = box.values(b.expr)[idx]
+                if (vals > maxima[i]).any() or (vals < -maxima[j]).any():
+                    raise SoundnessError(
+                        f"stored bound out of range at entry ({i},{j}): {b}")
+                checked += 1
+    return checked

@@ -12,13 +12,19 @@ import pytest
 
 import oracle_dbm as od
 import oracle_ltl as ol
-from conftest import CORPUS, SEED, fixture_path, load_fixture, reset_zone
+from conftest import (
+    CORPUS,
+    SEED,
+    fixture_path,
+    load_fixture,
+    reset_zone,
+    scan_stored_bounds,
+)
 from ptasynth import ltl, pdbm
 from ptasynth.baseline import enumerate_box
 from ptasynth.cli import main as cli_main
-from ptasynth.explore import Options, build_automaton, build_graph, \
-    scan_stored_bounds, synthesize
-from ptasynth.model import load_model
+from ptasynth.explore import build_graph, synthesize
+from ptasynth.model import Options, build_automaton, load_model
 from ptasynth.params import (
     AffineExpr,
     BoundTable,

@@ -23,8 +23,16 @@ from ptasynth.baseline import (
     instantiate,
 )
 from ptasynth.errors import CapacityError
-from ptasynth.explore import Options, synthesize
-from ptasynth.model import PEdge, PLoc, Ptba, clock_tables, deadlock_guards
+from ptasynth.explore import synthesize
+from ptasynth.model import (
+    Options,
+    PEdge,
+    PLoc,
+    Ptba,
+    build_automaton,
+    clock_tables,
+    deadlock_guards,
+)
 from ptasynth.params import AffineExpr, ParamBox, bound
 
 P = AffineExpr.var("p")
@@ -262,7 +270,6 @@ class TestCheckValuation:
 
     def test_deterministic(self):
         net = load_fixture("window.pta")
-        from ptasynth.explore import build_automaton
         from ptasynth.ltl import parse_ltl
 
         box = net.box()
@@ -389,7 +396,6 @@ class TestOneVectorReference:
             "traingate6.pta-G F Train1.Cross"])
     def test_symbolic_matches_one_vector_enumeration(self, fixture, prop,
                                                      overrides, states):
-        from ptasynth.explore import build_automaton
         from ptasynth.ltl import negated_automaton, parse_ltl
 
         net = load_fixture(fixture)

@@ -210,6 +210,16 @@ class TestCompare:
         assert doc["equal"] is True
         assert doc["stats"]["state_ratio"] > 0
 
+    def test_parameter_guard_agrees(self, capsys):
+        # a guard atom with no real clock constrains the parameters alone
+        code, out, err = run(capsys, "compare", "--model",
+                             str(fixture_path("paramguard.pta")),
+                             "--ltl", "G true")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["equal"] is True
+        assert doc["deadlock"] == [{"p": p} for p in range(5)]
+
     def test_bound_range(self, capsys):
         # q = 2^38 - 1 is the largest encodable bound; 2^38 and beyond
         # are rejected as input before either engine runs
@@ -378,6 +388,16 @@ class TestValidate:
             env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "3 components" in proc.stdout
+
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        # a UTF-8 file may start with a byte-order mark
+        bom = tmp_path / "gap.pta"
+        bom.write_bytes(b"\xef\xbb\xbf" + fixture_path("gap.pta").read_bytes())
+        for argv in (["validate"], ["synth", "--ltl", "G !inB"]):
+            got = [run(capsys, *argv, "--model", str(path))
+                   for path in (bom, fixture_path("gap.pta"))]
+            assert got[0] == got[1]
+            assert got[0][0] == 0
 
     def test_simple_guard_diagnostic(self, capsys, tmp_path):
         bad = tmp_path / "bad.pta"

@@ -15,28 +15,28 @@ from conftest import (
     load_fixture,
     load_workloads,
     one_vector_enumeration,
+    scan_stored_bounds,
     unbound_zone,
 )
-from ptasynth import baseline, explore, pdbm
+from ptasynth import baseline, explore, model, pdbm
 from ptasynth.errors import CapacityError, InputError, SoundnessError
 from ptasynth.explore import (
-    DEFAULT_DNF_LIMIT,
-    Options,
     StateStore,
-    build_automaton,
     build_graph,
     cumulative_ndfs_graph,
     deadlock_valuations,
     initial_states,
-    scan_stored_bounds,
     successors,
     synthesize,
 )
 from ptasynth.ltl import parse_ltl
 from ptasynth.model import (
+    DEFAULT_DNF_LIMIT,
+    Options,
     PEdge,
     PLoc,
     Ptba,
+    build_automaton,
     clock_bounds,
     clock_tables,
     transition_steps,
@@ -338,7 +338,7 @@ class TestCumulativeNdfs:
         # the clock stands still while the graph is built and passes the
         # limit right after, so the fixpoint's first check raises
         now = [0.0]
-        monkeypatch.setattr(explore, "time",
+        monkeypatch.setattr(model, "time",
                             SimpleNamespace(monotonic=lambda: now[0]))
         build = explore.build_graph
 
@@ -555,7 +555,7 @@ class TestDeadlockValuations:
         reduced = results()
         assert reduced == [(0b0111, 0b1111)] * 2 + [(0, 0b1111)] * 2
         nodes = synthesize(net, "G (a -> X c)").stats["stored_states"]
-        monkeypatch.setattr(explore, "negated_automaton",
+        monkeypatch.setattr(model, "negated_automaton",
                             lambda f: ltl.to_buchi(ltl.to_nnf(ltl.neg(f))))
         assert results() == reduced
         assert synthesize(net, "G (a -> X c)").stats["stored_states"] > nodes
@@ -973,7 +973,6 @@ class TestTransitionSteps:
 
 class TestStoredBoundScan:
     def test_fixture_bounds_in_range(self):
-        from ptasynth.explore import build_automaton
         from ptasynth.ltl import parse_ltl
 
         net = load_fixture("staggered.pta")
@@ -1027,7 +1026,6 @@ class TestBoundRange:
 
     @staticmethod
     def front_end(params: str, inv: str):
-        from ptasynth.explore import build_automaton
         from ptasynth.ltl import parse_ltl
         from ptasynth.model import parse_model
 
@@ -1063,7 +1061,6 @@ component C {{
         # both bounds evaluate to 0..2, but the invariant's term p reaches
         # the limit and so does the guard's constant; the invariant is read
         # first, however often the guard repeats
-        from ptasynth.explore import build_automaton
         from ptasynth.ltl import parse_ltl
         from ptasynth.model import parse_model
 

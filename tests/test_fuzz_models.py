@@ -3,6 +3,7 @@ identical violating and deadlock sets from both engines."""
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -14,11 +15,11 @@ from conftest import (
     load_fuzzgen,
     one_vector_enumeration,
 )
-from ptasynth import baseline, explore
+from ptasynth import baseline, explore, model
 from ptasynth.baseline import enumerate_box
 from ptasynth.errors import CapacityError, InputError
-from ptasynth.explore import Options, synthesize
-from ptasynth.model import parse_model
+from ptasynth.explore import synthesize
+from ptasynth.model import Options, parse_model
 
 fuzzgen = load_fuzzgen()
 
@@ -57,6 +58,52 @@ def test_random_models_agree():
 
 def sets(res):
     return res.satisfying.bits, res.accepted.bits, res.deadlock.bits
+
+
+# the atom shapes the grammar allows and the generator never emits: a
+# clock-free comparison (a guard on the parameters alone), a difference
+# with the zero clock on either side, and an equality
+ATOM_SHAPES = ("0 {op} {e}", "{x} - 0 {op} {e}", "0 - {x} {op} {e}",
+               "{x} == {e}")
+
+
+def with_atom_shapes(rng, src: str) -> tuple[str, int]:
+    """``src`` with an atom of one of the ``ATOM_SHAPES`` appended to about
+    half of its guards that are not ``true``, and the number of those
+    atoms that read no clock."""
+    params = re.findall(r"^param (\w+)", src, re.M)
+    clocks = re.search(r"^clock (.*)$", src, re.M).group(1).split()
+    clock_free = 0
+
+    def extend(m):
+        nonlocal clock_free
+        if m.group(1) == "true" or rng.random() < 0.5:
+            return m.group(0)
+        p, k = rng.choice(params), rng.randrange(0, 4)
+        shape = rng.choice(ATOM_SHAPES)
+        clock_free += shape == ATOM_SHAPES[0]
+        atom = shape.format(op=rng.choice(["<", "<=", ">", ">=", "=="]),
+                            x=rng.choice(clocks),
+                            e=rng.choice([f"{p} - {k}", f"{k} - {p}", k]))
+        return f"guard {m.group(1)} && {atom}"
+
+    return re.sub(r"guard (.+?)(?=;| })", extend, src), clock_free
+
+
+def test_every_atom_shape_agrees():
+    # generator jobs with those shapes added: both engines give the same
+    # sets, and no soundness check fails
+    rng = random.Random(3)
+    clock_free = 0
+    for _ in range(120):
+        src, labels = fuzzgen.random_model(rng)
+        prop = fuzzgen.random_property(rng, labels)
+        src, added = with_atom_shapes(rng, src)
+        net = parse_model(src)
+        assert sets(synthesize(net, prop)) == sets(enumerate_box(net, prop)), \
+            f"property {prop!r} on\n{src}"
+        clock_free += added
+    assert clock_free > 20
 
 
 def test_first_thousand_jobs_of_generator_seed_1_agree():
@@ -129,18 +176,18 @@ def test_gating_only_zeno_accepting_is_exact_and_never_grows(monkeypatch,
                                                              engine, count):
     # with every accepting location gated, as before the Zeno analysis
     exact_and_never_grows(monkeypatch, engine, count,
-                          [(explore, "zeno_accepting", every_accepting)])
+                          [(model, "zeno_accepting", every_accepting)])
 
 
 def test_dropping_gate_lower_bounds_is_exact_and_never_grows(monkeypatch):
     # on every accepting location gated, so that most jobs have a gate
     # clock: with the front end recording none, every matrix keeps the
     # non-Zeno clock's lower bounds
-    monkeypatch.setattr(explore, "zeno_accepting", every_accepting)
-    make_nonzeno = explore.make_nonzeno
+    monkeypatch.setattr(model, "zeno_accepting", every_accepting)
+    make_nonzeno = model.make_nonzeno
     exact_and_never_grows(
         monkeypatch, synthesize, "stored_states",
-        [(explore, "make_nonzeno",
+        [(model, "make_nonzeno",
           lambda a, gated: dataclasses.replace(make_nonzeno(a, gated),
                                                gate=0))])
 

@@ -14,13 +14,13 @@ from conftest import (
 )
 from ptasynth import ltl
 from ptasynth.errors import InputError
-from ptasynth.explore import build_automaton
 from ptasynth.model import (
     PEdge,
     PLoc,
     Ptba,
     _accepting_cycle,
     _components,
+    build_automaton,
     clock_bounds,
     clock_tables,
     compose,

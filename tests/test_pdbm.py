@@ -259,6 +259,36 @@ class TestConstrain:
             pdbm.constrain(z, [(1, 0, bound(Q))], self.TABLE)
 
 
+class TestParameterGuard:
+    """An atom ``0 - 0 < e``, which a guard with no real clock parses to,
+    constrains the parameters alone."""
+
+    BOX = ParamBox.of({"p": (0, 5), "q": (0, 5)})
+    TABLE = BoundTable(BOX)
+
+    def test_keeps_exactly_the_valuations_where_it_holds(self, rng):
+        table = self.TABLE
+        narrowed = emptied = 0
+        for z in canonical_samples(rng, table, 3, 40):
+            e, strict = random_expr(rng, self.BOX), rng.random() < 0.5
+            atom = (0, 0, bound(e, strict))
+            where = z.bits & ext(self.BOX, Constraint(-e, strict))
+            kept = [pdbm.CPDBM(where, z.mat, True)] if where else []
+            assert pdbm.constrain(z, [atom], table) == kept
+            counts: dict = {}
+            plan = pdbm.transition_plan([atom], [1], [], [0, 3, 3], [], 0,
+                                        table)
+            got = pdbm.transition(z, plan, table, counts)
+            plain = pdbm.transition_plan([], [1], [], [0, 3, 3], [], 0,
+                                         table)
+            assert got == [b for k in kept
+                           for b in pdbm.transition(k, plain, table, {})]
+            assert "guard" not in counts
+            narrowed += 0 < where != z.bits
+            emptied += not where
+        assert narrowed and emptied
+
+
 class TestResetUp:
     BOX = ParamBox.of({"p": (0, 5), "q": (0, 5)})
     TABLE = BoundTable(BOX)
