@@ -234,18 +234,17 @@ def successors(loc: int, base: list[CPDBM], moves, steps, table: BoundTable,
     return out
 
 
-def deadlock_valuations(loc: int, base: list[CPDBM], a: Ptba,
-                        table: BoundTable, dnf_limit: int) -> int:
-    """Valuations for which some point of the zone at ``loc``, whose
-    canonical branches are ``base``, enables no outgoing edge: the negated
-    guards of the location (``model.deadlock_guards``) are applied as a
-    product of disjunctions, and the surviving branches' extensions are
+def deadlock_valuations(guards, base: list[CPDBM], table: BoundTable,
+                        dnf_limit: int) -> int:
+    """Valuations for which some point of a zone, whose canonical branches
+    are ``base``, enables no outgoing edge of its location: the location's
+    ``guards`` (``model.deadlock_guards``) are applied as a product of
+    disjunctions, and the surviving branches' extensions are
     united.  After each guard, branches with equal matrices become one
     branch on the union of their valuations, in order of first
     occurrence, so the expansion grows with the distinct zones, not with
     the paths to them; operations act on each valuation separately, so
     the union means the same."""
-    guards = deadlock_guards(a.locations[loc])
     if guards is None:
         return 0
     cur = base
@@ -278,8 +277,9 @@ def build_graph(a: Ptba, box: ParamBox, bounds, free,
     """Run the colour worklist from the initial states until no node has
     pending valuations: each expansion takes all of a node's pending
     valuations, folds in the deadlock valuations of those not yet in the
-    deadlock set and adds every successor branch to its target node and
-    edge.  ``bounds`` and ``free`` are the ``clock_tables`` of ``a``: the
+    deadlock set, from its location's ``deadlock_guards`` built once per
+    graph, and adds every successor branch to its target node and edge.
+    ``bounds`` and ``free`` are the ``clock_tables`` of ``a``: the
     clock bounds each location's matrices are widened with and the
     clocks they free; ``a.gate`` is the clock whose lower bounds they
     drop, and the graph's own ``BoundTable`` numbers its bounds.  Returns
@@ -292,6 +292,7 @@ def build_graph(a: Ptba, box: ParamBox, bounds, free,
     store = StateStore(table, bounds, opts.limit_states)
     steps, moves = transition_steps(a, bounds, free)
     plans: list = [None] * len(steps)  # per step (``successors``)
+    folds = [deadlock_guards(loc) for loc in a.locations]
     for z in initial_states(a.n_clocks, steps[0], table):
         nid = store.resolve(a.initial, z)
         if nid not in store.initials:
@@ -315,8 +316,8 @@ def build_graph(a: Ptba, box: ParamBox, bounds, free,
             live = base if fold == delta else [
                 CPDBM(zb.bits & fold, zb.mat, zb.canonical) for zb in base
                 if zb.bits & fold]
-            store.deadlock_bits |= deadlock_valuations(loc, live, a, table,
-                                                       opts.dnf_limit)
+            store.deadlock_bits |= deadlock_valuations(
+                folds[loc], live, table, opts.dnf_limit)
         store.expansions += 1
         if opts.trace is not None:
             opts.trace.write(f"state {u}: {a.locations[loc].name}\n")

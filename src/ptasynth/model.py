@@ -21,7 +21,9 @@ the line.  The ``clock``, ``chan``, ``label`` and ``reset`` lists end with
 their line.  The lexer is ``ltl.TokenCursor``.  Parameters, clocks,
 variables and channels share one namespace and are declared once each;
 locations are unique per component, components per network.  Ranges are
-``LO..HI`` with ``LO <= HI``.
+``LO..HI`` with ``LO <= HI``.  The body of a component, a location or an
+edge is a list of clauses, each of which may end with ``;``; ``guard``,
+``sync``, ``invariant`` and ``init`` come at most once in a body.
 
 Guards are conjunctions (&&) of clock constraints with at most one real
 clock per atom (the literal ``0`` names the zero clock in differences) and
@@ -192,15 +194,36 @@ class _ModelParser(TokenCursor):
                            kind="empty-range", tok=t)
         return lo, hi
 
+    def clauses(self, block: str, words: tuple[str, ...],
+                single: tuple[str, ...] = ()):
+        """The clause keywords of a ``{ ... }`` body of a ``block``, each
+        yielded once taken, so that the caller reads the clause; a ``;``
+        may end each clause.  A keyword not in ``words``, or one in
+        ``single`` given a second time, is an error at that keyword."""
+        self.expect("{")
+        seen = set()
+        while self.peek()[1] != "}":
+            t = self.take()
+            word = t[1]
+            if word not in words:
+                raise self.err(f"unexpected {word!r} in {block}", tok=t)
+            if word in seen:
+                raise self.err(f"second {word} in {block}", tok=t)
+            if word in single:
+                seen.add(word)
+            yield word
+            if self.peek()[1] == ";":
+                self.take()
+        self.expect("}")
+
     def component(self):
         t = self.peek()
         name = self.ident("component name")
         if any(c.name == name for c in self.net.components):
             raise self.err(f"duplicate component {name}", tok=t)
         comp = Component(name, {}, "", [])
-        self.expect("{")
-        while self.peek()[1] != "}":
-            word = self.take()[1]
+        for word in self.clauses("component", ("location", "init", "edge"),
+                                 single=("init",)):
             if word == "location":
                 t = self.peek()
                 loc = self.location()
@@ -210,11 +233,8 @@ class _ModelParser(TokenCursor):
                 comp.locations[loc.name] = loc
             elif word == "init":
                 comp.init = self.ident("location name")
-            elif word == "edge":
-                comp.edges.append(self.edge())
             else:
-                raise self.err(f"unexpected {word!r} in component")
-        self.expect("}")
+                comp.edges.append(self.edge())
         if comp.init not in comp.locations:
             raise self.err(f"unknown init location {comp.init!r} in {name}",
                            kind="unknown-location")
@@ -230,21 +250,15 @@ class _ModelParser(TokenCursor):
         inv_atoms: tuple[Atom, ...] = ()
         labels: list[str] = []
         if self.peek()[1] == "{":
-            self.take()
-            while self.peek()[1] != "}":
-                word = self.take()[1]
+            for word in self.clauses("location", ("invariant", "label"),
+                                     single=("invariant",)):
                 if word == "invariant":
                     inv_atoms, data_atoms = self.guard()
                     if data_atoms:
                         raise self.err("invariants must be clock constraints",
                                        kind="data-invariant")
-                elif word == "label":
-                    labels += self.names_on_line()
                 else:
-                    raise self.err(f"unexpected {word!r} in location")
-                if self.peek()[1] == ";":
-                    self.take()
-            self.expect("}")
+                    labels += self.names_on_line()
         return CompLocation(name, inv_atoms, tuple(labels))
 
     def edge(self) -> CompEdge:
@@ -256,9 +270,8 @@ class _ModelParser(TokenCursor):
         sync = None
         resets: list[str] = []
         updates: list[tuple[str, AffineExpr]] = []
-        self.expect("{")
-        while self.peek()[1] != "}":
-            word = self.take()[1]
+        for word in self.clauses("edge", ("guard", "sync", "reset", "update"),
+                                 single=("guard", "sync")):
             if word == "guard":
                 clock_atoms, data_atoms = self.guard()
             elif word == "sync":
@@ -276,7 +289,7 @@ class _ModelParser(TokenCursor):
                         raise self.err(f"unknown clock {clk!r}",
                                        kind="unknown-clock")
                     resets.append(clk)
-            elif word == "update":
+            else:
                 while True:
                     var = self.ident("variable name")
                     if var not in self.net.variables:
@@ -289,11 +302,6 @@ class _ModelParser(TokenCursor):
                         self.take()
                     else:
                         break
-            else:
-                raise self.err(f"unexpected {word!r} in edge")
-            if self.peek()[1] == ";":
-                self.take()
-        self.expect("}")
         return CompEdge(src, dst, clock_atoms, data_atoms, sync,
                         tuple(resets), tuple(updates))
 
@@ -709,9 +717,8 @@ def zeno_accepting(a: Ptba, box: ParamBox) -> set[int]:
         while clocks:
             x = clocks & -clocks
             clocks ^= x
-            comp = _components(nodes, [e for e in inside if not e[3] & x])
-            if all(comp[u] != comp[v] for u, v, h, r in inside
-                   if h & x and not r & x):
+            cycles = _cyclic_parts(nodes, [e for e in inside if not e[3] & x])
+            if not any(e[2] & x for _, cycled in cycles for e in cycled):
                 passing |= x
         if passing:
             parts += _cyclic_parts(nodes, [e for e in inside
@@ -724,8 +731,17 @@ def zeno_accepting(a: Ptba, box: ParamBox) -> set[int]:
 def _cyclic_parts(nodes, edges) -> list[tuple[list[int], list[tuple]]]:
     """The strongly connected components of the graph on ``nodes`` with
     ``edges`` (source, target, ...) that contain an edge, each with the
-    edges inside it."""
-    comp = _components(nodes, edges)
+    edges inside it, which are the edges on a cycle: the parts of the Zeno
+    analysis and, for each clock, the cycles that do not reset it."""
+    nodes = list(nodes)
+    at = {l: k for k, l in enumerate(nodes)}
+    succ: list[list[int]] = [[] for _ in nodes]
+    for e in edges:
+        succ[at[e[0]]].append(at[e[1]])
+    comp: dict[int, int] = {}
+    for number, part in enumerate(_closing_components(succ)):
+        for k in part:
+            comp[nodes[k]] = number
     parts: dict[int, tuple[list[int], list[tuple]]] = {}
     for e in edges:
         c = comp[e[0]]
@@ -757,29 +773,13 @@ def _accepting_cycle(accepting: list[bool], edges) -> bool:
     return False
 
 
-def _components(nodes, edges) -> dict[int, int]:
-    """A strongly connected component number per node of the graph on
-    ``nodes`` with ``edges`` (source, target, ...), numbered in the order
-    the components close (``_closing_components``)."""
-    nodes = list(nodes)
-    at = {l: k for k, l in enumerate(nodes)}
-    succ: list[list[int]] = [[] for _ in nodes]
-    for e in edges:
-        succ[at[e[0]]].append(at[e[1]])
-    comp: dict[int, int] = {}
-    for number, part in enumerate(_closing_components(succ)):
-        for k in part:
-            comp[nodes[k]] = number
-    return comp
-
-
 def _closing_components(succ: list[list[int]]):
     """The strongly connected components of the graph on nodes ``0 ..
     len(succ) - 1`` with successor lists ``succ``, each yielded as a list
     of its nodes as soon as it closes, so sinks first: Tarjan's algorithm
     with an explicit stack, since products reach thousands of locations
     and zone graphs many more.  It serves the Zeno analysis
-    (``_components``), the enumeration engine's accepting-cycle check and
+    (``_cyclic_parts``), the enumeration engine's accepting-cycle check and
     the lasso check (``_accepting_cycle``)."""
     # a node's index is -1 until it is reached and ``done`` once its
     # component has closed, so that no later low link can take it
@@ -827,7 +827,7 @@ def _closing_components(succ: list[list[int]]):
 def clock_tables(a: Ptba, box: ParamBox
                  ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Per location, the clock bounds and the inactive clocks over the
-    whole box, from one backward propagation (``_passed_back``).
+    whole box, from one backward propagation.
 
     A clock's bound at a location is the largest constant it can still be
     compared with before it is next reset: static guard analysis
@@ -846,33 +846,13 @@ def clock_tables(a: Ptba, box: ParamBox
     A clock is inactive at a location (Daws and Yovine, RTSS 1996) when no
     invariant or guard reads it with a finite bound, not even 0, before
     every path from the location resets it, so no run depends on its
-    value there; its bound is 0.  Each atom is read as its magnitude plus
-    1, so that a table entry of 0 marks an inactive clock and any other
-    entry v is the bound v - 1: adding 1 commutes with the propagation's
-    maximum.  Returns (bounds, inactive clocks), each a tuple per
-    location, the clocks in increasing order."""
-    magnitude: dict[AffineExpr, int] = {}  # the product repeats atoms
-
-    def read(e: AffineExpr) -> int:
-        m = magnitude.get(e)
-        if m is None:
-            m = magnitude[e] = max(e.max_bound(box), (-e).max_bound(box)) + 1
-        return m
-
-    table = _passed_back(a, read)
-    bounds = [tuple(v - 1 if v else 0 for v in row) for row in table]
-    free = [tuple(c for c, v in enumerate(row) if c and not v)
-            for row in table]
-    return bounds, free
-
-
-def _passed_back(a: Ptba, read) -> list[list[int]]:
-    """Per location and clock, the largest ``read(e)`` over the finite
-    bounds ``e`` that the location's invariant and outgoing guards
-    compare the clock with, then passed back along every edge to its
-    source for each clock the edge does not reset, until nothing
-    changes.  The zero clock stays at 0."""
+    value there; its bound is 0.  The propagation reads each atom as its
+    magnitude plus 1, so that a table entry of 0 marks an inactive clock
+    and any other entry v is the bound v - 1: adding 1 commutes with the
+    propagation's maximum.  Returns (bounds, inactive clocks), each a
+    tuple per location, the clocks in increasing order."""
     n = len(a.clock_names)
+    magnitude: dict[AffineExpr, int] = {}  # the product repeats atoms
     table: list[list[int]] = []
     preds: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in a.locations]
     kept_of: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -882,7 +862,10 @@ def _passed_back(a: Ptba, read) -> list[list[int]]:
             for i, j, b in atoms:
                 if b.is_inf:
                     continue
-                m = read(b.expr)
+                m = magnitude.get(b.expr)
+                if m is None:
+                    m = magnitude[b.expr] = max(
+                        b.expr.max_bound(box), (-b.expr).max_bound(box)) + 1
                 for c in (i, j):
                     if c and m > row[c]:
                         row[c] = m
@@ -909,7 +892,10 @@ def _passed_back(a: Ptba, read) -> list[list[int]]:
             if grew and not queued[l]:
                 queued[l] = True
                 todo.append(l)
-    return table
+    bounds = [tuple(v - 1 if v else 0 for v in row) for row in table]
+    free = [tuple(c for c, v in enumerate(row) if c and not v)
+            for row in table]
+    return bounds, free
 
 
 def clock_bounds(table: list[tuple[int, ...]]) -> list[int]:
@@ -985,47 +971,26 @@ def dump_product(a: Ptba) -> str:
 BOUND_LIMIT = zones.INF >> 2
 
 
-def _check_bound_range(a: Ptba, box: ParamBox, maxima) -> None:
-    """Reject bounds the int64 zone encoding cannot hold: every clock
-    maximum (``maxima`` is the ``clock_bounds`` vector, which covers every
-    location's), every atom constant and every atom term at its largest
-    magnitude over the box must stay below BOUND_LIMIT."""
-
-    def check(value: int, what: str) -> None:
-        if value >= BOUND_LIMIT:
-            raise InputError(f"{what} reaches {value}, out of the bound "
-                             f"range (below 2^{BOUND_LIMIT.bit_length() - 1})",
-                             kind="bound-range")
-
-    for name, m in zip(a.clock_names, maxima):
-        check(m, f"maximum of clock {name}")
-    magnitude = {p: max(abs(lo), abs(hi))
-                 for p, lo, hi in zip(box.params, box.lo, box.hi)}
-    # the product shares guard tuples between locations: read each tuple,
-    # then each distinct expression, once, in order of first occurrence
-    guards = {id(atoms): atoms for loc in a.locations
-              for atoms in [loc.inv] + [e.atoms for e in loc.edges]}
-    exprs = dict.fromkeys(b.expr for atoms in guards.values()
-                          for _, _, b in atoms if b.expr is not None)
-    for e in exprs:
-        check(abs(e.const), "bound constant")
-        for p, z in e.coeffs:
-            check(abs(z) * magnitude[p], f"bound term {z}*{p}")
-
-
 def build_automaton(net: Network, f: Formula, box: ParamBox):
     """Shared front end for both engines: product of the composed network
     with the automaton of the negated property, its accepting locations
     that can be Zeno gated (``zeno_accepting``, ``make_nonzeno``), and its
     two ``clock_tables``: (automaton, clock bounds, inactive clocks).
-    Raises InputError when the box misses a guard parameter or a bound
-    falls outside the encodable range."""
+
+    Raises InputError when the box misses a guard parameter, or when a
+    bound falls outside what the int64 zone encoding can hold: every
+    clock maximum (the ``clock_bounds`` vector, which covers every
+    location's), then the constant and every term, at its largest
+    magnitude over the box, of every bound the model writes, in the order
+    it writes them, must stay below BOUND_LIMIT."""
     validate_property(net, f)
-    used = {p for c in net.components
-            for atoms in [loc.inv_atoms for loc in c.locations.values()]
-            + [e.clock_atoms for e in c.edges]
-            for _, _, b in atoms if not b.is_inf for p, _ in b.expr.coeffs}
-    missing = sorted(used.difference(box.params))
+    # each distinct bound expression, in order of first occurrence
+    exprs = dict.fromkeys(
+        b.expr for c in net.components
+        for atoms in [loc.inv_atoms for loc in c.locations.values()]
+        + [e.clock_atoms for e in c.edges] for _, _, b in atoms)
+    missing = sorted({p for e in exprs for p, _ in e.coeffs}
+                     .difference(box.params))
     if missing:
         raise InputError("the parameter box has no range for "
                          + ", ".join(missing), kind="unknown-param")
@@ -1034,7 +999,21 @@ def build_automaton(net: Network, f: Formula, box: ParamBox):
     prod = product(pta, lab, aut)
     tba = make_nonzeno(prod, zeno_accepting(prod, box))
     bounds, free = clock_tables(tba, box)
-    _check_bound_range(tba, box, clock_bounds(bounds))
+
+    def check(value: int, what: str) -> None:
+        if value >= BOUND_LIMIT:
+            raise InputError(f"{what} reaches {value}, out of the bound "
+                             f"range (below 2^{BOUND_LIMIT.bit_length() - 1})",
+                             kind="bound-range")
+
+    for name, m in zip(tba.clock_names, clock_bounds(bounds)):
+        check(m, f"maximum of clock {name}")
+    magnitude = {p: max(abs(lo), abs(hi))
+                 for p, lo, hi in zip(box.params, box.lo, box.hi)}
+    for e in exprs:
+        check(abs(e.const), "bound constant")
+        for p, z in e.coeffs:
+            check(abs(z) * magnitude[p], f"bound term {z}*{p}")
     return tba, bounds, free
 
 

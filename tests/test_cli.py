@@ -220,6 +220,22 @@ class TestCompare:
         assert doc["equal"] is True
         assert doc["deadlock"] == [{"p": p} for p in range(5)]
 
+    def test_valuation_without_initial_state(self, capsys, tmp_path):
+        # at p = 0 the initial invariant x <= -1 fails, so there is no
+        # initial state and no run: both engines count p = 0 as
+        # satisfying every property and as free of deadlock
+        model = tmp_path / "m.pta"
+        model.write_text("param p = 0..2\nclock x\ncomponent C {\n"
+                         "  location L { invariant x <= p - 1; label l }\n"
+                         "  init L\n}\n")
+        code, out, err = run(capsys, "compare", "--model", str(model),
+                             "--ltl", "F !l")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["equal"] is True
+        assert doc["satisfying"] == [{"p": 0}, {"p": 1}, {"p": 2}]
+        assert doc["deadlock"] == [{"p": 1}, {"p": 2}]
+
     def test_bound_range(self, capsys):
         # q = 2^38 - 1 is the largest encodable bound; 2^38 and beyond
         # are rejected as input before either engine runs
@@ -309,8 +325,10 @@ class TestCrashInputs:
         assert err.startswith(f"error ({kind}): ")
         assert err.count("\n") == 1
 
-    # models that once parsed with a declaration silently replaced or
-    # doubled; the error names the second declaration's position
+    # models that once parsed with a declaration or a singular clause
+    # silently replaced or doubled, or whose error pointed past an unknown
+    # keyword; the error names the second declaration, the second clause
+    # keyword or the unknown keyword
     @pytest.mark.parametrize("text, kind, pos", [
         ("clock x\ncomponent C {\n  location A { invariant x <= 1 }\n"
          "  location A { invariant true }\n  init A\n}\n",
@@ -324,8 +342,25 @@ class TestCrashInputs:
         ("param p = 0..1\nparam p = 0..2\n", "model-syntax", (2, 6)),
         ("param p = 3..1\n", "empty-range", (1, 10)),
         ("var w : 3..1 = 2\n", "empty-range", (1, 8)),
+        ("param p = 0..3\nclock x\ncomponent C {\n  location L\n"
+         "  location M\n  init L\n"
+         "  edge L -> M { guard x >= 1; guard x <= p; reset x }\n}\n",
+         "model-syntax", (7, 30)),
+        ("param p = 0..3\nclock x\ncomponent C {\n"
+         "  location L { invariant x <= 5; invariant x <= p }\n"
+         "  init L\n}\n", "model-syntax", (4, 33)),
+        ("clock x\ncomponent C {\n  location L\n  location M\n  init L\n"
+         "  init M\n}\n", "model-syntax", (6, 2)),
+        ("clock x\nchan a b\ncomponent C {\n  location L\n  init L\n"
+         "  edge L -> L { sync a!; sync b! }\n}\n", "model-syntax", (6, 25)),
+        ("clock x\ncomponent C {\n  location L { bogus x }\n  init L\n}\n",
+         "model-syntax", (3, 15)),
+        ("clock x\ncomponent C {\n  location L\n  init L\n  wibble\n}\n",
+         "model-syntax", (5, 2)),
     ], ids=["location", "variable", "clock", "component", "param-clock",
-            "channel-variable", "parameter", "param-empty", "var-empty"])
+            "channel-variable", "parameter", "param-empty", "var-empty",
+            "second-guard", "second-invariant", "second-init", "second-sync",
+            "location-keyword", "component-keyword"])
     def test_declarations_exit_two(self, capsys, tmp_path, text, kind, pos):
         model = tmp_path / "m.pta"
         model.write_text(text + "clock y\ncomponent M {\n  location A\n"

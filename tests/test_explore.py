@@ -39,6 +39,7 @@ from ptasynth.model import (
     build_automaton,
     clock_bounds,
     clock_tables,
+    deadlock_guards,
     transition_steps,
 )
 from ptasynth.params import (
@@ -415,21 +416,23 @@ class TestDeadlockValuations:
         loc = PLoc("L", ())
         a = Ptba(["0", "x"], [loc], 0)
         base = initial_of(a, TABLE5, [(0, 0)], [()])
-        got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
+        got = deadlock_valuations(deadlock_guards(a.locations[0]), base,
+                                  TABLE5, DEFAULT_DNF_LIMIT)
         assert got == base[0].bits
 
     def test_unguarded_edge_never_deadlocks(self):
         a = tiny_ptba()
         base = initial_of(a, TABLE5, [(0, 0)], [()])
-        assert deadlock_valuations(0, base, a, TABLE5,
-                                   DEFAULT_DNF_LIMIT) == 0
+        assert deadlock_valuations(deadlock_guards(a.locations[0]), base,
+                                   TABLE5, DEFAULT_DNF_LIMIT) == 0
 
     def test_upper_bounded_guard_on_unbounded_zone(self):
         # zone x >= 0 with a single guard x <= p: some point beyond p
         # always exists, so every valuation is flagged
         a = tiny_ptba(guard_atoms=[(1, 0, bound(P))])
         base = initial_of(a, TABLE5, [(0, 5)], [()])
-        got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
+        got = deadlock_valuations(deadlock_guards(a.locations[0]), base,
+                                  TABLE5, DEFAULT_DNF_LIMIT)
         assert got == ValuationSet.full(BOX5).bits
 
     def test_lower_bounded_guard_never_deadlocks_upward_zone(self):
@@ -437,7 +440,8 @@ class TestDeadlockValuations:
         # and the formula sees the points below p as deadlocked
         a = tiny_ptba(guard_atoms=[(0, 1, bound(-P))])
         base = initial_of(a, TABLE5, [(0, 5)], [()])
-        got = deadlock_valuations(0, base, a, TABLE5, DEFAULT_DNF_LIMIT)
+        got = deadlock_valuations(deadlock_guards(a.locations[0]), base,
+                                  TABLE5, DEFAULT_DNF_LIMIT)
         assert sorted(v["p"] for v in ValuationSet(BOX5, got)) == \
             [1, 2, 3, 4, 5]
 
@@ -454,10 +458,10 @@ class TestDeadlockValuations:
         for c in range(1, n):
             atoms = [(c, 0, bound(k)) for k in range(3)]
             loc.edges.append(PEdge(tuple(atoms), (), 0, "e"))
-        a = Ptba(["0", "x1", "x2", "x3", "x4"], [loc], 0)
+        guards = deadlock_guards(loc)
         with pytest.raises(CapacityError):
-            deadlock_valuations(0, [z], a, TABLE5, 100)
-        assert deadlock_valuations(0, [z], a, TABLE5, 120) \
+            deadlock_valuations(guards, [z], TABLE5, 100)
+        assert deadlock_valuations(guards, [z], TABLE5, 120) \
             == ValuationSet.full(BOX5).bits
 
     def test_repeated_zones_fold_under_default_limit(self):
@@ -1087,6 +1091,23 @@ component C {{
         _, bounds, _ = self.front_end(params, f"p + q - {self.LIMIT - 1}")
         assert clock_bounds(bounds)[1] == 1
         self.rejected(params, f"p + q - {self.LIMIT}", "bound constant")
+
+    def test_unreachable_location_is_checked(self):
+        # every bound the model writes is checked, also the invariant of
+        # a location no edge enters, which the product never reaches
+        from ptasynth.model import parse_model
+
+        net = parse_model("""clock x
+component C {
+  location A
+  location U { invariant x <= 300000000000 }
+  init A
+}
+""")
+        with pytest.raises(InputError) as exc:
+            build_automaton(net, parse_ltl("true"), net.box())
+        assert exc.value.kind == "bound-range"
+        assert "bound constant reaches 300000000000" in str(exc.value)
 
 
 @pytest.mark.parametrize("engine", ["symbolic", "enumerate"])

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     CORPUS,
+    FIXTURES,
     SEED,
     every_accepting,
     fully_gated_automaton,
@@ -19,7 +20,7 @@ from ptasynth.model import (
     PLoc,
     Ptba,
     _accepting_cycle,
-    _components,
+    _cyclic_parts,
     build_automaton,
     clock_bounds,
     clock_tables,
@@ -140,6 +141,26 @@ class TestParser:
         with pytest.raises(InputError) as err:
             parse_model(src)
         assert err.value.kind == "data-invariant"
+
+    def test_list_clauses_accumulate(self):
+        net = parse_model(MINIMAL.replace("clock x", "clock x y\n"
+                                          "var v : 0..3 = 0\nvar w : 0..3 = 0")
+                          .replace("label start", "label start; label go")
+                          .replace("reset x", "reset x; reset y; "
+                                   "update v := 1; update w := 2")
+                          .replace("init A", "init A;"))
+        (comp,) = net.components
+        assert comp.locations["A"].labels == ("start", "go")
+        (e,) = comp.edges
+        assert e.resets == ("x", "y")
+        assert [var for var, _ in e.updates] == ["v", "w"]
+
+    def test_readme_model_example_parses(self):
+        text = (FIXTURES.parent.parent / "README.md").read_text("utf-8")
+        example = text.split("## Model format\n", 1)[1] \
+                      .split("```text\n", 1)[1].split("```", 1)[0]
+        net = parse_model(example)
+        assert [c.name for c in net.components] == ["Train"]
 
     def test_override_box(self):
         net = parse_model(MINIMAL)
@@ -746,12 +767,20 @@ def test_components_match_mutual_reachability(rng):
         n, edges = random_graph(rng)
         # the Zeno analysis passes any node ids and edges with more fields
         nodes = rng.sample(range(100), n)
-        comp = _components(nodes, [(nodes[u], nodes[w], "label")
-                                   for u, w in edges])
-        reach = [reachable(edges, u) | {u} for u in range(n)]
+        labelled = [(nodes[u], nodes[w], "label") for u, w in edges]
+        comp = {}
+        for k, (part, inside) in enumerate(_cyclic_parts(nodes, labelled)):
+            for l in part:
+                assert l not in comp
+                comp[l] = k
+            assert inside == [e for e in labelled
+                              if e[0] in part and e[1] in part]
+        # a node lies in a part when it lies on a cycle, and two nodes in
+        # one part when each reaches the other
+        reach = [reachable(edges, u) for u in range(n)]
         for u in range(n):
             for w in range(n):
-                assert (comp[nodes[u]] == comp[nodes[w]]) is (
+                assert (comp.get(nodes[u], -1) == comp.get(nodes[w], -2)) is (
                     w in reach[u] and u in reach[w]), (edges, u, w)
 
 
