@@ -277,8 +277,9 @@ def build_graph(a: Ptba, box: ParamBox, bounds, free,
     """Run the colour worklist from the initial states until no node has
     pending valuations: each expansion takes all of a node's pending
     valuations, folds in the deadlock valuations of those not yet in the
-    deadlock set, from its location's ``deadlock_guards`` built once per
-    graph, and adds every successor branch to its target node and edge.
+    deadlock set, from its location's ``deadlock_guards``, built the first
+    time that location folds, and adds every successor branch to its
+    target node and edge.
     ``bounds`` and ``free`` are the ``clock_tables`` of ``a``: the
     clock bounds each location's matrices are widened with and the
     clocks they free; ``a.gate`` is the clock whose lower bounds they
@@ -292,7 +293,7 @@ def build_graph(a: Ptba, box: ParamBox, bounds, free,
     store = StateStore(table, bounds, opts.limit_states)
     steps, moves = transition_steps(a, bounds, free)
     plans: list = [None] * len(steps)  # per step (``successors``)
-    folds = [deadlock_guards(loc) for loc in a.locations]
+    folds: dict = {}  # per location, at its first fold
     for z in initial_states(a.n_clocks, steps[0], table):
         nid = store.resolve(a.initial, z)
         if nid not in store.initials:
@@ -316,6 +317,8 @@ def build_graph(a: Ptba, box: ParamBox, bounds, free,
             live = base if fold == delta else [
                 CPDBM(zb.bits & fold, zb.mat, zb.canonical) for zb in base
                 if zb.bits & fold]
+            if loc not in folds:
+                folds[loc] = deadlock_guards(a.locations[loc])
             store.deadlock_bits |= deadlock_valuations(
                 folds[loc], live, table, opts.dnf_limit)
         store.expansions += 1

@@ -139,12 +139,15 @@ class _ModelParser(TokenCursor):
         return name
 
     def names_on_line(self, noun: str | None = None) -> list[str]:
-        """The names that follow the last taken token on its line, each
-        declared as a ``noun`` when one is given."""
-        line = self.toks[self.i - 1][2]
+        """The names that follow the last taken token, a keyword, on its
+        line, each declared as a ``noun`` when one is given; a keyword
+        with no name is an error at the keyword."""
+        key = self.toks[self.i - 1]
         names = []
-        while self.peek()[0] == "id" and self.peek()[2] == line:
+        while self.peek()[0] == "id" and self.peek()[2] == key[2]:
             names.append(self.declare(noun) if noun else self.take()[1])
+        if not names:
+            raise self.err(f"{key[1]} needs a name on its line", tok=key)
         return names
 
     # grammar -------------------------------------------------------------
@@ -217,10 +220,10 @@ class _ModelParser(TokenCursor):
         self.expect("}")
 
     def component(self):
-        t = self.peek()
+        at = self.peek()
         name = self.ident("component name")
         if any(c.name == name for c in self.net.components):
-            raise self.err(f"duplicate component {name}", tok=t)
+            raise self.err(f"duplicate component {name}", tok=at)
         comp = Component(name, {}, "", [])
         for word in self.clauses("component", ("location", "init", "edge"),
                                  single=("init",)):
@@ -235,6 +238,8 @@ class _ModelParser(TokenCursor):
                 comp.init = self.ident("location name")
             else:
                 comp.edges.append(self.edge())
+        if not comp.init:
+            raise self.err(f"component {name} has no init", tok=at)
         if comp.init not in comp.locations:
             raise self.err(f"unknown init location {comp.init!r} in {name}",
                            kind="unknown-location")

@@ -461,3 +461,28 @@ class TestLimits:
         want = results()
         monkeypatch.setattr(baseline, "ROW_CAP", cap)
         assert results() == want
+
+    @pytest.mark.parametrize("cap", [1, 10**6])
+    def test_row_cap_leaves_capacity_errors_unchanged(self, monkeypatch, cap):
+        # a batch of one edge row, and one batch per layer of every
+        # valuation at once
+        monkeypatch.setattr(baseline, "ROW_CAP", cap)
+        self.test_first_error_in_exploration_order_wins()
+        self.test_state_limit_at_the_largest_graph()
+
+    def test_batches_on_the_dense3_box(self, monkeypatch):
+        # the 100 valuations of the benchmark's dense3 box run through 11
+        # lockstep steps at 512 rows (27 at 128 rows), so a narrower batch
+        # fails here
+        calls = []
+        successors = baseline._Tables.successors
+
+        def counted(t, states):
+            calls.append(len(states))
+            return successors(t, states)
+
+        monkeypatch.setattr(baseline._Tables, "successors", counted)
+        net = load_fixture("traingate.pta")
+        enumerate_box(net, "G !(Train1.Cross && Train2.Cross)",
+                      net.box({"p1": (0, 4), "p2": (1, 4), "p3": (0, 4)}))
+        assert (baseline.ROW_CAP, len(calls)) == (512, 11)

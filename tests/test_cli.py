@@ -326,9 +326,11 @@ class TestCrashInputs:
         assert err.count("\n") == 1
 
     # models that once parsed with a declaration or a singular clause
-    # silently replaced or doubled, or whose error pointed past an unknown
-    # keyword; the error names the second declaration, the second clause
-    # keyword or the unknown keyword
+    # silently replaced or doubled, or with a name list that names nothing,
+    # or whose error pointed past an unknown keyword or the component that
+    # lacks an init; the error names the second declaration, the second
+    # clause keyword, the keyword of the empty list, the unknown keyword or
+    # the component
     @pytest.mark.parametrize("text, kind, pos", [
         ("clock x\ncomponent C {\n  location A { invariant x <= 1 }\n"
          "  location A { invariant true }\n  init A\n}\n",
@@ -357,10 +359,18 @@ class TestCrashInputs:
          "model-syntax", (3, 15)),
         ("clock x\ncomponent C {\n  location L\n  init L\n  wibble\n}\n",
          "model-syntax", (5, 2)),
+        ("clock x\ncomponent C {\n  location L { invariant true; label }\n"
+         "  init L\n}\n", "model-syntax", (3, 31)),
+        ("clock x\ncomponent C {\n  location L\n  init L\n"
+         "  edge L -> L { guard true; reset }\n}\n", "model-syntax", (5, 28)),
+        ("clock\n", "model-syntax", (1, 0)),
+        ("chan\n", "model-syntax", (1, 0)),
+        ("clock x\ncomponent C {\n  location L\n}\n", "model-syntax", (2, 10)),
     ], ids=["location", "variable", "clock", "component", "param-clock",
             "channel-variable", "parameter", "param-empty", "var-empty",
             "second-guard", "second-invariant", "second-init", "second-sync",
-            "location-keyword", "component-keyword"])
+            "location-keyword", "component-keyword", "empty-label",
+            "empty-reset", "empty-clock", "empty-chan", "missing-init"])
     def test_declarations_exit_two(self, capsys, tmp_path, text, kind, pos):
         model = tmp_path / "m.pta"
         model.write_text(text + "clock y\ncomponent M {\n  location A\n"
