@@ -43,6 +43,7 @@ from .model import (
     SynthesisResult,
     _accepting_cycle,
     build_automaton,
+    check_box_covers,
     clock_tables,
     deadlock_guards,
     transition_steps,
@@ -450,8 +451,12 @@ def check_valuation(a: Ptba, v,
                     opts: Options | None = None) -> tuple[bool, bool]:
     """(accepting run exists, deadlock state reachable) at one valuation:
     the lockstep explorer on the one-point box, with the clock tables of
-    that box (``model.clock_tables``)."""
+    that box (``model.clock_tables``).  Raises InputError when ``v`` misses
+    a parameter of a guard or invariant."""
     box = ParamBox.of({p: (x, x) for p, x in v.items()})
+    check_box_covers((b.expr for loc in a.locations
+                      for atoms in [loc.inv] + [e.atoms for e in loc.edges]
+                      for _, _, b in atoms), box)
     accepted, deadlock, _, _ = _explore(a, box, *clock_tables(a, box),
                                         opts or Options())
     return bool(accepted), bool(deadlock)

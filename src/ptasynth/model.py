@@ -976,6 +976,16 @@ def dump_product(a: Ptba) -> str:
 BOUND_LIMIT = zones.INF >> 2
 
 
+def check_box_covers(exprs, box: ParamBox) -> None:
+    """Raises InputError when the box has no range for a parameter that
+    one of the bound expressions ``exprs`` reads."""
+    missing = sorted({p for e in exprs for p, _ in e.coeffs}
+                     .difference(box.params))
+    if missing:
+        raise InputError("the parameter box has no range for "
+                         + ", ".join(missing), kind="unknown-param")
+
+
 def build_automaton(net: Network, f: Formula, box: ParamBox):
     """Shared front end for both engines: product of the composed network
     with the automaton of the negated property, its accepting locations
@@ -994,11 +1004,7 @@ def build_automaton(net: Network, f: Formula, box: ParamBox):
         b.expr for c in net.components
         for atoms in [loc.inv_atoms for loc in c.locations.values()]
         + [e.clock_atoms for e in c.edges] for _, _, b in atoms)
-    missing = sorted({p for e in exprs for p, _ in e.coeffs}
-                     .difference(box.params))
-    if missing:
-        raise InputError("the parameter box has no range for "
-                         + ", ".join(missing), kind="unknown-param")
+    check_box_covers(exprs, box)
     aut = negated_automaton(f)
     pta, lab = compose(net)
     prod = product(pta, lab, aut)

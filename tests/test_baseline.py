@@ -22,7 +22,7 @@ from ptasynth.baseline import (
     enumerate_box,
     instantiate,
 )
-from ptasynth.errors import CapacityError
+from ptasynth.errors import CapacityError, InputError
 from ptasynth.explore import synthesize
 from ptasynth.model import (
     Options,
@@ -277,6 +277,18 @@ class TestCheckValuation:
         v = {"p": 2, "q": 3}
         first = check_valuation(tba, v)
         assert all(check_valuation(tba, v) == first for _ in range(3))
+
+    def test_missing_parameter_is_input_error(self):
+        # build_automaton reports the same mistake the same way
+        from ptasynth.ltl import parse_ltl
+
+        net = load_fixture("traingate.pta")
+        tba, _, _ = build_automaton(
+            net, parse_ltl("G !(Train1.Cross && Train2.Cross)"), net.box())
+        with pytest.raises(InputError) as err:
+            check_valuation(tba, {"p1": 1, "p2": 2})
+        assert err.value.kind == "unknown-param"
+        assert str(err.value) == "the parameter box has no range for p3"
 
 
 def random_one_clock_ptba(rng):

@@ -12,6 +12,76 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SAFE2 = "G !(Train1.Cross && Train2.Cross)"
+MUTEX = "G !(P1.CS && P2.CS)"
+ENTER = "G (P1.Req -> F P1.CS)"
+LIVE6 = ["--param", "p1=2..3", "--param", "p2=1..2", "--param", "p3=0..1",
+         "--param", "p4=1..1", "--param", "p6=1..1"]
+DENSE3 = ["--param", "p1=0..4", "--param", "p2=1..4", "--param", "p3=0..4"]
+WIDE64 = ["--param", "a=1..8", "--param", "b=1..8"]
+
+
+def fx(name: str) -> str:
+    return str(fixture_path(name))
+
+
+# commands whose output must not depend on the hash seed, with their exit
+# codes; "{out}" is the --out file, which the transcript reads back
+SEED_RUNS = [
+    (["synth", "--model", fx("gap.pta"), "--ltl", "G !inB",
+      "--out", "{out}"], 0),
+    (["synth", "--model", fx("traingate.pta"), "--ltl", SAFE2,
+      "--engine", "symbolic", "--out", "{out}"], 0),
+    (["synth", "--model", fx("deadfold.pta"), "--ltl", "G (inB -> c <= 0)"],
+     2),
+    (["dump-ba", "--ltl", "G ((a U b) -> F (c && X d))"], 0),
+    # the quotient merges states of these two
+    (["dump-ba", "--ltl", "G F a"], 0),
+    (["dump-ba", "--ltl", "G (a && a && a)"], 0),
+    (["dump-product", "--model", fx("traingate.pta"),
+      "--ltl", "G (Train1.Appr -> F Train1.Cross)"], 0),
+    # data atoms with negative constants: formula equality and the
+    # product's letters
+    (["dump-ba", "--ltl", "G (c >= -1 -> F (c <= 0 && X inB))"], 0),
+    (["dump-product", "--model", fx("counter.pta"),
+      "--ltl", "G (inB -> c <= 0)"], 0),
+    # automaton states with two guarded transitions enabled on one letter:
+    # the product lists its edges in transition order
+    (["dump-product", "--model", fx("deadfold.pta"), "--ltl", "!al0 U al1"],
+     0),
+    (["dump-product", "--model", fx("window.pta"),
+      "--ltl", "G (idle -> F work)"], 0),
+    (["synth", "--stats", "--model", fx("traingate6.pta"),
+      "--ltl", "G F Train1.Cross", *LIVE6], 0),
+    (["synth", "--engine", "enumerate", "--stats",
+      "--model", fx("traingate6.pta"), "--ltl", "G F Train1.Cross", *LIVE6],
+     0),
+    (["synth", "--trace", "--model", fx("traingate.pta"), "--ltl", SAFE2,
+      *DENSE3], 0),
+    (["synth", "--engine", "enumerate", "--stats",
+      "--model", fx("fischer3.pta"), "--ltl", MUTEX], 0),
+    (["synth", "--stats", "--model", fx("fischer3.pta"), "--ltl", MUTEX], 0),
+]
+
+# runs each command (argv lists, JSON on stdin) through cli.main and prints
+# one JSON line per command: exit code, stdout, stderr, --out file
+TRANSCRIPT = """
+import contextlib, io, json, os, sys
+from ptasynth.cli import main
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    written = ""
+    if "--out" in argv:
+        path = argv[argv.index("--out") + 1]
+        with open(path, encoding="utf-8") as fh:
+            written = fh.read()
+        os.remove(path)
+    print(json.dumps([code, out.getvalue(), err.getvalue(), written]))
+"""
+
+
 class TestSynth:
     def test_json_schema(self, capsys, tmp_path):
         out = tmp_path / "r.json"
@@ -44,22 +114,28 @@ class TestSynth:
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_byte_stable_across_processes(self, tmp_path):
+        # one child process per hash seed runs every command of SEED_RUNS;
+        # their transcripts must be byte-equal
         import os
         import subprocess
         import sys
 
-        outs = []
-        for seed in ("13", "9999"):
-            out = tmp_path / f"s{seed}.json"
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+        out = str(tmp_path / "r.json")
+        argvs = [[out if a == "{out}" else a for a in argv]
+                 for argv, _ in SEED_RUNS]
+        seeds = ("0", "1", "13", "9999")
+        transcripts = []
+        for seed in seeds:
             proc = subprocess.run(
-                [sys.executable, "-m", "ptasynth.cli", "synth",
-                 "--model", str(fixture_path("gap.pta")),
-                 "--ltl", "G !inB", "--out", str(out)],
-                env=env, capture_output=True, text=True)
+                [sys.executable, "-c", TRANSCRIPT], input=json.dumps(argvs),
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+                capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+            transcripts.append(proc.stdout)
+        codes = [json.loads(line)[0] for line in transcripts[0].splitlines()]
+        assert codes == [code for _, code in SEED_RUNS]
+        for seed, transcript in zip(seeds[1:], transcripts[1:]):
+            assert transcript == transcripts[0], seed
 
     def test_param_override(self, capsys):
         code, out, _ = run(capsys, "synth", "--model",
@@ -200,12 +276,37 @@ class TestSynth:
         assert '"expansions"' in err
 
 
+# the engine-agreement gate: model, property and --param flags
+AGREEMENT = {
+    "urgent": ("urgent.pta", "G !inC", []),
+    "live6": ("traingate6.pta", "G F Train1.Cross", LIVE6),
+    "dense3": ("traingate.pta", SAFE2, DENSE3),
+    # a response property, whose automaton the quotient shrinks most
+    "traingate-response": ("traingate.pta",
+                           "G (Train1.Appr -> F Train1.Cross)", []),
+    "c9": ("traingate.pta", SAFE2, ["--param", "p1=0..8", "--param",
+                                    "p2=1..8", "--param", "p3=0..8"]),
+    "job837": ("fuzz837.pta", "G !al1", []),
+    "fischer2-mutex": ("fischer2.pta", MUTEX, []),
+    "fischer2-response": ("fischer2.pta", ENTER, []),
+    "fischer3-mutex": ("fischer3.pta", MUTEX, []),
+    "fischer3-response": ("fischer3.pta", ENTER, []),
+    # 64 points: many valuations open at once, in wide batches
+    "fischer3-mutex-64": ("fischer3.pta", MUTEX, WIDE64),
+    "fischer3-response-64": ("fischer3.pta", ENTER, WIDE64),
+    # the answers of these two hinge on the deadlock fold
+    "deadfold": ("deadfold.pta", "!al0 U al1", []),
+    "blocked": ("blocked.pta", "G (a -> X c)", []),
+}
+
+
 class TestCompare:
-    def test_fixture_agrees(self, capsys):
-        code, out, _ = run(capsys, "compare", "--model",
-                           str(fixture_path("urgent.pta")),
-                           "--ltl", "G !inC")
-        assert code == 0
+    @pytest.mark.parametrize("model, prop, params", AGREEMENT.values(),
+                             ids=AGREEMENT.keys())
+    def test_engines_agree(self, capsys, model, prop, params):
+        code, out, err = run(capsys, "compare", "--model", fx(model),
+                             "--ltl", prop, *params)
+        assert code == 0, err
         doc = json.loads(out)
         assert doc["equal"] is True
         assert doc["stats"]["state_ratio"] > 0

@@ -1,5 +1,8 @@
 import hashlib
+import json
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from conftest import (
     one_clock_bounds,
 )
 from ptasynth import ltl
+from ptasynth.cli import main
 from ptasynth.errors import InputError
 from ptasynth.model import (
     PEdge,
@@ -161,6 +165,30 @@ class TestParser:
                       .split("```text\n", 1)[1].split("```", 1)[0]
         net = parse_model(example)
         assert [c.name for c in net.components] == ["Train"]
+
+    def test_readme_command_line_runs(self, tmp_path, monkeypatch, capsys):
+        # every command of the README's "## Command line" block, run from a
+        # directory whose tests/ is the suite's: exit 0, JSON documents
+        text = (FIXTURES.parent.parent / "README.md").read_text("utf-8")
+        block = text.split("## Command line\n", 1)[1] \
+                    .split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.replace("\\\n", "").splitlines()]
+        commands = [argv for argv in commands if argv]
+        assert commands and all(argv[0] == "ptasynth" for argv in commands)
+        (tmp_path / "tests").symlink_to(FIXTURES.parent)
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            try:
+                code = main(argv[1:])
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+            out = capsys.readouterr().out
+            assert code == 0, argv
+            if argv[1] in ("synth", "compare"):
+                if "--out" in argv:
+                    out = Path(argv[argv.index("--out") + 1]).read_text()
+                json.loads(out)
 
     def test_override_box(self):
         net = parse_model(MINIMAL)
