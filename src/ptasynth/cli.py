@@ -3,7 +3,8 @@
 Subcommands: ``synth`` (one engine), ``compare`` (both engines, non-zero
 exit on any difference), ``dump-ba``, ``dump-product``, ``validate``.
 Each takes only the flags it reads: the input flags ``--model``, ``--ltl``
-and ``--param``, and for the two engine commands the engine flags.
+and ``--param``, and for the two engine commands the engine flags.  Flags
+are spelled out in full, and only ``--param`` may be given more than once.
 Exit codes: 0 success, 1 result mismatch in compare, 2 bad input,
 3 capacity limit hit, 4 internal soundness check failed.
 """
@@ -46,9 +47,22 @@ def _param_override(text: str) -> tuple[str, int, int]:
                          kind="bad-flag")
 
 
+class _Once(argparse.Action):
+    """Stores a single-valued flag; a second use is a bad-flag error
+    instead of a silent replacement of the first value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise InputError(f"{option_string} given more than once",
+                             kind="bad-flag")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def _add_inputs(p: argparse.ArgumentParser, ltl_required=True):
-    p.add_argument("--model", required=True, help="model file")
-    p.add_argument("--ltl", required=ltl_required,
+    p.add_argument("--model", action=_Once, required=True, help="model file")
+    p.add_argument("--ltl", action=_Once, required=ltl_required,
                    help="property text" if ltl_required
                    else "optionally check a property's atoms")
     p.add_argument("--param", action="append", default=[],
@@ -56,21 +70,22 @@ def _add_inputs(p: argparse.ArgumentParser, ltl_required=True):
 
 
 def _add_engine(p: argparse.ArgumentParser):
-    p.add_argument("--out", help="write the result JSON here (default stdout)")
+    p.add_argument("--out", action=_Once,
+                   help="write the result JSON here (default stdout)")
     p.add_argument("--stats", action="store_true",
                    help="emit engine statistics to stderr")
     p.add_argument("--trace", action="store_true",
                    help="dump the symbolic engine's expansions to stderr")
-    p.add_argument("--limit-states", type=int, metavar="N",
+    p.add_argument("--limit-states", action=_Once, type=int, metavar="N",
                    default=DEFAULT_STATE_LIMIT, help="cap on stored states; "
                    "the symbolic engine counts the nodes of its one graph, "
                    "enumeration the zone states of one valuation's graph")
-    p.add_argument("--limit-dnf", type=int, metavar="N",
+    p.add_argument("--limit-dnf", action=_Once, type=int, metavar="N",
                    default=DEFAULT_DNF_LIMIT, help="cap on the negated-guard "
                    "expansion per state; the symbolic engine counts one step "
                    "per (negated atom, parametric branch), enumeration one "
                    "per (negated atom, zone) of one valuation")
-    p.add_argument("--time-limit", type=float, default=None,
+    p.add_argument("--time-limit", action=_Once, type=float, default=None,
                    metavar="SECONDS", help="stop an engine (exit 3) once it "
                    "has explored for this long")
 
@@ -187,36 +202,36 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser takes a prefix of a flag for the flag
     ap = argparse.ArgumentParser(
-        prog="ptasynth",
+        prog="ptasynth", allow_abbrev=False,
         description="Parameter synthesis for networks of parametric timed "
                     "automata against LTL properties.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="run one engine")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("synth", cmd_synth, "run one engine")
     _add_inputs(p)
     _add_engine(p)
-    p.add_argument("--engine", choices=("symbolic", "enumerate"),
-                   default="symbolic")
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--engine", action=_Once,
+                   choices=("symbolic", "enumerate"), default="symbolic")
 
-    p = sub.add_parser("compare", help="run both engines and diff the sets")
+    p = command("compare", cmd_compare, "run both engines and diff the sets")
     _add_inputs(p)
     _add_engine(p)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("dump-ba", help="print the automaton of the negated "
-                                       "property")
-    p.add_argument("--ltl", required=True, help="property text")
-    p.set_defaults(func=cmd_dump_ba)
+    p = command("dump-ba", cmd_dump_ba,
+                "print the automaton of the negated property")
+    p.add_argument("--ltl", action=_Once, required=True, help="property text")
 
-    p = sub.add_parser("dump-product", help="print the product automaton")
-    _add_inputs(p)
-    p.set_defaults(func=cmd_dump_product)
-
-    p = sub.add_parser("validate", help="parse and check the model only")
-    _add_inputs(p, ltl_required=False)
-    p.set_defaults(func=cmd_validate)
+    _add_inputs(command("dump-product", cmd_dump_product,
+                        "print the product automaton"))
+    _add_inputs(command("validate", cmd_validate,
+                        "parse and check the model only"), ltl_required=False)
     return ap
 
 

@@ -40,7 +40,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import KeysView
+from typing import KeysView, NamedTuple
 
 from .errors import InputError
 
@@ -163,13 +163,15 @@ def atoms_of(f: Formula) -> KeysView:
 
 # --- tokens and parser ------------------------------------------------------
 
-# Applied line by line.  A name starts with a letter or an underscore and
-# goes on with letters, digits, underscores and, in properties only, dots.
-# Longer operators come first so that they match before their prefixes.
-_TOKEN = re.compile(r"""\s*(?:
+
+def _tokens(name: str) -> re.Pattern:
+    """The token pattern of a language whose names match ``name``, applied
+    line by line.  Longer operators come first so that they match before
+    their prefixes."""
+    return re.compile(r"""\s*(?:
     (?P<skip>\#.*)
   | (?P<int>\d+)
-  | (?P<id>[^\W\d][\w.]*)
+  | (?P<id>""" + name + r""")
   | (?P<op>&&|\|\||->|:=|\.\.|[<>=!]=|[-{}();:=<>!?+*,])
   | (?P<bad>\S))""", re.VERBOSE)
 
@@ -179,40 +181,35 @@ class TokenCursor:
     ``int``, ``op`` or ``end`` (lines from 1, columns from 0), and a cursor
     over them with the token rules both languages share.  A subclass names
     its language: the operators it has (any other is an unexpected
-    character), whether names may contain dots, and its syntax error kind."""
+    character), its token pattern and its syntax error kind.  A name starts
+    with a letter or an underscore and goes on with letters, digits and
+    underscores; the default pattern, the models', stops there."""
 
     ops: frozenset = frozenset()
-    dotted = False
+    token = _tokens(r"[^\W\d]\w*")
     syntax = "syntax"
 
     def __init__(self, text: str):
         self.toks = []
         lines = text.split("\n")
         for line, part in enumerate(lines, 1):
-            self._lex(part, line, 0)
+            self._lex(part, line)
         self.toks.append(("end", "", len(lines), len(lines[-1])))
         self.i = 0
 
-    def _lex(self, text: str, line: int, offset: int):
+    def _lex(self, text: str, line: int):
         toks, ops = self.toks, self.ops
-        for m in _TOKEN.finditer(text):
+        for m in self.token.finditer(text):
             kind = m.lastgroup
             if kind == "skip":
                 continue
             word = m.group(kind)
-            col = m.start(kind) + offset
+            tok = (kind, word, line, m.start(kind))
             if kind == "id":
                 # \w also admits numerals that are not letters, such as "²"
                 ok = word[0] < "\x80" or word[0].isalpha()
-                if ok and "." in word and not self.dotted:
-                    # the name ends at the dot; what follows is lexed anew
-                    cut = word.index(".")
-                    toks.append((kind, word[:cut], line, col))
-                    self._lex(word[cut:], line, col + cut)
-                    continue
             else:
                 ok = kind == "int" or word in ops
-            tok = (kind, word, line, col)
             if not ok:
                 raise self.err(f"unexpected character {word[0]!r}", tok=tok)
             toks.append(tok)
@@ -263,7 +260,7 @@ class _Parser(TokenCursor):
     """Precedence (tightest first): !, X, G, F; U, R; &&; ||; -> (right)."""
 
     ops = frozenset({"&&", "||", "->", "!", "(", ")", "-", *CMP_OPS})
-    dotted = True
+    token = _tokens(r"[^\W\d][\w.]*")  # names may hold dots
     syntax = "ltl-syntax"
 
     def parse(self):
@@ -392,8 +389,7 @@ def to_nnf(f: Formula) -> Formula:
 # --- Büchi automata ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     src: int
     pos: frozenset
     negs: frozenset

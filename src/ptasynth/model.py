@@ -173,9 +173,11 @@ class _ModelParser(TokenCursor):
                 self.expect(":")
                 lo, hi = self.range_of("variable", name)
                 self.expect("=")
+                t = self.peek()
                 init = self.integer()
                 if not lo <= init <= hi:
-                    raise self.err(f"initial value of {name} outside range")
+                    raise self.err(f"initial value of {name} outside range",
+                                   tok=t)
                 self.net.variables[name] = (lo, hi, init)
             elif word == "component":
                 self.component()
@@ -225,29 +227,33 @@ class _ModelParser(TokenCursor):
         if any(c.name == name for c in self.net.components):
             raise self.err(f"duplicate component {name}", tok=at)
         comp = Component(name, {}, "", [])
+        init = None
+        ends = []  # the tokens of the edges' source and target names
         for word in self.clauses("component", ("location", "init", "edge"),
                                  single=("init",)):
+            k = self.i
+            t = self.toks[k]
             if word == "location":
-                t = self.peek()
                 loc = self.location()
                 if loc.name in comp.locations:
                     raise self.err(f"duplicate location {loc.name} in {name}",
                                    tok=t)
                 comp.locations[loc.name] = loc
             elif word == "init":
+                init = t
                 comp.init = self.ident("location name")
             else:
                 comp.edges.append(self.edge())
+                ends += [t, self.toks[k + 2]]  # SRC -> DST
         if not comp.init:
             raise self.err(f"component {name} has no init", tok=at)
         if comp.init not in comp.locations:
             raise self.err(f"unknown init location {comp.init!r} in {name}",
-                           kind="unknown-location")
-        for e in comp.edges:
-            for loc in (e.src, e.dst):
-                if loc not in comp.locations:
-                    raise self.err(f"unknown location {loc!r} in {name}",
-                                   kind="unknown-location")
+                           kind="unknown-location", tok=init)
+        for t in ends:
+            if t[1] not in comp.locations:
+                raise self.err(f"unknown location {t[1]!r} in {name}",
+                               kind="unknown-location", tok=t)
         self.net.components.append(comp)
 
     def location(self) -> CompLocation:
@@ -258,10 +264,7 @@ class _ModelParser(TokenCursor):
             for word in self.clauses("location", ("invariant", "label"),
                                      single=("invariant",)):
                 if word == "invariant":
-                    inv_atoms, data_atoms = self.guard()
-                    if data_atoms:
-                        raise self.err("invariants must be clock constraints",
-                                       kind="data-invariant")
+                    inv_atoms, _ = self.guard(data=False)
                 else:
                     labels += self.names_on_line()
         return CompLocation(name, inv_atoms, tuple(labels))
@@ -280,26 +283,29 @@ class _ModelParser(TokenCursor):
             if word == "guard":
                 clock_atoms, data_atoms = self.guard()
             elif word == "sync":
+                t = self.peek()
                 chan = self.ident("channel name")
                 if chan not in self.net.channels:
                     raise self.err(f"unknown channel {chan!r}",
-                                   kind="unknown-channel")
-                tag = self.take()[1]
-                if tag not in ("!", "?"):
-                    raise self.err("sync needs ! or ?")
-                sync = (chan, tag)
+                                   kind="unknown-channel", tok=t)
+                t = self.take()
+                if t[1] not in ("!", "?"):
+                    raise self.err("sync needs ! or ?", tok=t)
+                sync = (chan, t[1])
             elif word == "reset":
-                for clk in self.names_on_line():
+                first = self.i
+                for k, clk in enumerate(self.names_on_line(), first):
                     if clk not in self.net.clocks:
                         raise self.err(f"unknown clock {clk!r}",
-                                       kind="unknown-clock")
+                                       kind="unknown-clock", tok=self.toks[k])
                     resets.append(clk)
             else:
                 while True:
+                    t = self.peek()
                     var = self.ident("variable name")
                     if var not in self.net.variables:
                         raise self.err(f"unknown variable {var!r}",
-                                       kind="unknown-variable")
+                                       kind="unknown-variable", tok=t)
                     self.expect(":=")
                     updates.append((var, self.expr(
                         self.net.variables, "unknown-variable", scaled=False)))
@@ -311,20 +317,22 @@ class _ModelParser(TokenCursor):
                         tuple(resets), tuple(updates))
 
     # guards and expressions ----------------------------------------------
-    def guard(self):
-        """Conjunction of atoms; returns (clock atoms, data atoms)."""
+    def guard(self, data=True):
+        """Conjunction of atoms; returns (clock atoms, data atoms).  Without
+        ``data``, as in an invariant, a data atom is an error at its
+        variable."""
         if self.peek()[1] == "true":
             self.take()
             return (), ()
         clock_atoms: list[Atom] = []
-        data_atoms: list[tuple[str, str, int]] = []
+        data_atoms: list[tuple[str, str, int]] | None = [] if data else None
         while True:
             self.atom(clock_atoms, data_atoms)
             if self.peek()[1] == "&&":
                 self.take()
             else:
                 break
-        return tuple(clock_atoms), tuple(data_atoms)
+        return tuple(clock_atoms), tuple(data_atoms or ())
 
     def _clock_operand(self) -> int | None:
         """Clock index for an id/0 token, or None if not a clock."""
@@ -344,33 +352,41 @@ class _ModelParser(TokenCursor):
             cj = 0
             if self.peek()[1] == "-":
                 self.take()
+                right = self.peek()
                 cj = self._clock_operand()
                 if cj is None:
                     raise self.err("clock difference needs a clock or 0 on "
                                    "the right", kind="non-simple-guard")
-            if ci != 0 and cj != 0:
-                raise self.err(
-                    "guards may constrain at most one real clock per atom",
-                    kind="non-simple-guard")
-            op = self.take()[1]
-            if op not in ("<", "<=", ">", ">=", "=="):
-                raise self.err(f"bad comparison {op!r} in clock constraint")
+                if ci != 0 and cj != 0:
+                    raise self.err(
+                        "guards may constrain at most one real clock per "
+                        "atom", kind="non-simple-guard", tok=right)
+            op = self.take()
+            if op[1] not in ("<", "<=", ">", ">=", "=="):
+                raise self.err(f"bad comparison {op[1]!r} in clock "
+                               f"constraint", tok=op)
             e = self.expr(self.net.params, "unknown-param", scaled=True)
-            clock_atoms.extend(_clock_atom(ci, cj, op, e))
+            clock_atoms.extend(_clock_atom(ci, cj, op[1], e))
             return
         if t[0] == "id":
             name = self.take()[1]
             if name in self.net.variables:
-                op = self.take()[1]
-                if op not in CMP_OPS:
-                    raise self.err(f"bad comparison {op!r} on variable {name}")
-                data_atoms.append((name, op, self.integer()))
+                op = self.take()
+                if op[1] not in CMP_OPS:
+                    raise self.err(f"bad comparison {op[1]!r} on variable "
+                                   f"{name}", tok=op)
+                atom = (name, op[1], self.integer())
+                if data_atoms is None:
+                    raise self.err("invariants must be clock constraints",
+                                   kind="data-invariant", tok=t)
+                data_atoms.append(atom)
                 return
             if name in self.net.params:
                 raise self.err(
                     f"guard left side must be a clock or variable, got "
-                    f"parameter {name!r}", kind="model-syntax")
-            raise self.err(f"unknown clock {name!r}", kind="unknown-clock")
+                    f"parameter {name!r}", kind="model-syntax", tok=t)
+            raise self.err(f"unknown clock {name!r}", kind="unknown-clock",
+                           tok=t)
         raise self.err(f"unexpected {t[1]!r} in guard")
 
     def expr(self, names, kind: str, scaled: bool) -> AffineExpr:
@@ -388,7 +404,8 @@ class _ModelParser(TokenCursor):
             t = self.take()
             if t[0] == "int" and scaled and self.peek()[1] == "*":
                 self.take()
-                k, name = int(t[1]), self.ident(f"{noun} name")
+                k, t = int(t[1]), self.peek()
+                name = self.ident(f"{noun} name")
             elif t[0] == "int":
                 k, name = int(t[1]), None
             elif t[0] == "id":
@@ -401,7 +418,7 @@ class _ModelParser(TokenCursor):
             elif name in names:
                 total = total + AffineExpr.var(name, sign * k)
             else:
-                raise self.err(f"unknown {noun} {name!r}", kind=kind)
+                raise self.err(f"unknown {noun} {name!r}", kind=kind, tok=t)
             nxt = self.peek()[1]
             if nxt == "+":
                 self.take()

@@ -31,7 +31,7 @@ import enum
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -201,25 +201,13 @@ def _repeat(bits: int, period: int, count: int) -> int:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class AffineExpr:
+class AffineExpr(NamedTuple):
     """Normal-form integer affine expression: constant plus integer-scaled
-    parameters; zero coefficients are never stored."""
+    parameters; zero coefficients are never stored.  Its own arithmetic
+    replaces the tuple's concatenation and repetition."""
 
     const: int = 0
     coeffs: tuple[tuple[str, int], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.const, self.coeffs)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (self is other
-                or (isinstance(other, AffineExpr)
-                    and self.const == other.const
-                    and self.coeffs == other.coeffs))
 
     @classmethod
     def of(cls, const: int = 0, coeffs: Mapping[str, int] | None = None) -> "AffineExpr":
@@ -298,24 +286,11 @@ class AffineExpr:
 ZERO = AffineExpr()
 
 
-@dataclass(frozen=True, eq=False)
-class Constraint:
+class Constraint(NamedTuple):
     """Normalized parameter constraint ``lhs < 0`` or ``lhs <= 0``."""
 
     lhs: AffineExpr
     strict: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.lhs, self.strict)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (self is other
-                or (isinstance(other, Constraint)
-                    and self.strict == other.strict
-                    and self.lhs == other.lhs))
 
     @classmethod
     def le(cls, a: AffineExpr | int, b: AffineExpr | int) -> "Constraint":
@@ -462,28 +437,9 @@ def covers(cset: ConstraintSet, c: Constraint, box: ParamBox) -> Cover:
     return Cover.SPLIT
 
 
-@dataclass(frozen=True, eq=False)
-class StrictBound:
-    """Upper bound on a clock difference: an affine expression (or infinity)
-    plus a strictness flag.  strict=True means ``<``; infinity is always
-    strict."""
-
+class _StrictBound(NamedTuple):
     expr: AffineExpr | None
     strict: bool
-
-    def __post_init__(self):
-        if self.expr is None and not self.strict:
-            raise SynthError("infinite bounds are strict")
-        object.__setattr__(self, "_hash", hash((self.expr, self.strict)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (self is other
-                or (isinstance(other, StrictBound)
-                    and self.strict == other.strict
-                    and self.expr == other.expr))
 
     @property
     def is_inf(self) -> bool:
@@ -493,6 +449,19 @@ class StrictBound:
         if self.is_inf:
             return "inf"
         return f"({self.expr}, {'<' if self.strict else '<='})"
+
+
+class StrictBound(_StrictBound):
+    """Upper bound on a clock difference: an affine expression (or infinity)
+    plus a strictness flag.  strict=True means ``<``; infinity is always
+    strict."""
+
+    __slots__ = ()
+
+    def __new__(cls, expr: AffineExpr | None, strict: bool):
+        if expr is None and not strict:
+            raise SynthError("infinite bounds are strict")
+        return super().__new__(cls, expr, strict)
 
 
 INF_BOUND = StrictBound(None, True)
@@ -569,7 +538,6 @@ class BoundTable:
         self._windows: dict[tuple[int, int], dict] = {}
         self._grids: dict[tuple[int, ...], list] = {}
         self._value_ids: dict[bytes, int] = {}
-        self._floor: dict[int, int] = {}
         self._thresholds: dict[tuple[str, int], int] = {}
         self.intern(INF_BOUND)
         self.intern(ZERO_LE)
@@ -661,7 +629,4 @@ class BoundTable:
 
     def floor(self, m: int) -> int:
         """The id of the bound ``(-m, <)``."""
-        got = self._floor.get(m)
-        if got is None:
-            got = self._floor[m] = self.intern(StrictBound(AffineExpr(-m), True))
-        return got
+        return self.intern(StrictBound(AffineExpr(-m), True))

@@ -25,6 +25,12 @@ def fx(name: str) -> str:
     return str(fixture_path(name))
 
 
+# a model whose one edge has the body clause given to ``format``, on line 8
+# from column 16
+EDGE = ("param p = 0..3\nclock x w\nchan go\nvar c : 0..1 = 0\n"
+        "component C {{\n  location L\n  init L\n  edge L -> L {{ {} }}\n}}\n")
+
+
 # commands whose output must not depend on the hash seed, with their exit
 # codes; "{out}" is the --out file, which the transcript reads back
 SEED_RUNS = [
@@ -192,6 +198,44 @@ class TestSynth:
         assert exc.value.code == 2
         assert "unrecognized arguments: --no-check" in capsys.readouterr().err
 
+    def test_flag_prefix_is_a_usage_error(self, capsys):
+        # flags are spelled out: a prefix of one is not taken for it
+        for argv, message in (
+                (["--mod", fx("gap.pta"), "--ltl", "G !inB",
+                  "--eng", "enumerate"],
+                 "the following arguments are required: --model"),
+                (["--model", fx("gap.pta"), "--ltl", "G !inB",
+                  "--eng", "enumerate"],
+                 "unrecognized arguments: --eng enumerate")):
+            with pytest.raises(SystemExit) as exc:
+                main(["synth", *argv])
+            assert exc.value.code == 2, argv
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--model", fx("window.pta")), ("--ltl", "G !inA"),
+        ("--engine", "enumerate"), ("--out", "{tmp}/again.json"),
+        ("--limit-states", "10"), ("--limit-dnf", "10"),
+        ("--time-limit", "10")],
+        ids=["model", "ltl", "engine", "out", "limit-states", "limit-dnf",
+             "time-limit"])
+    def test_repeated_flag(self, capsys, tmp_path, flag, value):
+        # a single-valued flag given twice is an error, not a silent
+        # replacement of its first value
+        code, out, err = run(
+            capsys, "synth", "--model", fx("gap.pta"), "--ltl", "G !inB",
+            "--engine", "symbolic", "--out", str(tmp_path / "out.json"),
+            "--limit-states", "1000", "--limit-dnf", "100",
+            "--time-limit", "60", flag, value.format(tmp=tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error (bad-flag): {flag} given more than once\n"
+        assert not list(tmp_path.iterdir())
+        if flag == "--ltl":
+            code, out, err = run(capsys, "dump-ba", "--ltl", "G a",
+                                 flag, value)
+            assert (code, out) == (2, "")
+            assert err == "error (bad-flag): --ltl given more than once\n"
+
     def test_capacity_exit_code(self, capsys):
         code, _, err = run(capsys, "synth", "--model",
                            str(fixture_path("gap.pta")),
@@ -310,6 +354,17 @@ class TestCompare:
         doc = json.loads(out)
         assert doc["equal"] is True
         assert doc["stats"]["state_ratio"] > 0
+
+    def test_stats_flag(self, capsys):
+        # the result document on stdout, its stats again on stderr
+        code, out, err = run(capsys, "compare", "--model", fx("gap.pta"),
+                             "--ltl", "G !inB", "--stats")
+        assert code == 0
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert doc["equal"] is True
+        assert json.loads(err) == doc["stats"]
+        assert list(doc["stats"]) == ["symbolic", "enumerate", "state_ratio"]
 
     def test_parameter_guard_agrees(self, capsys):
         # a guard atom with no real clock constrains the parameters alone
@@ -467,11 +522,38 @@ class TestCrashInputs:
         ("clock\n", "model-syntax", (1, 0)),
         ("chan\n", "model-syntax", (1, 0)),
         ("clock x\ncomponent C {\n  location L\n}\n", "model-syntax", (2, 10)),
+        ("wibble\n", "model-syntax", (1, 0)),
+        # errors at the token they name, not at the one after it or past
+        # the component: the name, the operator, the second clock
+        (EDGE.format("guard z >= 1"), "unknown-clock", (8, 22)),
+        (EDGE.format("guard x >= r"), "unknown-param", (8, 27)),
+        (EDGE.format("guard x - w <= p"), "non-simple-guard", (8, 26)),
+        (EDGE.format("guard x != 1"), "model-syntax", (8, 24)),
+        (EDGE.format("guard c := 1"), "model-syntax", (8, 24)),
+        (EDGE.format("guard p <= 1"), "model-syntax", (8, 22)),
+        (EDGE.format("sync boom!"), "unknown-channel", (8, 21)),
+        (EDGE.format("sync go;"), "model-syntax", (8, 23)),
+        (EDGE.format("reset z"), "unknown-clock", (8, 22)),
+        (EDGE.format("update v := 1"), "unknown-variable", (8, 23)),
+        (EDGE.format("update c := c + q"), "unknown-variable", (8, 32)),
+        ("var c : 0..1 = 0\nclock x\ncomponent C {\n"
+         "  location L { invariant c <= 1 }\n  init L\n}\n",
+         "data-invariant", (4, 25)),
+        ("var w : 0..1 = 3\n", "model-syntax", (1, 15)),
+        ("clock x\ncomponent C {\n  location L\n  init M\n}\n",
+         "unknown-location", (4, 7)),
+        ("clock x\ncomponent C {\n  location L\n  init L\n"
+         "  edge L -> M { }\n}\n", "unknown-location", (5, 12)),
     ], ids=["location", "variable", "clock", "component", "param-clock",
             "channel-variable", "parameter", "param-empty", "var-empty",
             "second-guard", "second-invariant", "second-init", "second-sync",
             "location-keyword", "component-keyword", "empty-label",
-            "empty-reset", "empty-clock", "empty-chan", "missing-init"])
+            "empty-reset", "empty-clock", "empty-chan", "missing-init",
+            "top-keyword", "guard-clock", "guard-param", "guard-two-clocks",
+            "guard-clock-op", "guard-variable-op", "guard-param-left",
+            "sync-channel", "sync-tag", "reset-clock", "update-variable",
+            "update-term", "data-invariant", "var-initial", "init-location",
+            "edge-location"])
     def test_declarations_exit_two(self, capsys, tmp_path, text, kind, pos):
         model = tmp_path / "m.pta"
         model.write_text(text + "clock y\ncomponent M {\n  location A\n"
@@ -519,6 +601,19 @@ class TestValidate:
                            str(fixture_path("traingate.pta")))
         assert code == 0
         assert "3 components" in out
+
+    def test_property(self, capsys):
+        # --ltl checks the property's atoms against the model
+        code, out, err = run(capsys, "validate", "--model", fx("gap.pta"),
+                             "--ltl", "G !inB")
+        assert (code, err) == (0, "")
+        assert out == "ok: 1 components, 1 clocks, 1 parameters, " \
+                      "6 valuations\n"
+        code, out, err = run(capsys, "validate", "--model", fx("gap.pta"),
+                             "--ltl", "G !nope")
+        assert (code, out) == (2, "")
+        assert err == "error (unknown-atom): property uses unknown atom " \
+                      "'nope'\n"
 
     def test_box_cap_ignores_environment(self):
         """The box cap is a constant: no environment variable can break

@@ -49,12 +49,20 @@ class TestParser:
 
     def test_syntax_error_has_position(self):
         # (line, column), lines from 1 and columns from 0; model names
-        # never contain dots; input that ends early points at its end
+        # never contain dots, so "a..b" is a name, "..", a name; input that
+        # ends early points at its end
         for parse, text, kind, pos in (
                 (ltl.parse_ltl, "G (a &&)", "ltl-syntax", (1, 7)),
+                (ltl.parse_ltl, "(a", "ltl-syntax", (1, 2)),
+                (ltl.parse_ltl, "w >= x", "ltl-syntax", (1, 5)),
+                (ltl.parse_ltl, "a b", "ltl-syntax", (1, 2)),
+                (ltl.parse_ltl, "A.b >= 1", "ltl-syntax", (1, 0)),
                 (parse_model, "param p = 0..1\nclock x\nchan go$\n",
                  "model-syntax", (3, 7)),
                 (parse_model, "clock x.y\n", "model-syntax", (1, 7)),
+                (parse_model, "param p = a..b\n", "model-syntax", (1, 10)),
+                (parse_model, "param = 0..1\n", "model-syntax", (1, 6)),
+                (parse_model, "clock x\n", "model-syntax", (2, 0)),
                 (parse_model, "component A {", "model-syntax", (1, 13))):
             with pytest.raises(InputError) as err:
                 parse(text)
